@@ -84,9 +84,8 @@ def _common_input_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _optimizer_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=None, help="constant step size")
+    p.add_argument("--alpha", type=float, default=None, help="constant step size (grid-searched when absent)")
     p.add_argument("--alpha-auto", action="store_true", help="use the safe step 2/C")
-    p.add_argument("--alpha-grid", action="store_true", help="grid-search the step size (default when --alpha absent)")
     p.add_argument("--t1", type=int, default=100)
     p.add_argument("--t2", type=int, default=50)
     p.add_argument("--kappa", type=float, default=1e-8)
@@ -120,8 +119,6 @@ def cmd_pagerank(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    if args.alpha_grid and (args.alpha is not None or args.alpha_auto):
-        raise InputError("--alpha-grid conflicts with --alpha/--alpha-auto")
     _, groups, cfg, P = _load_instance(args)
     target = _parse_phi(args.phi, groups.K)
     opt = _build_opt(args)

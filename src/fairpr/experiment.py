@@ -27,7 +27,7 @@ log = logging.getLogger(__name__)
 
 OPTIMIZER_METHODS = ("fairgd", "fairgd_restricted", "adaptgd", "adaptgd_restricted")
 BASELINE_METHODS = ("fairwalk", "lfpr_n", "lfpr_u")
-KNOWN_METHODS = OPTIMIZER_METHODS + BASELINE_METHODS + ("crosswalk",)
+KNOWN_METHODS = OPTIMIZER_METHODS + BASELINE_METHODS
 
 CSV_COLUMNS = (
     "dataset",
@@ -176,9 +176,6 @@ def run_cell(
         P = build_transition(g, cfg)
         target = build_target(phi, groups.K)
 
-        if method == "crosswalk":
-            row.reason = "unavailable: crosswalk reweighting is not implemented"
-            return row
         if method in BASELINE_METHODS:
             fn = {"fairwalk": fairwalk, "lfpr_n": lfpr_n, "lfpr_u": lfpr_u}[method]
             result = fn(P, groups, target)

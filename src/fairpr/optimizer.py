@@ -12,7 +12,7 @@ import numpy as np
 from .graph import FairnessTarget, GroupAssignment, PageRankConfig, TransitionMatrix
 from .loss import lipschitz_bound, loss_from_scores
 from .pagerank import group_scores, neumann_y, pagerank_power
-from .projection import BoxBounds, InfeasibleBoxError, project_matrix
+from .projection import project_matrix, row_boxes
 
 log = logging.getLogger(__name__)
 
@@ -99,20 +99,6 @@ def _resolve_alpha(opt: OptimizerConfig, n: int, K: int, gamma: float) -> float:
     raise ValueError("no step size: set alpha or alpha_auto (the CLI can grid-search instead)")
 
 
-def _check_boxes_feasible(P: TransitionMatrix, opt: OptimizerConfig) -> None:
-    if not opt.restricted:
-        return
-    for i in range(P.n):
-        if P.sink_mask[i]:
-            continue
-        lo, hi = P.indptr[i], P.indptr[i + 1]
-        box = BoxBounds.from_reference(P.data[lo:hi], opt.delta, opt.epsilon)
-        try:
-            box.validate()
-        except InfeasibleBoxError as exc:
-            raise InfeasibleBoxError(f"row {i}: {exc}") from None
-
-
 def _trivial_report(P: TransitionMatrix, cfg: PageRankConfig, groups: GroupAssignment, opt: OptimizerConfig):
     """K = 1 has loss identically zero on the feasible set: nothing to do."""
     p = pagerank_power(P, cfg, t1=opt.t1, tol=opt.power_tol)
@@ -142,7 +128,7 @@ def fair_gd(
     gamma = cfg.gamma
     K = groups.K
     alpha = _resolve_alpha(opt, P.n, K, gamma)
-    _check_boxes_feasible(P, opt)
+    row_boxes(P, opt.delta, opt.epsilon)  # infeasible boxes fail before any work
     if K == 1:
         return _trivial_report(P, cfg, groups, opt)
 
@@ -213,7 +199,7 @@ def adapt_gd(
     """
     K = groups.K
     alpha = _resolve_alpha(opt, P.n, K, gamma)
-    _check_boxes_feasible(P, opt)
+    row_boxes(P, opt.delta, opt.epsilon)  # infeasible boxes fail before any work
     uniform_cfg = PageRankConfig.uniform(P.n, gamma)
     if K == 1:
         return _trivial_report(P, uniform_cfg, groups, opt)

@@ -1,5 +1,16 @@
 """Exact Euclidean projections of row weights onto the probability simplex,
-and onto its intersection with per-entry box bounds."""
+and onto its intersection with per-entry box bounds.
+
+Both are one problem, min ||x - s|| subject to sum x = 1 and
+lower <= x <= upper (the plain simplex is the box [0, 1]), solved for all
+rows at once by variable fixing (Bitran & Hax, Management Sci. 1981;
+Kiwiel, "Variable fixing algorithms for the continuous quadratic knapsack
+problem", J. Optim. Theory Appl. 2008). Each pass shifts the free entries
+of a row by one lambda so that the row sums to 1. A row whose shifted
+entries stay inside their box is settled; otherwise the entries violating
+the heavier side are fixed at those bounds, where the optimum keeps them,
+and the next pass solves for the rest.
+"""
 
 from __future__ import annotations
 
@@ -36,72 +47,71 @@ class BoxBounds:
             np.minimum(1.0, (1.0 + delta) * r + epsilon),
         )
 
-    def validate(self) -> None:
-        lo_sum = float(self.lower.sum())
-        up_sum = float(self.upper.sum())
-        if (self.lower > self.upper).any():
-            raise InfeasibleBoxError("some lower bound exceeds its upper bound")
-        if lo_sum > 1.0 + FEAS_TOL or up_sum < 1.0 - FEAS_TOL:
-            raise InfeasibleBoxError(
-                f"box excludes the simplex: sum(lower) = {lo_sum!r}, sum(upper) = {up_sum!r}"
+    def validate(self, seg: np.ndarray | None = None, nseg: int = 1) -> None:
+        """Raise unless each row's box meets the simplex. ``seg`` gives the
+        row id of every entry (one row when omitted) and the error then
+        names the first bad row; rows without entries are skipped."""
+        rows = np.zeros(self.lower.size, dtype=np.intp) if seg is None else seg
+        lo_sum = np.bincount(rows, self.lower, nseg)
+        up_sum = np.bincount(rows, self.upper, nseg)
+        crossed = np.bincount(rows[self.lower > self.upper], minlength=nseg) > 0
+        short = (np.bincount(rows, minlength=nseg) > 0) & (up_sum < 1.0 - FEAS_TOL)
+        bad = crossed | (lo_sum > 1.0 + FEAS_TOL) | short
+        if bad.any():
+            i = int(bad.argmax())
+            msg = (
+                "some lower bound exceeds its upper bound"
+                if crossed[i]
+                else f"box excludes the simplex: sum(lower) = {lo_sum[i]!r}, sum(upper) = {up_sum[i]!r}"
             )
+            raise InfeasibleBoxError(msg if seg is None else f"row {i}: {msg}")
+
+
+def project_rows(
+    s: np.ndarray, seg: np.ndarray, nseg: int, lower: np.ndarray, upper: np.ndarray
+) -> np.ndarray:
+    """Project each row of ``s`` onto {x : sum x = 1, lower <= x <= upper}.
+
+    ``seg`` gives the row id in [0, nseg) of each entry; the boxes must
+    meet the simplex (see ``BoxBounds.validate``). Rows already feasible
+    within FEAS_TOL come back bit-for-bit.
+    """
+    if not np.isfinite(s).all():
+        raise ValueError("cannot project a vector with non-finite entries")
+    out = s.copy()
+    outside = np.bincount(seg[(s < lower) | (s > upper)], minlength=nseg) > 0
+    off_sum = np.abs(np.bincount(seg, s, nseg) - 1.0) > FEAS_TOL
+    pos = np.flatnonzero((outside | off_sum)[seg])
+    seg, x, lo, up = seg[pos], s[pos], lower[pos], upper[pos]
+    if x.size and x.max() > 1e8:
+        # huge rows lose the precision lambda needs; shifting a row leaves its
+        # projection unchanged, since every feasible point sums to 1
+        top = np.full(nseg, -np.inf)
+        np.maximum.at(top, seg, x)
+        x = x - np.where(top > 1e8, top - 1.0, 0.0)[seg]
+    fixed = np.zeros(nseg)  # mass of each row's fixed entries
+    while pos.size:
+        free = np.maximum(np.bincount(seg, minlength=nseg), 1)
+        y = x + ((1.0 - fixed - np.bincount(seg, x, nseg)) / free)[seg]
+        below = np.bincount(seg, np.maximum(lo - y, 0.0), nseg)
+        above = np.bincount(seg, np.maximum(y - up, 0.0), nseg)
+        settled = ((below == 0.0) & (above == 0.0))[seg]
+        # clipping would add `below` and remove `above`: with below >= above
+        # the row's lambda cannot rise, so entries under their lower bound stay
+        # there; the mirror case fixes entries over their upper bound
+        done = settled | np.where((below >= above)[seg], y < lo, y > up)
+        val = np.clip(y[done], lo[done], up[done])
+        out[pos[done]] = val
+        fixed += np.bincount(seg[done], val, nseg)
+        keep = ~done
+        pos, seg, x, lo, up = pos[keep], seg[keep], x[keep], lo[keep], up[keep]
+    return out
 
 
 def project_simplex(s: np.ndarray) -> np.ndarray:
-    """Nearest point of the probability simplex under Euclidean distance.
-
-    Sorted-threshold method: with entries sorted descending, take
-    k = max{k : 1 + k s_k > sum_{j<=k} s_j}, tau = (sum_{j<=k} s_j - 1)/k,
-    and return max(0, s - tau).
-    """
+    """Nearest point of the probability simplex under Euclidean distance."""
     s = np.asarray(s, dtype=float)
-    if s.size == 0:
-        raise ValueError("cannot project an empty vector")
-    if not np.isfinite(s).all():
-        raise ValueError("cannot project a vector with non-finite entries")
-    if s.min() >= 0.0 and abs(s.sum() - 1.0) <= FEAS_TOL:
-        return s.copy()
-    work = s
-    if s.max() > 1e8:
-        # the projection is invariant under uniform shifts; recenter so the
-        # threshold test 1 + k s_k > cumsum keeps floating-point headroom
-        work = s - (s.max() - 1.0)
-    u = np.sort(work, kind="stable")[::-1]
-    css = np.cumsum(u)
-    j = np.arange(1, s.size + 1)
-    k = int(np.flatnonzero(1.0 + j * u > css)[-1]) + 1
-    tau = (css[k - 1] - 1.0) / k
-    return np.maximum(work - tau, 0.0)
-
-
-def _solve_dual(s: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> float:
-    """Root of h(lam) = sum clip(s + lam, lower, upper) - 1 by a breakpoint sweep.
-
-    The 2N breakpoints lower-s and upper-s are swept in ascending order,
-    lower breakpoints first at exact ties; Active counts entries whose
-    clipped value currently moves with lam, Total tracks h(lam) + 1.
-    """
-    d = s.size
-    bp = np.concatenate([lower - s, upper - s])
-    kind = np.concatenate([np.zeros(d, dtype=np.int64), np.ones(d, dtype=np.int64)])
-    order = np.lexsort((kind, bp))
-    vals = bp[order]
-    kinds = kind[order]
-    active = 1
-    total = float(lower.sum())
-    for i in range(1, 2 * d):
-        total += active * (vals[i] - vals[i - 1])
-        if total >= 1.0:
-            if active > 0:
-                return float(vals[i] + (1.0 - total) / active)
-            return float(vals[i])
-        if kinds[i] == 0:
-            active += 1
-        else:
-            active -= 1
-        assert active >= 0
-    # Total == sum(upper) < 1 only by the feasibility slack; saturate upward.
-    return float(vals[-1])
+    return project_simplex_box(s, BoxBounds(np.zeros(s.size), np.ones(s.size)))
 
 
 def project_simplex_box(s: np.ndarray, bounds: BoxBounds) -> np.ndarray:
@@ -109,15 +119,26 @@ def project_simplex_box(s: np.ndarray, bounds: BoxBounds) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     if s.size == 0:
         raise ValueError("cannot project an empty vector")
-    lower, upper = bounds.lower, bounds.upper
-    if s.size != lower.size or s.size != upper.size:
+    if s.size != bounds.lower.size or s.size != bounds.upper.size:
         raise ValueError("bounds length does not match vector length")
     bounds.validate()
-    inside = (s >= lower).all() and (s <= upper).all()
-    if inside and abs(s.sum() - 1.0) <= FEAS_TOL:
-        return s.copy()
-    lam = _solve_dual(s, lower, upper)
-    return np.clip(s + lam, lower, upper)
+    return project_rows(s, np.zeros(s.size, dtype=np.intp), 1, bounds.lower, bounds.upper)
+
+
+def row_boxes(
+    P_ref: TransitionMatrix, delta: float | None = None, epsilon: float | None = None
+) -> tuple[np.ndarray, np.ndarray, BoxBounds]:
+    """Positions of the entries in P_ref's non-sink rows, their row ids and
+    their boxes: [0, 1] without (delta, epsilon), else built from P_ref's
+    weights and validated, so an infeasible row fails before any work."""
+    rows = P_ref.entry_rows()
+    live = np.flatnonzero(~P_ref.sink_mask[rows])
+    seg = rows[live]
+    if delta is None:
+        return live, seg, BoxBounds(np.zeros(live.size), np.ones(live.size))
+    box = BoxBounds.from_reference(P_ref.data[live], delta, epsilon)
+    box.validate(seg, P_ref.n)
+    return live, seg, box
 
 
 def project_matrix(
@@ -137,21 +158,9 @@ def project_matrix(
         raise ValueError("delta and epsilon must be given together")
     if not P_hat.pattern_equals(P_orig):
         raise ValueError("candidate and reference matrices must share their pattern")
-    restricted = delta is not None
+    live, seg, box = row_boxes(P_orig, delta, epsilon)
     out = P_hat.data.copy()
-    for i in range(P_hat.n):
-        if P_hat.sink_mask[i]:
-            continue
-        lo, hi = P_hat.indptr[i], P_hat.indptr[i + 1]
-        s = P_hat.data[lo:hi]
-        if restricted:
-            box = BoxBounds.from_reference(P_orig.data[lo:hi], delta, epsilon)
-            try:
-                out[lo:hi] = project_simplex_box(s, box)
-            except InfeasibleBoxError as exc:
-                raise InfeasibleBoxError(f"row {i}: {exc}") from None
-        else:
-            out[lo:hi] = project_simplex(s)
+    out[live] = project_rows(P_hat.data[live], seg, P_hat.n, box.lower, box.upper)
     return TransitionMatrix(
         P_hat.n, P_hat.indptr.copy(), P_hat.indices.copy(), out, P_hat.sink_mask.copy()
     )

@@ -197,7 +197,7 @@ def test_sweep_row_count_and_reasons(tmp_path):
     out = tmp_path / "sweep"
     code = main([
         "sweep", "--edges", edges, "--labels", labels,
-        "--methods", "fairgd,fairwalk,lfpr_n,crosswalk",
+        "--methods", "fairgd,fairwalk,lfpr_n",
         "--phi", "0.3,0.6", "--alpha", "0.5", "--max-iters", "40",
         "--out", str(out),
     ])
@@ -208,12 +208,15 @@ def test_sweep_row_count_and_reasons(tmp_path):
         "rho_tilde,iterations,converged,wall_time_ms,reason"
     )
     rows = read_rows(out / "results.csv")
-    assert len(rows) == 8  # 4 methods x 2 phis
-    crosswalk = [r for r in rows if r["method"] == "crosswalk"]
-    assert all("unavailable" in r["reason"] for r in crosswalk)
-    assert all(r["loss"] == "" for r in crosswalk)
+    assert len(rows) == 6  # 3 methods x 2 phis
     fairgd = [r for r in rows if r["method"] == "fairgd"]
     assert all(r["loss"] != "" for r in fairgd)
+    # crosswalk is not a method: naming it is bad input
+    assert main([
+        "sweep", "--edges", edges, "--labels", labels,
+        "--methods", "fairgd,fairwalk,lfpr_n,crosswalk",
+        "--phi", "0.3", "--alpha", "0.5", "--out", str(tmp_path / "cw"),
+    ]) == 2
 
 
 def test_sweep_unsupported_k_reason(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import random_sinky_instance
 from fairpr import (
     BoxBounds,
     InfeasibleBoxError,
@@ -206,3 +207,43 @@ def test_project_matrix_infeasible_box_names_row():
     ref.data[lo:hi] = 0.1
     with pytest.raises(InfeasibleBoxError, match="row 0"):
         project_matrix(Q, ref, 0.0, 0.0)
+
+
+def test_project_matrix_infeasible_box_names_later_row():
+    P, Q = build_pair()
+    ref = P.copy()
+    lo, hi = ref.indptr[2], ref.indptr[3]
+    ref.data[lo:hi] = 0.1  # rows 0 and 1 keep feasible boxes
+    with pytest.raises(InfeasibleBoxError, match="row 2:") as err:
+        project_matrix(Q, ref, 0.0, 0.0)
+    assert "row 0" not in str(err.value)
+
+
+def test_project_matrix_rows_are_independent():
+    """All rows projected at once match the one-row projections, with a
+    huge row (recentred inside the kernel) next to ordinary ones."""
+    rng = np.random.default_rng(4)
+    _, _, _, P = random_sinky_instance(rng, 200, 2)
+    Q = P.copy()
+    rows = Q.entry_rows()
+    live = np.flatnonzero(~Q.sink_mask[rows])
+    Q.data[live] += rng.normal(0, 0.5, live.size) * (rng.random(live.size) < 0.7)
+    wide = [i for i in range(Q.n) if not Q.sink_mask[i] and Q.indptr[i + 1] - Q.indptr[i] >= 2]
+    huge = wide[len(wide) // 2]
+    lo, hi = Q.indptr[huge], Q.indptr[huge + 1]
+    Q.data[lo:hi] = rng.uniform(-1, 1, hi - lo) * 1e9
+    Q.data[lo] = 3e9
+    assert P.sink_mask.sum() > 0 and live.size > 300
+    sink_entries = np.flatnonzero(Q.sink_mask[rows])
+    for dl, ep in ((None, None), (0.2, 0.05)):
+        out = project_matrix(Q, P, dl, ep)
+        assert np.array_equal(out.data[sink_entries], Q.data[sink_entries])
+        for i in range(Q.n):
+            if Q.sink_mask[i]:
+                continue
+            lo, hi = Q.indptr[i], Q.indptr[i + 1]
+            if dl is None:
+                expect = project_simplex(Q.data[lo:hi])
+            else:
+                expect = project_simplex_box(Q.data[lo:hi], BoxBounds.from_reference(P.data[lo:hi], dl, ep))
+            np.testing.assert_allclose(out.data[lo:hi], expect, rtol=0, atol=1e-12)
