@@ -21,12 +21,38 @@ class BaselineResult:
     pattern_extended: bool = False
 
 
-def _from_rows(n, row_cols, row_vals, sink_mask) -> TransitionMatrix:
-    counts = np.asarray([len(c) for c in row_cols], dtype=np.int64)
-    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    indices = np.concatenate(row_cols) if indptr[-1] else np.empty(0, np.int64)
-    data = np.concatenate(row_vals) if indptr[-1] else np.empty(0, float)
-    tm = TransitionMatrix(n, indptr, indices.astype(np.int64), data, sink_mask)
+def _edges(P: TransitionMatrix, groups: GroupAssignment, weights=None):
+    """Positions, row ids and target groups of the edge entries (the entries
+    of non-sink rows), and an (n, K) table holding per row and group their
+    count, or the sum of their ``weights`` when given."""
+    rows = P.entry_rows()
+    edge = np.flatnonzero(~P.sink_mask[rows])
+    rows, gcols = rows[edge], groups.labels[P.indices[edge]]
+    w = None if weights is None else weights[edge]
+    table = np.bincount(rows * groups.K + gcols, w, P.n * groups.K).reshape(P.n, groups.K)
+    return edge, rows, gcols, table
+
+
+def _group_spread(groups: GroupAssignment, rows, ks, shares):
+    """COO triples in which row rows[t] spreads shares[t] uniformly over
+    every member of group ks[t]."""
+    sizes = groups.group_sizes
+    members = np.argsort(groups.labels, kind="stable")  # grouped, ascending ids
+    reps = sizes[ks]
+    offset = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+    cols = members[np.repeat(np.cumsum(sizes)[ks] - reps, reps) + offset]
+    return np.repeat(rows, reps), cols, np.repeat(shares / reps, reps)
+
+
+def _assemble(P: TransitionMatrix, *blocks) -> TransitionMatrix:
+    """Validated matrix with P's sink rows from COO (rows, cols, vals) blocks;
+    entries named twice add up and exact zeros are dropped."""
+    rows, cols, vals = (np.concatenate(parts) for parts in zip(*blocks))
+    keys, inv = np.unique(rows * P.n + cols, return_inverse=True)
+    data = np.bincount(inv, vals, len(keys))
+    keys, data = keys[data != 0.0], data[data != 0.0]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // P.n, minlength=P.n))])
+    tm = TransitionMatrix(P.n, indptr, keys % P.n, data, P.sink_mask.copy())
     tm.validate()
     return tm
 
@@ -36,20 +62,12 @@ def fairwalk(P: TransitionMatrix, groups: GroupAssignment, target: FairnessTarge
     proportional to its target share; weights within a group keep their
     relative sizes. The pattern is preserved; sink rows pass through."""
     phi = target.phi
-    labels = groups.labels
+    edge, rows, gcols, mass = _edges(P, groups, P.data)
+    reach_phi = np.where(mass > 0, phi, 0.0).sum(axis=1)
+    keep = reach_phi[rows] != 0.0  # rows reaching no targeted group stay
+    edge, rows, gcols = edge[keep], rows[keep], gcols[keep]
     out = P.data.copy()
-    for i in range(P.n):
-        if P.sink_mask[i]:
-            continue
-        lo, hi = P.indptr[i], P.indptr[i + 1]
-        cols = P.indices[lo:hi]
-        w = P.data[lo:hi]
-        gcols = labels[cols]
-        mass = np.bincount(gcols, weights=w, minlength=groups.K)
-        reach_phi = float(phi[mass > 0].sum())
-        if reach_phi == 0.0:
-            continue
-        out[lo:hi] = phi[gcols] * w / (mass[gcols] * reach_phi)
+    out[edge] = phi[gcols] * P.data[edge] / (mass[rows, gcols] * reach_phi[rows])
     tm = TransitionMatrix(P.n, P.indptr.copy(), P.indices.copy(), out, P.sink_mask.copy())
     tm.validate()
     return BaselineResult(tm, "fairwalk", pattern_extended=False)
@@ -66,31 +84,15 @@ def lfpr_n(P: TransitionMatrix, groups: GroupAssignment, target: FairnessTarget)
     extending the pattern."""
     _require_two_groups(groups, "lfpr_n")
     phi = target.phi
-    labels = groups.labels
-    sizes = groups.group_sizes
-    members = [groups.members(k) for k in range(2)]
-    row_cols, row_vals = [], []
-    extended = False
-    acc = np.zeros(P.n)
-    for i in range(P.n):
-        acc[:] = 0.0
-        if P.sink_mask[i]:
-            cols = np.empty(0, np.int64)
-        else:
-            cols = P.indices[P.indptr[i] : P.indptr[i + 1]]
-        gcols = labels[cols]
-        for k in range(2):
-            into_k = cols[gcols == k]
-            if len(into_k):
-                acc[into_k] += phi[k] / len(into_k)
-            else:
-                acc[members[k]] += phi[k] / sizes[k]
-                if not P.sink_mask[i]:
-                    extended = True
-        nz = np.flatnonzero(acc)
-        row_cols.append(nz)
-        row_vals.append(acc[nz].copy())
-    tm = _from_rows(P.n, row_cols, row_vals, P.sink_mask.copy())
+    edge, rows, gcols, counts = _edges(P, groups)
+    # sink rows have no edges, so both of their shares spread
+    spread_rows, ks = np.nonzero(counts == 0)
+    extended = bool((counts[~P.sink_mask] == 0).any())
+    tm = _assemble(
+        P,
+        (rows, P.indices[edge], phi[gcols] / counts[rows, gcols]),
+        _group_spread(groups, spread_rows, ks, phi[ks]),
+    )
     return BaselineResult(tm, "lfpr_n", pattern_extended=extended)
 
 
@@ -100,41 +102,25 @@ def lfpr_u(P: TransitionMatrix, groups: GroupAssignment, target: FairnessTarget)
     uniformly over that whole group (the residual term)."""
     _require_two_groups(groups, "lfpr_u")
     phi1 = float(target.phi[0])
-    labels = groups.labels
     sizes = groups.group_sizes
-    members = [groups.members(k) for k in range(2)]
-    row_cols, row_vals = [], []
-    extended = False
-    acc = np.zeros(P.n)
-    for i in range(P.n):
-        acc[:] = 0.0
-        if P.sink_mask[i]:
-            # no edges: both shares route through the uniform spread
-            acc[members[0]] += phi1 / sizes[0]
-            acc[members[1]] += (1.0 - phi1) / sizes[1]
-        else:
-            cols = P.indices[P.indptr[i] : P.indptr[i + 1]]
-            outdeg = len(cols)
-            out1 = int((labels[cols] == 0).sum())
-            out2 = outdeg - out1
-            if out1 < phi1 * outdeg:
-                # group 0 under-represented; edges carry group 1's full share
-                base = (1.0 - phi1) / out2
-                acc[cols] += base
-                resid = phi1 - base * out1
-                acc[members[0]] += resid / sizes[0]
-                extended = extended or out1 < sizes[0]
-            elif out2 < (1.0 - phi1) * outdeg:
-                base = phi1 / out1
-                acc[cols] += base
-                resid = (1.0 - phi1) - base * out2
-                acc[members[1]] += resid / sizes[1]
-                extended = extended or out2 < sizes[1]
-            else:
-                # neighbor fractions already match the target exactly
-                acc[cols] += 1.0 / outdeg
-        nz = np.flatnonzero(acc)
-        row_cols.append(nz)
-        row_vals.append(acc[nz].copy())
-    tm = _from_rows(P.n, row_cols, row_vals, P.sink_mask.copy())
+    edge, rows, _, counts = _edges(P, groups)
+    live = np.flatnonzero(~P.sink_mask)
+    out1, out2 = counts[live, 0], counts[live, 1]
+    outdeg = out1 + out2
+    # under0: group 0 under-represented, so edges carry group 1's full share;
+    # under1 mirrors it; otherwise neighbor fractions already match the target
+    under0 = out1 < phi1 * outdeg
+    under1 = ~under0 & (out2 < (1.0 - phi1) * outdeg)
+    num = np.select([under0, under1], [1.0 - phi1, phi1], 1.0)
+    base = np.zeros(P.n)
+    base[live] = num / np.select([under0, under1], [out2, out1], outdeg)
+    resid = np.where(under0, phi1 - base[live] * out1, (1.0 - phi1) - base[live] * out2)
+    spread = under0 | under1
+    # no edges in sink rows: both shares route through the uniform spread
+    sinks = np.flatnonzero(P.sink_mask)
+    spread_rows = np.concatenate([live[spread], np.repeat(sinks, 2)])
+    ks = np.concatenate([under1[spread].astype(np.int64), np.tile([0, 1], len(sinks))])
+    shares = np.concatenate([resid[spread], np.tile([phi1, 1.0 - phi1], len(sinks))])
+    extended = bool((under0 & (out1 < sizes[0])).any() or (under1 & (out2 < sizes[1])).any())
+    tm = _assemble(P, (rows, P.indices[edge], base[rows]), _group_spread(groups, spread_rows, ks, shares))
     return BaselineResult(tm, "lfpr_u", pattern_extended=extended)

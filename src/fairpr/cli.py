@@ -16,6 +16,7 @@ from pathlib import Path
 from .baselines import UnsupportedGroupCountError, fairwalk, lfpr_n, lfpr_u
 from .experiment import (
     ExperimentSpec,
+    build_target,
     evaluate_matrices,
     rows_to_csv,
     run_optimizer_method,
@@ -70,8 +71,6 @@ def _parse_phi(phi_text: str, K: int) -> FairnessTarget:
     if len(parts) == K:
         return FairnessTarget(phi=parts)
     if len(parts) == 1:
-        from .experiment import build_target
-
         return build_target(parts[0], K)
     raise InputError(f"--phi needs 1 or {K} comma-separated values, got {len(parts)}")
 

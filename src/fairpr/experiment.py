@@ -138,7 +138,7 @@ def run_optimizer_method(method, P, gamma, groups, target, opt: OptimizerConfig)
     if opt.alpha is None and not opt.alpha_auto:
         _, report = tune_step_size(run)
         return report
-    return run(opt.alpha) if opt.alpha is not None else run(None)
+    return run(opt.alpha)
 
 
 def evaluate_matrices(P_orig, P_new, gamma, groups, target):

@@ -36,12 +36,11 @@ class GroupAssignment:
 
     labels: np.ndarray  # (n,) int64, values in [0, K)
     K: int
-    group_sizes: np.ndarray = field(default=None)  # (K,) int64
+    group_sizes: np.ndarray = field(init=False)  # (K,) int64, derived from labels
 
     def __post_init__(self):
         sizes = np.bincount(self.labels, minlength=self.K)
-        if self.group_sizes is None:
-            object.__setattr__(self, "group_sizes", sizes)
+        object.__setattr__(self, "group_sizes", sizes)
         if len(sizes) != self.K or (sizes == 0).any():
             raise ValueError("every group id in [0, K) must label at least one vertex")
 
@@ -116,7 +115,9 @@ class TransitionMatrix:
     Rows of sink vertices (no out-edges) hold a dense copy of the restart
     vector and are flagged in ``sink_mask``; they are not graph edges and
     are left untouched by reweighting code. The sparsity pattern is fixed:
-    revised matrices keep the pattern and may contain exact zeros.
+    revised matrices keep the pattern and may contain exact zeros. Column
+    ids ascend within each row, so the keys ``row * n + col`` of the stored
+    entries ascend too.
     """
 
     __slots__ = ("n", "indptr", "indices", "data", "sink_mask")
@@ -174,15 +175,15 @@ class TransitionMatrix:
         """True when every stored entry here is stored in ``other`` too."""
         if self.n != other.n:
             return False
-        for i in range(self.n):
-            mine = self.indices[self.indptr[i] : self.indptr[i + 1]]
-            theirs = other.indices[other.indptr[i] : other.indptr[i + 1]]
-            if not np.isin(mine, theirs).all():
-                return False
-        return True
+        mine = self.entry_rows() * self.n + self.indices
+        theirs = other.entry_rows() * self.n + other.indices
+        # a key is stored in `other` when its sorted insertion range is nonempty
+        return bool((np.searchsorted(theirs, mine, "right") > np.searchsorted(theirs, mine)).all())
 
     def validate(self, tol: float = ROW_SUM_TOL) -> None:
         """Check row-stochasticity and nonnegativity; raise on violation."""
+        if not np.isfinite(self.data).all():
+            raise ValueError("non-finite weight in transition matrix")
         if (self.data < 0).any():
             raise ValueError("negative weight in transition matrix")
         sums = self.row_sums()
@@ -278,20 +279,13 @@ def build_transition(g: Graph, cfg: PageRankConfig) -> TransitionMatrix:
     indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
     indices = np.empty(indptr[-1], dtype=np.int64)
     data = np.empty(indptr[-1], dtype=float)
-
-    # edges are already sorted by (src, dst), so they fill rows in order
-    epos = 0
-    cols = np.arange(g.n, dtype=np.int64)
-    for i in range(g.n):
-        lo, hi = indptr[i], indptr[i + 1]
-        if sink_mask[i]:
-            indices[lo:hi] = cols
-            data[lo:hi] = v
-        else:
-            d = outdeg[i]
-            indices[lo:hi] = edges[epos : epos + d, 1]
-            data[lo:hi] = 1.0 / d
-            epos += d
+    # edges are sorted by (src, dst), so they fill the edge rows in order
+    in_sink = np.repeat(sink_mask, counts)
+    indices[~in_sink] = edges[:, 1]
+    data[~in_sink] = 1.0 / outdeg[edges[:, 0]]
+    nsinks = int(sink_mask.sum())
+    indices[in_sink] = np.tile(np.arange(g.n, dtype=np.int64), nsinks)
+    data[in_sink] = np.tile(v, nsinks)
     tm = TransitionMatrix(g.n, indptr, indices, data, sink_mask)
     tm.validate()
     return tm
@@ -303,13 +297,10 @@ def serialize_matrix(tm: TransitionMatrix) -> str:
     Weights print with 17 significant digits (exact float64 round-trip).
     Entries that are exactly zero are dropped.
     """
-    lines = [f"# n\t{tm.n}"]
-    for i in np.flatnonzero(tm.sink_mask):
-        lines.append(f"# sink\t{i}")
-    rows = tm.entry_rows()
-    for r, c, w in zip(rows, tm.indices, tm.data):
-        if w != 0.0:
-            lines.append(f"{r}\t{c}\t{w:.17g}")
+    keep = tm.data != 0.0
+    entries = zip(tm.entry_rows()[keep].tolist(), tm.indices[keep].tolist(), tm.data[keep].tolist())
+    sinks = np.flatnonzero(tm.sink_mask).tolist()
+    lines = [f"# n\t{tm.n}", *map("# sink\t%d".__mod__, sinks), *map("%d\t%d\t%.17g".__mod__, entries)]
     return "\n".join(lines) + "\n"
 
 
@@ -317,7 +308,7 @@ def parse_matrix(text: str, n: int | None = None) -> TransitionMatrix:
     """Inverse of serialize_matrix. The '# n' header wins; ``n`` is the
     fallback for headerless files."""
     header_n = None
-    sinks = []
+    sinks, sink_lines = [], []
     entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -329,6 +320,7 @@ def parse_matrix(text: str, n: int | None = None) -> TransitionMatrix:
                 header_n = _parse_int(tokens[1], lineno, "matrix size")
             elif len(tokens) == 2 and tokens[0] == "sink":
                 sinks.append(_parse_int(tokens[1], lineno, "sink row"))
+                sink_lines.append(lineno)
             continue
         tokens = line.split()
         if len(tokens) != 3:
@@ -360,8 +352,13 @@ def parse_matrix(text: str, n: int | None = None) -> TransitionMatrix:
         i = int(np.flatnonzero(counts == 0)[0])
         raise GraphParseError(f"row {i} has no entries")
     indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    sink_rows = np.asarray(sinks, dtype=np.int64)
+    bad = np.flatnonzero(sink_rows >= size)
+    if len(bad):
+        j = int(bad[0])
+        raise GraphParseError(f"line {sink_lines[j]}: sink row {sinks[j]} out of range [0, {size})")
     sink_mask = np.zeros(size, bool)
-    sink_mask[np.asarray(sinks, dtype=np.int64)] = True
+    sink_mask[sink_rows] = True
     tm = TransitionMatrix(size, indptr, arr[:, 1].copy(), w, sink_mask)
     tm.validate()
     return tm

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import label_text
+from conftest import label_text, random_sinky_instance
 from fairpr import (
     FairnessTarget,
     PageRankConfig,
+    TransitionMatrix,
     UnsupportedGroupCountError,
     build_transition,
     fairwalk,
@@ -145,3 +146,99 @@ def test_lfpr_u_group_mass_exact_per_row():
         cols, vals = M.row(i)
         mass0 = vals[groups.labels[cols] == 0].sum()
         assert abs(mass0 - phi0) <= 1e-12
+
+
+# Per-row reference definitions: the array code in fairpr must match them bit
+# for bit, since both do the same float operations in the same order.
+
+
+def ref_build_transition(g, cfg):
+    indptr, indices, data = [0], [], []
+    outdeg = np.bincount(g.edges[:, 0], minlength=g.n)
+    for i in range(g.n):
+        if outdeg[i]:
+            cols = g.edges[g.edges[:, 0] == i, 1]
+            w = np.full(len(cols), 1.0 / outdeg[i])
+        else:
+            cols, w = np.arange(g.n), cfg.restart_vector
+        indices.extend(cols)
+        data.extend(w)
+        indptr.append(len(indices))
+    return TransitionMatrix(g.n, indptr, indices, data, outdeg == 0)
+
+
+def ref_fairwalk(P, groups, target):
+    out = P.data.copy()
+    for i in np.flatnonzero(~P.sink_mask):
+        lo, hi = P.indptr[i], P.indptr[i + 1]
+        gcols = groups.labels[P.indices[lo:hi]]
+        w = P.data[lo:hi]
+        mass = np.bincount(gcols, weights=w, minlength=groups.K)
+        reach = float(target.phi[mass > 0].sum())
+        if reach:
+            out[lo:hi] = target.phi[gcols] * w / (mass[gcols] * reach)
+    return TransitionMatrix(P.n, P.indptr, P.indices, out, P.sink_mask)
+
+
+def ref_lfpr_n(P, groups, target):
+    rows = []
+    for i in range(P.n):
+        acc = np.zeros(P.n)
+        cols = np.empty(0, np.int64) if P.sink_mask[i] else P.indices[P.indptr[i] : P.indptr[i + 1]]
+        for k in range(2):
+            into_k = cols[groups.labels[cols] == k]
+            if len(into_k):
+                acc[into_k] += target.phi[k] / len(into_k)
+            else:
+                acc[groups.members(k)] += target.phi[k] / groups.group_sizes[k]
+        rows.append(acc)
+    return TransitionMatrix.from_dense(np.array(rows), P.sink_mask)
+
+
+def ref_lfpr_u(P, groups, target):
+    share = (float(target.phi[0]), 1.0 - float(target.phi[0]))
+    sizes = groups.group_sizes
+    rows = []
+    for i in range(P.n):
+        acc = np.zeros(P.n)
+        if P.sink_mask[i]:
+            for k in range(2):
+                acc[groups.members(k)] += share[k] / sizes[k]
+        else:
+            cols = P.indices[P.indptr[i] : P.indptr[i + 1]]
+            d = len(cols)
+            out = (int((groups.labels[cols] == 0).sum()), int((groups.labels[cols] == 1).sum()))
+            under = [k for k in range(2) if out[k] < share[k] * d][:1]
+            if under:
+                k = under[0]
+                base = share[1 - k] / out[1 - k]
+                acc[cols] += base
+                acc[groups.members(k)] += (share[k] - base * out[k]) / sizes[k]
+            else:
+                acc[cols] += 1.0 / d
+        rows.append(acc)
+    return TransitionMatrix.from_dense(np.array(rows), P.sink_mask)
+
+
+@pytest.mark.parametrize("method", ["build_transition", "fairwalk_k2", "fairwalk_k3", "lfpr_n", "lfpr_u"])
+def test_array_code_matches_row_reference(method):
+    rng = np.random.default_rng(2024)
+    K = 3 if method == "fairwalk_k3" else 2
+    for _ in range(60):
+        g, groups, cfg, P = random_sinky_instance(rng, int(rng.integers(3, 30)), K)
+        if rng.random() < 0.5:  # restart vectors with zeros reach the sink rows
+            v = rng.random(g.n) * (rng.random(g.n) < 0.7) + 1e-3 * (np.arange(g.n) == 0)
+            cfg = PageRankConfig(GAMMA, v / v.sum())
+            P = build_transition(g, cfg)
+        target = FairnessTarget(phi=rng.dirichlet(np.ones(K)))
+        if method == "build_transition":
+            got, want = P, ref_build_transition(g, cfg)
+        elif method.startswith("fairwalk"):
+            got, want = fairwalk(P, groups, target).matrix, ref_fairwalk(P, groups, target)
+        else:
+            fn, ref = (lfpr_n, ref_lfpr_n) if method == "lfpr_n" else (lfpr_u, ref_lfpr_u)
+            got, want = fn(P, groups, target).matrix, ref(P, groups, target)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+        assert np.array_equal(got.sink_mask, want.sink_mask)

@@ -3,6 +3,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from conftest import DATA_DIR
 from fairpr.cli import main
@@ -313,3 +314,21 @@ def test_sweep_rejects_unknown_method(tmp_path, capsys):
     ])
     assert code == 2
     assert "unknown method" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "header,weight,fragment",
+    [("", "nan", "non-finite weight"), ("# sink\t5\n", "1", "line 2: sink row 5 out of range")],
+)
+def test_evaluate_rejects_bad_revised_file(tmp_path, capsys, header, weight, fragment):
+    _, labels = toy_files(tmp_path)
+    original = tmp_path / "original.tsv"
+    original.write_text("# n\t3\n0\t1\t1\n1\t0\t0.5\n1\t2\t0.5\n2\t0\t1\n")
+    revised = tmp_path / "revised.tsv"
+    revised.write_text(f"# n\t3\n{header}0\t1\t{weight}\n1\t0\t0.5\n1\t2\t0.5\n2\t0\t1\n")
+    code = main([
+        "evaluate", "--original", str(original), "--revised", str(revised),
+        "--labels", labels, "--phi", "0.5",
+    ])
+    assert code == 2
+    assert fragment in capsys.readouterr().err

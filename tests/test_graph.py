@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from fairpr import (
+    FairnessTarget,
     GraphParseError,
+    GroupAssignment,
     PageRankConfig,
     TransitionMatrix,
     build_transition,
+    lfpr_n,
     load_graph,
     load_labels,
     parse_matrix,
@@ -57,6 +60,14 @@ def test_load_labels_basic():
     groups = load_labels("0 0\n1 1", 2)
     assert groups.K == 2
     assert list(groups.group_sizes) == [1, 1]
+
+
+def test_group_sizes_are_derived():
+    with pytest.raises(TypeError):
+        GroupAssignment(np.array([0, 0, 0, 1]), 2, group_sizes=np.array([2, 2]))
+    groups = GroupAssignment(np.array([0, 0, 0, 1]), 2)
+    assert list(groups.group_sizes) == [3, 1]
+    assert PageRankConfig.group_restart(groups, 0).restart_vector.sum() == 1.0
 
 
 def test_load_labels_dense_remap():
@@ -140,6 +151,30 @@ def test_parse_matrix_rejects_bad_rows():
         parse_matrix("# n\t2\n0\t0\t1.0")
 
 
+def test_serialize_golden_bytes():
+    # row 0 holds an exact zero (dropped), row 2 is a sink row
+    tm = TransitionMatrix(
+        3, [0, 2, 3, 6], [0, 1, 2, 0, 1, 2], [0.0, 1.0, 1.0, 0.1, 0.2, 0.7], [False, False, True]
+    )
+    assert serialize_matrix(tm) == (
+        "# n\t3\n# sink\t2\n0\t1\t1\n1\t2\t1\n"
+        "2\t0\t0.10000000000000001\n2\t1\t0.20000000000000001\n2\t2\t0.69999999999999996\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "text,error,fragment",
+    [
+        ("# n\t2\n# sink\t5\n0\t1\t1\n1\t0\t1", GraphParseError, "line 2: sink row 5 out of range"),
+        ("# n\t2\n0\t1\tnan\n1\t0\t1", ValueError, "non-finite weight"),
+        ("# n\t2\n0\t1\tinf\n1\t0\t1", ValueError, "non-finite weight"),
+    ],
+)
+def test_parse_matrix_rejects_bad_headers_and_weights(text, error, fragment):
+    with pytest.raises(error, match=fragment):
+        parse_matrix(text)
+
+
 def test_parse_matrix_rejects_duplicates():
     with pytest.raises(GraphParseError, match="duplicate"):
         parse_matrix("# n\t2\n0\t1\t0.5\n0\t1\t0.5\n1\t0\t1.0")
@@ -157,3 +192,11 @@ def test_pattern_subset():
     b = TransitionMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]])
     assert b.pattern_subset_of(a)
     assert not a.pattern_subset_of(b)
+    # lfpr_n spreads vertex 1's group-0 share over all of group 0
+    g = load_graph("0 1\n0 2\n1 2\n2 0\n2 1")
+    P = build_transition(g, PageRankConfig.uniform(3))
+    M = lfpr_n(P, load_labels("0 0\n1 0\n2 1", 3), FairnessTarget(phi=[0.5, 0.5])).matrix
+    assert M.nnz > P.nnz
+    assert P.pattern_subset_of(M)
+    assert not M.pattern_subset_of(P)
+    assert not a.pattern_subset_of(P) and not P.pattern_subset_of(a)
