@@ -68,7 +68,7 @@ def fairwalk(P: TransitionMatrix, groups: GroupAssignment, target: FairnessTarge
     edge, rows, gcols = edge[keep], rows[keep], gcols[keep]
     out = P.data.copy()
     out[edge] = phi[gcols] * P.data[edge] / (mass[rows, gcols] * reach_phi[rows])
-    tm = TransitionMatrix(P.n, P.indptr.copy(), P.indices.copy(), out, P.sink_mask.copy())
+    tm = P.with_data(out)
     tm.validate()
     return BaselineResult(tm, "fairwalk", pattern_extended=False)
 

@@ -1,4 +1,12 @@
-"""Directed-graph ingestion, group labels, and row-stochastic transition matrices."""
+"""Directed-graph ingestion, group labels, and row-stochastic transition matrices.
+
+A transition matrix stores the rows of the edges it has. Each sink row
+(a vertex without out-edges) is implicit: it stands for one shared dense
+vector, the restart vector, and ``WalkOperator`` applies those rows as a
+rank-one term, so memory and every product grow with the edges and not
+with n x #sinks. The TSV form writes that vector once, as ``# sink_row``
+headers, instead of n lines per sink.
+"""
 
 from __future__ import annotations
 
@@ -68,6 +76,8 @@ class PageRankConfig:
             raise ValueError(f"restart probability must be in (0,1), got {self.gamma}")
         v = np.asarray(self.restart_vector, dtype=float)
         object.__setattr__(self, "restart_vector", v)
+        if not np.isfinite(v).all():
+            raise ValueError("restart vector entries must be finite")
         if (v < 0).any():
             raise ValueError("restart vector entries must be nonnegative")
         if abs(v.sum() - 1.0) > ROW_SUM_TOL:
@@ -93,6 +103,8 @@ class FairnessTarget:
     def __post_init__(self):
         phi = np.asarray(self.phi, dtype=float)
         object.__setattr__(self, "phi", phi)
+        if not np.isfinite(phi).all():
+            raise ValueError("target scores must be finite")
         if (phi < 0).any():
             raise ValueError("target scores must be nonnegative")
         if abs(phi.sum() - 1.0) > ROW_SUM_TOL:
@@ -110,23 +122,33 @@ class FairnessTarget:
 
 
 class TransitionMatrix:
-    """Row-stochastic sparse matrix in CSR form with a sink-row mask.
+    """Row-stochastic sparse matrix: CSR-stored rows plus implicit sink rows.
 
-    Rows of sink vertices (no out-edges) hold a dense copy of the restart
-    vector and are flagged in ``sink_mask``; they are not graph edges and
-    are left untouched by reweighting code. The sparsity pattern is fixed:
-    revised matrices keep the pattern and may contain exact zeros. Column
-    ids ascend within each row, so the keys ``row * n + col`` of the stored
-    entries ascend too.
+    Sink vertices (no out-edges) are flagged in ``sink_mask``. A sink row
+    with no stored entries is implicit: it stands for the dense row
+    ``sink_row`` (the restart vector, in matrices from ``build_transition``),
+    one vector shared by every such row, so memory grows with the edges and
+    not with n x #sinks. ``implicit`` flags these rows; ``sink_row`` is None
+    when there are none. A sink row with stored entries (as the locally fair
+    baselines write them) is explicit and means what it stores. Sink rows are
+    not graph edges and are left untouched by reweighting code.
+
+    The sparsity pattern is fixed: revised matrices keep it and may contain
+    exact zeros. Column ids ascend within each row, so the keys
+    ``row * n + col`` of the stored entries ascend too. ``nnz``,
+    ``entry_rows`` and ``row`` see the stored entries only; ``to_csr``,
+    ``to_dense``, ``row_sums``, ``validate`` and ``pattern_subset_of`` treat
+    an implicit row as the full row it stands for.
     """
 
-    __slots__ = ("n", "indptr", "indices", "data", "sink_mask")
+    __slots__ = ("n", "indptr", "indices", "data", "sink_mask", "sink_row", "implicit", "_op")
 
-    def __init__(self, n, indptr, indices, data, sink_mask):
+    def __init__(self, n, indptr, indices, data, sink_mask, sink_row=None):
         self.n = int(n)
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int64)
-        self.data = np.asarray(data, dtype=float)
+        # contiguous, so the operator's scipy views share it and see in-place updates
+        self.data = np.ascontiguousarray(data, dtype=float)
         self.sink_mask = np.asarray(sink_mask, dtype=bool)
         if len(self.indptr) != self.n + 1:
             raise ValueError("indptr length must be n + 1")
@@ -134,30 +156,77 @@ class TransitionMatrix:
             raise ValueError("indices and data lengths differ")
         if len(self.sink_mask) != self.n:
             raise ValueError("sink_mask length must be n")
+        self.implicit = self.sink_mask & (self.indptr[1:] == self.indptr[:-1])
+        self.sink_row = None
+        if self.implicit.any():
+            if sink_row is None:
+                i = int(self.implicit.argmax())
+                raise ValueError(f"sink row {i} has no entries and no sink_row was given")
+            self.sink_row = np.asarray(sink_row, dtype=float)
+            if self.sink_row.shape != (self.n,):
+                raise ValueError("sink_row length must be n")
+        self._op = None
 
     @property
     def nnz(self) -> int:
+        """Number of stored entries (implicit rows store none)."""
         return int(len(self.data))
 
     def copy(self) -> "TransitionMatrix":
         return TransitionMatrix(
-            self.n, self.indptr.copy(), self.indices.copy(), self.data.copy(), self.sink_mask.copy()
+            self.n,
+            self.indptr.copy(),
+            self.indices.copy(),
+            self.data.copy(),
+            self.sink_mask.copy(),
+            None if self.sink_row is None else self.sink_row.copy(),
         )
 
-    def to_csr(self) -> sp.csr_matrix:
-        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=(self.n, self.n))
+    def with_data(self, data) -> "TransitionMatrix":
+        """A matrix on this pattern and these sink rows with new stored weights;
+        the pattern arrays are shared, not copied."""
+        return TransitionMatrix(self.n, self.indptr, self.indices, data, self.sink_mask, self.sink_row)
+
+    def operator(self) -> "WalkOperator":
+        """The products p'P and Pz, built once and kept while ``data`` only
+        changes in place."""
+        if self._op is None or self._op.data is not self.data:
+            self._op = WalkOperator(self)
+        return self._op
+
+    def to_csr(self, expand: np.ndarray | None = None) -> sp.csr_matrix:
+        """CSR form with the implicit rows flagged in ``expand`` (all of them
+        by default) written out in full, one entry per column."""
+        expand = self.implicit if expand is None else expand
+        if not expand.any():
+            return sp.csr_matrix((self.data, self.indices, self.indptr), shape=(self.n, self.n))
+        counts = np.diff(self.indptr)
+        counts[expand] = self.n
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        full = np.repeat(expand, counts)
+        indices = np.empty(indptr[-1], dtype=np.int64)
+        data = np.empty(indptr[-1])
+        indices[~full], data[~full] = self.indices, self.data
+        k = int(expand.sum())
+        indices[full] = np.tile(np.arange(self.n, dtype=np.int64), k)
+        data[full] = np.tile(self.sink_row, k)
+        return sp.csr_matrix((data, indices, indptr), shape=(self.n, self.n))
 
     def to_dense(self) -> np.ndarray:
         return self.to_csr().toarray()
 
     def row(self, i: int):
-        """(column ids, weights) views of row i."""
+        """(column ids, weights) views of the stored entries of row i."""
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return self.indices[lo:hi], self.data[lo:hi]
 
     def row_sums(self) -> np.ndarray:
-        sums = np.add.reduceat(self.data, self.indptr[:-1])
-        sums[np.diff(self.indptr) == 0] = 0.0
+        sums = np.zeros(self.n)
+        stored = self.indptr[1:] > self.indptr[:-1]
+        if stored.any():
+            sums[stored] = np.add.reduceat(self.data, self.indptr[:-1][stored])
+        if self.sink_row is not None:
+            sums[self.implicit] = self.sink_row.sum()
         return sums
 
     def entry_rows(self) -> np.ndarray:
@@ -172,28 +241,36 @@ class TransitionMatrix:
         )
 
     def pattern_subset_of(self, other: "TransitionMatrix") -> bool:
-        """True when every stored entry here is stored in ``other`` too."""
+        """True when every entry here is stored in ``other`` too; an implicit
+        row counts as a full row on either side."""
         if self.n != other.n:
             return False
-        mine = self.entry_rows() * self.n + self.indices
+        # a full row here is covered only by a full row there
+        full_here = self.implicit & ~other.implicit
+        if (np.diff(other.indptr)[full_here] != self.n).any():
+            return False
+        rows = self.entry_rows()
+        mine = (rows * self.n + self.indices)[~other.implicit[rows]]
         theirs = other.entry_rows() * self.n + other.indices
         # a key is stored in `other` when its sorted insertion range is nonempty
         return bool((np.searchsorted(theirs, mine, "right") > np.searchsorted(theirs, mine)).all())
 
     def validate(self, tol: float = ROW_SUM_TOL) -> None:
         """Check row-stochasticity and nonnegativity; raise on violation."""
-        if not np.isfinite(self.data).all():
-            raise ValueError("non-finite weight in transition matrix")
-        if (self.data < 0).any():
-            raise ValueError("negative weight in transition matrix")
+        for w in (self.data,) if self.sink_row is None else (self.data, self.sink_row):
+            if not np.isfinite(w).all():
+                raise ValueError("non-finite weight in transition matrix")
+            if (w < 0).any():
+                raise ValueError("negative weight in transition matrix")
         sums = self.row_sums()
         bad = np.flatnonzero(np.abs(sums - 1.0) > tol)
         if len(bad):
             i = int(bad[0])
-            raise ValueError(f"row {i} sums to {sums[i]!r}, expected 1 within {tol}")
+            raise ValueError(f"row {i} sums to {float(sums[i])!r}, expected 1 within {tol}")
 
     @classmethod
     def from_dense(cls, a, sink_mask=None) -> "TransitionMatrix":
+        """Every nonzero of ``a`` stored, so sink rows are explicit."""
         a = np.asarray(a, dtype=float)
         n = a.shape[0]
         if a.shape != (n, n):
@@ -202,6 +279,41 @@ class TransitionMatrix:
         csr.sort_indices()
         mask = np.zeros(n, bool) if sink_mask is None else np.asarray(sink_mask, bool)
         return cls(n, csr.indptr.astype(np.int64), csr.indices.astype(np.int64), csr.data, mask)
+
+
+class WalkOperator:
+    """The random walk's products with one TransitionMatrix P:
+    ``left(p)`` = p'P and ``right(z)`` = Pz.
+
+    The stored entries P_E act through scipy CSR (P_E) and CSC (P_E') views
+    of P's own ``data``, so in-place weight updates need no rebuild. The
+    implicit sink rows add a rank-one term (Langville & Meyer, "Deeper
+    Inside PageRank", Internet Math. 2004): p'P = p'P_E + (sum of p over
+    the implicit rows) s' and (Pz)_i = s.z on an implicit row i, where s
+    is ``sink_row``. Without implicit rows the term is skipped, so the
+    products are exactly scipy's.
+    """
+
+    __slots__ = ("data", "_rows", "_cols", "_implicit", "_sink_row")
+
+    def __init__(self, P: TransitionMatrix):
+        self.data = P.data
+        self._rows = sp.csr_matrix((P.data, P.indices, P.indptr), shape=(P.n, P.n))
+        self._cols = sp.csc_matrix((P.data, self._rows.indices, self._rows.indptr), shape=(P.n, P.n))
+        self._implicit = np.flatnonzero(P.implicit)
+        self._sink_row = P.sink_row
+
+    def left(self, p: np.ndarray) -> np.ndarray:
+        q = self._cols @ p
+        if self._sink_row is not None:
+            q += p[self._implicit].sum() * self._sink_row
+        return q
+
+    def right(self, z: np.ndarray) -> np.ndarray:
+        y = self._rows @ z
+        if self._sink_row is not None:
+            y[self._implicit] = self._sink_row @ z
+        return y
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:
@@ -268,47 +380,54 @@ def load_labels(text: str, n: int) -> GroupAssignment:
 
 
 def build_transition(g: Graph, cfg: PageRankConfig) -> TransitionMatrix:
-    """Uniform out-weights 1/outdeg per edge; sink rows replaced by the restart vector."""
+    """Uniform out-weights 1/outdeg per edge; sink rows are implicit and
+    stand for the restart vector."""
     v = cfg.restart_vector
     if len(v) != g.n:
         raise ValueError(f"restart vector has length {len(v)}, graph has {g.n} vertices")
     edges = g.edges[np.lexsort((g.edges[:, 1], g.edges[:, 0]))]
     outdeg = np.bincount(edges[:, 0], minlength=g.n)
-    sink_mask = outdeg == 0
-    counts = np.where(sink_mask, g.n, outdeg)
-    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    data = np.empty(indptr[-1], dtype=float)
-    # edges are sorted by (src, dst), so they fill the edge rows in order
-    in_sink = np.repeat(sink_mask, counts)
-    indices[~in_sink] = edges[:, 1]
-    data[~in_sink] = 1.0 / outdeg[edges[:, 0]]
-    nsinks = int(sink_mask.sum())
-    indices[in_sink] = np.tile(np.arange(g.n, dtype=np.int64), nsinks)
-    data[in_sink] = np.tile(v, nsinks)
-    tm = TransitionMatrix(g.n, indptr, indices, data, sink_mask)
+    indptr = np.concatenate([[0], np.cumsum(outdeg)]).astype(np.int64)
+    # edges are sorted by (src, dst), so they fill the rows in order
+    tm = TransitionMatrix(g.n, indptr, edges[:, 1], 1.0 / outdeg[edges[:, 0]], outdeg == 0, v.copy())
     tm.validate()
     return tm
 
 
 def serialize_matrix(tm: TransitionMatrix) -> str:
-    """TSV form: header comments with n and sink rows, then src/dst/weight lines.
+    """TSV form: header comments, then src/dst/weight lines.
 
-    Weights print with 17 significant digits (exact float64 round-trip).
-    Entries that are exactly zero are dropped.
+    The headers are ``# n`` (the size), one ``# sink`` per sink row, and,
+    when some sink row is implicit, one ``# sink_row <col> <weight>`` per
+    nonzero entry of the sink vector; an implicit row writes no entry
+    lines. Weights print with 17 significant digits (exact float64
+    round-trip). Entries that are exactly zero are dropped.
     """
     keep = tm.data != 0.0
     entries = zip(tm.entry_rows()[keep].tolist(), tm.indices[keep].tolist(), tm.data[keep].tolist())
     sinks = np.flatnonzero(tm.sink_mask).tolist()
-    lines = [f"# n\t{tm.n}", *map("# sink\t%d".__mod__, sinks), *map("%d\t%d\t%.17g".__mod__, entries)]
+    lines = [f"# n\t{tm.n}", *map("# sink\t%d".__mod__, sinks)]
+    if tm.sink_row is not None:
+        cols = np.flatnonzero(tm.sink_row)
+        lines += map("# sink_row\t%d\t%.17g".__mod__, zip(cols.tolist(), tm.sink_row[cols].tolist()))
+    lines += map("%d\t%d\t%.17g".__mod__, entries)
     return "\n".join(lines) + "\n"
+
+
+def _parse_weight(token: str, lineno: int) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise GraphParseError(f"line {lineno}: non-numeric weight {token!r}") from None
 
 
 def parse_matrix(text: str, n: int | None = None) -> TransitionMatrix:
     """Inverse of serialize_matrix. The '# n' header wins; ``n`` is the
-    fallback for headerless files."""
+    fallback for headerless files. A row without entry lines must be a
+    ``# sink`` row, and it then stands for the ``# sink_row`` vector."""
     header_n = None
     sinks, sink_lines = [], []
+    sink_cols, sink_weights, sink_col_lines = [], [], []
     entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -321,17 +440,17 @@ def parse_matrix(text: str, n: int | None = None) -> TransitionMatrix:
             elif len(tokens) == 2 and tokens[0] == "sink":
                 sinks.append(_parse_int(tokens[1], lineno, "sink row"))
                 sink_lines.append(lineno)
+            elif len(tokens) == 3 and tokens[0] == "sink_row":
+                sink_cols.append(_parse_int(tokens[1], lineno, "sink_row column"))
+                sink_weights.append(_parse_weight(tokens[2], lineno))
+                sink_col_lines.append(lineno)
             continue
         tokens = line.split()
         if len(tokens) != 3:
             raise GraphParseError(f"line {lineno}: expected 'src dst weight', got {raw!r}")
         r = _parse_int(tokens[0], lineno, "vertex id")
         c = _parse_int(tokens[1], lineno, "vertex id")
-        try:
-            w = float(tokens[2])
-        except ValueError:
-            raise GraphParseError(f"line {lineno}: non-numeric weight {tokens[2]!r}") from None
-        entries.append((r, c, w))
+        entries.append((r, c, _parse_weight(tokens[2], lineno)))
     size = header_n if header_n is not None else n
     if size is None:
         raise GraphParseError("matrix size unknown: no '# n' header and no explicit n")
@@ -347,18 +466,26 @@ def parse_matrix(text: str, n: int | None = None) -> TransitionMatrix:
     if len(dup):
         r, c = arr[dup[0]]
         raise GraphParseError(f"duplicate matrix entry ({r}, {c})")
-    counts = np.bincount(arr[:, 0], minlength=size)
-    if (counts == 0).any():
-        i = int(np.flatnonzero(counts == 0)[0])
-        raise GraphParseError(f"row {i} has no entries")
-    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    sink_rows = np.asarray(sinks, dtype=np.int64)
-    bad = np.flatnonzero(sink_rows >= size)
-    if len(bad):
-        j = int(bad[0])
-        raise GraphParseError(f"line {sink_lines[j]}: sink row {sinks[j]} out of range [0, {size})")
+    for ids, lines, what in ((sinks, sink_lines, "sink row"), (sink_cols, sink_col_lines, "sink_row column")):
+        past = [j for j, x in enumerate(ids) if x >= size]
+        if past:
+            raise GraphParseError(f"line {lines[past[0]]}: {what} {ids[past[0]]} out of range [0, {size})")
+    if len(set(sink_cols)) < len(sink_cols):
+        raise GraphParseError("duplicate '# sink_row' column")
     sink_mask = np.zeros(size, bool)
-    sink_mask[sink_rows] = True
-    tm = TransitionMatrix(size, indptr, arr[:, 1].copy(), w, sink_mask)
+    sink_mask[sinks] = True
+    counts = np.bincount(arr[:, 0], minlength=size)
+    empty = np.flatnonzero(counts == 0)
+    not_sink = empty[~sink_mask[empty]]
+    if len(not_sink):
+        raise GraphParseError(f"row {int(not_sink[0])} has no entries")
+    sink_row = None
+    if sink_cols:
+        sink_row = np.zeros(size)
+        sink_row[sink_cols] = sink_weights
+    elif len(empty):
+        raise GraphParseError(f"sink row {int(empty[0])} has no entries and the file has no '# sink_row' lines")
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    tm = TransitionMatrix(size, indptr, arr[:, 1].copy(), w, sink_mask, sink_row)
     tm.validate()
     return tm

@@ -71,13 +71,21 @@ def spearman(r1: np.ndarray, r2: np.ndarray) -> float:
 
 
 def delta_p(P_new: TransitionMatrix, P_old: TransitionMatrix) -> float:
-    """||P_new - P_old||_F / ||P_old||_F over the union of the two patterns."""
+    """||P_new - P_old||_F / ||P_old||_F over the union of the two patterns,
+    with implicit sink rows counted as the full rows they stand for."""
     if P_new.n != P_old.n:
         raise ValueError("matrices must have the same dimension")
-    diff = P_new.to_csr() - P_old.to_csr()
-    num = float(np.sqrt((diff.data**2).sum()))
-    den = float(np.sqrt((P_old.data**2).sum()))
-    return num / den
+    # a row implicit on both sides differs by the difference of the sink rows;
+    # the others are written out in full only where one side is implicit
+    both = P_new.implicit & P_old.implicit
+    diff = P_new.to_csr(P_new.implicit & ~both) - P_old.to_csr(P_old.implicit & ~both)
+    num2 = (diff.data**2).sum()
+    den2 = (P_old.data**2).sum()
+    if both.any():
+        num2 += both.sum() * ((P_new.sink_row - P_old.sink_row) ** 2).sum()
+    if P_old.sink_row is not None:
+        den2 += P_old.implicit.sum() * (P_old.sink_row**2).sum()
+    return float(np.sqrt(num2)) / float(np.sqrt(den2))
 
 
 def rho_bar(p_old: np.ndarray, p_new: np.ndarray, groups: GroupAssignment) -> float:

@@ -58,18 +58,19 @@ class OptimizerConfig:
     power_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.alpha is not None and not self.alpha > 0:
-            raise ValueError("alpha must be > 0")
-        if self.kappa < 0:
-            raise ValueError("kappa must be >= 0")
+        # written so that NaN fails each test
+        if self.alpha is not None and not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be finite and > 0")
+        if not 0 <= self.kappa < math.inf:
+            raise ValueError("kappa must be finite and >= 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.t1 < 1 or self.t2 < 0:
             raise ValueError("t1 must be >= 1 and t2 >= 0")
         if (self.delta is None) != (self.epsilon is None):
             raise ValueError("delta and epsilon must be given together")
-        if self.delta is not None and (self.delta < 0 or self.epsilon < 0):
-            raise ValueError("delta and epsilon must be >= 0")
+        if self.delta is not None and not (0 <= self.delta < math.inf and 0 <= self.epsilon < math.inf):
+            raise ValueError("delta and epsilon must be finite and >= 0")
 
     @property
     def restricted(self) -> bool:

@@ -1,5 +1,12 @@
 """Random walk with restart: power iteration, a dense direct-solve oracle,
-and the truncated geometric-series vectors used by the loss gradients."""
+and the truncated geometric-series vectors used by the loss gradients.
+
+Every product with P goes through ``P.operator()``: the stored entries as
+scipy views of ``P.data`` (built once per matrix, so no call rebuilds the
+matrix) plus the rank-one term of the implicit sink rows,
+p'P = p'P_E + (sum of p over the implicit rows) s' and (Pz)_i = s.z on an
+implicit row i, where s is the matrix's ``sink_row``.
+"""
 
 from __future__ import annotations
 
@@ -30,10 +37,10 @@ def pagerank_power(
         raise ValueError("t1 must be >= 1")
     gamma = cfg.gamma
     v = cfg.restart_vector
-    PT = P.to_csr().T
+    left = P.operator().left
     p = np.full(P.n, 1.0 / P.n) if start is None else np.array(start, dtype=float)
     for _ in range(t1):
-        nxt = (1.0 - gamma) * (PT @ p) + gamma * v
+        nxt = (1.0 - gamma) * left(p) + gamma * v
         delta = np.abs(nxt - p).sum()
         p = nxt
         if delta < tol:
@@ -56,7 +63,7 @@ def pagerank_direct(P: TransitionMatrix, cfg: PageRankConfig) -> np.ndarray:
 def pagerank_residual(P: TransitionMatrix, cfg: PageRankConfig, p: np.ndarray) -> float:
     """L1 residual of the fixed-point equation at p."""
     gamma = cfg.gamma
-    rhs = (1.0 - gamma) * (P.to_csr().T @ p) + gamma * cfg.restart_vector
+    rhs = (1.0 - gamma) * P.operator().left(p) + gamma * cfg.restart_vector
     return float(np.abs(rhs - p).sum())
 
 
@@ -67,11 +74,11 @@ def neumann_y(P: TransitionMatrix, indicator: np.ndarray, gamma: float, t2: int 
     """
     if t2 < 0:
         raise ValueError("t2 must be >= 0")
-    csr = P.to_csr()
+    right = P.operator().right
     z = np.array(indicator, dtype=float)
     y = z.copy()
     for _ in range(t2):
-        z = (1.0 - gamma) * (csr @ z)
+        z = (1.0 - gamma) * right(z)
         y += z
     return y
 

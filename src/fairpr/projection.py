@@ -54,16 +54,19 @@ class BoxBounds:
         rows = np.zeros(self.lower.size, dtype=np.intp) if seg is None else seg
         lo_sum = np.bincount(rows, self.lower, nseg)
         up_sum = np.bincount(rows, self.upper, nseg)
+        # NaN bounds would never settle in project_rows
+        nonfinite = np.bincount(rows[~(np.isfinite(self.lower) & np.isfinite(self.upper))], minlength=nseg) > 0
         crossed = np.bincount(rows[self.lower > self.upper], minlength=nseg) > 0
         short = (np.bincount(rows, minlength=nseg) > 0) & (up_sum < 1.0 - FEAS_TOL)
-        bad = crossed | (lo_sum > 1.0 + FEAS_TOL) | short
+        bad = nonfinite | crossed | (lo_sum > 1.0 + FEAS_TOL) | short
         if bad.any():
             i = int(bad.argmax())
-            msg = (
-                "some lower bound exceeds its upper bound"
-                if crossed[i]
-                else f"box excludes the simplex: sum(lower) = {lo_sum[i]!r}, sum(upper) = {up_sum[i]!r}"
-            )
+            if nonfinite[i]:
+                msg = "some bound is not finite"
+            elif crossed[i]:
+                msg = "some lower bound exceeds its upper bound"
+            else:
+                msg = f"box excludes the simplex: sum(lower) = {lo_sum[i]!r}, sum(upper) = {up_sum[i]!r}"
             raise InfeasibleBoxError(msg if seg is None else f"row {i}: {msg}")
 
 
@@ -161,6 +164,4 @@ def project_matrix(
     live, seg, box = row_boxes(P_orig, delta, epsilon)
     out = P_hat.data.copy()
     out[live] = project_rows(P_hat.data[live], seg, P_hat.n, box.lower, box.upper)
-    return TransitionMatrix(
-        P_hat.n, P_hat.indptr.copy(), P_hat.indices.copy(), out, P_hat.sink_mask.copy()
-    )
+    return P_hat.with_data(out)

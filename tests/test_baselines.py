@@ -153,18 +153,16 @@ def test_lfpr_u_group_mass_exact_per_row():
 
 
 def ref_build_transition(g, cfg):
+    # sink rows store nothing: they stand for the restart vector
     indptr, indices, data = [0], [], []
     outdeg = np.bincount(g.edges[:, 0], minlength=g.n)
     for i in range(g.n):
-        if outdeg[i]:
-            cols = g.edges[g.edges[:, 0] == i, 1]
-            w = np.full(len(cols), 1.0 / outdeg[i])
-        else:
-            cols, w = np.arange(g.n), cfg.restart_vector
+        cols = g.edges[g.edges[:, 0] == i, 1]
         indices.extend(cols)
-        data.extend(w)
+        data.extend(np.full(len(cols), 1.0 / max(outdeg[i], 1)))
         indptr.append(len(indices))
-    return TransitionMatrix(g.n, indptr, indices, data, outdeg == 0)
+    sinks = outdeg == 0
+    return TransitionMatrix(g.n, indptr, indices, data, sinks, cfg.restart_vector if sinks.any() else None)
 
 
 def ref_fairwalk(P, groups, target):
@@ -177,7 +175,7 @@ def ref_fairwalk(P, groups, target):
         reach = float(target.phi[mass > 0].sum())
         if reach:
             out[lo:hi] = target.phi[gcols] * w / (mass[gcols] * reach)
-    return TransitionMatrix(P.n, P.indptr, P.indices, out, P.sink_mask)
+    return TransitionMatrix(P.n, P.indptr, P.indices, out, P.sink_mask, P.sink_row)
 
 
 def ref_lfpr_n(P, groups, target):
@@ -242,3 +240,5 @@ def test_array_code_matches_row_reference(method):
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.data, want.data)
         assert np.array_equal(got.sink_mask, want.sink_mask)
+        assert (got.sink_row is None) == (want.sink_row is None)
+        assert got.sink_row is None or np.array_equal(got.sink_row, want.sink_row)

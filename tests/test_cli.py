@@ -332,3 +332,29 @@ def test_evaluate_rejects_bad_revised_file(tmp_path, capsys, header, weight, fra
     ])
     assert code == 2
     assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--method", "fairgd", "--phi", "0.1", "--kappa", "nan"],
+        ["optimize", "--method", "fairgd", "--phi", "0.1", "--delta", "nan", "--epsilon", "0.1"],
+        ["optimize", "--method", "fairgd", "--phi", "nan,0.5"],
+    ],
+)
+def test_optimize_rejects_non_finite_input(tmp_path, capsys, argv):
+    code = main([*argv, *KARATE, "--alpha", "1", "--max-iters", "3", "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_evaluate_rejects_non_finite_phi(tmp_path, capsys):
+    _, labels = toy_files(tmp_path)
+    original = tmp_path / "original.tsv"
+    original.write_text("# n\t3\n0\t1\t1\n1\t0\t0.5\n1\t2\t0.5\n2\t0\t1\n")
+    code = main([
+        "evaluate", "--original", str(original), "--revised", str(original),
+        "--labels", labels, "--phi", "nan,0.5",
+    ])
+    assert code == 2
+    assert "target scores must be finite" in capsys.readouterr().err

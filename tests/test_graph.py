@@ -1,16 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fairpr import (
     FairnessTarget,
+    Graph,
     GraphParseError,
     GroupAssignment,
     PageRankConfig,
     TransitionMatrix,
     build_transition,
+    delta_p,
     lfpr_n,
     load_graph,
     load_labels,
+    pagerank_power,
     parse_matrix,
     serialize_matrix,
 )
@@ -107,6 +112,10 @@ def test_build_sink_substitution():
     P = build_transition(g, PageRankConfig.uniform(2))
     assert list(P.sink_mask) == [False, True]
     assert np.array_equal(P.to_dense()[1], [0.5, 0.5])
+    # the sink row is implicit: no stored entries, one shared vector
+    assert P.nnz == 1 and list(P.implicit) == [False, True]
+    assert np.array_equal(P.sink_row, [0.5, 0.5])
+    assert np.array_equal(P.row_sums(), [1.0, 1.0])
 
 
 def test_build_validates_rows():
@@ -151,6 +160,94 @@ def test_parse_matrix_rejects_bad_rows():
         parse_matrix("# n\t2\n0\t0\t1.0")
 
 
+def sinky_matrix_with_zeros(seed=3):
+    """Built matrix whose implicit sink rows stand for a non-uniform restart
+    vector with zero entries."""
+    rng = np.random.default_rng(seed)
+    g = load_graph("0 1\n0 2\n1 0\n2 1\n3 0\n0 4\n3 6\n5 6")  # sinks 4 and 6
+    v = rng.random(g.n) * np.array([1, 0, 1, 1, 0, 1, 1])
+    P = build_transition(g, PageRankConfig(0.15, v / v.sum()))
+    assert list(np.flatnonzero(P.implicit)) == [4, 6] and (P.sink_row == 0).any()
+    return P
+
+
+def test_serialize_round_trip_implicit_rows():
+    P = sinky_matrix_with_zeros()
+    text = serialize_matrix(P)
+    # the sink vector is written once, its zero entries left out
+    assert text.count("# sink_row\t") == 5 and text.count("\n4\t") == 0
+    back = parse_matrix(text)
+    assert np.array_equal(back.indptr, P.indptr)
+    assert np.array_equal(back.indices, P.indices)
+    assert np.array_equal(back.data.view(np.int64), P.data.view(np.int64))
+    assert np.array_equal(back.sink_mask, P.sink_mask)
+    assert np.array_equal(back.sink_row.view(np.int64), P.sink_row.view(np.int64))
+    assert serialize_matrix(back) == text
+
+
+def test_serialize_golden_bytes_implicit_rows():
+    tm = TransitionMatrix(3, [0, 2, 3, 3], [0, 1, 2], [0.5, 0.5, 1.0], [False, False, True], [0.1, 0.0, 0.9])
+    assert serialize_matrix(tm) == (
+        "# n\t3\n# sink\t2\n# sink_row\t0\t0.10000000000000001\n# sink_row\t2\t0.90000000000000002\n"
+        "0\t0\t0.5\n0\t1\t0.5\n1\t2\t1\n"
+    )
+
+
+def test_parse_spelled_out_sink_rows():
+    """Files that write sink rows out in full, entry by entry, still parse:
+    their sink rows are explicit and mean the same matrix."""
+    P = sinky_matrix_with_zeros()
+    full = P.to_csr().tocoo()
+    keep = full.data != 0.0
+    lines = [f"# n\t{P.n}", *(f"# sink\t{i}" for i in np.flatnonzero(P.sink_mask))]
+    lines += [f"{r}\t{c}\t{w:.17g}" for r, c, w in zip(full.row[keep], full.col[keep], full.data[keep])]
+    old = parse_matrix("\n".join(lines) + "\n")
+    assert not old.implicit.any() and old.sink_row is None
+    assert np.array_equal(old.sink_mask, P.sink_mask)
+    assert np.array_equal(old.to_dense(), P.to_dense())
+    assert old.nnz > P.nnz
+
+
+def test_implicit_rows_count_as_full_rows():
+    P = sinky_matrix_with_zeros()
+    full = P.to_csr()
+    spelled = TransitionMatrix(P.n, full.indptr, full.indices, full.data, P.sink_mask)  # stored, zeros kept
+    dense = TransitionMatrix.from_dense(P.to_dense(), P.sink_mask)  # stored, zeros dropped
+    for a, b in ((P, spelled), (spelled, P)):
+        assert a.pattern_subset_of(b)
+        assert delta_p(a, b) == 0.0
+    assert np.abs(P.row_sums() - spelled.row_sums()).max() <= 1e-15
+    # `dense` drops the zero entries of the sink rows, so a full row is not within it
+    assert dense.pattern_subset_of(P) and not P.pattern_subset_of(dense)
+    Q = P.copy()
+    Q.sink_row[:] = np.roll(P.sink_row, 1)
+    gap = np.linalg.norm(Q.to_dense() - P.to_dense()) / np.linalg.norm(P.to_dense())
+    assert abs(delta_p(Q, P) - gap) <= 1e-15
+    assert abs(delta_p(Q, spelled) - gap) <= 1e-15
+
+
+def test_memory_grows_with_edges_not_sinks():
+    """20k vertices, 5 out-edges each, 1% sinks: the sink rows store
+    nothing. Written out in full they would take 7M entries (about 114 MB
+    of data and indices)."""
+    rng = np.random.default_rng(11)
+    n, sinks = 20_000, 200
+    src = np.repeat(np.setdiff1d(np.arange(n), rng.choice(n - 1, sinks, replace=False)), 5)
+    edges = np.unique(np.stack([src, rng.integers(0, n, src.size)], axis=1), axis=0)
+    g = Graph(n, edges)
+    cfg = PageRankConfig.uniform(n)
+    tracemalloc.start()
+    try:
+        P = build_transition(g, cfg)
+        pagerank_power(P, cfg)
+        serialize_matrix(P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert P.nnz == g.m and P.implicit.sum() == sinks
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 def test_serialize_golden_bytes():
     # row 0 holds an exact zero (dropped), row 2 is a sink row
     tm = TransitionMatrix(
@@ -168,6 +265,15 @@ def test_serialize_golden_bytes():
         ("# n\t2\n# sink\t5\n0\t1\t1\n1\t0\t1", GraphParseError, "line 2: sink row 5 out of range"),
         ("# n\t2\n0\t1\tnan\n1\t0\t1", ValueError, "non-finite weight"),
         ("# n\t2\n0\t1\tinf\n1\t0\t1", ValueError, "non-finite weight"),
+        # a row without entries that is not a sink row, next to an implicit one
+        ("# n\t3\n# sink\t1\n# sink_row\t0\t1\n0\t0\t1.0", GraphParseError, "row 2 has no entries"),
+        # implicit rows need the sink vector
+        ("# n\t3\n# sink\t2\n0\t0\t1\n1\t0\t1", GraphParseError, "sink row 2 has no entries and the file has no"),
+        ("# n\t2\n# sink\t1\n# sink_row\t7\t1\n0\t0\t1", GraphParseError, "line 3: sink_row column 7 out of range"),
+        ("# n\t2\n# sink\t1\n# sink_row\t0\tx\n0\t0\t1", GraphParseError, "line 3: non-numeric weight"),
+        ("# n\t2\n# sink\t1\n# sink_row\t0\t1\n# sink_row\t0\t1\n0\t0\t1", GraphParseError, "duplicate '# sink_row'"),
+        ("# n\t2\n# sink\t1\n# sink_row\t0\t0.5\n0\t0\t1", ValueError, "row 1 sums to 0.5"),
+        ("# n\t2\n# sink\t1\n# sink_row\t0\t2\n# sink_row\t1\t-1\n0\t0\t1", ValueError, "negative weight"),
     ],
 )
 def test_parse_matrix_rejects_bad_headers_and_weights(text, error, fragment):
@@ -200,3 +306,16 @@ def test_pattern_subset():
     assert P.pattern_subset_of(M)
     assert not M.pattern_subset_of(P)
     assert not a.pattern_subset_of(P) and not P.pattern_subset_of(a)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: FairnessTarget(phi=[np.nan, 0.5]),
+        lambda: FairnessTarget(phi=[np.inf, 0.5]),
+        lambda: PageRankConfig(0.15, np.array([np.nan, 0.5, 0.5])),
+    ],
+)
+def test_non_finite_targets_and_restarts_rejected(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()

@@ -33,6 +33,23 @@ def test_config_validation():
         OptimizerConfig(delta=-0.1, epsilon=0.1)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"delta": float("nan"), "epsilon": 0.1},
+        {"delta": 0.1, "epsilon": float("nan")},
+        {"delta": float("inf"), "epsilon": 0.1},
+        {"kappa": float("nan")},
+        {"kappa": float("inf")},
+        {"alpha": float("nan")},
+        {"alpha": float("inf")},
+    ],
+)
+def test_config_rejects_non_finite(kwargs):
+    with pytest.raises(ValueError, match="finite"):
+        OptimizerConfig(**kwargs)
+
+
 def test_alpha_required():
     rng = np.random.default_rng(0)
     _, groups, cfg, P = random_instance(rng, 8, 2)
@@ -71,6 +88,8 @@ def test_fair_gd_feasible_every_aspect():
     assert np.array_equal(M.indices, P.indices)
     sink_entries = np.flatnonzero(P.sink_mask[P.entry_rows()])
     assert np.array_equal(M.data[sink_entries], P.data[sink_entries])
+    assert P.implicit.any() and np.array_equal(M.implicit, P.implicit)
+    assert np.array_equal(M.sink_row, P.sink_row)
     live = np.flatnonzero(~P.sink_mask[P.entry_rows()])
     box = BoxBounds.from_reference(P.data[live], opt.delta, opt.epsilon)
     assert (M.data[live] >= box.lower - 1e-15).all()

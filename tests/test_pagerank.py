@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import random_sinky_instance
+from conftest import random_instance, random_sinky_instance
 from fairpr import (
+    FairnessTarget,
     OracleSizeError,
     PageRankConfig,
     TransitionMatrix,
     group_scores,
+    lfpr_n,
     load_graph,
     load_labels,
     build_transition,
@@ -125,3 +127,96 @@ def test_group_scores_remark_bounds():
             vk = float(groups.indicator(k) @ cfg.restart_vector)
             assert scores[k] >= cfg.gamma * vk - 1e-12
             assert scores[k] <= 1 - cfg.gamma + cfg.gamma * vk + 1e-12
+
+
+def dense_power(P, cfg, t1):
+    A = P.to_dense()
+    p = np.full(P.n, 1.0 / P.n)
+    for _ in range(t1):
+        p = (1.0 - cfg.gamma) * (A.T @ p) + cfg.gamma * cfg.restart_vector
+    return p
+
+
+def dense_series(P, indicator, gamma, t2):
+    A = P.to_dense()
+    z = indicator.copy()
+    y = z.copy()
+    for _ in range(t2):
+        z = (1.0 - gamma) * (A @ z)
+        y += z
+    return y
+
+
+def sinky_operator_instances(rng, count):
+    """Random sinky matrices of three kinds in turn: implicit sink rows
+    standing for the uniform restart vector, for a restart vector with zero
+    entries, and lfpr_n outputs, whose sink rows are explicit."""
+    for i in range(count):
+        g, groups, cfg, P = random_sinky_instance(rng, int(rng.integers(3, 40)), 2)
+        if i % 3 == 1:
+            v = rng.random(g.n) * (rng.random(g.n) < 0.6) + 1e-3 * (np.arange(g.n) == 0)
+            cfg = PageRankConfig(GAMMA, v / v.sum())
+            P = build_transition(g, cfg)
+        elif i % 3 == 2:
+            P = lfpr_n(P, groups, FairnessTarget(phi=rng.dirichlet(np.ones(2)))).matrix
+        yield groups, cfg, P
+
+
+def test_operator_matches_dense_reference():
+    rng = np.random.default_rng(606)
+    kinds = {"implicit": 0, "explicit": 0, "zeros in sink row": 0}
+    for groups, cfg, P in sinky_operator_instances(rng, 120):
+        kinds["implicit"] += bool(P.implicit.any())
+        kinds["explicit"] += bool((P.sink_mask & ~P.implicit).any())
+        kinds["zeros in sink row"] += bool(P.implicit.any() and (P.sink_row == 0).any())
+        # L1 gaps relative to the reference's L1 norm (1 for p; y sums to
+        # up to n / gamma, and its entries carry rounding of their own size)
+        want = dense_power(P, cfg, 60)
+        assert np.abs(pagerank_power(P, cfg, t1=60, tol=0.0) - want).sum() <= 1e-14 * np.abs(want).sum()
+        ind = groups.indicator(int(rng.integers(2)))
+        want = dense_series(P, ind, GAMMA, 40)
+        assert np.abs(neumann_y(P, ind, GAMMA, t2=40) - want).sum() <= 1e-14 * np.abs(want).sum()
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_operator_bitwise_on_sink_free_matrices():
+    """Without implicit rows the products are the plain scipy ones; the
+    operator is built once and follows in-place changes of ``data``."""
+    rng = np.random.default_rng(707)
+
+    def power_loop(P, cfg, t1=100, tol=1e-12):
+        PT = P.to_csr().T
+        p = np.full(P.n, 1.0 / P.n)
+        for _ in range(t1):
+            nxt = (1.0 - cfg.gamma) * (PT @ p) + cfg.gamma * cfg.restart_vector
+            delta = np.abs(nxt - p).sum()
+            p = nxt
+            if delta < tol:
+                break
+        return p
+
+    def series_loop(P, indicator, gamma, t2=50):
+        csr = P.to_csr()
+        z = np.array(indicator, dtype=float)
+        y = z.copy()
+        for _ in range(t2):
+            z = (1.0 - gamma) * (csr @ z)
+            y += z
+        return y
+
+    for _ in range(40):
+        _, groups, cfg, P = random_instance(rng, int(rng.integers(3, 60)), 2)
+        assert P.sink_row is None
+        ind = groups.indicator(0)
+        lo, hi = P.indptr[0], P.indptr[1]
+        op = P.operator()
+        for step in ("built", "changed in place", "replaced"):
+            assert np.array_equal(pagerank_power(P, cfg), power_loop(P, cfg)), step
+            assert np.array_equal(neumann_y(P, ind, GAMMA), series_loop(P, ind, GAMMA)), step
+            assert (P.operator() is op) == (step != "replaced")
+            # reweight row 0, first in place and then as a new array
+            w = rng.random(hi - lo) + 0.1
+            if step == "built":
+                P.data[lo:hi] = w / w.sum()
+            else:
+                P.data = np.concatenate([w / w.sum(), P.data[hi:]])

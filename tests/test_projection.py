@@ -185,6 +185,7 @@ def test_project_matrix_sink_rows_copied_bitwise():
     out = project_matrix(Q, P, 0.2, 0.2)
     sink_entries = np.flatnonzero(Q.sink_mask[Q.entry_rows()])
     assert np.array_equal(out.data[sink_entries], P.data[sink_entries])
+    assert out.implicit[3] and np.array_equal(out.sink_row, P.sink_row)
     for i in range(out.n):
         if not out.sink_mask[i]:
             lo, hi = out.indptr[i], out.indptr[i + 1]
@@ -247,3 +248,16 @@ def test_project_matrix_rows_are_independent():
             else:
                 expect = project_simplex_box(Q.data[lo:hi], BoxBounds.from_reference(P.data[lo:hi], dl, ep))
             np.testing.assert_allclose(out.data[lo:hi], expect, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_box_validate_rejects_non_finite_bounds(side):
+    lower, upper = np.zeros(6), np.ones(6)
+    (lower if side == "lower" else upper)[4] = np.nan
+    box = BoxBounds(lower, upper)
+    with pytest.raises(InfeasibleBoxError, match="not finite"):
+        box.validate()
+    with pytest.raises(InfeasibleBoxError, match="row 1: some bound is not finite"):
+        box.validate(np.array([0, 0, 0, 1, 1, 1]), 2)
+    with pytest.raises(InfeasibleBoxError):
+        project_simplex_box(np.full(6, 0.5), box)
