@@ -323,6 +323,8 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
         raise GraphParseError(f"line {lineno}: non-integer {what} {token!r}") from None
     if value < 0:
         raise GraphParseError(f"line {lineno}: negative {what} {value}")
+    if value >= 2**63:
+        raise GraphParseError(f"line {lineno}: {what} {value} does not fit in 64 bits")
     return value
 
 
@@ -352,12 +354,19 @@ def load_graph(text: str, undirected: bool = False) -> Graph:
     return Graph(n=n, edges=edges)
 
 
+def _first_uncovered(ids) -> int:
+    """Smallest nonnegative integer not in ``ids``."""
+    u = np.unique(np.asarray(ids, dtype=np.int64))
+    gap = np.flatnonzero(u != np.arange(u.size))
+    return int(gap[0]) if gap.size else int(u.size)
+
+
 def load_labels(text: str, n: int) -> GroupAssignment:
     """Parse "vertex group" lines; every vertex in [0, n) must appear once.
 
     Group ids are remapped to a dense [0, K) range in sorted original order.
     """
-    raw_labels = np.full(n, -1, dtype=np.int64)
+    labels: dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -369,12 +378,15 @@ def load_labels(text: str, n: int) -> GroupAssignment:
         g = _parse_int(tokens[1], lineno, "group id")
         if v >= n:
             raise GraphParseError(f"line {lineno}: vertex {v} out of range [0, {n})")
-        if raw_labels[v] != -1:
+        if v in labels:
             raise GraphParseError(f"line {lineno}: duplicate label for vertex {v}")
-        raw_labels[v] = g
-    missing = np.flatnonzero(raw_labels == -1)
-    if len(missing):
-        raise GraphParseError(f"vertex {int(missing[0])} has no group label")
+        labels[v] = g
+    # distinct ids in [0, n): fewer than n leave some vertex out, found
+    # without allocating n entries (n comes from the largest edge id)
+    if len(labels) < n:
+        raise GraphParseError(f"vertex {_first_uncovered(list(labels))} has no group label")
+    raw_labels = np.empty(n, dtype=np.int64)
+    raw_labels[list(labels)] = list(labels.values())
     uniq, dense = np.unique(raw_labels, return_inverse=True)
     return GroupAssignment(labels=dense.astype(np.int64), K=int(len(uniq)))
 
@@ -472,6 +484,11 @@ def parse_matrix(text: str, n: int | None = None) -> TransitionMatrix:
             raise GraphParseError(f"line {lines[past[0]]}: {what} {ids[past[0]]} out of range [0, {size})")
     if len(set(sink_cols)) < len(sink_cols):
         raise GraphParseError("duplicate '# sink_row' column")
+    # every row needs entries or a '# sink' line; when they cannot cover
+    # `size` rows, name the first uncovered one before allocating `size`
+    if np.count_nonzero(np.diff(arr[:, 0])) + 1 + len(sinks) < size:
+        first = _first_uncovered(np.concatenate([arr[:, 0], np.asarray(sinks, np.int64)]))
+        raise GraphParseError(f"row {first} has no entries")
     sink_mask = np.zeros(size, bool)
     sink_mask[sinks] = True
     counts = np.bincount(arr[:, 0], minlength=size)

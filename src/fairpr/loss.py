@@ -1,5 +1,9 @@
 """Fairness losses over group scores, their analytic gradients on the sparse
-pattern, and the smoothness bound that yields a safe step size."""
+pattern, and the smoothness bound that yields a safe step size.
+
+Both objectives are the mean, over a list of restart configurations, of the
+squared gap between group scores and targets: one restart for the plain
+loss, one inside each group for the group-adapted loss."""
 
 from __future__ import annotations
 
@@ -10,6 +14,7 @@ import numpy as np
 
 from .graph import FairnessTarget, GroupAssignment, PageRankConfig, TransitionMatrix
 from .pagerank import group_scores, neumann_y, pagerank_power
+from .projection import row_boxes
 
 
 @dataclass(frozen=True)
@@ -31,6 +36,43 @@ def loss_from_scores(scores: np.ndarray, phi: np.ndarray) -> float:
     return float(np.mean(d * d))
 
 
+def _group_restarts(groups: GroupAssignment, gamma: float) -> list[PageRankConfig]:
+    """The K restart configurations of the group-adapted objective."""
+    return [PageRankConfig.group_restart(groups, ell, gamma) for ell in range(groups.K)]
+
+
+def _mean_loss(scores: list[np.ndarray], phi: np.ndarray) -> float:
+    """The objective: loss_from_scores averaged over the restarts' scores."""
+    return sum(loss_from_scores(s, phi) for s in scores) / len(scores)
+
+
+def _restart_loss(P, restarts, groups, target, t1, tol) -> float:
+    return _mean_loss([group_scores(pagerank_power(P, c, t1=t1, tol=tol), groups) for c in restarts], target.phi)
+
+
+def _restart_grad(P, restarts, groups, target, t1, t2, tol) -> SparseGradient:
+    """Entry (i,j): (2(1-gamma)/(K R)) sum_l sum_k (score_k(p_l) - phi_k) p_l[i] y_k[j],
+    materialized only on the optimizable pattern; each y_k is summed once."""
+    K = groups.K
+    gamma = restarts[0].gamma
+    live, rows, _ = row_boxes(P)
+    cols = P.indices[live]
+    values = np.zeros(len(rows))
+    c0 = 2.0 * (1.0 - gamma) / (K * len(restarts))
+    ycols = {}
+    for cfg in restarts:
+        p = pagerank_power(P, cfg, t1=t1, tol=tol)
+        resid = group_scores(p, groups) - target.phi
+        prow = p[rows]
+        for k in range(K):
+            if resid[k] == 0.0:
+                continue
+            if k not in ycols:
+                ycols[k] = neumann_y(P, groups.indicator(k), gamma, t2)[cols]
+            values += (c0 * resid[k]) * prow * ycols[k]
+    return SparseGradient(P.n, rows, cols, values)
+
+
 def loss_fair(
     P: TransitionMatrix,
     cfg: PageRankConfig,
@@ -40,8 +82,7 @@ def loss_fair(
     tol: float = 1e-12,
 ) -> float:
     """Mean squared gap between group scores and their targets."""
-    p = pagerank_power(P, cfg, t1=t1, tol=tol)
-    return loss_from_scores(group_scores(p, groups), target.phi)
+    return _restart_loss(P, [cfg], groups, target, t1, tol)
 
 
 def loss_group_adapted(
@@ -56,21 +97,7 @@ def loss_group_adapted(
 
     (1/K^2) sum_l sum_k (score_k under restart-in-l - phi_k)^2.
     """
-    K = groups.K
-    total = 0.0
-    for ell in range(K):
-        cfg = PageRankConfig.group_restart(groups, ell, gamma)
-        p = pagerank_power(P, cfg, t1=t1, tol=tol)
-        d = group_scores(p, groups) - target.phi
-        total += float(d @ d)
-    return total / (K * K)
-
-
-def _optimizable_entries(P: TransitionMatrix):
-    """(entry selector, rows, cols) for stored entries outside sink rows."""
-    entry_rows = P.entry_rows()
-    keep = np.flatnonzero(~P.sink_mask[entry_rows])
-    return keep, entry_rows[keep], P.indices[keep]
+    return _restart_loss(P, _group_restarts(groups, gamma), groups, target, t1, tol)
 
 
 def grad_fair(
@@ -82,21 +109,8 @@ def grad_fair(
     t2: int = 50,
     tol: float = 1e-12,
 ) -> SparseGradient:
-    """Entry (i,j): (2(1-gamma)/K) sum_k (score_k - phi_k) p[i] y_k[j],
-    materialized only on the optimizable pattern."""
-    gamma = cfg.gamma
-    p = pagerank_power(P, cfg, t1=t1, tol=tol)
-    resid = group_scores(p, groups) - target.phi
-    _, rows, cols = _optimizable_entries(P)
-    prow = p[rows]
-    values = np.zeros(len(rows))
-    c0 = 2.0 * (1.0 - gamma) / groups.K
-    for k in range(groups.K):
-        if resid[k] == 0.0:
-            continue
-        y = neumann_y(P, groups.indicator(k), gamma, t2)
-        values += (c0 * resid[k]) * prow * y[cols]
-    return SparseGradient(P.n, rows, cols, values)
+    """Entry (i,j): (2(1-gamma)/K) sum_k (score_k - phi_k) p[i] y_k[j]."""
+    return _restart_grad(P, [cfg], groups, target, t1, t2, tol)
 
 
 def grad_group_adapted(
@@ -109,21 +123,7 @@ def grad_group_adapted(
     tol: float = 1e-12,
 ) -> SparseGradient:
     """Entry (i,j): (2(1-gamma)/K^2) sum_k sum_l (score_k(p_l) - phi_k) p_l[i] y_k[j]."""
-    K = groups.K
-    _, rows, cols = _optimizable_entries(P)
-    values = np.zeros(len(rows))
-    c0 = 2.0 * (1.0 - gamma) / (K * K)
-    ycols = [neumann_y(P, groups.indicator(k), gamma, t2)[cols] for k in range(K)]
-    for ell in range(K):
-        cfg = PageRankConfig.group_restart(groups, ell, gamma)
-        p = pagerank_power(P, cfg, t1=t1, tol=tol)
-        resid = group_scores(p, groups) - target.phi
-        prow = p[rows]
-        for k in range(K):
-            if resid[k] == 0.0:
-                continue
-            values += (c0 * resid[k]) * prow * ycols[k]
-    return SparseGradient(P.n, rows, cols, values)
+    return _restart_grad(P, _group_restarts(groups, gamma), groups, target, t1, t2, tol)
 
 
 def lipschitz_bound(n: int, K: int, gamma: float) -> float:

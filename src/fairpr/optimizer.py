@@ -1,5 +1,7 @@
-"""Projected gradient descent over edge weights, in plain and group-adapted
-forms, each with optional per-entry modification bounds."""
+"""Projected gradient descent over edge weights, with optional per-entry
+modification bounds. One loop, ``_descend``, minimizes the mean fairness
+loss over a list of restarts: ``fair_gd`` passes its one restart and
+``adapt_gd`` the K restarts inside each group."""
 
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import FairnessTarget, GroupAssignment, PageRankConfig, TransitionMatrix
-from .loss import lipschitz_bound, loss_from_scores
+from .loss import _group_restarts, _mean_loss, lipschitz_bound
 from .pagerank import group_scores, neumann_y, pagerank_power
 from .projection import project_matrix, row_boxes
 
@@ -92,176 +94,93 @@ class OptimizationReport:
         return self.loss_trace[-1]
 
 
-def _resolve_alpha(opt: OptimizerConfig, n: int, K: int, gamma: float) -> float:
-    if opt.alpha is not None:
-        return opt.alpha
-    if opt.alpha_auto:
-        return 2.0 / lipschitz_bound(n, K, gamma)
-    raise ValueError("no step size: set alpha or alpha_auto (the CLI can grid-search instead)")
-
-
-def _trivial_report(P: TransitionMatrix, cfg: PageRankConfig, groups: GroupAssignment, opt: OptimizerConfig):
-    """K = 1 has loss identically zero on the feasible set: nothing to do."""
-    p = pagerank_power(P, cfg, t1=opt.t1, tol=opt.power_tol)
-    return OptimizationReport(
-        final_matrix=P.copy(),
-        loss_trace=[0.0],
-        iterations_run=1,
-        converged=True,
-        final_group_scores=group_scores(p, groups),
-    )
-
-
-def fair_gd(
+def _descend(
     P: TransitionMatrix,
-    cfg: PageRankConfig,
+    restarts: list[PageRankConfig],
+    report_cfg: PageRankConfig,
     groups: GroupAssignment,
     target: FairnessTarget,
     opt: OptimizerConfig,
 ) -> OptimizationReport:
-    """Minimize the fairness loss over the feasible edge reweightings.
+    """Descend on the mean fairness loss over the R ``restarts``; report the
+    final group scores under ``report_cfg``.
 
-    Per iteration: refresh p by t1 power steps, evaluate the loss and test
-    |dL| <= kappa, then for each group apply the rank-one step
-    P <- P - alpha (2(1-gamma)/K)(score_k - phi_k) p y_k' on the stored
-    pattern, and project once. Sink rows never change.
+    Per iteration: refresh each p_l by warm-started power steps, evaluate the
+    loss at the current feasible matrix and test |dL| <= kappa. Then, per
+    restart l and group k, step P <- P - alpha (2(1-gamma)/(K R))
+    (score_k(p_l) - phi_k) p_l y_k' on the stored pattern, with y_k summed at
+    the current unprojected matrix and p_l re-solved there once an earlier
+    step has moved it. Project once per iteration; sink rows never change.
+    The report solve warm-starts from ``report_cfg``'s vector when it is one
+    of the restarts, else from the uniform vector.
     """
-    gamma = cfg.gamma
+    gamma = report_cfg.gamma
     K = groups.K
-    alpha = _resolve_alpha(opt, P.n, K, gamma)
-    row_boxes(P, opt.delta, opt.epsilon)  # infeasible boxes fail before any work
+    safe_alpha = 2.0 / lipschitz_bound(P.n, K, gamma)
+    alpha = opt.alpha if opt.alpha is not None else safe_alpha if opt.alpha_auto else None
+    if alpha is None:
+        raise ValueError("no step size: set alpha or alpha_auto (the CLI can grid-search instead)")
+    live, rows, _ = row_boxes(P, opt.delta, opt.epsilon)  # infeasible boxes fail before any work
     if K == 1:
-        return _trivial_report(P, cfg, groups, opt)
+        # the loss is identically zero on the feasible set: nothing to do
+        p = pagerank_power(P, report_cfg, t1=opt.t1, tol=opt.power_tol)
+        return OptimizationReport(P.copy(), [0.0], 1, True, group_scores(p, groups))
 
     phi = target.phi
     P_hat = P.copy()
-    entry_rows = P.entry_rows()
-    live = np.flatnonzero(~P.sink_mask[entry_rows])
-    rows_nz = entry_rows[live]
-    cols_nz = P.indices[live]
-    c0 = 2.0 * (1.0 - gamma) / K
-
-    p = np.full(P.n, 1.0 / P.n)
+    cols = P.indices[live]
+    c0 = 2.0 * (1.0 - gamma) / (K * len(restarts))
+    warm = [np.full(P.n, 1.0 / P.n) for _ in restarts]
     loss_prev = math.inf
     trace: list[float] = []
     converged = False
     for it in range(opt.max_iters):
-        p = pagerank_power(P_hat, cfg, t1=opt.t1, tol=opt.power_tol, start=p)
-        scores = group_scores(p, groups)
-        loss = loss_from_scores(scores, phi)
+        warm = [pagerank_power(P_hat, cfg, t1=opt.t1, tol=opt.power_tol, start=w) for cfg, w in zip(restarts, warm)]
+        scores = [group_scores(w, groups) for w in warm]
+        loss = _mean_loss(scores, phi)
         trace.append(loss)
         if not math.isfinite(loss) or loss > LOSS_CEILING:
-            raise DivergedError(it + 1, loss, 2.0 / lipschitz_bound(P.n, K, gamma))
-        if abs(loss - loss_prev) <= opt.kappa:
-            converged = True
-            break
-        loss_prev = loss
-        prow = p[rows_nz]
-        stepped = False
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(K):
-                coef = alpha * c0 * (scores[k] - phi[k])
-                if coef == 0.0:
-                    continue
-                y = neumann_y(P_hat, groups.indicator(k), gamma, opt.t2)
-                P_hat.data[live] -= coef * prow * y[cols_nz]
-                stepped = True
-                if not np.all(np.abs(P_hat.data) <= ENTRY_CEILING):
-                    raise DivergedError(it + 1, math.inf, 2.0 / lipschitz_bound(P.n, K, gamma))
-        if stepped:
-            P_hat = project_matrix(P_hat, P, opt.delta, opt.epsilon)
-        log.debug("fair_gd iter=%d loss=%.6e", it + 1, loss)
-
-    p = pagerank_power(P_hat, cfg, t1=opt.t1, tol=opt.power_tol, start=p)
-    return OptimizationReport(
-        final_matrix=P_hat,
-        loss_trace=trace,
-        iterations_run=len(trace),
-        converged=converged,
-        final_group_scores=group_scores(p, groups),
-    )
-
-
-def adapt_gd(
-    P: TransitionMatrix,
-    gamma: float,
-    groups: GroupAssignment,
-    target: FairnessTarget,
-    opt: OptimizerConfig,
-) -> OptimizationReport:
-    """Minimize the group-adapted loss: an outer sweep over restart groups.
-
-    Each iteration first evaluates the loss at the current feasible matrix
-    (warm-started restart-in-group-l solves) and tests |dL| <= kappa, then
-    sweeps: per group l it refreshes p_l and applies the per-(l,k) rank-one
-    steps with weight (2(1-gamma)/K^2)(score_k(p_l) - phi_k), projecting
-    once after the full double loop. Reported final scores use the uniform
-    restart vector.
-    """
-    K = groups.K
-    alpha = _resolve_alpha(opt, P.n, K, gamma)
-    row_boxes(P, opt.delta, opt.epsilon)  # infeasible boxes fail before any work
-    uniform_cfg = PageRankConfig.uniform(P.n, gamma)
-    if K == 1:
-        return _trivial_report(P, uniform_cfg, groups, opt)
-
-    phi = target.phi
-    P_hat = P.copy()
-    entry_rows = P.entry_rows()
-    live = np.flatnonzero(~P.sink_mask[entry_rows])
-    rows_nz = entry_rows[live]
-    cols_nz = P.indices[live]
-    c0 = 2.0 * (1.0 - gamma) / (K * K)
-    restart_cfgs = [PageRankConfig.group_restart(groups, ell, gamma) for ell in range(K)]
-
-    warm = [np.full(P.n, 1.0 / P.n) for _ in range(K)]
-    loss_prev = math.inf
-    trace: list[float] = []
-    converged = False
-    for it in range(opt.max_iters):
-        # the tracked loss is evaluated at the current feasible (projected)
-        # matrix; warm vectors make these solves nearly free
-        sq = 0.0
-        for ell in range(K):
-            warm[ell] = pagerank_power(
-                P_hat, restart_cfgs[ell], t1=opt.t1, tol=opt.power_tol, start=warm[ell]
-            )
-            d = group_scores(warm[ell], groups) - phi
-            sq += float(d @ d)
-        loss = sq / (K * K)
-        trace.append(loss)
-        if not math.isfinite(loss) or loss > LOSS_CEILING:
-            raise DivergedError(it + 1, loss, 2.0 / lipschitz_bound(P.n, K, gamma))
+            raise DivergedError(it + 1, loss, safe_alpha)
         if abs(loss - loss_prev) <= opt.kappa:
             converged = True
             break
         loss_prev = loss
         stepped = False
         with np.errstate(over="ignore", invalid="ignore"):
-            for ell in range(K):
-                # solved at the current mid-sweep matrix; not written back to
-                # warm, which only ever tracks feasible-state solutions
-                p_ell = pagerank_power(P_hat, restart_cfgs[ell], t1=opt.t1, tol=opt.power_tol, start=warm[ell])
-                resid = group_scores(p_ell, groups) - phi
-                prow = p_ell[rows_nz]
+            for cfg, p, s in zip(restarts, warm, scores):
+                if stepped:  # warm keeps the solution at the feasible matrix
+                    p = pagerank_power(P_hat, cfg, t1=opt.t1, tol=opt.power_tol, start=p)
+                    s = group_scores(p, groups)
+                prow = p[rows]
                 for k in range(K):
-                    coef = alpha * c0 * resid[k]
+                    coef = alpha * c0 * (s[k] - phi[k])
                     if coef == 0.0:
                         continue
                     y = neumann_y(P_hat, groups.indicator(k), gamma, opt.t2)
-                    P_hat.data[live] -= coef * prow * y[cols_nz]
+                    P_hat.data[live] -= coef * prow * y[cols]
                     stepped = True
                     if not np.all(np.abs(P_hat.data) <= ENTRY_CEILING):
-                        raise DivergedError(it + 1, math.inf, 2.0 / lipschitz_bound(P.n, K, gamma))
+                        raise DivergedError(it + 1, math.inf, safe_alpha)
         if stepped:
             P_hat = project_matrix(P_hat, P, opt.delta, opt.epsilon)
-        log.debug("adapt_gd iter=%d loss=%.6e", it + 1, loss)
+        log.debug("descent iter=%d loss=%.6e", it + 1, loss)
 
-    p = pagerank_power(P_hat, uniform_cfg, t1=opt.t1, tol=opt.power_tol)
-    return OptimizationReport(
-        final_matrix=P_hat,
-        loss_trace=trace,
-        iterations_run=len(trace),
-        converged=converged,
-        final_group_scores=group_scores(p, groups),
-    )
+    start = next((w for cfg, w in zip(restarts, warm) if cfg is report_cfg), None)
+    p = pagerank_power(P_hat, report_cfg, t1=opt.t1, tol=opt.power_tol, start=start)
+    return OptimizationReport(P_hat, trace, len(trace), converged, group_scores(p, groups))
+
+
+def fair_gd(
+    P: TransitionMatrix, cfg: PageRankConfig, groups: GroupAssignment, target: FairnessTarget, opt: OptimizerConfig
+) -> OptimizationReport:
+    """Minimize the fairness loss over the feasible edge reweightings: the
+    descent over the single restart ``cfg``."""
+    return _descend(P, [cfg], cfg, groups, target, opt)
+
+
+def adapt_gd(
+    P: TransitionMatrix, gamma: float, groups: GroupAssignment, target: FairnessTarget, opt: OptimizerConfig
+) -> OptimizationReport:
+    """Minimize the group-adapted loss: the descent over the K restarts
+    inside each group. Final scores use the uniform restart vector."""
+    return _descend(P, _group_restarts(groups, gamma), PageRankConfig.uniform(P.n, gamma), groups, target, opt)

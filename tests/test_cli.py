@@ -358,3 +358,24 @@ def test_evaluate_rejects_non_finite_phi(tmp_path, capsys):
     ])
     assert code == 2
     assert "target scores must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "vertex,fragment", [(10**15, "vertex 2 has no group label"), (10**20, "does not fit in 64 bits")]
+)
+def test_pagerank_huge_vertex_id_is_input_error(tmp_path, capsys, vertex, fragment):
+    edges, labels = toy_files(tmp_path, edges=f"0 1\n1 0\n0 {vertex}", labels="0 0\n1 1")
+    assert main(["pagerank", "--edges", edges, "--labels", labels]) == 2
+    assert fragment in capsys.readouterr().err
+
+
+def test_evaluate_huge_matrix_size_is_input_error(tmp_path, capsys):
+    _, labels = toy_files(tmp_path)
+    original = tmp_path / "original.tsv"
+    original.write_text(f"# n\t{10**15}\n# sink\t5\n0\t1\t1\n1\t0\t0.5\n1\t2\t0.5\n2\t0\t1\n")
+    code = main([
+        "evaluate", "--original", str(original), "--revised", str(original),
+        "--labels", labels, "--phi", "0.5",
+    ])
+    assert code == 2
+    assert "row 3 has no entries" in capsys.readouterr().err

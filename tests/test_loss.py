@@ -181,6 +181,10 @@ def test_grad_group_adapted_is_mean_of_restart_grads():
         )
         acc += g_ell.values
     assert np.abs(ga.values - acc / groups.K).max() <= 1e-12
+    restarts = [PageRankConfig.group_restart(groups, ell, GAMMA) for ell in range(groups.K)]
+    la = loss_group_adapted(P, GAMMA, groups, target, t1=400, tol=1e-14)
+    mean = sum(loss_fair(P, c, groups, target, t1=400, tol=1e-14) for c in restarts) / groups.K
+    assert abs(la - mean) <= 1e-15 * mean
 
 
 def test_lipschitz_bound_values():

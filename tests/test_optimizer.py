@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,10 @@ from fairpr import (
     load_labels,
     pagerank_power,
 )
+from fairpr.loss import loss_from_scores
+from fairpr.optimizer import ENTRY_CEILING, LOSS_CEILING, OptimizationReport
+from fairpr.pagerank import neumann_y
+from fairpr.projection import project_matrix, row_boxes
 
 GAMMA = 0.15
 
@@ -192,3 +198,197 @@ def test_trace_and_report_shape():
     assert not rep.converged
     assert rep.final_group_scores.shape == (3,)
     assert abs(rep.final_group_scores.sum() - 1.0) <= 1e-9
+
+
+# Reference copies of the two descent loops as they stood before both
+# objectives shared one loop, kept verbatim (names prefixed) so that the
+# shared loop can be checked against them.
+
+def ref_resolve_alpha(opt, n, K, gamma):
+    if opt.alpha is not None:
+        return opt.alpha
+    if opt.alpha_auto:
+        return 2.0 / lipschitz_bound(n, K, gamma)
+    raise ValueError("no step size: set alpha or alpha_auto (the CLI can grid-search instead)")
+
+
+def ref_trivial_report(P, cfg, groups, opt):
+    p = pagerank_power(P, cfg, t1=opt.t1, tol=opt.power_tol)
+    return OptimizationReport(
+        final_matrix=P.copy(),
+        loss_trace=[0.0],
+        iterations_run=1,
+        converged=True,
+        final_group_scores=group_scores(p, groups),
+    )
+
+
+def ref_fair_gd(P, cfg, groups, target, opt):
+    gamma = cfg.gamma
+    K = groups.K
+    alpha = ref_resolve_alpha(opt, P.n, K, gamma)
+    row_boxes(P, opt.delta, opt.epsilon)  # infeasible boxes fail before any work
+    if K == 1:
+        return ref_trivial_report(P, cfg, groups, opt)
+
+    phi = target.phi
+    P_hat = P.copy()
+    entry_rows = P.entry_rows()
+    live = np.flatnonzero(~P.sink_mask[entry_rows])
+    rows_nz = entry_rows[live]
+    cols_nz = P.indices[live]
+    c0 = 2.0 * (1.0 - gamma) / K
+
+    p = np.full(P.n, 1.0 / P.n)
+    loss_prev = math.inf
+    trace = []
+    converged = False
+    for it in range(opt.max_iters):
+        p = pagerank_power(P_hat, cfg, t1=opt.t1, tol=opt.power_tol, start=p)
+        scores = group_scores(p, groups)
+        loss = loss_from_scores(scores, phi)
+        trace.append(loss)
+        if not math.isfinite(loss) or loss > LOSS_CEILING:
+            raise DivergedError(it + 1, loss, 2.0 / lipschitz_bound(P.n, K, gamma))
+        if abs(loss - loss_prev) <= opt.kappa:
+            converged = True
+            break
+        loss_prev = loss
+        prow = p[rows_nz]
+        stepped = False
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(K):
+                coef = alpha * c0 * (scores[k] - phi[k])
+                if coef == 0.0:
+                    continue
+                y = neumann_y(P_hat, groups.indicator(k), gamma, opt.t2)
+                P_hat.data[live] -= coef * prow * y[cols_nz]
+                stepped = True
+                if not np.all(np.abs(P_hat.data) <= ENTRY_CEILING):
+                    raise DivergedError(it + 1, math.inf, 2.0 / lipschitz_bound(P.n, K, gamma))
+        if stepped:
+            P_hat = project_matrix(P_hat, P, opt.delta, opt.epsilon)
+
+    p = pagerank_power(P_hat, cfg, t1=opt.t1, tol=opt.power_tol, start=p)
+    return OptimizationReport(
+        final_matrix=P_hat,
+        loss_trace=trace,
+        iterations_run=len(trace),
+        converged=converged,
+        final_group_scores=group_scores(p, groups),
+    )
+
+
+def ref_adapt_gd(P, gamma, groups, target, opt):
+    K = groups.K
+    alpha = ref_resolve_alpha(opt, P.n, K, gamma)
+    row_boxes(P, opt.delta, opt.epsilon)  # infeasible boxes fail before any work
+    uniform_cfg = PageRankConfig.uniform(P.n, gamma)
+    if K == 1:
+        return ref_trivial_report(P, uniform_cfg, groups, opt)
+
+    phi = target.phi
+    P_hat = P.copy()
+    entry_rows = P.entry_rows()
+    live = np.flatnonzero(~P.sink_mask[entry_rows])
+    rows_nz = entry_rows[live]
+    cols_nz = P.indices[live]
+    c0 = 2.0 * (1.0 - gamma) / (K * K)
+    restart_cfgs = [PageRankConfig.group_restart(groups, ell, gamma) for ell in range(K)]
+
+    warm = [np.full(P.n, 1.0 / P.n) for _ in range(K)]
+    loss_prev = math.inf
+    trace = []
+    converged = False
+    for it in range(opt.max_iters):
+        sq = 0.0
+        for ell in range(K):
+            warm[ell] = pagerank_power(
+                P_hat, restart_cfgs[ell], t1=opt.t1, tol=opt.power_tol, start=warm[ell]
+            )
+            d = group_scores(warm[ell], groups) - phi
+            sq += float(d @ d)
+        loss = sq / (K * K)
+        trace.append(loss)
+        if not math.isfinite(loss) or loss > LOSS_CEILING:
+            raise DivergedError(it + 1, loss, 2.0 / lipschitz_bound(P.n, K, gamma))
+        if abs(loss - loss_prev) <= opt.kappa:
+            converged = True
+            break
+        loss_prev = loss
+        stepped = False
+        with np.errstate(over="ignore", invalid="ignore"):
+            for ell in range(K):
+                p_ell = pagerank_power(P_hat, restart_cfgs[ell], t1=opt.t1, tol=opt.power_tol, start=warm[ell])
+                resid = group_scores(p_ell, groups) - phi
+                prow = p_ell[rows_nz]
+                for k in range(K):
+                    coef = alpha * c0 * resid[k]
+                    if coef == 0.0:
+                        continue
+                    y = neumann_y(P_hat, groups.indicator(k), gamma, opt.t2)
+                    P_hat.data[live] -= coef * prow * y[cols_nz]
+                    stepped = True
+                    if not np.all(np.abs(P_hat.data) <= ENTRY_CEILING):
+                        raise DivergedError(it + 1, math.inf, 2.0 / lipschitz_bound(P.n, K, gamma))
+        if stepped:
+            P_hat = project_matrix(P_hat, P, opt.delta, opt.epsilon)
+
+    p = pagerank_power(P_hat, uniform_cfg, t1=opt.t1, tol=opt.power_tol)
+    return OptimizationReport(
+        final_matrix=P_hat,
+        loss_trace=trace,
+        iterations_run=len(trace),
+        converged=converged,
+        final_group_scores=group_scores(p, groups),
+    )
+
+
+def _outcome(run, *args):
+    try:
+        return run(*args)
+    except DivergedError as err:
+        return err
+
+
+def guard_cases(seed, count, log_alpha, max_iters):
+    """(P, cfg, groups, target, opt) over plain and sinky graphs, K in {2, 3},
+    plain and restricted feasible sets, alpha log-uniform in ``log_alpha``."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        build = random_sinky_instance if i % 2 else random_instance
+        K = 2 + (i // 2) % 2
+        _, groups, cfg, P = build(rng, int(rng.integers(8, 30)), K)
+        bounds = {"delta": 0.2, "epsilon": 0.05} if (i // 4) % 2 else {}
+        alpha = 10.0 ** rng.uniform(*log_alpha)
+        kappa = float(rng.choice([0.0, 1e-8]))
+        opt = OptimizerConfig(alpha=alpha, kappa=kappa, max_iters=max_iters, **bounds)
+        yield P, cfg, groups, random_target(rng, K), opt
+
+
+def test_fair_gd_matches_reference_loop_bitwise():
+    diverged = 0
+    for P, cfg, groups, target, opt in guard_cases(11, 48, (-2.0, 2.0), 25):
+        ref = _outcome(ref_fair_gd, P, cfg, groups, target, opt)
+        got = _outcome(fair_gd, P, cfg, groups, target, opt)
+        assert type(got) is type(ref)
+        if isinstance(ref, DivergedError):
+            diverged += 1
+            assert (got.iteration, repr(got.loss)) == (ref.iteration, repr(ref.loss))
+            assert got.safe_alpha == ref.safe_alpha
+            continue
+        assert got.loss_trace == ref.loss_trace
+        assert np.array_equal(got.final_matrix.data, ref.final_matrix.data)
+        assert np.array_equal(got.final_group_scores, ref.final_group_scores)
+        assert got.converged == ref.converged
+    assert 0 < diverged < 48  # both outcomes are exercised
+
+
+def test_adapt_gd_matches_reference_loop():
+    for P, cfg, groups, target, opt in guard_cases(12, 40, (-2.0, -1.0), 8):
+        ref = ref_adapt_gd(P, GAMMA, groups, target, opt)
+        got = adapt_gd(P, GAMMA, groups, target, opt)
+        assert got.iterations_run == ref.iterations_run and got.converged == ref.converged
+        assert np.abs(np.subtract(got.loss_trace, ref.loss_trace)).max() <= 1e-10
+        assert np.abs(got.final_matrix.data - ref.final_matrix.data).max() <= 1e-10
+        assert np.abs(got.final_group_scores - ref.final_group_scores).max() <= 1e-10
