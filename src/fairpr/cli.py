@@ -1,7 +1,8 @@
 """Command-line surface: pagerank, optimize, baseline, evaluate, sweep.
 
 Exit codes: 0 ok, 2 input error, 3 numerical failure. Set FPR_LOG to a
-logging level name (e.g. DEBUG) for verbose output.
+logging level name (e.g. DEBUG) for verbose output. The single-run commands
+read an input path '-' as standard input.
 """
 
 from __future__ import annotations
@@ -13,25 +14,18 @@ import os
 import sys
 from pathlib import Path
 
-from .baselines import UnsupportedGroupCountError, fairwalk, lfpr_n, lfpr_u
+from . import baselines
 from .experiment import (
+    BASELINE_METHODS,
     ExperimentSpec,
     build_target,
     evaluate_matrices,
+    load_instance,
     rows_to_csv,
     run_optimizer_method,
     run_sweep,
 )
-from .graph import (
-    FairnessTarget,
-    GraphParseError,
-    PageRankConfig,
-    build_transition,
-    load_graph,
-    load_labels,
-    parse_matrix,
-    serialize_matrix,
-)
+from .graph import FairnessTarget, GraphParseError, load_labels, parse_matrix, serialize_matrix
 from .metrics import UndefinedCoefficientError
 from .optimizer import DivergedError, OptimizerConfig
 from .pagerank import group_scores, pagerank_power, pagerank_residual
@@ -58,11 +52,7 @@ def _read(path: str) -> str:
 
 
 def _load_instance(args):
-    g = load_graph(_read(args.edges), undirected=args.undirected)
-    groups = load_labels(_read(args.labels), g.n)
-    cfg = PageRankConfig.uniform(g.n, args.gamma)
-    P = build_transition(g, cfg)
-    return g, groups, cfg, P
+    return load_instance(_read(args.edges), _read(args.labels), args.undirected, args.gamma)
 
 
 def _parse_phi(phi_text: str, K: int) -> FairnessTarget:
@@ -75,16 +65,15 @@ def _parse_phi(phi_text: str, K: int) -> FairnessTarget:
     raise InputError(f"--phi needs 1 or {K} comma-separated values, got {len(parts)}")
 
 
-def _common_input_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--edges", required=True, help="edge-list file ('-' for stdin)")
-    p.add_argument("--labels", required=True, help="label file ('-' for stdin)")
+def _common_input_flags(p: argparse.ArgumentParser, required: bool = True) -> None:
+    p.add_argument("--edges", required=required, help="edge-list file")
+    p.add_argument("--labels", required=required, help="label file")
     p.add_argument("--undirected", action="store_true", help="mirror each input edge")
     p.add_argument("--gamma", type=float, default=0.15)
 
 
 def _optimizer_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=None, help="constant step size (grid-searched when absent)")
-    p.add_argument("--alpha-auto", action="store_true", help="use the safe step 2/C")
     p.add_argument("--t1", type=int, default=100)
     p.add_argument("--t2", type=int, default=50)
     p.add_argument("--kappa", type=float, default=1e-8)
@@ -102,12 +91,12 @@ def _build_opt(args) -> OptimizerConfig:
         max_iters=args.max_iters,
         delta=args.delta,
         epsilon=args.epsilon,
-        alpha_auto=args.alpha_auto,
+        alpha_auto=getattr(args, "alpha_auto", False),
     )
 
 
 def cmd_pagerank(args) -> int:
-    _, groups, cfg, P = _load_instance(args)
+    groups, cfg, P = _load_instance(args)
     p = pagerank_power(P, cfg, t1=args.t1, tol=1e-13)
     scores = group_scores(p, groups)
     print("group scores: " + " ".join(f"{s:.6f}" for s in scores))
@@ -118,7 +107,7 @@ def cmd_pagerank(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    _, groups, cfg, P = _load_instance(args)
+    groups, _, P = _load_instance(args)
     target = _parse_phi(args.phi, groups.K)
     opt = _build_opt(args)
     method = args.method + ("_restricted" if opt.restricted else "")
@@ -156,10 +145,9 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    _, groups, cfg, P = _load_instance(args)
+    groups, _, P = _load_instance(args)
     target = _parse_phi(args.phi, groups.K)
-    fn = {"fairwalk": fairwalk, "lfpr_n": lfpr_n, "lfpr_u": lfpr_u}[args.method]
-    result = fn(P, groups, target)
+    result = getattr(baselines, args.method)(P, groups, target)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "original.tsv").write_text(serialize_matrix(P))
@@ -196,102 +184,43 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _load_config_file(path: str) -> dict:
-    values = {}
-    for lineno, raw in enumerate(_read(path).splitlines(), start=1):
+def _config_flags(args) -> list[str]:
+    """The --config file's key=value lines as sweep flags: ``--key=value``,
+    or ``--undirected`` for a true ``undirected``."""
+    known = set(vars(args)) - {"command", "fn", "config"}
+    flags = []
+    for lineno, raw in enumerate(_read(args.config).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise InputError(f"config line {lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
-        values[key.strip().replace("-", "_")] = val.strip()
-    return values
-
-
-_SWEEP_CONFIG_TYPES = {
-    "edges": str,
-    "labels": str,
-    "undirected": lambda s: s.lower() in ("1", "true", "yes"),
-    "gamma": float,
-    "phi": str,
-    "methods": str,
-    "out": str,
-    "jobs": int,
-    "alpha": float,
-    "t1": int,
-    "t2": int,
-    "kappa": float,
-    "max_iters": int,
-    "delta": float,
-    "epsilon": float,
-    "dataset_name": str,
-}
-
-
-def _merged_sweep_settings(args) -> dict:
-    """Flags win over the config file, which wins over hard defaults."""
-    defaults = {
-        "undirected": False,
-        "gamma": 0.15,
-        "phi": "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9",
-        "methods": "fairgd,fairwalk",
-        "out": "sweep_out",
-        "jobs": 1,
-        "alpha": None,
-        "t1": 100,
-        "t2": 50,
-        "kappa": 1e-8,
-        "max_iters": 1000,
-        "delta": None,
-        "epsilon": None,
-        "dataset_name": "dataset",
-        "edges": None,
-        "labels": None,
-    }
-    merged = dict(defaults)
-    if args.config:
-        for key, raw in _load_config_file(args.config).items():
-            if key not in _SWEEP_CONFIG_TYPES:
-                raise InputError(f"unknown config key {key!r}")
-            merged[key] = _SWEEP_CONFIG_TYPES[key](raw)
-    for key in merged:
-        flag = getattr(args, key, None)
-        if flag is not None and flag is not False:
-            merged[key] = flag
-    if not merged["edges"] or not merged["labels"]:
-        raise InputError("sweep needs --edges and --labels (flags or config file)")
-    return merged
+        key, val = key.strip().replace("-", "_"), val.strip()
+        if key not in known:
+            raise InputError(f"unknown config key {key!r}")
+        if key != "undirected":
+            flags.append(f"--{key.replace('_', '-')}={val}")
+        elif val.lower() in ("1", "true", "yes"):
+            flags.append("--undirected")
+    return flags
 
 
 def cmd_sweep(args) -> int:
-    settings = _merged_sweep_settings(args)
-    phi_grid = tuple(float(tok) for tok in str(settings["phi"]).split(","))
-    methods = tuple(tok.strip() for tok in str(settings["methods"]).split(","))
-    opt = OptimizerConfig(
-        alpha=settings["alpha"],
-        t1=settings["t1"],
-        t2=settings["t2"],
-        kappa=settings["kappa"],
-        max_iters=settings["max_iters"],
-        delta=settings["delta"],
-        epsilon=settings["epsilon"],
-    )
+    if not args.edges or not args.labels:
+        raise InputError("sweep needs --edges and --labels (flags or config file)")
     spec = ExperimentSpec(
-        graph_path=settings["edges"],
-        labels_path=settings["labels"],
-        undirected=settings["undirected"],
-        gamma=settings["gamma"],
-        phi_grid=phi_grid,
-        methods=methods,
-        output_dir=settings["out"],
-        dataset=settings["dataset_name"],
-        optimizer=opt,
-        jobs=settings["jobs"],
+        graph_path=args.edges,
+        labels_path=args.labels,
+        undirected=args.undirected,
+        gamma=args.gamma,
+        phi_grid=tuple(float(tok) for tok in args.phi.split(",")),
+        methods=tuple(tok.strip() for tok in args.methods.split(",")),
+        output_dir=args.out,
+        dataset=args.dataset_name,
+        optimizer=_build_opt(args),
+        jobs=args.jobs,
     )
-    for path in (spec.graph_path, spec.labels_path):
-        if not Path(path).exists():
-            raise InputError(f"no such file: {path}")
     rows = run_sweep(spec)
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -317,12 +246,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["fairgd", "adaptgd"], required=True)
     p.add_argument("--phi", required=True, help="single lead share or comma-separated targets")
     _optimizer_flags(p)
+    p.add_argument("--alpha-auto", action="store_true", help="use the safe step 2/C")
     p.add_argument("--out", default="opt_out")
     p.set_defaults(fn=cmd_optimize)
 
     p = sub.add_parser("baseline", help="run a baseline reweighting and write the revised matrix")
     _common_input_flags(p)
-    p.add_argument("--method", choices=["fairwalk", "lfpr_n", "lfpr_u"], required=True)
+    p.add_argument("--method", choices=BASELINE_METHODS, required=True)
     p.add_argument("--phi", required=True)
     p.add_argument("--out", default="baseline_out")
     p.set_defaults(fn=cmd_baseline)
@@ -336,23 +266,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("sweep", help="run a (method, phi) grid and write results.csv")
-    p.add_argument("--edges", default=None)
-    p.add_argument("--labels", default=None)
-    p.add_argument("--undirected", action="store_true")
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--phi", default=None, help="comma-separated phi grid")
-    p.add_argument("--methods", default=None, help="comma-separated method names")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--t1", type=int, default=None)
-    p.add_argument("--t2", type=int, default=None)
-    p.add_argument("--kappa", type=float, default=None)
-    p.add_argument("--max-iters", type=int, default=None, dest="max_iters")
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--dataset-name", default=None, dest="dataset_name")
-    p.add_argument("--config", default=None, help="key=value settings file; flags win")
+    _common_input_flags(p, required=False)
+    p.add_argument("--phi", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9", help="comma-separated phi grid")
+    p.add_argument("--methods", default="fairgd,fairwalk", help="comma-separated method names")
+    _optimizer_flags(p)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, at most one per cell")
+    p.add_argument("--out", default="sweep_out")
+    p.add_argument("--dataset-name", default="dataset")
+    p.add_argument("--config", default=None, help="key=value settings file, read as flags; the command line's flags win")
     p.set_defaults(fn=cmd_sweep)
 
     return parser
@@ -361,11 +282,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     level = os.environ.get("FPR_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING), format="%(name)s %(message)s")
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            # the file's settings go right after the command, so later flags win
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_flags(args) + argv[at:])
         return args.fn(args)
-    except (InputError, GraphParseError, UnsupportedGroupCountError, FileNotFoundError, ValueError) as exc:
+    except (InputError, GraphParseError, baselines.UnsupportedGroupCountError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (DivergedError, UndefinedCoefficientError) as exc:

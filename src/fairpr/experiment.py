@@ -5,12 +5,14 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import functools
 import io
 import logging
 import time
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
-from .baselines import UnsupportedGroupCountError, fairwalk, lfpr_n, lfpr_u
+from . import baselines
 from .graph import (
     FairnessTarget,
     PageRankConfig,
@@ -18,7 +20,7 @@ from .graph import (
     load_graph,
     load_labels,
 )
-from .loss import loss_fair, loss_group_adapted
+from .loss import loss_from_scores, loss_group_adapted
 from .metrics import MetricBundle, UndefinedCoefficientError, delta_p, rho_bar, rho_tilde
 from .optimizer import ALPHA_GRID, DivergedError, OptimizerConfig, adapt_gd, fair_gd
 from .pagerank import group_scores, pagerank_power
@@ -72,6 +74,8 @@ class ExperimentSpec:
         for m in self.methods:
             if m not in KNOWN_METHODS:
                 raise ValueError(f"unknown method {m!r}; known: {', '.join(KNOWN_METHODS)}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
 
 
 @dataclass
@@ -88,6 +92,15 @@ class ResultRow:
     converged: bool | None = None
     wall_time_ms: float | None = None
     reason: str = ""
+
+
+def load_instance(edges_text: str, labels_text: str, undirected: bool, gamma: float):
+    """(groups, uniform restart config, transition matrix) of an edge list
+    and a label file."""
+    g = load_graph(edges_text, undirected=undirected)
+    groups = load_labels(labels_text, g.n)
+    cfg = PageRankConfig.uniform(g.n, gamma)
+    return groups, cfg, build_transition(g, cfg)
 
 
 def build_target(phi: float, K: int) -> FairnessTarget:
@@ -145,11 +158,12 @@ def evaluate_matrices(P_orig, P_new, gamma, groups, target):
     """(MetricBundle, rho_tilde reason, revised group scores) for a revised
     matrix against the original, all under the uniform restart vector."""
     cfg = PageRankConfig.uniform(P_orig.n, gamma)
-    loss = loss_fair(P_new, cfg, groups, target, t1=EVAL_T1, tol=EVAL_TOL)
+    p_new = pagerank_power(P_new, cfg, t1=EVAL_T1, tol=EVAL_TOL)
+    scores = group_scores(p_new, groups)
+    loss = loss_from_scores(scores, target.phi)
     loss_g = loss_group_adapted(P_new, gamma, groups, target, t1=EVAL_T1, tol=EVAL_TOL)
     dp = delta_p(P_new, P_orig)
     p_old = pagerank_power(P_orig, cfg, t1=EVAL_T1, tol=EVAL_TOL)
-    p_new = pagerank_power(P_new, cfg, t1=EVAL_T1, tol=EVAL_TOL)
     rb = rho_bar(p_old, p_new, groups)
     try:
         rt = rho_tilde(P_orig, P_new)
@@ -158,42 +172,33 @@ def evaluate_matrices(P_orig, P_new, gamma, groups, target):
         rt = None
         rt_reason = f"rho_tilde undefined: {exc}"
     bundle = MetricBundle(loss=loss, loss_group_adapted=loss_g, delta_p=dp, rho_bar=rb, rho_tilde=rt)
-    return bundle, rt_reason, group_scores(p_new, groups)
+    return bundle, rt_reason, scores
 
 
-def run_cell(
-    graph_path, labels_path, undirected, gamma, dataset, method, phi, opt: OptimizerConfig
-) -> ResultRow:
-    """One (method, phi) cell, self-contained so cells can run in parallel."""
+def run_cell(spec: ExperimentSpec, groups, P, method: str, phi: float) -> ResultRow:
+    """One (method, phi) cell on the sweep's loaded instance. A failure
+    inside the cell is recorded as the row's reason; the sweep goes on."""
     started = time.perf_counter()
-    row = ResultRow(dataset=dataset, method=method, phi=phi)
+    row = ResultRow(dataset=spec.dataset, method=method, phi=phi)
     try:
-        with open(graph_path) as fh:
-            g = load_graph(fh.read(), undirected=undirected)
-        with open(labels_path) as fh:
-            groups = load_labels(fh.read(), g.n)
-        cfg = PageRankConfig.uniform(g.n, gamma)
-        P = build_transition(g, cfg)
         target = build_target(phi, groups.K)
-
         if method in BASELINE_METHODS:
-            fn = {"fairwalk": fairwalk, "lfpr_n": lfpr_n, "lfpr_u": lfpr_u}[method]
-            result = fn(P, groups, target)
-            revised = result.matrix
+            # looked up at call time so that replaced module attributes are seen
+            revised = getattr(baselines, method)(P, groups, target).matrix
         else:
-            report = run_optimizer_method(method, P, gamma, groups, target, opt)
+            report = run_optimizer_method(method, P, spec.gamma, groups, target, spec.optimizer)
             revised = report.final_matrix
             row.iterations = report.iterations_run
             row.converged = report.converged
 
-        bundle, rt_reason, _ = evaluate_matrices(P, revised, gamma, groups, target)
+        bundle, rt_reason, _ = evaluate_matrices(P, revised, spec.gamma, groups, target)
         row.loss = bundle.loss
         row.loss_group_adapted = bundle.loss_group_adapted
         row.delta_p = bundle.delta_p
         row.rho_bar = bundle.rho_bar
         row.rho_tilde = bundle.rho_tilde
         row.reason = rt_reason
-    except UnsupportedGroupCountError as exc:
+    except baselines.UnsupportedGroupCountError as exc:
         row.reason = f"unsupported K: {exc}"
     except DivergedError as exc:
         row.reason = f"diverged: {exc}"
@@ -204,34 +209,23 @@ def run_cell(
     return row
 
 
-def _cell_args(spec: ExperimentSpec):
-    for method in spec.methods:
-        for phi in spec.phi_grid:
-            yield (
-                spec.graph_path,
-                spec.labels_path,
-                spec.undirected,
-                spec.gamma,
-                spec.dataset,
-                method,
-                phi,
-                spec.optimizer,
-            )
-
-
 def run_sweep(spec: ExperimentSpec) -> list[ResultRow]:
-    args = list(_cell_args(spec))
+    """Load the instance once, then run every (method, phi) cell on it; input
+    errors raise before any cell runs."""
+    groups, _, P = load_instance(
+        Path(spec.graph_path).read_text(), Path(spec.labels_path).read_text(), spec.undirected, spec.gamma
+    )
+    cell = functools.partial(run_cell, spec, groups, P)
+    methods = [m for m in spec.methods for _ in spec.phi_grid]
+    phis = [phi for _ in spec.methods for phi in spec.phi_grid]
     if spec.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            rows = list(pool.map(_run_cell_star, args))
+        # a fork-started pool starts every worker at the first submit: no more than one per cell
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(spec.jobs, len(phis))) as pool:
+            rows = list(pool.map(cell, methods, phis))
     else:
-        rows = [run_cell(*a) for a in args]
+        rows = list(map(cell, methods, phis))
     rows.sort(key=lambda r: (r.method, r.phi))
     return rows
-
-
-def _run_cell_star(args):
-    return run_cell(*args)
 
 
 def _fmt(value) -> str:

@@ -251,8 +251,7 @@ def test_sweep_deterministic_and_parallel_equivalent(tmp_path):
 
 
 def test_sweep_cell_matches_standalone(tmp_path):
-    from fairpr.experiment import run_cell
-    from fairpr.optimizer import OptimizerConfig
+    from fairpr.experiment import ExperimentSpec, load_instance, run_cell
 
     edges, labels = toy_files(tmp_path)
     out = tmp_path / "sweep"
@@ -261,7 +260,8 @@ def test_sweep_cell_matches_standalone(tmp_path):
         "--methods", "fairwalk", "--phi", "0.4", "--out", str(out),
     ])
     row = read_rows(out / "results.csv")[0]
-    cell = run_cell(edges, labels, False, 0.15, "dataset", "fairwalk", 0.4, OptimizerConfig())
+    groups, _, P = load_instance(Path(edges).read_text(), Path(labels).read_text(), False, 0.15)
+    cell = run_cell(ExperimentSpec(edges, labels), groups, P, "fairwalk", 0.4)
     assert f"{cell.loss:.6g}" == row["loss"]
     assert f"{cell.delta_p:.6g}" == row["delta_p"]
 
@@ -277,6 +277,105 @@ def test_sweep_config_file_with_flag_override(tmp_path):
     # flag overrides the config file's phi
     assert main(["sweep", "--config", str(cfg), "--phi", "0.2,0.8", "--out", str(tmp_path / "c2")]) == 0
     assert len(read_rows(tmp_path / "c2" / "results.csv")) == 2
+
+
+@pytest.mark.parametrize("key", ["bogus", "config"])
+def test_sweep_config_unknown_key(tmp_path, capsys, key):
+    edges, labels = toy_files(tmp_path)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"edges={edges}\nlabels={labels}\n{key}=x\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
+    assert f"unknown config key '{key}'" in capsys.readouterr().err
+
+
+def test_sweep_config_undirected_matches_flag(tmp_path):
+    edges, labels = toy_files(tmp_path, edges="0 1\n1 2\n2 0\n0 2")
+    run = ["--methods", "fairgd,lfpr_n", "--phi", "0.3", "--alpha", "0.5", "--max-iters", "20"]
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"edges={edges}\nlabels={labels}\nundirected=true\n")
+    outs = []
+    for argv, name in (
+        (["--config", str(cfg)], "file"),
+        (["--edges", edges, "--labels", labels, "--undirected"], "flag"),
+        (["--edges", edges, "--labels", labels], "directed"),
+    ):
+        assert main(["sweep", *argv, *run, "--out", str(tmp_path / name)]) == 0
+        rows = read_rows(tmp_path / name / "results.csv")
+        for r in rows:
+            r.pop("wall_time_ms")
+        outs.append(rows)
+    assert outs[0] == outs[1] != outs[2]
+
+
+def test_sweep_flag_overrides_config_number(tmp_path):
+    edges, labels = toy_files(tmp_path)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"edges={edges}\nlabels={labels}\nmethods=fairgd\nphi=0.9\nalpha=0.5\nmax_iters=2\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+    assert read_rows(tmp_path / "a" / "results.csv")[0]["iterations"] == "2"
+    assert main(["sweep", "--config", str(cfg), "--max-iters", "3", "--out", str(tmp_path / "b")]) == 0
+    assert read_rows(tmp_path / "b" / "results.csv")[0]["iterations"] == "3"
+
+
+@pytest.mark.parametrize(
+    "edges,labels,fragment",
+    [("0 1\n1 0\n1 x", "0 0\n1 1", "line 3"), ("0 1\n1 2\n2 0", "0 0\n1 1", "vertex 2")],
+)
+def test_sweep_bad_input_exits_2(tmp_path, capsys, edges, labels, fragment):
+    e, l = toy_files(tmp_path, edges=edges, labels=labels)
+    out = tmp_path / "sweep"
+    code = main([
+        "sweep", "--edges", e, "--labels", l,
+        "--methods", "fairwalk,lfpr_n", "--phi", "0.3,0.6", "--out", str(out),
+    ])
+    assert code == 2
+    assert fragment in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
+def test_sweep_jobs_capped_at_cell_count(tmp_path, capsys, monkeypatch):
+    import concurrent.futures
+
+    asked = []
+
+    class SerialPool:
+        """Records the worker count it is asked for and maps in this process."""
+
+        def __init__(self, max_workers=None):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    edges, labels = toy_files(tmp_path)
+    run = ["sweep", "--edges", edges, "--labels", labels, "--methods", "fairwalk", "--phi", "0.3,0.7"]
+    assert main([*run, "--jobs", "64", "--out", str(tmp_path / "a")]) == 0
+    assert asked == [2]
+    assert len(read_rows(tmp_path / "a" / "results.csv")) == 2
+    assert main([*run, "--jobs", "0", "--out", str(tmp_path / "b")]) == 2
+    assert "jobs must be at least 1" in capsys.readouterr().err
+    assert asked == [2]
+
+
+def test_evaluate_loss_is_the_plain_loss(karate):
+    from conftest import random_sinky_instance
+    from fairpr import fairwalk, loss_fair
+    from fairpr.experiment import EVAL_T1, EVAL_TOL, build_target, evaluate_matrices
+
+    rng = np.random.default_rng(3)
+    for _, groups, cfg, P in (karate, random_sinky_instance(rng, 40, 2)):
+        target = build_target(0.3, groups.K)
+        revised = fairwalk(P, groups, target).matrix
+        for new in (P, revised):
+            bundle = evaluate_matrices(P, new, cfg.gamma, groups, target)[0]
+            assert bundle.loss == loss_fair(new, cfg, groups, target, t1=EVAL_T1, tol=EVAL_TOL)
 
 
 def test_sweep_three_group_targets(tmp_path):
