@@ -12,6 +12,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import baselines
@@ -136,6 +137,8 @@ def cmd_optimize(args) -> int:
         },
         "notes": rt_reason,
     }
+    if opt.alpha is None and not opt.alpha_auto:
+        payload["grid"] = [asdict(point) for point in report.grid]
     (out / "report.json").write_text(json.dumps(payload, indent=2) + "\n")
     print("final group scores: " + " ".join(f"{s:.6f}" for s in final_scores))
     print(f"final loss: {report.final_loss:.6e} after {report.iterations_run} iterations "

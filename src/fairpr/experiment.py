@@ -1,5 +1,6 @@
 """Sweep protocol: run (method, phi) cells over a graph, tune the step size
-per cell, evaluate the metric bundle, and assemble a deterministic CSV."""
+per cell (the optimizer runs the step-size grid in lockstep), evaluate the
+metric bundle, and assemble a deterministic CSV."""
 
 from __future__ import annotations
 
@@ -7,7 +8,6 @@ import concurrent.futures
 import csv
 import functools
 import io
-import logging
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -22,10 +22,8 @@ from .graph import (
 )
 from .loss import loss_from_scores, loss_group_adapted
 from .metrics import MetricBundle, UndefinedCoefficientError, delta_p, rho_bar, rho_tilde
-from .optimizer import ALPHA_GRID, DivergedError, OptimizerConfig, adapt_gd, fair_gd
+from .optimizer import DivergedError, OptimizerConfig, adapt_gd, fair_gd
 from .pagerank import group_scores, pagerank_power
-
-log = logging.getLogger(__name__)
 
 OPTIMIZER_METHODS = ("fairgd", "fairgd_restricted", "adaptgd", "adaptgd_restricted")
 BASELINE_METHODS = ("fairwalk", "lfpr_n", "lfpr_u")
@@ -110,27 +108,13 @@ def build_target(phi: float, K: int) -> FairnessTarget:
     return FairnessTarget.from_lead_share(phi, K)
 
 
-def tune_step_size(run, alphas=ALPHA_GRID):
-    """Run the optimizer per candidate step size; keep the lowest final loss.
-
-    Diverged runs are discarded; raises DivergedError when all candidates
-    diverge.
-    """
-    best_alpha, best = None, None
-    last_err = None
-    for alpha in alphas:
-        try:
-            report = run(alpha)
-        except DivergedError as exc:
-            last_err = exc
-            log.debug("alpha=%g diverged: %s", alpha, exc)
-            continue
-        if best is None or report.final_loss < best.final_loss:
-            best_alpha, best = alpha, report
-    if best is None:
-        raise DivergedError(last_err.iteration, last_err.loss, last_err.safe_alpha)
-    log.debug("grid pick alpha=%g final_loss=%.6e", best_alpha, best.final_loss)
-    return best_alpha, best
+def tune_step_size(run, opt: OptimizerConfig):
+    """Grid-search the step size: ``run`` (fair_gd or adapt_gd bound to its
+    instance) is called once with ``opt``'s step size unset, so it runs every
+    ALPHA_GRID step size in lockstep. Returns (the step size with the lowest
+    final loss, its report); raises DivergedError when every one diverges."""
+    report = run(replace(opt, alpha=None, alpha_auto=False))
+    return report.alpha, report
 
 
 def run_optimizer_method(method, P, gamma, groups, target, opt: OptimizerConfig):
@@ -140,18 +124,13 @@ def run_optimizer_method(method, P, gamma, groups, target, opt: OptimizerConfig)
         opt = replace(opt, delta=0.1, epsilon=0.1)
     if not restricted and opt.restricted:
         opt = replace(opt, delta=None, epsilon=None)
-    uniform = PageRankConfig.uniform(P.n, gamma)
-
-    def run(alpha):
-        o = replace(opt, alpha=alpha)
-        if method.startswith("adaptgd"):
-            return adapt_gd(P, gamma, groups, target, o)
-        return fair_gd(P, uniform, groups, target, o)
-
+    if method.startswith("adaptgd"):
+        run = functools.partial(adapt_gd, P, gamma, groups, target)
+    else:
+        run = functools.partial(fair_gd, P, PageRankConfig.uniform(P.n, gamma), groups, target)
     if opt.alpha is None and not opt.alpha_auto:
-        _, report = tune_step_size(run)
-        return report
-    return run(opt.alpha)
+        return tune_step_size(run, opt)[1]
+    return run(opt)
 
 
 def evaluate_matrices(P_orig, P_new, gamma, groups, target):

@@ -282,37 +282,61 @@ class TransitionMatrix:
 
 
 class WalkOperator:
-    """The random walk's products with one TransitionMatrix P:
-    ``left(p)`` = p'P and ``right(z)`` = Pz.
+    """The random walk's products with C copies of one TransitionMatrix
+    pattern: ``left(p)`` = p'P and ``right(z)`` = Pz for each copy. The
+    weights are P's own 1-D ``data`` (one copy) or a (C, nnz) block, one
+    copy per row; the vectors are flat, copy c's in entries c n .. c n + n - 1,
+    and ``shape`` is the (n,) or (C, n) shape of the solvers' results.
 
-    The stored entries P_E act through scipy CSR (P_E) and CSC (P_E') views
-    of P's own ``data``, so in-place weight updates need no rebuild. The
-    implicit sink rows add a rank-one term (Langville & Meyer, "Deeper
-    Inside PageRank", Internet Math. 2004): p'P = p'P_E + (sum of p over
-    the implicit rows) s' and (Pz)_i = s.z on an implicit row i, where s
-    is ``sink_row``. Without implicit rows the term is skipped, so the
-    products are exactly scipy's.
+    The stored entries P_E act through one block-diagonal scipy CSR (P_E)
+    and CSC (P_E') view of the weights, copy c's rows and columns offset by
+    c n, so a product serves every copy at once, and each copy's result is
+    bitwise the product with that copy alone. The views share the weights,
+    so in-place updates need no rebuild. The implicit sink rows add a
+    rank-one term per copy (Langville & Meyer, "Deeper Inside PageRank",
+    Internet Math. 2004): p'P = p'P_E + (sum of p over the implicit rows) s'
+    and (Pz)_i = s.z on an implicit row i, where s is ``sink_row``. Without
+    implicit rows the term is skipped, so the products are exactly scipy's.
     """
 
-    __slots__ = ("data", "_rows", "_cols", "_implicit", "_sink_row")
+    __slots__ = ("data", "n", "copies", "shape", "_rows", "_cols", "_spans", "_sink_row")
 
-    def __init__(self, P: TransitionMatrix):
-        self.data = P.data
-        self._rows = sp.csr_matrix((P.data, P.indices, P.indptr), shape=(P.n, P.n))
-        self._cols = sp.csc_matrix((P.data, self._rows.indices, self._rows.indptr), shape=(P.n, P.n))
-        self._implicit = np.flatnonzero(P.implicit)
+    def __init__(self, P: TransitionMatrix, data: np.ndarray | None = None):
+        data = P.data if data is None else data
+        copies = len(data) if data.ndim == 2 else 1
+        offsets = np.arange(copies)[:, None]
+        indptr = np.append((P.indptr[:-1] + P.nnz * offsets).ravel(), copies * P.nnz)
+        indices = (P.indices + P.n * offsets).ravel()
+        size = (copies * P.n,) * 2
+        self.data = data
+        self.n = P.n
+        self.copies = copies
+        self.shape = data.shape[:-1] + (P.n,)
+        self._rows = sp.csr_matrix((data.reshape(-1), indices, indptr), shape=size)
+        self._cols = sp.csc_matrix((self._rows.data, self._rows.indices, self._rows.indptr), shape=size)
+        # each copy's span of a flat vector and its implicit rows there
+        implicit = np.flatnonzero(P.implicit)
+        self._spans = [(slice(c * P.n, (c + 1) * P.n), implicit + c * P.n) for c in range(copies)]
         self._sink_row = P.sink_row
+
+    def operator(self) -> "WalkOperator":
+        """Itself, so that solvers take a matrix or an operator alike."""
+        return self
 
     def left(self, p: np.ndarray) -> np.ndarray:
         q = self._cols @ p
         if self._sink_row is not None:
-            q += p[self._implicit].sum() * self._sink_row
+            # copy by copy: a (C, m) gather is not contiguous per row and sums in another order
+            for span, implicit in self._spans:
+                q[span] += p[implicit].sum() * self._sink_row
         return q
 
     def right(self, z: np.ndarray) -> np.ndarray:
         y = self._rows @ z
         if self._sink_row is not None:
-            y[self._implicit] = self._sink_row @ z
+            # one dot per copy: a matrix-vector product would sum in another order
+            for span, implicit in self._spans:
+                y[implicit] = self._sink_row @ z[span]
         return y
 
 

@@ -6,13 +6,20 @@ scipy views of ``P.data`` (built once per matrix, so no call rebuilds the
 matrix) plus the rank-one term of the implicit sink rows,
 p'P = p'P_E + (sum of p over the implicit rows) s' and (Pz)_i = s.z on an
 implicit row i, where s is the matrix's ``sink_row``.
+
+``pagerank_power``, ``neumann_y`` and ``group_scores`` also take a
+``WalkOperator`` over C stacked copies of one pattern (the descent runs its
+step-size grid that way) and then work on (C, n) blocks, one product per
+step for all copies. Each copy's row is bitwise what the same call on that
+copy alone returns: the power iteration stops each copy on its own, and a
+1-D call is the one-copy case.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graph import GroupAssignment, PageRankConfig, TransitionMatrix
+from .graph import GroupAssignment, PageRankConfig, TransitionMatrix, WalkOperator
 
 DIRECT_SOLVE_LIMIT = 5000
 
@@ -22,7 +29,7 @@ class OracleSizeError(ValueError):
 
 
 def pagerank_power(
-    P: TransitionMatrix,
+    P: TransitionMatrix | WalkOperator,
     cfg: PageRankConfig,
     t1: int = 100,
     tol: float = 1e-12,
@@ -30,22 +37,32 @@ def pagerank_power(
 ) -> np.ndarray:
     """Iterate p' = (1-gamma) p'P + gamma v' for at most t1 steps.
 
-    Stops early once the L1 change between iterates drops below ``tol``.
-    Starts from the uniform vector unless ``start`` is given.
+    A copy stops early, keeping its iterate, once the L1 change between its
+    iterates drops below ``tol``; the others go on. Starts from the uniform
+    vector (one row per copy) unless ``start`` is given. Returns a vector, or
+    a (C, n) block over C stacked copies.
     """
     if t1 < 1:
         raise ValueError("t1 must be >= 1")
-    gamma = cfg.gamma
-    v = cfg.restart_vector
-    left = P.operator().left
-    p = np.full(P.n, 1.0 / P.n) if start is None else np.array(start, dtype=float)
+    op = P.operator()
+    left, rows = op.left, (op.copies, op.n)
+    damp, jump = 1.0 - cfg.gamma, np.tile(cfg.gamma * cfg.restart_vector, op.copies)
+    # the copies' vectors one after another, as the operator takes them
+    p = np.full(op.copies * op.n, 1.0 / op.n) if start is None else np.array(start, float).reshape(-1)
+    stopped = None  # the copies that met tol, once some but not all have
     for _ in range(t1):
-        nxt = (1.0 - gamma) * left(p) + gamma * v
-        delta = np.abs(nxt - p).sum()
+        nxt = damp * left(p) + jump
+        met = np.abs(nxt - p).reshape(rows).sum(axis=1) < tol
+        if stopped is not None:
+            nxt.reshape(rows)[stopped] = p.reshape(rows)[stopped]
+            met |= stopped
         p = nxt
-        if delta < tol:
+        flags = met.tolist()  # plain bools: numpy's any/all cost more than a step's arithmetic
+        if all(flags):
             break
-    return p
+        if any(flags):
+            stopped = met
+    return p.reshape(op.shape)
 
 
 def pagerank_direct(P: TransitionMatrix, cfg: PageRankConfig) -> np.ndarray:
@@ -67,24 +84,34 @@ def pagerank_residual(P: TransitionMatrix, cfg: PageRankConfig, p: np.ndarray) -
     return float(np.abs(rhs - p).sum())
 
 
-def neumann_y(P: TransitionMatrix, indicator: np.ndarray, gamma: float, t2: int = 50) -> np.ndarray:
+def neumann_y(
+    P: TransitionMatrix | WalkOperator, indicator: np.ndarray, gamma: float, t2: int = 50
+) -> np.ndarray:
     """Truncated series sum_{i=0..t2} (1-gamma)^i P^i 1_k by repeated matvec.
 
     Approximates (I - (1-gamma) P)^{-1} 1_k; the i = 0 term is included.
+    Over stacked copies every copy starts from the same ``indicator``.
     """
     if t2 < 0:
         raise ValueError("t2 must be >= 0")
-    right = P.operator().right
-    z = np.array(indicator, dtype=float)
+    op = P.operator()
+    right = op.right
+    z = np.tile(np.asarray(indicator, dtype=float), op.copies)
     y = z.copy()
     for _ in range(t2):
         z = (1.0 - gamma) * right(z)
         y += z
-    return y
+    return y.reshape(op.shape)
 
 
 def group_scores(p: np.ndarray, groups: GroupAssignment) -> np.ndarray:
-    """Total score per group: scores[k] = sum of p over group k's vertices."""
-    if len(p) != groups.n:
+    """Total score per group: scores[k] = sum of p over group k's vertices;
+    one row of K scores per row of a (C, n) block."""
+    p = np.asarray(p, dtype=float)
+    if p.shape[-1] != groups.n:
         raise ValueError("score vector length does not match label count")
-    return np.bincount(groups.labels, weights=p, minlength=groups.K)
+    if p.ndim == 1:
+        return np.bincount(groups.labels, weights=p, minlength=groups.K)
+    # copy c's groups are bins c K .. c K + K - 1; bincount sums each bin in index order
+    bins = (groups.labels + groups.K * np.arange(len(p))[:, None]).ravel()
+    return np.bincount(bins, weights=p.ravel(), minlength=len(p) * groups.K).reshape(len(p), groups.K)

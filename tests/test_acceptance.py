@@ -44,7 +44,6 @@ from fairpr import (
     rho_bar,
     spearman,
 )
-from fairpr.experiment import tune_step_size
 from fairpr.loss import loss_from_scores
 from test_loss import fd_gradient_entry
 from test_projection import oracle_box, oracle_simplex, random_box
@@ -243,15 +242,13 @@ def test_criterion_08_karate_fixture(karate):
     orig = group_scores(pagerank_power(P, cfg, t1=600, tol=1e-13), groups)
     checks = [("original", orig, np.array([0.52, 0.48]), 0.01)]
 
-    _, rep_fair = tune_step_size(lambda a: fair_gd(P, cfg, groups, target, replace(opt, alpha=a)))
+    rep_fair = fair_gd(P, cfg, groups, target, opt)
     checks.append(("fairgd", rep_fair.final_group_scores, np.array([0.12, 0.88]), 0.05))
 
-    _, rep_res = tune_step_size(
-        lambda a: fair_gd(P, cfg, groups, target, replace(opt, alpha=a, delta=0.1, epsilon=0.1))
-    )
+    rep_res = fair_gd(P, cfg, groups, target, replace(opt, delta=0.1, epsilon=0.1))
     checks.append(("fairgd(0.1,0.1)", rep_res.final_group_scores, np.array([0.22, 0.78]), 0.05))
 
-    _, rep_adapt = tune_step_size(lambda a: adapt_gd(P, GAMMA, groups, target, replace(opt, alpha=a)))
+    rep_adapt = adapt_gd(P, GAMMA, groups, target, opt)
     checks.append(("adaptgd", rep_adapt.final_group_scores, np.array([0.13, 0.87]), 0.05))
 
     for fn, name in ((lfpr_n, "lfpr_n"), (lfpr_u, "lfpr_u")):
@@ -326,9 +323,7 @@ def test_criterion_11_rank_preservation_dominance():
     details = []
     for phi0 in (0.2, 0.3):
         target = FairnessTarget(phi=[phi0, 1 - phi0])
-        _, rep = tune_step_size(
-            lambda a: fair_gd(P, cfg, groups, target, OptimizerConfig(alpha=a, max_iters=400))
-        )
+        rep = fair_gd(P, cfg, groups, target, OptimizerConfig(max_iters=400))
         p_new = pagerank_power(rep.final_matrix, cfg, t1=600, tol=1e-13)
         rb_ours = rho_bar(p_old, p_new, groups)
         rows = [f"phi={phi0} fairgd {rb_ours:.3f}"]

@@ -111,6 +111,31 @@ def test_optimize_divergence_exit_code(tmp_path, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+def test_optimize_grid_in_report(tmp_path):
+    from fairpr import ALPHA_GRID
+
+    argv = ["optimize", *KARATE, "--method", "fairgd", "--phi", "0.1", "--max-iters", "5"]
+    assert main([*argv, "--out", str(tmp_path / "a")]) == 0
+    report = json.loads((tmp_path / "a" / "report.json").read_text())
+    grid = report["grid"]
+    assert [g["alpha"] for g in grid] == list(ALPHA_GRID)
+    assert {g["outcome"] for g in grid} == {"max_iters", "diverged"}
+    for g in grid:
+        assert (g["loss"] is None) == (g["outcome"] == "diverged")
+        assert 1 <= g["iterations"] <= 5
+    # the winner is the lowest final loss, and its own run is the report's
+    finished = [g for g in grid if g["loss"] is not None]
+    best = min(finished, key=lambda g: g["loss"])
+    assert best["loss"] == report["loss_trace"][-1] and best["iterations"] == report["iterations"]
+    # deterministic: a second run writes the same bytes
+    assert main([*argv, "--out", str(tmp_path / "b")]) == 0
+    for name in ("report.json", "revised.tsv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    # a fixed step size is no grid search
+    assert main([*argv, "--alpha", "1", "--out", str(tmp_path / "c")]) == 0
+    assert "grid" not in json.loads((tmp_path / "c" / "report.json").read_text())
+
+
 def test_optimize_restricted_respects_box(tmp_path):
     from fairpr import parse_matrix
 
