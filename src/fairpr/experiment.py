@@ -133,16 +133,17 @@ def run_optimizer_method(method, P, gamma, groups, target, opt: OptimizerConfig)
     return run(opt)
 
 
-def evaluate_matrices(P_orig, P_new, gamma, groups, target):
+def evaluate_matrices(P_orig, P_new, gamma, groups, target, p_orig=None):
     """(MetricBundle, rho_tilde reason, revised group scores) for a revised
-    matrix against the original, all under the uniform restart vector."""
+    matrix against the original, all under the uniform restart vector.
+    ``p_orig``, when given, is the original's vector as solved here."""
     cfg = PageRankConfig.uniform(P_orig.n, gamma)
     p_new = pagerank_power(P_new, cfg, t1=EVAL_T1, tol=EVAL_TOL)
     scores = group_scores(p_new, groups)
     loss = loss_from_scores(scores, target.phi)
     loss_g = loss_group_adapted(P_new, gamma, groups, target, t1=EVAL_T1, tol=EVAL_TOL)
     dp = delta_p(P_new, P_orig)
-    p_old = pagerank_power(P_orig, cfg, t1=EVAL_T1, tol=EVAL_TOL)
+    p_old = pagerank_power(P_orig, cfg, t1=EVAL_T1, tol=EVAL_TOL) if p_orig is None else p_orig
     rb = rho_bar(p_old, p_new, groups)
     try:
         rt = rho_tilde(P_orig, P_new)
@@ -154,9 +155,10 @@ def evaluate_matrices(P_orig, P_new, gamma, groups, target):
     return bundle, rt_reason, scores
 
 
-def run_cell(spec: ExperimentSpec, groups, P, method: str, phi: float) -> ResultRow:
-    """One (method, phi) cell on the sweep's loaded instance. A failure
-    inside the cell is recorded as the row's reason; the sweep goes on."""
+def run_cell(spec: ExperimentSpec, groups, P, method: str, phi: float, p_orig=None) -> ResultRow:
+    """One (method, phi) cell on the sweep's loaded instance; ``p_orig`` is
+    the instance's PageRank when the sweep has solved it. A failure inside
+    the cell is recorded as the row's reason; the sweep goes on."""
     started = time.perf_counter()
     row = ResultRow(dataset=spec.dataset, method=method, phi=phi)
     try:
@@ -170,7 +172,7 @@ def run_cell(spec: ExperimentSpec, groups, P, method: str, phi: float) -> Result
             row.iterations = report.iterations_run
             row.converged = report.converged
 
-        bundle, rt_reason, _ = evaluate_matrices(P, revised, spec.gamma, groups, target)
+        bundle, rt_reason, _ = evaluate_matrices(P, revised, spec.gamma, groups, target, p_orig)
         row.loss = bundle.loss
         row.loss_group_adapted = bundle.loss_group_adapted
         row.delta_p = bundle.delta_p
@@ -189,12 +191,13 @@ def run_cell(spec: ExperimentSpec, groups, P, method: str, phi: float) -> Result
 
 
 def run_sweep(spec: ExperimentSpec) -> list[ResultRow]:
-    """Load the instance once, then run every (method, phi) cell on it; input
-    errors raise before any cell runs."""
-    groups, _, P = load_instance(
+    """Load the instance and solve its PageRank once, then run every
+    (method, phi) cell on it; input errors raise before any cell runs."""
+    groups, cfg, P = load_instance(
         Path(spec.graph_path).read_text(), Path(spec.labels_path).read_text(), spec.undirected, spec.gamma
     )
-    cell = functools.partial(run_cell, spec, groups, P)
+    p_orig = pagerank_power(P, cfg, t1=EVAL_T1, tol=EVAL_TOL)  # as evaluate_matrices solves it
+    cell = functools.partial(run_cell, spec, groups, P, p_orig=p_orig)
     methods = [m for m in spec.methods for _ in spec.phi_grid]
     phis = [phi for _ in spec.methods for phi in spec.phi_grid]
     if spec.jobs > 1:

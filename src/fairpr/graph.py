@@ -15,6 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+# scipy's compiled matvec kernels, as csr @ x and csc @ x call them; a private
+# module, pinned bitwise to the public products by tests/test_pagerank.py
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
+
 ROW_SUM_TOL = 1e-12
 
 
@@ -147,7 +151,7 @@ class TransitionMatrix:
         self.n = int(n)
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int64)
-        # contiguous, so the operator's scipy views share it and see in-place updates
+        # contiguous, so the operator's flat view shares it and sees in-place updates
         self.data = np.ascontiguousarray(data, dtype=float)
         self.sink_mask = np.asarray(sink_mask, dtype=bool)
         if len(self.indptr) != self.n + 1:
@@ -156,6 +160,10 @@ class TransitionMatrix:
             raise ValueError("indices and data lengths differ")
         if len(self.sink_mask) != self.n:
             raise ValueError("sink_mask length must be n")
+        # the compiled sparse kernels index without bounds checks
+        rows_ok = self.indptr[0] == 0 and self.indptr[-1] == len(self.data) and (np.diff(self.indptr) >= 0).all()
+        if not rows_ok or (len(self.indices) and not 0 <= self.indices.min() <= self.indices.max() < self.n):
+            raise ValueError("malformed sparsity pattern: row pointers or column ids out of range")
         self.implicit = self.sink_mask & (self.indptr[1:] == self.indptr[:-1])
         self.sink_row = None
         if self.implicit.any():
@@ -288,32 +296,43 @@ class WalkOperator:
     copy per row; the vectors are flat, copy c's in entries c n .. c n + n - 1,
     and ``shape`` is the (n,) or (C, n) shape of the solvers' results.
 
-    The stored entries P_E act through one block-diagonal scipy CSR (P_E)
-    and CSC (P_E') view of the weights, copy c's rows and columns offset by
-    c n, so a product serves every copy at once, and each copy's result is
-    bitwise the product with that copy alone. The views share the weights,
-    so in-place updates need no rebuild. The implicit sink rows add a
-    rank-one term per copy (Langville & Meyer, "Deeper Inside PageRank",
-    Internet Math. 2004): p'P = p'P_E + (sum of p over the implicit rows) s'
-    and (Pz)_i = s.z on an implicit row i, where s is ``sink_row``. Without
+    The stored entries P_E act through the raw arrays of one block-diagonal
+    CSR matrix (P_E; read column-wise it is the CSC matrix P_E'): copy c's
+    rows and columns are offset by c n, so a product serves every copy at
+    once, and each copy's result is bitwise the product with that copy
+    alone. The weights are a flat view of ``data``, so in-place updates need
+    no rebuild. A product calls scipy's compiled ``csr_matvec`` or
+    ``csc_matvec`` kernel directly on a zeroed output, as ``csr @ x`` and
+    ``csc @ x`` do after their Python dispatch, so it is bitwise scipy's.
+    The kernels check nothing: the matrix has checked its pattern, and each
+    product checks its vector's length. The implicit sink rows add a rank-one
+    term per copy (Langville & Meyer, "Deeper Inside PageRank", Internet
+    Math. 2004): p'P = p'P_E + (sum of p over the implicit rows) s' and
+    (Pz)_i = s.z on an implicit row i, where s is ``sink_row``. Without
     implicit rows the term is skipped, so the products are exactly scipy's.
     """
 
-    __slots__ = ("data", "n", "copies", "shape", "_rows", "_cols", "_spans", "_sink_row")
+    __slots__ = ("data", "n", "copies", "shape", "_size", "_indptr", "_indices", "_weights", "_spans", "_sink_row")
 
     def __init__(self, P: TransitionMatrix, data: np.ndarray | None = None):
-        data = P.data if data is None else data
+        data = np.ascontiguousarray(P.data if data is None else data, dtype=float)
         copies = len(data) if data.ndim == 2 else 1
+        indptr, indices = P.indptr, P.indices
+        nnz = int(indptr[-1])  # the pattern's entry count, whatever ``data`` P holds now
+        if data.shape[-1] != nnz:
+            raise ValueError(f"weights of length {data.shape[-1]} for a pattern of {nnz} entries")
+        size = copies * P.n
+        # scipy's index type: 32-bit while the block's offsets fit
+        itype = np.int32 if max(size, copies * nnz) < 2**31 else np.int64
         offsets = np.arange(copies)[:, None]
-        indptr = np.append((P.indptr[:-1] + P.nnz * offsets).ravel(), copies * P.nnz)
-        indices = (P.indices + P.n * offsets).ravel()
-        size = (copies * P.n,) * 2
         self.data = data
         self.n = P.n
         self.copies = copies
         self.shape = data.shape[:-1] + (P.n,)
-        self._rows = sp.csr_matrix((data.reshape(-1), indices, indptr), shape=size)
-        self._cols = sp.csc_matrix((self._rows.data, self._rows.indices, self._rows.indptr), shape=size)
+        self._size = size
+        self._indptr = np.append((indptr[:-1] + nnz * offsets).ravel(), copies * nnz).astype(itype)
+        self._indices = (indices + P.n * offsets).ravel().astype(itype)
+        self._weights = data.reshape(-1)  # a view: C-contiguous data reshapes without a copy
         # each copy's span of a flat vector and its implicit rows there
         implicit = np.flatnonzero(P.implicit)
         self._spans = [(slice(c * P.n, (c + 1) * P.n), implicit + c * P.n) for c in range(copies)]
@@ -323,8 +342,18 @@ class WalkOperator:
         """Itself, so that solvers take a matrix or an operator alike."""
         return self
 
+    def _vector(self, x) -> np.ndarray:
+        """``x`` as the C-contiguous float64 vector the kernels read, or
+        ValueError (as scipy's dimension check raises) when its length is wrong."""
+        x = np.ascontiguousarray(x, dtype=float)
+        if x.shape != (self._size,):
+            raise ValueError(f"dimension mismatch: vector of shape {x.shape} for an operator of size {self._size}")
+        return x
+
     def left(self, p: np.ndarray) -> np.ndarray:
-        q = self._cols @ p
+        p = self._vector(p)
+        q = np.zeros(self._size)
+        csc_matvec(self._size, self._size, self._indptr, self._indices, self._weights, p, q)
         if self._sink_row is not None:
             # copy by copy: a (C, m) gather is not contiguous per row and sums in another order
             for span, implicit in self._spans:
@@ -332,7 +361,9 @@ class WalkOperator:
         return q
 
     def right(self, z: np.ndarray) -> np.ndarray:
-        y = self._rows @ z
+        z = self._vector(z)
+        y = np.zeros(self._size)
+        csr_matvec(self._size, self._size, self._indptr, self._indices, self._weights, z, y)
         if self._sink_row is not None:
             # one dot per copy: a matrix-vector product would sum in another order
             for span, implicit in self._spans:

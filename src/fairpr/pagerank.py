@@ -2,10 +2,13 @@
 and the truncated geometric-series vectors used by the loss gradients.
 
 Every product with P goes through ``P.operator()``: the stored entries as
-scipy views of ``P.data`` (built once per matrix, so no call rebuilds the
-matrix) plus the rank-one term of the implicit sink rows,
-p'P = p'P_E + (sum of p over the implicit rows) s' and (Pz)_i = s.z on an
-implicit row i, where s is the matrix's ``sink_row``.
+raw CSR arrays over ``P.data`` (built once per matrix, so no call rebuilds
+the matrix), multiplied by scipy's compiled matvec kernels called directly,
+bitwise what ``csr @ x`` and ``csc @ x`` return, plus the rank-one term of
+the implicit sink rows, p'P = p'P_E + (sum of p over the implicit rows) s'
+and (Pz)_i = s.z on an implicit row i, where s is the matrix's ``sink_row``.
+The power and series steps update their iterates in place, in the same
+operations and order as the plain expressions, so their results are too.
 
 ``pagerank_power``, ``neumann_y`` and ``group_scores`` also take a
 ``WalkOperator`` over C stacked copies of one pattern (the descent runs its
@@ -39,8 +42,8 @@ def pagerank_power(
 
     A copy stops early, keeping its iterate, once the L1 change between its
     iterates drops below ``tol``; the others go on. Starts from the uniform
-    vector (one row per copy) unless ``start`` is given. Returns a vector, or
-    a (C, n) block over C stacked copies.
+    vector (one row per copy) unless ``start`` is given, which is only read.
+    Returns a new vector, or a (C, n) block over C stacked copies.
     """
     if t1 < 1:
         raise ValueError("t1 must be >= 1")
@@ -48,11 +51,19 @@ def pagerank_power(
     left, rows = op.left, (op.copies, op.n)
     damp, jump = 1.0 - cfg.gamma, np.tile(cfg.gamma * cfg.restart_vector, op.copies)
     # the copies' vectors one after another, as the operator takes them
-    p = np.full(op.copies * op.n, 1.0 / op.n) if start is None else np.array(start, float).reshape(-1)
+    p = np.full(op.copies * op.n, 1.0 / op.n) if start is None else np.asarray(start, float).reshape(-1)
+    gap = np.empty(op.copies * op.n)  # |p_next - p|, with a (C, n) view to sum per copy
+    gaps = gap.reshape(rows)
     stopped = None  # the copies that met tol, once some but not all have
     for _ in range(t1):
-        nxt = damp * left(p) + jump
-        met = np.abs(nxt - p).reshape(rows).sum(axis=1) < tol
+        # each product's output is a new zeroed array: it becomes the next
+        # iterate in place, and ``start`` and earlier results are only read
+        nxt = left(p)
+        np.multiply(nxt, damp, out=nxt)
+        np.add(nxt, jump, out=nxt)
+        np.subtract(nxt, p, out=gap)
+        np.abs(gap, out=gap)
+        met = np.add.reduce(gaps, axis=1) < tol
         if stopped is not None:
             nxt.reshape(rows)[stopped] = p.reshape(rows)[stopped]
             met |= stopped
@@ -96,10 +107,12 @@ def neumann_y(
         raise ValueError("t2 must be >= 0")
     op = P.operator()
     right = op.right
+    damp = 1.0 - gamma
     z = np.tile(np.asarray(indicator, dtype=float), op.copies)
     y = z.copy()
     for _ in range(t2):
-        z = (1.0 - gamma) * right(z)
+        z = right(z)
+        np.multiply(z, damp, out=z)
         y += z
     return y.reshape(op.shape)
 

@@ -291,6 +291,40 @@ def test_sweep_cell_matches_standalone(tmp_path):
     assert f"{cell.delta_p:.6g}" == row["delta_p"]
 
 
+def test_sweep_solves_the_original_once(monkeypatch):
+    """The sweep solves the unchanged original's PageRank once, before its
+    cells, and every row is bitwise what the cell gives with its own solve."""
+    import dataclasses
+
+    from fairpr import experiment
+
+    edges, labels = str(DATA_DIR / "karate_edges.txt"), str(DATA_DIR / "karate_labels.txt")
+    spec = experiment.ExperimentSpec(
+        edges, labels, undirected=True, methods=("fairwalk", "lfpr_n", "fairgd"), phi_grid=(0.2, 0.3),
+        optimizer=experiment.OptimizerConfig(max_iters=5),
+    )
+    loaded, solved = [], []
+    load_instance, pagerank_power = experiment.load_instance, experiment.pagerank_power
+
+    def loading(*args):
+        loaded.append(load_instance(*args))
+        return loaded[-1]
+
+    def solving(M, *args, **kwargs):
+        solved.append(M)
+        return pagerank_power(M, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "load_instance", loading)
+    monkeypatch.setattr(experiment, "pagerank_power", solving)
+    rows = experiment.run_sweep(spec)
+    monkeypatch.undo()
+    groups, _, P = loaded[0]
+    assert [M is P for M in solved] == [True] + [False] * len(rows)
+    for row in rows:
+        alone = experiment.run_cell(spec, groups, P, row.method, row.phi)
+        assert dataclasses.replace(alone, wall_time_ms=None) == dataclasses.replace(row, wall_time_ms=None)
+
+
 def test_sweep_config_file_with_flag_override(tmp_path):
     edges, labels = toy_files(tmp_path)
     cfg = tmp_path / "sweep.cfg"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import random_instance, random_sinky_instance
 from fairpr import (
@@ -17,6 +18,7 @@ from fairpr import (
     pagerank_power,
     pagerank_residual,
 )
+from fairpr.graph import WalkOperator
 
 GAMMA = 0.15
 
@@ -220,3 +222,114 @@ def test_operator_bitwise_on_sink_free_matrices():
                 P.data[lo:hi] = w / w.sum()
             else:
                 P.data = np.concatenate([w / w.sum(), P.data[hi:]])
+
+
+def block_products(P, W, x):
+    """(left, right) products of the C copies of P's pattern with the rows of
+    the weight block W, through scipy's public ``csc @ x`` and ``csr @ x`` on
+    the block-diagonal matrix, plus the implicit rows' rank-one term."""
+    blocks = [sp.csr_matrix((w, P.indices, P.indptr), shape=(P.n, P.n)) for w in np.atleast_2d(W)]
+    csr = sp.block_diag(blocks, format="csr")
+    csc = csr.T
+    assert csc.format == "csc"
+    left, right = csc @ x, csr @ x
+    implicit = np.flatnonzero(P.implicit)
+    for c in range(len(blocks)):
+        span = slice(c * P.n, (c + 1) * P.n)
+        if len(implicit):
+            left[span] += x[implicit + c * P.n].sum() * P.sink_row
+            right[implicit + c * P.n] = P.sink_row @ x[span]
+    return left, right
+
+
+@pytest.mark.parametrize("copies", [1, 9])
+@pytest.mark.parametrize("sinks", [False, True])
+def test_kernel_products_match_scipy_bitwise(copies, sinks):
+    """``left`` and ``right`` call scipy's compiled matvec kernels directly;
+    pin them to the public sparse products, also once the weights change in
+    place and once they are replaced."""
+    rng = np.random.default_rng(808 + copies + 10 * sinks)
+    cases = 0
+    while cases < 12:
+        n = int(rng.integers(3, 60))
+        if sinks:
+            *_, P = random_sinky_instance(rng, n, 2)
+            if not P.implicit.any():
+                continue
+        else:
+            *_, P = random_instance(rng, n, 2)
+            assert P.sink_row is None
+        cases += 1
+        W = P.data * rng.uniform(0.5, 1.5, size=(copies, P.nnz))
+        if copies == 1:
+            P.data = W[0]
+            op = P.operator()
+        else:
+            op = WalkOperator(P, W)
+        for step in ("built", "changed in place", "replaced"):
+            x = rng.standard_normal(copies * P.n)
+            left, right = block_products(P, op.data, x)
+            assert np.array_equal(op.left(x), left), step
+            assert np.array_equal(op.right(x), right), step
+            if step == "built":
+                op.data *= rng.uniform(0.5, 1.5, size=op.data.shape)
+            elif copies == 1:
+                P.data = P.data * rng.uniform(0.5, 1.5, size=P.nnz)
+                assert P.operator() is not op
+                op = P.operator()
+            else:
+                op = WalkOperator(P, op.data * rng.uniform(0.5, 1.5, size=op.data.shape))
+
+
+def test_wrong_length_vectors_raise_and_inputs_stay_unmodified():
+    rng = np.random.default_rng(909)
+    _, groups, cfg, P = random_sinky_instance(rng, 20, 2)
+    block = WalkOperator(P, np.tile(P.data, (3, 1)))
+    for op in (P.operator(), block):
+        for bad in (op.copies * P.n - 1, op.copies * P.n + 1, 2):
+            with pytest.raises(ValueError):
+                op.left(np.ones(bad))
+            with pytest.raises(ValueError):
+                op.right(np.ones(bad))
+            with pytest.raises(ValueError):
+                pagerank_power(op, cfg, start=np.full(bad, 1.0 / P.n))
+    for bad in (P.n - 1, P.n + 1):
+        with pytest.raises(ValueError):
+            neumann_y(P, np.ones(bad), GAMMA)
+        with pytest.raises(ValueError):
+            neumann_y(block, np.ones(bad), GAMMA)
+        with pytest.raises(ValueError):
+            pagerank_residual(P, cfg, np.full(bad, 1.0 / P.n))
+    # a strided or integer vector is read as its contiguous float64 copy
+    x = rng.standard_normal(2 * P.n)
+    assert np.array_equal(P.operator().left(x[::2]), P.operator().left(x[::2].copy()))
+    assert np.array_equal(P.operator().right(np.arange(P.n)), P.operator().right(np.arange(P.n, dtype=float)))
+    # the solvers never write into their inputs, and each result is a new array
+    start = rng.random((3, P.n))
+    start /= start.sum(axis=1, keepdims=True)
+    kept = start.copy()
+    first = pagerank_power(block, cfg, start=start)
+    second = pagerank_power(block, cfg, start=first)
+    assert np.array_equal(start, kept)
+    assert not np.shares_memory(first, second) and not np.shares_memory(first, start)
+    one, two = pagerank_power(P, cfg), pagerank_power(P, cfg)
+    assert np.array_equal(one, two) and not np.shares_memory(one, two)
+    ind = groups.indicator(0)
+    ind_kept = ind.copy()
+    neumann_y(P, ind, GAMMA)
+    assert np.array_equal(ind, ind_kept)
+
+
+def test_malformed_pattern_is_refused():
+    """The compiled kernels behind the products and ``to_dense`` index without
+    bounds checks, so a matrix checks its pattern when it is built."""
+    for indptr, indices in (([0, 1, 2], [0, 5]), ([0, 1, 2], [0, -1]), ([0, 2, 1], [0, 1]), ([0, 1, 3], [0, 1])):
+        with pytest.raises(ValueError, match="malformed"):
+            TransitionMatrix(2, indptr, indices, [1.0, 1.0], [False, False])
+    # nor may the weights outrun the pattern, one copy or a block
+    P = TransitionMatrix.from_dense([[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="weights of length 3"):
+        WalkOperator(P, np.ones((4, 3)))
+    P.data = np.ones(3)
+    with pytest.raises(ValueError, match="weights of length 3"):
+        P.operator()
