@@ -125,16 +125,10 @@ def cmd_optimize(args) -> int:
         "phi": list(map(float, target.phi)),
         "gamma": args.gamma,
         "iterations": report.iterations_run,
-        "converged": report.converged,
+        "stop_reason": report.stop_reason,
         "loss_trace": [float(x) for x in report.loss_trace],
         "final_group_scores": [float(x) for x in final_scores],
-        "metrics": {
-            "loss": bundle.loss,
-            "loss_group_adapted": bundle.loss_group_adapted,
-            "delta_p": bundle.delta_p,
-            "rho_bar": bundle.rho_bar,
-            "rho_tilde": bundle.rho_tilde,
-        },
+        "metrics": asdict(bundle),
         "notes": rt_reason,
     }
     if opt.alpha is None and not opt.alpha_auto:
@@ -142,7 +136,7 @@ def cmd_optimize(args) -> int:
     (out / "report.json").write_text(json.dumps(payload, indent=2) + "\n")
     print("final group scores: " + " ".join(f"{s:.6f}" for s in final_scores))
     print(f"final loss: {report.final_loss:.6e} after {report.iterations_run} iterations "
-          f"(converged: {str(report.converged).lower()})")
+          f"(stop_reason: {report.stop_reason})")
     print(f"wrote {out / 'revised.tsv'} and {out / 'report.json'}")
     return EXIT_OK
 

@@ -106,16 +106,20 @@ class GridPoint:
 
 @dataclass
 class OptimizationReport:
-    """Outcome of one descent run: the step size ``alpha`` it took and, in
-    ``grid``, every step size tried with it."""
+    """Outcome of one descent run: the reweighted matrix, the loss at each
+    iteration, why the descent stopped ("kappa" when |dL| <= kappa,
+    "max_iters" when it ran out of iterations), the step size ``alpha`` it
+    took and, in ``grid``, every step size tried with it."""
 
     final_matrix: TransitionMatrix
-    loss_trace: list[float] = field(default_factory=list)
-    iterations_run: int = 0
-    converged: bool = False
-    final_group_scores: np.ndarray = None
+    loss_trace: list[float]
+    stop_reason: str
     alpha: float | None = None
     grid: list[GridPoint] = field(default_factory=list)
+
+    @property
+    def iterations_run(self) -> int:
+        return len(self.loss_trace)
 
     @property
     def final_loss(self) -> float:
@@ -125,14 +129,13 @@ class OptimizationReport:
 def _descend(
     P: TransitionMatrix,
     restarts: list[PageRankConfig],
-    report_cfg: PageRankConfig,
     groups: GroupAssignment,
     target: FairnessTarget,
     opt: OptimizerConfig,
 ) -> tuple[tuple[float, ...], list[OptimizationReport | DivergedError]]:
     """Descend on the mean fairness loss over the R ``restarts`` once per step
-    size, all in lockstep; return the step sizes and each one's report (final
-    group scores under ``report_cfg``) or DivergedError.
+    size, all in lockstep; return the step sizes and each one's report or
+    DivergedError.
 
     The step sizes are ``opt.alpha``, else 2/C with ``alpha_auto``, else all
     of ALPHA_GRID. Each copy of the pattern (one per step size) is a row of
@@ -149,20 +152,17 @@ def _descend(
     copy diverges when its loss is not finite or exceeds LOSS_CEILING, when
     an entry leaves [-ENTRY_CEILING, ENTRY_CEILING], or when the projection
     cannot bring its rows back to sum 1 within ROW_SUM_TOL. Stopped and
-    diverged copies leave the stack. The report solve warm-starts from
-    ``report_cfg``'s vector when it is one of the restarts, else from the
-    uniform vector.
+    diverged copies leave the stack; a stopped copy's report is built as it
+    stops, with its stop reason "kappa" or "max_iters".
     """
-    gamma = report_cfg.gamma
+    gamma = restarts[0].gamma
     K = groups.K
     safe_alpha = 2.0 / lipschitz_bound(P.n, K, gamma)
     alphas = (opt.alpha,) if opt.alpha is not None else (safe_alpha,) if opt.alpha_auto else ALPHA_GRID
     live, rows, box = row_boxes(P, opt.delta, opt.epsilon)  # infeasible boxes fail before any work
     if K == 1:
         # the loss is identically zero on the feasible set: nothing to do
-        p = pagerank_power(P, report_cfg, t1=opt.t1, tol=opt.power_tol)
-        trivial = [OptimizationReport(P.copy(), [0.0], 1, True, group_scores(p, groups), a) for a in alphas]
-        return alphas, trivial
+        return alphas, [OptimizationReport(P.copy(), [0.0], "kappa", a) for a in alphas]
 
     n, phi, C = P.n, target.phi, len(alphas)
     base = P.copy()
@@ -175,7 +175,6 @@ def _descend(
     lower, upper = np.tile(box.lower, C), np.tile(box.upper, C)
     stored = np.flatnonzero(np.diff(P.indptr) > 0)
     checked = ~P.sink_mask[stored]
-    report_at = next((i for i, cfg in enumerate(restarts) if cfg is report_cfg), None)
 
     ids = np.arange(C)  # the step-size index of each stacked copy
     coef0 = np.asarray(alphas) * (2.0 * (1.0 - gamma) / (K * len(restarts)))
@@ -185,7 +184,6 @@ def _descend(
     loss_prev = np.full(C, math.inf)
     traces: list[list[float]] = [[] for _ in alphas]
     outcomes: list = [None] * C
-    done = []  # (step-size index, converged, weights, report warm start) of stopped copies
 
     def keep(mask):
         """Drop the copies outside ``mask`` from the stack."""
@@ -198,10 +196,10 @@ def _descend(
     def solve(cfg, start):
         return pagerank_power(op, cfg, t1=opt.t1, tol=opt.power_tol, start=start)
 
-    def stop(mask, converged):
+    def stop(mask, reason):
         for j in np.flatnonzero(mask):
-            start = None if report_at is None else warm[report_at][j]
-            done.append((ids[j], converged, W[j].copy(), start))
+            i = ids[j]
+            outcomes[i] = OptimizationReport(base.with_data(W[j].copy()), traces[i], reason, alphas[i])
 
     for it in range(opt.max_iters):
         warm = [solve(cfg, w) for cfg, w in zip(restarts, warm)]
@@ -216,7 +214,7 @@ def _descend(
         if not all(going.tolist()):
             for i, loss in zip(ids[diverged], losses[diverged].tolist()):
                 outcomes[i] = DivergedError(it + 1, loss, safe_alpha)
-            stop(converged, True)
+            stop(converged, "kappa")
             scores = [s[going] for s in scores]
             keep(going)
             if not len(ids):
@@ -261,17 +259,7 @@ def _descend(
                 outcomes[i] = DivergedError(it + 1, math.inf, safe_alpha)
             alive[sel[off]] = False
         keep(alive)
-    stop(np.ones(len(ids), bool), False)
-
-    if done:
-        # the report solves of all stopped copies, as one block
-        Wd = np.stack([w for _, _, w, _ in done])
-        start = None if report_at is None else np.stack([s for *_, s in done])
-        op = WalkOperator(P, Wd)
-        final = group_scores(solve(report_cfg, start), groups)
-        for (i, converged, w, _), s in zip(done, final):
-            trace = traces[i]
-            outcomes[i] = OptimizationReport(base.with_data(w), trace, len(trace), converged, s, alphas[i])
+    stop(np.ones(len(ids), bool), "max_iters")
     return alphas, outcomes
 
 
@@ -282,7 +270,7 @@ def _best(alphas, outcomes) -> OptimizationReport:
     grid = [
         GridPoint(a, None, o.iteration, "diverged")
         if isinstance(o, DivergedError)
-        else GridPoint(a, o.final_loss, o.iterations_run, "kappa" if o.converged else "max_iters")
+        else GridPoint(a, o.final_loss, o.iterations_run, o.stop_reason)
         for a, o in zip(alphas, outcomes)
     ]
     reports = [o for o in outcomes if not isinstance(o, DivergedError)]
@@ -302,14 +290,12 @@ def fair_gd(
     descent over the single restart ``cfg``. Without ``opt.alpha`` or
     ``alpha_auto`` it runs every ALPHA_GRID step size in lockstep and reports
     the lowest final loss."""
-    return _best(*_descend(P, [cfg], cfg, groups, target, opt))
+    return _best(*_descend(P, [cfg], groups, target, opt))
 
 
 def adapt_gd(
     P: TransitionMatrix, gamma: float, groups: GroupAssignment, target: FairnessTarget, opt: OptimizerConfig
 ) -> OptimizationReport:
     """Minimize the group-adapted loss: the descent over the K restarts
-    inside each group, with fair_gd's choice of step sizes. Final scores use
-    the uniform restart vector."""
-    uniform = PageRankConfig.uniform(P.n, gamma)
-    return _best(*_descend(P, _group_restarts(groups, gamma), uniform, groups, target, opt))
+    inside each group, with fair_gd's choice of step sizes."""
+    return _best(*_descend(P, _group_restarts(groups, gamma), groups, target, opt))

@@ -56,7 +56,7 @@ def test_optimize_writes_matrix_and_report(tmp_path, capsys):
     ])
     assert code == 0
     report = json.loads((out / "report.json").read_text())
-    assert report["converged"] in (True, False)
+    assert report["stop_reason"] in ("kappa", "max_iters")
     assert len(report["loss_trace"]) == report["iterations"]
     assert (out / "revised.tsv").exists() and (out / "original.tsv").exists()
 
@@ -127,6 +127,7 @@ def test_optimize_grid_in_report(tmp_path):
     finished = [g for g in grid if g["loss"] is not None]
     best = min(finished, key=lambda g: g["loss"])
     assert best["loss"] == report["loss_trace"][-1] and best["iterations"] == report["iterations"]
+    assert report["stop_reason"] == best["outcome"]
     # deterministic: a second run writes the same bytes
     assert main([*argv, "--out", str(tmp_path / "b")]) == 0
     for name in ("report.json", "revised.tsv"):
@@ -231,7 +232,7 @@ def test_sweep_row_count_and_reasons(tmp_path):
     header = (out / "results.csv").read_text().splitlines()[0]
     assert header == (
         "dataset,method,phi,loss,loss_group_adapted,delta_p,rho_bar,"
-        "rho_tilde,iterations,converged,wall_time_ms,reason"
+        "rho_tilde,iterations,stop_reason,wall_time_ms,reason"
     )
     rows = read_rows(out / "results.csv")
     assert len(rows) == 6  # 3 methods x 2 phis
@@ -282,13 +283,16 @@ def test_sweep_cell_matches_standalone(tmp_path):
     out = tmp_path / "sweep"
     main([
         "sweep", "--edges", edges, "--labels", labels,
-        "--methods", "fairwalk", "--phi", "0.4", "--out", str(out),
+        "--methods", "fairwalk,fairgd", "--phi", "0.4", "--out", str(out),
     ])
-    row = read_rows(out / "results.csv")[0]
+    rows = {r["method"]: r for r in read_rows(out / "results.csv")}
     groups, _, P = load_instance(Path(edges).read_text(), Path(labels).read_text(), False, 0.15)
     cell = run_cell(ExperimentSpec(edges, labels), groups, P, "fairwalk", 0.4)
-    assert f"{cell.loss:.6g}" == row["loss"]
-    assert f"{cell.delta_p:.6g}" == row["delta_p"]
+    assert f"{cell.loss:.6g}" == rows["fairwalk"]["loss"]
+    assert f"{cell.delta_p:.6g}" == rows["fairwalk"]["delta_p"]
+    cell = run_cell(ExperimentSpec(edges, labels), groups, P, "fairgd", 0.4)
+    assert cell.stop_reason in ("kappa", "max_iters")
+    assert (str(cell.iterations), cell.stop_reason) == (rows["fairgd"]["iterations"], rows["fairgd"]["stop_reason"])
 
 
 def test_sweep_solves_the_original_once(monkeypatch):

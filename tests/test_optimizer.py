@@ -80,7 +80,7 @@ def test_self_target_converges_and_keeps_matrix():
     scores = group_scores(pagerank_power(P, cfg, t1=100, tol=1e-12), groups)
     opt = OptimizerConfig(alpha=0.5)
     rep = fair_gd(P, cfg, groups, FairnessTarget(phi=scores), opt)
-    assert rep.converged and rep.iterations_run <= 2
+    assert rep.stop_reason == "kappa" and rep.iterations_run <= 2
     assert np.array_equal(rep.final_matrix.data, P.data)
 
 
@@ -153,7 +153,7 @@ def test_adapt_gd_single_group_identity():
     g, _, cfg, P = random_instance(rng, 10, 2)
     groups = load_labels("\n".join(f"{i} 0" for i in range(10)), 10)
     rep = adapt_gd(P, GAMMA, groups, FairnessTarget(phi=[1.0]), OptimizerConfig(alpha=1.0))
-    assert rep.converged
+    assert rep.stop_reason == "kappa"
     assert np.array_equal(rep.final_matrix.data, P.data)
     assert np.array_equal(rep.final_matrix.indices, P.indices)
 
@@ -206,9 +206,7 @@ def test_trace_and_report_shape():
     target = random_target(rng, 3)
     rep = fair_gd(P, cfg, groups, target, OptimizerConfig(alpha=0.5, max_iters=30, kappa=0.0))
     assert rep.iterations_run == len(rep.loss_trace) == 30
-    assert not rep.converged
-    assert rep.final_group_scores.shape == (3,)
-    assert abs(rep.final_group_scores.sum() - 1.0) <= 1e-9
+    assert rep.stop_reason == "max_iters"
 
 
 # Reference copies of the two descent loops as they stood before both
@@ -223,15 +221,8 @@ def ref_resolve_alpha(opt, n, K, gamma):
     raise ValueError("no step size: set alpha or alpha_auto (the CLI can grid-search instead)")
 
 
-def ref_trivial_report(P, cfg, groups, opt):
-    p = pagerank_power(P, cfg, t1=opt.t1, tol=opt.power_tol)
-    return OptimizationReport(
-        final_matrix=P.copy(),
-        loss_trace=[0.0],
-        iterations_run=1,
-        converged=True,
-        final_group_scores=group_scores(p, groups),
-    )
+def ref_trivial_report(P):
+    return OptimizationReport(final_matrix=P.copy(), loss_trace=[0.0], stop_reason="kappa")
 
 
 def ref_fair_gd(P, cfg, groups, target, opt):
@@ -240,7 +231,7 @@ def ref_fair_gd(P, cfg, groups, target, opt):
     alpha = ref_resolve_alpha(opt, P.n, K, gamma)
     row_boxes(P, opt.delta, opt.epsilon)  # infeasible boxes fail before any work
     if K == 1:
-        return ref_trivial_report(P, cfg, groups, opt)
+        return ref_trivial_report(P)
 
     phi = target.phi
     P_hat = P.copy()
@@ -253,7 +244,7 @@ def ref_fair_gd(P, cfg, groups, target, opt):
     p = np.full(P.n, 1.0 / P.n)
     loss_prev = math.inf
     trace = []
-    converged = False
+    stop_reason = "max_iters"
     for it in range(opt.max_iters):
         p = pagerank_power(P_hat, cfg, t1=opt.t1, tol=opt.power_tol, start=p)
         scores = group_scores(p, groups)
@@ -262,7 +253,7 @@ def ref_fair_gd(P, cfg, groups, target, opt):
         if not math.isfinite(loss) or loss > LOSS_CEILING:
             raise DivergedError(it + 1, loss, 2.0 / lipschitz_bound(P.n, K, gamma))
         if abs(loss - loss_prev) <= opt.kappa:
-            converged = True
+            stop_reason = "kappa"
             break
         loss_prev = loss
         prow = p[rows_nz]
@@ -280,23 +271,15 @@ def ref_fair_gd(P, cfg, groups, target, opt):
         if stepped:
             P_hat = project_matrix(P_hat, P, opt.delta, opt.epsilon)
 
-    p = pagerank_power(P_hat, cfg, t1=opt.t1, tol=opt.power_tol, start=p)
-    return OptimizationReport(
-        final_matrix=P_hat,
-        loss_trace=trace,
-        iterations_run=len(trace),
-        converged=converged,
-        final_group_scores=group_scores(p, groups),
-    )
+    return OptimizationReport(final_matrix=P_hat, loss_trace=trace, stop_reason=stop_reason)
 
 
 def ref_adapt_gd(P, gamma, groups, target, opt):
     K = groups.K
     alpha = ref_resolve_alpha(opt, P.n, K, gamma)
     row_boxes(P, opt.delta, opt.epsilon)  # infeasible boxes fail before any work
-    uniform_cfg = PageRankConfig.uniform(P.n, gamma)
     if K == 1:
-        return ref_trivial_report(P, uniform_cfg, groups, opt)
+        return ref_trivial_report(P)
 
     phi = target.phi
     P_hat = P.copy()
@@ -310,7 +293,7 @@ def ref_adapt_gd(P, gamma, groups, target, opt):
     warm = [np.full(P.n, 1.0 / P.n) for _ in range(K)]
     loss_prev = math.inf
     trace = []
-    converged = False
+    stop_reason = "max_iters"
     for it in range(opt.max_iters):
         sq = 0.0
         for ell in range(K):
@@ -324,7 +307,7 @@ def ref_adapt_gd(P, gamma, groups, target, opt):
         if not math.isfinite(loss) or loss > LOSS_CEILING:
             raise DivergedError(it + 1, loss, 2.0 / lipschitz_bound(P.n, K, gamma))
         if abs(loss - loss_prev) <= opt.kappa:
-            converged = True
+            stop_reason = "kappa"
             break
         loss_prev = loss
         stepped = False
@@ -345,14 +328,7 @@ def ref_adapt_gd(P, gamma, groups, target, opt):
         if stepped:
             P_hat = project_matrix(P_hat, P, opt.delta, opt.epsilon)
 
-    p = pagerank_power(P_hat, uniform_cfg, t1=opt.t1, tol=opt.power_tol)
-    return OptimizationReport(
-        final_matrix=P_hat,
-        loss_trace=trace,
-        iterations_run=len(trace),
-        converged=converged,
-        final_group_scores=group_scores(p, groups),
-    )
+    return OptimizationReport(final_matrix=P_hat, loss_trace=trace, stop_reason=stop_reason)
 
 
 def _outcome(run, *args):
@@ -397,8 +373,7 @@ def test_fair_gd_matches_reference_loop_bitwise():
             continue
         assert got.loss_trace == ref.loss_trace
         assert np.array_equal(got.final_matrix.data, ref.final_matrix.data)
-        assert np.array_equal(got.final_group_scores, ref.final_group_scores)
-        assert got.converged == ref.converged
+        assert got.stop_reason == ref.stop_reason
     assert 0 < diverged < 48  # both outcomes are exercised
     assert unrecoverable <= 1
 
@@ -407,10 +382,9 @@ def test_adapt_gd_matches_reference_loop():
     for P, cfg, groups, target, opt in guard_cases(12, 40, (-2.0, -1.0), 8):
         ref = ref_adapt_gd(P, GAMMA, groups, target, opt)
         got = adapt_gd(P, GAMMA, groups, target, opt)
-        assert got.iterations_run == ref.iterations_run and got.converged == ref.converged
+        assert got.iterations_run == ref.iterations_run and got.stop_reason == ref.stop_reason
         assert np.abs(np.subtract(got.loss_trace, ref.loss_trace)).max() <= 1e-10
         assert np.abs(got.final_matrix.data - ref.final_matrix.data).max() <= 1e-10
-        assert np.abs(got.final_group_scores - ref.final_group_scores).max() <= 1e-10
 
 
 def test_unrecoverable_projection_diverges():
@@ -435,8 +409,7 @@ def _same_outcome(got, want):
         return
     assert got.loss_trace == want.loss_trace
     assert np.array_equal(got.final_matrix.data, want.final_matrix.data)
-    assert np.array_equal(got.final_group_scores, want.final_group_scores)
-    assert (got.converged, got.iterations_run, got.alpha) == (want.converged, want.iterations_run, want.alpha)
+    assert (got.stop_reason, got.iterations_run, got.alpha) == (want.stop_reason, want.iterations_run, want.alpha)
 
 
 def test_grid_matches_one_copy_runs_bitwise():
@@ -452,15 +425,14 @@ def test_grid_matches_one_copy_runs_bitwise():
         target = random_target(rng, K)
         opt = OptimizerConfig(kappa=float(rng.choice([0.0, 1e-4])), max_iters=12, **bounds)
         if i // 8:
-            restarts, report_cfg = _group_restarts(groups, GAMMA), PageRankConfig.uniform(P.n, GAMMA)
-            run, args = adapt_gd, (P, GAMMA, groups, target)
+            restarts, run, args = _group_restarts(groups, GAMMA), adapt_gd, (P, GAMMA, groups, target)
         else:
-            restarts, report_cfg, run, args = [cfg], cfg, fair_gd, (P, cfg, groups, target)
-        alphas, grid = _descend(P, restarts, report_cfg, groups, target, opt)
+            restarts, run, args = [cfg], fair_gd, (P, cfg, groups, target)
+        alphas, grid = _descend(P, restarts, groups, target, opt)
         assert alphas == ALPHA_GRID
         alone = []
         for alpha, got in zip(alphas, grid):
-            (want,) = _descend(P, restarts, report_cfg, groups, target, replace(opt, alpha=alpha))[1]
+            (want,) = _descend(P, restarts, groups, target, replace(opt, alpha=alpha))[1]
             _same_outcome(got, want)
             alone.append(want)
         picked = _outcome(run, *args, opt)
