@@ -18,7 +18,6 @@ class UnsupportedGroupCountError(ValueError):
 class BaselineResult:
     matrix: TransitionMatrix
     method: str
-    pattern_extended: bool = False
 
 
 def _edges(P: TransitionMatrix, groups: GroupAssignment, weights=None):
@@ -70,7 +69,7 @@ def fairwalk(P: TransitionMatrix, groups: GroupAssignment, target: FairnessTarge
     out[edge] = phi[gcols] * P.data[edge] / (mass[rows, gcols] * reach_phi[rows])
     tm = P.with_data(out)
     tm.validate()
-    return BaselineResult(tm, "fairwalk", pattern_extended=False)
+    return BaselineResult(tm, "fairwalk")
 
 
 def _require_two_groups(groups: GroupAssignment, method: str) -> None:
@@ -87,13 +86,12 @@ def lfpr_n(P: TransitionMatrix, groups: GroupAssignment, target: FairnessTarget)
     edge, rows, gcols, counts = _edges(P, groups)
     # sink rows have no edges, so both of their shares spread
     spread_rows, ks = np.nonzero(counts == 0)
-    extended = bool((counts[~P.sink_mask] == 0).any())
     tm = _assemble(
         P,
         (rows, P.indices[edge], phi[gcols] / counts[rows, gcols]),
         _group_spread(groups, spread_rows, ks, phi[ks]),
     )
-    return BaselineResult(tm, "lfpr_n", pattern_extended=extended)
+    return BaselineResult(tm, "lfpr_n")
 
 
 def lfpr_u(P: TransitionMatrix, groups: GroupAssignment, target: FairnessTarget) -> BaselineResult:
@@ -102,7 +100,6 @@ def lfpr_u(P: TransitionMatrix, groups: GroupAssignment, target: FairnessTarget)
     uniformly over that whole group (the residual term)."""
     _require_two_groups(groups, "lfpr_u")
     phi1 = float(target.phi[0])
-    sizes = groups.group_sizes
     edge, rows, _, counts = _edges(P, groups)
     live = np.flatnonzero(~P.sink_mask)
     out1, out2 = counts[live, 0], counts[live, 1]
@@ -121,6 +118,5 @@ def lfpr_u(P: TransitionMatrix, groups: GroupAssignment, target: FairnessTarget)
     spread_rows = np.concatenate([live[spread], np.repeat(sinks, 2)])
     ks = np.concatenate([under1[spread].astype(np.int64), np.tile([0, 1], len(sinks))])
     shares = np.concatenate([resid[spread], np.tile([phi1, 1.0 - phi1], len(sinks))])
-    extended = bool((under0 & (out1 < sizes[0])).any() or (under1 & (out2 < sizes[1])).any())
     tm = _assemble(P, (rows, P.indices[edge], base[rows]), _group_spread(groups, spread_rows, ks, shares))
-    return BaselineResult(tm, "lfpr_u", pattern_extended=extended)
+    return BaselineResult(tm, "lfpr_u")

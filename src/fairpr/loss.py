@@ -41,13 +41,16 @@ def _group_restarts(groups: GroupAssignment, gamma: float) -> list[PageRankConfi
     return [PageRankConfig.group_restart(groups, ell, gamma) for ell in range(groups.K)]
 
 
-def _mean_loss(scores: list[np.ndarray], phi: np.ndarray) -> float:
-    """The objective: loss_from_scores averaged over the restarts' scores."""
-    return sum(loss_from_scores(s, phi) for s in scores) / len(scores)
+def _mean_loss(scores, phi: np.ndarray):
+    """The objective: loss_from_scores averaged over the restarts, the
+    second-last axis of ``scores``; one loss per leading index."""
+    d = np.asarray(scores, float) - phi
+    return np.mean(d * d, axis=-1).mean(axis=-1)
 
 
 def _restart_loss(P, restarts, groups, target, t1, tol) -> float:
-    return _mean_loss([group_scores(pagerank_power(P, c, t1=t1, tol=tol), groups) for c in restarts], target.phi)
+    scores = [group_scores(pagerank_power(P, c, t1=t1, tol=tol), groups) for c in restarts]
+    return float(_mean_loss(scores, target.phi))
 
 
 def _restart_grad(P, restarts, groups, target, t1, t2, tol) -> SparseGradient:

@@ -95,8 +95,9 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class GridPoint:
-    """One step size's descent: its final loss (None when it diverged), the
-    iterations it ran and how it stopped: "kappa", "max_iters" or "diverged"."""
+    """One step size's descent: the loss of the matrix it returned (None when
+    it diverged), its steps (for a diverged one, the iteration that diverged)
+    and how it stopped: "kappa", "max_iters" or "diverged"."""
 
     alpha: float
     loss: float | None
@@ -106,10 +107,10 @@ class GridPoint:
 
 @dataclass
 class OptimizationReport:
-    """Outcome of one descent run: the reweighted matrix, the loss at each
-    iteration, why the descent stopped ("kappa" when |dL| <= kappa,
-    "max_iters" when it ran out of iterations), the step size ``alpha`` it
-    took and, in ``grid``, every step size tried with it."""
+    """Outcome of one descent run: the reweighted matrix, the loss after
+    0, 1, ... steps (the last is the matrix's), why the descent stopped
+    ("kappa" when |dL| <= kappa, "max_iters" after max_iters steps), the step
+    size ``alpha`` it took and, in ``grid``, every step size tried with it."""
 
     final_matrix: TransitionMatrix
     loss_trace: list[float]
@@ -119,7 +120,7 @@ class OptimizationReport:
 
     @property
     def iterations_run(self) -> int:
-        return len(self.loss_trace)
+        return len(self.loss_trace) - 1
 
     @property
     def final_loss(self) -> float:
@@ -143,17 +144,17 @@ def _descend(
     WalkOperator, so one product serves all copies and each copy's sequence
     of operations, and so its result, is bitwise that of its run alone.
 
-    Per iteration: refresh each p_l by warm-started power steps, evaluate the
-    loss at the current feasible matrix and test |dL| <= kappa. Then, per
-    restart l and group k, step P <- P - alpha (2(1-gamma)/(K R))
-    (score_k(p_l) - phi_k) p_l y_k' on the stored pattern, with y_k summed at
-    the current unprojected matrix and p_l re-solved there once an earlier
-    step has moved it. Project once per iteration; sink rows never change. A
-    copy diverges when its loss is not finite or exceeds LOSS_CEILING, when
-    an entry leaves [-ENTRY_CEILING, ENTRY_CEILING], or when the projection
-    cannot bring its rows back to sum 1 within ROW_SUM_TOL. Stopped and
-    diverged copies leave the stack; a stopped copy's report is built as it
-    stops, with its stop reason "kappa" or "max_iters".
+    Per iteration: refresh each p_l by warm-started power steps and evaluate
+    the loss at the current feasible matrix; only here does a copy stop, so
+    its last loss is its matrix's: "kappa" when |dL| <= kappa, "max_iters"
+    after max_iters steps. Then, per restart l and group k, step
+    P <- P - alpha (2(1-gamma)/(K R)) (score_k(p_l) - phi_k) p_l y_k' on the
+    stored pattern, with y_k summed at the current unprojected matrix and
+    p_l re-solved there after the first restart. Project every copy once per
+    iteration; sink rows never change. A copy diverges when its loss is not
+    finite or exceeds LOSS_CEILING, when an entry leaves [-ENTRY_CEILING,
+    ENTRY_CEILING], or when the projection cannot bring its rows back to sum
+    1 within ROW_SUM_TOL. Stopped and diverged copies leave the stack.
     """
     gamma = restarts[0].gamma
     K = groups.K
@@ -196,38 +197,33 @@ def _descend(
     def solve(cfg, start):
         return pagerank_power(op, cfg, t1=opt.t1, tol=opt.power_tol, start=start)
 
-    def stop(mask, reason):
-        for j in np.flatnonzero(mask):
-            i = ids[j]
-            outcomes[i] = OptimizationReport(base.with_data(W[j].copy()), traces[i], reason, alphas[i])
-
-    for it in range(opt.max_iters):
+    for it in range(opt.max_iters + 1):
         warm = [solve(cfg, w) for cfg, w in zip(restarts, warm)]
-        scores = [group_scores(w, groups) for w in warm]
-        losses = np.array([_mean_loss([s[j] for s in scores], phi) for j in range(len(ids))])
+        losses = _mean_loss(np.stack([group_scores(w, groups) for w in warm], axis=1), phi)  # scores (copies, R, K)
         for i, loss in zip(ids, losses.tolist()):
             traces[i].append(loss)
         diverged = ~np.isfinite(losses) | (losses > LOSS_CEILING)
-        converged = ~diverged & (np.abs(losses - loss_prev) <= opt.kappa)
+        last = it == opt.max_iters
+        finished = ~diverged & (last | (np.abs(losses - loss_prev) <= opt.kappa))
         loss_prev = losses
-        going = ~(diverged | converged)
+        going = ~(diverged | finished)
         if not all(going.tolist()):
             for i, loss in zip(ids[diverged], losses[diverged].tolist()):
                 outcomes[i] = DivergedError(it + 1, loss, safe_alpha)
-            stop(converged, "kappa")
-            scores = [s[going] for s in scores]
+            reason = "max_iters" if last else "kappa"
+            for j, i in zip(np.flatnonzero(finished), ids[finished]):
+                outcomes[i] = OptimizationReport(base.with_data(W[j].copy()), traces[i], reason, alphas[i])
             keep(going)
-            if not len(ids):
-                break
+        if not len(ids):
+            break
         log.debug("descent iter=%d losses=%s", it + 1, loss_prev)
 
-        stepped = np.zeros(len(ids), bool)
         alive = np.ones(len(ids), bool)
         with np.errstate(over="ignore", invalid="ignore"):
-            for cfg, p, s in zip(restarts, warm, scores):
-                if any(stepped.tolist()):  # warm keeps the solutions at the feasible matrices
-                    p = np.where(stepped[:, None], solve(cfg, p), p)
-                    s = group_scores(p, groups)
+            for r, (cfg, p) in enumerate(zip(restarts, warm)):
+                if r:  # earlier restarts moved the matrices; warm keeps the solutions at the feasible ones
+                    p = solve(cfg, p)
+                s = group_scores(p, groups)
                 prow = np.take(p, rows, axis=1)
                 for k in range(K):
                     coef = coef0 * (s[:, k] - phi[k])
@@ -240,26 +236,22 @@ def _descend(
                     if not all(flags):
                         step[~moves] = 0.0  # x - 0.0 is x: the other copies keep their weights bitwise
                     W.reshape(-1)[at[: step.size]] -= step.ravel()
-                    stepped |= moves
                     bounded = (np.abs(W) <= ENTRY_CEILING).all(axis=1)
                     if not all(bounded.tolist()):
                         blown = moves & ~bounded
                         for i in ids[blown]:
                             outcomes[i] = DivergedError(it + 1, math.inf, safe_alpha)
                         alive &= ~blown
-        stepped &= alive
-        if any(stepped.tolist()):
-            sel = np.flatnonzero(stepped)
-            pos, flat = at.reshape(C, -1)[sel].ravel(), W.reshape(-1)
-            m = pos.size
-            flat[pos] = project_rows(flat[pos], segs[:m], len(sel) * n, lower[:m], upper[:m])
-            sums = np.add.reduceat(W[sel], P.indptr[stored], axis=1)
-            off = (np.abs(sums[:, checked] - 1.0) > ROW_SUM_TOL).any(axis=1)
-            for i in ids[sel[off]]:
-                outcomes[i] = DivergedError(it + 1, math.inf, safe_alpha)
-            alive[sel[off]] = False
+        sel = np.flatnonzero(alive)
+        pos, flat = at.reshape(C, -1)[sel].ravel(), W.reshape(-1)
+        m = pos.size
+        flat[pos] = project_rows(flat[pos], segs[:m], len(sel) * n, lower[:m], upper[:m])
+        sums = np.add.reduceat(W[sel], P.indptr[stored], axis=1)
+        off = (np.abs(sums[:, checked] - 1.0) > ROW_SUM_TOL).any(axis=1)
+        for i in ids[sel[off]]:
+            outcomes[i] = DivergedError(it + 1, math.inf, safe_alpha)
+        alive[sel[off]] = False
         keep(alive)
-    stop(np.ones(len(ids), bool), "max_iters")
     return alphas, outcomes
 
 

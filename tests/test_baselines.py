@@ -47,7 +47,7 @@ def test_fairwalk_hand_case():
     P = build_transition(g, PageRankConfig.uniform(4, GAMMA))
     res = fairwalk(P, groups, FairnessTarget(phi=[0.5, 0.5]))
     assert np.allclose(res.matrix.row(0)[1], [0.25, 0.25, 0.5], atol=1e-15)
-    assert res.pattern_extended is False
+    assert res.matrix.pattern_subset_of(P)
     assert res.method == "fairwalk"
 
 
@@ -95,7 +95,7 @@ def test_lfpr_n_hand_cases():
     assert abs(row[1] - 0.3) <= 1e-15  # the only group-0 out-edge takes all of 0.3
     for j in groups2.members(1):
         assert abs(row[j] - 0.7 / 5) <= 1e-15
-    assert res2.pattern_extended is True
+    assert not res2.matrix.pattern_subset_of(P2)
     assert abs(sum(row.values()) - 1.0) <= 1e-12
 
 

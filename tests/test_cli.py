@@ -57,7 +57,7 @@ def test_optimize_writes_matrix_and_report(tmp_path, capsys):
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     assert report["stop_reason"] in ("kappa", "max_iters")
-    assert len(report["loss_trace"]) == report["iterations"]
+    assert len(report["loss_trace"]) == report["iterations"] + 1
     assert (out / "revised.tsv").exists() and (out / "original.tsv").exists()
 
 
@@ -174,6 +174,20 @@ def test_baseline_and_evaluate_flow(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "pattern_extended:" in text
     assert "loss:" in text
+
+
+def test_baseline_pattern_flag_matches_evaluate(tmp_path, capsys):
+    # vertex 3 has no group-0 neighbor, but its group-0 share is 0: lfpr_n adds no entry
+    edges, labels = toy_files(
+        tmp_path, edges="0 1\n1 0\n1 2\n2 0\n2 3\n3 2\n0 3", labels="0 0\n1 0\n2 1\n3 1"
+    )
+    out = tmp_path / "base"
+    assert main(["baseline", "--edges", edges, "--labels", labels,
+                 "--method", "lfpr_n", "--phi", "0,1", "--out", str(out)]) == 0
+    assert "pattern_extended: false" in capsys.readouterr().out
+    assert main(["evaluate", "--original", str(out / "original.tsv"), "--revised", str(out / "revised.tsv"),
+                 "--labels", labels, "--phi", "0,1"]) == 0
+    assert "pattern_extended: false" in capsys.readouterr().out
 
 
 def test_evaluate_identity_metrics(tmp_path, capsys):

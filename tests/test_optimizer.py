@@ -20,8 +20,11 @@ from fairpr import (
     lipschitz_bound,
     load_graph,
     load_labels,
+    loss_fair,
+    loss_group_adapted,
     pagerank_power,
 )
+from fairpr.experiment import build_target
 from fairpr.loss import loss_from_scores
 from fairpr.graph import WalkOperator
 from fairpr.loss import _group_restarts
@@ -205,13 +208,31 @@ def test_trace_and_report_shape():
     _, groups, cfg, P = random_instance(rng, 10, 3)
     target = random_target(rng, 3)
     rep = fair_gd(P, cfg, groups, target, OptimizerConfig(alpha=0.5, max_iters=30, kappa=0.0))
-    assert rep.iterations_run == len(rep.loss_trace) == 30
+    assert rep.iterations_run == 30 and len(rep.loss_trace) == 31
     assert rep.stop_reason == "max_iters"
 
 
+@pytest.mark.parametrize("bounds", [{}, {"delta": 0.1, "epsilon": 0.1}])
+@pytest.mark.parametrize("adapted,alpha", [(False, None), (False, 1.0), (True, None), (True, 0.1)])
+def test_final_loss_is_the_returned_matrix_loss(karate, adapted, alpha, bounds):
+    # a fixed step that finishes: adapt_gd diverges at alpha 1 on karate
+    _, groups, cfg, P = karate
+    target = build_target(0.1, groups.K)
+    opt = OptimizerConfig(alpha=alpha, max_iters=5, **bounds)
+    if adapted:
+        rep = adapt_gd(P, GAMMA, groups, target, opt)
+        loss = loss_group_adapted(rep.final_matrix, GAMMA, groups, target, t1=opt.t1, tol=opt.power_tol)
+    else:
+        rep = fair_gd(P, cfg, groups, target, opt)
+        loss = loss_fair(rep.final_matrix, cfg, groups, target, t1=opt.t1, tol=opt.power_tol)
+    assert len(rep.loss_trace) == rep.iterations_run + 1
+    assert abs(rep.final_loss - loss) <= 1e-10
+
+
 # Reference copies of the two descent loops as they stood before both
-# objectives shared one loop, kept verbatim (names prefixed) so that the
-# shared loop can be checked against them.
+# objectives shared one loop (names prefixed), with one change: the loss is
+# evaluated once more after the last step, so that the trace ends at the
+# returned matrix. The shared loop is checked against them.
 
 def ref_resolve_alpha(opt, n, K, gamma):
     if opt.alpha is not None:
@@ -245,13 +266,15 @@ def ref_fair_gd(P, cfg, groups, target, opt):
     loss_prev = math.inf
     trace = []
     stop_reason = "max_iters"
-    for it in range(opt.max_iters):
+    for it in range(opt.max_iters + 1):
         p = pagerank_power(P_hat, cfg, t1=opt.t1, tol=opt.power_tol, start=p)
         scores = group_scores(p, groups)
         loss = loss_from_scores(scores, phi)
         trace.append(loss)
         if not math.isfinite(loss) or loss > LOSS_CEILING:
             raise DivergedError(it + 1, loss, 2.0 / lipschitz_bound(P.n, K, gamma))
+        if it == opt.max_iters:
+            break
         if abs(loss - loss_prev) <= opt.kappa:
             stop_reason = "kappa"
             break
@@ -294,7 +317,7 @@ def ref_adapt_gd(P, gamma, groups, target, opt):
     loss_prev = math.inf
     trace = []
     stop_reason = "max_iters"
-    for it in range(opt.max_iters):
+    for it in range(opt.max_iters + 1):
         sq = 0.0
         for ell in range(K):
             warm[ell] = pagerank_power(
@@ -306,6 +329,8 @@ def ref_adapt_gd(P, gamma, groups, target, opt):
         trace.append(loss)
         if not math.isfinite(loss) or loss > LOSS_CEILING:
             raise DivergedError(it + 1, loss, 2.0 / lipschitz_bound(P.n, K, gamma))
+        if it == opt.max_iters:
+            break
         if abs(loss - loss_prev) <= opt.kappa:
             stop_reason = "kappa"
             break
