@@ -21,15 +21,12 @@ class BaselineResult:
 
 
 def _edges(P: TransitionMatrix, groups: GroupAssignment, weights=None):
-    """Positions, row ids and target groups of the edge entries (the entries
-    of non-sink rows), and an (n, K) table holding per row and group their
-    count, or the sum of their ``weights`` when given."""
-    rows = P.entry_rows()
-    edge = np.flatnonzero(~P.sink_mask[rows])
-    rows, gcols = rows[edge], groups.labels[P.indices[edge]]
-    w = None if weights is None else weights[edge]
-    table = np.bincount(rows * groups.K + gcols, w, P.n * groups.K).reshape(P.n, groups.K)
-    return edge, rows, gcols, table
+    """Row ids and target groups of the edges (the stored entries), and an
+    (n, K) table holding per row and group their count, or the sum of their
+    ``weights`` when given."""
+    rows, gcols = P.entry_rows(), groups.labels[P.indices]
+    table = np.bincount(rows * groups.K + gcols, weights, P.n * groups.K).reshape(P.n, groups.K)
+    return rows, gcols, table
 
 
 def _group_spread(groups: GroupAssignment, rows, ks, shares):
@@ -43,15 +40,17 @@ def _group_spread(groups: GroupAssignment, rows, ks, shares):
     return np.repeat(rows, reps), cols, np.repeat(shares / reps, reps)
 
 
-def _assemble(P: TransitionMatrix, *blocks) -> TransitionMatrix:
-    """Validated matrix with P's sink rows from COO (rows, cols, vals) blocks;
-    entries named twice add up and exact zeros are dropped."""
+def _assemble(P: TransitionMatrix, groups: GroupAssignment, phi, *blocks) -> TransitionMatrix:
+    """Validated matrix from COO (rows, cols, vals) blocks, entries named
+    twice adding up and exact zeros dropped, whose sink rows (P's) stand for
+    the fair sink vector: each phi_k spread uniformly over group k."""
     rows, cols, vals = (np.concatenate(parts) for parts in zip(*blocks))
     keys, inv = np.unique(rows * P.n + cols, return_inverse=True)
     data = np.bincount(inv, vals, len(keys))
     keys, data = keys[data != 0.0], data[data != 0.0]
     indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // P.n, minlength=P.n))])
-    tm = TransitionMatrix(P.n, indptr, keys % P.n, data, P.sink_mask.copy())
+    sink_row = phi[groups.labels] / groups.group_sizes[groups.labels]
+    tm = TransitionMatrix(P.n, indptr, keys % P.n, data, P.sink_mask.copy(), sink_row)
     tm.validate()
     return tm
 
@@ -61,10 +60,10 @@ def fairwalk(P: TransitionMatrix, groups: GroupAssignment, target: FairnessTarge
     proportional to its target share; weights within a group keep their
     relative sizes. The pattern is preserved; sink rows pass through."""
     phi = target.phi
-    edge, rows, gcols, mass = _edges(P, groups, P.data)
+    rows, gcols, mass = _edges(P, groups, P.data)
     reach_phi = np.where(mass > 0, phi, 0.0).sum(axis=1)
-    keep = reach_phi[rows] != 0.0  # rows reaching no targeted group stay
-    edge, rows, gcols = edge[keep], rows[keep], gcols[keep]
+    edge = np.flatnonzero(reach_phi[rows] != 0.0)  # rows reaching no targeted group stay
+    rows, gcols = rows[edge], gcols[edge]
     out = P.data.copy()
     out[edge] = phi[gcols] * P.data[edge] / (mass[rows, gcols] * reach_phi[rows])
     tm = P.with_data(out)
@@ -80,43 +79,34 @@ def _require_two_groups(groups: GroupAssignment, method: str) -> None:
 def lfpr_n(P: TransitionMatrix, groups: GroupAssignment, target: FairnessTarget) -> BaselineResult:
     """Every vertex splits share phi_k uniformly over its out-neighbors in
     group k; with no such neighbor the share spreads over all of group k,
-    extending the pattern."""
+    extending the pattern; a sink row spreads both shares."""
     _require_two_groups(groups, "lfpr_n")
     phi = target.phi
-    edge, rows, gcols, counts = _edges(P, groups)
-    # sink rows have no edges, so both of their shares spread
-    spread_rows, ks = np.nonzero(counts == 0)
-    tm = _assemble(
-        P,
-        (rows, P.indices[edge], phi[gcols] / counts[rows, gcols]),
-        _group_spread(groups, spread_rows, ks, phi[ks]),
-    )
+    rows, gcols, counts = _edges(P, groups)
+    spread_rows, ks = np.nonzero((counts == 0) & ~P.sink_mask[:, None])
+    edges = (rows, P.indices, phi[gcols] / counts[rows, gcols])
+    tm = _assemble(P, groups, phi, edges, _group_spread(groups, spread_rows, ks, phi[ks]))
     return BaselineResult(tm, "lfpr_n")
 
 
 def lfpr_u(P: TransitionMatrix, groups: GroupAssignment, target: FairnessTarget) -> BaselineResult:
     """Uniform edge weights capped at the over-represented group's share;
-    each row's leftover share for its under-represented group spreads
-    uniformly over that whole group (the residual term)."""
+    each row's leftover share for its under-represented group (a sink row's
+    two shares) spreads uniformly over that whole group: the residual term."""
     _require_two_groups(groups, "lfpr_u")
     phi1 = float(target.phi[0])
-    edge, rows, _, counts = _edges(P, groups)
-    live = np.flatnonzero(~P.sink_mask)
-    out1, out2 = counts[live, 0], counts[live, 1]
+    rows, _, counts = _edges(P, groups)
+    out1, out2 = counts.T
     outdeg = out1 + out2
     # under0: group 0 under-represented, so edges carry group 1's full share;
     # under1 mirrors it; otherwise neighbor fractions already match the target
     under0 = out1 < phi1 * outdeg
     under1 = ~under0 & (out2 < (1.0 - phi1) * outdeg)
     num = np.select([under0, under1], [1.0 - phi1, phi1], 1.0)
-    base = np.zeros(P.n)
-    base[live] = num / np.select([under0, under1], [out2, out1], outdeg)
-    resid = np.where(under0, phi1 - base[live] * out1, (1.0 - phi1) - base[live] * out2)
-    spread = under0 | under1
-    # no edges in sink rows: both shares route through the uniform spread
-    sinks = np.flatnonzero(P.sink_mask)
-    spread_rows = np.concatenate([live[spread], np.repeat(sinks, 2)])
-    ks = np.concatenate([under1[spread].astype(np.int64), np.tile([0, 1], len(sinks))])
-    shares = np.concatenate([resid[spread], np.tile([phi1, 1.0 - phi1], len(sinks))])
-    tm = _assemble(P, (rows, P.indices[edge], base[rows]), _group_spread(groups, spread_rows, ks, shares))
+    # every divisor is >= 1 but in sink rows, which neither weigh edges nor spread
+    base = num / np.maximum(np.select([under0, under1], [out2, out1], outdeg), 1)
+    resid = np.where(under0, phi1 - base * out1, (1.0 - phi1) - base * out2)
+    spread = np.flatnonzero(under0 | under1)
+    residual = _group_spread(groups, spread, under1[spread].astype(np.int64), resid[spread])
+    tm = _assemble(P, groups, np.array([phi1, 1.0 - phi1]), (rows, P.indices, base[rows]), residual)
     return BaselineResult(tm, "lfpr_u")

@@ -99,10 +99,10 @@ def build_target(phi: float, K: int) -> FairnessTarget:
 # kept as a function: perfbench/tracing.py wraps it by name and derives grid_useful_ratio from its span
 def tune_step_size(run, opt: OptimizerConfig):
     """Grid-search the step size: ``run`` (fair_gd or adapt_gd bound to its
-    instance) is called once with ``opt``'s step size unset, so it runs every
-    ALPHA_GRID step size in lockstep. Returns (the step size with the lowest
-    final loss, its report); raises DivergedError when every one diverges."""
-    report = run(replace(opt, alpha=None, alpha_auto=False))
+    instance) is called once with ``opt``, whose step size is unset, so it
+    runs the whole ALPHA_GRID in lockstep. Returns (the step size with the
+    lowest final loss, its report); raises DivergedError when all diverge."""
+    report = run(opt)
     return report.alpha, report
 
 

@@ -1,11 +1,11 @@
 """Directed-graph ingestion, group labels, and row-stochastic transition matrices.
 
-A transition matrix stores the rows of the edges it has. Each sink row
-(a vertex without out-edges) is implicit: it stands for one shared dense
-vector, the restart vector, and ``WalkOperator`` applies those rows as a
+A transition matrix stores the rows of the edges it has. A sink row (a
+vertex without out-edges) stores nothing: every sink row stands for one
+shared dense vector, ``sink_row``, that ``WalkOperator`` applies as a
 rank-one term, so memory and every product grow with the edges and not
 with n x #sinks. The TSV form writes that vector once, as ``# sink_row``
-headers, instead of n lines per sink.
+headers; sink rows that a file spells out entry by entry fold into it.
 """
 
 from __future__ import annotations
@@ -126,26 +126,25 @@ class FairnessTarget:
 
 
 class TransitionMatrix:
-    """Row-stochastic sparse matrix: CSR-stored rows plus implicit sink rows.
+    """Row-stochastic sparse matrix: CSR-stored edge rows plus sink rows.
 
     Sink vertices (no out-edges) are flagged in ``sink_mask``. A sink row
-    with no stored entries is implicit: it stands for the dense row
-    ``sink_row`` (the restart vector, in matrices from ``build_transition``),
-    one vector shared by every such row, so memory grows with the edges and
-    not with n x #sinks. ``implicit`` flags these rows; ``sink_row`` is None
-    when there are none. A sink row with stored entries (as the locally fair
-    baselines write them) is explicit and means what it stores. Sink rows are
-    not graph edges and are left untouched by reweighting code.
+    stores no entries, and the constructor refuses one that does: every
+    sink row stands for the dense row ``sink_row`` (the restart vector, in
+    matrices from ``build_transition``), one vector shared by all of them,
+    so memory grows with the edges and not with n x #sinks. ``sink_row`` is
+    None when there is no sink row. Every stored entry is an edge, and
+    reweighting code leaves the sink rows as they are.
 
     The sparsity pattern is fixed: revised matrices keep it and may contain
     exact zeros. Column ids ascend within each row, so the keys
     ``row * n + col`` of the stored entries ascend too. ``nnz``,
     ``entry_rows`` and ``row`` see the stored entries only; ``to_csr``,
     ``to_dense``, ``row_sums``, ``validate`` and ``pattern_subset_of`` treat
-    an implicit row as the full row it stands for.
+    a sink row as the full row it stands for.
     """
 
-    __slots__ = ("n", "indptr", "indices", "data", "sink_mask", "sink_row", "implicit", "_op")
+    __slots__ = ("n", "indptr", "indices", "data", "sink_mask", "sink_row", "_op")
 
     def __init__(self, n, indptr, indices, data, sink_mask, sink_row=None):
         self.n = int(n)
@@ -164,12 +163,13 @@ class TransitionMatrix:
         rows_ok = self.indptr[0] == 0 and self.indptr[-1] == len(self.data) and (np.diff(self.indptr) >= 0).all()
         if not rows_ok or (len(self.indices) and not 0 <= self.indices.min() <= self.indices.max() < self.n):
             raise ValueError("malformed sparsity pattern: row pointers or column ids out of range")
-        self.implicit = self.sink_mask & (self.indptr[1:] == self.indptr[:-1])
+        stored = self.sink_mask & (self.indptr[1:] > self.indptr[:-1])
+        if stored.any():
+            raise ValueError(f"sink row {int(stored.argmax())} has stored entries; sink rows stand for sink_row")
         self.sink_row = None
-        if self.implicit.any():
+        if self.sink_mask.any():
             if sink_row is None:
-                i = int(self.implicit.argmax())
-                raise ValueError(f"sink row {i} has no entries and no sink_row was given")
+                raise ValueError(f"sink row {int(self.sink_mask.argmax())} has no entries and no sink_row was given")
             self.sink_row = np.asarray(sink_row, dtype=float)
             if self.sink_row.shape != (self.n,):
                 raise ValueError("sink_row length must be n")
@@ -177,7 +177,7 @@ class TransitionMatrix:
 
     @property
     def nnz(self) -> int:
-        """Number of stored entries (implicit rows store none)."""
+        """Number of stored entries (sink rows store none)."""
         return int(len(self.data))
 
     def copy(self) -> "TransitionMatrix":
@@ -203,9 +203,9 @@ class TransitionMatrix:
         return self._op
 
     def to_csr(self, expand: np.ndarray | None = None) -> sp.csr_matrix:
-        """CSR form with the implicit rows flagged in ``expand`` (all of them
-        by default) written out in full, one entry per column."""
-        expand = self.implicit if expand is None else expand
+        """CSR form with the sink rows flagged in ``expand`` (all of them by
+        default) written out in full, one entry per column."""
+        expand = self.sink_mask if expand is None else expand
         if not expand.any():
             return sp.csr_matrix((self.data, self.indices, self.indptr), shape=(self.n, self.n))
         counts = np.diff(self.indptr)
@@ -234,7 +234,7 @@ class TransitionMatrix:
         if stored.any():
             sums[stored] = np.add.reduceat(self.data, self.indptr[:-1][stored])
         if self.sink_row is not None:
-            sums[self.implicit] = self.sink_row.sum()
+            sums[self.sink_mask] = self.sink_row.sum()
         return sums
 
     def entry_rows(self) -> np.ndarray:
@@ -249,16 +249,16 @@ class TransitionMatrix:
         )
 
     def pattern_subset_of(self, other: "TransitionMatrix") -> bool:
-        """True when every entry here is stored in ``other`` too; an implicit
-        row counts as a full row on either side."""
+        """True when every entry here is stored in ``other`` too; a sink row
+        counts as a full row on either side."""
         if self.n != other.n:
             return False
         # a full row here is covered only by a full row there
-        full_here = self.implicit & ~other.implicit
+        full_here = self.sink_mask & ~other.sink_mask
         if (np.diff(other.indptr)[full_here] != self.n).any():
             return False
         rows = self.entry_rows()
-        mine = (rows * self.n + self.indices)[~other.implicit[rows]]
+        mine = (rows * self.n + self.indices)[~other.sink_mask[rows]]
         theirs = other.entry_rows() * self.n + other.indices
         # a key is stored in `other` when its sorted insertion range is nonempty
         return bool((np.searchsorted(theirs, mine, "right") > np.searchsorted(theirs, mine)).all())
@@ -278,15 +278,21 @@ class TransitionMatrix:
 
     @classmethod
     def from_dense(cls, a, sink_mask=None) -> "TransitionMatrix":
-        """Every nonzero of ``a`` stored, so sink rows are explicit."""
+        """Every nonzero of ``a`` stored, except in the ``sink_mask`` rows:
+        those must be bitwise equal, and they fold into ``sink_row``."""
         a = np.asarray(a, dtype=float)
         n = a.shape[0]
         if a.shape != (n, n):
             raise ValueError("matrix must be square")
-        csr = sp.csr_matrix(a)
-        csr.sort_indices()
         mask = np.zeros(n, bool) if sink_mask is None else np.asarray(sink_mask, bool)
-        return cls(n, csr.indptr.astype(np.int64), csr.indices.astype(np.int64), csr.data, mask)
+        rows = a[mask]
+        differ = (rows.view(np.int64) != rows[:1].view(np.int64)).any(axis=1)
+        if differ.any():
+            raise ValueError(f"sink row {np.flatnonzero(mask)[differ.argmax()]} differs from sink row {mask.argmax()}")
+        csr = sp.csr_matrix(np.where(mask[:, None], 0.0, a))
+        csr.sort_indices()
+        sink_row = rows[0] if len(rows) else None
+        return cls(n, csr.indptr.astype(np.int64), csr.indices.astype(np.int64), csr.data, mask, sink_row)
 
 
 class WalkOperator:
@@ -305,11 +311,11 @@ class WalkOperator:
     ``csc_matvec`` kernel directly on a zeroed output, as ``csr @ x`` and
     ``csc @ x`` do after their Python dispatch, so it is bitwise scipy's.
     The kernels check nothing: the matrix has checked its pattern, and each
-    product checks its vector's length. The implicit sink rows add a rank-one
-    term per copy (Langville & Meyer, "Deeper Inside PageRank", Internet
-    Math. 2004): p'P = p'P_E + (sum of p over the implicit rows) s' and
-    (Pz)_i = s.z on an implicit row i, where s is ``sink_row``. Without
-    implicit rows the term is skipped, so the products are exactly scipy's.
+    product checks its vector's length. The sink rows add a rank-one term
+    per copy (Langville & Meyer, "Deeper Inside PageRank", Internet Math.
+    2004): p'P = p'P_E + (sum of p over the sink rows) s' and (Pz)_i = s.z
+    on a sink row i, where s is ``sink_row``. Without sink rows the term is
+    skipped, so the products are exactly scipy's.
     """
 
     __slots__ = ("data", "n", "copies", "shape", "_size", "_indptr", "_indices", "_weights", "_spans", "_sink_row")
@@ -333,9 +339,9 @@ class WalkOperator:
         self._indptr = np.append((indptr[:-1] + nnz * offsets).ravel(), copies * nnz).astype(itype)
         self._indices = (indices + P.n * offsets).ravel().astype(itype)
         self._weights = data.reshape(-1)  # a view: C-contiguous data reshapes without a copy
-        # each copy's span of a flat vector and its implicit rows there
-        implicit = np.flatnonzero(P.implicit)
-        self._spans = [(slice(c * P.n, (c + 1) * P.n), implicit + c * P.n) for c in range(copies)]
+        # each copy's span of a flat vector and its sink rows there
+        sinks = np.flatnonzero(P.sink_mask)
+        self._spans = [(slice(c * P.n, (c + 1) * P.n), sinks + c * P.n) for c in range(copies)]
         self._sink_row = P.sink_row
 
     def operator(self) -> "WalkOperator":
@@ -356,8 +362,8 @@ class WalkOperator:
         csc_matvec(self._size, self._size, self._indptr, self._indices, self._weights, p, q)
         if self._sink_row is not None:
             # copy by copy: a (C, m) gather is not contiguous per row and sums in another order
-            for span, implicit in self._spans:
-                q[span] += p[implicit].sum() * self._sink_row
+            for span, sinks in self._spans:
+                q[span] += p[sinks].sum() * self._sink_row
         return q
 
     def right(self, z: np.ndarray) -> np.ndarray:
@@ -366,8 +372,8 @@ class WalkOperator:
         csr_matvec(self._size, self._size, self._indptr, self._indices, self._weights, z, y)
         if self._sink_row is not None:
             # one dot per copy: a matrix-vector product would sum in another order
-            for span, implicit in self._spans:
-                y[implicit] = self._sink_row @ z[span]
+            for span, sinks in self._spans:
+                y[sinks] = self._sink_row @ z[span]
         return y
 
 
@@ -447,8 +453,8 @@ def load_labels(text: str, n: int) -> GroupAssignment:
 
 
 def build_transition(g: Graph, cfg: PageRankConfig) -> TransitionMatrix:
-    """Uniform out-weights 1/outdeg per edge; sink rows are implicit and
-    stand for the restart vector."""
+    """Uniform out-weights 1/outdeg per edge; sink rows stand for the
+    restart vector."""
     v = cfg.restart_vector
     if len(v) != g.n:
         raise ValueError(f"restart vector has length {len(v)}, graph has {g.n} vertices")
@@ -465,10 +471,10 @@ def serialize_matrix(tm: TransitionMatrix) -> str:
     """TSV form: header comments, then src/dst/weight lines.
 
     The headers are ``# n`` (the size), one ``# sink`` per sink row, and,
-    when some sink row is implicit, one ``# sink_row <col> <weight>`` per
-    nonzero entry of the sink vector; an implicit row writes no entry
-    lines. Weights print with 17 significant digits (exact float64
-    round-trip). Entries that are exactly zero are dropped.
+    when there are sink rows, one ``# sink_row <col> <weight>`` per nonzero
+    entry of the sink vector; sink rows write no entry lines. Weights print
+    with 17 significant digits (exact float64 round-trip). Entries that are
+    exactly zero are dropped.
     """
     keep = tm.data != 0.0
     entries = zip(tm.entry_rows()[keep].tolist(), tm.indices[keep].tolist(), tm.data[keep].tolist())
@@ -491,7 +497,8 @@ def _parse_weight(token: str, lineno: int) -> float:
 def parse_matrix(text: str, n: int | None = None) -> TransitionMatrix:
     """Inverse of serialize_matrix. The '# n' header wins; ``n`` is the
     fallback for headerless files. A row without entry lines must be a
-    ``# sink`` row, and it then stands for the ``# sink_row`` vector."""
+    ``# sink`` row. Sink rows stand for the ``# sink_row`` vector, and any
+    written out in entry lines must spell it (or the first one) out bit for bit."""
     header_n = None
     sinks, sink_lines = [], []
     sink_cols, sink_weights, sink_col_lines = [], [], []
@@ -547,16 +554,31 @@ def parse_matrix(text: str, n: int | None = None) -> TransitionMatrix:
     sink_mask = np.zeros(size, bool)
     sink_mask[sinks] = True
     counts = np.bincount(arr[:, 0], minlength=size)
-    empty = np.flatnonzero(counts == 0)
-    not_sink = empty[~sink_mask[empty]]
+    not_sink = np.flatnonzero((counts == 0) & ~sink_mask)
     if len(not_sink):
         raise GraphParseError(f"row {int(not_sink[0])} has no entries")
     sink_row = None
     if sink_cols:
         sink_row = np.zeros(size)
         sink_row[sink_cols] = sink_weights
-    elif len(empty):
-        raise GraphParseError(f"sink row {int(empty[0])} has no entries and the file has no '# sink_row' lines")
+    spelled = sink_mask[arr[:, 0]]
+    if spelled.any():
+        rows, cols, vals = arr[spelled, 0], arr[spelled, 1], w[spelled]
+        source = "the '# sink_row' vector" if sink_cols else f"sink row {rows[0]}"
+        if not sink_cols:
+            sink_row = np.zeros(size)
+            sink_row[cols[rows == rows[0]]] = vals[rows == rows[0]]
+        # a row spells out the vector when its nonzero entries are the vector's nonzeros, bit for bit
+        nz = vals != 0.0
+        hits = np.bincount(rows, nz & (sink_row[cols].view(np.int64) == vals.view(np.int64)), size)
+        nonzero = np.bincount(rows, nz, size)
+        bad = (counts > 0) & sink_mask & ((hits != nonzero) | (nonzero != np.count_nonzero(sink_row)))
+        if bad.any():
+            raise GraphParseError(f"sink row {int(bad.argmax())} differs from {source}")
+        arr, w = arr[~spelled], w[~spelled]
+        counts[sink_mask] = 0
+    elif sinks and sink_row is None:
+        raise GraphParseError(f"sink row {min(sinks)} has no entries and the file has no '# sink_row' lines")
     indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
     tm = TransitionMatrix(size, indptr, arr[:, 1].copy(), w, sink_mask, sink_row)
     tm.validate()

@@ -14,12 +14,11 @@ import numpy as np
 
 from .graph import FairnessTarget, GroupAssignment, PageRankConfig, TransitionMatrix
 from .pagerank import group_scores, neumann_y, pagerank_power
-from .projection import row_boxes
 
 
 @dataclass(frozen=True)
 class SparseGradient:
-    """Gradient entries on the optimizable pattern (sink rows excluded)."""
+    """Gradient entries on the stored pattern: the edges (sink rows store none)."""
 
     n: int
     rows: np.ndarray
@@ -30,22 +29,21 @@ class SparseGradient:
         return float(np.abs(self.values).max()) if len(self.values) else 0.0
 
 
-def loss_from_scores(scores: np.ndarray, phi: np.ndarray) -> float:
-    """(1/K) sum_k (score_k - phi_k)^2."""
-    d = np.asarray(scores, float) - np.asarray(phi, float)
-    return float(np.mean(d * d))
-
-
 def _group_restarts(groups: GroupAssignment, gamma: float) -> list[PageRankConfig]:
     """The K restart configurations of the group-adapted objective."""
     return [PageRankConfig.group_restart(groups, ell, gamma) for ell in range(groups.K)]
 
 
 def _mean_loss(scores, phi: np.ndarray):
-    """The objective: loss_from_scores averaged over the restarts, the
-    second-last axis of ``scores``; one loss per leading index."""
-    d = np.asarray(scores, float) - phi
+    """The objective: (1/K) sum_k (score_k - phi_k)^2 averaged over the
+    restarts, the second-last axis of ``scores``; one loss per leading index."""
+    d = np.asarray(scores, float) - np.asarray(phi, float)
     return np.mean(d * d, axis=-1).mean(axis=-1)
+
+
+def loss_from_scores(scores: np.ndarray, phi: np.ndarray) -> float:
+    """(1/K) sum_k (score_k - phi_k)^2: the objective over one restart."""
+    return float(_mean_loss([scores], phi))
 
 
 def _restart_loss(P, restarts, groups, target, t1, tol) -> float:
@@ -55,11 +53,10 @@ def _restart_loss(P, restarts, groups, target, t1, tol) -> float:
 
 def _restart_grad(P, restarts, groups, target, t1, t2, tol) -> SparseGradient:
     """Entry (i,j): (2(1-gamma)/(K R)) sum_l sum_k (score_k(p_l) - phi_k) p_l[i] y_k[j],
-    materialized only on the optimizable pattern; each y_k is summed once."""
+    materialized only on the stored pattern; each y_k is summed once."""
     K = groups.K
     gamma = restarts[0].gamma
-    live, rows, _ = row_boxes(P)
-    cols = P.indices[live]
+    rows, cols = P.entry_rows(), P.indices
     values = np.zeros(len(rows))
     c0 = 2.0 * (1.0 - gamma) / (K * len(restarts))
     ycols = {}

@@ -160,22 +160,18 @@ def _descend(
     K = groups.K
     safe_alpha = 2.0 / lipschitz_bound(P.n, K, gamma)
     alphas = (opt.alpha,) if opt.alpha is not None else (safe_alpha,) if opt.alpha_auto else ALPHA_GRID
-    live, rows, box = row_boxes(P, opt.delta, opt.epsilon)  # infeasible boxes fail before any work
+    rows, box = row_boxes(P, opt.delta, opt.epsilon)  # infeasible boxes fail before any work
     if K == 1:
         # the loss is identically zero on the feasible set: nothing to do
         return alphas, [OptimizationReport(P.copy(), [0.0], "kappa", a) for a in alphas]
 
     n, phi, C = P.n, target.phi, len(alphas)
     base = P.copy()
-    cols = P.indices[live]
-    # block positions of the live entries, copy by copy (1-D indexing is the
-    # fast path), the block's projection segments and boxes, and the starts
-    # of the rows the row-sum check reads (summed as TransitionMatrix.row_sums does)
-    at = (live + P.nnz * np.arange(C)[:, None]).ravel()
+    # the block's projection segments and boxes, and the starts of the rows
+    # the row-sum check reads (summed as TransitionMatrix.row_sums does)
     segs = (rows + n * np.arange(C)[:, None]).ravel()
     lower, upper = np.tile(box.lower, C), np.tile(box.upper, C)
-    stored = np.flatnonzero(np.diff(P.indptr) > 0)
-    checked = ~P.sink_mask[stored]
+    starts = P.indptr[np.flatnonzero(np.diff(P.indptr) > 0)]
 
     ids = np.arange(C)  # the step-size index of each stacked copy
     coef0 = np.asarray(alphas) * (2.0 * (1.0 - gamma) / (K * len(restarts)))
@@ -232,10 +228,10 @@ def _descend(
                     if not any(flags):
                         continue
                     y = neumann_y(op, groups.indicator(k), gamma, opt.t2)
-                    step = coef[:, None] * prow * np.take(y, cols, axis=1)
+                    step = coef[:, None] * prow * np.take(y, P.indices, axis=1)
                     if not all(flags):
                         step[~moves] = 0.0  # x - 0.0 is x: the other copies keep their weights bitwise
-                    W.reshape(-1)[at[: step.size]] -= step.ravel()
+                    W -= step
                     bounded = (np.abs(W) <= ENTRY_CEILING).all(axis=1)
                     if not all(bounded.tolist()):
                         blown = moves & ~bounded
@@ -243,11 +239,10 @@ def _descend(
                             outcomes[i] = DivergedError(it + 1, math.inf, safe_alpha)
                         alive &= ~blown
         sel = np.flatnonzero(alive)
-        pos, flat = at.reshape(C, -1)[sel].ravel(), W.reshape(-1)
-        m = pos.size
-        flat[pos] = project_rows(flat[pos], segs[:m], len(sel) * n, lower[:m], upper[:m])
-        sums = np.add.reduceat(W[sel], P.indptr[stored], axis=1)
-        off = (np.abs(sums[:, checked] - 1.0) > ROW_SUM_TOL).any(axis=1)
+        m = len(sel) * P.nnz
+        W[sel] = project_rows(W[sel].ravel(), segs[:m], len(sel) * n, lower[:m], upper[:m]).reshape(len(sel), P.nnz)
+        sums = np.add.reduceat(W[sel], starts, axis=1)
+        off = (np.abs(sums - 1.0) > ROW_SUM_TOL).any(axis=1)
         for i in ids[sel[off]]:
             outcomes[i] = DivergedError(it + 1, math.inf, safe_alpha)
         alive[sel[off]] = False

@@ -5,8 +5,8 @@ Every product with P goes through ``P.operator()``: the stored entries as
 raw CSR arrays over ``P.data`` (built once per matrix, so no call rebuilds
 the matrix), multiplied by scipy's compiled matvec kernels called directly,
 bitwise what ``csr @ x`` and ``csc @ x`` return, plus the rank-one term of
-the implicit sink rows, p'P = p'P_E + (sum of p over the implicit rows) s'
-and (Pz)_i = s.z on an implicit row i, where s is the matrix's ``sink_row``.
+the sink rows, p'P = p'P_E + (sum of p over the sink rows) s' and
+(Pz)_i = s.z on a sink row i, where s is the matrix's ``sink_row``.
 The power and series steps update their iterates in place, in the same
 operations and order as the plain expressions, so their results are too.
 
@@ -123,8 +123,8 @@ def group_scores(p: np.ndarray, groups: GroupAssignment) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.shape[-1] != groups.n:
         raise ValueError("score vector length does not match label count")
-    if p.ndim == 1:
-        return np.bincount(groups.labels, weights=p, minlength=groups.K)
-    # copy c's groups are bins c K .. c K + K - 1; bincount sums each bin in index order
-    bins = (groups.labels + groups.K * np.arange(len(p))[:, None]).ravel()
-    return np.bincount(bins, weights=p.ravel(), minlength=len(p) * groups.K).reshape(len(p), groups.K)
+    # copy c's groups are bins c K .. c K + K - 1 (a 1-D p is the one copy);
+    # bincount sums each bin in index order
+    copies = p.size // groups.n
+    bins = (groups.labels + groups.K * np.arange(copies)[:, None]).ravel()
+    return np.bincount(bins, weights=p.ravel(), minlength=copies * groups.K).reshape(p.shape[:-1] + (groups.K,))

@@ -130,18 +130,16 @@ def project_simplex_box(s: np.ndarray, bounds: BoxBounds) -> np.ndarray:
 
 def row_boxes(
     P_ref: TransitionMatrix, delta: float | None = None, epsilon: float | None = None
-) -> tuple[np.ndarray, np.ndarray, BoxBounds]:
-    """Positions of the entries in P_ref's non-sink rows, their row ids and
-    their boxes: [0, 1] without (delta, epsilon), else built from P_ref's
-    weights and validated, so an infeasible row fails before any work."""
-    rows = P_ref.entry_rows()
-    live = np.flatnonzero(~P_ref.sink_mask[rows])
-    seg = rows[live]
+) -> tuple[np.ndarray, BoxBounds]:
+    """Row ids of P_ref's stored entries (its edges) and their boxes: [0, 1]
+    without (delta, epsilon), else built from P_ref's weights and
+    validated, so an infeasible row fails before any work."""
+    seg = P_ref.entry_rows()
     if delta is None:
-        return live, seg, BoxBounds(np.zeros(live.size), np.ones(live.size))
-    box = BoxBounds.from_reference(P_ref.data[live], delta, epsilon)
+        return seg, BoxBounds(np.zeros(seg.size), np.ones(seg.size))
+    box = BoxBounds.from_reference(P_ref.data, delta, epsilon)
     box.validate(seg, P_ref.n)
-    return live, seg, box
+    return seg, box
 
 
 def project_matrix(
@@ -150,18 +148,16 @@ def project_matrix(
     delta: float | None = None,
     epsilon: float | None = None,
 ) -> TransitionMatrix:
-    """Project every non-sink row of P_hat back onto its feasible set.
+    """Project every stored row of P_hat back onto its feasible set.
 
     Without bounds each row lands on the simplex; with (delta, epsilon) the
     box is built from P_orig's row, so revised entries stay within the
     allowed relative/absolute modification of the original weights.
-    Sink rows pass through untouched.
+    Sink rows store nothing and keep their sink vector.
     """
     if (delta is None) != (epsilon is None):
         raise ValueError("delta and epsilon must be given together")
     if not P_hat.pattern_equals(P_orig):
         raise ValueError("candidate and reference matrices must share their pattern")
-    live, seg, box = row_boxes(P_orig, delta, epsilon)
-    out = P_hat.data.copy()
-    out[live] = project_rows(P_hat.data[live], seg, P_hat.n, box.lower, box.upper)
-    return P_hat.with_data(out)
+    seg, box = row_boxes(P_orig, delta, epsilon)
+    return P_hat.with_data(project_rows(P_hat.data, seg, P_hat.n, box.lower, box.upper))

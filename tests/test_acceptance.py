@@ -299,17 +299,16 @@ def test_criterion_10_restricted_feasibility():
         _, groups, cfg, P = random_sinky_instance(rng, n, 2)
         target = random_target(rng, 2)
         delta = 0.2
-        live = np.flatnonzero(~P.sink_mask[P.entry_rows()])
-        epsilon = float(0.5 * (1 - delta) * P.data[live].min())
-        assert (1 - delta) * P.data[live].min() - epsilon > 0
+        epsilon = float(0.5 * (1 - delta) * P.data.min())
+        assert (1 - delta) * P.data.min() - epsilon > 0
         opt = OptimizerConfig(alpha=0.3, max_iters=60, delta=delta, epsilon=epsilon)
         rep = (fair_gd(P, cfg, groups, target, opt) if trial % 2 == 0
                else adapt_gd(P, GAMMA, groups, target, opt))
         M = rep.final_matrix
-        box = BoxBounds.from_reference(P.data[live], delta, epsilon)
-        in_box = (M.data[live] >= box.lower - 1e-15).all() and (M.data[live] <= box.upper + 1e-15).all()
+        box = BoxBounds.from_reference(P.data, delta, epsilon)
+        in_box = (M.data >= box.lower - 1e-15).all() and (M.data <= box.upper + 1e-15).all()
         sums_ok = float(np.abs(M.row_sums() - 1.0).max()) <= 1e-12
-        no_deletion = (M.data[live] > 0.0).all()
+        no_deletion = (M.data > 0.0).all()
         ok = ok and in_box and sums_ok and no_deletion
         if not (in_box and sums_ok and no_deletion):
             details.append(f"trial {trial}: box={in_box} sums={sums_ok} positive={no_deletion}")

@@ -142,10 +142,10 @@ def test_lfpr_u_group_mass_exact_per_row():
     phi0 = 0.35
     res = lfpr_u(P, groups, FairnessTarget(phi=[phi0, 1 - phi0]))
     M = res.matrix
-    for i in range(M.n):
-        cols, vals = M.row(i)
-        mass0 = vals[groups.labels[cols] == 0].sum()
-        assert abs(mass0 - phi0) <= 1e-12
+    assert P.sink_mask.any()
+    # every row, a sink row as the full row it stands for
+    for row in M.to_dense():
+        assert abs(row[groups.labels == 0].sum() - phi0) <= 1e-12
 
 
 # Per-row reference definitions: the array code in fairpr must match them bit
@@ -178,7 +178,8 @@ def ref_fairwalk(P, groups, target):
     return TransitionMatrix(P.n, P.indptr, P.indices, out, P.sink_mask, P.sink_row)
 
 
-def ref_lfpr_n(P, groups, target):
+def ref_lfpr_n_rows(P, groups, target):
+    """Dense rows as lfpr_n defines them, sink rows written out in full."""
     rows = []
     for i in range(P.n):
         acc = np.zeros(P.n)
@@ -190,10 +191,11 @@ def ref_lfpr_n(P, groups, target):
             else:
                 acc[groups.members(k)] += target.phi[k] / groups.group_sizes[k]
         rows.append(acc)
-    return TransitionMatrix.from_dense(np.array(rows), P.sink_mask)
+    return np.array(rows)
 
 
-def ref_lfpr_u(P, groups, target):
+def ref_lfpr_u_rows(P, groups, target):
+    """Dense rows as lfpr_u defines them, sink rows written out in full."""
     share = (float(target.phi[0]), 1.0 - float(target.phi[0]))
     sizes = groups.group_sizes
     rows = []
@@ -215,7 +217,15 @@ def ref_lfpr_u(P, groups, target):
             else:
                 acc[cols] += 1.0 / d
         rows.append(acc)
-    return TransitionMatrix.from_dense(np.array(rows), P.sink_mask)
+    return np.array(rows)
+
+
+def ref_lfpr_n(P, groups, target):
+    return TransitionMatrix.from_dense(ref_lfpr_n_rows(P, groups, target), P.sink_mask)
+
+
+def ref_lfpr_u(P, groups, target):
+    return TransitionMatrix.from_dense(ref_lfpr_u_rows(P, groups, target), P.sink_mask)
 
 
 @pytest.mark.parametrize("method", ["build_transition", "fairwalk_k2", "fairwalk_k3", "lfpr_n", "lfpr_u"])
@@ -242,3 +252,28 @@ def test_array_code_matches_row_reference(method):
         assert np.array_equal(got.sink_mask, want.sink_mask)
         assert (got.sink_row is None) == (want.sink_row is None)
         assert got.sink_row is None or np.array_equal(got.sink_row, want.sink_row)
+
+
+@pytest.mark.parametrize("method", ["lfpr_n", "lfpr_u"])
+def test_lfpr_sink_rows_store_nothing(method):
+    """On sinky graphs the locally fair matrices store no sink entries: the
+    sink rows stand for the fair sink vector, stored once, and the matrix is
+    bitwise the one that writes each sink row out in full (which stores
+    those rows' n nonzeros each, phi being inside (0, 1))."""
+    fn, ref_rows = (lfpr_n, ref_lfpr_n_rows) if method == "lfpr_n" else (lfpr_u, ref_lfpr_u_rows)
+    rng = np.random.default_rng(77)
+    sinky = 0
+    for _ in range(30):
+        _, groups, _, P = random_sinky_instance(rng, int(rng.integers(3, 40)), 2)
+        phi0 = float(rng.uniform(0.05, 0.95))
+        M = fn(P, groups, FairnessTarget(phi=[phi0, 1 - phi0])).matrix
+        spelled = ref_rows(P, groups, FairnessTarget(phi=[phi0, 1 - phi0]))
+        sinks = int(P.sink_mask.sum())
+        sinky += sinks > 0
+        assert not M.sink_mask[M.entry_rows()].any()
+        assert M.nnz == np.count_nonzero(spelled) - sinks * P.n
+        assert np.array_equal(M.to_dense().view(np.int64), spelled.view(np.int64))
+        if sinks:
+            fair = np.where(groups.labels == 0, phi0, 1 - phi0) / groups.group_sizes[groups.labels]
+            assert np.array_equal(M.sink_row, fair)
+    assert sinky >= 10

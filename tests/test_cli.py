@@ -150,11 +150,10 @@ def test_optimize_restricted_respects_box(tmp_path):
     assert code == 0
     orig = parse_matrix((out / "original.tsv").read_text())
     revised = parse_matrix((out / "revised.tsv").read_text())
-    live = ~orig.sink_mask[orig.entry_rows()]
-    lo = np.maximum(0.0, 0.9 * orig.data[live] - 0.1)
-    hi = np.minimum(1.0, 1.1 * orig.data[live] + 0.1)
-    assert (revised.data[live] >= lo - 1e-12).all()
-    assert (revised.data[live] <= hi + 1e-12).all()
+    lo = np.maximum(0.0, 0.9 * orig.data - 0.1)
+    hi = np.minimum(1.0, 1.1 * orig.data + 0.1)
+    assert (revised.data >= lo - 1e-12).all()
+    assert (revised.data <= hi + 1e-12).all()
 
 
 def test_baseline_and_evaluate_flow(tmp_path, capsys):
@@ -188,6 +187,35 @@ def test_baseline_pattern_flag_matches_evaluate(tmp_path, capsys):
     assert main(["evaluate", "--original", str(out / "original.tsv"), "--revised", str(out / "revised.tsv"),
                  "--labels", labels, "--phi", "0,1"]) == 0
     assert "pattern_extended: false" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("method", ["lfpr_n", "lfpr_u"])
+def test_baseline_writes_sink_vector_once(tmp_path, capsys, method):
+    # vertices 3 and 4 are sinks: their rows stand for the fair sink vector
+    edges, labels = toy_files(tmp_path, edges="0 1\n0 2\n1 0\n2 3\n0 4", labels="0 0\n1 0\n2 1\n3 1\n4 0")
+    out = tmp_path / "base"
+    assert main(["baseline", "--edges", edges, "--labels", labels,
+                 "--method", method, "--phi", "0.3", "--out", str(out)]) == 0
+    text = (out / "revised.tsv").read_text()
+    assert "# sink\t3\n# sink\t4\n" in text and text.count("# sink_row\t") == 5
+    assert not any(line.startswith(("3\t", "4\t")) for line in text.splitlines())
+    capsys.readouterr()
+    assert main(["evaluate", "--original", str(out / "original.tsv"), "--revised", str(out / "revised.tsv"),
+                 "--labels", labels, "--phi", "0.3"]) == 0
+    assert "loss:" in capsys.readouterr().out
+
+
+def test_evaluate_rejects_differing_sink_rows(tmp_path, capsys):
+    _, labels = toy_files(tmp_path)
+    original = tmp_path / "original.tsv"
+    original.write_text("# n\t3\n# sink\t2\n# sink_row\t0\t0.5\n# sink_row\t1\t0.5\n0\t1\t1\n1\t0\t1\n")
+    revised = tmp_path / "revised.tsv"
+    # sink row 2 is spelled out, but not as the '# sink_row' vector
+    revised.write_text("# n\t3\n# sink\t2\n# sink_row\t0\t0.5\n# sink_row\t1\t0.5\n"
+                       "0\t1\t1\n1\t0\t1\n2\t0\t0.25\n2\t1\t0.75\n")
+    code = main(["evaluate", "--original", str(original), "--revised", str(revised), "--labels", labels, "--phi", "0.5"])
+    assert code == 2
+    assert "sink row 2 differs from the '# sink_row' vector" in capsys.readouterr().err
 
 
 def test_evaluate_identity_metrics(tmp_path, capsys):

@@ -112,8 +112,8 @@ def test_build_sink_substitution():
     P = build_transition(g, PageRankConfig.uniform(2))
     assert list(P.sink_mask) == [False, True]
     assert np.array_equal(P.to_dense()[1], [0.5, 0.5])
-    # the sink row is implicit: no stored entries, one shared vector
-    assert P.nnz == 1 and list(P.implicit) == [False, True]
+    # the sink row stores nothing: it stands for one shared vector
+    assert P.nnz == 1 and list(P.entry_rows()) == [0]
     assert np.array_equal(P.sink_row, [0.5, 0.5])
     assert np.array_equal(P.row_sums(), [1.0, 1.0])
 
@@ -161,13 +161,13 @@ def test_parse_matrix_rejects_bad_rows():
 
 
 def sinky_matrix_with_zeros(seed=3):
-    """Built matrix whose implicit sink rows stand for a non-uniform restart
-    vector with zero entries."""
+    """Built matrix whose sink rows stand for a non-uniform restart vector
+    with zero entries."""
     rng = np.random.default_rng(seed)
     g = load_graph("0 1\n0 2\n1 0\n2 1\n3 0\n0 4\n3 6\n5 6")  # sinks 4 and 6
     v = rng.random(g.n) * np.array([1, 0, 1, 1, 0, 1, 1])
     P = build_transition(g, PageRankConfig(0.15, v / v.sum()))
-    assert list(np.flatnonzero(P.implicit)) == [4, 6] and (P.sink_row == 0).any()
+    assert list(np.flatnonzero(P.sink_mask)) == [4, 6] and (P.sink_row == 0).any()
     return P
 
 
@@ -193,26 +193,54 @@ def test_serialize_golden_bytes_implicit_rows():
     )
 
 
-def test_parse_spelled_out_sink_rows():
-    """Files that write sink rows out in full, entry by entry, still parse:
-    their sink rows are explicit and mean the same matrix."""
-    P = sinky_matrix_with_zeros()
+def spelled_out_text(P, sink_header=False):
+    """P's TSV as files wrote it before the sink vector had its own header:
+    every sink row entry by entry, zeros left out (with ``sink_header``, the
+    ``# sink_row`` lines too)."""
     full = P.to_csr().tocoo()
     keep = full.data != 0.0
-    lines = [f"# n\t{P.n}", *(f"# sink\t{i}" for i in np.flatnonzero(P.sink_mask))]
+    lines = serialize_matrix(P).splitlines()
+    lines = [line for line in lines if line.startswith("#") and (sink_header or "sink_row" not in line)]
     lines += [f"{r}\t{c}\t{w:.17g}" for r, c, w in zip(full.row[keep], full.col[keep], full.data[keep])]
-    old = parse_matrix("\n".join(lines) + "\n")
-    assert not old.implicit.any() and old.sink_row is None
-    assert np.array_equal(old.sink_mask, P.sink_mask)
-    assert np.array_equal(old.to_dense(), P.to_dense())
-    assert old.nnz > P.nnz
+    return "\n".join(lines) + "\n"
+
+
+def test_parse_spelled_out_sink_rows():
+    """Files that write sink rows out in full, entry by entry, still parse:
+    their sink rows fold into the one sink vector and mean the same matrix."""
+    P = sinky_matrix_with_zeros()
+    for header in (False, True):
+        old = parse_matrix(spelled_out_text(P, header))
+        assert np.array_equal(old.sink_mask, P.sink_mask)
+        assert np.array_equal(old.sink_row.view(np.int64), P.sink_row.view(np.int64))
+        assert np.array_equal(old.to_dense(), P.to_dense())
+        assert old.nnz == P.nnz and np.array_equal(old.indptr, P.indptr)
+        assert serialize_matrix(old) == serialize_matrix(P)
+
+
+@pytest.mark.parametrize("header", [False, True])
+def test_parse_rejects_differing_spelled_out_sink_rows(header):
+    P = sinky_matrix_with_zeros()
+    text = spelled_out_text(P, header)
+    source = "the '# sink_row' vector" if header else "sink row 4"
+    last = [line for line in text.splitlines() if line.startswith("6\t")][-1]
+    # sink row 6 moves its last weight to column 1, where the vector is 0, or drops it
+    cases = [(text.replace(last, "6\t1\t" + last.split("\t")[2]), 6), (text.replace(last + "\n", ""), 6)]
+    if header:  # both rows spell out the vector, the header says another
+        cases.append((text.replace("# sink_row\t0\t", "# sink_row\t1\t"), 4))
+    for bad, row in cases:
+        with pytest.raises(GraphParseError, match=f"sink row {row} differs from {source}"):
+            parse_matrix(bad)
 
 
 def test_implicit_rows_count_as_full_rows():
+    """A sink row counts as the full row it stands for, against a matrix
+    that stores that row as ordinary entries."""
     P = sinky_matrix_with_zeros()
     full = P.to_csr()
-    spelled = TransitionMatrix(P.n, full.indptr, full.indices, full.data, P.sink_mask)  # stored, zeros kept
-    dense = TransitionMatrix.from_dense(P.to_dense(), P.sink_mask)  # stored, zeros dropped
+    no_sinks = np.zeros(P.n, bool)
+    spelled = TransitionMatrix(P.n, full.indptr, full.indices, full.data, no_sinks)  # stored, zeros kept
+    dense = TransitionMatrix.from_dense(P.to_dense())  # stored, zeros dropped
     for a, b in ((P, spelled), (spelled, P)):
         assert a.pattern_subset_of(b)
         assert delta_p(a, b) == 0.0
@@ -244,19 +272,35 @@ def test_memory_grows_with_edges_not_sinks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert P.nnz == g.m and P.implicit.sum() == sinks
+    assert P.nnz == g.m and P.sink_mask.sum() == sinks
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_serialize_golden_bytes():
     # row 0 holds an exact zero (dropped), row 2 is a sink row
-    tm = TransitionMatrix(
-        3, [0, 2, 3, 6], [0, 1, 2, 0, 1, 2], [0.0, 1.0, 1.0, 0.1, 0.2, 0.7], [False, False, True]
-    )
+    tm = TransitionMatrix(3, [0, 2, 3, 3], [0, 1, 2], [0.0, 1.0, 1.0], [False, False, True], [0.1, 0.2, 0.7])
     assert serialize_matrix(tm) == (
-        "# n\t3\n# sink\t2\n0\t1\t1\n1\t2\t1\n"
-        "2\t0\t0.10000000000000001\n2\t1\t0.20000000000000001\n2\t2\t0.69999999999999996\n"
+        "# n\t3\n# sink\t2\n"
+        "# sink_row\t0\t0.10000000000000001\n# sink_row\t1\t0.20000000000000001\n"
+        "# sink_row\t2\t0.69999999999999996\n0\t1\t1\n1\t2\t1\n"
     )
+
+
+def test_constructor_rejects_stored_sink_entries():
+    # row 1 is a sink that stores one entry, next to row 2, a sink storing none
+    with pytest.raises(ValueError, match="sink row 1 has stored entries"):
+        TransitionMatrix(3, [0, 1, 2, 2], [1, 0], [1.0, 1.0], [False, True, True], [0.5, 0.5, 0.0])
+
+
+def test_from_dense_folds_equal_sink_rows():
+    P = sinky_matrix_with_zeros()
+    dense = P.to_dense()
+    M = TransitionMatrix.from_dense(dense, P.sink_mask)
+    assert np.array_equal(M.to_dense(), dense)
+    assert M.nnz == P.nnz and np.array_equal(M.sink_row.view(np.int64), P.sink_row.view(np.int64))
+    dense[6, 0] += 1e-16 if dense[6, 0] else 0.1
+    with pytest.raises(ValueError, match="sink row 6 differs from sink row 4"):
+        TransitionMatrix.from_dense(dense, P.sink_mask)
 
 
 @pytest.mark.parametrize(
@@ -265,9 +309,9 @@ def test_serialize_golden_bytes():
         ("# n\t2\n# sink\t5\n0\t1\t1\n1\t0\t1", GraphParseError, "line 2: sink row 5 out of range"),
         ("# n\t2\n0\t1\tnan\n1\t0\t1", ValueError, "non-finite weight"),
         ("# n\t2\n0\t1\tinf\n1\t0\t1", ValueError, "non-finite weight"),
-        # a row without entries that is not a sink row, next to an implicit one
+        # a row without entries that is not a sink row, next to a sink row
         ("# n\t3\n# sink\t1\n# sink_row\t0\t1\n0\t0\t1.0", GraphParseError, "row 2 has no entries"),
-        # implicit rows need the sink vector
+        # sink rows need the sink vector
         ("# n\t3\n# sink\t2\n0\t0\t1\n1\t0\t1", GraphParseError, "sink row 2 has no entries and the file has no"),
         ("# n\t2\n# sink\t1\n# sink_row\t7\t1\n0\t0\t1", GraphParseError, "line 3: sink_row column 7 out of range"),
         ("# n\t2\n# sink\t1\n# sink_row\t0\tx\n0\t0\t1", GraphParseError, "line 3: non-numeric weight"),

@@ -105,15 +105,12 @@ def test_fair_gd_feasible_every_aspect():
     rep = fair_gd(P, cfg, groups, target, opt)
     M = rep.final_matrix
     # pattern preserved, sink rows bitwise, rows stochastic, box respected
-    assert np.array_equal(M.indices, P.indices)
-    sink_entries = np.flatnonzero(P.sink_mask[P.entry_rows()])
-    assert np.array_equal(M.data[sink_entries], P.data[sink_entries])
-    assert P.implicit.any() and np.array_equal(M.implicit, P.implicit)
+    assert np.array_equal(M.indptr, P.indptr) and np.array_equal(M.indices, P.indices)
+    assert P.sink_mask.any() and np.array_equal(M.sink_mask, P.sink_mask)
     assert np.array_equal(M.sink_row, P.sink_row)
-    live = np.flatnonzero(~P.sink_mask[P.entry_rows()])
-    box = BoxBounds.from_reference(P.data[live], opt.delta, opt.epsilon)
-    assert (M.data[live] >= box.lower - 1e-15).all()
-    assert (M.data[live] <= box.upper + 1e-15).all()
+    box = BoxBounds.from_reference(P.data, opt.delta, opt.epsilon)
+    assert (M.data >= box.lower - 1e-15).all()
+    assert (M.data <= box.upper + 1e-15).all()
     M.validate()
 
 
@@ -177,10 +174,9 @@ def test_adapt_gd_restricted_feasibility():
     target = FairnessTarget(phi=[0.3, 0.7])
     opt = OptimizerConfig(alpha=0.2, max_iters=80, delta=0.1, epsilon=0.1)
     rep = adapt_gd(P, GAMMA, groups, target, opt)
-    live = np.flatnonzero(~P.sink_mask[P.entry_rows()])
-    box = BoxBounds.from_reference(P.data[live], opt.delta, opt.epsilon)
-    assert (rep.final_matrix.data[live] >= box.lower - 1e-15).all()
-    assert (rep.final_matrix.data[live] <= box.upper + 1e-15).all()
+    box = BoxBounds.from_reference(P.data, opt.delta, opt.epsilon)
+    assert (rep.final_matrix.data >= box.lower - 1e-15).all()
+    assert (rep.final_matrix.data <= box.upper + 1e-15).all()
     rep.final_matrix.validate()
 
 
@@ -256,10 +252,8 @@ def ref_fair_gd(P, cfg, groups, target, opt):
 
     phi = target.phi
     P_hat = P.copy()
-    entry_rows = P.entry_rows()
-    live = np.flatnonzero(~P.sink_mask[entry_rows])
-    rows_nz = entry_rows[live]
-    cols_nz = P.indices[live]
+    rows_nz = P.entry_rows()
+    cols_nz = P.indices
     c0 = 2.0 * (1.0 - gamma) / K
 
     p = np.full(P.n, 1.0 / P.n)
@@ -287,7 +281,7 @@ def ref_fair_gd(P, cfg, groups, target, opt):
                 if coef == 0.0:
                     continue
                 y = neumann_y(P_hat, groups.indicator(k), gamma, opt.t2)
-                P_hat.data[live] -= coef * prow * y[cols_nz]
+                P_hat.data -= coef * prow * y[cols_nz]
                 stepped = True
                 if not np.all(np.abs(P_hat.data) <= ENTRY_CEILING):
                     raise DivergedError(it + 1, math.inf, 2.0 / lipschitz_bound(P.n, K, gamma))
@@ -306,10 +300,8 @@ def ref_adapt_gd(P, gamma, groups, target, opt):
 
     phi = target.phi
     P_hat = P.copy()
-    entry_rows = P.entry_rows()
-    live = np.flatnonzero(~P.sink_mask[entry_rows])
-    rows_nz = entry_rows[live]
-    cols_nz = P.indices[live]
+    rows_nz = P.entry_rows()
+    cols_nz = P.indices
     c0 = 2.0 * (1.0 - gamma) / (K * K)
     restart_cfgs = [PageRankConfig.group_restart(groups, ell, gamma) for ell in range(K)]
 
@@ -346,7 +338,7 @@ def ref_adapt_gd(P, gamma, groups, target, opt):
                     if coef == 0.0:
                         continue
                     y = neumann_y(P_hat, groups.indicator(k), gamma, opt.t2)
-                    P_hat.data[live] -= coef * prow * y[cols_nz]
+                    P_hat.data -= coef * prow * y[cols_nz]
                     stepped = True
                     if not np.all(np.abs(P_hat.data) <= ENTRY_CEILING):
                         raise DivergedError(it + 1, math.inf, 2.0 / lipschitz_bound(P.n, K, gamma))
@@ -476,7 +468,7 @@ def test_stacked_operator_matches_per_copy_products():
     cases = 0
     for _ in range(30):
         _, groups, cfg, P = random_sinky_instance(rng, int(rng.integers(3, 60)), 2)
-        if not P.implicit.any():
+        if not P.sink_mask.any():
             continue
         cases += 1
         C = int(rng.integers(1, 10))

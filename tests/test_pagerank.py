@@ -150,9 +150,9 @@ def dense_series(P, indicator, gamma, t2):
 
 
 def sinky_operator_instances(rng, count):
-    """Random sinky matrices of three kinds in turn: implicit sink rows
-    standing for the uniform restart vector, for a restart vector with zero
-    entries, and lfpr_n outputs, whose sink rows are explicit."""
+    """Random sinky matrices of three kinds in turn: sink rows standing for
+    the uniform restart vector, for a restart vector with zero entries, and
+    lfpr_n outputs, whose sink rows stand for the fair sink vector."""
     for i in range(count):
         g, groups, cfg, P = random_sinky_instance(rng, int(rng.integers(3, 40)), 2)
         if i % 3 == 1:
@@ -166,11 +166,11 @@ def sinky_operator_instances(rng, count):
 
 def test_operator_matches_dense_reference():
     rng = np.random.default_rng(606)
-    kinds = {"implicit": 0, "explicit": 0, "zeros in sink row": 0}
+    kinds = {"restart sink row": 0, "other sink row": 0, "zeros in sink row": 0}
     for groups, cfg, P in sinky_operator_instances(rng, 120):
-        kinds["implicit"] += bool(P.implicit.any())
-        kinds["explicit"] += bool((P.sink_mask & ~P.implicit).any())
-        kinds["zeros in sink row"] += bool(P.implicit.any() and (P.sink_row == 0).any())
+        if P.sink_mask.any():
+            kinds["restart sink row" if np.array_equal(P.sink_row, cfg.restart_vector) else "other sink row"] += 1
+            kinds["zeros in sink row"] += bool((P.sink_row == 0).any())
         # L1 gaps relative to the reference's L1 norm (1 for p; y sums to
         # up to n / gamma, and its entries carry rounding of their own size)
         want = dense_power(P, cfg, 60)
@@ -182,7 +182,7 @@ def test_operator_matches_dense_reference():
 
 
 def test_operator_bitwise_on_sink_free_matrices():
-    """Without implicit rows the products are the plain scipy ones; the
+    """Without sink rows the products are the plain scipy ones; the
     operator is built once and follows in-place changes of ``data``."""
     rng = np.random.default_rng(707)
 
@@ -227,18 +227,18 @@ def test_operator_bitwise_on_sink_free_matrices():
 def block_products(P, W, x):
     """(left, right) products of the C copies of P's pattern with the rows of
     the weight block W, through scipy's public ``csc @ x`` and ``csr @ x`` on
-    the block-diagonal matrix, plus the implicit rows' rank-one term."""
+    the block-diagonal matrix, plus the sink rows' rank-one term."""
     blocks = [sp.csr_matrix((w, P.indices, P.indptr), shape=(P.n, P.n)) for w in np.atleast_2d(W)]
     csr = sp.block_diag(blocks, format="csr")
     csc = csr.T
     assert csc.format == "csc"
     left, right = csc @ x, csr @ x
-    implicit = np.flatnonzero(P.implicit)
+    sinks = np.flatnonzero(P.sink_mask)
     for c in range(len(blocks)):
         span = slice(c * P.n, (c + 1) * P.n)
-        if len(implicit):
-            left[span] += x[implicit + c * P.n].sum() * P.sink_row
-            right[implicit + c * P.n] = P.sink_row @ x[span]
+        if len(sinks):
+            left[span] += x[sinks + c * P.n].sum() * P.sink_row
+            right[sinks + c * P.n] = P.sink_row @ x[span]
     return left, right
 
 
@@ -254,7 +254,7 @@ def test_kernel_products_match_scipy_bitwise(copies, sinks):
         n = int(rng.integers(3, 60))
         if sinks:
             *_, P = random_sinky_instance(rng, n, 2)
-            if not P.implicit.any():
+            if not P.sink_mask.any():
                 continue
         else:
             *_, P = random_instance(rng, n, 2)
