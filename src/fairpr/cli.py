@@ -30,6 +30,7 @@ from .graph import FairnessTarget, GraphParseError, load_labels, parse_matrix, s
 from .metrics import UndefinedCoefficientError
 from .optimizer import DivergedError, OptimizerConfig
 from .pagerank import group_scores, pagerank_power, pagerank_residual
+from .text import data_line_count
 
 log = logging.getLogger(__name__)
 
@@ -158,9 +159,7 @@ def cmd_baseline(args) -> int:
 def cmd_evaluate(args) -> int:
     labels_text = _read(args.labels)
     # headerless files fall back to the label count for their dimension
-    n_hint = sum(
-        1 for line in labels_text.splitlines() if line.strip() and not line.lstrip().startswith("#")
-    )
+    n_hint = data_line_count(labels_text)
     original = parse_matrix(_read(args.original), n=n_hint or None)
     revised = parse_matrix(_read(args.revised), n=n_hint or None)
     if original.n != revised.n:

@@ -6,6 +6,13 @@ shared dense vector, ``sink_row``, that ``WalkOperator`` applies as a
 rank-one term, so memory and every product grow with the edges and not
 with n x #sinks. The TSV form writes that vector once, as ``# sink_row``
 headers; sink rows that a file spells out entry by entry fold into it.
+
+The text readers (``load_graph``, ``load_labels``, ``parse_matrix``) read
+a whole text at once through ``fairpr.text.Lines``: ``str.splitlines``
+lines of ``str.split`` tokens, found and converted with array operations.
+Blank lines are skipped, and a line whose first token starts with '#' is a
+comment (the matrix headers live there, as ``# n 5`` or ``#n 5``). A bad
+line raises GraphParseError with its line number.
 """
 
 from __future__ import annotations
@@ -19,11 +26,9 @@ import scipy.sparse as sp
 # module, pinned bitwise to the public products by tests/test_pagerank.py
 from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
+from .text import GraphParseError, Lines
+
 ROW_SUM_TOL = 1e-12
-
-
-class GraphParseError(ValueError):
-    """Malformed edge-list, label, or matrix input."""
 
 
 @dataclass(frozen=True)
@@ -377,42 +382,25 @@ class WalkOperator:
         return y
 
 
-def _parse_int(token: str, lineno: int, what: str) -> int:
-    try:
-        value = int(token)
-    except ValueError:
-        raise GraphParseError(f"line {lineno}: non-integer {what} {token!r}") from None
-    if value < 0:
-        raise GraphParseError(f"line {lineno}: negative {what} {value}")
-    if value >= 2**63:
-        raise GraphParseError(f"line {lineno}: {what} {value} does not fit in 64 bits")
-    return value
-
-
 def load_graph(text: str, undirected: bool = False) -> Graph:
     """Parse whitespace-separated "src dst" lines into a Graph.
 
     Blank lines and lines starting with '#' are ignored. Duplicate edges
     collapse to one. With ``undirected=True`` every edge is mirrored.
     """
-    pairs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise GraphParseError(f"line {lineno}: expected 'src dst', got {raw!r}")
-        s = _parse_int(tokens[0], lineno, "vertex id")
-        t = _parse_int(tokens[1], lineno, "vertex id")
-        pairs.append((s, t))
-        if undirected:
-            pairs.append((t, s))
-    if not pairs:
+    (src, dst), _, bad = Lines(text).table(("vertex id", "vertex id"), "'src dst'")
+    if bad:
+        raise bad[1]
+    if not len(src):
         raise GraphParseError("no edges found in input")
-    edges = np.unique(np.asarray(pairs, dtype=np.int64), axis=0)
-    n = int(edges.max()) + 1
-    return Graph(n=n, edges=edges)
+    pairs = np.column_stack([src, dst])
+    if undirected:
+        pairs = np.concatenate([pairs, pairs[:, ::-1]])
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    fresh = np.ones(len(pairs), bool)  # differs from the row before it
+    fresh[1:] = (pairs[1:] != pairs[:-1]).any(axis=1)
+    edges = pairs[fresh]
+    return Graph(n=int(edges.max()) + 1, edges=edges)
 
 
 def _first_uncovered(ids) -> int:
@@ -427,27 +415,25 @@ def load_labels(text: str, n: int) -> GroupAssignment:
 
     Group ids are remapped to a dense [0, K) range in sorted original order.
     """
-    labels: dict[int, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise GraphParseError(f"line {lineno}: expected 'vertex group', got {raw!r}")
-        v = _parse_int(tokens[0], lineno, "vertex id")
-        g = _parse_int(tokens[1], lineno, "group id")
-        if v >= n:
-            raise GraphParseError(f"line {lineno}: vertex {v} out of range [0, {n})")
-        if v in labels:
-            raise GraphParseError(f"line {lineno}: duplicate label for vertex {v}")
-        labels[v] = g
+    (v, g), lineno, bad = Lines(text).table(("vertex id", "group id"), "'vertex group'")
+    # the rows stop before `bad`: a row out of range or labelling a vertex again comes first
+    order = np.argsort(v, kind="stable")
+    again = np.zeros(len(v), bool)
+    again[order[1:][v[order[1:]] == v[order[:-1]]]] = True
+    wrong = np.flatnonzero((v >= n) | again)
+    if len(wrong):
+        i = wrong[0]
+        if v[i] >= n:
+            raise GraphParseError(f"line {lineno[i]}: vertex {v[i]} out of range [0, {n})")
+        raise GraphParseError(f"line {lineno[i]}: duplicate label for vertex {v[i]}")
+    if bad:
+        raise bad[1]
     # distinct ids in [0, n): fewer than n leave some vertex out, found
     # without allocating n entries (n comes from the largest edge id)
-    if len(labels) < n:
-        raise GraphParseError(f"vertex {_first_uncovered(list(labels))} has no group label")
+    if len(v) < n:
+        raise GraphParseError(f"vertex {_first_uncovered(v)} has no group label")
     raw_labels = np.empty(n, dtype=np.int64)
-    raw_labels[list(labels)] = list(labels.values())
+    raw_labels[v] = g
     uniq, dense = np.unique(raw_labels, return_inverse=True)
     return GroupAssignment(labels=dense.astype(np.int64), K=int(len(uniq)))
 
@@ -487,99 +473,71 @@ def serialize_matrix(tm: TransitionMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_weight(token: str, lineno: int) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise GraphParseError(f"line {lineno}: non-numeric weight {token!r}") from None
-
-
 def parse_matrix(text: str, n: int | None = None) -> TransitionMatrix:
     """Inverse of serialize_matrix. The '# n' header wins; ``n`` is the
     fallback for headerless files. A row without entry lines must be a
     ``# sink`` row. Sink rows stand for the ``# sink_row`` vector, and any
     written out in entry lines must spell it (or the first one) out bit for bit."""
-    header_n = None
-    sinks, sink_lines = [], []
-    sink_cols, sink_weights, sink_col_lines = [], [], []
-    entries = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            tokens = line[1:].split()
-            if len(tokens) == 2 and tokens[0] == "n":
-                header_n = _parse_int(tokens[1], lineno, "matrix size")
-            elif len(tokens) == 2 and tokens[0] == "sink":
-                sinks.append(_parse_int(tokens[1], lineno, "sink row"))
-                sink_lines.append(lineno)
-            elif len(tokens) == 3 and tokens[0] == "sink_row":
-                sink_cols.append(_parse_int(tokens[1], lineno, "sink_row column"))
-                sink_weights.append(_parse_weight(tokens[2], lineno))
-                sink_col_lines.append(lineno)
-            continue
-        tokens = line.split()
-        if len(tokens) != 3:
-            raise GraphParseError(f"line {lineno}: expected 'src dst weight', got {raw!r}")
-        r = _parse_int(tokens[0], lineno, "vertex id")
-        c = _parse_int(tokens[1], lineno, "vertex id")
-        entries.append((r, c, _parse_weight(tokens[2], lineno)))
-    size = header_n if header_n is not None else n
+    lines = Lines(text)
+    (rows, cols, w), _, bad = lines.table(("vertex id", "vertex id", None), "'src dst weight'")
+    ((sizes,), _, bad_n), ((sinks,), sink_lines, bad_sink), ((sink_cols, sink_weights), sink_col_lines, bad_col) = (
+        lines.headers(n=("matrix size",), sink=("sink row",), sink_row=("sink_row column", None))
+    )
+    errors = [e for e in (bad, bad_n, bad_sink, bad_col) if e]
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
+    size = int(sizes[-1]) if len(sizes) else n
     if size is None:
         raise GraphParseError("matrix size unknown: no '# n' header and no explicit n")
-    if not entries:
+    if not len(rows):
         raise GraphParseError("no matrix entries found in input")
-    arr = np.asarray([(r, c) for r, c, _ in entries], dtype=np.int64)
-    if arr.max() >= size:
-        raise GraphParseError(f"entry index {int(arr.max())} out of range [0, {size})")
-    w = np.asarray([w for _, _, w in entries], dtype=float)
-    order = np.lexsort((arr[:, 1], arr[:, 0]))
-    arr, w = arr[order], w[order]
-    dup = np.flatnonzero((np.diff(arr[:, 0]) == 0) & (np.diff(arr[:, 1]) == 0))
+    top = max(rows.max(), cols.max())
+    if top >= size:
+        raise GraphParseError(f"entry index {int(top)} out of range [0, {size})")
+    order = np.lexsort((cols, rows))
+    rows, cols, w = rows[order], cols[order], w[order]
+    dup = np.flatnonzero((np.diff(rows) == 0) & (np.diff(cols) == 0))
     if len(dup):
-        r, c = arr[dup[0]]
-        raise GraphParseError(f"duplicate matrix entry ({r}, {c})")
-    for ids, lines, what in ((sinks, sink_lines, "sink row"), (sink_cols, sink_col_lines, "sink_row column")):
-        past = [j for j, x in enumerate(ids) if x >= size]
-        if past:
-            raise GraphParseError(f"line {lines[past[0]]}: {what} {ids[past[0]]} out of range [0, {size})")
-    if len(set(sink_cols)) < len(sink_cols):
+        raise GraphParseError(f"duplicate matrix entry ({rows[dup[0]]}, {cols[dup[0]]})")
+    for ids, at, what in ((sinks, sink_lines, "sink row"), (sink_cols, sink_col_lines, "sink_row column")):
+        past = np.flatnonzero(ids >= size)
+        if len(past):
+            raise GraphParseError(f"line {at[past[0]]}: {what} {ids[past[0]]} out of range [0, {size})")
+    if len(np.unique(sink_cols)) < len(sink_cols):
         raise GraphParseError("duplicate '# sink_row' column")
     # every row needs entries or a '# sink' line; when they cannot cover
     # `size` rows, name the first uncovered one before allocating `size`
-    if np.count_nonzero(np.diff(arr[:, 0])) + 1 + len(sinks) < size:
-        first = _first_uncovered(np.concatenate([arr[:, 0], np.asarray(sinks, np.int64)]))
-        raise GraphParseError(f"row {first} has no entries")
+    if np.count_nonzero(np.diff(rows)) + 1 + len(sinks) < size:
+        raise GraphParseError(f"row {_first_uncovered(np.concatenate([rows, sinks]))} has no entries")
     sink_mask = np.zeros(size, bool)
     sink_mask[sinks] = True
-    counts = np.bincount(arr[:, 0], minlength=size)
+    counts = np.bincount(rows, minlength=size)
     not_sink = np.flatnonzero((counts == 0) & ~sink_mask)
     if len(not_sink):
         raise GraphParseError(f"row {int(not_sink[0])} has no entries")
     sink_row = None
-    if sink_cols:
+    if len(sink_cols):
         sink_row = np.zeros(size)
         sink_row[sink_cols] = sink_weights
-    spelled = sink_mask[arr[:, 0]]
+    spelled = sink_mask[rows]
     if spelled.any():
-        rows, cols, vals = arr[spelled, 0], arr[spelled, 1], w[spelled]
-        source = "the '# sink_row' vector" if sink_cols else f"sink row {rows[0]}"
-        if not sink_cols:
+        srows, scols, vals = rows[spelled], cols[spelled], w[spelled]
+        source = "the '# sink_row' vector" if len(sink_cols) else f"sink row {srows[0]}"
+        if not len(sink_cols):
             sink_row = np.zeros(size)
-            sink_row[cols[rows == rows[0]]] = vals[rows == rows[0]]
+            sink_row[scols[srows == srows[0]]] = vals[srows == srows[0]]
         # a row spells out the vector when its nonzero entries are the vector's nonzeros, bit for bit
         nz = vals != 0.0
-        hits = np.bincount(rows, nz & (sink_row[cols].view(np.int64) == vals.view(np.int64)), size)
-        nonzero = np.bincount(rows, nz, size)
-        bad = (counts > 0) & sink_mask & ((hits != nonzero) | (nonzero != np.count_nonzero(sink_row)))
-        if bad.any():
-            raise GraphParseError(f"sink row {int(bad.argmax())} differs from {source}")
-        arr, w = arr[~spelled], w[~spelled]
+        hits = np.bincount(srows, nz & (sink_row[scols].view(np.int64) == vals.view(np.int64)), size)
+        nonzero = np.bincount(srows, nz, size)
+        bad_rows = (counts > 0) & sink_mask & ((hits != nonzero) | (nonzero != np.count_nonzero(sink_row)))
+        if bad_rows.any():
+            raise GraphParseError(f"sink row {int(bad_rows.argmax())} differs from {source}")
+        cols, w = cols[~spelled], w[~spelled]
         counts[sink_mask] = 0
-    elif sinks and sink_row is None:
-        raise GraphParseError(f"sink row {min(sinks)} has no entries and the file has no '# sink_row' lines")
+    elif len(sinks) and sink_row is None:
+        raise GraphParseError(f"sink row {sinks.min()} has no entries and the file has no '# sink_row' lines")
     indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    tm = TransitionMatrix(size, indptr, arr[:, 1].copy(), w, sink_mask, sink_row)
+    tm = TransitionMatrix(size, indptr, cols, w, sink_mask, sink_row)
     tm.validate()
     return tm

@@ -1,0 +1,172 @@
+"""The text form the readers in ``fairpr.graph`` share: a whole text read
+as ``str.splitlines`` lines of ``str.split`` tokens with array operations,
+and its tokens converted column by column.
+
+``Lines`` splits the text once and finds its lines from one class byte per
+character, so a load costs a few array passes and no Python work per line.
+Ids convert with ``int()`` and weights with ``float()``, through numpy. Only
+a bad token (or one numpy rejects) goes through ``_parse_int`` or
+``_parse_weight`` on its own, and every error names its line.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+class GraphParseError(ValueError):
+    """Malformed edge-list, label, or matrix input."""
+
+
+def _parse_int(token: str, lineno: int, what: str) -> int:
+    try:
+        value = int(token)
+    except ValueError:
+        raise GraphParseError(f"line {lineno}: non-integer {what} {token!r}") from None
+    if value < 0:
+        raise GraphParseError(f"line {lineno}: negative {what} {value}")
+    if value >= 2**63:
+        raise GraphParseError(f"line {lineno}: {what} {value} does not fit in 64 bits")
+    return value
+
+
+def _parse_weight(token: str, lineno: int) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise GraphParseError(f"line {lineno}: non-numeric weight {token!r}") from None
+
+
+def _column(tokens: np.ndarray, lineno: np.ndarray, what: str | None):
+    """``tokens`` as int64 ids (``what`` names them, as in ``_parse_int``) or,
+    for ``what=None``, as float64 weights: ``(values, error)``. On a bad
+    token ``values`` stops before it and ``error`` is the GraphParseError
+    that ``_parse_int`` or ``_parse_weight`` raises for it.
+
+    numpy converts a str element with ``int()`` or ``float()``; a token it
+    rejects sends the column through ``_parse_int``/``_parse_weight`` one
+    token at a time, as far as the first bad one."""
+    dtype = float if what is None else np.int64
+    try:
+        values = np.array(tokens, dtype=dtype)
+    except (ValueError, OverflowError):
+        values = []
+        for token, line in zip(tokens.tolist(), lineno.tolist()):
+            try:
+                values.append(_parse_weight(token, line) if what is None else _parse_int(token, line, what))
+            except GraphParseError as err:
+                return np.array(values, dtype=dtype), err
+        values = np.array(values, dtype=dtype)
+    if what is not None and (values < 0).any():
+        i = int((values < 0).argmax())
+        return values[:i], GraphParseError(f"line {lineno[i]}: negative {what} {values[i]}")
+    return values, None
+
+
+def _line_end(c: str) -> bool:
+    """True when ``str.splitlines`` ends a line at the character ``c``."""
+    return len(f"a{c}a".splitlines()) == 2
+
+
+# each byte's class as str.split and str.splitlines see the character: line
+# ends below 14 ('\n' 10, '\r' 13, the rest 11), other whitespace 32, '#' 35
+# and anything else 120
+_CLASS = bytes(
+    ord(c) if c in "\n\r#" else 11 if _line_end(c) else 32 if c.isspace() else 120
+    for c in map(chr, range(256))
+)
+
+
+def _classes(text: str) -> np.ndarray:
+    """The ``_CLASS`` of each character of ``text``, one byte each."""
+    if not text.isascii():
+        # a non-ASCII line end becomes '\x1e', a line end that never pairs
+        # with '\r', other non-ASCII whitespace a space and the rest '?'
+        space = {c for c in set(text) if c.isspace() and not c.isascii()}
+        text = text.translate({ord(c): "\x1e" if _line_end(c) else " " for c in space})
+    return np.frombuffer(text.encode("ascii", "replace").translate(_CLASS), np.uint8)
+
+
+def _line_table(text: str) -> tuple[np.ndarray, ...]:
+    """For each line of ``text`` that holds tokens: its number (counting
+    every ``str.splitlines`` line from 1), the index of its first
+    ``str.split`` token, its token count and whether it is a comment (its
+    first token starts with '#'). Temporaries hold one byte per character or
+    one int64 per token or line end."""
+    cls = _classes(text)
+    starts = cls > 32  # a token starts at a non-space after a space or at the start
+    starts[1:] &= cls[:-1] <= 32
+    ends = cls <= 13
+    cr = np.flatnonzero(cls[:-1] == 13)
+    ends[cr[cls[cr + 1] == 10] + 1] = False  # "\r\n" ends one line
+    starts = np.flatnonzero(starts)
+    # line i (from 0) holds the tokens between line ends i - 1 and i
+    bounds = np.concatenate([[0], np.searchsorted(starts, np.flatnonzero(ends)), [len(starts)]])
+    count = np.diff(bounds)
+    held = np.flatnonzero(count)
+    first = bounds[held]
+    return held + 1, first, count[held], cls[starts[first]] == ord("#")
+
+
+class Lines:
+    """A text as ``str.split`` and ``str.splitlines`` see it: ``tokens``,
+    its ``str.split`` tokens as an object array, and ``lineno``, ``first``,
+    ``count`` and ``comment``, the ``_line_table`` of the lines that hold
+    tokens. ``table`` and ``headers`` read rows of tokens from them."""
+
+    __slots__ = ("text", "tokens", "lineno", "first", "count", "comment")
+
+    def __init__(self, text: str):
+        self.text = text
+        self.lineno, self.first, self.count, self.comment = _line_table(text)
+        tokens = text.split()
+        self.tokens = np.fromiter(tokens, dtype=object, count=len(tokens))
+
+    def rows(self, lines: np.ndarray, kinds: tuple) -> tuple[list, np.ndarray, tuple | None]:
+        """The last ``len(kinds)`` tokens of the ``lines``, one column per
+        kind (see ``_column``): ``(columns, line numbers, bad)``. ``bad`` is
+        ``(line number, GraphParseError)`` for the first bad token in line
+        order, and the rows stop before its line; else None."""
+        width = len(kinds)
+        at = self.first[lines] + self.count[lines] - width
+        lineno = self.lineno[lines]
+        stop, bad = len(lines), None
+        columns = []
+        for j, what in enumerate(kinds):
+            values, err = _column(self.tokens[at + j], lineno, what)
+            if err is not None and len(values) < stop:
+                stop, bad = len(values), (int(lineno[len(values)]), err)
+            columns.append(values)
+        return [c[:stop] for c in columns], lineno[:stop], bad
+
+    def table(self, kinds: tuple, expected: str) -> tuple[list, np.ndarray, tuple | None]:
+        """The data lines (not comments) as ``rows``; each must hold
+        ``len(kinds)`` tokens, and the first that does not is ``bad`` when
+        no earlier token is."""
+        lines = np.flatnonzero(~self.comment)
+        short = lines[self.count[lines] != len(kinds)]
+        if len(short):
+            lines = lines[lines < short[0]]
+        columns, lineno, bad = self.rows(lines, kinds)
+        if bad is None and len(short):
+            at = int(self.lineno[short[0]])
+            raw = self.text.splitlines()[at - 1]
+            bad = at, GraphParseError(f"line {at}: expected {expected}, got {raw!r}")
+        return columns, lineno, bad
+
+    def headers(self, **kinds: tuple) -> list[tuple]:
+        """For each ``name=kinds``, the comment lines that read ``# name``
+        ('#' and name joined or apart) and then ``len(kinds)`` tokens, as
+        ``rows``."""
+        lines = np.flatnonzero(self.comment)
+        head = self.tokens[self.first[lines]]
+        apart = head == "#"
+        after = self.tokens[np.minimum(self.first[lines] + 1, len(self.tokens) - 1)]
+        key = np.where(apart, "#" + after, head)
+        width = self.count[lines] - apart
+        return [self.rows(lines[(key == f"#{name}") & (width == len(k) + 1)], k) for name, k in kinds.items()]
+
+
+def data_line_count(text: str) -> int:
+    """The number of lines that are neither blank nor '#' comments."""
+    return int(np.count_nonzero(~_line_table(text)[3]))

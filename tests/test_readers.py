@@ -1,0 +1,477 @@
+"""The text readers against reference line scanners.
+
+``load_graph``, ``load_labels`` and ``parse_matrix`` read a whole text with
+array operations. The ``ref_*`` functions below are the line-by-line
+scanners they replaced, kept verbatim as the oracle: on a generated corpus
+of valid and invalid texts both must return bitwise equal results or raise
+the same error with the same message, line numbers included.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from fairpr import (
+    Graph,
+    GraphParseError,
+    GroupAssignment,
+    PageRankConfig,
+    TransitionMatrix,
+    build_transition,
+    load_graph,
+    load_labels,
+    parse_matrix,
+    serialize_matrix,
+)
+from fairpr.graph import _first_uncovered
+from fairpr.text import Lines, _line_end, data_line_count
+
+# ------------------------------------------------------------ reference scanners
+
+
+def _parse_int(token: str, lineno: int, what: str) -> int:
+    try:
+        value = int(token)
+    except ValueError:
+        raise GraphParseError(f"line {lineno}: non-integer {what} {token!r}") from None
+    if value < 0:
+        raise GraphParseError(f"line {lineno}: negative {what} {value}")
+    if value >= 2**63:
+        raise GraphParseError(f"line {lineno}: {what} {value} does not fit in 64 bits")
+    return value
+
+
+def _parse_weight(token: str, lineno: int) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise GraphParseError(f"line {lineno}: non-numeric weight {token!r}") from None
+
+
+def ref_load_graph(text: str, undirected: bool = False) -> Graph:
+    pairs = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise GraphParseError(f"line {lineno}: expected 'src dst', got {raw!r}")
+        s = _parse_int(tokens[0], lineno, "vertex id")
+        t = _parse_int(tokens[1], lineno, "vertex id")
+        pairs.append((s, t))
+        if undirected:
+            pairs.append((t, s))
+    if not pairs:
+        raise GraphParseError("no edges found in input")
+    edges = np.unique(np.asarray(pairs, dtype=np.int64), axis=0)
+    n = int(edges.max()) + 1
+    return Graph(n=n, edges=edges)
+
+
+def ref_load_labels(text: str, n: int) -> GroupAssignment:
+    labels: dict[int, int] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise GraphParseError(f"line {lineno}: expected 'vertex group', got {raw!r}")
+        v = _parse_int(tokens[0], lineno, "vertex id")
+        g = _parse_int(tokens[1], lineno, "group id")
+        if v >= n:
+            raise GraphParseError(f"line {lineno}: vertex {v} out of range [0, {n})")
+        if v in labels:
+            raise GraphParseError(f"line {lineno}: duplicate label for vertex {v}")
+        labels[v] = g
+    if len(labels) < n:
+        raise GraphParseError(f"vertex {_first_uncovered(list(labels))} has no group label")
+    raw_labels = np.empty(n, dtype=np.int64)
+    raw_labels[list(labels)] = list(labels.values())
+    uniq, dense = np.unique(raw_labels, return_inverse=True)
+    return GroupAssignment(labels=dense.astype(np.int64), K=int(len(uniq)))
+
+
+def ref_parse_matrix(text: str, n: int | None = None) -> TransitionMatrix:
+    header_n = None
+    sinks, sink_lines = [], []
+    sink_cols, sink_weights, sink_col_lines = [], [], []
+    entries = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            tokens = line[1:].split()
+            if len(tokens) == 2 and tokens[0] == "n":
+                header_n = _parse_int(tokens[1], lineno, "matrix size")
+            elif len(tokens) == 2 and tokens[0] == "sink":
+                sinks.append(_parse_int(tokens[1], lineno, "sink row"))
+                sink_lines.append(lineno)
+            elif len(tokens) == 3 and tokens[0] == "sink_row":
+                sink_cols.append(_parse_int(tokens[1], lineno, "sink_row column"))
+                sink_weights.append(_parse_weight(tokens[2], lineno))
+                sink_col_lines.append(lineno)
+            continue
+        tokens = line.split()
+        if len(tokens) != 3:
+            raise GraphParseError(f"line {lineno}: expected 'src dst weight', got {raw!r}")
+        r = _parse_int(tokens[0], lineno, "vertex id")
+        c = _parse_int(tokens[1], lineno, "vertex id")
+        entries.append((r, c, _parse_weight(tokens[2], lineno)))
+    size = header_n if header_n is not None else n
+    if size is None:
+        raise GraphParseError("matrix size unknown: no '# n' header and no explicit n")
+    if not entries:
+        raise GraphParseError("no matrix entries found in input")
+    arr = np.asarray([(r, c) for r, c, _ in entries], dtype=np.int64)
+    if arr.max() >= size:
+        raise GraphParseError(f"entry index {int(arr.max())} out of range [0, {size})")
+    w = np.asarray([w for _, _, w in entries], dtype=float)
+    order = np.lexsort((arr[:, 1], arr[:, 0]))
+    arr, w = arr[order], w[order]
+    dup = np.flatnonzero((np.diff(arr[:, 0]) == 0) & (np.diff(arr[:, 1]) == 0))
+    if len(dup):
+        r, c = arr[dup[0]]
+        raise GraphParseError(f"duplicate matrix entry ({r}, {c})")
+    for ids, lines, what in ((sinks, sink_lines, "sink row"), (sink_cols, sink_col_lines, "sink_row column")):
+        past = [j for j, x in enumerate(ids) if x >= size]
+        if past:
+            raise GraphParseError(f"line {lines[past[0]]}: {what} {ids[past[0]]} out of range [0, {size})")
+    if len(set(sink_cols)) < len(sink_cols):
+        raise GraphParseError("duplicate '# sink_row' column")
+    if np.count_nonzero(np.diff(arr[:, 0])) + 1 + len(sinks) < size:
+        first = _first_uncovered(np.concatenate([arr[:, 0], np.asarray(sinks, np.int64)]))
+        raise GraphParseError(f"row {first} has no entries")
+    sink_mask = np.zeros(size, bool)
+    sink_mask[sinks] = True
+    counts = np.bincount(arr[:, 0], minlength=size)
+    not_sink = np.flatnonzero((counts == 0) & ~sink_mask)
+    if len(not_sink):
+        raise GraphParseError(f"row {int(not_sink[0])} has no entries")
+    sink_row = None
+    if sink_cols:
+        sink_row = np.zeros(size)
+        sink_row[sink_cols] = sink_weights
+    spelled = sink_mask[arr[:, 0]]
+    if spelled.any():
+        rows, cols, vals = arr[spelled, 0], arr[spelled, 1], w[spelled]
+        source = "the '# sink_row' vector" if sink_cols else f"sink row {rows[0]}"
+        if not sink_cols:
+            sink_row = np.zeros(size)
+            sink_row[cols[rows == rows[0]]] = vals[rows == rows[0]]
+        nz = vals != 0.0
+        hits = np.bincount(rows, nz & (sink_row[cols].view(np.int64) == vals.view(np.int64)), size)
+        nonzero = np.bincount(rows, nz, size)
+        bad = (counts > 0) & sink_mask & ((hits != nonzero) | (nonzero != np.count_nonzero(sink_row)))
+        if bad.any():
+            raise GraphParseError(f"sink row {int(bad.argmax())} differs from {source}")
+        arr, w = arr[~spelled], w[~spelled]
+        counts[sink_mask] = 0
+    elif sinks and sink_row is None:
+        raise GraphParseError(f"sink row {min(sinks)} has no entries and the file has no '# sink_row' lines")
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    tm = TransitionMatrix(size, indptr, arr[:, 1].copy(), w, sink_mask, sink_row)
+    tm.validate()
+    return tm
+
+
+# ------------------------------------------------------------ comparison
+
+
+def _bits(a):
+    return None if a is None else (a.dtype.str, a.shape, np.ascontiguousarray(a).tobytes())
+
+
+def _fingerprint(result):
+    if isinstance(result, Graph):
+        return ("graph", result.n, _bits(result.edges))
+    if isinstance(result, GroupAssignment):
+        return ("groups", result.K, _bits(result.labels), _bits(result.group_sizes))
+    return (
+        "matrix",
+        result.n,
+        *map(_bits, (result.indptr, result.indices, result.data, result.sink_mask, result.sink_row)),
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return _fingerprint(fn(*args))
+    except (GraphParseError, ValueError) as err:
+        return (type(err).__name__, str(err))
+
+
+def assert_same(fn, ref, *args):
+    got, want = _outcome(fn, *args), _outcome(ref, *args)
+    assert got == want, (args[0], got, want)
+    return want
+
+
+# ------------------------------------------------------------ corpus
+
+# separators inside a line, line ends, and odd but int()-valid or invalid tokens
+SEPS = ["  ", " \t ", "\xa0", "\u3000", "\x1f", "\x0c"]
+ENDS = ["\n", "\r\n", "\r", "\x0b", "\x1c", "\x85", "\u2028", "\u2029", "\n\n", "\r\r\n"]
+ODD_INTS = ["+5", "1_000", "\u0663", "-0", "007", "-1", "x", "1.0", "1e3", ""]
+ODD_INTS += [str(2**63), str(2**63 - 1), str(-(2**63)), str(-(2**63) - 1)]
+ODD_WEIGHTS = ["nan", "inf", "-0.0", "1_0.5", "\u0663.5", "+0.5", "1e-400", "0x1p3", "w", "0.5"]
+
+
+def _join(rng, lines):
+    """Lines joined with random line ends, leading and trailing whitespace,
+    blank lines and comment lines spliced in."""
+    out = []
+    for line in lines:
+        while rng.random() < 0.15:
+            out.append(rng.choice(["", " ", "\t", "#", " # comment", "\t#x 1 2", "#", "  #  1 2 3"]))
+        pad = rng.random()
+        line = " " + line if pad < 0.1 else "\x0c" + line if pad < 0.15 else line
+        out.append(line + " " if rng.random() < 0.1 else line)
+    text = "".join(line + str(rng.choice(ENDS)) for line in out)
+    return text if rng.random() < 0.8 else text.rstrip("\n\r")
+
+
+def _row(rng, tokens, odd):
+    """``tokens`` joined by random separators; sometimes one token is odd,
+    one is dropped or an extra one is added."""
+    tokens = list(tokens)
+    u = rng.random()
+    if u < 0.04:
+        tokens[int(rng.integers(len(tokens)))] = str(rng.choice(odd))
+    elif u < 0.05:
+        tokens.pop()
+    elif u < 0.06:
+        tokens.append("1")
+    elif u < 0.07:
+        tokens = [str(rng.choice(odd)) for _ in tokens]
+    text = tokens[0]
+    for tok in tokens[1:]:
+        u = rng.random()
+        text += (" " if u < 0.6 else "\t" if u < 0.85 else str(rng.choice(SEPS))) + tok
+    return text
+
+
+def _edge_text(rng, n, m):
+    edges = rng.integers(0, n, (m, 2))
+    return _join(rng, [_row(rng, map(str, e), ODD_INTS) for e in edges])
+
+
+def _label_text(rng, n):
+    order = rng.permutation(n)
+    if rng.random() < 0.2:  # a missing or repeated vertex
+        order = order[1:] if rng.random() < 0.5 else np.append(order, order[0])
+    if rng.random() < 0.1:  # a vertex out of range
+        order = np.append(order, n + int(rng.integers(3)))
+    groups = rng.integers(0, 3, len(order)) * 7
+    return _join(rng, [_row(rng, (str(v), str(g)), ODD_INTS) for v, g in zip(order, groups)])
+
+
+def _random_matrix(rng, n):
+    dense = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
+    sinks = rng.random(n) < 0.3
+    sinks[0] = False
+    dense[0, 0] += dense[0].sum() == 0
+    for i in np.flatnonzero(~sinks):
+        if dense[i].sum() == 0:
+            dense[i, i] = 1.0
+    dense /= np.where(dense.sum(axis=1) > 0, dense.sum(axis=1), 1)[:, None]
+    sink_row = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.7)
+    sink_row[0] += 1.0 - sink_row.sum()
+    dense[sinks] = sink_row
+    return TransitionMatrix.from_dense(dense, sinks if sinks.any() else None)
+
+
+def _matrix_text(rng, n):
+    """A serialized random matrix, rewritten: headers as '#n' or '# n',
+    entry lines shuffled, sink rows sometimes spelled out or altered,
+    duplicates, and odd tokens."""
+    tm = _random_matrix(rng, n)
+    lines = serialize_matrix(tm).splitlines()
+    heads = [ln for ln in lines if ln.startswith("#")]
+    body = [ln for ln in lines if not ln.startswith("#")]
+    if tm.sink_row is not None and rng.random() < 0.3:  # spell the sink rows out
+        cols = np.flatnonzero(tm.sink_row)
+        for i in np.flatnonzero(tm.sink_mask):
+            body += [f"{i}\t{j}\t{tm.sink_row[j]:.17g}" for j in cols]
+        if rng.random() < 0.3:
+            heads = [h for h in heads if not h.startswith("# sink_row")]
+        if rng.random() < 0.2:
+            body[-1] = body[-1].rsplit("\t", 1)[0] + "\t0.125"
+    if rng.random() < 0.1 and body:
+        body.append(body[int(rng.integers(len(body)))])
+    if rng.random() < 0.1:
+        heads = [h for h in heads if not h.startswith("# n")]
+    if rng.random() < 0.1:
+        heads.append(f"# n\t{n + int(rng.integers(-1, 3))}")
+    if rng.random() < 0.05:  # a nan weight
+        body[0] = body[0].rsplit("\t", 1)[0] + "\tnan"
+    rng.shuffle(body)
+    rows = []
+    for line in heads + body:
+        if line.startswith("#"):
+            parts = line[1:].split()
+            odd = ODD_WEIGHTS if parts[0] == "sink_row" and rng.random() < 0.5 else ODD_INTS
+            rows.append(("#" if rng.random() < 0.3 else "# ") + _row(rng, parts, odd))
+        else:
+            parts = line.split("\t")
+            odd = ODD_WEIGHTS if rng.random() < 0.4 else ODD_INTS
+            rows.append(_row(rng, parts, odd))
+    return _join(rng, rows)
+
+
+# ------------------------------------------------------------ tests
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_load_graph_matches_reference(seed):
+    rng = np.random.default_rng(seed)
+    outcomes = set()
+    for _ in range(150):
+        text = _edge_text(rng, int(rng.integers(1, 12)), int(rng.integers(0, 25)))
+        undirected = bool(rng.random() < 0.5)
+        outcomes.add(assert_same(load_graph, ref_load_graph, text, undirected)[0])
+    assert {"graph", "GraphParseError"} <= outcomes
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_load_labels_matches_reference(seed):
+    rng = np.random.default_rng(100 + seed)
+    outcomes = set()
+    for _ in range(150):
+        n = int(rng.integers(1, 12))
+        text = _label_text(rng, n)
+        outcomes.add(assert_same(load_labels, ref_load_labels, text, n)[0])
+        data = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+        assert data_line_count(text) == len(data)
+    assert {"groups", "GraphParseError"} <= outcomes
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_parse_matrix_matches_reference(seed):
+    rng = np.random.default_rng(200 + seed)
+    outcomes = set()
+    for _ in range(120):
+        n = int(rng.integers(1, 7))
+        text = _matrix_text(rng, n)
+        hint = None if rng.random() < 0.5 else n
+        outcomes.add(assert_same(parse_matrix, ref_parse_matrix, text, hint)[0])
+    assert {"matrix", "GraphParseError"} <= outcomes
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "\n\n",
+        "#",
+        "# only a comment",
+        "0 1\r\n1 0\r\n",
+        "\r\n0 1\r\r\n1 x\n",
+        "  # indented comment\r\n0\t1\x0c1 0\u20282 0",
+        "0 1\n1 +5\n1_000 \u0663\n",
+        f"0 {2**63}\n",
+        "0 1\n-3 1\n",
+        "0 1 2\n1 0\n",
+        "0\n",
+        "0 1 2 3\n",
+        "0 1\n#1 x\n1 x y\n",
+        "0\xa01\u20021\u30000\n",
+        "0 1\x1c1 0\x1d2 x",
+        "0 1\x1f1 0",
+        "0 1\r",
+        "\ufeff0 1\n",
+        "0 1\nx y\n",
+        "0 1\n-1 -2\n",
+        f"0 1\n{2**63} x\n",
+    ],
+)
+def test_load_graph_edge_cases(text):
+    for undirected in (False, True):
+        assert_same(load_graph, ref_load_graph, text, undirected)
+    assert_same(load_labels, ref_load_labels, text, 3)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "#n 2\n0 1 1\n1 0 1\n",
+        "# n 2\n#n 3\n0 1 1\n1 0 1\n2 2 1\n",
+        "#  n  2\n0 1 1\n1 0 1\n",
+        "# n\t2\n# sink\t1\n# sink_row\t0\t0.5\n# sink_row\t1\t0.5\n0\t1\t1\n",
+        "#n 2\n#sink 1\n#sink_row 0 1\n0 1 1\n1 0 1\n",  # a spelled-out sink row
+        "#n 2\n#sink 1\n0 1 1\n1 0 1\n",
+        "#n 2\n#sink 1\n#sink_row 0 1\n0 1 1\n1 0 0.5\n1 1 0.5\n",
+        "#n 2\n0 1 nan\n1 0 1\n",
+        "#n 2\n0 1 1\n0 1 1\n1 0 1\n",
+        "#n x\n0 1 1\n1 0 1 extra\n",
+        "0 1 1\n#n x\n1 0 1 extra\n",
+        "#n 2\n# sink_row 0 x\n0 0 y\n",
+        "#n 2\n0 0 y\n# sink_row 0 x\n",
+        "#n 2\n# sink -1\n0 0 1\n",
+        "#n 2\n# sink_row 0 1 2\n# sink 0 1\n# n\n0 0 1\n1 1 1\n",
+        "## n 2\n0 0 1\n",
+        "# #n 2\n0 0 1\n",
+        "#\n0 0 1\r\n",
+        "#n 2\r\n0 0 1\u20281 1 1\u2029",
+        "#n +2\n0 0 1_0\n1 1 \u0661\n",
+        f"#n {2**63}\n0 0 1\n",
+        "#n 3\n# sink 5\n0 0 1\n",
+        "#n 3\n# sink 2\n0 0 1\n1 1 1\n",
+        "#n 2\n# sink 1\n# sink_row 0 1\n#sink_row 0 1\n0 0 1\n",
+        "#n 2\n# sink 1\n# sink_row 5 1\n0 0 1\n",
+        "#n 2\n0 x y\n",
+        "#n 2\n-1 0 y\n",
+        "#n 2\n# sink_row x y\n0 0 1\n",
+    ],
+)
+def test_parse_matrix_edge_cases(text):
+    for hint in (None, 2):
+        assert_same(parse_matrix, ref_parse_matrix, text, hint)
+
+
+def test_line_ends_are_whitespace():
+    # tokens never span lines only because every line end is whitespace to
+    # str.split, and "\r\n" is the one two-character line end
+    ends = [c for c in map(chr, range(0x110000)) if _line_end(c)]
+    assert all(c.isspace() for c in ends)
+    pairs = [a + b for a in ends for b in ends if len(f"x{a}{b}x".splitlines()) == 2]
+    assert pairs == ["\r\n"]
+
+
+def test_lines_table_of_a_text():
+    text = "  #c\r\n0 1\r\r\n\u2028a\xa0b c\n\n#\x0cd\n"
+    lines = Lines(text)
+    assert list(lines.tokens) == text.split()
+    assert lines.lineno.tolist() == [1, 2, 5, 7, 8]
+    assert lines.first.tolist() == [0, 1, 3, 6, 7]
+    assert lines.count.tolist() == [1, 2, 3, 1, 1]
+    assert lines.comment.tolist() == [True, False, False, True, False]
+
+
+def _peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_reader_memory_stays_near_the_text_size():
+    # The readers hold the str tokens (about 60 bytes each), a few arrays of
+    # one entry per token, and a few of one byte per character. On 10^5
+    # edge lines load_graph peaks near 18 x the text size and parse_matrix
+    # near 10 x (its weight tokens are long). A per-line regex stack (~400
+    # bytes a line) breaks both limits; an int64 array per character (+8 x)
+    # breaks them while the tokens are alive, and parse_matrix's at any time.
+    rng = np.random.default_rng(5)
+    edges = rng.integers(0, 20_000, (100_000, 2))
+    text = "".join(f"{a}\t{b}\n" for a, b in edges)
+    g = load_graph(text)
+    tsv = serialize_matrix(build_transition(g, PageRankConfig.uniform(g.n)))
+    for fn, arg, limit in ((load_graph, text, 23), (parse_matrix, tsv, 14)):
+        ratio = _peak(fn, arg) / len(arg)
+        assert ratio < limit, f"{fn.__name__} peaks at {ratio:.1f} x the text size"
