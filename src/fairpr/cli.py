@@ -19,7 +19,6 @@ from . import baselines
 from .experiment import (
     BASELINE_METHODS,
     ExperimentSpec,
-    build_target,
     evaluate_matrices,
     load_instance,
     rows_to_csv,
@@ -27,7 +26,6 @@ from .experiment import (
     run_sweep,
 )
 from .graph import FairnessTarget, GraphParseError, load_labels, parse_matrix, serialize_matrix
-from .metrics import UndefinedCoefficientError
 from .optimizer import DivergedError, OptimizerConfig
 from .pagerank import group_scores, pagerank_power, pagerank_residual
 from .text import data_line_count
@@ -63,7 +61,7 @@ def _parse_phi(phi_text: str, K: int) -> FairnessTarget:
     if len(parts) == K:
         return FairnessTarget(phi=parts)
     if len(parts) == 1:
-        return build_target(parts[0], K)
+        return FairnessTarget.from_lead_share(parts[0], K)
     raise InputError(f"--phi needs 1 or {K} comma-separated values, got {len(parts)}")
 
 
@@ -290,7 +288,7 @@ def main(argv=None) -> int:
     except (InputError, GraphParseError, baselines.UnsupportedGroupCountError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (DivergedError, UndefinedCoefficientError) as exc:
+    except DivergedError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

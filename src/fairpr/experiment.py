@@ -89,11 +89,8 @@ def load_instance(edges_text: str, labels_text: str, undirected: bool, gamma: fl
     return groups, cfg, build_transition(g, cfg)
 
 
-def build_target(phi: float, K: int) -> FairnessTarget:
-    """(phi, 1-phi) for two groups, (phi, (1-phi)/(K-1), ...) beyond."""
-    if K == 2:
-        return FairnessTarget(phi=[phi, 1.0 - phi])
-    return FairnessTarget.from_lead_share(phi, K)
+# the target of a lead share phi, (phi, (1-phi)/(K-1), ...); kept by name for perfbench
+build_target = FairnessTarget.from_lead_share
 
 
 # kept as a function: perfbench/tracing.py wraps it by name and derives grid_useful_ratio from its span
@@ -151,7 +148,7 @@ def run_cell(spec: ExperimentSpec, groups, P, method: str, phi: float, p_orig=No
     started = time.perf_counter()
     row = ResultRow(dataset=spec.dataset, method=method, phi=phi)
     try:
-        target = build_target(phi, groups.K)
+        target = FairnessTarget.from_lead_share(phi, groups.K)
         if method in BASELINE_METHODS:
             # looked up at call time so that replaced module attributes are seen
             revised = getattr(baselines, method)(P, groups, target).matrix

@@ -51,25 +51,34 @@ def _restart_loss(P, restarts, groups, target, t1, tol) -> float:
     return float(_mean_loss(scores, target.phi))
 
 
+def _terms(op, p, scale, restarts, groups, phi, t2, rows, cols):
+    """Yield (coef, term) for each group k of one restart's solution ``p``:
+    coef = scale (2(1-gamma)/(K R)) (score_k(p) - phi_k), R = len(restarts),
+    and term = coef p[i] y_k[j] on the stored entries (i, j) = (rows, cols),
+    skipping a k whose coef is zero. ``p`` may be a (C, n) block over ``op``'s
+    stacked copies, with ``scale`` one number or one per copy. y_k is
+    ``neumann_y`` at op's weights when its term is requested, so weights moved
+    between terms count."""
+    c = scale * (2.0 * (1.0 - restarts[0].gamma) / (groups.K * len(restarts)))
+    s = group_scores(p, groups)
+    prow = np.take(p, rows, axis=-1)
+    for k in range(groups.K):
+        coef = c * (s[..., k] - phi[k])
+        if not coef.any():
+            continue
+        y = neumann_y(op, groups.indicator(k), restarts[0].gamma, t2)
+        yield coef, coef[..., None] * prow * np.take(y, cols, axis=-1)
+
+
 def _restart_grad(P, restarts, groups, target, t1, t2, tol) -> SparseGradient:
-    """Entry (i,j): (2(1-gamma)/(K R)) sum_l sum_k (score_k(p_l) - phi_k) p_l[i] y_k[j],
-    materialized only on the stored pattern; each y_k is summed once."""
-    K = groups.K
-    gamma = restarts[0].gamma
+    """The mean loss's gradient on the stored pattern: every restart's
+    ``_terms`` at P, summed."""
     rows, cols = P.entry_rows(), P.indices
     values = np.zeros(len(rows))
-    c0 = 2.0 * (1.0 - gamma) / (K * len(restarts))
-    ycols = {}
     for cfg in restarts:
         p = pagerank_power(P, cfg, t1=t1, tol=tol)
-        resid = group_scores(p, groups) - target.phi
-        prow = p[rows]
-        for k in range(K):
-            if resid[k] == 0.0:
-                continue
-            if k not in ycols:
-                ycols[k] = neumann_y(P, groups.indicator(k), gamma, t2)[cols]
-            values += (c0 * resid[k]) * prow * ycols[k]
+        for _, term in _terms(P, p, 1.0, restarts, groups, target.phi, t2, rows, cols):
+            values += term
     return SparseGradient(P.n, rows, cols, values)
 
 

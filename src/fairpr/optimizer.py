@@ -26,8 +26,8 @@ from .graph import (
     TransitionMatrix,
     WalkOperator,
 )
-from .loss import _group_restarts, _mean_loss, lipschitz_bound
-from .pagerank import group_scores, neumann_y, pagerank_power
+from .loss import _group_restarts, _mean_loss, _terms, lipschitz_bound
+from .pagerank import group_scores, pagerank_power
 from .projection import project_rows, row_boxes
 
 log = logging.getLogger(__name__)
@@ -147,12 +147,12 @@ def _descend(
     Per iteration: refresh each p_l by warm-started power steps and evaluate
     the loss at the current feasible matrix; only here does a copy stop, so
     its last loss is its matrix's: "kappa" when |dL| <= kappa, "max_iters"
-    after max_iters steps. Then, per restart l and group k, step
-    P <- P - alpha (2(1-gamma)/(K R)) (score_k(p_l) - phi_k) p_l y_k' on the
-    stored pattern, with y_k summed at the current unprojected matrix and
-    p_l re-solved there after the first restart. Project every copy once per
-    iteration; sink rows never change. A copy diverges when its loss is not
-    finite or exceeds LOSS_CEILING, when an entry leaves [-ENTRY_CEILING,
+    after max_iters steps. Then subtract, one after another, each restart
+    l's ``loss._terms`` scaled by the copies' step sizes: each term's y_k is
+    summed at the current unprojected matrix, and p_l is re-solved there
+    after the first restart. Project every copy once per iteration; sink
+    rows never change. A copy diverges when its loss is not finite or
+    exceeds LOSS_CEILING, when an entry leaves [-ENTRY_CEILING,
     ENTRY_CEILING], or when the projection cannot bring its rows back to sum
     1 within ROW_SUM_TOL. Stopped and diverged copies leave the stack.
     """
@@ -174,7 +174,7 @@ def _descend(
     starts = P.indptr[np.flatnonzero(np.diff(P.indptr) > 0)]
 
     ids = np.arange(C)  # the step-size index of each stacked copy
-    coef0 = np.asarray(alphas) * (2.0 * (1.0 - gamma) / (K * len(restarts)))
+    step_sizes = np.asarray(alphas)
     W = np.tile(P.data, (C, 1))
     op = WalkOperator(P, W)
     warm = [np.full((C, n), 1.0 / n) for _ in restarts]
@@ -184,9 +184,9 @@ def _descend(
 
     def keep(mask):
         """Drop the copies outside ``mask`` from the stack."""
-        nonlocal ids, coef0, W, op, warm, loss_prev
+        nonlocal ids, step_sizes, W, op, warm, loss_prev
         if not all(mask.tolist()):  # plain bools: numpy's all/any cost more on a few copies
-            ids, coef0, W, loss_prev = ids[mask], coef0[mask], W[mask], loss_prev[mask]
+            ids, step_sizes, W, loss_prev = ids[mask], step_sizes[mask], W[mask], loss_prev[mask]
             warm = [w[mask] for w in warm]
             op = WalkOperator(P, W)
 
@@ -219,33 +219,24 @@ def _descend(
             for r, (cfg, p) in enumerate(zip(restarts, warm)):
                 if r:  # earlier restarts moved the matrices; warm keeps the solutions at the feasible ones
                     p = solve(cfg, p)
-                s = group_scores(p, groups)
-                prow = np.take(p, rows, axis=1)
-                for k in range(K):
-                    coef = coef0 * (s[:, k] - phi[k])
+                for coef, step in _terms(op, p, step_sizes, restarts, groups, phi, opt.t2, rows, P.indices):
                     moves = alive & (coef != 0.0)
                     flags = moves.tolist()
                     if not any(flags):
                         continue
-                    y = neumann_y(op, groups.indicator(k), gamma, opt.t2)
-                    step = coef[:, None] * prow * np.take(y, P.indices, axis=1)
                     if not all(flags):
                         step[~moves] = 0.0  # x - 0.0 is x: the other copies keep their weights bitwise
                     W -= step
                     bounded = (np.abs(W) <= ENTRY_CEILING).all(axis=1)
                     if not all(bounded.tolist()):
-                        blown = moves & ~bounded
-                        for i in ids[blown]:
-                            outcomes[i] = DivergedError(it + 1, math.inf, safe_alpha)
-                        alive &= ~blown
+                        alive &= ~(moves & ~bounded)
         sel = np.flatnonzero(alive)
         m = len(sel) * P.nnz
         W[sel] = project_rows(W[sel].ravel(), segs[:m], len(sel) * n, lower[:m], upper[:m]).reshape(len(sel), P.nnz)
         sums = np.add.reduceat(W[sel], starts, axis=1)
-        off = (np.abs(sums - 1.0) > ROW_SUM_TOL).any(axis=1)
-        for i in ids[sel[off]]:
+        alive[sel[(np.abs(sums - 1.0) > ROW_SUM_TOL).any(axis=1)]] = False
+        for i in ids[~alive]:
             outcomes[i] = DivergedError(it + 1, math.inf, safe_alpha)
-        alive[sel[off]] = False
         keep(alive)
     return alphas, outcomes
 

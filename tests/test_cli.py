@@ -111,6 +111,15 @@ def test_optimize_divergence_exit_code(tmp_path, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("phi", ["1.5", "0"])
+def test_optimize_lead_share_out_of_range_exit_code(tmp_path, capsys, phi):
+    # a single --phi is a lead share in (0,1) for every group count; the
+    # two-group target (0, 1) is spelled out as --phi 0,1
+    code = main(["optimize", *KARATE, "--method", "fairgd", "--phi", phi, "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert f"lead share must be in (0,1), got {float(phi)}" in capsys.readouterr().err
+
+
 def test_optimize_grid_in_report(tmp_path):
     from fairpr import ALPHA_GRID
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_instance, random_target
+from conftest import random_instance, random_sinky_instance, random_target
 from fairpr import (
     FairnessTarget,
     PageRankConfig,
@@ -19,7 +19,8 @@ from fairpr import (
     pagerank_direct,
     pagerank_power,
 )
-from fairpr.loss import loss_from_scores
+from fairpr.graph import WalkOperator
+from fairpr.loss import _terms, loss_from_scores
 
 GAMMA = 0.15
 
@@ -185,6 +186,88 @@ def test_grad_group_adapted_is_mean_of_restart_grads():
     la = loss_group_adapted(P, GAMMA, groups, target, t1=400, tol=1e-14)
     mean = sum(loss_fair(P, c, groups, target, t1=400, tol=1e-14) for c in restarts) / groups.K
     assert abs(la - mean) <= 1e-15 * mean
+
+
+def test_terms_sum_to_the_gradients_bitwise():
+    # the kernel's coefficients and terms are the explicit formula with each
+    # y_k summed once, and summed at a fixed matrix they are the gradients
+    rng = np.random.default_rng(21)
+    for K in (2, 3):
+        _, groups, cfg, P = random_sinky_instance(rng, 14, K)
+        target = random_target(rng, K)
+        rows, cols = P.entry_rows(), P.indices
+        ys = [neumann_y(P, groups.indicator(k), GAMMA, 40)[cols] for k in range(K)]
+        group_restarts = [PageRankConfig.group_restart(groups, ell, GAMMA) for ell in range(K)]
+        for restarts, gr in (
+            ([cfg], grad_fair(P, cfg, groups, target, t2=40)),
+            (group_restarts, grad_group_adapted(P, GAMMA, groups, target, t2=40)),
+        ):
+            c0 = 2.0 * (1.0 - GAMMA) / (K * len(restarts))
+            want, summed = np.zeros(P.nnz), np.zeros(P.nnz)
+            for c in restarts:
+                p = pagerank_power(P, c)
+                resid = group_scores(p, groups) - target.phi
+                coefs = []
+                for coef, term in _terms(P, p, 1.0, restarts, groups, target.phi, 40, rows, cols):
+                    coefs.append(coef)
+                    summed += term
+                assert coefs == [c0 * resid[k] for k in range(K)]
+                for k in range(K):
+                    want += (c0 * resid[k]) * p[rows] * ys[k]
+            assert np.array_equal(summed, gr.values)
+            assert np.array_equal(want, gr.values)
+
+
+def _stochastic_copies(rng, P, C):
+    """C row-stochastic weightings of P's pattern, one per row."""
+    rows = P.entry_rows()
+    W = P.data * rng.uniform(0.2, 1.8, size=(C, P.nnz))
+    return np.stack([w / np.bincount(rows, weights=w, minlength=P.n)[rows] for w in W])
+
+
+def test_terms_over_stacked_copies_match_each_copy_alone_bitwise():
+    rng = np.random.default_rng(22)
+    _, groups, _, P = random_sinky_instance(rng, 15, 3)
+    target = random_target(rng, 3)
+    restarts = [PageRankConfig.group_restart(groups, ell, GAMMA) for ell in range(3)]
+    rows, cols = P.entry_rows(), P.indices
+    W = _stochastic_copies(rng, P, 4)
+    scale = np.array([1e-2, 0.5, 3.0, 40.0])
+    op = WalkOperator(P, W)
+    p = pagerank_power(op, restarts[1])
+    block = list(_terms(op, p, scale, restarts, groups, target.phi, 30, rows, cols))
+    assert len(block) == 3
+    for c in range(len(W)):
+        alone = list(_terms(P.with_data(W[c]), p[c], scale[c], restarts, groups, target.phi, 30, rows, cols))
+        assert len(alone) == len(block)
+        for (coefs, terms), (coef, term) in zip(block, alone):
+            assert coefs[c] == coef
+            assert np.array_equal(terms[c], term)
+
+
+def test_terms_see_weights_moved_between_terms():
+    # the descent subtracts each term before it asks for the next one, and
+    # gets it at the moved weights
+    rng = np.random.default_rng(23)
+    _, groups, cfg, P = random_sinky_instance(rng, 15, 3)
+    target = random_target(rng, 3)
+    rows, cols = P.entry_rows(), P.indices
+    W = _stochastic_copies(rng, P, 2)
+    scale = np.array([0.5, 2.0])
+    p = pagerank_power(WalkOperator(P, W), cfg)
+
+    def second_term(weights):
+        terms = _terms(WalkOperator(P, weights), p, scale, [cfg], groups, target.phi, 30, rows, cols)
+        next(terms)
+        return next(terms)
+
+    stale = second_term(W.copy())
+    terms = _terms(WalkOperator(P, W), p, scale, [cfg], groups, target.phi, 30, rows, cols)
+    W -= next(terms)[1]
+    coef, term = next(terms)
+    want_coef, want = second_term(W.copy())
+    assert np.array_equal(coef, want_coef) and np.array_equal(term, want)
+    assert not np.array_equal(term, stale[1])
 
 
 def test_lipschitz_bound_values():
