@@ -315,12 +315,14 @@ class WalkOperator:
     no rebuild. A product calls scipy's compiled ``csr_matvec`` or
     ``csc_matvec`` kernel directly on a zeroed output, as ``csr @ x`` and
     ``csc @ x`` do after their Python dispatch, so it is bitwise scipy's.
-    The kernels check nothing: the matrix has checked its pattern, and each
-    product checks its vector's length. The sink rows add a rank-one term
-    per copy (Langville & Meyer, "Deeper Inside PageRank", Internet Math.
-    2004): p'P = p'P_E + (sum of p over the sink rows) s' and (Pz)_i = s.z
-    on a sink row i, where s is ``sink_row``. Without sink rows the term is
-    skipped, so the products are exactly scipy's.
+    The kernels check nothing: the matrix has checked its pattern, ``left``
+    and ``right`` check their vector's length, and ``left_into`` and
+    ``right_into``, which add into a zeroed buffer of the caller's, leave
+    that check to the caller (``vector`` makes it). The sink rows add a
+    rank-one term per copy (Langville & Meyer, "Deeper Inside PageRank",
+    Internet Math. 2004): p'P = p'P_E + (sum of p over the sink rows) s' and
+    (Pz)_i = s.z on a sink row i, where s is ``sink_row``. Without sink rows
+    the term is skipped, so the products are exactly scipy's.
     """
 
     __slots__ = ("data", "n", "copies", "shape", "_size", "_indptr", "_indices", "_weights", "_spans", "_sink_row")
@@ -353,7 +355,7 @@ class WalkOperator:
         """Itself, so that solvers take a matrix or an operator alike."""
         return self
 
-    def _vector(self, x) -> np.ndarray:
+    def vector(self, x) -> np.ndarray:
         """``x`` as the C-contiguous float64 vector the kernels read, or
         ValueError (as scipy's dimension check raises) when its length is wrong."""
         x = np.ascontiguousarray(x, dtype=float)
@@ -362,24 +364,33 @@ class WalkOperator:
         return x
 
     def left(self, p: np.ndarray) -> np.ndarray:
-        p = self._vector(p)
+        p = self.vector(p)
         q = np.zeros(self._size)
+        self.left_into(p, q)
+        return q
+
+    def right(self, z: np.ndarray) -> np.ndarray:
+        z = self.vector(z)
+        y = np.zeros(self._size)
+        self.right_into(z, y)
+        return y
+
+    def left_into(self, p: np.ndarray, q: np.ndarray) -> None:
+        """Add p'P into ``q``, which the caller has zeroed. Neither vector is
+        checked: both must be C-contiguous float64 of the operator's size."""
         csc_matvec(self._size, self._size, self._indptr, self._indices, self._weights, p, q)
         if self._sink_row is not None:
             # copy by copy: a (C, m) gather is not contiguous per row and sums in another order
             for span, sinks in self._spans:
                 q[span] += p[sinks].sum() * self._sink_row
-        return q
 
-    def right(self, z: np.ndarray) -> np.ndarray:
-        z = self._vector(z)
-        y = np.zeros(self._size)
+    def right_into(self, z: np.ndarray, y: np.ndarray) -> None:
+        """Add Pz into ``y``, which the caller has zeroed; unchecked, as ``left_into``."""
         csr_matvec(self._size, self._size, self._indptr, self._indices, self._weights, z, y)
         if self._sink_row is not None:
             # one dot per copy: a matrix-vector product would sum in another order
             for span, sinks in self._spans:
                 y[sinks] = self._sink_row @ z[span]
-        return y
 
 
 def load_graph(text: str, undirected: bool = False) -> Graph:

@@ -7,8 +7,18 @@ the matrix), multiplied by scipy's compiled matvec kernels called directly,
 bitwise what ``csr @ x`` and ``csc @ x`` return, plus the rank-one term of
 the sink rows, p'P = p'P_E + (sum of p over the sink rows) s' and
 (Pz)_i = s.z on a sink row i, where s is the matrix's ``sink_row``.
-The power and series steps update their iterates in place, in the same
-operations and order as the plain expressions, so their results are too.
+The solvers check their start vector once and then call the operator's
+unchecked ``left_into``/``right_into`` products. The power iteration takes
+its steps in chunks of up to ``CHUNK_STEPS``, written into the rows of one
+new zeroed buffer per chunk, and tests every step of a chunk in one L1
+reduction; a chunk's rows stay within ``CHUNK_BUDGET`` entries (1 MiB),
+except that a block larger than that still takes one step per chunk. The
+series adds each damped term into its sum in place, as ``y += z`` does:
+summing a chunk's terms in one reduction down the rows first copies the
+partial sum, which made the one-step chunks of large blocks 10% slower,
+and writing the terms into chunk rows saved nothing measurable on small
+ones. Each step is the same operations in the same order as the plain
+expressions, so the results are bitwise those of a step-by-step loop.
 
 ``pagerank_power``, ``neumann_y`` and ``group_scores`` also take a
 ``WalkOperator`` over C stacked copies of one pattern (the descent runs its
@@ -20,15 +30,27 @@ copy alone returns: the power iteration stops each copy on its own, and a
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 
 from .graph import GroupAssignment, PageRankConfig, TransitionMatrix, WalkOperator
 
 DIRECT_SOLVE_LIMIT = 5000
+CHUNK_STEPS = 8  # most steps per chunk
+CHUNK_BUDGET = 2**17  # most entries in one chunk's steps: 1 MiB of float64
+
+log = logging.getLogger(__name__)
 
 
 class OracleSizeError(ValueError):
     """Dense direct solve requested beyond its size guard."""
+
+
+def _chunk_steps(size: int) -> int:
+    """Steps per chunk for vectors of ``size`` entries: at most
+    ``CHUNK_STEPS``, within ``CHUNK_BUDGET`` entries, and at least one."""
+    return max(1, min(CHUNK_STEPS, CHUNK_BUDGET // max(size, 1)))
 
 
 def pagerank_power(
@@ -40,40 +62,65 @@ def pagerank_power(
 ) -> np.ndarray:
     """Iterate p' = (1-gamma) p'P + gamma v' for at most t1 steps.
 
-    A copy stops early, keeping its iterate, once the L1 change between its
-    iterates drops below ``tol``; the others go on. Starts from the uniform
+    A copy stops at its first step whose L1 change drops below ``tol`` and
+    returns that step's iterate; the others go on. Starts from the uniform
     vector (one row per copy) unless ``start`` is given, which is only read.
     Returns a new vector, or a (C, n) block over C stacked copies.
+
+    The steps run in chunks (see the module docstring), and every step's
+    change is tested once its chunk is done: the steps a chunk takes past
+    the last copy's stop, at most ``CHUNK_STEPS - 1``, are discarded. The
+    copies that reach t1 without meeting ``tol`` are logged at DEBUG, with
+    their largest last L1 change.
     """
     if t1 < 1:
         raise ValueError("t1 must be >= 1")
     op = P.operator()
-    left, rows = op.left, (op.copies, op.n)
-    damp, jump = 1.0 - cfg.gamma, np.tile(cfg.gamma * cfg.restart_vector, op.copies)
+    copies, n = op.copies, op.n
+    damp, jump = 1.0 - cfg.gamma, np.tile(cfg.gamma * cfg.restart_vector, copies)
     # the copies' vectors one after another, as the operator takes them
-    p = np.full(op.copies * op.n, 1.0 / op.n) if start is None else np.asarray(start, float).reshape(-1)
-    gap = np.empty(op.copies * op.n)  # |p_next - p|, with a (C, n) view to sum per copy
-    gaps = gap.reshape(rows)
-    stopped = None  # the copies that met tol, once some but not all have
-    for _ in range(t1):
-        # each product's output is a new zeroed array: it becomes the next
-        # iterate in place, and ``start`` and earlier results are only read
-        nxt = left(p)
-        np.multiply(nxt, damp, out=nxt)
-        np.add(nxt, jump, out=nxt)
-        np.subtract(nxt, p, out=gap)
-        np.abs(gap, out=gap)
-        met = np.add.reduce(gaps, axis=1) < tol
-        if stopped is not None:
-            nxt.reshape(rows)[stopped] = p.reshape(rows)[stopped]
-            met |= stopped
-        p = nxt
-        flags = met.tolist()  # plain bools: numpy's any/all cost more than a step's arithmetic
-        if all(flags):
-            break
-        if any(flags):
-            stopped = met
-    return p.reshape(op.shape)
+    p = np.full(copies * n, 1.0 / n) if start is None else op.vector(np.asarray(start, float).reshape(-1))
+    m = _chunk_steps(copies * n)
+    gaps = np.empty((m, copies * n))  # |step - the step before|
+    per_copy = gaps.reshape(m * copies, n)  # the same, one row per step and copy
+    result = np.empty((copies, n))
+    pending = np.arange(copies)  # the copies that have not met tol
+    done = 0
+    while pending.size and done < t1:
+        k = min(m, t1 - done)
+        # a new zeroed buffer per chunk: ``start`` and the last chunk's rows are only read
+        rows = np.zeros((k, copies * n))
+        prev = p
+        for row in rows:
+            op.left_into(prev, row)
+            np.multiply(row, damp, out=row)
+            np.add(row, jump, out=row)
+            prev = row
+        np.subtract(rows[0], p, out=gaps[0])
+        if k > 1:
+            np.subtract(rows[1:], rows[:-1], out=gaps[1:k])
+        np.abs(gaps[:k], out=gaps[:k])
+        change = np.add.reduce(per_copy[: k * copies], axis=1).reshape(k, copies)
+        met = change < tol
+        # one test per chunk, on plain bools (numpy's any costs more than a small step's arithmetic);
+        # a stopped copy's later steps may meet tol again, so only pending copies count
+        if True in met.ravel().tolist():
+            met = met[:, pending]
+            hit = met.any(axis=0)
+            # copy by copy: a fancy-indexed read would copy each row once more
+            for c, step in zip(pending[hit].tolist(), met.argmax(axis=0)[hit].tolist()):
+                result[c] = rows[step, c * n : (c + 1) * n]
+            pending = pending[~hit]
+        p, done = rows[-1], done + k
+    if pending.size:
+        for c in pending.tolist():
+            result[c] = p[c * n : (c + 1) * n]
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug(
+                "pagerank_power: %d of %d copies reached t1=%d without meeting tol=%g; largest last L1 change %.3e",
+                pending.size, copies, t1, tol, change[-1, pending].max(),
+            )
+    return result.reshape(op.shape)
 
 
 def pagerank_direct(P: TransitionMatrix, cfg: PageRankConfig) -> np.ndarray:
@@ -102,18 +149,22 @@ def neumann_y(
 
     Approximates (I - (1-gamma) P)^{-1} 1_k; the i = 0 term is included.
     Over stacked copies every copy starts from the same ``indicator``.
+
+    One term at a time, each added into the sum as soon as it is damped
+    (see the module docstring for why the series takes no chunks).
     """
     if t2 < 0:
         raise ValueError("t2 must be >= 0")
     op = P.operator()
-    right = op.right
     damp = 1.0 - gamma
-    z = np.tile(np.asarray(indicator, dtype=float), op.copies)
-    y = z.copy()
+    y = op.vector(np.tile(np.asarray(indicator, dtype=float), op.copies))
+    z = y  # the i = 0 term, read once before y first changes
     for _ in range(t2):
-        z = right(z)
-        np.multiply(z, damp, out=z)
-        y += z
+        term = np.zeros(y.size)  # the unchecked product's zeroed output: y was checked above
+        op.right_into(z, term)
+        np.multiply(term, damp, out=term)
+        y += term
+        z = term
     return y.reshape(op.shape)
 
 

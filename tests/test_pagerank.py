@@ -1,6 +1,11 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+
+import fairpr.graph
+import fairpr.pagerank
 
 from conftest import random_instance, random_sinky_instance
 from fairpr import (
@@ -246,8 +251,9 @@ def block_products(P, W, x):
 @pytest.mark.parametrize("sinks", [False, True])
 def test_kernel_products_match_scipy_bitwise(copies, sinks):
     """``left`` and ``right`` call scipy's compiled matvec kernels directly;
-    pin them to the public sparse products, also once the weights change in
-    place and once they are replaced."""
+    pin them, and ``left_into`` and ``right_into`` on zeroed buffers, to the
+    public sparse products, also once the weights change in place and once
+    they are replaced."""
     rng = np.random.default_rng(808 + copies + 10 * sinks)
     cases = 0
     while cases < 12:
@@ -271,6 +277,11 @@ def test_kernel_products_match_scipy_bitwise(copies, sinks):
             left, right = block_products(P, op.data, x)
             assert np.array_equal(op.left(x), left), step
             assert np.array_equal(op.right(x), right), step
+            # the unchecked products add the same into a zeroed buffer
+            q, y = np.zeros(copies * P.n), np.zeros(copies * P.n)
+            op.left_into(x, q)
+            op.right_into(x, y)
+            assert np.array_equal(q, left) and np.array_equal(y, right), step
             if step == "built":
                 op.data *= rng.uniform(0.5, 1.5, size=op.data.shape)
             elif copies == 1:
@@ -333,3 +344,153 @@ def test_malformed_pattern_is_refused():
     P.data = np.ones(3)
     with pytest.raises(ValueError, match="weights of length 3"):
         P.operator()
+
+
+def test_wrong_length_vectors_raise_before_any_kernel(monkeypatch):
+    """The solvers' products skip the length check, so the solvers check
+    ``start`` and ``indicator`` once, before the first product."""
+    rng = np.random.default_rng(910)
+    _, _, cfg, P = random_sinky_instance(rng, 20, 2)
+    block = WalkOperator(P, np.tile(P.data, (3, 1)))
+
+    def kernel(*args):
+        raise AssertionError("a kernel ran on an unchecked vector")
+
+    monkeypatch.setattr(fairpr.graph, "csc_matvec", kernel)
+    monkeypatch.setattr(fairpr.graph, "csr_matvec", kernel)
+    for op in (P, block):
+        size = op.operator().copies * P.n
+        for bad in (size - 1, size + 1):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                pagerank_power(op, cfg, start=np.full(bad, 1.0 / P.n))
+        for bad in (P.n - 1, P.n + 1):
+            for t2 in (0, 1):
+                with pytest.raises(ValueError, match="dimension mismatch"):
+                    neumann_y(op, np.ones(bad), GAMMA, t2)
+
+
+# Step-by-step references for the solvers, through the checked products: one
+# product, one convergence test and one series update per step.
+
+
+def stepwise_power(P, cfg, t1=100, tol=1e-12, start=None):
+    """The power iteration one step at a time; also returns the step at
+    which each copy stopped (t1 for a copy that never met tol)."""
+    op = P.operator()
+    left, rows = op.left, (op.copies, op.n)
+    damp, jump = 1.0 - cfg.gamma, np.tile(cfg.gamma * cfg.restart_vector, op.copies)
+    p = np.full(op.copies * op.n, 1.0 / op.n) if start is None else np.asarray(start, float).reshape(-1)
+    gap = np.empty(op.copies * op.n)
+    gaps = gap.reshape(rows)
+    stopped = None
+    stops = np.full(op.copies, t1)
+    for step in range(1, t1 + 1):
+        nxt = left(p)
+        np.multiply(nxt, damp, out=nxt)
+        np.add(nxt, jump, out=nxt)
+        np.subtract(nxt, p, out=gap)
+        np.abs(gap, out=gap)
+        met = np.add.reduce(gaps, axis=1) < tol
+        if stopped is not None:
+            nxt.reshape(rows)[stopped] = p.reshape(rows)[stopped]
+            met |= stopped
+        stops[met & (stops == t1)] = step
+        p = nxt
+        flags = met.tolist()
+        if all(flags):
+            break
+        if any(flags):
+            stopped = met
+    return p.reshape(op.shape), stops
+
+
+def stepwise_series(P, indicator, gamma, t2=50):
+    op = P.operator()
+    damp = 1.0 - gamma
+    z = np.tile(np.asarray(indicator, dtype=float), op.copies)
+    y = z.copy()
+    for _ in range(t2):
+        z = op.right(z)
+        np.multiply(z, damp, out=z)
+        y += z
+    return y.reshape(op.shape)
+
+
+def stochastic_block(rng, P, copies):
+    """``copies`` row-stochastic reweightings of P's pattern, one per row, so
+    that the copies converge at different steps."""
+    W = P.data * rng.uniform(0.2, 5.0, size=(copies, P.nnz))
+    counts = np.diff(P.indptr)
+    W /= np.repeat(np.add.reduceat(W, P.indptr[:-1][counts > 0], axis=1), counts[counts > 0], axis=1)
+    return W
+
+
+@pytest.mark.parametrize("steps", [None, 1, 2, 3])
+@pytest.mark.parametrize("copies", [0, 1, 9])
+@pytest.mark.parametrize("sinks", [False, True])
+def test_solvers_match_stepwise_loops_bitwise(monkeypatch, steps, copies, sinks):
+    """Every result of the solvers is bitwise the step-by-step loops', at
+    step counts around the power iteration's chunk length, with copies that
+    stop at different steps of one chunk, and with the chunk length forced to
+    1, 2 and 3 through the memory budget (None keeps the default)."""
+    rng = np.random.default_rng(1616 + 10 * copies + sinks + (steps or 0))
+    shared_chunk = False  # two copies stopped at different steps of one chunk
+    for case in range(3):
+        n = int(rng.integers(20, 40))
+        make = random_sinky_instance if sinks else random_instance
+        _, groups, cfg, P = make(rng, n, 2)
+        assert (P.sink_row is not None) == sinks or case  # the first sinky instance has sinks
+        op = P if copies == 1 else WalkOperator(P, stochastic_block(rng, P, copies))
+        size = copies * P.n
+        if steps is not None:
+            monkeypatch.setattr(fairpr.pagerank, "CHUNK_BUDGET", steps * size + size // 2)
+        m = fairpr.pagerank._chunk_steps(size)
+        assert m == (steps or 8) or copies == 0
+        start = rng.random((copies, P.n)) + 0.1
+        start /= start.sum(axis=1, keepdims=True)
+        if copies == 1:
+            start = start[0]
+        for t1 in (1, 7, 8, 9, 17, 100):
+            for tol in (0.0, 1e-8, 1e-12):
+                for given in (None, start):
+                    want, stops = stepwise_power(op, cfg, t1, tol, given)
+                    got = pagerank_power(op, cfg, t1, tol, given)
+                    assert got.shape == want.shape == op.operator().shape
+                    assert np.array_equal(got, want), (case, t1, tol, given is None)
+                    chunks = (stops[stops < t1] - 1) // m
+                    shared_chunk |= len(set(zip(chunks.tolist(), stops[stops < t1].tolist()))) > len(set(chunks.tolist()))
+        ind = groups.indicator(case % 2)
+        for t2 in (0, 1, 7, 8, 9, 50):
+            want = stepwise_series(op, ind, GAMMA, t2)
+            got = neumann_y(op, ind, GAMMA, t2)
+            assert got.shape == want.shape == op.operator().shape
+            assert np.array_equal(got, want), (case, t2)
+    assert shared_chunk or copies < 9 or steps == 1
+
+
+def test_capped_solves_are_logged(caplog):
+    """A solve whose copies reach t1 without meeting tol says so at DEBUG,
+    once, with the count and the largest last L1 change; one whose copies
+    all converge, or one with DEBUG off, logs nothing."""
+    rng = np.random.default_rng(1617)
+    _, _, cfg, P = random_sinky_instance(rng, 30, 2)
+    block = WalkOperator(P, stochastic_block(rng, P, 3))
+    # copy 0 starts at its fixed point and stops at once; copies 1 and 2 need more than 3 steps
+    start = np.full((3, P.n), 1.0 / P.n)
+    start[0] = pagerank_power(block, cfg, t1=1000, tol=0.0)[0]
+    t1, tol = 3, 1e-12
+    p2, _ = stepwise_power(block, cfg, t1 - 1, 0.0, start)
+    p3, stops = stepwise_power(block, cfg, t1, tol, start)
+    assert stops.tolist() == [1, 3, 3]
+    largest = np.abs(p3[1:] - p2[1:]).sum(axis=1).max()
+    with caplog.at_level(logging.DEBUG, logger="fairpr.pagerank"):
+        pagerank_power(block, cfg, t1=t1, tol=tol, start=start)
+        pagerank_power(block, cfg, t1=500, tol=tol, start=start)
+    lines = [r.getMessage() for r in caplog.records if r.name == "fairpr.pagerank"]
+    assert lines == [
+        f"pagerank_power: 2 of 3 copies reached t1=3 without meeting tol=1e-12; largest last L1 change {largest:.3e}"
+    ]
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="fairpr.pagerank"):
+        pagerank_power(block, cfg, t1=t1, tol=tol, start=start)
+    assert not [r for r in caplog.records if r.name == "fairpr.pagerank"]
