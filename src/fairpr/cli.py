@@ -110,8 +110,7 @@ def cmd_optimize(args) -> int:
     groups, _, P = _load_instance(args)
     target = _parse_phi(args.phi, groups.K)
     opt = _build_opt(args)
-    method = args.method + ("_restricted" if opt.restricted else "")
-    report = run_optimizer_method(method, P, args.gamma, groups, target, opt)
+    report = run_optimizer_method(args.method, P, args.gamma, groups, target, opt)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "original.tsv").write_text(serialize_matrix(P))
@@ -130,7 +129,7 @@ def cmd_optimize(args) -> int:
         "metrics": asdict(bundle),
         "notes": rt_reason,
     }
-    if opt.alpha is None and not opt.alpha_auto:
+    if len(report.grid) > 1:
         payload["grid"] = [asdict(point) for point in report.grid]
     (out / "report.json").write_text(json.dumps(payload, indent=2) + "\n")
     print("final group scores: " + " ".join(f"{s:.6f}" for s in final_scores))

@@ -104,13 +104,9 @@ def tune_step_size(run, opt: OptimizerConfig):
 
 
 def run_optimizer_method(method, P, gamma, groups, target, opt: OptimizerConfig):
-    """Dispatch one optimizer cell, grid-searching alpha when unset."""
-    restricted = method.endswith("_restricted")
-    if restricted and not opt.restricted:
-        opt = replace(opt, delta=0.1, epsilon=0.1)
-    if not restricted and opt.restricted:
-        opt = replace(opt, delta=None, epsilon=None)
-    if method.startswith("adaptgd"):
+    """Run ``method`` ("fairgd" or "adaptgd") with ``opt`` as given,
+    grid-searching alpha when unset."""
+    if method == "adaptgd":
         run = functools.partial(adapt_gd, P, gamma, groups, target)
     else:
         run = functools.partial(fair_gd, P, PageRankConfig.uniform(P.n, gamma), groups, target)
@@ -153,7 +149,12 @@ def run_cell(spec: ExperimentSpec, groups, P, method: str, phi: float, p_orig=No
             # looked up at call time so that replaced module attributes are seen
             revised = getattr(baselines, method)(P, groups, target).matrix
         else:
-            report = run_optimizer_method(method, P, spec.gamma, groups, target, spec.optimizer)
+            restricted, opt = method.endswith("_restricted"), spec.optimizer
+            if restricted != opt.restricted:
+                # a *_restricted name sets a 0.1/0.1 box when none is given; a plain name drops the box
+                box = 0.1 if restricted else None
+                opt = replace(opt, delta=box, epsilon=box)
+            report = run_optimizer_method(method.removesuffix("_restricted"), P, spec.gamma, groups, target, opt)
             revised = report.final_matrix
             row.iterations = report.iterations_run
             row.stop_reason = report.stop_reason

@@ -110,6 +110,11 @@ def rho_tilde(P_old: TransitionMatrix, P_new: TransitionMatrix) -> float:
     fewer than 2 union entries are skipped; a vertex whose weights are all
     tied on both sides contributes 1, tied on exactly one side it is
     skipped as undefined.
+
+    Against a ``build_transition`` original every row is uniform, so tied:
+    a revision on the original's pattern then scores 1.0 when some row
+    stayed tied and is undefined when none did, whatever it did to the
+    other rows' rankings.
     """
     if P_new.n != P_old.n:
         raise ValueError("matrices must have the same dimension")

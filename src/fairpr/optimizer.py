@@ -8,7 +8,9 @@ The loop runs one descent per step size, in lockstep: a fixed ``alpha`` (or
 whole ALPHA_GRID runs as C stacked copies over one block WalkOperator, each
 with its own warm starts, stop tests and divergence checks. Every copy ends
 bitwise as its step size would alone; the lowest final loss wins, ties going
-to the earlier step size."""
+to the earlier step size. A copy diverges when a step throws an entry past
+ENTRY_CEILING or when the projection leaves a row off sum 1; the loss, taken
+only at projected matrices, stays at most 1."""
 
 from __future__ import annotations
 
@@ -32,8 +34,6 @@ from .projection import project_rows, row_boxes
 
 log = logging.getLogger(__name__)
 
-# Loss is provably <= 1 on the feasible set; anything above is divergence.
-LOSS_CEILING = 1.0 + 1e-9
 # A gradient step that throws entries this far out of [0,1] cannot recover
 # meaningful precision through the projection; treat it as divergence.
 ENTRY_CEILING = 1e12
@@ -42,14 +42,15 @@ ALPHA_GRID = tuple(10.0**k for k in range(-4, 5))
 
 
 class DivergedError(RuntimeError):
-    """Gradient step blew the loss up; the step size is too large."""
+    """A gradient step left the feasible matrices beyond repair; the step
+    size is too large."""
 
-    def __init__(self, iteration: int, loss: float, safe_alpha: float):
+    def __init__(self, iteration: int, safe_alpha: float):
         self.iteration = iteration
-        self.loss = loss
         self.safe_alpha = safe_alpha
         super().__init__(
-            f"loss {loss!r} at iteration {iteration} is not finite or exceeds 1; "
+            f"diverged at iteration {iteration}: a step threw an entry past {ENTRY_CEILING:g} "
+            f"or the projection left a row off sum 1; "
             f"try a step size alpha <= {safe_alpha:.6g} (= 2/C)"
         )
 
@@ -151,10 +152,11 @@ def _descend(
     l's ``loss._terms`` scaled by the copies' step sizes: each term's y_k is
     summed at the current unprojected matrix, and p_l is re-solved there
     after the first restart. Project every copy once per iteration; sink
-    rows never change. A copy diverges when its loss is not finite or
-    exceeds LOSS_CEILING, when an entry leaves [-ENTRY_CEILING,
-    ENTRY_CEILING], or when the projection cannot bring its rows back to sum
-    1 within ROW_SUM_TOL. Stopped and diverged copies leave the stack.
+    rows never change. A copy diverges, and leaves the stack at once, when
+    an entry is past ENTRY_CEILING (or not finite) after a restart's terms,
+    or when the projection leaves one of its rows off sum 1 by more than
+    ROW_SUM_TOL. Its loss needs no check: it is only evaluated at projected
+    matrices, where it is at most 1.
     """
     gamma = restarts[0].gamma
     K = groups.K
@@ -185,10 +187,16 @@ def _descend(
     def keep(mask):
         """Drop the copies outside ``mask`` from the stack."""
         nonlocal ids, step_sizes, W, op, warm, loss_prev
-        if not all(mask.tolist()):  # plain bools: numpy's all/any cost more on a few copies
-            ids, step_sizes, W, loss_prev = ids[mask], step_sizes[mask], W[mask], loss_prev[mask]
-            warm = [w[mask] for w in warm]
-            op = WalkOperator(P, W)
+        ids, step_sizes, W, loss_prev = ids[mask], step_sizes[mask], W[mask], loss_prev[mask]
+        warm = [w[mask] for w in warm]
+        op = WalkOperator(P, W)
+
+    def diverge(ok):
+        """The copies outside ``ok`` diverged at this iteration: record that and drop them."""
+        if not all(ok.tolist()):  # plain bools: numpy's all/any cost more on a few copies
+            for i in ids[~ok]:
+                outcomes[i] = DivergedError(it + 1, safe_alpha)
+            keep(ok)
 
     def solve(cfg, start):
         return pagerank_power(op, cfg, t1=opt.t1, tol=opt.power_tol, start=start)
@@ -198,46 +206,29 @@ def _descend(
         losses = _mean_loss(np.stack([group_scores(w, groups) for w in warm], axis=1), phi)  # scores (copies, R, K)
         for i, loss in zip(ids, losses.tolist()):
             traces[i].append(loss)
-        diverged = ~np.isfinite(losses) | (losses > LOSS_CEILING)
         last = it == opt.max_iters
-        finished = ~diverged & (last | (np.abs(losses - loss_prev) <= opt.kappa))
+        done = last | (np.abs(losses - loss_prev) <= opt.kappa)
         loss_prev = losses
-        going = ~(diverged | finished)
-        if not all(going.tolist()):
-            for i, loss in zip(ids[diverged], losses[diverged].tolist()):
-                outcomes[i] = DivergedError(it + 1, loss, safe_alpha)
+        if any(done.tolist()):
             reason = "max_iters" if last else "kappa"
-            for j, i in zip(np.flatnonzero(finished), ids[finished]):
+            for j, i in zip(np.flatnonzero(done), ids[done]):
                 outcomes[i] = OptimizationReport(base.with_data(W[j].copy()), traces[i], reason, alphas[i])
-            keep(going)
+            keep(~done)
         if not len(ids):
             break
         log.debug("descent iter=%d losses=%s", it + 1, loss_prev)
 
-        alive = np.ones(len(ids), bool)
         with np.errstate(over="ignore", invalid="ignore"):
-            for r, (cfg, p) in enumerate(zip(restarts, warm)):
-                if r:  # earlier restarts moved the matrices; warm keeps the solutions at the feasible ones
-                    p = solve(cfg, p)
+            for r, cfg in enumerate(restarts):
+                # earlier restarts moved the matrices; warm keeps the solutions at the feasible ones
+                p = solve(cfg, warm[r]) if r else warm[r]
                 for coef, step in _terms(op, p, step_sizes, restarts, groups, phi, opt.t2, rows, P.indices):
-                    moves = alive & (coef != 0.0)
-                    flags = moves.tolist()
-                    if not any(flags):
-                        continue
-                    if not all(flags):
-                        step[~moves] = 0.0  # x - 0.0 is x: the other copies keep their weights bitwise
+                    step[coef == 0.0] = 0.0  # x - 0.0 is x: those copies keep their weights bitwise
                     W -= step
-                    bounded = (np.abs(W) <= ENTRY_CEILING).all(axis=1)
-                    if not all(bounded.tolist()):
-                        alive &= ~(moves & ~bounded)
-        sel = np.flatnonzero(alive)
-        m = len(sel) * P.nnz
-        W[sel] = project_rows(W[sel].ravel(), segs[:m], len(sel) * n, lower[:m], upper[:m]).reshape(len(sel), P.nnz)
-        sums = np.add.reduceat(W[sel], starts, axis=1)
-        alive[sel[(np.abs(sums - 1.0) > ROW_SUM_TOL).any(axis=1)]] = False
-        for i in ids[~alive]:
-            outcomes[i] = DivergedError(it + 1, math.inf, safe_alpha)
-        keep(alive)
+                diverge((np.abs(W) <= ENTRY_CEILING).all(axis=1))
+        m = W.size
+        W[:] = project_rows(W.ravel(), segs[:m], len(ids) * n, lower[:m], upper[:m]).reshape(W.shape)
+        diverge((np.abs(np.add.reduceat(W, starts, axis=1) - 1.0) <= ROW_SUM_TOL).all(axis=1))
     return alphas, outcomes
 
 

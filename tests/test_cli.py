@@ -141,9 +141,10 @@ def test_optimize_grid_in_report(tmp_path):
     assert main([*argv, "--out", str(tmp_path / "b")]) == 0
     for name in ("report.json", "revised.tsv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-    # a fixed step size is no grid search
-    assert main([*argv, "--alpha", "1", "--out", str(tmp_path / "c")]) == 0
-    assert "grid" not in json.loads((tmp_path / "c" / "report.json").read_text())
+    # a fixed or derived step size is no grid search
+    for flag in (["--alpha", "1"], ["--alpha-auto"]):
+        assert main([*argv, *flag, "--out", str(tmp_path / "c")]) == 0
+        assert "grid" not in json.loads((tmp_path / "c" / "report.json").read_text())
 
 
 def test_optimize_restricted_respects_box(tmp_path):
@@ -344,6 +345,37 @@ def test_sweep_cell_matches_standalone(tmp_path):
     cell = run_cell(ExperimentSpec(edges, labels), groups, P, "fairgd", 0.4)
     assert cell.stop_reason in ("kappa", "max_iters")
     assert (str(cell.iterations), cell.stop_reason) == (rows["fairgd"]["iterations"], rows["fairgd"]["stop_reason"])
+
+
+def test_run_cell_method_name_sets_the_box(tmp_path, monkeypatch):
+    """A *_restricted name gets a 0.1/0.1 box when none is set and keeps a
+    set one; a plain name drops it. The optimizer sees the plain name."""
+    from fairpr import OptimizerConfig, experiment
+
+    seen = []
+
+    def record(method, P, gamma, groups, target, opt):
+        seen.append((method, opt.delta, opt.epsilon))
+        raise RuntimeError("recorded")
+
+    monkeypatch.setattr(experiment, "run_optimizer_method", record)
+    edges, labels = toy_files(tmp_path)
+    groups, _, P = experiment.load_instance(Path(edges).read_text(), Path(labels).read_text(), False, 0.15)
+    boxed = OptimizerConfig(delta=0.2, epsilon=0.05)
+    for method, opt in [
+        ("fairgd_restricted", OptimizerConfig()),
+        ("adaptgd_restricted", boxed),
+        ("fairgd", boxed),
+        ("adaptgd", OptimizerConfig()),
+    ]:
+        row = experiment.run_cell(experiment.ExperimentSpec(edges, labels, optimizer=opt), groups, P, method, 0.4)
+        assert row.reason == "error: recorded"
+    assert seen == [
+        ("fairgd", 0.1, 0.1),
+        ("adaptgd", 0.2, 0.05),
+        ("fairgd", None, None),
+        ("adaptgd", None, None),
+    ]
 
 
 def test_sweep_solves_the_original_once(monkeypatch):

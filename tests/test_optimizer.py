@@ -1,3 +1,4 @@
+import logging
 import math
 from dataclasses import replace
 
@@ -28,7 +29,7 @@ from fairpr.experiment import build_target
 from fairpr.loss import loss_from_scores
 from fairpr.graph import WalkOperator
 from fairpr.loss import _group_restarts
-from fairpr.optimizer import ENTRY_CEILING, LOSS_CEILING, OptimizationReport, _descend
+from fairpr.optimizer import ENTRY_CEILING, OptimizationReport, _descend
 from fairpr.pagerank import neumann_y
 from fairpr.projection import project_matrix, row_boxes
 
@@ -145,7 +146,23 @@ def test_divergence_detection():
     with pytest.raises(DivergedError) as err:
         fair_gd(P, cfg, groups, target, OptimizerConfig(alpha=1e6, max_iters=50))
     assert err.value.iteration >= 1
-    assert "2/C" in str(err.value)
+    # the message names both causes that remain and the safe step
+    text = str(err.value)
+    assert f"iteration {err.value.iteration}:" in text
+    assert f"entry past {ENTRY_CEILING:g}" in text and "row off sum 1" in text
+    assert f"alpha <= {err.value.safe_alpha:.6g} (= 2/C)" in text
+
+
+def test_restart_resolves_skip_diverged_copies(karate, caplog):
+    """adapt_gd re-solves p_l for the restarts after the first only on the
+    copies whose entries passed the ceiling: no capped solve on karate
+    reports a nan change, although grid copies diverge."""
+    _, groups, _, P = karate
+    with caplog.at_level(logging.DEBUG, logger="fairpr"):
+        rep = adapt_gd(P, GAMMA, groups, build_target(0.1, groups.K), OptimizerConfig(max_iters=5))
+    assert "diverged" in {point.outcome for point in rep.grid}
+    capped = [r.getMessage() for r in caplog.records if "without meeting tol" in r.getMessage()]
+    assert not [m for m in capped if m.endswith("largest last L1 change nan")]
 
 
 def test_adapt_gd_single_group_identity():
@@ -230,6 +247,10 @@ def test_final_loss_is_the_returned_matrix_loss(karate, adapted, alpha, bounds):
 # evaluated once more after the last step, so that the trace ends at the
 # returned matrix. The shared loop is checked against them.
 
+# the reference loops' own divergence test: the loss is at most 1 on the feasible set
+LOSS_CEILING = 1.0 + 1e-9
+
+
 def ref_resolve_alpha(opt, n, K, gamma):
     if opt.alpha is not None:
         return opt.alpha
@@ -266,7 +287,7 @@ def ref_fair_gd(P, cfg, groups, target, opt):
         loss = loss_from_scores(scores, phi)
         trace.append(loss)
         if not math.isfinite(loss) or loss > LOSS_CEILING:
-            raise DivergedError(it + 1, loss, 2.0 / lipschitz_bound(P.n, K, gamma))
+            raise DivergedError(it + 1, 2.0 / lipschitz_bound(P.n, K, gamma))
         if it == opt.max_iters:
             break
         if abs(loss - loss_prev) <= opt.kappa:
@@ -284,7 +305,7 @@ def ref_fair_gd(P, cfg, groups, target, opt):
                 P_hat.data -= coef * prow * y[cols_nz]
                 stepped = True
                 if not np.all(np.abs(P_hat.data) <= ENTRY_CEILING):
-                    raise DivergedError(it + 1, math.inf, 2.0 / lipschitz_bound(P.n, K, gamma))
+                    raise DivergedError(it + 1, 2.0 / lipschitz_bound(P.n, K, gamma))
         if stepped:
             P_hat = project_matrix(P_hat, P, opt.delta, opt.epsilon)
 
@@ -320,7 +341,7 @@ def ref_adapt_gd(P, gamma, groups, target, opt):
         loss = sq / (K * K)
         trace.append(loss)
         if not math.isfinite(loss) or loss > LOSS_CEILING:
-            raise DivergedError(it + 1, loss, 2.0 / lipschitz_bound(P.n, K, gamma))
+            raise DivergedError(it + 1, 2.0 / lipschitz_bound(P.n, K, gamma))
         if it == opt.max_iters:
             break
         if abs(loss - loss_prev) <= opt.kappa:
@@ -341,7 +362,7 @@ def ref_adapt_gd(P, gamma, groups, target, opt):
                     P_hat.data -= coef * prow * y[cols_nz]
                     stepped = True
                     if not np.all(np.abs(P_hat.data) <= ENTRY_CEILING):
-                        raise DivergedError(it + 1, math.inf, 2.0 / lipschitz_bound(P.n, K, gamma))
+                        raise DivergedError(it + 1, 2.0 / lipschitz_bound(P.n, K, gamma))
         if stepped:
             P_hat = project_matrix(P_hat, P, opt.delta, opt.epsilon)
 
@@ -385,8 +406,7 @@ def test_fair_gd_matches_reference_loop_bitwise():
         assert type(got) is type(ref)
         if isinstance(ref, DivergedError):
             diverged += 1
-            assert (got.iteration, repr(got.loss)) == (ref.iteration, repr(ref.loss))
-            assert got.safe_alpha == ref.safe_alpha
+            assert (got.iteration, got.safe_alpha) == (ref.iteration, ref.safe_alpha)
             continue
         assert got.loss_trace == ref.loss_trace
         assert np.array_equal(got.final_matrix.data, ref.final_matrix.data)
@@ -415,14 +435,13 @@ def test_unrecoverable_projection_diverges():
         ref_fair_gd(P, cfg, groups, target, opt).final_matrix.validate()
     with pytest.raises(DivergedError) as err:
         fair_gd(P, cfg, groups, target, opt)
-    assert err.value.iteration == 1 and err.value.loss == math.inf
+    assert err.value.iteration == 1
 
 
 def _same_outcome(got, want):
     assert type(got) is type(want)
     if isinstance(want, DivergedError):
-        assert (got.iteration, repr(got.loss)) == (want.iteration, repr(want.loss))
-        assert got.safe_alpha == want.safe_alpha
+        assert (got.iteration, got.safe_alpha) == (want.iteration, want.safe_alpha)
         return
     assert got.loss_trace == want.loss_trace
     assert np.array_equal(got.final_matrix.data, want.final_matrix.data)
