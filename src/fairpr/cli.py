@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["fairgd", "adaptgd"], required=True)
     p.add_argument("--phi", required=True, help="single lead share or comma-separated targets")
     _optimizer_flags(p)
-    p.add_argument("--alpha-auto", action="store_true", help="use the safe step 2/C")
+    p.add_argument("--alpha-auto", action="store_true", help="use the safe step 2/C instead of --alpha")
     p.add_argument("--out", default="opt_out")
     p.set_defaults(fn=cmd_optimize)
 

@@ -9,7 +9,8 @@ problem", J. Optim. Theory Appl. 2008). Each pass shifts the free entries
 of a row by one lambda so that the row sums to 1. A row whose shifted
 entries stay inside their box is settled; otherwise the entries violating
 the heavier side are fixed at those bounds, where the optimum keeps them,
-and the next pass solves for the rest.
+and the next pass solves for the rest. Every row lands on sum 1 to
+rounding, whatever the magnitude of its entries.
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ def project_rows(
 
     ``seg`` gives the row id in [0, nseg) of each entry; the boxes must
     meet the simplex (see ``BoxBounds.validate``). Rows already feasible
-    within FEAS_TOL come back bit-for-bit.
+    within FEAS_TOL come back bit-for-bit; every other row lands on sum 1
+    to rounding.
     """
     if not np.isfinite(s).all():
         raise ValueError("cannot project a vector with non-finite entries")
@@ -86,26 +88,29 @@ def project_rows(
     off_sum = np.abs(np.bincount(seg, s, nseg) - 1.0) > FEAS_TOL
     pos = np.flatnonzero((outside | off_sum)[seg])
     seg, x, lo, up = seg[pos], s[pos], lower[pos], upper[pos]
-    if x.size and x.max() > 1e8:
-        # huge rows lose the precision lambda needs; shifting a row leaves its
-        # projection unchanged, since every feasible point sums to 1
-        top = np.full(nseg, -np.inf)
-        np.maximum.at(top, seg, x)
-        x = x - np.where(top > 1e8, top - 1.0, 0.0)[seg]
     fixed = np.zeros(nseg)  # mass of each row's fixed entries
     while pos.size:
+        # shifting a row's free entries leaves its projection unchanged. Each
+        # pass shifts the input so that the largest free entry is 0: the
+        # entries a row settles with then lie in [-1, 0], exact differences.
+        # lambda takes two steps, the second from the residual at y's scale.
+        top = np.full(nseg, -np.inf)
+        np.maximum.at(top, seg, x)
+        z = x - top[seg]
         free = np.maximum(np.bincount(seg, minlength=nseg), 1)
-        y = x + ((1.0 - fixed - np.bincount(seg, x, nseg)) / free)[seg]
-        below = np.bincount(seg, np.maximum(lo - y, 0.0), nseg)
-        above = np.bincount(seg, np.maximum(y - up, 0.0), nseg)
-        settled = ((below == 0.0) & (above == 0.0))[seg]
-        # clipping would add `below` and remove `above`: with below >= above
-        # the row's lambda cannot rise, so entries under their lower bound stay
-        # there; the mirror case fixes entries over their upper bound
-        done = settled | np.where((below >= above)[seg], y < lo, y > up)
-        val = np.clip(y[done], lo[done], up[done])
-        out[pos[done]] = val
-        fixed += np.bincount(seg[done], val, nseg)
+        share = 1.0 - fixed
+        y = z + ((share - np.bincount(seg, z, nseg)) / free)[seg]
+        y += ((share - np.bincount(seg, y, nseg)) / free)[seg]
+        val = np.clip(y, lo, up)
+        settled = np.bincount(seg[val != y], minlength=nseg) == 0
+        # when the clipped row holds at least its share, its lambda cannot
+        # rise, so entries under their lower bound stay there; the mirror case
+        # fixes entries over their upper bound. The clipped sum is at unit
+        # scale, so large entries cannot tip the side.
+        low = np.bincount(seg, val, nseg) >= share
+        done = settled[seg] | np.where(low[seg], y < lo, y > up)
+        out[pos[done]] = val[done]
+        fixed += np.bincount(seg[done], val[done], nseg)
         keep = ~done
         pos, seg, x, lo, up = pos[keep], seg[keep], x[keep], lo[keep], up[keep]
     return out

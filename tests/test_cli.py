@@ -120,6 +120,14 @@ def test_optimize_lead_share_out_of_range_exit_code(tmp_path, capsys, phi):
     assert f"lead share must be in (0,1), got {float(phi)}" in capsys.readouterr().err
 
 
+def test_optimize_alpha_with_alpha_auto_exit_code(tmp_path, capsys):
+    # --alpha-auto derives the step instead of --alpha: the pair is ambiguous
+    argv = ["optimize", *KARATE, "--method", "fairgd", "--phi", "0.1", "--alpha", "5", "--alpha-auto"]
+    assert main([*argv, "--out", str(tmp_path / "run")]) == 2
+    assert "give alpha or alpha_auto, not both" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_optimize_grid_in_report(tmp_path):
     from fairpr import ALPHA_GRID
 

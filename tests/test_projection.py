@@ -12,6 +12,7 @@ from fairpr import (
     project_simplex,
     project_simplex_box,
 )
+from fairpr.projection import project_rows
 
 
 def oracle_simplex(s):
@@ -256,3 +257,51 @@ def test_box_validate_rejects_non_finite_bounds(side):
         box.validate(np.array([0, 0, 0, 1, 1, 1]), 2)
     with pytest.raises(InfeasibleBoxError):
         project_simplex_box(np.full(6, 0.5), box)
+
+
+def random_rows(rng, count, max_len, boxed):
+    """(seg, x, lower, upper) for ``count`` rows of 1 to ``max_len`` entries
+    (both ends included, log-uniform between): each row has its own scale,
+    up to 1e12, and entries of either sign spread over up to 12 decades.
+    Boxed rows get ``from_reference`` boxes around a random stochastic row,
+    the others [0, 1]."""
+    lengths = np.rint(10.0 ** rng.uniform(0.0, np.log10(max_len), count)).astype(int)
+    lengths[:2] = 1, max_len
+    seg = np.repeat(np.arange(count), lengths)
+    scale, spread = 10.0 ** rng.uniform(-2.0, 12.0, count), rng.uniform(0.0, 12.0, count)
+    x = scale[seg] * rng.uniform(-1.0, 1.0, seg.size) * 10.0 ** (-spread[seg] * rng.random(seg.size))
+    if not boxed:
+        return seg, x, np.zeros(seg.size), np.ones(seg.size)
+    r = rng.random(seg.size)
+    r /= np.bincount(seg, r, count)[seg]
+    delta, epsilon = rng.uniform(0.0, 0.5, count)[seg], (rng.random(count) / lengths)[seg]
+    return seg, x, np.maximum(0.0, (1.0 - delta) * r - epsilon), np.minimum(1.0, (1.0 + delta) * r + epsilon)
+
+
+@pytest.mark.parametrize("boxed", [False, True])
+def test_rows_land_on_sum_one(boxed):
+    """Every row lands on sum 1 to rounding, whatever the magnitude and
+    spread of its entries."""
+    rng = np.random.default_rng(31 + boxed)
+    for _ in range(4):
+        seg, x, lower, upper = random_rows(rng, 300, 10_000, boxed)
+        out = project_rows(x, seg, 300, lower, upper)
+        assert (out >= lower).all() and (out <= upper).all()
+        assert np.abs(np.bincount(seg, out, 300) - 1.0).max() <= 1e-14
+
+
+@pytest.mark.parametrize("boxed", [False, True])
+def test_row_shift_leaves_projection_unchanged(boxed):
+    """Adding c to every entry of a row leaves its projection unchanged,
+    since every feasible point sums to 1. Entries and shifts lie on a 2^-20
+    grid, so x + c is exact for |c| up to 1e9 and any difference is the
+    kernel's."""
+    rng = np.random.default_rng(41 + boxed)
+    count = 400
+    seg, _, lower, upper = random_rows(rng, count, 40, boxed)
+    x = rng.integers(-2**21, 2**21, seg.size) / 2**20
+    c = np.rint(rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(0.0, 9.0, count) * 2**20) / 2**20
+    assert np.array_equal((x + c[seg]) - c[seg], x)
+    want = project_rows(x, seg, count, lower, upper)
+    got = project_rows(x + c[seg], seg, count, lower, upper)
+    assert np.abs(got - want).max() <= 1e-12
