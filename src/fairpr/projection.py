@@ -8,9 +8,9 @@ Kiwiel, "Variable fixing algorithms for the continuous quadratic knapsack
 problem", J. Optim. Theory Appl. 2008). Each pass shifts the free entries
 of a row by one lambda so that the row sums to 1. A row whose shifted
 entries stay inside their box is settled; otherwise the entries violating
-the heavier side are fixed at those bounds, where the optimum keeps them,
-and the next pass solves for the rest. Every row lands on sum 1 to
-rounding, whatever the magnitude of its entries.
+one side are fixed at those bounds, where the optimum keeps them, and the
+next pass solves for the rest. Rows land on sum 1 to rounding, whatever
+the magnitude of their entries, unless these span past the float range.
 """
 
 from __future__ import annotations
@@ -78,8 +78,7 @@ def project_rows(
 
     ``seg`` gives the row id in [0, nseg) of each entry; the boxes must
     meet the simplex (see ``BoxBounds.validate``). Rows already feasible
-    within FEAS_TOL come back bit-for-bit; every other row lands on sum 1
-    to rounding.
+    within FEAS_TOL come back bit-for-bit, the others on sum 1 to rounding.
     """
     if not np.isfinite(s).all():
         raise ValueError("cannot project a vector with non-finite entries")
@@ -90,25 +89,26 @@ def project_rows(
     seg, x, lo, up = seg[pos], s[pos], lower[pos], upper[pos]
     fixed = np.zeros(nseg)  # mass of each row's fixed entries
     while pos.size:
-        # shifting a row's free entries leaves its projection unchanged. Each
-        # pass shifts the input so that the largest free entry is 0: the
-        # entries a row settles with then lie in [-1, 0], exact differences.
-        # lambda takes two steps, the second from the residual at y's scale.
+        # shifting a row's free entries leaves its projection unchanged; with
+        # the largest at 0, lambda never has to cancel large entries
         top = np.full(nseg, -np.inf)
         np.maximum.at(top, seg, x)
-        z = x - top[seg]
+        with np.errstate(over="ignore"):  # a row that overflows fails below
+            z = x - top[seg]
         free = np.maximum(np.bincount(seg, minlength=nseg), 1)
         share = 1.0 - fixed
-        y = z + ((share - np.bincount(seg, z, nseg)) / free)[seg]
-        y += ((share - np.bincount(seg, y, nseg)) / free)[seg]
+        lam = (share - np.bincount(seg, z, nseg)) / free
+        if not np.isfinite(lam).all():
+            raise ValueError("cannot project a row whose entries span more than the float range")
+        y = z + lam[seg]
         val = np.clip(y, lo, up)
-        settled = np.bincount(seg[val != y], minlength=nseg) == 0
-        # when the clipped row holds at least its share, its lambda cannot
-        # rise, so entries under their lower bound stay there; the mirror case
-        # fixes entries over their upper bound. The clipped sum is at unit
-        # scale, so large entries cannot tip the side.
-        low = np.bincount(seg, val, nseg) >= share
-        done = settled[seg] | np.where(low[seg], y < lo, y > up)
+        has_lo = np.bincount(seg[y < lo], minlength=nseg) > 0
+        has_up = np.bincount(seg[y > up], minlength=nseg) > 0
+        # a row fixes the side that has violators, so each pass makes progress.
+        # With both, a row whose clipped sum (unit scale) holds its share cannot
+        # raise lambda, so entries under their lower bound stay; else mirror.
+        low = np.where(has_lo & has_up, np.bincount(seg, val, nseg) >= share, has_lo)
+        done = ~(has_lo | has_up)[seg] | np.where(low[seg], y < lo, y > up)
         out[pos[done]] = val[done]
         fixed += np.bincount(seg[done], val[done], nseg)
         keep = ~done

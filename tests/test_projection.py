@@ -1,3 +1,6 @@
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -281,13 +284,15 @@ def random_rows(rng, count, max_len, boxed):
 @pytest.mark.parametrize("boxed", [False, True])
 def test_rows_land_on_sum_one(boxed):
     """Every row lands on sum 1 to rounding, whatever the magnitude and
-    spread of its entries."""
+    spread of its entries: within 1e-14 plus one ulp of 1 per entry, since
+    lambda comes from a sum over the row's free entries."""
     rng = np.random.default_rng(31 + boxed)
     for _ in range(4):
         seg, x, lower, upper = random_rows(rng, 300, 10_000, boxed)
         out = project_rows(x, seg, 300, lower, upper)
         assert (out >= lower).all() and (out <= upper).all()
-        assert np.abs(np.bincount(seg, out, 300) - 1.0).max() <= 1e-14
+        bound = 1e-14 + np.bincount(seg, minlength=300) * np.finfo(float).eps
+        assert (np.abs(np.bincount(seg, out, 300) - 1.0) <= bound).all()
 
 
 @pytest.mark.parametrize("boxed", [False, True])
@@ -305,3 +310,53 @@ def test_row_shift_leaves_projection_unchanged(boxed):
     want = project_rows(x, seg, count, lower, upper)
     got = project_rows(x + c[seg], seg, count, lower, upper)
     assert np.abs(got - want).max() <= 1e-12
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the body after ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "x, upper",
+    [
+        # the first pass leaves entry 1 alone 5.6e-17 under 0, and the rounded
+        # clipped row 2.2e-16 short of 1
+        (["0x1.b297285a01fe9p-4", "0x1.c62735ebc9384p-10", "0x1.6b1698794cb78p-3",
+          "0x1.c2f8c8958d76bp-2", "0x1.21eebdeefad30p-2"], None),
+        # the mirror case: entry 2 alone 5.6e-17 over its upper bound, and the
+        # rounded clipped row exactly 1
+        (["0x1.c9b0fe05a7d78p-6", "0x1.9589bd0e5e26cp-3", "0x1.a35e0a8229433p-2",
+          "0x1.570ed79546738p-3", "-0x1.9375369753e46p-5"], "0x1.d5ccb15513bfcp-2"),
+    ],
+    ids=["under-lower", "over-upper"],
+)
+def test_row_with_rounding_violations_on_one_side_terminates(x, upper):
+    """A row whose only violations lie on one side fixes that side, whatever
+    the rounded clipped sum says, so every pass makes progress."""
+    x = np.array([float.fromhex(v) for v in x])
+    lower, up = np.zeros(5), np.ones(5)
+    if upper is not None:
+        up[2] = float.fromhex(upper)
+    with deadline(5):
+        out = project_simplex_box(x, BoxBounds(lower, up))
+    assert (out >= lower).all() and (out <= up).all()
+    assert abs(out.sum() - 1.0) <= 1e-15
+    assert np.allclose(out, oracle_box(x, lower, up), atol=1e-12)
+
+
+def test_row_spanning_past_the_float_range_raises():
+    """Shifting such a row overflows, so there is no lambda to take."""
+    with deadline(5), pytest.raises(ValueError, match="float range"):
+        project_simplex(np.array([1e308, -1e308, 0.5]))
