@@ -106,10 +106,11 @@ def rho_tilde(P_old: TransitionMatrix, P_new: TransitionMatrix) -> float:
     """Mean Spearman coefficient of each vertex's out-weight ranking.
 
     Per non-sink vertex, old and new weights are compared over the union of
-    the two row patterns (absent entries count as zero). Vertices with
-    fewer than 2 union entries are skipped; a vertex whose weights are all
-    tied on both sides contributes 1, tied on exactly one side it is
-    skipped as undefined.
+    the two row patterns (absent entries count as zero; a sink row of P_new
+    counts as the full ``sink_row`` it stands for, as in ``delta_p``).
+    Vertices with fewer than 2 union entries are skipped; a vertex whose
+    weights are all tied on both sides contributes 1, tied on exactly one
+    side it is skipped as undefined.
 
     Against a ``build_transition`` original every row is uniform, so tied:
     a revision on the original's pattern then scores 1.0 when some row
@@ -121,9 +122,11 @@ def rho_tilde(P_old: TransitionMatrix, P_new: TransitionMatrix) -> float:
     n = P_old.n
 
     keys_old, w_old = P_old.entry_rows() * n + P_old.indices, P_old.data
-    rows = P_new.entry_rows()
+    expand = P_new.sink_mask & ~P_old.sink_mask  # sinks of P_new that P_old stores: read in full
+    new = P_new.to_csr(expand) if expand.any() else P_new  # both hold indptr, indices and data
+    rows = np.repeat(np.arange(n), np.diff(new.indptr))
     live = ~P_old.sink_mask[rows]  # P_new may store rows that are sinks in P_old
-    keys_new, w_new = (rows * n + P_new.indices)[live], P_new.data[live]
+    keys_new, w_new = (rows * n + new.indices)[live], new.data[live]
     # sorted union of the keys (np.union1d hashes in numpy 2.4: 20-40x slower at 1e5-1e6 keys)
     keys = np.sort(np.concatenate([keys_old, keys_new]))
     keys = keys[np.diff(keys, prepend=-1) != 0]

@@ -31,9 +31,9 @@ log = logging.getLogger(__name__)
 # diverged. The projection would land it on the feasible set, but such a
 # step is no gradient step: its later terms summed series on a matrix already
 # moved far past 1. Without the ceiling, karate's fairgd copies at
-# alpha >= 100 stop at a near-vertex matrix (loss 0.62), alpha 10 wins the
-# grid at rho_bar 0.70 instead of 0.84, and adaptgd's re-solves on the moved
-# matrix overflow an iteration or two later.
+# alpha >= 100 stop at a near-vertex matrix (loss 0.62) and alpha 10 wins the
+# grid at rho_bar 0.70 instead of 0.84. adaptgd's grid would lose the same
+# copies at the same iterations, to non-finite entries.
 ENTRY_CEILING = 1e12
 
 ALPHA_GRID = tuple(10.0**k for k in range(-4, 5))
@@ -149,13 +149,13 @@ def _descend(
     the loss at the current feasible matrix; only here does a copy stop, so
     its last loss is its matrix's: "kappa" when |dL| <= kappa, "max_iters"
     after max_iters steps. Then subtract, one after another, each restart
-    l's ``loss._terms`` scaled by the copies' step sizes: each term's y_k is
-    summed at the current unprojected matrix, and p_l is re-solved there
-    after the first restart. Project every copy once per iteration, which
-    lands each row on sum 1 to rounding; sink rows never change. A copy
-    diverges, and leaves the stack at once, only when an entry is past
-    ENTRY_CEILING (or not finite) after a restart's terms. Its loss needs no
-    check: it is only evaluated at projected matrices, where it is at most 1.
+    l's ``loss._terms`` at that p_l, scaled by the copies' step sizes: each
+    term's y_k is summed at the current unprojected matrix. A copy diverges,
+    and leaves the stack, only when an entry is past ENTRY_CEILING (or not
+    finite) after all the terms. Project every copy once per iteration,
+    which lands each row on sum 1 to rounding; sink rows never change. The
+    loss needs no check: it is only evaluated at projected matrices, where it
+    is at most 1.
     """
     gamma = restarts[0].gamma
     K = groups.K
@@ -188,11 +188,8 @@ def _descend(
         warm = [w[mask] for w in warm]
         op = WalkOperator(P, W)
 
-    def solve(cfg, start):
-        return pagerank_power(op, cfg, t1=opt.t1, tol=opt.power_tol, start=start)
-
     for it in range(opt.max_iters + 1):
-        warm = [solve(cfg, w) for cfg, w in zip(restarts, warm)]
+        warm = [pagerank_power(op, cfg, t1=opt.t1, tol=opt.power_tol, start=w) for cfg, w in zip(restarts, warm)]
         losses = _mean_loss(np.stack([group_scores(w, groups) for w in warm], axis=1), phi)  # scores (copies, R, K)
         for i, loss in zip(ids, losses.tolist()):
             traces[i].append(loss)
@@ -209,17 +206,15 @@ def _descend(
         log.debug("descent iter=%d losses=%s", it + 1, loss_prev)
 
         with np.errstate(over="ignore", invalid="ignore"):
-            for r, cfg in enumerate(restarts):
-                # earlier restarts moved the matrices; warm keeps the solutions at the feasible ones
-                p = solve(cfg, warm[r]) if r else warm[r]
+            for p in warm:
                 for coef, step in _terms(op, p, step_sizes, restarts, groups, phi, opt.t2, rows, P.indices):
                     step[coef == 0.0] = 0.0  # x - 0.0 is x: those copies keep their weights bitwise
                     W -= step
-                ok = (np.abs(W) <= ENTRY_CEILING).all(axis=1)
-                if not all(ok.tolist()):  # plain bools: numpy's all/any cost more on a few copies
-                    for i in ids[~ok]:
-                        outcomes[i] = DivergedError(it + 1, safe_alpha)
-                    keep(ok)
+        ok = (np.abs(W) <= ENTRY_CEILING).all(axis=1)
+        if not all(ok.tolist()):  # plain bools: numpy's all/any cost more on a few copies
+            for i in ids[~ok]:
+                outcomes[i] = DivergedError(it + 1, safe_alpha)
+            keep(ok)
         m = W.size
         W[:] = project_rows(W.ravel(), segs[:m], len(ids) * n, lower[:m], upper[:m]).reshape(W.shape)
     return alphas, outcomes

@@ -136,3 +136,16 @@ def test_rho_tilde_no_eligible_vertex():
     B = TransitionMatrix.from_dense([[0, 1], [1, 0]])
     with pytest.raises(UndefinedCoefficientError):
         rho_tilde(A, B)  # single-entry rows only
+
+
+def test_rho_tilde_reads_a_revised_sink_row_as_its_sink_row():
+    A = [[0, 0.5, 0.5, 0], [0.1, 0.2, 0.3, 0.4], [0, 0, 0, 1], [0.4, 0.3, 0.2, 0.1]]
+    revised = [row[:] for row in A]
+    revised[3] = [0.1, 0.2, 0.3, 0.4]
+    P_old = TransitionMatrix.from_dense(A)
+    stored = TransitionMatrix.from_dense(revised)
+    sink = TransitionMatrix.from_dense(revised, [False, False, False, True])
+    # rows 0 and 1 keep their rankings, row 2 has one entry, row 3 is reversed
+    assert rho_tilde(P_old, stored) == pytest.approx((1.0 + 1.0 - 1.0) / 3, abs=1e-15)
+    assert rho_tilde(P_old, sink) == rho_tilde(P_old, stored)
+    assert delta_p(sink, P_old) == delta_p(stored, P_old)

@@ -156,16 +156,34 @@ def test_divergence_detection():
     )
 
 
-def test_restart_resolves_skip_diverged_copies(karate, caplog):
-    """adapt_gd re-solves p_l for the restarts after the first only on the
-    copies whose entries passed the ceiling: no capped solve on karate
-    reports a nan change, although grid copies diverge."""
+def test_loop_top_solves_skip_diverged_copies(karate, caplog):
+    """adapt_gd's loop-top solves run only on the copies whose entries
+    passed the ceiling: no capped solve on karate reports a nan change,
+    although grid copies diverge."""
     _, groups, _, P = karate
     with caplog.at_level(logging.DEBUG, logger="fairpr"):
         rep = adapt_gd(P, GAMMA, groups, build_target(0.1, groups.K), OptimizerConfig(max_iters=5))
     assert "diverged" in {point.outcome for point in rep.grid}
     capped = [r.getMessage() for r in caplog.records if "without meeting tol" in r.getMessage()]
     assert not [m for m in capped if m.endswith("largest last L1 change nan")]
+
+
+def test_adapt_gd_solves_each_restart_once_per_iteration(monkeypatch):
+    """One warm-started solve per restart at the top of each of the m + 1
+    iterations, and none between the restarts' gradient terms."""
+    rng = np.random.default_rng(13)
+    _, groups, _, P = random_instance(rng, 15, 3)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return pagerank_power(*args, **kwargs)
+
+    monkeypatch.setattr("fairpr.optimizer.pagerank_power", counting)
+    m = 4
+    rep = adapt_gd(P, GAMMA, groups, random_target(rng, 3), OptimizerConfig(alpha=0.1, kappa=0.0, max_iters=m))
+    assert rep.stop_reason == "max_iters" and rep.iterations_run == m
+    assert len(calls) == groups.K * (m + 1)
 
 
 def test_adapt_gd_single_group_identity():
@@ -246,9 +264,11 @@ def test_final_loss_is_the_returned_matrix_loss(karate, adapted, alpha, bounds):
 
 
 # Reference copies of the two descent loops as they stood before both
-# objectives shared one loop (names prefixed), with one change: the loss is
+# objectives shared one loop (names prefixed), with two changes: the loss is
 # evaluated once more after the last step, so that the trace ends at the
-# returned matrix. The shared loop is checked against them.
+# returned matrix, and ref_adapt_gd takes each restart's terms from its
+# loop-top solve instead of re-solving on the moved matrix. The shared loop
+# is checked against them.
 
 # the reference loops' own divergence test: the loss is at most 1 on the feasible set
 LOSS_CEILING = 1.0 + 1e-9
@@ -354,7 +374,7 @@ def ref_adapt_gd(P, gamma, groups, target, opt):
         stepped = False
         with np.errstate(over="ignore", invalid="ignore"):
             for ell in range(K):
-                p_ell = pagerank_power(P_hat, restart_cfgs[ell], t1=opt.t1, tol=opt.power_tol, start=warm[ell])
+                p_ell = warm[ell]
                 resid = group_scores(p_ell, groups) - phi
                 prow = p_ell[rows_nz]
                 for k in range(K):
@@ -415,8 +435,9 @@ def test_adapt_gd_matches_reference_loop():
         ref = ref_adapt_gd(P, GAMMA, groups, target, opt)
         got = adapt_gd(P, GAMMA, groups, target, opt)
         assert got.iterations_run == ref.iterations_run and got.stop_reason == ref.stop_reason
+        # the reference sums the loss in another order, so the traces agree to rounding
         assert np.abs(np.subtract(got.loss_trace, ref.loss_trace)).max() <= 1e-10
-        assert np.abs(got.final_matrix.data - ref.final_matrix.data).max() <= 1e-10
+        assert np.array_equal(got.final_matrix.data, ref.final_matrix.data)
 
 
 def test_large_restricted_step_lands_on_the_rows():
