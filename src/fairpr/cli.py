@@ -15,6 +15,8 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from . import baselines
 from .experiment import (
     BASELINE_METHODS,
@@ -25,7 +27,7 @@ from .experiment import (
     run_optimizer_method,
     run_sweep,
 )
-from .graph import FairnessTarget, GraphParseError, load_labels, parse_matrix, serialize_matrix
+from .graph import FairnessTarget, GraphParseError, format_lines, load_labels, parse_matrix, serialize_matrix
 from .optimizer import DivergedError, OptimizerConfig
 from .pagerank import group_scores, pagerank_power, pagerank_residual
 from .text import data_line_count
@@ -102,7 +104,7 @@ def cmd_pagerank(args) -> int:
     print("group scores: " + " ".join(f"{s:.6f}" for s in scores))
     print(f"l1 residual: {pagerank_residual(P, cfg, p):.3e}")
     if args.dump:
-        Path(args.dump).write_text("".join(f"{i}\t{x:.17g}\n" for i, x in enumerate(p)))
+        Path(args.dump).write_text(format_lines("%d\t%.17g\n", np.arange(len(p)), p))
     return EXIT_OK
 
 

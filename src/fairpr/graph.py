@@ -12,7 +12,9 @@ a whole text at once through ``fairpr.text.Lines``: ``str.splitlines``
 lines of ``str.split`` tokens, found and converted with array operations.
 Blank lines are skipped, and a line whose first token starts with '#' is a
 comment (the matrix headers live there, as ``# n 5`` or ``#n 5``). A bad
-line raises GraphParseError with its line number.
+line raises GraphParseError with its line number. (src, dst) pairs sort as
+one int64 key, ``_sort_pairs``, and the writers format their lines in
+blocks, ``format_lines``: no Python call per edge on either side.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 from .text import GraphParseError, Lines
 
 ROW_SUM_TOL = 1e-12
+BLOCK_LINES = 65536  # lines per ``%`` in format_lines
 
 
 @dataclass(frozen=True)
@@ -393,6 +396,40 @@ class WalkOperator:
                 y[sinks] = self._sink_row @ z[span]
 
 
+def _sort_pairs(rows: np.ndarray, cols: np.ndarray, with_order: bool = False):
+    """``(rows, cols, order)``: the int64 pairs sorted by row, then column,
+    and with ``with_order`` the permutation that sorts them (else None).
+
+    The pairs sort as one key ``row * width + col`` (width: the largest
+    column id + 1), with ``np.sort``, or ``np.argsort`` when the permutation
+    is asked for. On distinct pairs that is exactly ``np.lexsort((cols,
+    rows))``'s order, and repeated pairs land next to each other either
+    way. Pairs whose keys could leave the int64 range (a negative id, or
+    ids from about 3e9 on) sort with ``np.lexsort``.
+    """
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    width = int(cols.max(initial=0)) + 1
+    if int(rows.max(initial=0)) * width + width - 1 > np.iinfo(np.int64).max or (
+        min(rows.min(initial=0), cols.min(initial=0)) < 0
+    ):
+        order = np.lexsort((cols, rows))
+        return rows[order], cols[order], order if with_order else None
+    key = rows * width + cols
+    order = np.argsort(key) if with_order else None
+    key = np.sort(key) if order is None else key[order]
+    rows, cols = np.divmod(key, width)
+    return rows, cols, order
+
+
+def _sorted_distinct(ids) -> np.ndarray:
+    """``np.unique(ids)`` for int64 ids, by a sort and a diff (plain
+    ``np.unique`` hashes, many times slower on large id sets)."""
+    u = np.sort(np.asarray(ids, dtype=np.int64))
+    fresh = np.ones(len(u), bool)
+    fresh[1:] = u[1:] != u[:-1]
+    return u[fresh]
+
+
 def load_graph(text: str, undirected: bool = False) -> Graph:
     """Parse whitespace-separated "src dst" lines into a Graph.
 
@@ -404,19 +441,18 @@ def load_graph(text: str, undirected: bool = False) -> Graph:
         raise bad[1]
     if not len(src):
         raise GraphParseError("no edges found in input")
-    pairs = np.column_stack([src, dst])
     if undirected:
-        pairs = np.concatenate([pairs, pairs[:, ::-1]])
-    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-    fresh = np.ones(len(pairs), bool)  # differs from the row before it
-    fresh[1:] = (pairs[1:] != pairs[:-1]).any(axis=1)
-    edges = pairs[fresh]
+        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+    src, dst, _ = _sort_pairs(src, dst)
+    fresh = np.ones(len(src), bool)  # differs from the pair before it
+    fresh[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    edges = np.column_stack([src[fresh], dst[fresh]])
     return Graph(n=int(edges.max()) + 1, edges=edges)
 
 
 def _first_uncovered(ids) -> int:
     """Smallest nonnegative integer not in ``ids``."""
-    u = np.unique(np.asarray(ids, dtype=np.int64))
+    u = _sorted_distinct(ids)
     gap = np.flatnonzero(u != np.arange(u.size))
     return int(gap[0]) if gap.size else int(u.size)
 
@@ -455,13 +491,29 @@ def build_transition(g: Graph, cfg: PageRankConfig) -> TransitionMatrix:
     v = cfg.restart_vector
     if len(v) != g.n:
         raise ValueError(f"restart vector has length {len(v)}, graph has {g.n} vertices")
-    edges = g.edges[np.lexsort((g.edges[:, 1], g.edges[:, 0]))]
-    outdeg = np.bincount(edges[:, 0], minlength=g.n)
+    src, dst, _ = _sort_pairs(g.edges[:, 0], g.edges[:, 1])
+    outdeg = np.bincount(src, minlength=g.n)
     indptr = np.concatenate([[0], np.cumsum(outdeg)]).astype(np.int64)
     # edges are sorted by (src, dst), so they fill the rows in order
-    tm = TransitionMatrix(g.n, indptr, edges[:, 1], 1.0 / outdeg[edges[:, 0]], outdeg == 0, v.copy())
+    tm = TransitionMatrix(g.n, indptr, dst, 1.0 / outdeg[src], outdeg == 0, v.copy())
     tm.validate()
     return tm
+
+
+def format_lines(pattern: str, *columns: np.ndarray) -> str:
+    """One ``pattern % (a, b, ...)`` line per entry of the columns, the
+    same bytes as formatting line by line. Blocks of up to ``BLOCK_LINES``
+    lines are formatted with one ``%`` each, on the pattern repeated over
+    the block, so no Python call is made per line and the Python objects
+    of one block are alive at a time."""
+    parts = []
+    for lo in range(0, len(columns[0]), BLOCK_LINES):
+        block = [c[lo : lo + BLOCK_LINES].tolist() for c in columns]
+        values = [None] * (len(columns) * len(block[0]))
+        for j, col in enumerate(block):
+            values[j :: len(columns)] = col
+        parts.append(pattern * len(block[0]) % tuple(values))
+    return "".join(parts)
 
 
 def serialize_matrix(tm: TransitionMatrix) -> str:
@@ -470,18 +522,17 @@ def serialize_matrix(tm: TransitionMatrix) -> str:
     The headers are ``# n`` (the size), one ``# sink`` per sink row, and,
     when there are sink rows, one ``# sink_row <col> <weight>`` per nonzero
     entry of the sink vector; sink rows write no entry lines. Weights print
-    with 17 significant digits (exact float64 round-trip). Entries that are
-    exactly zero are dropped.
+    with ``%.17g``, 17 significant digits (exact float64 round-trip).
+    Entries that are exactly zero are dropped. The lines are formatted in
+    blocks (``format_lines``), byte for byte as one ``%`` per line would.
     """
     keep = tm.data != 0.0
-    entries = zip(tm.entry_rows()[keep].tolist(), tm.indices[keep].tolist(), tm.data[keep].tolist())
-    sinks = np.flatnonzero(tm.sink_mask).tolist()
-    lines = [f"# n\t{tm.n}", *map("# sink\t%d".__mod__, sinks)]
+    parts = [f"# n\t{tm.n}\n", format_lines("# sink\t%d\n", np.flatnonzero(tm.sink_mask))]
     if tm.sink_row is not None:
         cols = np.flatnonzero(tm.sink_row)
-        lines += map("# sink_row\t%d\t%.17g".__mod__, zip(cols.tolist(), tm.sink_row[cols].tolist()))
-    lines += map("%d\t%d\t%.17g".__mod__, entries)
-    return "\n".join(lines) + "\n"
+        parts.append(format_lines("# sink_row\t%d\t%.17g\n", cols, tm.sink_row[cols]))
+    parts.append(format_lines("%d\t%d\t%.17g\n", tm.entry_rows()[keep], tm.indices[keep], tm.data[keep]))
+    return "".join(parts)
 
 
 def parse_matrix(text: str, n: int | None = None) -> TransitionMatrix:
@@ -505,8 +556,8 @@ def parse_matrix(text: str, n: int | None = None) -> TransitionMatrix:
     top = max(rows.max(), cols.max())
     if top >= size:
         raise GraphParseError(f"entry index {int(top)} out of range [0, {size})")
-    order = np.lexsort((cols, rows))
-    rows, cols, w = rows[order], cols[order], w[order]
+    rows, cols, order = _sort_pairs(rows, cols, with_order=True)
+    w = w[order]
     dup = np.flatnonzero((np.diff(rows) == 0) & (np.diff(cols) == 0))
     if len(dup):
         raise GraphParseError(f"duplicate matrix entry ({rows[dup[0]]}, {cols[dup[0]]})")
@@ -514,7 +565,7 @@ def parse_matrix(text: str, n: int | None = None) -> TransitionMatrix:
         past = np.flatnonzero(ids >= size)
         if len(past):
             raise GraphParseError(f"line {at[past[0]]}: {what} {ids[past[0]]} out of range [0, {size})")
-    if len(np.unique(sink_cols)) < len(sink_cols):
+    if len(_sorted_distinct(sink_cols)) < len(sink_cols):
         raise GraphParseError("duplicate '# sink_row' column")
     # every row needs entries or a '# sink' line; when they cannot cover
     # `size` rows, name the first uncovered one before allocating `size`

@@ -559,6 +559,17 @@ def test_pagerank_dump_vector(tmp_path, capsys):
     assert abs(sum(values) - 1.0) <= 1e-10
 
 
+def test_pagerank_dump_bytes_match_per_vertex_format(tmp_path, karate):
+    # the block formatter writes what one f-string per vertex wrote
+    from fairpr import pagerank_power
+
+    _, _, cfg, P = karate
+    dump = tmp_path / "p.tsv"
+    assert main(["pagerank", *KARATE, "--dump", str(dump)]) == 0
+    p = pagerank_power(P, cfg, t1=100, tol=1e-13)
+    assert dump.read_text() == "".join(f"{i}\t{x:.17g}\n" for i, x in enumerate(p))
+
+
 def test_sweep_rejects_unknown_method(tmp_path, capsys):
     edges, labels = toy_files(tmp_path)
     code = main([

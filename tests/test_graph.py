@@ -19,6 +19,7 @@ from fairpr import (
     parse_matrix,
     serialize_matrix,
 )
+from fairpr.graph import BLOCK_LINES, format_lines
 
 
 def test_load_two_cycle():
@@ -363,3 +364,66 @@ def test_pattern_subset():
 def test_non_finite_targets_and_restarts_rejected(make):
     with pytest.raises(ValueError, match="finite"):
         make()
+
+
+def per_line_serialize(tm):
+    """serialize_matrix as it formatted one line per ``%`` call, kept as the
+    reference for the block writer's bytes."""
+    keep = tm.data != 0.0
+    entries = zip(tm.entry_rows()[keep].tolist(), tm.indices[keep].tolist(), tm.data[keep].tolist())
+    sinks = np.flatnonzero(tm.sink_mask).tolist()
+    lines = [f"# n\t{tm.n}", *map("# sink\t%d".__mod__, sinks)]
+    if tm.sink_row is not None:
+        cols = np.flatnonzero(tm.sink_row)
+        lines += map("# sink_row\t%d\t%.17g".__mod__, zip(cols.tolist(), tm.sink_row[cols].tolist()))
+    lines += map("%d\t%d\t%.17g".__mod__, entries)
+    return "\n".join(lines) + "\n"
+
+
+def odd_weights(rng, size):
+    """Weights with exact zeros (both signs), repeats of short decimals,
+    subnormals, huge values and non-finite ones."""
+    w = rng.random(size)
+    pick = rng.random(size)
+    w[pick < 0.2] = 0.0
+    w[(0.2 <= pick) & (pick < 0.25)] = -0.0
+    w[(0.25 <= pick) & (pick < 0.4)] = 0.1
+    w[(0.4 <= pick) & (pick < 0.45)] = 5e-324
+    w[(0.45 <= pick) & (pick < 0.5)] = -1.7976931348623157e308
+    w[(0.5 <= pick) & (pick < 0.52)] = np.inf
+    w[(0.52 <= pick) & (pick < 0.54)] = np.nan
+    return w
+
+
+@pytest.mark.parametrize(
+    "n,per_row,sink_share",
+    [
+        (1, 0, 1.0),  # one sink row, no entry lines
+        (40, 3, 0.2),
+        (3000, 30, 0.05),  # past 65,536 entry lines: a block boundary in the entries
+        (90000, 0, 0.97),  # past 65,536 '# sink' and '# sink_row' lines
+    ],
+)
+def test_serialize_bytes_match_per_line_formatter(n, per_row, sink_share):
+    rng = np.random.default_rng(n)
+    sinks = rng.random(n) < sink_share
+    sinks[0] = sink_share == 1.0
+    counts = np.where(sinks, 0, np.minimum(rng.integers(1, 2 * per_row + 2, n), n))
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    indices = np.concatenate([np.zeros(0, np.int64)] + [np.sort(rng.choice(n, c, replace=False)) for c in counts[counts > 0]])
+    tm = TransitionMatrix(n, indptr, indices, odd_weights(rng, len(indices)), sinks, odd_weights(rng, n))
+    text = serialize_matrix(tm)
+    assert text == per_line_serialize(tm)
+    if n > BLOCK_LINES:
+        assert min(text.count("# sink\t"), text.count("# sink_row\t")) > BLOCK_LINES
+    elif per_row > 10:
+        assert np.count_nonzero(tm.data) > BLOCK_LINES
+
+
+@pytest.mark.parametrize("lines", [0, 1, 65535, 65536, 65537, 2 * 65536 + 3])
+def test_format_lines_at_block_edges(lines):
+    assert BLOCK_LINES == 65536
+    rng = np.random.default_rng(lines)
+    ids, w = rng.integers(0, 10**12, lines), odd_weights(rng, lines)
+    want = "".join(map("%d\t%.17g\n".__mod__, zip(ids.tolist(), w.tolist())))
+    assert format_lines("%d\t%.17g\n", ids, w) == want

@@ -24,7 +24,7 @@ from fairpr import (
     parse_matrix,
     serialize_matrix,
 )
-from fairpr.graph import _first_uncovered
+from fairpr.graph import _first_uncovered, _sort_pairs, _sorted_distinct
 from fairpr.text import Lines, _line_end, data_line_count
 
 # ------------------------------------------------------------ reference scanners
@@ -475,3 +475,158 @@ def test_reader_memory_stays_near_the_text_size():
     for fn, arg, limit in ((load_graph, text, 23), (parse_matrix, tsv, 14)):
         ratio = _peak(fn, arg) / len(arg)
         assert ratio < limit, f"{fn.__name__} peaks at {ratio:.1f} x the text size"
+
+
+# ------------------------------------------------------------ pair sort
+# load_graph, build_transition and parse_matrix sort (row, col) pairs as one
+# int64 key. The references below are their bodies as they were with
+# np.lexsort; ids past the int64 key range take np.lexsort itself.
+
+
+def lexsort_load_graph(src, dst, undirected):
+    pairs = np.column_stack([src, dst])
+    if undirected:
+        pairs = np.concatenate([pairs, pairs[:, ::-1]])
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    fresh = np.ones(len(pairs), bool)
+    fresh[1:] = (pairs[1:] != pairs[:-1]).any(axis=1)
+    edges = pairs[fresh]
+    return Graph(n=int(edges.max()) + 1, edges=edges)
+
+
+def lexsort_build_transition(g, cfg):
+    edges = g.edges[np.lexsort((g.edges[:, 1], g.edges[:, 0]))]
+    outdeg = np.bincount(edges[:, 0], minlength=g.n)
+    indptr = np.concatenate([[0], np.cumsum(outdeg)]).astype(np.int64)
+    return TransitionMatrix(g.n, indptr, edges[:, 1], 1.0 / outdeg[edges[:, 0]], outdeg == 0, cfg.restart_vector)
+
+
+@pytest.fixture
+def lexsort_calls(monkeypatch):
+    """How many times np.lexsort runs."""
+    calls = []
+    lexsort = np.lexsort
+
+    def counted(keys, *args, **kwargs):
+        calls.append(len(keys[0]))
+        return lexsort(keys, *args, **kwargs)
+
+    monkeypatch.setattr(np, "lexsort", counted)
+    return calls
+
+
+# (low, high) id ranges: repeat-heavy, wide, just inside the int64 key
+# range and just past it (a key of width 3037000500 could reach 2^63), past 2^32
+ID_RANGES = [(0, 12), (0, 10**6), (3037000400, 3037000499), (3037000400, 3037000500), (2**32, 2**32 + 40)]
+KEY_PATH = [True, True, True, False, False]
+
+
+def _pairs(rng, low, high, m):
+    src = rng.integers(low, high, m)
+    dst = rng.integers(low, high, m)
+    src[: m // 4] = low  # the extremes appear, so the guard sees the widest key
+    dst[m // 4 : m // 2] = high - 1
+    repeat = rng.integers(0, m, m // 5)  # repeated pairs
+    src, dst = np.append(src, src[repeat]), np.append(dst, dst[repeat])
+    order = rng.permutation(len(src))
+    return src[order], dst[order]
+
+
+@pytest.mark.parametrize("ids,key_path", zip(ID_RANGES, KEY_PATH))
+@pytest.mark.parametrize("seed", range(3))
+def test_sort_pairs_matches_lexsort(seed, ids, key_path, lexsort_calls):
+    rng = np.random.default_rng(500 + seed)
+    src, dst = _pairs(rng, *ids, int(rng.integers(1, 400)))
+    want = np.lexsort((dst, src))
+    del lexsort_calls[:]
+    rows, cols, order = _sort_pairs(src, dst, with_order=True)
+    assert np.array_equal(rows, src[want]) and np.array_equal(cols, dst[want])
+    assert np.array_equal(rows, src[order]) and np.array_equal(cols, dst[order])
+    rows, cols, order = _sort_pairs(src, dst)
+    assert order is None and np.array_equal(rows, src[want]) and np.array_equal(cols, dst[want])
+    assert len(lexsort_calls) == (0 if key_path else 2)
+    # on distinct pairs the permutation is lexsort's own
+    fresh = np.unique(np.column_stack([src, dst]), axis=0)
+    shuffled = fresh[rng.permutation(len(fresh))]
+    _, _, order = _sort_pairs(shuffled[:, 0], shuffled[:, 1], with_order=True)
+    assert np.array_equal(order, np.lexsort((shuffled[:, 1], shuffled[:, 0])))
+
+
+@pytest.mark.parametrize("ids,key_path", zip(ID_RANGES, KEY_PATH))
+@pytest.mark.parametrize("undirected", [False, True])
+def test_load_graph_matches_lexsort_reference(ids, key_path, undirected, lexsort_calls):
+    rng = np.random.default_rng(ids[0] % 1000 + undirected)
+    src, dst = _pairs(rng, *ids, 600)
+    text = "".join(f"{s} {t}\n" for s, t in zip(src.tolist(), dst.tolist()))
+    want = lexsort_load_graph(src, dst, undirected)
+    del lexsort_calls[:]
+    got = load_graph(text, undirected)
+    assert _fingerprint(got) == _fingerprint(want)
+    assert bool(lexsort_calls) != key_path
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_build_transition_matches_lexsort_reference(seed, lexsort_calls):
+    rng = np.random.default_rng(600 + seed)
+    n = int(rng.integers(1, 300))
+    edges = np.unique(rng.integers(0, n, (int(rng.integers(1, 4 * n)), 2)), axis=0)
+    # unsorted edges, as a Graph built by hand may hold them; some vertices are sinks
+    g = Graph(n=n, edges=edges[rng.permutation(len(edges))])
+    cfg = PageRankConfig(0.15, rng.dirichlet(np.ones(n)))
+    want = lexsort_build_transition(g, cfg)
+    del lexsort_calls[:]
+    assert _fingerprint(build_transition(g, cfg)) == _fingerprint(want)
+    assert not lexsort_calls
+
+
+def test_build_transition_rejects_negative_ids_as_before():
+    # a key of a negative id would decode as another pair; such edges take np.lexsort and fail as they did
+    g = Graph(n=3, edges=np.array([[0, 1], [1, -1], [2, 0]]))
+    with pytest.raises(ValueError, match="malformed sparsity pattern"):
+        lexsort_build_transition(g, PageRankConfig.uniform(3))
+    with pytest.raises(ValueError, match="malformed sparsity pattern"):
+        build_transition(g, PageRankConfig.uniform(3))
+
+
+def _entry_lines(rng, low, high, m):
+    """Entry lines over pairs in [low, high), shuffled, with repeats."""
+    src, dst = _pairs(rng, low, high, m)
+    w = rng.random(len(src))
+    return [f"{s}\t{t}\t{x!r}" for s, t, x in zip(src.tolist(), dst.tolist(), w.tolist())]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_parse_matrix_matches_lexsort_reference(seed, lexsort_calls):
+    rng = np.random.default_rng(700 + seed)
+    tm = _random_matrix(rng, int(rng.integers(20, 120)))
+    lines = serialize_matrix(tm).splitlines()
+    body = [line for line in lines if not line.startswith("#")]
+    rng.shuffle(body)
+    text = "\n".join([line for line in lines if line.startswith("#")] + body)
+    assert_same(parse_matrix, ref_parse_matrix, text)
+    del lexsort_calls[:]
+    assert _fingerprint(parse_matrix(text)) == _fingerprint(tm)
+    assert not lexsort_calls
+
+
+@pytest.mark.parametrize("ids,key_path", zip(ID_RANGES, KEY_PATH))
+def test_parse_matrix_duplicate_message_matches_lexsort_reference(ids, key_path, lexsort_calls):
+    # repeated pairs: both name the smallest repeated (row, col); ids past the
+    # key range fail the same way, before any array of `size` is made
+    rng = np.random.default_rng(800 + ids[0] % 1000)
+    text = f"# n\t{ids[1]}\n" + "\n".join(_entry_lines(rng, *ids, 300))
+    with pytest.raises(GraphParseError, match="duplicate matrix entry"):
+        parse_matrix(text)
+    del lexsort_calls[:]
+    assert_same(parse_matrix, ref_parse_matrix, text)
+    assert len(lexsort_calls) == (1 if key_path else 2)  # the reference's own, and ours past the key range
+
+
+@pytest.mark.parametrize("size", [0, 1, 7, 5000])
+def test_sorted_distinct_is_unique(size):
+    # the '# sink_row' duplicate check and _first_uncovered sort instead of np.unique
+    rng = np.random.default_rng(size)
+    ids = rng.integers(0, max(size // 2, 1), size)
+    assert _bits(_sorted_distinct(ids)) == _bits(np.unique(ids.astype(np.int64)))
+    missing = sorted(set(range(size + 1)) - set(ids.tolist()))[0]
+    assert _first_uncovered(ids) == missing
