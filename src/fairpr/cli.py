@@ -8,11 +8,12 @@ read an input path '-' as standard input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -75,26 +76,21 @@ def _common_input_flags(p: argparse.ArgumentParser, required: bool = True) -> No
 
 
 def _optimizer_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=None, help="constant step size (grid-searched when absent)")
-    p.add_argument("--t1", type=int, default=100)
-    p.add_argument("--t2", type=int, default=50)
-    p.add_argument("--kappa", type=float, default=1e-8)
-    p.add_argument("--max-iters", type=int, default=1000, help="most steps; the loss after the last is reported")
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
+    opt = OptimizerConfig()  # the flags' defaults
+    p.add_argument("--alpha", type=float, default=opt.alpha, help="constant step size (grid-searched when absent)")
+    p.add_argument("--t1", type=int, default=opt.t1)
+    p.add_argument("--t2", type=int, default=opt.t2)
+    p.add_argument("--kappa", type=float, default=opt.kappa)
+    p.add_argument(
+        "--max-iters", type=int, default=opt.max_iters, help="most steps; the loss after the last is reported"
+    )
+    p.add_argument("--delta", type=float, default=opt.delta)
+    p.add_argument("--epsilon", type=float, default=opt.epsilon)
 
 
 def _build_opt(args) -> OptimizerConfig:
-    return OptimizerConfig(
-        alpha=args.alpha,
-        t1=args.t1,
-        t2=args.t2,
-        kappa=args.kappa,
-        max_iters=args.max_iters,
-        delta=args.delta,
-        epsilon=args.epsilon,
-        alpha_auto=getattr(args, "alpha_auto", False),
-    )
+    """The flags named as OptimizerConfig's fields; the others keep their defaults."""
+    return OptimizerConfig(**{f.name: getattr(args, f.name) for f in fields(OptimizerConfig) if hasattr(args, f.name)})
 
 
 def cmd_pagerank(args) -> int:
@@ -226,6 +222,7 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one parser per process: parsing leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fairpr", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -4,8 +4,9 @@ A transition matrix stores the rows of the edges it has. A sink row (a
 vertex without out-edges) stores nothing: every sink row stands for one
 shared dense vector, ``sink_row``, that ``WalkOperator`` applies as a
 rank-one term, so memory and every product grow with the edges and not
-with n x #sinks. The TSV form writes that vector once, as ``# sink_row``
-headers; sink rows that a file spells out entry by entry fold into it.
+with n x #sinks (only ``TransitionMatrix.entries`` writes one out in full).
+The TSV form writes that vector once, as ``# sink_row`` headers; sink rows
+that a file spells out entry by entry fold into it.
 
 The text readers (``load_graph``, ``load_labels``, ``parse_matrix``) read
 a whole text at once through ``fairpr.text.Lines``: ``str.splitlines``
@@ -147,9 +148,9 @@ class TransitionMatrix:
     The sparsity pattern is fixed: revised matrices keep it and may contain
     exact zeros. Column ids ascend within each row, so the keys
     ``row * n + col`` of the stored entries ascend too. ``nnz``,
-    ``entry_rows`` and ``row`` see the stored entries only; ``to_csr``,
-    ``to_dense``, ``row_sums``, ``validate`` and ``pattern_subset_of`` treat
-    a sink row as the full row it stands for.
+    ``entry_rows`` and ``row`` see the stored entries only; ``entries``
+    writes a sink row out in full, and ``to_csr``, ``to_dense``,
+    ``pattern_subset_of`` and the metrics read rows through it.
     """
 
     __slots__ = ("n", "indptr", "indices", "data", "sink_mask", "sink_row", "_op")
@@ -210,23 +211,25 @@ class TransitionMatrix:
             self._op = WalkOperator(self)
         return self._op
 
-    def to_csr(self, expand: np.ndarray | None = None) -> sp.csr_matrix:
-        """CSR form with the sink rows flagged in ``expand`` (all of them by
-        default) written out in full, one entry per column."""
-        expand = self.sink_mask if expand is None else expand
-        if not expand.any():
-            return sp.csr_matrix((self.data, self.indices, self.indptr), shape=(self.n, self.n))
-        counts = np.diff(self.indptr)
-        counts[expand] = self.n
-        indptr = np.concatenate([[0], np.cumsum(counts)])
-        full = np.repeat(expand, counts)
-        indices = np.empty(indptr[-1], dtype=np.int64)
-        data = np.empty(indptr[-1])
-        indices[~full], data[~full] = self.indices, self.data
-        k = int(expand.sum())
-        indices[full] = np.tile(np.arange(self.n, dtype=np.int64), k)
-        data[full] = np.tile(self.sink_row, k)
-        return sp.csr_matrix((data, indices, indptr), shape=(self.n, self.n))
+    def entries(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(keys, weights) of the flagged rows: the ascending keys ``row * n + col``,
+        with each sink row among them written out in full, zeros included."""
+        stored, full = np.diff(self.indptr), rows & self.sink_mask
+        counts = np.where(full, self.n, stored * rows)
+        keys = np.repeat(np.arange(self.n, dtype=np.int64) * self.n, counts)
+        weights = np.empty(len(keys))
+        spread, keep = np.repeat(full, counts), np.repeat(rows, stored)
+        keys[~spread] += self.indices[keep]
+        weights[~spread] = self.data[keep]
+        if full.any():  # without sink rows there may be no sink_row
+            keys[spread] += np.tile(np.arange(self.n), int(full.sum()))
+            weights[spread] = np.tile(self.sink_row, int(full.sum()))
+        return keys, weights
+
+    def to_csr(self) -> sp.csr_matrix:
+        """CSR form with the sink rows written out in full, one entry per column."""
+        keys, weights = self.entries(np.ones(self.n, bool))
+        return sp.csr_matrix((weights, np.divmod(keys, self.n)), shape=(self.n, self.n))
 
     def to_dense(self) -> np.ndarray:
         return self.to_csr().toarray()
@@ -261,13 +264,8 @@ class TransitionMatrix:
         counts as a full row on either side."""
         if self.n != other.n:
             return False
-        # a full row here is covered only by a full row there
-        full_here = self.sink_mask & ~other.sink_mask
-        if (np.diff(other.indptr)[full_here] != self.n).any():
-            return False
-        rows = self.entry_rows()
-        mine = (rows * self.n + self.indices)[~other.sink_mask[rows]]
-        theirs = other.entry_rows() * self.n + other.indices
+        # a sink row of `other` covers anything; the other rows compare key by key
+        (mine, _), (theirs, _) = self.entries(~other.sink_mask), other.entries(~other.sink_mask)
         # a key is stored in `other` when its sorted insertion range is nonempty
         return bool((np.searchsorted(theirs, mine, "right") > np.searchsorted(theirs, mine)).all())
 

@@ -139,11 +139,11 @@ def lipschitz_bound(n: int, K: int, gamma: float) -> float:
     """Smoothness constant C = (2(1-gamma)^2/(K gamma^2)) (n + sqrt(n) + sqrt(Kn)).
 
     Any constant step size in (0, 2/C] gives monotone descent to a
-    stationary point.
+    stationary point. C is inf once K gamma^2 underflows to 0 (gamma < ~1e-162).
     """
     if n < 1 or K < 1:
         raise ValueError("n and K must be >= 1")
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must be in (0,1)")
-    lead = 2.0 * (1.0 - gamma) ** 2 / (K * gamma * gamma)
+    lead = 2.0 * (1.0 - gamma) ** 2 / (K * gamma * gamma) if K * gamma * gamma else math.inf
     return lead * (n + math.sqrt(n) + math.sqrt(K * n))

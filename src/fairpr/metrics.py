@@ -70,16 +70,28 @@ def spearman(r1: np.ndarray, r2: np.ndarray) -> float:
     return float(rho[0])
 
 
+def _aligned(P_a: TransitionMatrix, P_b: TransitionMatrix, rows: np.ndarray):
+    """(keys, a, b): the ascending union of the two matrices' ``entries`` in
+    the flagged rows, and each side's weights on it (0 where it has none)."""
+    (keys_a, w_a), (keys_b, w_b) = P_a.entries(rows), P_b.entries(rows)
+    # return_index makes np.unique sort stably, which merges the two ascending runs in linear time
+    keys, _, slot = np.unique(np.concatenate([keys_a, keys_b]), return_index=True, return_inverse=True)
+    a, b = np.zeros((2, len(keys)))
+    a[slot[: len(keys_a)]] = w_a
+    b[slot[len(keys_a) :]] = w_b
+    return keys, a, b
+
+
 def delta_p(P_new: TransitionMatrix, P_old: TransitionMatrix) -> float:
     """||P_new - P_old||_F / ||P_old||_F over the union of the two patterns,
-    with sink rows counted as the full rows they stand for."""
+    with sink rows counted as the full rows they stand for: a row that is a
+    sink on both sides differs by the difference of the sink rows, and the
+    other rows compare through ``TransitionMatrix.entries``."""
     if P_new.n != P_old.n:
         raise ValueError("matrices must have the same dimension")
-    # a row that is a sink on both sides differs by the difference of the
-    # sink rows; the others are written out in full only where one side is a sink
     both = P_new.sink_mask & P_old.sink_mask
-    diff = P_new.to_csr(P_new.sink_mask & ~both) - P_old.to_csr(P_old.sink_mask & ~both)
-    num2 = (diff.data**2).sum()
+    _, a, b = _aligned(P_new, P_old, ~both)
+    num2 = ((a - b) ** 2).sum()
     den2 = (P_old.data**2).sum()
     if both.any():
         num2 += both.sum() * ((P_new.sink_row - P_old.sink_row) ** 2).sum()
@@ -105,9 +117,9 @@ def rho_bar(p_old: np.ndarray, p_new: np.ndarray, groups: GroupAssignment) -> fl
 def rho_tilde(P_old: TransitionMatrix, P_new: TransitionMatrix) -> float:
     """Mean Spearman coefficient of each vertex's out-weight ranking.
 
-    Per non-sink vertex, old and new weights are compared over the union of
-    the two row patterns (absent entries count as zero; a sink row of P_new
-    counts as the full ``sink_row`` it stands for, as in ``delta_p``).
+    Per non-sink vertex of P_old, old and new weights are compared over the
+    union of the two rows' ``entries`` (absent entries count as zero; a sink
+    row of P_new counts as the full ``sink_row`` it stands for).
     Vertices with fewer than 2 union entries are skipped; a vertex whose
     weights are all tied on both sides contributes 1, tied on exactly one
     side it is skipped as undefined.
@@ -120,19 +132,7 @@ def rho_tilde(P_old: TransitionMatrix, P_new: TransitionMatrix) -> float:
     if P_new.n != P_old.n:
         raise ValueError("matrices must have the same dimension")
     n = P_old.n
-
-    keys_old, w_old = P_old.entry_rows() * n + P_old.indices, P_old.data
-    expand = P_new.sink_mask & ~P_old.sink_mask  # sinks of P_new that P_old stores: read in full
-    new = P_new.to_csr(expand) if expand.any() else P_new  # both hold indptr, indices and data
-    rows = np.repeat(np.arange(n), np.diff(new.indptr))
-    live = ~P_old.sink_mask[rows]  # P_new may store rows that are sinks in P_old
-    keys_new, w_new = (rows * n + new.indices)[live], new.data[live]
-    # sorted union of the keys (np.union1d hashes in numpy 2.4: 20-40x slower at 1e5-1e6 keys)
-    keys = np.sort(np.concatenate([keys_old, keys_new]))
-    keys = keys[np.diff(keys, prepend=-1) != 0]
-    a, b = np.zeros(keys.size), np.zeros(keys.size)
-    a[np.searchsorted(keys, keys_old)] = w_old
-    b[np.searchsorted(keys, keys_new)] = w_new
+    keys, a, b = _aligned(P_old, P_new, ~P_old.sink_mask)
     seg = keys // n
     rho, tied_old, tied_new = _segment_spearman(seg, n, a, b)
     # tied on both sides counts as preserved; tied on one side is undefined

@@ -128,6 +128,34 @@ def test_optimize_alpha_with_alpha_auto_exit_code(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_optimize_tiny_gamma_runs_at_the_zero_safe_step(tmp_path, capsys):
+    # K gamma^2 underflows to 0: the smoothness bound is inf, not a ZeroDivisionError
+    argv = ["optimize", *KARATE, "--method", "fairgd", "--phi", "0.1", "--gamma", "1e-300", "--max-iters", "2"]
+    assert main([*argv, "--out", str(tmp_path / "run")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert report["iterations"] == 2
+
+
+def test_main_builds_the_parser_once(capsys):
+    from fairpr import cli
+
+    cli.build_parser.cache_clear()
+    assert main(["pagerank", *KARATE]) == 0
+    assert main(["pagerank", *KARATE, "--t1", "3"]) == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["optimize", *KARATE, "--method", "fairgd", "--phi", "0.1"], ["sweep", *KARATE]])
+def test_optimizer_flag_defaults_are_optimizer_config(argv):
+    from fairpr import OptimizerConfig
+    from fairpr.cli import _build_opt, build_parser
+
+    assert _build_opt(build_parser().parse_args(argv)) == OptimizerConfig()
+
+
 def test_optimize_grid_in_report(tmp_path):
     from fairpr import ALPHA_GRID
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -279,6 +281,22 @@ def test_lipschitz_bound_values():
 
 def test_lipschitz_bound_vanishes_as_gamma_to_one():
     assert lipschitz_bound(1, 1, 1 - 1e-9) < 1e-8
+
+
+def test_lipschitz_bound_is_inf_once_gamma_squared_underflows():
+    # K gamma^2 is 0.0 in floats: C is unbounded and the safe step 2/C is 0
+    assert lipschitz_bound(34, 2, 1e-300) == math.inf
+    assert 2.0 / lipschitz_bound(34, 2, 1e-300) == 0.0
+    # just above the underflow the formula still gives a finite value
+    assert math.isfinite(lipschitz_bound(34, 2, 1e-150))
+
+
+def test_lipschitz_bound_value_bitwise_unchanged():
+    """The value is the formula's as first written, to the bit, at the
+    default gamma (a reordering such as ((1-gamma)/gamma)^2 moves it an ulp)."""
+    for n, K, gamma in ((34, 2, 0.15), (250, 2, 0.15), (105, 3, 0.15), (4, 2, 0.5), (1000, 5, 1e-100)):
+        lead = 2.0 * (1.0 - gamma) ** 2 / (K * gamma * gamma)
+        assert lipschitz_bound(n, K, gamma) == lead * (n + math.sqrt(n) + math.sqrt(K * n))
 
 
 def test_lipschitz_bound_validation():
