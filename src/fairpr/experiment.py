@@ -20,7 +20,7 @@ from .graph import (
     load_graph,
     load_labels,
 )
-from .loss import loss_from_scores, loss_group_adapted
+from .loss import _group_restarts, _mean_loss, loss_from_scores
 from .metrics import MetricBundle, UndefinedCoefficientError, delta_p, rho_bar, rho_tilde
 from .optimizer import DivergedError, OptimizerConfig, adapt_gd, fair_gd
 from .pagerank import group_scores, pagerank_power
@@ -117,13 +117,18 @@ def run_optimizer_method(method, P, gamma, groups, target, opt: OptimizerConfig)
 
 def evaluate_matrices(P_orig, P_new, gamma, groups, target, p_orig=None):
     """(MetricBundle, rho_tilde reason, revised group scores) for a revised
-    matrix against the original, all under the uniform restart vector.
-    ``p_orig``, when given, is the original's vector as solved here."""
+    matrix against the original. ``loss_group_adapted`` is the mean loss
+    over the K restarts inside each group; every other number is under the
+    uniform restart vector. The revised matrix's uniform and group restarts
+    are solved in one block. ``p_orig``, when given, is the original's
+    vector as solved here."""
     cfg = PageRankConfig.uniform(P_orig.n, gamma)
-    p_new = pagerank_power(P_new, cfg, t1=EVAL_T1, tol=EVAL_TOL)
-    scores = group_scores(p_new, groups)
+    solved = pagerank_power(P_new, [cfg, *_group_restarts(groups, gamma)], t1=EVAL_T1, tol=EVAL_TOL)
+    p_new = solved[0]
+    all_scores = group_scores(solved, groups)
+    scores = all_scores[0]
     loss = loss_from_scores(scores, target.phi)
-    loss_g = loss_group_adapted(P_new, gamma, groups, target, t1=EVAL_T1, tol=EVAL_TOL)
+    loss_g = float(_mean_loss(all_scores[1:], target.phi))
     dp = delta_p(P_new, P_orig)
     p_old = pagerank_power(P_orig, cfg, t1=EVAL_T1, tol=EVAL_TOL) if p_orig is None else p_orig
     rb = rho_bar(p_old, p_new, groups)

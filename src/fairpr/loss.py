@@ -47,7 +47,8 @@ def loss_from_scores(scores: np.ndarray, phi: np.ndarray) -> float:
 
 
 def _restart_loss(P, restarts, groups, target, t1, tol) -> float:
-    scores = [group_scores(pagerank_power(P, c, t1=t1, tol=tol), groups) for c in restarts]
+    """The mean loss at P: every restart solved in one block."""
+    scores = group_scores(pagerank_power(P, restarts, t1=t1, tol=tol), groups)
     return float(_mean_loss(scores, target.phi))
 
 
@@ -72,11 +73,10 @@ def _terms(op, p, scale, restarts, groups, phi, t2, rows, cols):
 
 def _restart_grad(P, restarts, groups, target, t1, t2, tol) -> SparseGradient:
     """The mean loss's gradient on the stored pattern: every restart's
-    ``_terms`` at P, summed."""
+    ``_terms`` at P, summed, with the restarts solved in one block."""
     rows, cols = P.entry_rows(), P.indices
     values = np.zeros(len(rows))
-    for cfg in restarts:
-        p = pagerank_power(P, cfg, t1=t1, tol=tol)
+    for p in pagerank_power(P, restarts, t1=t1, tol=tol):
         for _, term in _terms(P, p, 1.0, restarts, groups, target.phi, t2, rows, cols):
             values += term
     return SparseGradient(P.n, rows, cols, values)

@@ -145,8 +145,9 @@ def _descend(
     WalkOperator, so one product serves all copies and each copy's sequence
     of operations, and so its result, is bitwise that of its run alone.
 
-    Per iteration: refresh each p_l by warm-started power steps and evaluate
-    the loss at the current feasible matrix; only here does a copy stop, so
+    Per iteration: refresh every p_l on every copy by one warm-started
+    power solve over the restarts' (R, C, n) block, and evaluate the loss at
+    the current feasible matrix; only here does a copy stop, so
     its last loss is its matrix's: "kappa" when |dL| <= kappa, "max_iters"
     after max_iters steps. Then subtract, one after another, each restart
     l's ``loss._terms`` at that p_l, scaled by the copies' step sizes: each
@@ -176,7 +177,7 @@ def _descend(
     step_sizes = np.asarray(alphas)
     W = np.tile(P.data, (C, 1))
     op = WalkOperator(P, W)
-    warm = [np.full((C, n), 1.0 / n) for _ in restarts]
+    warm = np.full((len(restarts), C, n), 1.0 / n)  # each restart's vector on each copy
     loss_prev = np.full(C, math.inf)
     traces: list[list[float]] = [[] for _ in alphas]
     outcomes: list = [None] * C
@@ -185,12 +186,13 @@ def _descend(
         """Drop the copies outside ``mask`` from the stack."""
         nonlocal ids, step_sizes, W, op, warm, loss_prev
         ids, step_sizes, W, loss_prev = ids[mask], step_sizes[mask], W[mask], loss_prev[mask]
-        warm = [w[mask] for w in warm]
+        warm = warm[:, mask]
         op = WalkOperator(P, W)
 
     for it in range(opt.max_iters + 1):
-        warm = [pagerank_power(op, cfg, t1=opt.t1, tol=opt.power_tol, start=w) for cfg, w in zip(restarts, warm)]
-        losses = _mean_loss(np.stack([group_scores(w, groups) for w in warm], axis=1), phi)  # scores (copies, R, K)
+        warm = pagerank_power(op, restarts, t1=opt.t1, tol=opt.power_tol, start=warm)
+        # scores (copies, R, K), contiguous as the reductions read them
+        losses = _mean_loss(np.ascontiguousarray(group_scores(warm, groups).swapaxes(0, 1)), phi)
         for i, loss in zip(ids, losses.tolist()):
             traces[i].append(loss)
         last = it == opt.max_iters

@@ -220,6 +220,42 @@ def test_terms_sum_to_the_gradients_bitwise():
             assert np.array_equal(want, gr.values)
 
 
+def test_group_adapted_loss_and_evaluation_match_per_restart_solves_bitwise():
+    """The loss and the evaluation solve their restarts in one block; each is
+    bitwise the composition of one solve per restart (the gradient's
+    composition is checked in test_terms_sum_to_the_gradients_bitwise)."""
+    from fairpr.experiment import EVAL_T1, EVAL_TOL, evaluate_matrices
+    from fairpr.loss import _mean_loss
+    from fairpr.metrics import rho_bar
+
+    rng = np.random.default_rng(23)
+    for case in range(6):
+        make = random_sinky_instance if case % 2 else random_instance
+        K = 2 + case % 3
+        _, groups, cfg, P = make(rng, int(rng.integers(12, 30)), K)
+        target = random_target(rng, K)
+        restarts = [PageRankConfig.group_restart(groups, ell, GAMMA) for ell in range(K)]
+        ps = [pagerank_power(P, c) for c in restarts]
+        want = float(_mean_loss(np.stack([group_scores(p, groups) for p in ps]), target.phi))
+        assert loss_group_adapted(P, GAMMA, groups, target) == want
+
+        # a revised matrix: the same pattern, other weights
+        rows = P.entry_rows()
+        W = P.data * rng.uniform(0.5, 1.5, P.nnz)
+        new = P.with_data(W / np.bincount(rows, weights=W, minlength=P.n)[rows])
+        bundle, _, scores = evaluate_matrices(P, new, GAMMA, groups, target)
+        p_new = pagerank_power(new, cfg, t1=EVAL_T1, tol=EVAL_TOL)
+        assert np.array_equal(scores, group_scores(p_new, groups))
+        assert bundle.loss == loss_from_scores(group_scores(p_new, groups), target.phi)
+        assert bundle.loss_group_adapted == float(
+            _mean_loss(
+                np.stack([group_scores(pagerank_power(new, c, t1=EVAL_T1, tol=EVAL_TOL), groups) for c in restarts]),
+                target.phi,
+            )
+        )
+        assert bundle.rho_bar == rho_bar(pagerank_power(P, cfg, t1=EVAL_T1, tol=EVAL_TOL), p_new, groups)
+
+
 def _stochastic_copies(rng, P, C):
     """C row-stochastic weightings of P's pattern, one per row."""
     rows = P.entry_rows()

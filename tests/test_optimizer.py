@@ -169,21 +169,26 @@ def test_loop_top_solves_skip_diverged_copies(karate, caplog):
 
 
 def test_adapt_gd_solves_each_restart_once_per_iteration(monkeypatch):
-    """One warm-started solve per restart at the top of each of the m + 1
-    iterations, and none between the restarts' gradient terms."""
+    """One warm-started solve at the top of each of the m + 1 iterations,
+    given all K restarts at once, and none between the restarts' gradient
+    terms."""
     rng = np.random.default_rng(13)
     _, groups, _, P = random_instance(rng, 15, 3)
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return pagerank_power(*args, **kwargs)
+    def counting(op, restarts, *args, **kwargs):
+        calls.append([cfg.restart_vector for cfg in restarts])
+        return pagerank_power(op, restarts, *args, **kwargs)
 
     monkeypatch.setattr("fairpr.optimizer.pagerank_power", counting)
     m = 4
     rep = adapt_gd(P, GAMMA, groups, random_target(rng, 3), OptimizerConfig(alpha=0.1, kappa=0.0, max_iters=m))
     assert rep.stop_reason == "max_iters" and rep.iterations_run == m
-    assert len(calls) == groups.K * (m + 1)
+    assert len(calls) == m + 1
+    for given in calls:
+        assert len(given) == groups.K
+        for ell, v in enumerate(given):
+            assert np.array_equal(v, groups.indicator(ell) / groups.group_sizes[ell])
 
 
 def test_adapt_gd_single_group_identity():

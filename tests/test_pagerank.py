@@ -494,3 +494,89 @@ def test_capped_solves_are_logged(caplog):
     with caplog.at_level(logging.INFO, logger="fairpr.pagerank"):
         pagerank_power(block, cfg, t1=t1, tol=tol, start=start)
     assert not [r for r in caplog.records if r.name == "fairpr.pagerank"]
+
+
+def restart_list(groups, gamma=GAMMA):
+    """The uniform restart and the K restarts inside each group."""
+    return [PageRankConfig.uniform(groups.n, gamma)] + [
+        PageRankConfig.group_restart(groups, ell, gamma) for ell in range(groups.K)
+    ]
+
+
+@pytest.mark.parametrize("copies", [1, 2, 3])
+@pytest.mark.parametrize("sinks", [False, True])
+def test_restart_block_rows_match_single_restart_solves_bitwise(copies, sinks):
+    """Row l of a solve over R restarts is bitwise restart l's own solve from
+    the same start: on sink-free and sinky instances, with rows that stop in
+    different chunks and rows capped at t1."""
+    rng = np.random.default_rng(1720 + 10 * copies + sinks)
+    make = random_sinky_instance if sinks else random_instance
+    for case in range(3):
+        _, groups, _, P = make(rng, int(rng.integers(20, 40)), 3)
+        restarts = restart_list(groups)
+        R = len(restarts)
+        op = P if copies == 1 else WalkOperator(P, stochastic_block(rng, P, copies))
+        shape = op.operator().shape
+        start = rng.random((R,) + shape) + 0.1
+        start /= start.sum(axis=-1, keepdims=True)
+        # restart 1 starts on its fixed point (every copy stops at step 1), the others far off
+        start[1] = pagerank_power(op, restarts[1], t1=1000, tol=0.0)
+        tol = 1e-8
+        stops = np.concatenate([stepwise_power(op, cfg, 1000, tol, s)[1] for cfg, s in zip(restarts, start)])
+        m = fairpr.pagerank._chunk_steps(R * op.operator().copies * P.n)
+        assert len(set(((stops - 1) // m).tolist())) > 1  # rows stop in different chunks
+        for t1 in (1, 5, int(stops.max()) - 1, int(stops.max()), 100):
+            for given in (None, start):
+                got = pagerank_power(op, restarts, t1=t1, tol=tol, start=given)
+                assert got.shape == (R,) + shape
+                for ell, cfg in enumerate(restarts):
+                    alone = pagerank_power(op, cfg, t1=t1, tol=tol, start=None if given is None else given[ell])
+                    assert np.array_equal(got[ell], alone), (case, t1, ell)
+        # a one-restart sequence is the one-config solve with a leading axis
+        one = pagerank_power(op, restarts[:1], start=start[:1])
+        assert one.shape == (1,) + shape and np.array_equal(one[0], pagerank_power(op, restarts[0], start=start[0]))
+
+
+def test_restart_block_checks_its_input_before_any_kernel(monkeypatch):
+    """A restart block checks ``start`` against all R restarts, and refuses
+    restarts that do not share gamma and an empty list, before any product."""
+    rng = np.random.default_rng(1721)
+    _, groups, _, P = random_sinky_instance(rng, 20, 2)
+    block = WalkOperator(P, np.tile(P.data, (3, 1)))
+    restarts = restart_list(groups)
+
+    def kernel(*args):
+        raise AssertionError("a kernel ran on an unchecked vector")
+
+    monkeypatch.setattr(fairpr.graph, "csc_matvec", kernel)
+    for op in (P, block):
+        size = len(restarts) * op.operator().copies * P.n
+        for bad in (size - 1, size + 1, size // len(restarts)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                pagerank_power(op, restarts, start=np.full(bad, 1.0 / P.n))
+        with pytest.raises(ValueError, match="share gamma"):
+            pagerank_power(op, [restarts[0], PageRankConfig.uniform(P.n, 0.2)])
+        with pytest.raises(ValueError, match="no restart"):
+            pagerank_power(op, [])
+
+
+def test_capped_solves_of_a_restart_block_name_their_restarts(caplog):
+    """Over several restarts the capped-solve line also names the restarts
+    that hold the capped copies."""
+    rng = np.random.default_rng(1722)
+    _, groups, _, P = random_sinky_instance(rng, 30, 2)
+    restarts = restart_list(groups)
+    block = WalkOperator(P, stochastic_block(rng, P, 2))
+    start = np.full((3, 2, P.n), 1.0 / P.n)
+    start[1] = pagerank_power(block, restarts[1], t1=1000, tol=0.0)  # restart 1 stops at once
+    t1, tol = 3, 1e-12
+    last = [stepwise_power(block, restarts[ell], t1, tol, start[ell])[0] for ell in (0, 2)]
+    before = [stepwise_power(block, restarts[ell], t1 - 1, 0.0, start[ell])[0] for ell in (0, 2)]
+    largest = max(np.abs(a - b).sum(axis=1).max() for a, b in zip(last, before))
+    with caplog.at_level(logging.DEBUG, logger="fairpr.pagerank"):
+        pagerank_power(block, restarts, t1=t1, tol=tol, start=start)
+    lines = [r.getMessage() for r in caplog.records if r.name == "fairpr.pagerank"]
+    assert lines == [
+        "pagerank_power: 4 of 6 copies (restarts 0, 2) reached t1=3 without meeting tol=1e-12; "
+        f"largest last L1 change {largest:.3e}"
+    ]
