@@ -29,28 +29,21 @@ def _edges(P: TransitionMatrix, groups: GroupAssignment, weights=None):
     return rows, gcols, table
 
 
-def _group_spread(groups: GroupAssignment, rows, ks, shares):
-    """COO triples in which row rows[t] spreads shares[t] uniformly over
-    every member of group ks[t]."""
-    sizes = groups.group_sizes
-    members = np.argsort(groups.labels, kind="stable")  # grouped, ascending ids
-    reps = sizes[ks]
-    offset = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-    cols = members[np.repeat(np.cumsum(sizes)[ks] - reps, reps) + offset]
-    return np.repeat(rows, reps), cols, np.repeat(shares / reps, reps)
-
-
-def _assemble(P: TransitionMatrix, groups: GroupAssignment, phi, *blocks) -> TransitionMatrix:
-    """Validated matrix from COO (rows, cols, vals) blocks, entries named
-    twice adding up and exact zeros dropped, whose sink rows (P's) stand for
-    the fair sink vector: each phi_k spread uniformly over group k."""
-    rows, cols, vals = (np.concatenate(parts) for parts in zip(*blocks))
-    keys, inv = np.unique(rows * P.n + cols, return_inverse=True)
-    data = np.bincount(inv, vals, len(keys))
-    keys, data = keys[data != 0.0], data[data != 0.0]
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // P.n, minlength=P.n))])
-    sink_row = phi[groups.labels] / groups.group_sizes[groups.labels]
-    tm = TransitionMatrix(P.n, indptr, keys % P.n, data, P.sink_mask.copy(), sink_row)
+def _assemble(P: TransitionMatrix, groups: GroupAssignment, phi, data, rows, ks, shares) -> TransitionMatrix:
+    """Validated matrix on P's edges with weights ``data``, in which row
+    rows[t] spreads shares[t] evenly over group ks[t]: a share of
+    shares[t] / |G_k| of the group's 0/1 indicator, vector 1 + k. P's sink
+    rows stand for vector 0, the fair sink vector: each phi_k spread evenly
+    over group k (zeros without sink rows). Zero shares are left out."""
+    sizes, labels = groups.group_sizes, groups.labels
+    sinks = np.flatnonzero(P.sink_mask)
+    fair = phi[labels] / sizes[labels] if len(sinks) else np.zeros(P.n)
+    vectors = np.vstack([fair, labels == np.arange(groups.K)[:, None]])
+    per_member = shares / sizes[ks]
+    keep = per_member != 0.0
+    rows, ids = np.concatenate([sinks, rows[keep]]), np.concatenate([np.zeros_like(sinks), 1 + ks[keep]])
+    values = np.concatenate([np.ones(len(sinks)), per_member[keep]])
+    tm = TransitionMatrix(P.n, P.indptr, P.indices, data, shares=(vectors, rows, ids, values))
     tm.validate()
     return tm
 
@@ -78,21 +71,22 @@ def _require_two_groups(groups: GroupAssignment, method: str) -> None:
 
 def lfpr_n(P: TransitionMatrix, groups: GroupAssignment, target: FairnessTarget) -> BaselineResult:
     """Every vertex splits share phi_k uniformly over its out-neighbors in
-    group k; with no such neighbor the share spreads over all of group k,
-    extending the pattern; a sink row spreads both shares."""
+    group k; with no such neighbor the share spreads over all of group k, a
+    share of the group's indicator vector beside the stored edges; a sink
+    row spreads both shares (the fair sink vector)."""
     _require_two_groups(groups, "lfpr_n")
     phi = target.phi
     rows, gcols, counts = _edges(P, groups)
     spread_rows, ks = np.nonzero((counts == 0) & ~P.sink_mask[:, None])
-    edges = (rows, P.indices, phi[gcols] / counts[rows, gcols])
-    tm = _assemble(P, groups, phi, edges, _group_spread(groups, spread_rows, ks, phi[ks]))
+    tm = _assemble(P, groups, phi, phi[gcols] / counts[rows, gcols], spread_rows, ks, phi[ks])
     return BaselineResult(tm, "lfpr_n")
 
 
 def lfpr_u(P: TransitionMatrix, groups: GroupAssignment, target: FairnessTarget) -> BaselineResult:
     """Uniform edge weights capped at the over-represented group's share;
     each row's leftover share for its under-represented group (a sink row's
-    two shares) spreads uniformly over that whole group: the residual term."""
+    two shares) spreads uniformly over that whole group, as a share of the
+    group's indicator vector: the residual term."""
     _require_two_groups(groups, "lfpr_u")
     phi1 = float(target.phi[0])
     rows, _, counts = _edges(P, groups)
@@ -107,6 +101,6 @@ def lfpr_u(P: TransitionMatrix, groups: GroupAssignment, target: FairnessTarget)
     base = num / np.maximum(np.select([under0, under1], [out2, out1], outdeg), 1)
     resid = np.where(under0, phi1 - base * out1, (1.0 - phi1) - base * out2)
     spread = np.flatnonzero(under0 | under1)
-    residual = _group_spread(groups, spread, under1[spread].astype(np.int64), resid[spread])
-    tm = _assemble(P, groups, np.array([phi1, 1.0 - phi1]), (rows, P.indices, base[rows]), residual)
+    phi = np.array([phi1, 1.0 - phi1])
+    tm = _assemble(P, groups, phi, base[rows], spread, under1[spread].astype(np.int64), resid[spread])
     return BaselineResult(tm, "lfpr_u")

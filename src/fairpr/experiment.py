@@ -129,11 +129,13 @@ def evaluate_matrices(P_orig, P_new, gamma, groups, target, p_orig=None):
     scores = all_scores[0]
     loss = loss_from_scores(scores, target.phi)
     loss_g = float(_mean_loss(all_scores[1:], target.phi))
-    dp = delta_p(P_new, P_orig)
+    # both pattern metrics read the rows written out: write any spreads out once
+    rows_new = P_new.written_out()
+    dp = delta_p(rows_new, P_orig)
     p_old = pagerank_power(P_orig, cfg, t1=EVAL_T1, tol=EVAL_TOL) if p_orig is None else p_orig
     rb = rho_bar(p_old, p_new, groups)
     try:
-        rt = rho_tilde(P_orig, P_new)
+        rt = rho_tilde(P_orig, rows_new)
         rt_reason = ""
     except UndefinedCoefficientError as exc:
         rt = None

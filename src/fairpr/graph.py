@@ -1,12 +1,16 @@
 """Directed-graph ingestion, group labels, and row-stochastic transition matrices.
 
-A transition matrix stores the rows of the edges it has. A sink row (a
-vertex without out-edges) stores nothing: every sink row stands for one
-shared dense vector, ``sink_row``, that ``WalkOperator`` applies as a
-rank-one term, so memory and every product grow with the edges and not
-with n x #sinks (only ``TransitionMatrix.entries`` writes one out in full).
-The TSV form writes that vector once, as ``# sink_row`` headers; sink rows
-that a file spells out entry by entry fold into it.
+A transition matrix stores the entries of the edges it has, plus a dense
+part: a few shared dense row vectors, of which each row may carry shares.
+A sink row (a vertex without out-edges) stores nothing and carries share 1
+of vector 0, ``sink_row``; the locally fair baselines spread a share over a
+group as a share of the group's 0/1 indicator vector. ``WalkOperator``
+applies the shares as small low-rank terms, so memory and every product
+grow with the edges and n, not with n x #sinks or rows x group size (only
+``TransitionMatrix.entries`` and ``written_out`` write shares out). The
+TSV form writes each vector once and each row's shares once, as header
+lines; sink rows that a file spells out entry by entry fold into
+``sink_row``.
 
 The text readers (``load_graph``, ``load_labels``, ``parse_matrix``) read
 a whole text at once through ``fairpr.text.Lines``: ``str.splitlines``
@@ -33,6 +37,10 @@ from .text import GraphParseError, Lines
 
 ROW_SUM_TOL = 1e-12
 BLOCK_LINES = 65536  # lines per ``%`` in format_lines
+# parse_matrix's dense vectors may hold this many floats per line of the file
+# (about what reading the line takes), or DENSE_FLOOR floats in all
+DENSE_PER_LINE = 32
+DENSE_FLOOR = 2**20
 
 
 @dataclass(frozen=True)
@@ -135,59 +143,123 @@ class FairnessTarget:
 
 
 class TransitionMatrix:
-    """Row-stochastic sparse matrix: CSR-stored edge rows plus sink rows.
+    """Row-stochastic matrix P = P_E + S D: stored entries P_E (the edges,
+    CSR) plus a dense part, shares S of a few dense row vectors D.
 
-    Sink vertices (no out-edges) are flagged in ``sink_mask``. A sink row
-    stores no entries, and the constructor refuses one that does: every
-    sink row stands for the dense row ``sink_row`` (the restart vector, in
-    matrices from ``build_transition``), one vector shared by all of them,
-    so memory grows with the edges and not with n x #sinks. ``sink_row`` is
-    None when there is no sink row. Every stored entry is an edge, and
-    reweighting code leaves the sink rows as they are.
+    ``vectors`` is the (V, n) stack D, and a row may carry a share of any of
+    them: ``share_rows``, ``share_ids`` and ``share_data`` list the shares
+    (row, vector id, value), sorted by vector id and then by row, so vector
+    v's shares are the slice ``share_ptr[v]:share_ptr[v + 1]``. Vector 0 is
+    ``sink_row``. A sink row (flagged in ``sink_mask``) stores no entries,
+    and its only share is 1 on vector 0: the restart vector in matrices from
+    ``build_transition``. ``sink_row`` is None when there is no sink row.
+    The locally fair baselines spread a row's share over a group as a share
+    of the group's 0/1 indicator vector. So memory and every product grow
+    with the edges and n x V, not with n x #sinks or with rows x group size.
+    Vectors that no row shares are dropped from the end of the stack.
+
+    The constructor takes the dense part as ``shares=(vectors, rows, ids,
+    values)``, in any order, or, when its only shares are the sink rows', as
+    ``sink_mask`` and ``sink_row``, which it turns into those shares; then
+    it refuses a sink row with stored entries. Every stored entry is an
+    edge. Reweighting code changes the stored weights only: fairwalk keeps
+    the dense part, and the descent refuses a matrix with shares other than
+    its sink rows (``has_spreads``).
 
     The sparsity pattern is fixed: revised matrices keep it and may contain
     exact zeros. Column ids ascend within each row, so the keys
     ``row * n + col`` of the stored entries ascend too. ``nnz``,
-    ``entry_rows`` and ``row`` see the stored entries only; ``entries``
-    writes a sink row out in full, and ``to_csr``, ``to_dense``,
-    ``pattern_subset_of`` and the metrics read rows through it.
+    ``entry_rows`` and ``row`` see the stored entries only; ``entries`` and
+    ``written_out`` write the dense part out (a sink row in full, another
+    share row on the nonzeros of the vectors it shares), and ``to_csr``,
+    ``to_dense`` and the metrics read rows through them.
+    ``pattern_subset_of`` decides share rows from counts instead.
     """
 
-    __slots__ = ("n", "indptr", "indices", "data", "sink_mask", "sink_row", "_op")
+    __slots__ = (
+        "n", "indptr", "indices", "data", "vectors", "share_rows", "share_ids", "share_data", "share_ptr",
+        "sink_mask", "sink_row", "_op",
+    )
 
-    def __init__(self, n, indptr, indices, data, sink_mask, sink_row=None):
+    def __init__(self, n, indptr, indices, data, sink_mask=None, sink_row=None, shares=None):
         self.n = int(n)
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int64)
         # contiguous, so the operator's flat view shares it and sees in-place updates
         self.data = np.ascontiguousarray(data, dtype=float)
-        self.sink_mask = np.asarray(sink_mask, dtype=bool)
         if len(self.indptr) != self.n + 1:
             raise ValueError("indptr length must be n + 1")
         if len(self.indices) != len(self.data):
             raise ValueError("indices and data lengths differ")
-        if len(self.sink_mask) != self.n:
-            raise ValueError("sink_mask length must be n")
         # the compiled sparse kernels index without bounds checks
         rows_ok = self.indptr[0] == 0 and self.indptr[-1] == len(self.data) and (np.diff(self.indptr) >= 0).all()
         if not rows_ok or (len(self.indices) and not 0 <= self.indices.min() <= self.indices.max() < self.n):
             raise ValueError("malformed sparsity pattern: row pointers or column ids out of range")
-        stored = self.sink_mask & (self.indptr[1:] > self.indptr[:-1])
-        if stored.any():
-            raise ValueError(f"sink row {int(stored.argmax())} has stored entries; sink rows stand for sink_row")
-        self.sink_row = None
-        if self.sink_mask.any():
-            if sink_row is None:
-                raise ValueError(f"sink row {int(self.sink_mask.argmax())} has no entries and no sink_row was given")
-            self.sink_row = np.asarray(sink_row, dtype=float)
-            if self.sink_row.shape != (self.n,):
-                raise ValueError("sink_row length must be n")
+        empty = self.indptr[1:] == self.indptr[:-1]
+        if shares is None:  # each sink row a share 1 of sink_row, and no other shares
+            sink_mask = np.zeros(self.n, bool) if sink_mask is None else np.asarray(sink_mask, dtype=bool)
+            if len(sink_mask) != self.n:
+                raise ValueError("sink_mask length must be n")
+            stored = sink_mask & ~empty
+            if stored.any():
+                raise ValueError(f"sink row {int(stored.argmax())} has stored entries; sink rows stand for sink_row")
+            sinks = np.flatnonzero(sink_mask)
+            if len(sinks) and sink_row is None:
+                raise ValueError(f"sink row {sinks[0]} has no entries and no sink_row was given")
+            vectors = np.empty((0, self.n)) if sink_row is None else np.asarray(sink_row, dtype=float)[None]
+            shares = vectors, sinks, np.zeros(len(sinks), np.int64), np.ones(len(sinks))
+        elif sink_mask is not None or sink_row is not None:
+            raise ValueError("give the sink rows as shares or as sink_mask and sink_row, not both")
+        self._set_shares(*shares, empty)
         self._op = None
+
+    def _set_shares(self, vectors, rows, ids, values, empty) -> None:
+        """Check the dense part and keep it sorted by vector id and row,
+        without the vectors past the last one shared; the sink rows are the
+        rows that store nothing and whose only share is 1 on vector 0."""
+        vectors = np.asarray(vectors, dtype=float)
+        rows, ids = np.asarray(rows, dtype=np.int64), np.asarray(ids, dtype=np.int64)
+        values = np.asarray(values, dtype=float)
+        if vectors.ndim != 2 or vectors.shape[1] != self.n:
+            raise ValueError("the share vectors must have length n")
+        if not len(rows) == len(ids) == len(values):
+            raise ValueError("share rows, vector ids and values lengths differ")
+        if len(rows) and not (0 <= rows.min() <= rows.max() < self.n and 0 <= ids.min() <= ids.max() < len(vectors)):
+            raise ValueError("share row or vector id out of range")
+        self.share_rows, self.share_ids, self.share_data = rows, ids, values
+        self.sink_mask, self.sink_row = np.zeros(self.n, bool), None
+        if not len(rows):  # no dense part
+            self.vectors, self.share_ptr = vectors[:0], np.zeros(1, np.int64)
+            return
+        key = ids * self.n + rows
+        if (key[1:] <= key[:-1]).any():
+            order = np.argsort(key, kind="stable")
+            key, rows, ids, values = key[order], rows[order], ids[order], values[order]
+            twice = np.flatnonzero(key[1:] == key[:-1])
+            if len(twice):
+                raise ValueError(f"row {rows[twice[0]]} carries two shares of vector {ids[twice[0]]}")
+            self.share_rows, self.share_ids, self.share_data = rows, ids, values
+        self.vectors = vectors[: ids[-1] + 1]
+        self.share_ptr = np.searchsorted(ids, np.arange(len(self.vectors) + 1))
+        self.sink_mask[rows[(ids == 0) & (values == 1.0)]] = True  # rows whose share of vector 0 is 1
+        self.sink_mask &= empty & (np.bincount(rows, minlength=self.n) == 1)
+        if self.sink_mask.any():
+            self.sink_row = self.vectors[0]
 
     @property
     def nnz(self) -> int:
-        """Number of stored entries (sink rows store none)."""
+        """Number of stored entries (the dense part stores none)."""
         return int(len(self.data))
+
+    @property
+    def shares(self) -> tuple:
+        """The dense part as the constructor takes it: (vectors, rows, ids, values)."""
+        return self.vectors, self.share_rows, self.share_ids, self.share_data
+
+    @property
+    def has_spreads(self) -> bool:
+        """True when some row other than a sink row carries a share."""
+        return len(self.share_rows) > np.count_nonzero(self.sink_mask)
 
     def copy(self) -> "TransitionMatrix":
         return TransitionMatrix(
@@ -195,14 +267,13 @@ class TransitionMatrix:
             self.indptr.copy(),
             self.indices.copy(),
             self.data.copy(),
-            self.sink_mask.copy(),
-            None if self.sink_row is None else self.sink_row.copy(),
+            shares=tuple(a.copy() for a in self.shares),
         )
 
     def with_data(self, data) -> "TransitionMatrix":
-        """A matrix on this pattern and these sink rows with new stored weights;
-        the pattern arrays are shared, not copied."""
-        return TransitionMatrix(self.n, self.indptr, self.indices, data, self.sink_mask, self.sink_row)
+        """A matrix on this pattern and this dense part with new stored
+        weights; the other arrays are shared, not copied."""
+        return TransitionMatrix(self.n, self.indptr, self.indices, data, shares=self.shares)
 
     def operator(self) -> "WalkOperator":
         """The products p'P and Pz, built once and kept while ``data`` only
@@ -213,7 +284,10 @@ class TransitionMatrix:
 
     def entries(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(keys, weights) of the flagged rows: the ascending keys ``row * n + col``,
-        with each sink row among them written out in full, zeros included."""
+        with each sink row among them written out in full, zeros included,
+        and any other share row as ``written_out`` writes it."""
+        if rows[self.share_rows[~self.sink_mask[self.share_rows]]].any():
+            return self.written_out().entries(rows)
         stored, full = np.diff(self.indptr), rows & self.sink_mask
         counts = np.where(full, self.n, stored * rows)
         keys = np.repeat(np.arange(self.n, dtype=np.int64) * self.n, counts)
@@ -226,8 +300,39 @@ class TransitionMatrix:
             weights[spread] = np.tile(self.sink_row, int(full.sum()))
         return keys, weights
 
+    def written_out(self) -> "TransitionMatrix":
+        """The same matrix with the shares of its rows other than the sink
+        rows written out as stored entries, so without spreads. Such a row
+        stores its stored columns and the nonzero columns of the vectors it
+        shares; a weight is its stored weight plus its shares times their
+        vectors, added in vector order."""
+        if not self.has_spreads:
+            return self
+        n, spread = self.n, ~self.sink_mask[self.share_rows]
+        keys, weights = [self.entry_rows() * n + self.indices], [self.data]
+        for v, vec in enumerate(self.vectors):
+            lo, hi = self.share_ptr[v], self.share_ptr[v + 1]
+            at, share = self.share_rows[lo:hi][spread[lo:hi]], self.share_data[lo:hi][spread[lo:hi]]
+            cols = np.flatnonzero(vec)
+            keys.append((at[:, None] * n + cols).ravel())
+            weights.append((share[:, None] * vec[cols]).ravel())
+        # each part ascends, so the stable sort merges them, the stored weights first
+        keys = np.concatenate(keys)
+        order = np.argsort(keys, kind="stable")
+        keys, weights = keys[order], np.concatenate(weights)[order]
+        again = np.flatnonzero(keys[1:] == keys[:-1]) + 1
+        if len(again):  # a key's further weights add onto its first one, in order
+            first = np.ones(len(keys), bool)
+            first[again] = False
+            total = weights[first]
+            np.add.at(total, np.cumsum(first)[again] - 1, weights[again])
+            keys, weights = keys[first], total
+        indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+        cols = keys - np.repeat(np.arange(n) * n, np.diff(indptr))
+        return TransitionMatrix(n, indptr, cols, weights, self.sink_mask, self.sink_row)
+
     def to_csr(self) -> sp.csr_matrix:
-        """CSR form with the sink rows written out in full, one entry per column."""
+        """CSR form with the dense part written out (``entries``)."""
         keys, weights = self.entries(np.ones(self.n, bool))
         return sp.csr_matrix((weights, np.divmod(keys, self.n)), shape=(self.n, self.n))
 
@@ -240,12 +345,13 @@ class TransitionMatrix:
         return self.indices[lo:hi], self.data[lo:hi]
 
     def row_sums(self) -> np.ndarray:
+        """Each row's stored weights plus its shares times their vectors' sums."""
         sums = np.zeros(self.n)
         stored = self.indptr[1:] > self.indptr[:-1]
         if stored.any():
             sums[stored] = np.add.reduceat(self.data, self.indptr[:-1][stored])
-        if self.sink_row is not None:
-            sums[self.sink_mask] = self.sink_row.sum()
+        if len(self.share_rows):
+            np.add.at(sums, self.share_rows, self.share_data * self.vectors.sum(axis=1)[self.share_ids])
         return sums
 
     def entry_rows(self) -> np.ndarray:
@@ -260,18 +366,56 @@ class TransitionMatrix:
         )
 
     def pattern_subset_of(self, other: "TransitionMatrix") -> bool:
-        """True when every entry here is stored in ``other`` too; a sink row
-        counts as a full row on either side."""
+        """True when every key that ``entries`` writes out here, ``other``
+        writes out too; a sink row of ``other`` covers its whole row.
+
+        Nothing is written out. A row of ``other`` covers the nonzero
+        columns of the vectors it shares; rows that share the same vectors
+        share one such cover. A stored entry here must be stored in
+        ``other`` or covered there. For each share here, the columns it
+        writes out (all n for a sink row) that no cover of its row takes
+        must all be stored in ``other``'s row: that is a count per row of
+        ``other``'s stored entries on those columns, so O(edges + n V) for
+        each kind of share here (its vector, and the set its row shares in
+        ``other``), and O(edges V) for the stored entries.
+        """
         if self.n != other.n:
             return False
-        # a sink row of `other` covers anything; the other rows compare key by key
-        (mine, _), (theirs, _) = self.entries(~other.sink_mask), other.entries(~other.sink_mask)
-        # a key is stored in `other` when its sorted insertion range is nonempty
-        return bool((np.searchsorted(theirs, mine, "right") > np.searchsorted(theirs, mine)).all())
+        n, live = self.n, ~other.sink_mask
+        # which vectors each row of other but its sink rows shares, and the rows grouped by that set
+        spread = live[other.share_rows]
+        shared = np.zeros((n, len(other.vectors)), bool)
+        shared[other.share_rows[spread], other.share_ids[spread]] = True
+        if spread.any():
+            sets, which = np.unique(shared, axis=0, return_inverse=True)
+        else:  # every row shares the empty set
+            sets, which = shared[:1], np.zeros(n, np.int64)
+        at, their_rows = self.entry_rows(), other.entry_rows()
+        mine = live[at]
+        at, cols = at[mine], self.indices[mine]
+        theirs, key = their_rows * n + other.indices, at * n + cols
+        found = np.searchsorted(theirs, key, "right") > np.searchsorted(theirs, key)
+        for v in np.unique(other.share_ids[spread]).tolist():
+            found |= shared[at, v] & (other.vectors[v, cols] != 0)
+        if not found.all():
+            return False
+        mine = live[self.share_rows]
+        at = self.share_rows[mine]
+        # vector id -1 stands for a sink row's n columns
+        groups = (np.where(self.sink_mask[at], -1, self.share_ids[mine]) + 1) * len(sets) + which[at]
+        for g in np.unique(groups).tolist():
+            v, s = divmod(g, len(sets))
+            cover = (other.vectors[sets[s]] != 0).any(axis=0)
+            need = (np.ones(n, bool) if v == 0 else self.vectors[v - 1] != 0) & ~cover
+            if need.any():
+                hits = np.bincount(their_rows, need[other.indices], n)
+                if (hits[at[groups == g]] != need.sum()).any():
+                    return False
+        return True
 
     def validate(self, tol: float = ROW_SUM_TOL) -> None:
         """Check row-stochasticity and nonnegativity; raise on violation."""
-        for w in (self.data,) if self.sink_row is None else (self.data, self.sink_row):
+        for w in (self.data, self.vectors, self.share_data) if len(self.share_rows) else (self.data,):
             if not np.isfinite(w).all():
                 raise ValueError("non-finite weight in transition matrix")
             if (w < 0).any():
@@ -319,14 +463,21 @@ class WalkOperator:
     The kernels check nothing: the matrix has checked its pattern, ``left``
     and ``right`` check their vector's length, and ``left_into`` and
     ``right_into``, which add into a zeroed buffer of the caller's, leave
-    that check to the caller (``vector`` makes it). The sink rows add a
-    rank-one term per copy (Langville & Meyer, "Deeper Inside PageRank",
-    Internet Math. 2004): p'P = p'P_E + (sum of p over the sink rows) s' and
-    (Pz)_i = s.z on a sink row i, where s is ``sink_row``. Without sink rows
-    the term is skipped, so the products are exactly scipy's.
+    that check to the caller (``vector`` makes it).
+
+    The dense part adds low-rank terms. The sink rows add a rank-one term
+    per copy (Langville & Meyer, "Deeper Inside PageRank", Internet Math.
+    2004): p'P = p'P_E + (sum of p over the sink rows) s' and (Pz)_i = s.z on
+    a sink row i, where s is ``sink_row``. The other shares S of the vectors
+    D add (S'p)'D and S(Dz), four more kernel calls over S and the
+    vectors' nonzeros, block-diagonal over the copies as P_E is (S stored by
+    vector, as the matrix keeps it, is S' in CSR form). Without a dense part
+    the products are exactly scipy's.
     """
 
-    __slots__ = ("data", "n", "copies", "shape", "_size", "_indptr", "_indices", "_weights", "_spans", "_sink_row")
+    __slots__ = (
+        "data", "n", "copies", "shape", "_size", "_indptr", "_indices", "_weights", "_spans", "_sink_row", "_spread",
+    )
 
     def __init__(self, P: TransitionMatrix, data: np.ndarray | None = None):
         data = np.ascontiguousarray(P.data if data is None else data, dtype=float)
@@ -351,6 +502,23 @@ class WalkOperator:
         sinks = np.flatnonzero(P.sink_mask)
         self._spans = [(slice(c * P.n, (c + 1) * P.n), sinks + c * P.n) for c in range(copies)]
         self._sink_row = P.sink_row
+        # the other shares S and the vectors D, block-diagonal over the copies:
+        # S' and D in CSR form, copy c's vector v in row c V + v of both
+        spread = ~P.sink_mask[P.share_rows]
+        self._spread = None
+        if spread.any():
+            V, counts = len(P.vectors), np.bincount(P.share_ids[spread], minlength=len(P.vectors))
+            nonzero = (P.vectors != 0) & (counts > 0)[:, None]  # a vector only sink rows share stays out
+            cols = np.nonzero(nonzero)[1]
+            self._spread = (
+                copies * V,
+                _block_pointers(counts, copies, itype),
+                (P.share_rows[spread] + P.n * offsets).ravel().astype(itype),
+                np.tile(P.share_data[spread], copies),
+                _block_pointers(nonzero.sum(axis=1), copies, itype),
+                (cols + P.n * offsets).ravel().astype(itype),
+                np.tile(P.vectors[nonzero], copies),
+            )
 
     def operator(self) -> "WalkOperator":
         """Itself, so that solvers take a matrix or an operator alike."""
@@ -384,6 +552,11 @@ class WalkOperator:
             # copy by copy: a (C, m) gather is not contiguous per row and sums in another order
             for span, sinks in self._spans:
                 q[span] += p[sinks].sum() * self._sink_row
+        if self._spread is not None:
+            rows, s_ptr, s_rows, shares, d_ptr, d_cols, d_data = self._spread
+            coef = np.zeros(rows)
+            csr_matvec(rows, self._size, s_ptr, s_rows, shares, p, coef)  # S'p
+            csc_matvec(self._size, rows, d_ptr, d_cols, d_data, coef, q)  # + D'(S'p)
 
     def right_into(self, z: np.ndarray, y: np.ndarray) -> None:
         """Add Pz into ``y``, which the caller has zeroed; unchecked, as ``left_into``."""
@@ -392,6 +565,16 @@ class WalkOperator:
             # one dot per copy: a matrix-vector product would sum in another order
             for span, sinks in self._spans:
                 y[sinks] = self._sink_row @ z[span]
+        if self._spread is not None:
+            rows, s_ptr, s_rows, shares, d_ptr, d_cols, d_data = self._spread
+            dots = np.zeros(rows)
+            csr_matvec(rows, self._size, d_ptr, d_cols, d_data, z, dots)  # Dz
+            csc_matvec(self._size, rows, s_ptr, s_rows, shares, dots, y)  # + S(Dz)
+
+
+def _block_pointers(counts: np.ndarray, copies: int, itype) -> np.ndarray:
+    """Row pointers of ``copies`` blocks of rows holding ``counts`` entries each."""
+    return np.append(0, np.cumsum(np.tile(counts, copies))).astype(itype)
 
 
 def _sort_pairs(rows: np.ndarray, cols: np.ndarray, with_order: bool = False):
@@ -517,18 +700,29 @@ def format_lines(pattern: str, *columns: np.ndarray) -> str:
 def serialize_matrix(tm: TransitionMatrix) -> str:
     """TSV form: header comments, then src/dst/weight lines.
 
-    The headers are ``# n`` (the size), one ``# sink`` per sink row, and,
-    when there are sink rows, one ``# sink_row <col> <weight>`` per nonzero
-    entry of the sink vector; sink rows write no entry lines. Weights print
-    with ``%.17g``, 17 significant digits (exact float64 round-trip).
-    Entries that are exactly zero are dropped. The lines are formatted in
-    blocks (``format_lines``), byte for byte as one ``%`` per line would.
+    The headers are ``# n`` (the size) and one ``# sink`` per sink row.
+    The dense part follows: one ``# sink_row <col> <weight>`` per nonzero
+    entry of vector 0, one ``# vector <id> <col> <weight>`` per nonzero
+    entry of each further vector, and one ``# share <row> <id> <share>`` per
+    share of a row that is not a sink row; sink rows write no entry lines.
+    A matrix whose only shares are its sink rows has no ``# vector`` or
+    ``# share`` lines. Weights print with ``%.17g``, 17 significant digits
+    (exact float64 round-trip). Entries that are exactly zero are dropped.
+    The lines are formatted in blocks (``format_lines``), byte for byte as
+    one ``%`` per line would.
     """
     keep = tm.data != 0.0
     parts = [f"# n\t{tm.n}\n", format_lines("# sink\t%d\n", np.flatnonzero(tm.sink_mask))]
-    if tm.sink_row is not None:
-        cols = np.flatnonzero(tm.sink_row)
-        parts.append(format_lines("# sink_row\t%d\t%.17g\n", cols, tm.sink_row[cols]))
+    for v, vec in enumerate(tm.vectors):
+        cols = np.flatnonzero(vec)
+        if v == 0:
+            parts.append(format_lines("# sink_row\t%d\t%.17g\n", cols, vec[cols]))
+        else:
+            parts.append(format_lines("# vector\t%d\t%d\t%.17g\n", np.full(len(cols), v), cols, vec[cols]))
+    spread = ~tm.sink_mask[tm.share_rows]
+    parts.append(
+        format_lines("# share\t%d\t%d\t%.17g\n", tm.share_rows[spread], tm.share_ids[spread], tm.share_data[spread])
+    )
     parts.append(format_lines("%d\t%d\t%.17g\n", tm.entry_rows()[keep], tm.indices[keep], tm.data[keep]))
     return "".join(parts)
 
@@ -536,14 +730,30 @@ def serialize_matrix(tm: TransitionMatrix) -> str:
 def parse_matrix(text: str, n: int | None = None) -> TransitionMatrix:
     """Inverse of serialize_matrix. The '# n' header wins; ``n`` is the
     fallback for headerless files. A row without entry lines must be a
-    ``# sink`` row. Sink rows stand for the ``# sink_row`` vector, and any
-    written out in entry lines must spell it (or the first one) out bit for bit."""
+    ``# sink`` row or carry ``# share`` lines. Sink rows stand for the
+    ``# sink_row`` vector, and any written out in entry lines must spell it
+    (or the first one) out bit for bit. A file names vector ids up to its
+    number of ``# vector`` and ``# share`` lines, and its dense vectors
+    (``# sink_row`` is vector 0) hold at most ``DENSE_PER_LINE`` floats per
+    line of the file, or ``DENSE_FLOOR`` in all, so that a short file cannot
+    ask for a huge dense part. Files that write group spreads out as entry
+    lines, as older versions did, read as those entries."""
     lines = Lines(text)
     (rows, cols, w), _, bad = lines.table(("vertex id", "vertex id", None), "'src dst weight'")
-    ((sizes,), _, bad_n), ((sinks,), sink_lines, bad_sink), ((sink_cols, sink_weights), sink_col_lines, bad_col) = (
-        lines.headers(n=("matrix size",), sink=("sink row",), sink_row=("sink_row column", None))
+    (
+        ((sizes,), _, bad_n),
+        ((sinks,), sink_lines, bad_sink),
+        ((sink_cols, sink_weights), sink_col_lines, bad_col),
+        ((vec_ids, vec_cols, vec_weights), vec_lines, bad_vec),
+        ((share_rows, share_ids, shares), share_lines, bad_share),
+    ) = lines.headers(
+        n=("matrix size",),
+        sink=("sink row",),
+        sink_row=("sink_row column", None),
+        vector=("vector id", "vector column", None),
+        share=("share row", "vector id", None),
     )
-    errors = [e for e in (bad, bad_n, bad_sink, bad_col) if e]
+    errors = [e for e in (bad, bad_n, bad_sink, bad_col, bad_vec, bad_share) if e]
     if errors:
         raise min(errors, key=lambda e: e[0])[1]
     size = int(sizes[-1]) if len(sizes) else n
@@ -559,20 +769,41 @@ def parse_matrix(text: str, n: int | None = None) -> TransitionMatrix:
     dup = np.flatnonzero((np.diff(rows) == 0) & (np.diff(cols) == 0))
     if len(dup):
         raise GraphParseError(f"duplicate matrix entry ({rows[dup[0]]}, {cols[dup[0]]})")
-    for ids, at, what in ((sinks, sink_lines, "sink row"), (sink_cols, sink_col_lines, "sink_row column")):
+    for ids, at, what in (
+        (sinks, sink_lines, "sink row"),
+        (sink_cols, sink_col_lines, "sink_row column"),
+        (vec_cols, vec_lines, "vector column"),
+        (share_rows, share_lines, "share row"),
+    ):
         past = np.flatnonzero(ids >= size)
         if len(past):
             raise GraphParseError(f"line {at[past[0]]}: {what} {ids[past[0]]} out of range [0, {size})")
     if len(_sorted_distinct(sink_cols)) < len(sink_cols):
         raise GraphParseError("duplicate '# sink_row' column")
-    # every row needs entries or a '# sink' line; when they cannot cover
-    # `size` rows, name the first uncovered one before allocating `size`
-    if np.count_nonzero(np.diff(rows)) + 1 + len(sinks) < size:
-        raise GraphParseError(f"row {_first_uncovered(np.concatenate([rows, sinks]))} has no entries")
+    # every row needs entries, a '# sink' or a '# share' line; when they cannot
+    # cover `size` rows, name the first uncovered one before allocating `size`
+    if np.count_nonzero(np.diff(rows)) + 1 + len(sinks) + len(share_rows) < size:
+        raise GraphParseError(f"row {_first_uncovered(np.concatenate([rows, sinks, share_rows]))} has no entries")
+    # vector ids count from 1 (0 is '# sink_row'), no further than the lines that name them
+    named = len(vec_ids) + len(share_ids)
+    for ids, at, lo in ((vec_ids, vec_lines, 1), (share_ids, share_lines, 0)):
+        past = np.flatnonzero((ids < lo) | (ids > named))
+        if len(past):
+            raise GraphParseError(f"line {at[past[0]]}: vector id {ids[past[0]]} out of range [{lo}, {named}]")
+    vector_count = 1 + int(max(vec_ids.max(initial=0), share_ids.max(initial=0)))
+    if vector_count * size > max(DENSE_PER_LINE * len(lines.lineno), DENSE_FLOOR):
+        raise GraphParseError(
+            f"{vector_count} dense vectors of length {size} are too many for a file of {len(lines.lineno)} lines"
+        )
+    for name, a, b in (("vector", vec_ids, vec_cols), ("share", share_ids, share_rows)):
+        if len(_sorted_distinct(a * size + b)) < len(a):
+            raise GraphParseError(f"duplicate '# {name}' line")
     sink_mask = np.zeros(size, bool)
     sink_mask[sinks] = True
+    if sink_mask[share_rows].any():
+        raise GraphParseError(f"sink row {share_rows[sink_mask[share_rows]].min()} has '# share' lines")
     counts = np.bincount(rows, minlength=size)
-    not_sink = np.flatnonzero((counts == 0) & ~sink_mask)
+    not_sink = np.flatnonzero((counts == 0) & ~sink_mask & (np.bincount(share_rows, minlength=size) == 0))
     if len(not_sink):
         raise GraphParseError(f"row {int(not_sink[0])} has no entries")
     sink_row = None
@@ -598,6 +829,13 @@ def parse_matrix(text: str, n: int | None = None) -> TransitionMatrix:
     elif len(sinks) and sink_row is None:
         raise GraphParseError(f"sink row {sinks.min()} has no entries and the file has no '# sink_row' lines")
     indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    tm = TransitionMatrix(size, indptr, cols, w, sink_mask, sink_row)
+    vectors = np.zeros((vector_count, size))
+    if sink_row is not None:
+        vectors[0] = sink_row
+    vectors[vec_ids, vec_cols] = vec_weights
+    sinks = np.flatnonzero(sink_mask)
+    share_rows, share_ids = np.concatenate([sinks, share_rows]), np.concatenate([np.zeros_like(sinks), share_ids])
+    shares = np.concatenate([np.ones(len(sinks)), shares])
+    tm = TransitionMatrix(size, indptr, cols, w, shares=(vectors, share_rows, share_ids, shares))
     tm.validate()
     return tm

@@ -84,15 +84,17 @@ def _aligned(P_a: TransitionMatrix, P_b: TransitionMatrix, rows: np.ndarray):
 
 def delta_p(P_new: TransitionMatrix, P_old: TransitionMatrix) -> float:
     """||P_new - P_old||_F / ||P_old||_F over the union of the two patterns,
-    with sink rows counted as the full rows they stand for: a row that is a
-    sink on both sides differs by the difference of the sink rows, and the
-    other rows compare through ``TransitionMatrix.entries``."""
+    with the dense parts written out: a row that is a sink on both sides
+    differs by the difference of the sink rows, and the other rows compare
+    through ``TransitionMatrix.entries``, so a sink row counts as the full
+    row it stands for and a share row with its shares written out on their
+    vectors' nonzeros."""
     if P_new.n != P_old.n:
         raise ValueError("matrices must have the same dimension")
     both = P_new.sink_mask & P_old.sink_mask
     _, a, b = _aligned(P_new, P_old, ~both)
     num2 = ((a - b) ** 2).sum()
-    den2 = (P_old.data**2).sum()
+    den2 = (P_old.written_out().data ** 2).sum()
     if both.any():
         num2 += both.sum() * ((P_new.sink_row - P_old.sink_row) ** 2).sum()
     if P_old.sink_row is not None:
@@ -119,7 +121,9 @@ def rho_tilde(P_old: TransitionMatrix, P_new: TransitionMatrix) -> float:
 
     Per non-sink vertex of P_old, old and new weights are compared over the
     union of the two rows' ``entries`` (absent entries count as zero; a sink
-    row of P_new counts as the full ``sink_row`` it stands for).
+    row of P_new counts as the full ``sink_row`` it stands for, and a share
+    row as its stored entries plus its shares written out on the nonzeros
+    of their vectors).
     Vertices with fewer than 2 union entries are skipped; a vertex whose
     weights are all tied on both sides contributes 1, tied on exactly one
     side it is skipped as undefined.

@@ -156,8 +156,11 @@ def _descend(
     finite) after all the terms. Project every copy once per iteration,
     which lands each row on sum 1 to rounding; sink rows never change. The
     loss needs no check: it is only evaluated at projected matrices, where it
-    is at most 1.
+    is at most 1. A matrix whose rows other than its sink rows carry shares
+    (``has_spreads``) raises ValueError before any work.
     """
+    if P.has_spreads:
+        raise ValueError("the descent reweights edges only; a matrix with group spreads cannot be descended on")
     gamma = restarts[0].gamma
     K = groups.K
     safe_alpha = 2.0 / lipschitz_bound(P.n, K, gamma)

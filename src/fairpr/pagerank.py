@@ -6,7 +6,8 @@ raw CSR arrays over ``P.data`` (built once per matrix, so no call rebuilds
 the matrix), multiplied by scipy's compiled matvec kernels called directly,
 bitwise what ``csr @ x`` and ``csc @ x`` return, plus the rank-one term of
 the sink rows, p'P = p'P_E + (sum of p over the sink rows) s' and
-(Pz)_i = s.z on a sink row i, where s is the matrix's ``sink_row``.
+(Pz)_i = s.z on a sink row i, where s is the matrix's ``sink_row``, and the
+low-rank term of any other shares of the matrix's dense vectors.
 The solvers check their start vector once and then call the operator's
 unchecked ``left_into``/``right_into`` products. The power iteration takes
 its steps in chunks of up to ``CHUNK_STEPS``, written into the zeroed rows

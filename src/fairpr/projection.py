@@ -158,11 +158,14 @@ def project_matrix(
     Without bounds each row lands on the simplex; with (delta, epsilon) the
     box is built from P_orig's row, so revised entries stay within the
     allowed relative/absolute modification of the original weights.
-    Sink rows store nothing and keep their sink vector.
+    Sink rows store nothing and keep their sink vector; a matrix whose
+    other rows carry shares (``has_spreads``) raises ValueError.
     """
     if (delta is None) != (epsilon is None):
         raise ValueError("delta and epsilon must be given together")
     if not P_hat.pattern_equals(P_orig):
         raise ValueError("candidate and reference matrices must share their pattern")
+    if P_hat.has_spreads or P_orig.has_spreads:
+        raise ValueError("projection reweights edges only; a matrix with group spreads cannot be projected")
     seg, box = row_boxes(P_orig, delta, epsilon)
     return P_hat.with_data(project_rows(P_hat.data, seg, P_hat.n, box.lower, box.upper))

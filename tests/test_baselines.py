@@ -90,13 +90,12 @@ def test_lfpr_n_hand_cases():
     groups2 = load_labels(label_text(labels), 7)
     P2 = build_transition(g2, PageRankConfig.uniform(7, GAMMA))
     res2 = lfpr_n(P2, groups2, FairnessTarget(phi=[0.3, 0.7]))
-    cols, vals = res2.matrix.row(0)
-    row = dict(zip(cols.tolist(), vals.tolist()))
+    row = res2.matrix.to_dense()[0]  # the spread is a share of group 1's indicator, written out here
     assert abs(row[1] - 0.3) <= 1e-15  # the only group-0 out-edge takes all of 0.3
     for j in groups2.members(1):
         assert abs(row[j] - 0.7 / 5) <= 1e-15
     assert not res2.matrix.pattern_subset_of(P2)
-    assert abs(sum(row.values()) - 1.0) <= 1e-12
+    assert abs(row.sum() - 1.0) <= 1e-12
 
 
 def test_lfpr_u_balanced_vertex_has_no_residual():
@@ -244,8 +243,17 @@ def test_array_code_matches_row_reference(method):
         elif method.startswith("fairwalk"):
             got, want = fairwalk(P, groups, target).matrix, ref_fairwalk(P, groups, target)
         else:
+            # the spreads are shares of group vectors: compare the rows written out
             fn, ref = (lfpr_n, ref_lfpr_n) if method == "lfpr_n" else (lfpr_u, ref_lfpr_u)
             got, want = fn(P, groups, target).matrix, ref(P, groups, target)
+            every = np.ones(P.n, bool)
+            (keys, w), (want_keys, want_w) = got.entries(every), want.entries(every)
+            assert np.array_equal(keys, want_keys)
+            assert np.array_equal(w.view(np.int64), want_w.view(np.int64))
+            assert np.array_equal(got.to_dense().view(np.int64), want.to_dense().view(np.int64))
+            assert np.array_equal(got.sink_mask, want.sink_mask)
+            assert got.sink_row is None or np.array_equal(got.sink_row, want.sink_row)
+            continue
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.data, want.data)
@@ -256,10 +264,11 @@ def test_array_code_matches_row_reference(method):
 
 @pytest.mark.parametrize("method", ["lfpr_n", "lfpr_u"])
 def test_lfpr_sink_rows_store_nothing(method):
-    """On sinky graphs the locally fair matrices store no sink entries: the
-    sink rows stand for the fair sink vector, stored once, and the matrix is
-    bitwise the one that writes each sink row out in full (which stores
-    those rows' n nonzeros each, phi being inside (0, 1))."""
+    """On sinky graphs the locally fair matrices store only P's edges: the
+    sink rows stand for the fair sink vector, stored once, the spreads are
+    shares of the group vectors, and the rows written out are bitwise the
+    reference's (which writes each sink row's n nonzeros out, phi being
+    inside (0, 1))."""
     fn, ref_rows = (lfpr_n, ref_lfpr_n_rows) if method == "lfpr_n" else (lfpr_u, ref_lfpr_u_rows)
     rng = np.random.default_rng(77)
     sinky = 0
@@ -271,9 +280,29 @@ def test_lfpr_sink_rows_store_nothing(method):
         sinks = int(P.sink_mask.sum())
         sinky += sinks > 0
         assert not M.sink_mask[M.entry_rows()].any()
-        assert M.nnz == np.count_nonzero(spelled) - sinks * P.n
+        assert M.pattern_equals(P) and M.nnz == P.nnz
         assert np.array_equal(M.to_dense().view(np.int64), spelled.view(np.int64))
         if sinks:
             fair = np.where(groups.labels == 0, phi0, 1 - phi0) / groups.group_sizes[groups.labels]
             assert np.array_equal(M.sink_row, fair)
     assert sinky >= 10
+
+
+def test_lfpr_outputs_store_exactly_p_edges():
+    """The locally fair matrices store P's edges and nothing else, on P's
+    own pattern arrays; each row spreads at most one share per group
+    vector, and their sink rows are P's."""
+    rng = np.random.default_rng(55)
+    spread = 0
+    for _ in range(40):
+        _, groups, _, P = random_sinky_instance(rng, int(rng.integers(3, 40)), 2)
+        phi0 = float(rng.uniform(0.05, 0.95))
+        for fn in (lfpr_n, lfpr_u):
+            M = fn(P, groups, FairnessTarget(phi=[phi0, 1 - phi0])).matrix
+            assert M.pattern_equals(P) and M.nnz == P.nnz
+            assert M.indptr is P.indptr and M.indices is P.indices
+            assert np.array_equal(M.sink_mask, P.sink_mask)
+            assert len(M.vectors) <= 1 + groups.K
+            assert np.array_equal(M.vectors[1:], groups.labels == np.arange(len(M.vectors) - 1)[:, None])
+            spread += M.has_spreads
+    assert spread >= 40

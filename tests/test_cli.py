@@ -671,3 +671,17 @@ def test_evaluate_huge_matrix_size_is_input_error(tmp_path, capsys):
     ])
     assert code == 2
     assert "row 3 has no entries" in capsys.readouterr().err
+
+
+def test_evaluate_huge_dense_part_is_input_error(tmp_path, capsys):
+    # 40,000 share lines, each naming a new vector, would ask for a 40,001 x 40,000 dense part
+    _, labels = toy_files(tmp_path)
+    original = tmp_path / "original.tsv"
+    shares = "".join(f"# share\t{i}\t{i + 1}\t1\n" for i in range(40000))
+    original.write_text(f"# n\t40000\n{shares}0\t1\t1\n")
+    code = main([
+        "evaluate", "--original", str(original), "--revised", str(original),
+        "--labels", labels, "--phi", "0.5",
+    ])
+    assert code == 2
+    assert "40001 dense vectors of length 40000 are too many" in capsys.readouterr().err

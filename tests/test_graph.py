@@ -13,12 +13,14 @@ from fairpr import (
     build_transition,
     delta_p,
     lfpr_n,
+    lfpr_u,
     load_graph,
     load_labels,
     pagerank_power,
     parse_matrix,
     serialize_matrix,
 )
+from conftest import random_sinky_instance
 from fairpr.graph import BLOCK_LINES, format_lines
 
 
@@ -347,7 +349,8 @@ def test_pattern_subset():
     g = load_graph("0 1\n0 2\n1 2\n2 0\n2 1")
     P = build_transition(g, PageRankConfig.uniform(3))
     M = lfpr_n(P, load_labels("0 0\n1 0\n2 1", 3), FairnessTarget(phi=[0.5, 0.5])).matrix
-    assert M.nnz > P.nnz
+    # the spread is a share of group 0's indicator: stored as P's edges, written out wider
+    assert M.nnz == P.nnz and np.count_nonzero(M.to_dense()) > P.nnz
     assert P.pattern_subset_of(M)
     assert not M.pattern_subset_of(P)
     assert not a.pattern_subset_of(P) and not P.pattern_subset_of(a)
@@ -427,3 +430,177 @@ def test_format_lines_at_block_edges(lines):
     ids, w = rng.integers(0, 10**12, lines), odd_weights(rng, lines)
     want = "".join(map("%d\t%.17g\n".__mod__, zip(ids.tolist(), w.tolist())))
     assert format_lines("%d\t%.17g\n", ids, w) == want
+
+
+# ------------------------------------------------------------ shares of dense vectors
+
+
+def random_spread_instances(rng, count):
+    """lfpr_n and lfpr_u outputs on random sinky graphs, in turn."""
+    for i in range(count):
+        _, groups, _, P = random_sinky_instance(rng, int(rng.integers(3, 40)), 2)
+        phi0 = float(rng.uniform(0.05, 0.95))
+        yield (lfpr_n, lfpr_u)[i % 2](P, groups, FairnessTarget(phi=[phi0, 1 - phi0])).matrix, P
+
+
+def test_spread_tsv_round_trips():
+    """A matrix with group spreads writes each vector and each row's shares
+    once, and reads back to the same text, the same dense part bit for bit
+    and the same rows written out."""
+    rng = np.random.default_rng(31)
+    spread = 0
+    for M, P in random_spread_instances(rng, 40):
+        text = serialize_matrix(M)
+        back = parse_matrix(text)
+        assert serialize_matrix(back) == text
+        for a, b in zip(back.shares, M.shares):
+            assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+        assert np.array_equal(back.to_dense().view(np.int64), M.to_dense().view(np.int64))
+        spread += M.has_spreads
+        assert text.count("# share\t") == len(M.share_rows) - M.sink_mask.sum()
+        assert text.count("\n") <= 2 + P.nnz + 4 * P.n  # edges, the sinks, 3 vectors' nonzeros and the shares
+    assert spread >= 30
+
+
+def test_old_spread_files_read_to_the_same_rows():
+    """Files that write the spreads out as entry lines, as earlier versions
+    did, parse to the same dense matrix."""
+    rng = np.random.default_rng(32)
+    for M, _ in random_spread_instances(rng, 20):
+        old = serialize_matrix(TransitionMatrix.from_dense(M.to_dense(), M.sink_mask))
+        assert "# share" not in old
+        parsed = parse_matrix(old)
+        assert not parsed.has_spreads
+        assert np.array_equal(parsed.to_dense().view(np.int64), M.to_dense().view(np.int64))
+
+
+def test_serialize_golden_bytes_with_shares():
+    # row 0 spreads 0.25 over group {1, 2} (vector 1) beside its edge; row 2 is a sink row
+    vectors = [[0.5, 0.25, 0.25], [0.0, 1.0, 1.0]]
+    shares = (vectors, [2, 0], [0, 1], [1.0, 0.25])
+    tm = TransitionMatrix(3, [0, 1, 2, 2], [0, 0], [0.5, 1.0], shares=shares)
+    tm.validate()
+    text = serialize_matrix(tm)
+    assert text == (
+        "# n\t3\n# sink\t2\n# sink_row\t0\t0.5\n# sink_row\t1\t0.25\n# sink_row\t2\t0.25\n"
+        "# vector\t1\t1\t1\n# vector\t1\t2\t1\n# share\t0\t1\t0.25\n0\t0\t0.5\n1\t0\t1\n"
+    )
+    assert np.array_equal(tm.to_dense(), [[0.5, 0.25, 0.25], [1.0, 0.0, 0.0], [0.5, 0.25, 0.25]])
+    assert tm.sink_mask.tolist() == [False, False, True] and tm.has_spreads
+    assert np.array_equal(tm.row_sums(), [1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "text,fragment",
+    [
+        ("#n 2\n# vector 0 1 1\n# share 0 0 0.5\n0 0 0.5\n1 0 1\n", "vector id 0 out of range"),
+        ("#n 2\n# vector 1 1 1\n# share 0 7 0.5\n0 0 0.5\n1 0 1\n", "vector id 7 out of range"),
+        ("#n 2\n# vector 1 1 1\n# share 0 1 0.25\n# share 0 1 0.25\n0 0 0.5\n1 0 1\n", "duplicate '# share'"),
+        ("#n 2\n# vector 1 1 1\n# vector 1 1 1\n# share 0 1 0.5\n0 0 0.5\n1 0 1\n", "duplicate '# vector'"),
+        ("#n 2\n# sink 1\n# sink_row 0 1\n# vector 1 1 1\n# share 1 1 0.5\n0 0 1\n", "sink row 1 has '# share'"),
+        ("#n 2\n# vector 1 5 1\n# share 0 1 0.5\n0 0 0.5\n1 0 1\n", "vector column 5 out of range"),
+        ("#n 3\n# vector 1 1 1\n# share 0 1 0.5\n0 0 0.5\n1 0 1\n", "row 2 has no entries"),
+    ],
+)
+def test_parse_matrix_rejects_bad_share_lines(text, fragment):
+    with pytest.raises(GraphParseError, match=fragment):
+        parse_matrix(text)
+
+
+def test_share_only_rows_parse():
+    # row 1 stores nothing and spreads all of its mass over vector 1
+    tm = parse_matrix("#n 2\n# vector 1 0 0.5\n# vector 1 1 0.5\n# share 1 1 1\n0 1 1\n")
+    assert not tm.sink_mask.any() and tm.has_spreads
+    assert np.array_equal(tm.to_dense(), [[0.0, 1.0], [0.5, 0.5]])
+
+
+def random_share_spec(rng, n, vector_counts=(1, 4)):
+    """(stored columns per row, sink mask, vectors, [(row, vector, share)])
+    with zeros in the vectors, empty rows and rows sharing several vectors;
+    the number of vectors is drawn from ``vector_counts``, and a row shares
+    each with chance 0.3, or 1.5 of them on average when there are more
+    than three."""
+    sinks = rng.random(n) < 0.25
+    stored = [
+        np.empty(0, np.int64) if sinks[i] else np.sort(rng.choice(n, int(rng.integers(0, n + 1)), replace=False))
+        for i in range(n)
+    ]
+    V = int(rng.integers(*vector_counts))
+    vectors = rng.random((V, n)) * (rng.random((V, n)) < 0.5)
+    chance = 0.3 if V < 4 else 1.5 / V
+    shares = [(i, v, float(rng.random())) for i in np.flatnonzero(~sinks) for v in range(V) if rng.random() < chance]
+    return stored, sinks, vectors, shares
+
+
+def spec_matrix(n, spec):
+    stored, sinks, vectors, shares = spec
+    indptr = np.concatenate([[0], np.cumsum([len(c) for c in stored])])
+    indices = np.concatenate([np.empty(0, np.int64), *stored])
+    sinks_at = np.flatnonzero(sinks)
+    rows = [*sinks_at, *(r for r, _, _ in shares)]
+    ids = [*np.zeros(len(sinks_at), np.int64), *(v for _, v, _ in shares)]
+    values = [*np.ones(len(sinks_at)), *(s for _, _, s in shares)]
+    return TransitionMatrix(n, indptr, indices, np.full(len(indices), 0.5), shares=(vectors, rows, ids, values))
+
+
+def mutate(rng, n, M, spec):
+    """A neighbor of ``spec``: some rows written out as stored entries, some
+    stored columns dropped or added, some shares dropped or added, some rows
+    made sinks or no longer sinks."""
+    stored, sinks, vectors, shares = [list(spec[0]), spec[1].copy(), spec[2], list(spec[3])]
+    keys = M.entries(np.ones(n, bool))[0]
+    for i in range(n):
+        pick = rng.random()
+        if pick < 0.15:  # the written-out row, stored
+            stored[i], sinks[i] = keys[keys // n == i] % n, False
+            shares = [s for s in shares if s[0] != i]
+        elif pick < 0.3 and len(stored[i]):
+            stored[i] = np.delete(stored[i], int(rng.integers(len(stored[i]))))
+        elif pick < 0.45 and not sinks[i]:
+            stored[i] = np.union1d(stored[i], [int(rng.integers(n))])
+        elif pick < 0.55:
+            sinks[i], stored[i] = True, np.empty(0, np.int64)
+            shares = [s for s in shares if s[0] != i]
+        elif pick < 0.6 and sinks[i]:
+            sinks[i] = False
+    shares = [s for s in shares if rng.random() < 0.85 and not sinks[s[0]]]
+    taken = {(r, v) for r, v, _ in shares}
+    for _ in range(int(rng.integers(0, 3))):
+        r, v = int(rng.integers(n)), int(rng.integers(len(vectors)))
+        if not sinks[r] and (r, v) not in taken:
+            shares.append((r, v, 0.5))
+            taken.add((r, v))
+    return stored, sinks, vectors, shares
+
+
+@pytest.mark.parametrize("vector_counts", [(1, 4), (64, 72)], ids=["few", "past_63"])
+def test_pattern_subset_of_share_rows_matches_written_out_rows(vector_counts):
+    """The count-based check on share rows agrees with comparing the keys
+    that ``entries`` writes out, row by row, on random neighbors, also with
+    vector ids past 63."""
+    rng = np.random.default_rng(33)
+    answers = []
+    for _ in range(400):
+        n = int(rng.integers(1, 9))
+        spec = random_share_spec(rng, n, vector_counts)
+        A = spec_matrix(n, spec)
+        B = spec_matrix(n, mutate(rng, n, A, spec))
+        for a, b in ((A, B), (B, A), (A, A)):
+            rows = ~b.sink_mask
+            (mine, _), (theirs, _) = a.entries(rows), b.entries(rows)
+            want = bool(np.isin(mine, theirs).all())
+            assert a.pattern_subset_of(b) == want
+            answers.append(want)
+    assert 0.2 < np.mean(answers) < 0.8
+
+
+def test_constructor_checks_shares():
+    with pytest.raises(ValueError, match="two shares of vector 0"):
+        TransitionMatrix(2, [0, 1, 2], [0, 1], [0.5, 0.5], shares=([[0.5, 0.5]], [0, 0], [0, 0], [0.5, 0.5]))
+    with pytest.raises(ValueError, match="out of range"):
+        TransitionMatrix(2, [0, 1, 2], [0, 1], [0.5, 0.5], shares=([[0.5, 0.5]], [0], [1], [0.5]))
+    with pytest.raises(ValueError, match="not both"):
+        TransitionMatrix(2, [0, 1, 1], [0], [1.0], [False, True], [0.5, 0.5], shares=([[0.5, 0.5]], [1], [0], [1.0]))
+    # vectors that no row shares are dropped from the end
+    tm = TransitionMatrix(2, [0, 1, 2], [0, 1], [1.0, 1.0], shares=(np.eye(2), [], [], []))
+    assert tm.vectors.shape == (0, 2) and tm.sink_row is None and not tm.has_spreads

@@ -18,6 +18,7 @@ from fairpr import (
     build_transition,
     fair_gd,
     group_scores,
+    lfpr_u,
     lipschitz_bound,
     load_graph,
     load_labels,
@@ -528,3 +529,20 @@ def test_stacked_operator_matches_per_copy_products():
             assert np.array_equal(power[c], pagerank_power(one, cfg, t1=60, tol=tol, start=start[c].copy()))
             assert np.array_equal(y[c], neumann_y(one, groups.indicator(1), GAMMA, 20))
     assert cases >= 10
+
+
+def test_descent_rejects_group_spreads():
+    """The descent and the projection reweight edges only: a matrix whose
+    rows carry shares of group vectors is refused before any work."""
+    rng = np.random.default_rng(41)
+    _, groups, cfg, P = random_sinky_instance(rng, 20, 2)
+    target = FairnessTarget(phi=[0.4, 0.6])
+    M = lfpr_u(P, groups, target).matrix
+    assert M.has_spreads and not P.has_spreads
+    opt = OptimizerConfig(alpha=1.0, max_iters=2)
+    for run in (lambda: fair_gd(M, cfg, groups, target, opt), lambda: adapt_gd(M, GAMMA, groups, target, opt)):
+        with pytest.raises(ValueError, match="group spreads"):
+            run()
+    for a, b in ((M, M), (M, M.with_data(M.data)), (P.with_data(M.data), M)):
+        with pytest.raises(ValueError, match="group spreads"):
+            project_matrix(a, b)

@@ -15,6 +15,7 @@ from fairpr import (
     TransitionMatrix,
     group_scores,
     lfpr_n,
+    lfpr_u,
     load_graph,
     load_labels,
     build_transition,
@@ -155,27 +156,29 @@ def dense_series(P, indicator, gamma, t2):
 
 
 def sinky_operator_instances(rng, count):
-    """Random sinky matrices of three kinds in turn: sink rows standing for
+    """Random sinky matrices of four kinds in turn: sink rows standing for
     the uniform restart vector, for a restart vector with zero entries, and
-    lfpr_n outputs, whose sink rows stand for the fair sink vector."""
+    lfpr_n and lfpr_u outputs, whose sink rows stand for the fair sink
+    vector and whose other rows carry shares of the group vectors."""
     for i in range(count):
         g, groups, cfg, P = random_sinky_instance(rng, int(rng.integers(3, 40)), 2)
-        if i % 3 == 1:
+        if i % 4 == 1:
             v = rng.random(g.n) * (rng.random(g.n) < 0.6) + 1e-3 * (np.arange(g.n) == 0)
             cfg = PageRankConfig(GAMMA, v / v.sum())
             P = build_transition(g, cfg)
-        elif i % 3 == 2:
-            P = lfpr_n(P, groups, FairnessTarget(phi=rng.dirichlet(np.ones(2)))).matrix
+        elif i % 4 >= 2:
+            P = (lfpr_n, lfpr_u)[i % 2](P, groups, FairnessTarget(phi=rng.dirichlet(np.ones(2)))).matrix
         yield groups, cfg, P
 
 
 def test_operator_matches_dense_reference():
     rng = np.random.default_rng(606)
-    kinds = {"restart sink row": 0, "other sink row": 0, "zeros in sink row": 0}
-    for groups, cfg, P in sinky_operator_instances(rng, 120):
+    kinds = {"restart sink row": 0, "other sink row": 0, "zeros in sink row": 0, "group spreads": 0}
+    for groups, cfg, P in sinky_operator_instances(rng, 160):
         if P.sink_mask.any():
             kinds["restart sink row" if np.array_equal(P.sink_row, cfg.restart_vector) else "other sink row"] += 1
             kinds["zeros in sink row"] += bool((P.sink_row == 0).any())
+        kinds["group spreads"] += P.has_spreads
         # L1 gaps relative to the reference's L1 norm (1 for p; y sums to
         # up to n / gamma, and its entries carry rounding of their own size)
         want = dense_power(P, cfg, 60)
