@@ -5,7 +5,7 @@ part: a few shared dense row vectors, of which each row may carry shares.
 A sink row (a vertex without out-edges) stores nothing and carries share 1
 of vector 0, ``sink_row``; the locally fair baselines spread a share over a
 group as a share of the group's 0/1 indicator vector. ``WalkOperator``
-applies the shares as small low-rank terms, so memory and every product
+applies all shares as one low-rank term, so memory and every product
 grow with the edges and n, not with n x #sinks or rows x group size (only
 ``TransitionMatrix.entries`` and ``written_out`` write shares out). The
 TSV form writes each vector once and each row's shares once, as header
@@ -465,19 +465,17 @@ class WalkOperator:
     ``right_into``, which add into a zeroed buffer of the caller's, leave
     that check to the caller (``vector`` makes it).
 
-    The dense part adds low-rank terms. The sink rows add a rank-one term
-    per copy (Langville & Meyer, "Deeper Inside PageRank", Internet Math.
-    2004): p'P = p'P_E + (sum of p over the sink rows) s' and (Pz)_i = s.z on
-    a sink row i, where s is ``sink_row``. The other shares S of the vectors
-    D add (S'p)'D and S(Dz), four more kernel calls over S and the
-    vectors' nonzeros, block-diagonal over the copies as P_E is (S stored by
-    vector, as the matrix keeps it, is S' in CSR form). Without a dense part
-    the products are exactly scipy's.
+    The dense part S D adds one low-rank term, p'P = p'P_E + (S'p)'D and
+    Pz = P_E z + S(Dz), two more kernel calls per product over all shares S
+    and the nonzeros of the vectors D, block-diagonal over the copies as P_E
+    is (S stored by vector, as the matrix keeps it, is S' in CSR form). A
+    sink row is share 1 of vector 0 like any other share, so the dangling
+    term (Langville & Meyer, "Deeper Inside PageRank", Internet Math. 2004)
+    needs no path of its own, and no product calls BLAS. Without a dense
+    part the products are exactly scipy's.
     """
 
-    __slots__ = (
-        "data", "n", "copies", "shape", "_size", "_indptr", "_indices", "_weights", "_spans", "_sink_row", "_spread",
-    )
+    __slots__ = ("data", "n", "copies", "shape", "_size", "_indptr", "_indices", "_weights", "_dense")
 
     def __init__(self, P: TransitionMatrix, data: np.ndarray | None = None):
         data = np.ascontiguousarray(P.data if data is None else data, dtype=float)
@@ -498,25 +496,18 @@ class WalkOperator:
         self._indptr = np.append((indptr[:-1] + nnz * offsets).ravel(), copies * nnz).astype(itype)
         self._indices = (indices + P.n * offsets).ravel().astype(itype)
         self._weights = data.reshape(-1)  # a view: C-contiguous data reshapes without a copy
-        # each copy's span of a flat vector and its sink rows there
-        sinks = np.flatnonzero(P.sink_mask)
-        self._spans = [(slice(c * P.n, (c + 1) * P.n), sinks + c * P.n) for c in range(copies)]
-        self._sink_row = P.sink_row
-        # the other shares S and the vectors D, block-diagonal over the copies:
-        # S' and D in CSR form, copy c's vector v in row c V + v of both
-        spread = ~P.sink_mask[P.share_rows]
-        self._spread = None
-        if spread.any():
-            V, counts = len(P.vectors), np.bincount(P.share_ids[spread], minlength=len(P.vectors))
-            nonzero = (P.vectors != 0) & (counts > 0)[:, None]  # a vector only sink rows share stays out
-            cols = np.nonzero(nonzero)[1]
-            self._spread = (
-                copies * V,
-                _block_pointers(counts, copies, itype),
-                (P.share_rows[spread] + P.n * offsets).ravel().astype(itype),
-                np.tile(P.share_data[spread], copies),
+        # the dense part S D, block-diagonal over the copies: S' and D in CSR
+        # form, copy c's vector v in row c V + v of both
+        self._dense = None
+        if len(P.share_rows):
+            nonzero = P.vectors != 0
+            self._dense = (
+                copies * len(P.vectors),
+                _block_pointers(np.diff(P.share_ptr), copies, itype),
+                (P.share_rows + P.n * offsets).ravel().astype(itype),
+                np.tile(P.share_data, copies),
                 _block_pointers(nonzero.sum(axis=1), copies, itype),
-                (cols + P.n * offsets).ravel().astype(itype),
+                (np.nonzero(nonzero)[1] + P.n * offsets).ravel().astype(itype),
                 np.tile(P.vectors[nonzero], copies),
             )
 
@@ -548,12 +539,8 @@ class WalkOperator:
         """Add p'P into ``q``, which the caller has zeroed. Neither vector is
         checked: both must be C-contiguous float64 of the operator's size."""
         csc_matvec(self._size, self._size, self._indptr, self._indices, self._weights, p, q)
-        if self._sink_row is not None:
-            # copy by copy: a (C, m) gather is not contiguous per row and sums in another order
-            for span, sinks in self._spans:
-                q[span] += p[sinks].sum() * self._sink_row
-        if self._spread is not None:
-            rows, s_ptr, s_rows, shares, d_ptr, d_cols, d_data = self._spread
+        if self._dense is not None:
+            rows, s_ptr, s_rows, shares, d_ptr, d_cols, d_data = self._dense
             coef = np.zeros(rows)
             csr_matvec(rows, self._size, s_ptr, s_rows, shares, p, coef)  # S'p
             csc_matvec(self._size, rows, d_ptr, d_cols, d_data, coef, q)  # + D'(S'p)
@@ -561,12 +548,8 @@ class WalkOperator:
     def right_into(self, z: np.ndarray, y: np.ndarray) -> None:
         """Add Pz into ``y``, which the caller has zeroed; unchecked, as ``left_into``."""
         csr_matvec(self._size, self._size, self._indptr, self._indices, self._weights, z, y)
-        if self._sink_row is not None:
-            # one dot per copy: a matrix-vector product would sum in another order
-            for span, sinks in self._spans:
-                y[sinks] = self._sink_row @ z[span]
-        if self._spread is not None:
-            rows, s_ptr, s_rows, shares, d_ptr, d_cols, d_data = self._spread
+        if self._dense is not None:
+            rows, s_ptr, s_rows, shares, d_ptr, d_cols, d_data = self._dense
             dots = np.zeros(rows)
             csr_matvec(rows, self._size, d_ptr, d_cols, d_data, z, dots)  # Dz
             csc_matvec(self._size, rows, s_ptr, s_rows, shares, dots, y)  # + S(Dz)

@@ -4,10 +4,11 @@ and the truncated geometric-series vectors used by the loss gradients.
 Every product with P goes through ``P.operator()``: the stored entries as
 raw CSR arrays over ``P.data`` (built once per matrix, so no call rebuilds
 the matrix), multiplied by scipy's compiled matvec kernels called directly,
-bitwise what ``csr @ x`` and ``csc @ x`` return, plus the rank-one term of
-the sink rows, p'P = p'P_E + (sum of p over the sink rows) s' and
-(Pz)_i = s.z on a sink row i, where s is the matrix's ``sink_row``, and the
-low-rank term of any other shares of the matrix's dense vectors.
+bitwise what ``csr @ x`` and ``csc @ x`` return, plus one low-rank term for
+the whole dense part S D, p'P = p'P_E + (S'p)'D and Pz = P_E z + S(Dz), by
+the same kernels. A sink row is share 1 of vector 0, the matrix's
+``sink_row``, like any other share (the dangling rows of Langville & Meyer,
+"Deeper Inside PageRank", 2004), and no product calls BLAS.
 The solvers check their start vector once and then call the operator's
 unchecked ``left_into``/``right_into`` products. The power iteration takes
 its steps in chunks of up to ``CHUNK_STEPS``, written into the zeroed rows

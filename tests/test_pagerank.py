@@ -235,39 +235,52 @@ def test_operator_bitwise_on_sink_free_matrices():
 def block_products(P, W, x):
     """(left, right) products of the C copies of P's pattern with the rows of
     the weight block W, through scipy's public ``csc @ x`` and ``csr @ x`` on
-    the block-diagonal matrix, plus the sink rows' rank-one term."""
-    blocks = [sp.csr_matrix((w, P.indices, P.indptr), shape=(P.n, P.n)) for w in np.atleast_2d(W)]
-    csr = sp.block_diag(blocks, format="csr")
-    csc = csr.T
-    assert csc.format == "csc"
-    left, right = csc @ x, csr @ x
-    sinks = np.flatnonzero(P.sink_mask)
-    for c in range(len(blocks)):
-        span = slice(c * P.n, (c + 1) * P.n)
-        if len(sinks):
-            left[span] += x[sinks + c * P.n].sum() * P.sink_row
-            right[sinks + c * P.n] = P.sink_row @ x[span]
+    block-diagonal matrices: the stored entries P_E, and for each vector v of
+    the dense part its shares S_v' (one row per copy) and the vector D_v,
+    whose terms (S_v'x)'D_v and S_v(D_v x) add on in vector order."""
+    copies = len(np.atleast_2d(W))
+
+    def stack(data, cols):  # one 1 x n CSR row per copy, on the diagonal
+        return sp.block_diag([sp.csr_matrix((data, cols, [0, len(cols)]), shape=(1, P.n))] * copies, format="csr")
+
+    PE = sp.block_diag([sp.csr_matrix((w, P.indices, P.indptr), shape=(P.n, P.n)) for w in np.atleast_2d(W)], "csr")
+    assert PE.T.format == "csc"
+    left, right = PE.T @ x, PE @ x
+    for v, vec in enumerate(P.vectors):
+        lo, hi = P.share_ptr[v], P.share_ptr[v + 1]
+        St = stack(P.share_data[lo:hi], P.share_rows[lo:hi])
+        cols = np.flatnonzero(vec)
+        D = stack(vec[cols], cols)
+        left += D.T @ (St @ x)
+        right += St.T @ (D @ x)
     return left, right
 
 
 @pytest.mark.parametrize("copies", [1, 9])
-@pytest.mark.parametrize("sinks", [False, True])
+@pytest.mark.parametrize("sinks", [False, True, "lfpr_u"])
 def test_kernel_products_match_scipy_bitwise(copies, sinks):
     """``left`` and ``right`` call scipy's compiled matvec kernels directly;
     pin them, and ``left_into`` and ``right_into`` on zeroed buffers, to the
     public sparse products, also once the weights change in place and once
-    they are replaced."""
-    rng = np.random.default_rng(808 + copies + 10 * sinks)
+    they are replaced. A sink row is a share of vector 0 like any other;
+    with ``sinks="lfpr_u"`` the matrix is an lfpr_u output with sink rows,
+    so rows share vector 0 (the fair sink vector) and the group vectors,
+    whose nonzeros overlap it."""
+    rng = np.random.default_rng(808 + copies + 10 * [False, True, "lfpr_u"].index(sinks))
     cases = 0
     while cases < 12:
         n = int(rng.integers(3, 60))
-        if sinks:
-            *_, P = random_sinky_instance(rng, n, 2)
-            if not P.sink_mask.any():
-                continue
-        else:
+        if not sinks:
             *_, P = random_instance(rng, n, 2)
             assert P.sink_row is None
+        else:
+            _, groups, _, P = random_sinky_instance(rng, n, 2)
+            if not P.sink_mask.any():
+                continue
+            if sinks == "lfpr_u":
+                P = lfpr_u(P, groups, FairnessTarget(phi=rng.dirichlet(np.ones(2)))).matrix
+                if not P.has_spreads:
+                    continue
         cases += 1
         W = P.data * rng.uniform(0.5, 1.5, size=(copies, P.nnz))
         if copies == 1:
