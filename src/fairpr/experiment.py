@@ -120,8 +120,9 @@ def evaluate_matrices(P_orig, P_new, gamma, groups, target, p_orig=None):
     matrix against the original. ``loss_group_adapted`` is the mean loss
     over the K restarts inside each group; every other number is under the
     uniform restart vector. The revised matrix's uniform and group restarts
-    are solved in one block. ``p_orig``, when given, is the original's
-    vector as solved here."""
+    are solved in one block. ``delta_p`` and ``rho_tilde`` read both
+    matrices' rows through ``TransitionMatrix.entries``, shares written
+    out. ``p_orig``, when given, is the original's vector as solved here."""
     cfg = PageRankConfig.uniform(P_orig.n, gamma)
     solved = pagerank_power(P_new, [cfg, *_group_restarts(groups, gamma)], t1=EVAL_T1, tol=EVAL_TOL)
     p_new = solved[0]
@@ -129,13 +130,11 @@ def evaluate_matrices(P_orig, P_new, gamma, groups, target, p_orig=None):
     scores = all_scores[0]
     loss = loss_from_scores(scores, target.phi)
     loss_g = float(_mean_loss(all_scores[1:], target.phi))
-    # both pattern metrics read the rows written out: write any spreads out once
-    rows_new = P_new.written_out()
-    dp = delta_p(rows_new, P_orig)
+    dp = delta_p(P_new, P_orig)
     p_old = pagerank_power(P_orig, cfg, t1=EVAL_T1, tol=EVAL_TOL) if p_orig is None else p_orig
     rb = rho_bar(p_old, p_new, groups)
     try:
-        rt = rho_tilde(P_orig, rows_new)
+        rt = rho_tilde(P_orig, P_new)
         rt_reason = ""
     except UndefinedCoefficientError as exc:
         rt = None

@@ -6,8 +6,8 @@ A sink row (a vertex without out-edges) stores nothing and carries share 1
 of vector 0, ``sink_row``; the locally fair baselines spread a share over a
 group as a share of the group's 0/1 indicator vector. ``WalkOperator``
 applies all shares as one low-rank term, so memory and every product
-grow with the edges and n, not with n x #sinks or rows x group size (only
-``TransitionMatrix.entries`` and ``written_out`` write shares out). The
+grow with the edges and n, not with n x #sinks or rows x group size (one
+method, ``TransitionMatrix.entries``, writes shares out). The
 TSV form writes each vector once and each row's shares once, as header
 lines; sink rows that a file spells out entry by entry fold into
 ``sink_row``.
@@ -169,10 +169,10 @@ class TransitionMatrix:
     The sparsity pattern is fixed: revised matrices keep it and may contain
     exact zeros. Column ids ascend within each row, so the keys
     ``row * n + col`` of the stored entries ascend too. ``nnz``,
-    ``entry_rows`` and ``row`` see the stored entries only; ``entries`` and
-    ``written_out`` write the dense part out (a sink row in full, another
-    share row on the nonzeros of the vectors it shares), and ``to_csr``,
-    ``to_dense`` and the metrics read rows through them.
+    ``entry_rows`` and ``row`` see the stored entries only; ``entries``
+    alone writes the dense part out (a sink row in full, another share row
+    on the nonzeros of the vectors it shares), and ``to_csr``, ``to_dense``
+    and the metrics read rows through it.
     ``pattern_subset_of`` decides share rows from counts instead.
     """
 
@@ -283,40 +283,35 @@ class TransitionMatrix:
         return self._op
 
     def entries(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(keys, weights) of the flagged rows: the ascending keys ``row * n + col``,
-        with each sink row among them written out in full, zeros included,
-        and any other share row as ``written_out`` writes it."""
-        if rows[self.share_rows[~self.sink_mask[self.share_rows]]].any():
-            return self.written_out().entries(rows)
-        stored, full = np.diff(self.indptr), rows & self.sink_mask
-        counts = np.where(full, self.n, stored * rows)
-        keys = np.repeat(np.arange(self.n, dtype=np.int64) * self.n, counts)
+        """(keys, weights) of the flagged rows with the dense part written
+        out, the one writer of shares: the ascending keys ``row * n + col``
+        of the stored entries, each sink row on all n columns, zeros
+        included, and any other share on the nonzero columns of its vector.
+        A key's weight is its stored weight plus its shares times their
+        vectors, added in vector order."""
+        n, stored = self.n, np.diff(self.indptr)
+        full = rows & self.sink_mask
+        # the stored entries and the sink rows, in row order, so this part ascends
+        counts = np.where(full, n, stored * rows)
+        keys = np.repeat(np.arange(n, dtype=np.int64) * n, counts)
         weights = np.empty(len(keys))
         spread, keep = np.repeat(full, counts), np.repeat(rows, stored)
         keys[~spread] += self.indices[keep]
         weights[~spread] = self.data[keep]
         if full.any():  # without sink rows there may be no sink_row
-            keys[spread] += np.tile(np.arange(self.n), int(full.sum()))
+            keys[spread] += np.tile(np.arange(n), int(full.sum()))
             weights[spread] = np.tile(self.sink_row, int(full.sum()))
-        return keys, weights
-
-    def written_out(self) -> "TransitionMatrix":
-        """The same matrix with the shares of its rows other than the sink
-        rows written out as stored entries, so without spreads. Such a row
-        stores its stored columns and the nonzero columns of the vectors it
-        shares; a weight is its stored weight plus its shares times their
-        vectors, added in vector order."""
-        if not self.has_spreads:
-            return self
-        n, spread = self.n, ~self.sink_mask[self.share_rows]
-        keys, weights = [self.entry_rows() * n + self.indices], [self.data]
+        mine = rows[self.share_rows] & ~self.sink_mask[self.share_rows]
+        if not mine.any():
+            return keys, weights
+        keys, weights = [keys], [weights]
         for v, vec in enumerate(self.vectors):
             lo, hi = self.share_ptr[v], self.share_ptr[v + 1]
-            at, share = self.share_rows[lo:hi][spread[lo:hi]], self.share_data[lo:hi][spread[lo:hi]]
+            at, share = self.share_rows[lo:hi][mine[lo:hi]], self.share_data[lo:hi][mine[lo:hi]]
             cols = np.flatnonzero(vec)
             keys.append((at[:, None] * n + cols).ravel())
             weights.append((share[:, None] * vec[cols]).ravel())
-        # each part ascends, so the stable sort merges them, the stored weights first
+        # each part ascends, so the stable sort merges them, the stored weights first, then vector by vector
         keys = np.concatenate(keys)
         order = np.argsort(keys, kind="stable")
         keys, weights = keys[order], np.concatenate(weights)[order]
@@ -327,9 +322,7 @@ class TransitionMatrix:
             total = weights[first]
             np.add.at(total, np.cumsum(first)[again] - 1, weights[again])
             keys, weights = keys[first], total
-        indptr = np.searchsorted(keys, np.arange(n + 1) * n)
-        cols = keys - np.repeat(np.arange(n) * n, np.diff(indptr))
-        return TransitionMatrix(n, indptr, cols, weights, self.sink_mask, self.sink_row)
+        return keys, weights
 
     def to_csr(self) -> sp.csr_matrix:
         """CSR form with the dense part written out (``entries``)."""

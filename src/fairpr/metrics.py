@@ -86,19 +86,18 @@ def delta_p(P_new: TransitionMatrix, P_old: TransitionMatrix) -> float:
     """||P_new - P_old||_F / ||P_old||_F over the union of the two patterns,
     with the dense parts written out: a row that is a sink on both sides
     differs by the difference of the sink rows, and the other rows compare
-    through ``TransitionMatrix.entries``, so a sink row counts as the full
-    row it stands for and a share row with its shares written out on their
-    vectors' nonzeros."""
+    through ``TransitionMatrix.entries``, which writes the dense part out:
+    a sink row counts as the full row it stands for and a share row with
+    its shares written out on their vectors' nonzeros. ||P_old||_F sums
+    P_old's side of those weights and its sink rows on both sides."""
     if P_new.n != P_old.n:
         raise ValueError("matrices must have the same dimension")
     both = P_new.sink_mask & P_old.sink_mask
     _, a, b = _aligned(P_new, P_old, ~both)
-    num2 = ((a - b) ** 2).sum()
-    den2 = (P_old.written_out().data ** 2).sum()
+    num2, den2 = ((a - b) ** 2).sum(), (b**2).sum()
     if both.any():
         num2 += both.sum() * ((P_new.sink_row - P_old.sink_row) ** 2).sum()
-    if P_old.sink_row is not None:
-        den2 += P_old.sink_mask.sum() * (P_old.sink_row**2).sum()
+        den2 += both.sum() * (P_old.sink_row**2).sum()
     return float(np.sqrt(num2)) / float(np.sqrt(den2))
 
 

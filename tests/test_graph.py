@@ -573,6 +573,46 @@ def mutate(rng, n, M, spec):
     return stored, sinks, vectors, shares
 
 
+def ref_entries(M, rows):
+    """``entries`` row by row: a flagged row's stored columns, then its
+    shares in vector order, each on the nonzero columns of its vector (all
+    n columns for a sink row) and added onto the weight there. Also counts
+    the additions onto an earlier weight."""
+    keys, weights, adds = [], [], 0
+    for i in np.flatnonzero(rows).tolist():
+        row = dict(zip(*(a.tolist() for a in M.row(i))))
+        for r, v, share in zip(M.share_rows.tolist(), M.share_ids.tolist(), M.share_data.tolist()):
+            if r != i:
+                continue
+            vec = M.vectors[v].tolist()
+            for c in range(M.n) if M.sink_mask[i] else np.flatnonzero(M.vectors[v]).tolist():
+                adds += c in row
+                row[c] = row[c] + share * vec[c] if c in row else share * vec[c]
+        keys += [i * M.n + c for c in sorted(row)]
+        weights += [row[c] for c in sorted(row)]
+    return np.array(keys, np.int64), np.array(weights, float), adds
+
+
+def test_entries_write_share_rows_out_in_vector_order():
+    """On random share matrices (vector 0 shared by sink rows and other
+    rows), with no rows, all rows and random rows flagged, ``entries``
+    gives bitwise the row-by-row keys and weights."""
+    rng = np.random.default_rng(25)
+    adds = mixed = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        M = spec_matrix(n, random_share_spec(rng, n))
+        M = M.with_data(rng.random(M.nnz))
+        mixed += bool(M.sink_mask.any() and ((M.share_ids == 0) & ~M.sink_mask[M.share_rows]).any())
+        for rows in (np.zeros(n, bool), np.ones(n, bool), rng.random(n) < 0.5):
+            keys, weights = M.entries(rows)
+            want_keys, want_weights, added = ref_entries(M, rows)
+            assert keys.dtype == np.int64 and np.array_equal(keys, want_keys)
+            assert np.array_equal(weights.view(np.int64), want_weights.view(np.int64))
+            adds += added
+    assert adds >= 300 and mixed >= 30, (adds, mixed)
+
+
 @pytest.mark.parametrize("vector_counts", [(1, 4), (64, 72)], ids=["few", "past_63"])
 def test_pattern_subset_of_share_rows_matches_written_out_rows(vector_counts):
     """The count-based check on share rows agrees with comparing the keys

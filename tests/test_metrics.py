@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from conftest import mind_like_instance
 
 from fairpr import (
+    Graph,
     PageRankConfig,
     TransitionMatrix,
     UndefinedCoefficientError,
     build_transition,
     delta_p,
     lfpr_n,
+    lfpr_u,
     load_graph,
     load_labels,
     rho_bar,
@@ -149,3 +152,42 @@ def test_rho_tilde_reads_a_revised_sink_row_as_its_sink_row():
     assert rho_tilde(P_old, stored) == pytest.approx((1.0 + 1.0 - 1.0) / 3, abs=1e-15)
     assert rho_tilde(P_old, sink) == rho_tilde(P_old, stored)
     assert delta_p(sink, P_old) == delta_p(stored, P_old)
+
+
+def bits(x):
+    return np.float64(x).view(np.int64)
+
+
+def sinky_toy():
+    """Five vertices, two of them (3 and 4) sinks."""
+    g = load_graph("0 1\n0 2\n1 0\n2 3\n0 4")
+    return load_labels("0 0\n1 0\n2 1\n3 1\n4 0", 5), build_transition(g, PageRankConfig.uniform(5))
+
+
+def mind_like_with_sinks():
+    """The 60-vertex mind-like graph with the out-edges of every seventh
+    vertex (3, 10, ...) dropped, so nine of its rows are sinks."""
+    g, groups, cfg, _ = mind_like_instance(n=60)
+    return groups, build_transition(Graph(g.n, g.edges[g.edges[:, 0] % 7 != 3]), cfg)
+
+
+@pytest.mark.parametrize("method", [lfpr_n, lfpr_u])
+@pytest.mark.parametrize("instance", [sinky_toy, mind_like_with_sinks])
+def test_metrics_read_spreads_as_their_written_out_rows(instance, method):
+    """An lfpr output with sink rows and spreads, as the revised matrix and
+    as the original: ``delta_p`` and ``rho_tilde`` give bitwise what they
+    give for a copy that stores the rows ``entries`` writes out, and
+    ``delta_p`` is the dense ||B - A||_F / ||A||_F."""
+    groups, P = instance()
+    R = method(P, groups, FairnessTarget.from_lead_share(0.3, 2)).matrix
+    assert R.has_spreads and R.sink_mask.any()
+    keys, weights = R.entries(~R.sink_mask)
+    indptr = np.searchsorted(keys, np.arange(R.n + 1) * R.n)
+    S = TransitionMatrix(R.n, indptr, keys % R.n, weights, R.sink_mask, R.sink_row)
+    assert not S.has_spreads and np.array_equal(S.to_dense(), R.to_dense())
+    for old, new, old_s, new_s in ((P, R, P, S), (R, P, S, P)):
+        assert bits(delta_p(new, old)) == bits(delta_p(new_s, old_s))
+        assert bits(rho_tilde(old, new)) == bits(rho_tilde(old_s, new_s))
+        A, B = old.to_dense(), new.to_dense()
+        want = np.linalg.norm(B - A) / np.linalg.norm(A)
+        assert abs(delta_p(new, old) - want) <= 1e-14 * want
