@@ -262,18 +262,28 @@ class TransitionMatrix:
         return len(self.share_rows) > np.count_nonzero(self.sink_mask)
 
     def copy(self) -> "TransitionMatrix":
-        return TransitionMatrix(
-            self.n,
-            self.indptr.copy(),
-            self.indices.copy(),
-            self.data.copy(),
-            shares=tuple(a.copy() for a in self.shares),
-        )
+        """A matrix with copies of all of this one's arrays."""
+        return self._derived(self.data.copy(), np.copy)
 
     def with_data(self, data) -> "TransitionMatrix":
         """A matrix on this pattern and this dense part with new stored
         weights; the other arrays are shared, not copied."""
-        return TransitionMatrix(self.n, self.indptr, self.indices, data, shares=self.shares)
+        data = np.ascontiguousarray(data, dtype=float)
+        if len(self.indices) != len(data):
+            raise ValueError("indices and data lengths differ")
+        return self._derived(data, lambda a: a)
+
+    def _derived(self, data: np.ndarray, take) -> "TransitionMatrix":
+        """This matrix with ``data`` as its stored weights and ``take`` of
+        each other array. The pattern and the dense part were checked when
+        this matrix was built, and nothing writes them in place, so they
+        are not checked again."""
+        tm = TransitionMatrix.__new__(TransitionMatrix)
+        tm.n, tm.data, tm._op = self.n, data, None
+        for name in ("indptr", "indices", "vectors", "share_rows", "share_ids", "share_data", "share_ptr", "sink_mask"):
+            setattr(tm, name, take(getattr(self, name)))
+        tm.sink_row = None if self.sink_row is None else tm.vectors[0]
+        return tm
 
     def operator(self) -> "WalkOperator":
         """The products p'P and Pz, built once and kept while ``data`` only
@@ -451,12 +461,16 @@ class WalkOperator:
     once, and each copy's result is bitwise the product with that copy
     alone. The weights are a flat view of ``data``, so in-place updates need
     no rebuild. A product calls scipy's compiled ``csr_matvec`` or
-    ``csc_matvec`` kernel directly on a zeroed output, as ``csr @ x`` and
-    ``csc @ x`` do after their Python dispatch, so it is bitwise scipy's.
-    The kernels check nothing: the matrix has checked its pattern, ``left``
-    and ``right`` check their vector's length, and ``left_into`` and
-    ``right_into``, which add into a zeroed buffer of the caller's, leave
-    that check to the caller (``vector`` makes it).
+    ``csc_matvec`` kernel directly, and the kernels add into their output:
+    on a zeroed output, as ``csr @ x`` and ``csc @ x`` call them after their
+    Python dispatch, a product is bitwise scipy's. ``left_into`` and
+    ``right_into`` add into a buffer of the caller's, which the solvers
+    fill with the constant term of their step first, so that a step is one
+    product. The kernels check nothing: the matrix has checked its pattern,
+    ``left`` and ``right`` check their vector's length, and ``left_into``
+    and ``right_into`` leave that check to the caller (``vector`` makes it).
+    ``damped(f)`` is the operator of f P, which the solvers take once per
+    call with f = 1 - gamma.
 
     The dense part S D adds one low-rank term, p'P = p'P_E + (S'p)'D and
     Pz = P_E z + S(Dz), two more kernel calls per product over all shares S
@@ -508,6 +522,20 @@ class WalkOperator:
         """Itself, so that solvers take a matrix or an operator alike."""
         return self
 
+    def damped(self, factor: float) -> "WalkOperator":
+        """The operator of ``factor`` P: the same index arrays, with this
+        operator's current weights and shares times ``factor`` in new
+        arrays, so its own ``data`` stays as it is."""
+        op = WalkOperator.__new__(WalkOperator)
+        op.n, op.copies, op.shape, op._size = self.n, self.copies, self.shape, self._size
+        op._indptr, op._indices, op._dense = self._indptr, self._indices, self._dense
+        op.data = self.data * factor
+        op._weights = op.data.reshape(-1)
+        if self._dense is not None:
+            rows, s_ptr, s_rows, shares, *vectors = self._dense
+            op._dense = (rows, s_ptr, s_rows, shares * factor, *vectors)
+        return op
+
     def vector(self, x) -> np.ndarray:
         """``x`` as the C-contiguous float64 vector the kernels read, or
         ValueError (as scipy's dimension check raises) when its length is wrong."""
@@ -529,8 +557,8 @@ class WalkOperator:
         return y
 
     def left_into(self, p: np.ndarray, q: np.ndarray) -> None:
-        """Add p'P into ``q``, which the caller has zeroed. Neither vector is
-        checked: both must be C-contiguous float64 of the operator's size."""
+        """Add p'P into ``q``. Neither vector is checked: both must be
+        C-contiguous float64 of the operator's size."""
         csc_matvec(self._size, self._size, self._indptr, self._indices, self._weights, p, q)
         if self._dense is not None:
             rows, s_ptr, s_rows, shares, d_ptr, d_cols, d_data = self._dense
@@ -539,7 +567,7 @@ class WalkOperator:
             csc_matvec(self._size, rows, d_ptr, d_cols, d_data, coef, q)  # + D'(S'p)
 
     def right_into(self, z: np.ndarray, y: np.ndarray) -> None:
-        """Add Pz into ``y``, which the caller has zeroed; unchecked, as ``left_into``."""
+        """Add Pz into ``y``; unchecked, as ``left_into``."""
         csr_matvec(self._size, self._size, self._indptr, self._indices, self._weights, z, y)
         if self._dense is not None:
             rows, s_ptr, s_rows, shares, d_ptr, d_cols, d_data = self._dense

@@ -4,23 +4,26 @@ and the truncated geometric-series vectors used by the loss gradients.
 Every product with P goes through ``P.operator()``: the stored entries as
 raw CSR arrays over ``P.data`` (built once per matrix, so no call rebuilds
 the matrix), multiplied by scipy's compiled matvec kernels called directly,
-bitwise what ``csr @ x`` and ``csc @ x`` return, plus one low-rank term for
-the whole dense part S D, p'P = p'P_E + (S'p)'D and Pz = P_E z + S(Dz), by
-the same kernels. A sink row is share 1 of vector 0, the matrix's
-``sink_row``, like any other share (the dangling rows of Langville & Meyer,
-"Deeper Inside PageRank", 2004), and no product calls BLAS.
-The solvers check their start vector once and then call the operator's
-unchecked ``left_into``/``right_into`` products. The power iteration takes
-its steps in chunks of up to ``CHUNK_STEPS``, written into the zeroed rows
-of one of two buffers that the chunks take in turn, and tests every step of
-a chunk in one L1 reduction; a chunk's rows stay within ``CHUNK_BUDGET`` entries (1 MiB),
+plus one low-rank term for the whole dense part S D, p'P = p'P_E + (S'p)'D
+and Pz = P_E z + S(Dz), by the same kernels. A sink row is share 1 of
+vector 0, the matrix's ``sink_row``, like any other share (the dangling
+rows of Langville & Meyer, "Deeper Inside PageRank", 2004), and no product
+calls BLAS.
+
+Both solvers run the fixed-point (Richardson) step x <- c + (1-gamma) P x
+(Gleich, "PageRank beyond the Web", SIAM Review 2015) as one kernel call
+per step. Each call takes the operator's ``damped(1 - gamma)`` form once,
+from its weights as they are then, and the kernels add each damped product
+into a row that already holds the constant term c. The power iteration's c
+is the jump gamma v. The series' c is 1_k and it starts from 1_k, so its
+t2 steps sum the truncated series sum_{i<=t2} ((1-gamma) P)^i 1_k in Horner
+order. The steps run in chunks of up to ``CHUNK_STEPS``, written into the
+rows of one of two buffers that the chunks take in turn, filled with c once
+per chunk; a chunk's rows stay within ``CHUNK_BUDGET`` entries (1 MiB),
 except that a block larger than that still takes one step per chunk. The
-series adds each damped term into its sum in place, as ``y += z`` does:
-summing a chunk's terms in one reduction down the rows first copies the
-partial sum, which made the one-step chunks of large blocks 10% slower,
-and writing the terms into chunk rows saved nothing measurable on small
-ones. Each step is the same operations in the same order as the plain
-expressions, so the results are bitwise those of a step-by-step loop.
+power iteration tests every step of a chunk in one L1 reduction, the
+series tests none. The solvers check their start vector once and then call
+the operator's unchecked ``left_into``/``right_into`` products.
 
 ``pagerank_power``, ``neumann_y`` and ``group_scores`` also take a
 ``WalkOperator`` over C stacked copies of one pattern (the descent runs its
@@ -33,9 +36,9 @@ copy alone returns: the power iteration stops each copy on its own, and a
 group-adapted objective restarts inside each of the K groups; the batching
 of personalized PageRank vectors of Jeh & Widom, "Scaling personalized web
 search", WWW 2003). It iterates one restart-major (R C, n) block: each step
-sends each restart's C n span through the operator's one product, so the
-weights are shared, never tiled R times, and then damps, adds the stacked
-jump vectors and tests the chunk's changes once for the whole block. Every
+adds each restart's C n span through the operator's one product into rows
+that hold the stacked jump vectors, so the weights are shared, never tiled
+R times, and it tests the chunk's changes once for the whole block. Every
 row stops on its own, so row l is bitwise restart l's own solve, and the
 result is an (R, n) or (R, C, n) block. ``group_scores`` reads any leading
 axes.
@@ -65,6 +68,24 @@ def _chunk_steps(size: int) -> int:
     """Steps per chunk for vectors of ``size`` entries: at most
     ``CHUNK_STEPS``, within ``CHUNK_BUDGET`` entries, and at least one."""
     return max(1, min(CHUNK_STEPS, CHUNK_BUDGET // max(size, 1)))
+
+
+def _chunks(product, x: np.ndarray, constant: np.ndarray, steps: int, m: int):
+    """Take ``steps`` steps x <- constant + product(x) from ``x`` and yield
+    them in chunks of up to ``m``, as the (k, x.size) rows of one of two
+    buffers that the chunks take in turn: each chunk's rows are filled with
+    ``constant`` once, and each product adds into its row. A chunk's rows
+    are overwritten two chunks later; ``x`` is only read."""
+    # two buffers, not one per chunk: a new one of 128 KiB or more is a fresh
+    # mapping under glibc's default malloc, whose pages fault in again at every chunk
+    buffers = np.empty((2, m, x.size))
+    for done in range(0, steps, m):
+        rows = buffers[done // m % 2, : min(m, steps - done)]
+        rows[:] = constant
+        for row in rows:
+            product(x, row)
+            x = row
+        yield rows
 
 
 def pagerank_power(
@@ -100,11 +121,10 @@ def pagerank_power(
     gamma = restarts[0].gamma
     if any(c.gamma != gamma for c in restarts):
         raise ValueError("the restarts of one solve must share gamma")
-    op = P.operator()
+    op = P.operator().damped(1.0 - gamma)
     R, n = len(restarts), op.n
     copies = R * op.copies  # the block's rows: restart l's copies are rows l C .. l C + C - 1
     span = op.copies * n  # one restart's vectors, one after another, as the operator takes them
-    damp = 1.0 - gamma
     jump = np.concatenate([np.tile(gamma * c.restart_vector, op.copies) for c in restarts])
     if R == 1:  # no slicing: it would add 13% to a 9-copy karate step
         product = op.left_into
@@ -112,7 +132,7 @@ def pagerank_power(
         spans = [slice(l * span, (l + 1) * span) for l in range(R)]
 
         def product(x, y):
-            """p'P for each restart's span, all through the same weights."""
+            """(1-gamma) p'P for each restart's span, all through the same weights."""
             for s in spans:
                 op.left_into(x[s], y[s])
 
@@ -128,24 +148,10 @@ def pagerank_power(
     m = _chunk_steps(copies * n)
     gaps = np.empty((m, copies * n))  # |step - the step before|
     per_copy = gaps.reshape(m * copies, n)  # the same, one row per step and copy
-    # two chunk buffers in turn: a chunk reads the last one's final row and
-    # writes the other, and ``start`` is only read. (A new buffer per chunk
-    # of 128 KiB or more is a fresh mapping under glibc's default malloc,
-    # whose pages fault in again at every chunk.)
-    buffers = np.empty((2, m, copies * n))
     result = np.empty((copies, n))
     pending = np.arange(copies)  # the copies that have not met tol
-    done = 0
-    while pending.size and done < t1:
-        k = min(m, t1 - done)
-        rows = buffers[done // m % 2, :k]
-        rows.fill(0.0)  # the products add into zeroed rows
-        prev = p
-        for row in rows:
-            product(prev, row)
-            np.multiply(row, damp, out=row)
-            np.add(row, jump, out=row)
-            prev = row
+    for rows in _chunks(product, p, jump, t1, m):
+        k = len(rows)
         np.subtract(rows[0], p, out=gaps[0])
         if k > 1:
             np.subtract(rows[1:], rows[:-1], out=gaps[1:k])
@@ -161,7 +167,9 @@ def pagerank_power(
             for c, step in zip(pending[hit].tolist(), met.argmax(axis=0)[hit].tolist()):
                 result[c] = rows[step, c * n : (c + 1) * n]
             pending = pending[~hit]
-        p, done = rows[-1], done + k
+        p = rows[-1]
+        if not pending.size:
+            break
     if pending.size:
         for c in pending.tolist():
             result[c] = p[c * n : (c + 1) * n]
@@ -201,21 +209,17 @@ def neumann_y(
     Approximates (I - (1-gamma) P)^{-1} 1_k; the i = 0 term is included.
     Over stacked copies every copy starts from the same ``indicator``.
 
-    One term at a time, each added into the sum as soon as it is damped
-    (see the module docstring for why the series takes no chunks).
+    The sum runs in Horner order, t2 steps y <- 1_k + (1-gamma) P y from
+    y = 1_k, in chunks of one damped product per step (see the module
+    docstring).
     """
     if t2 < 0:
         raise ValueError("t2 must be >= 0")
-    op = P.operator()
-    damp = 1.0 - gamma
-    y = op.vector(np.tile(np.asarray(indicator, dtype=float), op.copies))
-    z = y  # the i = 0 term, read once before y first changes
-    for _ in range(t2):
-        term = np.zeros(y.size)  # the unchecked product's zeroed output: y was checked above
-        op.right_into(z, term)
-        np.multiply(term, damp, out=term)
-        y += term
-        z = term
+    op = P.operator().damped(1.0 - gamma)
+    ind = op.vector(np.tile(np.asarray(indicator, dtype=float), op.copies))  # the unchecked products read it
+    y = ind  # with t2 = 0, the i = 0 term alone
+    for rows in _chunks(op.right_into, ind, ind, t2, _chunk_steps(ind.size)):
+        y = rows[-1]
     return y.reshape(op.shape)
 
 

@@ -543,6 +543,36 @@ def spec_matrix(n, spec):
     return TransitionMatrix(n, indptr, indices, np.full(len(indices), 0.5), shares=(vectors, rows, ids, values))
 
 
+def test_with_data_and_copy_keep_the_checked_fields():
+    """``with_data`` and ``copy`` skip the constructor's checks: every field
+    is bitwise what the checked constructor makes of the same arrays.
+    ``with_data`` shares every array but the weights, ``copy`` none, and
+    both build their own operator; a wrong weight count is still refused."""
+    rng = np.random.default_rng(26)
+    sinky = spread = 0
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        M = spec_matrix(n, random_share_spec(rng, n))
+        M.operator()
+        sinky += M.sink_row is not None
+        spread += M.has_spreads
+        data = rng.random(M.nnz)
+        for got, weights in ((M.with_data(data), data), (M.copy(), M.data)):
+            want = TransitionMatrix(n, M.indptr, M.indices, weights, shares=M.shares)
+            assert got.n == want.n and got._op is None and got.operator() is not M.operator()
+            for name in TransitionMatrix.__slots__[1:-1]:
+                a, b = getattr(got, name), getattr(want, name)
+                if b is None:
+                    assert a is None, name
+                    continue
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+                shared = name != "data" and weights is data and b.size > 0
+                assert np.shares_memory(a, getattr(M, name)) == shared, name
+        with pytest.raises(ValueError, match="lengths differ"):
+            M.with_data(np.ones(M.nnz + 1))
+    assert sinky >= 50 and spread >= 50, (sinky, spread)
+
+
 def mutate(rng, n, M, spec):
     """A neighbor of ``spec``: some rows written out as stored entries, some
     stored columns dropped or added, some shares dropped or added, some rows

@@ -190,15 +190,19 @@ def test_operator_matches_dense_reference():
 
 
 def test_operator_bitwise_on_sink_free_matrices():
-    """Without sink rows the products are the plain scipy ones; the
-    operator is built once and follows in-place changes of ``data``."""
+    """Without sink rows each solver step is the damped weights' products,
+    entry by entry in the kernels' order, added onto the step's constant
+    term; the operator is built once and follows in-place changes of
+    ``data``."""
     rng = np.random.default_rng(707)
 
     def power_loop(P, cfg, t1=100, tol=1e-12):
-        PT = P.to_csr().T
+        damp, rows = 1.0 - cfg.gamma, P.entry_rows()
+        jump = cfg.gamma * cfg.restart_vector
         p = np.full(P.n, 1.0 / P.n)
         for _ in range(t1):
-            nxt = (1.0 - cfg.gamma) * (PT @ p) + cfg.gamma * cfg.restart_vector
+            nxt = jump.copy()
+            np.add.at(nxt, P.indices, (damp * P.data) * p[rows])
             delta = np.abs(nxt - p).sum()
             p = nxt
             if delta < tol:
@@ -206,12 +210,13 @@ def test_operator_bitwise_on_sink_free_matrices():
         return p
 
     def series_loop(P, indicator, gamma, t2=50):
-        csr = P.to_csr()
-        z = np.array(indicator, dtype=float)
-        y = z.copy()
+        damp, rows = 1.0 - gamma, P.entry_rows()
+        ind = np.array(indicator, dtype=float)
+        y = ind.copy()
         for _ in range(t2):
-            z = (1.0 - gamma) * (csr @ z)
-            y += z
+            z = y
+            y = ind.copy()
+            np.add.at(y, rows, (damp * P.data) * z[P.indices])
         return y
 
     for _ in range(40):
@@ -256,6 +261,28 @@ def block_products(P, W, x):
     return left, right
 
 
+def product_instances(rng, sinks, count):
+    """``count`` random (groups, cfg, P): without sink rows (``sinks`` False),
+    with sink rows (True), or lfpr_u outputs with sink rows and group
+    spreads ("lfpr_u")."""
+    cases = 0
+    while cases < count:
+        n = int(rng.integers(3, 60))
+        if not sinks:
+            _, groups, cfg, P = random_instance(rng, n, 2)
+            assert P.sink_row is None
+        else:
+            _, groups, cfg, P = random_sinky_instance(rng, n, 2)
+            if not P.sink_mask.any():
+                continue
+            if sinks == "lfpr_u":
+                P = lfpr_u(P, groups, FairnessTarget(phi=rng.dirichlet(np.ones(2)))).matrix
+                if not P.has_spreads:
+                    continue
+        cases += 1
+        yield groups, cfg, P
+
+
 @pytest.mark.parametrize("copies", [1, 9])
 @pytest.mark.parametrize("sinks", [False, True, "lfpr_u"])
 def test_kernel_products_match_scipy_bitwise(copies, sinks):
@@ -267,21 +294,7 @@ def test_kernel_products_match_scipy_bitwise(copies, sinks):
     so rows share vector 0 (the fair sink vector) and the group vectors,
     whose nonzeros overlap it."""
     rng = np.random.default_rng(808 + copies + 10 * [False, True, "lfpr_u"].index(sinks))
-    cases = 0
-    while cases < 12:
-        n = int(rng.integers(3, 60))
-        if not sinks:
-            *_, P = random_instance(rng, n, 2)
-            assert P.sink_row is None
-        else:
-            _, groups, _, P = random_sinky_instance(rng, n, 2)
-            if not P.sink_mask.any():
-                continue
-            if sinks == "lfpr_u":
-                P = lfpr_u(P, groups, FairnessTarget(phi=rng.dirichlet(np.ones(2)))).matrix
-                if not P.has_spreads:
-                    continue
-        cases += 1
+    for _, _, P in product_instances(rng, sinks, 12):
         W = P.data * rng.uniform(0.5, 1.5, size=(copies, P.nnz))
         if copies == 1:
             P.data = W[0]
@@ -306,6 +319,37 @@ def test_kernel_products_match_scipy_bitwise(copies, sinks):
                 op = P.operator()
             else:
                 op = WalkOperator(P, op.data * rng.uniform(0.5, 1.5, size=op.data.shape))
+
+
+@pytest.mark.parametrize("copies", [1, 9])
+@pytest.mark.parametrize("sinks", [False, True, "lfpr_u"])
+def test_damped_operator_is_the_scaled_matrix_bitwise(copies, sinks):
+    """``damped(f)``'s products are bitwise ``block_products`` of the matrix
+    whose weights and shares are scaled by f, and building it leaves the
+    operator's ``data`` as it is. The solvers take it from the weights as
+    they are at each call, so a solve after an in-place change of the
+    weights is the solve on the changed weights (the descent's gradient
+    terms, summed one after another, rely on this)."""
+    rng = np.random.default_rng(818 + copies + 10 * [False, True, "lfpr_u"].index(sinks))
+    for groups, cfg, P in product_instances(rng, sinks, 12):
+        op = WalkOperator(P, P.data * rng.uniform(0.5, 1.5, size=(copies, P.nnz)) if copies > 1 else None)
+        f = rng.uniform(0.1, 1.0)
+        kept = op.data.copy()
+        damped = op.damped(f)
+        assert np.array_equal(op.data.view(np.int64), kept.view(np.int64))
+        assert not np.shares_memory(damped.data, op.data) and damped.shape == op.shape
+        scaled = TransitionMatrix(P.n, P.indptr, P.indices, P.data, shares=P.shares[:3] + (P.share_data * f,))
+        x = rng.standard_normal(copies * P.n)
+        left, right = block_products(scaled, op.data * f, x)
+        assert np.array_equal(damped.left(x), left) and np.array_equal(damped.right(x), right)
+        ind = groups.indicator(0)
+        before = pagerank_power(op, cfg, t1=20, tol=0.0), neumann_y(op, ind, GAMMA, 20)
+        op.data *= rng.uniform(0.5, 1.5, size=op.data.shape)
+        fresh = WalkOperator(P, op.data.copy())
+        after = pagerank_power(op, cfg, t1=20, tol=0.0), neumann_y(op, ind, GAMMA, 20)
+        assert np.array_equal(after[0], pagerank_power(fresh, cfg, t1=20, tol=0.0))
+        assert np.array_equal(after[1], neumann_y(fresh, ind, GAMMA, 20))
+        assert not np.array_equal(after[0], before[0]) and not np.array_equal(after[1], before[1])
 
 
 def test_wrong_length_vectors_raise_and_inputs_stay_unmodified():
@@ -385,25 +429,25 @@ def test_wrong_length_vectors_raise_before_any_kernel(monkeypatch):
                     neumann_y(op, np.ones(bad), GAMMA, t2)
 
 
-# Step-by-step references for the solvers, through the checked products: one
-# product, one convergence test and one series update per step.
+# Step-by-step references for the solvers, through the damped operator: one
+# product added onto a fresh copy of the step's constant term, and for the
+# power iteration one convergence test, per step.
 
 
 def stepwise_power(P, cfg, t1=100, tol=1e-12, start=None):
     """The power iteration one step at a time; also returns the step at
     which each copy stopped (t1 for a copy that never met tol)."""
-    op = P.operator()
-    left, rows = op.left, (op.copies, op.n)
-    damp, jump = 1.0 - cfg.gamma, np.tile(cfg.gamma * cfg.restart_vector, op.copies)
-    p = np.full(op.copies * op.n, 1.0 / op.n) if start is None else np.asarray(start, float).reshape(-1)
+    op = P.operator().damped(1.0 - cfg.gamma)
+    rows = (op.copies, op.n)
+    jump = np.tile(cfg.gamma * cfg.restart_vector, op.copies)
+    p = op.vector(np.full(op.copies * op.n, 1.0 / op.n) if start is None else np.reshape(start, -1))
     gap = np.empty(op.copies * op.n)
     gaps = gap.reshape(rows)
     stopped = None
     stops = np.full(op.copies, t1)
     for step in range(1, t1 + 1):
-        nxt = left(p)
-        np.multiply(nxt, damp, out=nxt)
-        np.add(nxt, jump, out=nxt)
+        nxt = jump.copy()
+        op.left_into(p, nxt)
         np.subtract(nxt, p, out=gap)
         np.abs(gap, out=gap)
         met = np.add.reduce(gaps, axis=1) < tol
@@ -421,14 +465,14 @@ def stepwise_power(P, cfg, t1=100, tol=1e-12, start=None):
 
 
 def stepwise_series(P, indicator, gamma, t2=50):
-    op = P.operator()
-    damp = 1.0 - gamma
-    z = np.tile(np.asarray(indicator, dtype=float), op.copies)
-    y = z.copy()
+    """The series in Horner order one step at a time: y <- 1_k + (1-gamma) P y."""
+    op = P.operator().damped(1.0 - gamma)
+    ind = op.vector(np.tile(np.asarray(indicator, dtype=float), op.copies))
+    y = ind.copy()
     for _ in range(t2):
-        z = op.right(z)
-        np.multiply(z, damp, out=z)
-        y += z
+        nxt = ind.copy()
+        op.right_into(y, nxt)
+        y = nxt
     return y.reshape(op.shape)
 
 
