@@ -7,10 +7,9 @@ of vector 0, ``sink_row``; the locally fair baselines spread a share over a
 group as a share of the group's 0/1 indicator vector. ``WalkOperator``
 applies all shares as one low-rank term, so memory and every product
 grow with the edges and n, not with n x #sinks or rows x group size (one
-method, ``TransitionMatrix.entries``, writes shares out). The
-TSV form writes each vector once and each row's shares once, as header
-lines; sink rows that a file spells out entry by entry fold into
-``sink_row``.
+method, ``TransitionMatrix.entries``, writes shares out, each on the
+nonzeros of its vector). The TSV form writes each vector once and each
+row's shares once, as header lines.
 
 The text readers (``load_graph``, ``load_labels``, ``parse_matrix``) read
 a whole text at once through ``fairpr.text.Lines``: ``str.splitlines``
@@ -149,19 +148,20 @@ class TransitionMatrix:
     ``vectors`` is the (V, n) stack D, and a row may carry a share of any of
     them: ``share_rows``, ``share_ids`` and ``share_data`` list the shares
     (row, vector id, value), sorted by vector id and then by row, so vector
-    v's shares are the slice ``share_ptr[v]:share_ptr[v + 1]``. Vector 0 is
-    ``sink_row``. A sink row (flagged in ``sink_mask``) stores no entries,
-    and its only share is 1 on vector 0: the restart vector in matrices from
-    ``build_transition``. ``sink_row`` is None when there is no sink row.
+    v's shares are the slice ``share_ptr[v]:share_ptr[v + 1]``. A sink row
+    stores no entries, and its only share is 1 on vector 0: the restart
+    vector in matrices from ``build_transition``. ``sink_mask`` flags the
+    sink rows and ``sink_row`` is vector 0 (None without sink rows), both
+    read-only views derived from the shares; a sink row is written out,
+    covered and multiplied as the share it is, like any other.
     The locally fair baselines spread a row's share over a group as a share
     of the group's 0/1 indicator vector. So memory and every product grow
     with the edges and n x V, not with n x #sinks or with rows x group size.
     Vectors that no row shares are dropped from the end of the stack.
 
     The constructor takes the dense part as ``shares=(vectors, rows, ids,
-    values)``, in any order, or, when its only shares are the sink rows', as
-    ``sink_mask`` and ``sink_row``, which it turns into those shares; then
-    it refuses a sink row with stored entries. Every stored entry is an
+    values)``, in any order; ``sink_shares`` gives the shares of a matrix
+    whose only shares are its sink rows'. Every stored entry is an
     edge. Reweighting code changes the stored weights only: fairwalk keeps
     the dense part, and the descent refuses a matrix with shares other than
     its sink rows (``has_spreads``).
@@ -170,9 +170,9 @@ class TransitionMatrix:
     exact zeros. Column ids ascend within each row, so the keys
     ``row * n + col`` of the stored entries ascend too. ``nnz``,
     ``entry_rows`` and ``row`` see the stored entries only; ``entries``
-    alone writes the dense part out (a sink row in full, another share row
-    on the nonzeros of the vectors it shares), and ``to_csr``, ``to_dense``
-    and the metrics read rows through it.
+    alone writes the dense part out (each share on the nonzeros of its
+    vector), and ``to_csr``, ``to_dense`` and the metrics read rows through
+    it.
     ``pattern_subset_of`` decides share rows from counts instead.
     """
 
@@ -181,7 +181,7 @@ class TransitionMatrix:
         "sink_mask", "sink_row", "_op",
     )
 
-    def __init__(self, n, indptr, indices, data, sink_mask=None, sink_row=None, shares=None):
+    def __init__(self, n, indptr, indices, data, shares=None):
         self.n = int(n)
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int64)
@@ -195,28 +195,8 @@ class TransitionMatrix:
         rows_ok = self.indptr[0] == 0 and self.indptr[-1] == len(self.data) and (np.diff(self.indptr) >= 0).all()
         if not rows_ok or (len(self.indices) and not 0 <= self.indices.min() <= self.indices.max() < self.n):
             raise ValueError("malformed sparsity pattern: row pointers or column ids out of range")
-        empty = self.indptr[1:] == self.indptr[:-1]
-        if shares is None:  # each sink row a share 1 of sink_row, and no other shares
-            sink_mask = np.zeros(self.n, bool) if sink_mask is None else np.asarray(sink_mask, dtype=bool)
-            if len(sink_mask) != self.n:
-                raise ValueError("sink_mask length must be n")
-            stored = sink_mask & ~empty
-            if stored.any():
-                raise ValueError(f"sink row {int(stored.argmax())} has stored entries; sink rows stand for sink_row")
-            sinks = np.flatnonzero(sink_mask)
-            if len(sinks) and sink_row is None:
-                raise ValueError(f"sink row {sinks[0]} has no entries and no sink_row was given")
-            vectors = np.empty((0, self.n)) if sink_row is None else np.asarray(sink_row, dtype=float)[None]
-            shares = vectors, sinks, np.zeros(len(sinks), np.int64), np.ones(len(sinks))
-        elif sink_mask is not None or sink_row is not None:
-            raise ValueError("give the sink rows as shares or as sink_mask and sink_row, not both")
-        self._set_shares(*shares, empty)
-        self._op = None
-
-    def _set_shares(self, vectors, rows, ids, values, empty) -> None:
-        """Check the dense part and keep it sorted by vector id and row,
-        without the vectors past the last one shared; the sink rows are the
-        rows that store nothing and whose only share is 1 on vector 0."""
+        # the dense part, kept sorted by vector id and row, without the vectors past the last one shared
+        vectors, rows, ids, values = (np.empty((0, self.n)), [], [], []) if shares is None else shares
         vectors = np.asarray(vectors, dtype=float)
         rows, ids = np.asarray(rows, dtype=np.int64), np.asarray(ids, dtype=np.int64)
         values = np.asarray(values, dtype=float)
@@ -226,8 +206,8 @@ class TransitionMatrix:
             raise ValueError("share rows, vector ids and values lengths differ")
         if len(rows) and not (0 <= rows.min() <= rows.max() < self.n and 0 <= ids.min() <= ids.max() < len(vectors)):
             raise ValueError("share row or vector id out of range")
+        self.sink_mask, self.sink_row, self._op = np.zeros(self.n, bool), None, None
         self.share_rows, self.share_ids, self.share_data = rows, ids, values
-        self.sink_mask, self.sink_row = np.zeros(self.n, bool), None
         if not len(rows):  # no dense part
             self.vectors, self.share_ptr = vectors[:0], np.zeros(1, np.int64)
             return
@@ -241,8 +221,9 @@ class TransitionMatrix:
             self.share_rows, self.share_ids, self.share_data = rows, ids, values
         self.vectors = vectors[: ids[-1] + 1]
         self.share_ptr = np.searchsorted(ids, np.arange(len(self.vectors) + 1))
-        self.sink_mask[rows[(ids == 0) & (values == 1.0)]] = True  # rows whose share of vector 0 is 1
-        self.sink_mask &= empty & (np.bincount(rows, minlength=self.n) == 1)
+        # the sink rows: rows that store nothing and whose only share is 1 on vector 0
+        self.sink_mask[rows[(ids == 0) & (values == 1.0)]] = True
+        self.sink_mask &= (self.indptr[1:] == self.indptr[:-1]) & (np.bincount(rows, minlength=self.n) == 1)
         if self.sink_mask.any():
             self.sink_row = self.vectors[0]
 
@@ -295,23 +276,15 @@ class TransitionMatrix:
     def entries(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(keys, weights) of the flagged rows with the dense part written
         out, the one writer of shares: the ascending keys ``row * n + col``
-        of the stored entries, each sink row on all n columns, zeros
-        included, and any other share on the nonzero columns of its vector.
-        A key's weight is its stored weight plus its shares times their
-        vectors, added in vector order."""
+        of the stored entries and of each share on the nonzero columns of
+        its vector (a sink row's on those of vector 0). A key's weight is
+        its stored weight plus its shares times their vectors, added in
+        vector order."""
         n, stored = self.n, np.diff(self.indptr)
-        full = rows & self.sink_mask
-        # the stored entries and the sink rows, in row order, so this part ascends
-        counts = np.where(full, n, stored * rows)
-        keys = np.repeat(np.arange(n, dtype=np.int64) * n, counts)
-        weights = np.empty(len(keys))
-        spread, keep = np.repeat(full, counts), np.repeat(rows, stored)
-        keys[~spread] += self.indices[keep]
-        weights[~spread] = self.data[keep]
-        if full.any():  # without sink rows there may be no sink_row
-            keys[spread] += np.tile(np.arange(n), int(full.sum()))
-            weights[spread] = np.tile(self.sink_row, int(full.sum()))
-        mine = rows[self.share_rows] & ~self.sink_mask[self.share_rows]
+        keep = np.repeat(rows, stored)
+        keys = np.repeat(np.arange(n, dtype=np.int64) * n, stored * rows) + self.indices[keep]
+        weights = self.data[keep]
+        mine = rows[self.share_rows]
         if not mine.any():
             return keys, weights
         keys, weights = [keys], [weights]
@@ -370,46 +343,37 @@ class TransitionMatrix:
 
     def pattern_subset_of(self, other: "TransitionMatrix") -> bool:
         """True when every key that ``entries`` writes out here, ``other``
-        writes out too; a sink row of ``other`` covers its whole row.
+        writes out too.
 
         Nothing is written out. A row of ``other`` covers the nonzero
-        columns of the vectors it shares; rows that share the same vectors
-        share one such cover. A stored entry here must be stored in
-        ``other`` or covered there. For each share here, the columns it
-        writes out (all n for a sink row) that no cover of its row takes
-        must all be stored in ``other``'s row: that is a count per row of
-        ``other``'s stored entries on those columns, so O(edges + n V) for
-        each kind of share here (its vector, and the set its row shares in
-        ``other``), and O(edges V) for the stored entries.
+        columns of the vectors it shares (a sink row those of vector 0);
+        rows that share the same vectors share one such cover. A stored
+        entry here must be stored in ``other`` or covered there. For each
+        share here, the nonzero columns of its vector that no cover of its
+        row takes must all be stored in ``other``'s row: that is a count per
+        row of ``other``'s stored entries on those columns, so O(edges +
+        n V) for each kind of share here (its vector, and the set its row
+        shares in ``other``), and O(edges V) for the stored entries.
         """
         if self.n != other.n:
             return False
-        n, live = self.n, ~other.sink_mask
-        # which vectors each row of other but its sink rows shares, and the rows grouped by that set
-        spread = live[other.share_rows]
+        n = self.n
+        # which vectors each row of other shares, and the rows grouped by that set
         shared = np.zeros((n, len(other.vectors)), bool)
-        shared[other.share_rows[spread], other.share_ids[spread]] = True
-        if spread.any():
-            sets, which = np.unique(shared, axis=0, return_inverse=True)
-        else:  # every row shares the empty set
-            sets, which = shared[:1], np.zeros(n, np.int64)
-        at, their_rows = self.entry_rows(), other.entry_rows()
-        mine = live[at]
-        at, cols = at[mine], self.indices[mine]
+        shared[other.share_rows, other.share_ids] = True
+        sets, which = np.unique(shared, axis=0, return_inverse=True)
+        at, cols, their_rows = self.entry_rows(), self.indices, other.entry_rows()
         theirs, key = their_rows * n + other.indices, at * n + cols
         found = np.searchsorted(theirs, key, "right") > np.searchsorted(theirs, key)
-        for v in np.unique(other.share_ids[spread]).tolist():
+        for v in np.unique(other.share_ids).tolist():
             found |= shared[at, v] & (other.vectors[v, cols] != 0)
         if not found.all():
             return False
-        mine = live[self.share_rows]
-        at = self.share_rows[mine]
-        # vector id -1 stands for a sink row's n columns
-        groups = (np.where(self.sink_mask[at], -1, self.share_ids[mine]) + 1) * len(sets) + which[at]
+        at = self.share_rows
+        groups = self.share_ids * len(sets) + which[at]
         for g in np.unique(groups).tolist():
             v, s = divmod(g, len(sets))
-            cover = (other.vectors[sets[s]] != 0).any(axis=0)
-            need = (np.ones(n, bool) if v == 0 else self.vectors[v - 1] != 0) & ~cover
+            need = (self.vectors[v] != 0) & ~(other.vectors[sets[s]] != 0).any(axis=0)
             if need.any():
                 hits = np.bincount(their_rows, need[other.indices], n)
                 if (hits[at[groups == g]] != need.sum()).any():
@@ -432,7 +396,8 @@ class TransitionMatrix:
     @classmethod
     def from_dense(cls, a, sink_mask=None) -> "TransitionMatrix":
         """Every nonzero of ``a`` stored, except in the ``sink_mask`` rows:
-        those must be bitwise equal, and they fold into ``sink_row``."""
+        those must be bitwise equal, and each becomes share 1 of vector 0,
+        their common row."""
         a = np.asarray(a, dtype=float)
         n = a.shape[0]
         if a.shape != (n, n):
@@ -444,8 +409,17 @@ class TransitionMatrix:
             raise ValueError(f"sink row {np.flatnonzero(mask)[differ.argmax()]} differs from sink row {mask.argmax()}")
         csr = sp.csr_matrix(np.where(mask[:, None], 0.0, a))
         csr.sort_indices()
-        sink_row = rows[0] if len(rows) else None
-        return cls(n, csr.indptr.astype(np.int64), csr.indices.astype(np.int64), csr.data, mask, sink_row)
+        shares = sink_shares(mask, rows[0] if len(rows) else None)
+        return cls(n, csr.indptr.astype(np.int64), csr.indices.astype(np.int64), csr.data, shares=shares)
+
+
+def sink_shares(sink_mask, sink_row) -> tuple:
+    """The dense part, as ``TransitionMatrix`` takes it, of a matrix whose
+    only shares are its sink rows': share 1 of vector 0, ``sink_row`` (None
+    without sink rows), for each ``sink_mask`` row."""
+    sinks = np.flatnonzero(sink_mask)
+    vectors = np.empty((0, len(sink_mask))) if sink_row is None else np.asarray(sink_row, dtype=float)[None]
+    return vectors, sinks, np.zeros(len(sinks), np.int64), np.ones(len(sinks))
 
 
 class WalkOperator:
@@ -680,7 +654,7 @@ def build_transition(g: Graph, cfg: PageRankConfig) -> TransitionMatrix:
     outdeg = np.bincount(src, minlength=g.n)
     indptr = np.concatenate([[0], np.cumsum(outdeg)]).astype(np.int64)
     # edges are sorted by (src, dst), so they fill the rows in order
-    tm = TransitionMatrix(g.n, indptr, dst, 1.0 / outdeg[src], outdeg == 0, v.copy())
+    tm = TransitionMatrix(g.n, indptr, dst, 1.0 / outdeg[src], shares=sink_shares(outdeg == 0, v.copy()))
     tm.validate()
     return tm
 
@@ -734,14 +708,14 @@ def serialize_matrix(tm: TransitionMatrix) -> str:
 def parse_matrix(text: str, n: int | None = None) -> TransitionMatrix:
     """Inverse of serialize_matrix. The '# n' header wins; ``n`` is the
     fallback for headerless files. A row without entry lines must be a
-    ``# sink`` row or carry ``# share`` lines. Sink rows stand for the
-    ``# sink_row`` vector, and any written out in entry lines must spell it
-    (or the first one) out bit for bit. A file names vector ids up to its
-    number of ``# vector`` and ``# share`` lines, and its dense vectors
-    (``# sink_row`` is vector 0) hold at most ``DENSE_PER_LINE`` floats per
-    line of the file, or ``DENSE_FLOOR`` in all, so that a short file cannot
-    ask for a huge dense part. Files that write group spreads out as entry
-    lines, as older versions did, read as those entries."""
+    ``# sink`` row or carry ``# share`` lines. A ``# sink r`` line is the
+    share (r, 0, 1) of the ``# sink_row`` vector, vector 0, so a sink row
+    has no entry lines and no ``# share`` lines. A file names vector ids up
+    to its number of ``# vector`` and ``# share`` lines, and its dense
+    vectors hold at most ``DENSE_PER_LINE`` floats per line of the file, or
+    ``DENSE_FLOOR`` in all, so that a short file cannot ask for a huge
+    dense part. Files that write group spreads out as entry lines, as older
+    versions did, read as those entries."""
     lines = Lines(text)
     (rows, cols, w), _, bad = lines.table(("vertex id", "vertex id", None), "'src dst weight'")
     (
@@ -799,8 +773,9 @@ def parse_matrix(text: str, n: int | None = None) -> TransitionMatrix:
         raise GraphParseError(
             f"{vector_count} dense vectors of length {size} are too many for a file of {len(lines.lineno)} lines"
         )
-    for name, a, b in (("vector", vec_ids, vec_cols), ("share", share_ids, share_rows)):
-        if len(_sorted_distinct(a * size + b)) < len(a):
+    keyed = (("sink", sinks), ("vector", vec_ids * size + vec_cols), ("share", share_ids * size + share_rows))
+    for name, keys in keyed:
+        if len(_sorted_distinct(keys)) < len(keys):
             raise GraphParseError(f"duplicate '# {name}' line")
     sink_mask = np.zeros(size, bool)
     sink_mask[sinks] = True
@@ -810,34 +785,16 @@ def parse_matrix(text: str, n: int | None = None) -> TransitionMatrix:
     not_sink = np.flatnonzero((counts == 0) & ~sink_mask & (np.bincount(share_rows, minlength=size) == 0))
     if len(not_sink):
         raise GraphParseError(f"row {int(not_sink[0])} has no entries")
-    sink_row = None
-    if len(sink_cols):
-        sink_row = np.zeros(size)
-        sink_row[sink_cols] = sink_weights
-    spelled = sink_mask[rows]
+    spelled = sink_mask & (counts > 0)
     if spelled.any():
-        srows, scols, vals = rows[spelled], cols[spelled], w[spelled]
-        source = "the '# sink_row' vector" if len(sink_cols) else f"sink row {srows[0]}"
-        if not len(sink_cols):
-            sink_row = np.zeros(size)
-            sink_row[scols[srows == srows[0]]] = vals[srows == srows[0]]
-        # a row spells out the vector when its nonzero entries are the vector's nonzeros, bit for bit
-        nz = vals != 0.0
-        hits = np.bincount(srows, nz & (sink_row[scols].view(np.int64) == vals.view(np.int64)), size)
-        nonzero = np.bincount(srows, nz, size)
-        bad_rows = (counts > 0) & sink_mask & ((hits != nonzero) | (nonzero != np.count_nonzero(sink_row)))
-        if bad_rows.any():
-            raise GraphParseError(f"sink row {int(bad_rows.argmax())} differs from {source}")
-        cols, w = cols[~spelled], w[~spelled]
-        counts[sink_mask] = 0
-    elif len(sinks) and sink_row is None:
+        row = int(spelled.argmax())
+        raise GraphParseError(f"sink row {row} has entry lines; a '# sink' row is the '# sink_row' vector alone")
+    if len(sinks) and not len(sink_cols):
         raise GraphParseError(f"sink row {sinks.min()} has no entries and the file has no '# sink_row' lines")
     indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
     vectors = np.zeros((vector_count, size))
-    if sink_row is not None:
-        vectors[0] = sink_row
+    vectors[0, sink_cols] = sink_weights
     vectors[vec_ids, vec_cols] = vec_weights
-    sinks = np.flatnonzero(sink_mask)
     share_rows, share_ids = np.concatenate([sinks, share_rows]), np.concatenate([np.zeros_like(sinks), share_ids])
     shares = np.concatenate([np.ones(len(sinks)), shares])
     tm = TransitionMatrix(size, indptr, cols, w, shares=(vectors, share_rows, share_ids, shares))

@@ -86,10 +86,9 @@ def delta_p(P_new: TransitionMatrix, P_old: TransitionMatrix) -> float:
     """||P_new - P_old||_F / ||P_old||_F over the union of the two patterns,
     with the dense parts written out: a row that is a sink on both sides
     differs by the difference of the sink rows, and the other rows compare
-    through ``TransitionMatrix.entries``, which writes the dense part out:
-    a sink row counts as the full row it stands for and a share row with
-    its shares written out on their vectors' nonzeros. ||P_old||_F sums
-    P_old's side of those weights and its sink rows on both sides."""
+    through ``TransitionMatrix.entries``, which writes each share out on
+    the nonzeros of its vector. ||P_old||_F sums P_old's side of those
+    weights and its sink rows on both sides."""
     if P_new.n != P_old.n:
         raise ValueError("matrices must have the same dimension")
     both = P_new.sink_mask & P_old.sink_mask
@@ -119,10 +118,10 @@ def rho_tilde(P_old: TransitionMatrix, P_new: TransitionMatrix) -> float:
     """Mean Spearman coefficient of each vertex's out-weight ranking.
 
     Per non-sink vertex of P_old, old and new weights are compared over the
-    union of the two rows' ``entries`` (absent entries count as zero; a sink
-    row of P_new counts as the full ``sink_row`` it stands for, and a share
-    row as its stored entries plus its shares written out on the nonzeros
-    of their vectors).
+    union of the two rows' ``entries`` (absent entries count as zero; a row
+    counts as its stored entries plus its shares written out on the
+    nonzeros of their vectors, a sink row of P_new as the nonzeros of
+    ``sink_row``).
     Vertices with fewer than 2 union entries are skipped; a vertex whose
     weights are all tied on both sides contributes 1, tied on exactly one
     side it is skipped as undefined.

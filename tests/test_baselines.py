@@ -16,6 +16,7 @@ from fairpr import (
     load_labels,
     pagerank_power,
 )
+from fairpr.graph import sink_shares
 
 GAMMA = 0.15
 
@@ -161,7 +162,7 @@ def ref_build_transition(g, cfg):
         data.extend(np.full(len(cols), 1.0 / max(outdeg[i], 1)))
         indptr.append(len(indices))
     sinks = outdeg == 0
-    return TransitionMatrix(g.n, indptr, indices, data, sinks, cfg.restart_vector if sinks.any() else None)
+    return TransitionMatrix(g.n, indptr, indices, data, shares=sink_shares(sinks, cfg.restart_vector))
 
 
 def ref_fairwalk(P, groups, target):
@@ -174,7 +175,7 @@ def ref_fairwalk(P, groups, target):
         reach = float(target.phi[mass > 0].sum())
         if reach:
             out[lo:hi] = target.phi[gcols] * w / (mass[gcols] * reach)
-    return TransitionMatrix(P.n, P.indptr, P.indices, out, P.sink_mask, P.sink_row)
+    return TransitionMatrix(P.n, P.indptr, P.indices, out, shares=sink_shares(P.sink_mask, P.sink_row))
 
 
 def ref_lfpr_n_rows(P, groups, target):

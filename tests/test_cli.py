@@ -256,12 +256,13 @@ def test_evaluate_rejects_differing_sink_rows(tmp_path, capsys):
     original = tmp_path / "original.tsv"
     original.write_text("# n\t3\n# sink\t2\n# sink_row\t0\t0.5\n# sink_row\t1\t0.5\n0\t1\t1\n1\t0\t1\n")
     revised = tmp_path / "revised.tsv"
-    # sink row 2 is spelled out, but not as the '# sink_row' vector
+    # sink row 2 is spelled out in entry lines, here not even as the '# sink_row' vector: a '# sink' row has none
     revised.write_text("# n\t3\n# sink\t2\n# sink_row\t0\t0.5\n# sink_row\t1\t0.5\n"
                        "0\t1\t1\n1\t0\t1\n2\t0\t0.25\n2\t1\t0.75\n")
     code = main(["evaluate", "--original", str(original), "--revised", str(revised), "--labels", labels, "--phi", "0.5"])
     assert code == 2
-    assert "sink row 2 differs from the '# sink_row' vector" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "sink row 2 has entry lines" in err and "Traceback" not in err
 
 
 def test_evaluate_identity_metrics(tmp_path, capsys):

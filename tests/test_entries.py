@@ -1,7 +1,8 @@
-"""``TransitionMatrix.entries`` against the per-caller sink-row expansions it
-replaced: kept copies of the earlier ``to_csr(expand)``, ``delta_p``,
-``rho_tilde`` and ``pattern_subset_of``, run on random pairs of matrices
-whose sink sets, patterns and sink vectors differ in every combination."""
+"""``TransitionMatrix.entries`` against per-caller sink-row expansions:
+references for ``to_csr(expand)``, ``delta_p``, ``rho_tilde`` and
+``pattern_subset_of`` that write a sink row out on the nonzeros of
+``sink_row``, run on random pairs of matrices whose sink sets, patterns and
+sink vectors differ in every combination."""
 
 import tracemalloc
 
@@ -18,6 +19,7 @@ from fairpr import (
     delta_p,
     rho_tilde,
 )
+from fairpr.graph import sink_shares
 from fairpr.metrics import _segment_spearman
 
 
@@ -25,29 +27,25 @@ def ref_to_csr(P, expand=None):
     expand = P.sink_mask if expand is None else expand
     if not expand.any():
         return sp.csr_matrix((P.data, P.indices, P.indptr), shape=(P.n, P.n))
+    cols = np.flatnonzero(P.sink_row)
     counts = np.diff(P.indptr)
-    counts[expand] = P.n
+    counts[expand] = len(cols)
     indptr = np.concatenate([[0], np.cumsum(counts)])
     full = np.repeat(expand, counts)
     indices = np.empty(indptr[-1], dtype=np.int64)
     data = np.empty(indptr[-1])
     indices[~full], data[~full] = P.indices, P.data
     k = int(expand.sum())
-    indices[full] = np.tile(np.arange(P.n, dtype=np.int64), k)
-    data[full] = np.tile(P.sink_row, k)
+    indices[full] = np.tile(cols, k)
+    data[full] = np.tile(P.sink_row[cols], k)
     return sp.csr_matrix((data, indices, indptr), shape=(P.n, P.n))
 
 
 def ref_pattern_subset_of(P, other):
     if P.n != other.n:
         return False
-    full_here = P.sink_mask & ~other.sink_mask
-    if (np.diff(other.indptr)[full_here] != P.n).any():
-        return False
-    rows = P.entry_rows()
-    mine = (rows * P.n + P.indices)[~other.sink_mask[rows]]
-    theirs = other.entry_rows() * P.n + other.indices
-    return bool((np.searchsorted(theirs, mine, "right") > np.searchsorted(theirs, mine)).all())
+    mine, theirs = (ref_to_csr(M).tocoo() for M in (P, other))
+    return set(zip(mine.row.tolist(), mine.col.tolist())) <= set(zip(theirs.row.tolist(), theirs.col.tolist()))
 
 
 def ref_delta_p(P_new, P_old):
@@ -107,7 +105,7 @@ def random_matrix(rng, n, sink_mask, columns=None):
     indptr = np.concatenate([[0], np.cumsum([len(c) for c in cols])])
     data = np.concatenate([random_weights(rng, len(c)) if len(c) else [] for c in cols])
     sink_row = random_weights(rng, n) if sink_mask.any() else None
-    return TransitionMatrix(n, indptr, np.concatenate(cols), data, sink_mask, sink_row)
+    return TransitionMatrix(n, indptr, np.concatenate(cols), data, shares=sink_shares(sink_mask, sink_row))
 
 
 def random_pair(rng):
@@ -142,8 +140,8 @@ def bits(x):
 
 def test_entries_match_the_earlier_expansions():
     """On 400 random pairs, ``entries``, ``to_csr``, ``to_dense``,
-    ``pattern_subset_of`` and ``rho_tilde`` give bitwise what the earlier
-    expansions gave, and ``delta_p`` agrees within 1e-15 relative (its terms
+    ``pattern_subset_of`` and ``rho_tilde`` give bitwise what the reference
+    expansions give, and ``delta_p`` agrees within 1e-15 relative (its terms
     sum in another order)."""
     rng = np.random.default_rng(2101)
     seen = dict.fromkeys(
@@ -181,11 +179,13 @@ def test_entries_match_the_earlier_expansions():
 
 
 def test_entries_of_no_rows_and_of_sink_free_matrices():
-    P = TransitionMatrix(3, [0, 2, 3, 3], [0, 2, 1], [0.5, 0.5, 1.0], [False, False, True], [0.2, 0.0, 0.8])
+    shares = sink_shares([False, False, True], [0.2, 0.0, 0.8])
+    P = TransitionMatrix(3, [0, 2, 3, 3], [0, 2, 1], [0.5, 0.5, 1.0], shares=shares)
     keys, weights = P.entries(np.zeros(3, bool))
     assert keys.dtype == np.int64 and len(keys) == len(weights) == 0
+    # the sink row on the nonzeros of sink_row, as any other share
     keys, weights = P.entries(np.array([False, True, True]))
-    assert keys.tolist() == [4, 6, 7, 8] and weights.tolist() == [1.0, 0.2, 0.0, 0.8]
+    assert keys.tolist() == [4, 6, 8] and weights.tolist() == [1.0, 0.2, 0.8]
     Q = TransitionMatrix.from_dense([[0.0, 1.0], [0.5, 0.5]])
     keys, weights = Q.entries(np.ones(2, bool))
     assert keys.tolist() == [1, 2, 3] and weights.tolist() == [1.0, 0.5, 0.5]

@@ -10,6 +10,7 @@ from fairpr import (
     GroupAssignment,
     PageRankConfig,
     TransitionMatrix,
+    UndefinedCoefficientError,
     build_transition,
     delta_p,
     lfpr_n,
@@ -18,10 +19,11 @@ from fairpr import (
     load_labels,
     pagerank_power,
     parse_matrix,
+    rho_tilde,
     serialize_matrix,
 )
 from conftest import random_sinky_instance
-from fairpr.graph import BLOCK_LINES, format_lines
+from fairpr.graph import BLOCK_LINES, format_lines, sink_shares
 
 
 def test_load_two_cycle():
@@ -151,7 +153,7 @@ def test_serialize_round_trip_exact():
 
 def test_serialize_drops_exact_zeros():
     # structural zero in row 0 stays in memory but is dropped on disk
-    tm = TransitionMatrix(2, [0, 2, 3], [0, 1, 0], [0.0, 1.0, 1.0], [False, False])
+    tm = TransitionMatrix(2, [0, 2, 3], [0, 1, 0], [0.0, 1.0, 1.0])
     text = serialize_matrix(tm)
     assert "0\t0\t" not in text
     back = parse_matrix(text)
@@ -189,7 +191,8 @@ def test_serialize_round_trip_implicit_rows():
 
 
 def test_serialize_golden_bytes_implicit_rows():
-    tm = TransitionMatrix(3, [0, 2, 3, 3], [0, 1, 2], [0.5, 0.5, 1.0], [False, False, True], [0.1, 0.0, 0.9])
+    shares = sink_shares([False, False, True], [0.1, 0.0, 0.9])
+    tm = TransitionMatrix(3, [0, 2, 3, 3], [0, 1, 2], [0.5, 0.5, 1.0], shares=shares)
     assert serialize_matrix(tm) == (
         "# n\t3\n# sink\t2\n# sink_row\t0\t0.10000000000000001\n# sink_row\t2\t0.90000000000000002\n"
         "0\t0\t0.5\n0\t1\t0.5\n1\t2\t1\n"
@@ -201,60 +204,53 @@ def spelled_out_text(P, sink_header=False):
     every sink row entry by entry, zeros left out (with ``sink_header``, the
     ``# sink_row`` lines too)."""
     full = P.to_csr().tocoo()
-    keep = full.data != 0.0
     lines = serialize_matrix(P).splitlines()
     lines = [line for line in lines if line.startswith("#") and (sink_header or "sink_row" not in line)]
-    lines += [f"{r}\t{c}\t{w:.17g}" for r, c, w in zip(full.row[keep], full.col[keep], full.data[keep])]
+    lines += [f"{r}\t{c}\t{w:.17g}" for r, c, w in zip(full.row, full.col, full.data)]
     return "\n".join(lines) + "\n"
 
 
 def test_parse_spelled_out_sink_rows():
-    """Files that write sink rows out in full, entry by entry, still parse:
-    their sink rows fold into the one sink vector and mean the same matrix."""
+    """A '# sink' row is share 1 of the '# sink_row' vector and has no entry
+    lines: files that spell sink rows out entry by entry, as versions before
+    the '# sink_row' header wrote them, are refused, naming the first such
+    row, whether or not they have the header and whatever the rows hold."""
     P = sinky_matrix_with_zeros()
     for header in (False, True):
-        old = parse_matrix(spelled_out_text(P, header))
-        assert np.array_equal(old.sink_mask, P.sink_mask)
-        assert np.array_equal(old.sink_row.view(np.int64), P.sink_row.view(np.int64))
-        assert np.array_equal(old.to_dense(), P.to_dense())
-        assert old.nnz == P.nnz and np.array_equal(old.indptr, P.indptr)
-        assert serialize_matrix(old) == serialize_matrix(P)
-
-
-@pytest.mark.parametrize("header", [False, True])
-def test_parse_rejects_differing_spelled_out_sink_rows(header):
-    P = sinky_matrix_with_zeros()
-    text = spelled_out_text(P, header)
-    source = "the '# sink_row' vector" if header else "sink row 4"
-    last = [line for line in text.splitlines() if line.startswith("6\t")][-1]
-    # sink row 6 moves its last weight to column 1, where the vector is 0, or drops it
-    cases = [(text.replace(last, "6\t1\t" + last.split("\t")[2]), 6), (text.replace(last + "\n", ""), 6)]
-    if header:  # both rows spell out the vector, the header says another
-        cases.append((text.replace("# sink_row\t0\t", "# sink_row\t1\t"), 4))
-    for bad, row in cases:
-        with pytest.raises(GraphParseError, match=f"sink row {row} differs from {source}"):
-            parse_matrix(bad)
+        text = spelled_out_text(P, header)
+        last = [line for line in text.splitlines() if line.startswith("6\t")][-1]
+        for bad in (text, text.replace(last, "6\t1\t" + last.split("\t")[2]), text.replace(last + "\n", "")):
+            with pytest.raises(GraphParseError, match="sink row 4 has entry lines"):
+                parse_matrix(bad)
+        # with row 4's lines gone, row 6 is the first spelled-out sink row
+        row4 = "".join(line + "\n" for line in text.splitlines() if line.startswith("4\t"))
+        with pytest.raises(GraphParseError, match="sink row 6 has entry lines"):
+            parse_matrix(text.replace(row4, ""))
 
 
 def test_implicit_rows_count_as_full_rows():
-    """A sink row counts as the full row it stands for, against a matrix
-    that stores that row as ordinary entries."""
+    """A sink row counts as the full row it stands for, written out on the
+    nonzeros of ``sink_row`` as any share is, against a matrix that stores
+    that row as ordinary entries; a matrix that also stores its zeros
+    extends that pattern."""
     P = sinky_matrix_with_zeros()
-    full = P.to_csr()
-    no_sinks = np.zeros(P.n, bool)
-    spelled = TransitionMatrix(P.n, full.indptr, full.indices, full.data, no_sinks)  # stored, zeros kept
-    dense = TransitionMatrix.from_dense(P.to_dense())  # stored, zeros dropped
-    for a, b in ((P, spelled), (spelled, P)):
-        assert a.pattern_subset_of(b)
+    dense = P.to_dense()
+    stored = TransitionMatrix.from_dense(dense)  # the sink rows stored, zeros dropped
+    kept = np.where(P.sink_mask[:, None], True, dense != 0)  # and with their zeros kept
+    zeros = TransitionMatrix(P.n, np.append(0, np.cumsum(kept.sum(axis=1))), np.nonzero(kept)[1], dense[kept])
+    assert not stored.sink_mask.any() and zeros.nnz == stored.nnz + np.count_nonzero(P.sink_row == 0) * 2
+    for a, b in ((P, stored), (stored, P), (P, zeros), (zeros, P)):
         assert delta_p(a, b) == 0.0
-    assert np.abs(P.row_sums() - spelled.row_sums()).max() <= 1e-15
-    # `dense` drops the zero entries of the sink rows, so a full row is not within it
-    assert dense.pattern_subset_of(P) and not P.pattern_subset_of(dense)
+    assert P.pattern_subset_of(stored) and stored.pattern_subset_of(P)
+    assert np.array_equal(P.to_csr().indices, stored.to_csr().indices)
+    assert np.abs(P.row_sums() - zeros.row_sums()).max() <= 1e-15
+    # `zeros` stores entries where sink_row is 0, which P's sink rows do not cover
+    assert P.pattern_subset_of(zeros) and not zeros.pattern_subset_of(P)
     Q = P.copy()
     Q.sink_row[:] = np.roll(P.sink_row, 1)
     gap = np.linalg.norm(Q.to_dense() - P.to_dense()) / np.linalg.norm(P.to_dense())
     assert abs(delta_p(Q, P) - gap) <= 1e-15
-    assert abs(delta_p(Q, spelled) - gap) <= 1e-15
+    assert abs(delta_p(Q, zeros) - gap) <= 1e-15
 
 
 def test_memory_grows_with_edges_not_sinks():
@@ -281,18 +277,13 @@ def test_memory_grows_with_edges_not_sinks():
 
 def test_serialize_golden_bytes():
     # row 0 holds an exact zero (dropped), row 2 is a sink row
-    tm = TransitionMatrix(3, [0, 2, 3, 3], [0, 1, 2], [0.0, 1.0, 1.0], [False, False, True], [0.1, 0.2, 0.7])
+    shares = sink_shares([False, False, True], [0.1, 0.2, 0.7])
+    tm = TransitionMatrix(3, [0, 2, 3, 3], [0, 1, 2], [0.0, 1.0, 1.0], shares=shares)
     assert serialize_matrix(tm) == (
         "# n\t3\n# sink\t2\n"
         "# sink_row\t0\t0.10000000000000001\n# sink_row\t1\t0.20000000000000001\n"
         "# sink_row\t2\t0.69999999999999996\n0\t1\t1\n1\t2\t1\n"
     )
-
-
-def test_constructor_rejects_stored_sink_entries():
-    # row 1 is a sink that stores one entry, next to row 2, a sink storing none
-    with pytest.raises(ValueError, match="sink row 1 has stored entries"):
-        TransitionMatrix(3, [0, 1, 2, 2], [1, 0], [1.0, 1.0], [False, True, True], [0.5, 0.5, 0.0])
 
 
 def test_from_dense_folds_equal_sink_rows():
@@ -414,7 +405,8 @@ def test_serialize_bytes_match_per_line_formatter(n, per_row, sink_share):
     counts = np.where(sinks, 0, np.minimum(rng.integers(1, 2 * per_row + 2, n), n))
     indptr = np.concatenate([[0], np.cumsum(counts)])
     indices = np.concatenate([np.zeros(0, np.int64)] + [np.sort(rng.choice(n, c, replace=False)) for c in counts[counts > 0]])
-    tm = TransitionMatrix(n, indptr, indices, odd_weights(rng, len(indices)), sinks, odd_weights(rng, n))
+    shares = sink_shares(sinks, odd_weights(rng, n))
+    tm = TransitionMatrix(n, indptr, indices, odd_weights(rng, len(indices)), shares=shares)
     text = serialize_matrix(tm)
     assert text == per_line_serialize(tm)
     if n > BLOCK_LINES:
@@ -498,6 +490,7 @@ def test_serialize_golden_bytes_with_shares():
         ("#n 2\n# vector 1 1 1\n# share 0 1 0.25\n# share 0 1 0.25\n0 0 0.5\n1 0 1\n", "duplicate '# share'"),
         ("#n 2\n# vector 1 1 1\n# vector 1 1 1\n# share 0 1 0.5\n0 0 0.5\n1 0 1\n", "duplicate '# vector'"),
         ("#n 2\n# sink 1\n# sink_row 0 1\n# vector 1 1 1\n# share 1 1 0.5\n0 0 1\n", "sink row 1 has '# share'"),
+        ("#n 2\n# sink 1\n# sink 1\n# sink_row 0 1\n0 0 1\n", "duplicate '# sink' line"),
         ("#n 2\n# vector 1 5 1\n# share 0 1 0.5\n0 0 0.5\n1 0 1\n", "vector column 5 out of range"),
         ("#n 3\n# vector 1 1 1\n# share 0 1 0.5\n0 0 0.5\n1 0 1\n", "row 2 has no entries"),
     ],
@@ -605,9 +598,9 @@ def mutate(rng, n, M, spec):
 
 def ref_entries(M, rows):
     """``entries`` row by row: a flagged row's stored columns, then its
-    shares in vector order, each on the nonzero columns of its vector (all
-    n columns for a sink row) and added onto the weight there. Also counts
-    the additions onto an earlier weight."""
+    shares in vector order, each on the nonzero columns of its vector (a
+    sink row's on those of vector 0) and added onto the weight there. Also
+    counts the additions onto an earlier weight."""
     keys, weights, adds = [], [], 0
     for i in np.flatnonzero(rows).tolist():
         row = dict(zip(*(a.tolist() for a in M.row(i))))
@@ -615,7 +608,7 @@ def ref_entries(M, rows):
             if r != i:
                 continue
             vec = M.vectors[v].tolist()
-            for c in range(M.n) if M.sink_mask[i] else np.flatnonzero(M.vectors[v]).tolist():
+            for c in np.flatnonzero(M.vectors[v]).tolist():
                 adds += c in row
                 row[c] = row[c] + share * vec[c] if c in row else share * vec[c]
         keys += [i * M.n + c for c in sorted(row)]
@@ -656,7 +649,7 @@ def test_pattern_subset_of_share_rows_matches_written_out_rows(vector_counts):
         A = spec_matrix(n, spec)
         B = spec_matrix(n, mutate(rng, n, A, spec))
         for a, b in ((A, B), (B, A), (A, A)):
-            rows = ~b.sink_mask
+            rows = np.ones(n, bool)
             (mine, _), (theirs, _) = a.entries(rows), b.entries(rows)
             want = bool(np.isin(mine, theirs).all())
             assert a.pattern_subset_of(b) == want
@@ -664,13 +657,55 @@ def test_pattern_subset_of_share_rows_matches_written_out_rows(vector_counts):
     assert 0.2 < np.mean(answers) < 0.8
 
 
+def rho_tilde_or_none(P_old, P_new):
+    try:
+        return rho_tilde(P_old, P_new)
+    except UndefinedCoefficientError:
+        return None
+
+
+def test_results_do_not_depend_on_how_a_sink_row_is_held():
+    """A random share matrix whose sink vector holds zeros, and the same
+    matrix with every sink row held as share 1 of an appended copy of
+    vector 0 (so it has no sink rows): each is a pattern subset of the
+    other, they write out bitwise the same dense matrix, ``delta_p`` between
+    them is 0, and against a random neighbor ``rho_tilde``, ``delta_p`` and
+    ``pattern_subset_of`` give the same answers for both."""
+    rng = np.random.default_rng(27)
+    zeros = sinky_neighbors = 0
+    for _ in range(300):
+        n = int(rng.integers(2, 9))
+        spec = random_share_spec(rng, n)
+        A = spec_matrix(n, spec)
+        if not A.sink_mask.any() or not (A.sink_row == 0).any() or not A.to_dense().any():
+            continue
+        zeros += 1
+        stored, sinks, vectors, shares = spec
+        copy = len(vectors)
+        held = [(int(i), copy, 1.0) for i in np.flatnonzero(sinks)]
+        B = spec_matrix(n, (stored, np.zeros(n, bool), np.vstack([vectors, vectors[0]]), shares + held))
+        assert not B.sink_mask.any() and np.array_equal(A.share_rows[A.sink_mask[A.share_rows]], np.flatnonzero(sinks))
+        assert A.pattern_subset_of(B) and B.pattern_subset_of(A)
+        assert np.array_equal(A.to_dense().view(np.int64), B.to_dense().view(np.int64))
+        assert delta_p(A, B) == 0.0 and delta_p(B, A) == 0.0
+        X = spec_matrix(n, mutate(rng, n, A, spec))
+        sinky_neighbors += bool((X.sink_mask & A.sink_mask).any())
+        assert rho_tilde_or_none(X, A) == rho_tilde_or_none(X, B)
+        if X.to_dense().any():  # delta_p divides by the old matrix's norm
+            assert abs(delta_p(X, A) - delta_p(X, B)) <= 1e-14 * delta_p(X, A)
+            assert abs(delta_p(A, X) - delta_p(B, X)) <= 1e-14 * delta_p(A, X)
+        assert X.pattern_subset_of(A) == X.pattern_subset_of(B) and A.pattern_subset_of(X) == B.pattern_subset_of(X)
+    assert zeros >= 50 and sinky_neighbors >= 20, (zeros, sinky_neighbors)
+
+
 def test_constructor_checks_shares():
     with pytest.raises(ValueError, match="two shares of vector 0"):
         TransitionMatrix(2, [0, 1, 2], [0, 1], [0.5, 0.5], shares=([[0.5, 0.5]], [0, 0], [0, 0], [0.5, 0.5]))
     with pytest.raises(ValueError, match="out of range"):
         TransitionMatrix(2, [0, 1, 2], [0, 1], [0.5, 0.5], shares=([[0.5, 0.5]], [0], [1], [0.5]))
-    with pytest.raises(ValueError, match="not both"):
-        TransitionMatrix(2, [0, 1, 1], [0], [1.0], [False, True], [0.5, 0.5], shares=([[0.5, 0.5]], [1], [0], [1.0]))
+    # a row that stores entries is no sink row, whatever it shares
+    tm = TransitionMatrix(2, [0, 1, 1], [1], [0.5], shares=([[0.5, 0.5]], [0, 1], [0, 0], [1.0, 1.0]))
+    assert tm.sink_mask.tolist() == [False, True] and tm.has_spreads
     # vectors that no row shares are dropped from the end
     tm = TransitionMatrix(2, [0, 1, 2], [0, 1], [1.0, 1.0], shares=(np.eye(2), [], [], []))
     assert tm.vectors.shape == (0, 2) and tm.sink_row is None and not tm.has_spreads

@@ -18,6 +18,7 @@ from fairpr import (
     spearman,
     FairnessTarget,
 )
+from fairpr.graph import sink_shares
 
 
 def test_spearman_identity_and_reversal():
@@ -183,7 +184,7 @@ def test_metrics_read_spreads_as_their_written_out_rows(instance, method):
     assert R.has_spreads and R.sink_mask.any()
     keys, weights = R.entries(~R.sink_mask)
     indptr = np.searchsorted(keys, np.arange(R.n + 1) * R.n)
-    S = TransitionMatrix(R.n, indptr, keys % R.n, weights, R.sink_mask, R.sink_row)
+    S = TransitionMatrix(R.n, indptr, keys % R.n, weights, shares=sink_shares(R.sink_mask, R.sink_row))
     assert not S.has_spreads and np.array_equal(S.to_dense(), R.to_dense())
     for old, new, old_s, new_s in ((P, R, P, S), (R, P, S, P)):
         assert bits(delta_p(new, old)) == bits(delta_p(new_s, old_s))

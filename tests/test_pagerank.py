@@ -81,14 +81,14 @@ def test_power_vs_direct_randomized():
 
 def test_direct_size_guard():
     n = 5001
-    tm = TransitionMatrix(n, np.arange(n + 1), np.arange(n), np.ones(n), np.zeros(n, bool))
+    tm = TransitionMatrix(n, np.arange(n + 1), np.arange(n), np.ones(n))
     with pytest.raises(OracleSizeError):
         pagerank_direct(tm, PageRankConfig.uniform(n))
 
 
 def test_neumann_geometric_series_on_self_loops():
     n = 6
-    tm = TransitionMatrix(n, np.arange(n + 1), np.arange(n), np.ones(n), np.zeros(n, bool))
+    tm = TransitionMatrix(n, np.arange(n + 1), np.arange(n), np.ones(n))
     y = neumann_y(tm, np.ones(n), GAMMA, t2=50)
     expect = (1.0 - 0.85**51) / 0.15
     assert np.abs(y - expect).max() <= 1e-12
@@ -396,7 +396,7 @@ def test_malformed_pattern_is_refused():
     bounds checks, so a matrix checks its pattern when it is built."""
     for indptr, indices in (([0, 1, 2], [0, 5]), ([0, 1, 2], [0, -1]), ([0, 2, 1], [0, 1]), ([0, 1, 3], [0, 1])):
         with pytest.raises(ValueError, match="malformed"):
-            TransitionMatrix(2, indptr, indices, [1.0, 1.0], [False, False])
+            TransitionMatrix(2, indptr, indices, [1.0, 1.0])
     # nor may the weights outrun the pattern, one copy or a block
     P = TransitionMatrix.from_dense([[0, 1], [1, 0]])
     with pytest.raises(ValueError, match="weights of length 3"):

@@ -24,7 +24,7 @@ from fairpr import (
     parse_matrix,
     serialize_matrix,
 )
-from fairpr.graph import _first_uncovered, _sort_pairs, _sorted_distinct
+from fairpr.graph import _first_uncovered, _sort_pairs, _sorted_distinct, sink_shares
 from fairpr.text import Lines, _line_end, data_line_count
 
 # ------------------------------------------------------------ reference scanners
@@ -145,35 +145,25 @@ def ref_parse_matrix(text: str, n: int | None = None) -> TransitionMatrix:
     if np.count_nonzero(np.diff(arr[:, 0])) + 1 + len(sinks) < size:
         first = _first_uncovered(np.concatenate([arr[:, 0], np.asarray(sinks, np.int64)]))
         raise GraphParseError(f"row {first} has no entries")
+    if len(set(sinks)) < len(sinks):
+        raise GraphParseError("duplicate '# sink' line")
     sink_mask = np.zeros(size, bool)
     sink_mask[sinks] = True
     counts = np.bincount(arr[:, 0], minlength=size)
     not_sink = np.flatnonzero((counts == 0) & ~sink_mask)
     if len(not_sink):
         raise GraphParseError(f"row {int(not_sink[0])} has no entries")
+    spelled = np.flatnonzero(sink_mask & (counts > 0))
+    if len(spelled):
+        raise GraphParseError(f"sink row {spelled[0]} has entry lines; a '# sink' row is the '# sink_row' vector alone")
+    if sinks and not sink_cols:
+        raise GraphParseError(f"sink row {min(sinks)} has no entries and the file has no '# sink_row' lines")
     sink_row = None
     if sink_cols:
         sink_row = np.zeros(size)
         sink_row[sink_cols] = sink_weights
-    spelled = sink_mask[arr[:, 0]]
-    if spelled.any():
-        rows, cols, vals = arr[spelled, 0], arr[spelled, 1], w[spelled]
-        source = "the '# sink_row' vector" if sink_cols else f"sink row {rows[0]}"
-        if not sink_cols:
-            sink_row = np.zeros(size)
-            sink_row[cols[rows == rows[0]]] = vals[rows == rows[0]]
-        nz = vals != 0.0
-        hits = np.bincount(rows, nz & (sink_row[cols].view(np.int64) == vals.view(np.int64)), size)
-        nonzero = np.bincount(rows, nz, size)
-        bad = (counts > 0) & sink_mask & ((hits != nonzero) | (nonzero != np.count_nonzero(sink_row)))
-        if bad.any():
-            raise GraphParseError(f"sink row {int(bad.argmax())} differs from {source}")
-        arr, w = arr[~spelled], w[~spelled]
-        counts[sink_mask] = 0
-    elif sinks and sink_row is None:
-        raise GraphParseError(f"sink row {min(sinks)} has no entries and the file has no '# sink_row' lines")
     indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    tm = TransitionMatrix(size, indptr, arr[:, 1].copy(), w, sink_mask, sink_row)
+    tm = TransitionMatrix(size, indptr, arr[:, 1].copy(), w, shares=sink_shares(sink_mask, sink_row))
     tm.validate()
     return tm
 
@@ -286,8 +276,8 @@ def _random_matrix(rng, n):
 
 def _matrix_text(rng, n):
     """A serialized random matrix, rewritten: headers as '#n' or '# n',
-    entry lines shuffled, sink rows sometimes spelled out or altered,
-    duplicates, and odd tokens."""
+    entry lines shuffled, sink rows sometimes spelled out (which files may
+    not do) or altered, duplicates, and odd tokens."""
     tm = _random_matrix(rng, n)
     lines = serialize_matrix(tm).splitlines()
     heads = [ln for ln in lines if ln.startswith("#")]
@@ -401,7 +391,8 @@ def test_load_graph_edge_cases(text):
         "# n 2\n#n 3\n0 1 1\n1 0 1\n2 2 1\n",
         "#  n  2\n0 1 1\n1 0 1\n",
         "# n\t2\n# sink\t1\n# sink_row\t0\t0.5\n# sink_row\t1\t0.5\n0\t1\t1\n",
-        "#n 2\n#sink 1\n#sink_row 0 1\n0 1 1\n1 0 1\n",  # a spelled-out sink row
+        "#n 2\n#sink 1\n#sink_row 0 1\n0 1 1\n1 0 1\n",  # a spelled-out sink row, refused
+        "#n 2\n#sink 1\n#sink 1\n#sink_row 0 1\n0 1 1\n",  # a repeated sink row, refused
         "#n 2\n#sink 1\n0 1 1\n1 0 1\n",
         "#n 2\n#sink 1\n#sink_row 0 1\n0 1 1\n1 0 0.5\n1 1 0.5\n",
         "#n 2\n0 1 nan\n1 0 1\n",
@@ -498,7 +489,8 @@ def lexsort_build_transition(g, cfg):
     edges = g.edges[np.lexsort((g.edges[:, 1], g.edges[:, 0]))]
     outdeg = np.bincount(edges[:, 0], minlength=g.n)
     indptr = np.concatenate([[0], np.cumsum(outdeg)]).astype(np.int64)
-    return TransitionMatrix(g.n, indptr, edges[:, 1], 1.0 / outdeg[edges[:, 0]], outdeg == 0, cfg.restart_vector)
+    shares = sink_shares(outdeg == 0, cfg.restart_vector)
+    return TransitionMatrix(g.n, indptr, edges[:, 1], 1.0 / outdeg[edges[:, 0]], shares=shares)
 
 
 @pytest.fixture
