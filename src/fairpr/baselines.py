@@ -32,11 +32,11 @@ def _edges(P: TransitionMatrix, groups: GroupAssignment, weights=None):
 def _assemble(P: TransitionMatrix, groups: GroupAssignment, phi, data, rows, ks, shares) -> TransitionMatrix:
     """Validated matrix on P's edges with weights ``data``, in which row
     rows[t] spreads shares[t] evenly over group ks[t]: a share of
-    shares[t] / |G_k| of the group's 0/1 indicator, vector 1 + k. P's sink
-    rows stand for vector 0, the fair sink vector: each phi_k spread evenly
-    over group k (zeros without sink rows). Zero shares are left out."""
+    shares[t] / |G_k| of the group's 0/1 indicator, vector 1 + k. P's rows
+    without edges are share 1 of vector 0, the fair sink vector, phi_k over
+    each group k evenly (zeros without such rows). Zero shares are left out."""
     sizes, labels = groups.group_sizes, groups.labels
-    sinks = np.flatnonzero(P.sink_mask)
+    sinks = np.flatnonzero(~P.edge_mask)
     fair = phi[labels] / sizes[labels] if len(sinks) else np.zeros(P.n)
     vectors = np.vstack([fair, labels == np.arange(groups.K)[:, None]])
     per_member = shares / sizes[ks]
@@ -72,21 +72,21 @@ def _require_two_groups(groups: GroupAssignment, method: str) -> None:
 def lfpr_n(P: TransitionMatrix, groups: GroupAssignment, target: FairnessTarget) -> BaselineResult:
     """Every vertex splits share phi_k uniformly over its out-neighbors in
     group k; with no such neighbor the share spreads over all of group k, a
-    share of the group's indicator vector beside the stored edges; a sink
-    row spreads both shares (the fair sink vector)."""
+    share of the group's indicator vector beside the stored edges; a row
+    without edges spreads both shares (the fair sink vector)."""
     _require_two_groups(groups, "lfpr_n")
     phi = target.phi
     rows, gcols, counts = _edges(P, groups)
-    spread_rows, ks = np.nonzero((counts == 0) & ~P.sink_mask[:, None])
+    spread_rows, ks = np.nonzero((counts == 0) & P.edge_mask[:, None])
     tm = _assemble(P, groups, phi, phi[gcols] / counts[rows, gcols], spread_rows, ks, phi[ks])
     return BaselineResult(tm, "lfpr_n")
 
 
 def lfpr_u(P: TransitionMatrix, groups: GroupAssignment, target: FairnessTarget) -> BaselineResult:
     """Uniform edge weights capped at the over-represented group's share;
-    each row's leftover share for its under-represented group (a sink row's
-    two shares) spreads uniformly over that whole group, as a share of the
-    group's indicator vector: the residual term."""
+    each row's leftover share for its under-represented group spreads
+    uniformly over that whole group, as a share of the group's indicator
+    vector: the residual term. A row without edges is the fair sink vector."""
     _require_two_groups(groups, "lfpr_u")
     phi1 = float(target.phi[0])
     rows, _, counts = _edges(P, groups)
@@ -97,7 +97,7 @@ def lfpr_u(P: TransitionMatrix, groups: GroupAssignment, target: FairnessTarget)
     under0 = out1 < phi1 * outdeg
     under1 = ~under0 & (out2 < (1.0 - phi1) * outdeg)
     num = np.select([under0, under1], [1.0 - phi1, phi1], 1.0)
-    # every divisor is >= 1 but in sink rows, which neither weigh edges nor spread
+    # every divisor is >= 1 but in rows without edges, which neither weigh edges nor spread
     base = num / np.maximum(np.select([under0, under1], [out2, out1], outdeg), 1)
     resid = np.where(under0, phi1 - base * out1, (1.0 - phi1) - base * out2)
     spread = np.flatnonzero(under0 | under1)

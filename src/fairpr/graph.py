@@ -148,12 +148,12 @@ class TransitionMatrix:
     ``vectors`` is the (V, n) stack D, and a row may carry a share of any of
     them: ``share_rows``, ``share_ids`` and ``share_data`` list the shares
     (row, vector id, value), sorted by vector id and then by row, so vector
-    v's shares are the slice ``share_ptr[v]:share_ptr[v + 1]``. A sink row
-    stores no entries, and its only share is 1 on vector 0: the restart
-    vector in matrices from ``build_transition``. ``sink_mask`` flags the
-    sink rows and ``sink_row`` is vector 0 (None without sink rows), both
-    read-only views derived from the shares; a sink row is written out,
-    covered and multiplied as the share it is, like any other.
+    v's shares are the slice ``share_ptr[v]:share_ptr[v + 1]``. A row's
+    edges are its stored entries (``edge_mask``) and the rest of it is its
+    shares, however it is held, and every consumer reads a row so. A sink
+    row stores no entries, and its only share is 1 on vector 0: the restart
+    vector in matrices from ``build_transition``; ``sink_mask`` flags them
+    and ``sink_row`` is vector 0 (None without them), views for the TSV form.
     The locally fair baselines spread a row's share over a group as a share
     of the group's 0/1 indicator vector. So memory and every product grow
     with the edges and n x V, not with n x #sinks or with rows x group size.
@@ -161,10 +161,9 @@ class TransitionMatrix:
 
     The constructor takes the dense part as ``shares=(vectors, rows, ids,
     values)``, in any order; ``sink_shares`` gives the shares of a matrix
-    whose only shares are its sink rows'. Every stored entry is an
-    edge. Reweighting code changes the stored weights only: fairwalk keeps
-    the dense part, and the descent refuses a matrix with shares other than
-    its sink rows (``has_spreads``).
+    whose only shares are its sink rows'. Reweighting code changes the
+    stored weights only: fairwalk keeps the dense part, and the descent
+    refuses a matrix whose rows with edges carry shares (``has_spreads``).
 
     The sparsity pattern is fixed: revised matrices keep it and may contain
     exact zeros. Column ids ascend within each row, so the keys
@@ -178,7 +177,7 @@ class TransitionMatrix:
 
     __slots__ = (
         "n", "indptr", "indices", "data", "vectors", "share_rows", "share_ids", "share_data", "share_ptr",
-        "sink_mask", "sink_row", "_op",
+        "sink_mask", "sink_row",
     )
 
     def __init__(self, n, indptr, indices, data, shares=None):
@@ -206,7 +205,7 @@ class TransitionMatrix:
             raise ValueError("share rows, vector ids and values lengths differ")
         if len(rows) and not (0 <= rows.min() <= rows.max() < self.n and 0 <= ids.min() <= ids.max() < len(vectors)):
             raise ValueError("share row or vector id out of range")
-        self.sink_mask, self.sink_row, self._op = np.zeros(self.n, bool), None, None
+        self.sink_mask, self.sink_row = np.zeros(self.n, bool), None
         self.share_rows, self.share_ids, self.share_data = rows, ids, values
         if not len(rows):  # no dense part
             self.vectors, self.share_ptr = vectors[:0], np.zeros(1, np.int64)
@@ -223,7 +222,7 @@ class TransitionMatrix:
         self.share_ptr = np.searchsorted(ids, np.arange(len(self.vectors) + 1))
         # the sink rows: rows that store nothing and whose only share is 1 on vector 0
         self.sink_mask[rows[(ids == 0) & (values == 1.0)]] = True
-        self.sink_mask &= (self.indptr[1:] == self.indptr[:-1]) & (np.bincount(rows, minlength=self.n) == 1)
+        self.sink_mask &= ~self.edge_mask & (np.bincount(rows, minlength=self.n) == 1)
         if self.sink_mask.any():
             self.sink_row = self.vectors[0]
 
@@ -238,9 +237,14 @@ class TransitionMatrix:
         return self.vectors, self.share_rows, self.share_ids, self.share_data
 
     @property
+    def edge_mask(self) -> np.ndarray:
+        """Which rows have edges, that is stored entries; the rest of a row is its shares."""
+        return self.indptr[1:] > self.indptr[:-1]
+
+    @property
     def has_spreads(self) -> bool:
-        """True when some row other than a sink row carries a share."""
-        return len(self.share_rows) > np.count_nonzero(self.sink_mask)
+        """True when some row with edges carries a share."""
+        return bool(self.edge_mask[self.share_rows].any())
 
     def copy(self) -> "TransitionMatrix":
         """A matrix with copies of all of this one's arrays."""
@@ -260,18 +264,15 @@ class TransitionMatrix:
         this matrix was built, and nothing writes them in place, so they
         are not checked again."""
         tm = TransitionMatrix.__new__(TransitionMatrix)
-        tm.n, tm.data, tm._op = self.n, data, None
+        tm.n, tm.data = self.n, data
         for name in ("indptr", "indices", "vectors", "share_rows", "share_ids", "share_data", "share_ptr", "sink_mask"):
             setattr(tm, name, take(getattr(self, name)))
         tm.sink_row = None if self.sink_row is None else tm.vectors[0]
         return tm
 
     def operator(self) -> "WalkOperator":
-        """The products p'P and Pz, built once and kept while ``data`` only
-        changes in place."""
-        if self._op is None or self._op.data is not self.data:
-            self._op = WalkOperator(self)
-        return self._op
+        """The products p'P and Pz: a new operator on a view of ``data``."""
+        return WalkOperator(self)
 
     def entries(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(keys, weights) of the flagged rows with the dense part written
@@ -323,7 +324,7 @@ class TransitionMatrix:
     def row_sums(self) -> np.ndarray:
         """Each row's stored weights plus its shares times their vectors' sums."""
         sums = np.zeros(self.n)
-        stored = self.indptr[1:] > self.indptr[:-1]
+        stored = self.edge_mask
         if stored.any():
             sums[stored] = np.add.reduceat(self.data, self.indptr[:-1][stored])
         if len(self.share_rows):

@@ -74,10 +74,10 @@ def _terms(op, p, scale, restarts, groups, phi, t2, rows, cols):
 def _restart_grad(P, restarts, groups, target, t1, t2, tol) -> SparseGradient:
     """The mean loss's gradient on the stored pattern: every restart's
     ``_terms`` at P, summed, with the restarts solved in one block."""
-    rows, cols = P.entry_rows(), P.indices
+    rows, cols, op = P.entry_rows(), P.indices, P.operator()
     values = np.zeros(len(rows))
-    for p in pagerank_power(P, restarts, t1=t1, tol=tol):
-        for _, term in _terms(P, p, 1.0, restarts, groups, target.phi, t2, rows, cols):
+    for p in pagerank_power(op, restarts, t1=t1, tol=tol):
+        for _, term in _terms(op, p, 1.0, restarts, groups, target.phi, t2, rows, cols):
             values += term
     return SparseGradient(P.n, rows, cols, values)
 

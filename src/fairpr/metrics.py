@@ -117,11 +117,10 @@ def rho_bar(p_old: np.ndarray, p_new: np.ndarray, groups: GroupAssignment) -> fl
 def rho_tilde(P_old: TransitionMatrix, P_new: TransitionMatrix) -> float:
     """Mean Spearman coefficient of each vertex's out-weight ranking.
 
-    Per non-sink vertex of P_old, old and new weights are compared over the
-    union of the two rows' ``entries`` (absent entries count as zero; a row
-    counts as its stored entries plus its shares written out on the
-    nonzeros of their vectors, a sink row of P_new as the nonzeros of
-    ``sink_row``).
+    Per row of P_old with edges (``edge_mask``; a row without them has no
+    out-weights to rank), old and new weights are compared over the union
+    of the two rows' ``entries``: stored entries plus shares written out
+    on the nonzeros of their vectors, absent entries counting as zero.
     Vertices with fewer than 2 union entries are skipped; a vertex whose
     weights are all tied on both sides contributes 1, tied on exactly one
     side it is skipped as undefined.
@@ -134,7 +133,7 @@ def rho_tilde(P_old: TransitionMatrix, P_new: TransitionMatrix) -> float:
     if P_new.n != P_old.n:
         raise ValueError("matrices must have the same dimension")
     n = P_old.n
-    keys, a, b = _aligned(P_old, P_new, ~P_old.sink_mask)
+    keys, a, b = _aligned(P_old, P_new, P_old.edge_mask)
     seg = keys // n
     rho, tied_old, tied_new = _segment_spearman(seg, n, a, b)
     # tied on both sides counts as preserved; tied on one side is undefined

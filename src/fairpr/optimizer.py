@@ -7,10 +7,10 @@ The loop runs one descent per step size, in lockstep: a fixed ``alpha`` (or
 2/C with ``alpha_auto``) is one copy of the pattern, and without either the
 whole ALPHA_GRID runs as C stacked copies over one block WalkOperator, each
 with its own warm starts, stop tests and divergence checks. Every copy ends
-bitwise as its step size would alone; the lowest final loss wins, ties going
-to the earlier step size. A copy diverges only when a step throws an entry
-past ENTRY_CEILING: the projection lands every row on sum 1 to rounding, and
-the loss, taken only at projected matrices, stays at most 1."""
+bitwise as its step size would alone; the lowest final loss wins, ties (within
+LOSS_TIE_RTOL) going to the earlier step size. A copy diverges only when a step
+throws an entry past ENTRY_CEILING: the projection lands every row on sum 1 to
+rounding, and the loss, taken only at projected matrices, stays at most 1."""
 
 from __future__ import annotations
 
@@ -37,6 +37,7 @@ log = logging.getLogger(__name__)
 ENTRY_CEILING = 1e12
 
 ALPHA_GRID = tuple(10.0**k for k in range(-4, 5))
+LOSS_TIE_RTOL = 1e-9  # final losses this close, relatively, tie in the grid
 
 
 class DivergedError(RuntimeError):
@@ -154,10 +155,10 @@ def _descend(
     term's y_k is summed at the current unprojected matrix. A copy diverges,
     and leaves the stack, only when an entry is past ENTRY_CEILING (or not
     finite) after all the terms. Project every copy once per iteration,
-    which lands each row on sum 1 to rounding; sink rows never change. The
-    loss needs no check: it is only evaluated at projected matrices, where it
-    is at most 1. A matrix whose rows other than its sink rows carry shares
-    (``has_spreads``) raises ValueError before any work.
+    which lands each row on sum 1 to rounding; rows without edges never
+    change. The loss needs no check: it is only evaluated at projected
+    matrices, where it is at most 1. A matrix in which a row with edges
+    carries a share (``has_spreads``) raises ValueError before any work.
     """
     if P.has_spreads:
         raise ValueError("the descent reweights edges only; a matrix with group spreads cannot be descended on")
@@ -171,7 +172,6 @@ def _descend(
         return alphas, [OptimizationReport(P.copy(), [0.0], "kappa", a) for a in alphas]
 
     n, phi, C = P.n, target.phi, len(alphas)
-    base = P.copy()
     # the block's projection segments and boxes
     segs = (rows + n * np.arange(C)[:, None]).ravel()
     lower, upper = np.tile(box.lower, C), np.tile(box.upper, C)
@@ -204,7 +204,7 @@ def _descend(
         if any(done.tolist()):
             reason = "max_iters" if last else "kappa"
             for j, i in zip(np.flatnonzero(done), ids[done]):
-                outcomes[i] = OptimizationReport(base.with_data(W[j].copy()), traces[i], reason, alphas[i])
+                outcomes[i] = OptimizationReport(P.with_data(W[j].copy()), traces[i], reason, alphas[i])
             keep(~done)
         if not len(ids):
             break
@@ -226,9 +226,9 @@ def _descend(
 
 
 def _best(alphas, outcomes) -> OptimizationReport:
-    """The report with the lowest final loss, ties going to the earlier step
-    size, with every step size's outcome in its ``grid``; raises the last
-    DivergedError when every step size diverged."""
+    """The report with the lowest final loss, ties (within LOSS_TIE_RTOL)
+    going to the earlier step size, with every step size's outcome in its
+    ``grid``; raises the last DivergedError when every step size diverged."""
     grid = [
         GridPoint(a, None, o.iteration, "diverged")
         if isinstance(o, DivergedError)
@@ -238,7 +238,8 @@ def _best(alphas, outcomes) -> OptimizationReport:
     reports = [o for o in outcomes if not isinstance(o, DivergedError)]
     if not reports:
         raise outcomes[-1]
-    best = min(reports, key=lambda r: r.final_loss)  # the first of equal losses
+    low = min(r.final_loss for r in reports)
+    best = next(r for r in reports if r.final_loss <= low * (1.0 + LOSS_TIE_RTOL))
     best.grid = grid
     if len(alphas) > 1:
         log.debug("grid pick alpha=%g final_loss=%.6e", best.alpha, best.final_loss)

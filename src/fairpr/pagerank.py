@@ -2,13 +2,12 @@
 and the truncated geometric-series vectors used by the loss gradients.
 
 Every product with P goes through ``P.operator()``: the stored entries as
-raw CSR arrays over ``P.data`` (built once per matrix, so no call rebuilds
-the matrix), multiplied by scipy's compiled matvec kernels called directly,
-plus one low-rank term for the whole dense part S D, p'P = p'P_E + (S'p)'D
-and Pz = P_E z + S(Dz), by the same kernels. A sink row is share 1 of
-vector 0, the matrix's ``sink_row``, like any other share (the dangling
-rows of Langville & Meyer, "Deeper Inside PageRank", 2004), and no product
-calls BLAS.
+raw CSR arrays over a view of ``P.data`` (built once per solve, so no step
+rebuilds the matrix), multiplied by scipy's compiled matvec kernels called
+directly, plus one low-rank term for the whole dense part S D, p'P = p'P_E
++ (S'p)'D and Pz = P_E z + S(Dz), by the same kernels. A sink row is share
+1 of vector 0 like any other share (the dangling rows of Langville & Meyer,
+"Deeper Inside PageRank", 2004), and no product calls BLAS.
 
 Both solvers run the fixed-point (Richardson) step x <- c + (1-gamma) P x
 (Gleich, "PageRank beyond the Web", SIAM Review 2015) as one kernel call

@@ -158,8 +158,8 @@ def project_matrix(
     Without bounds each row lands on the simplex; with (delta, epsilon) the
     box is built from P_orig's row, so revised entries stay within the
     allowed relative/absolute modification of the original weights.
-    Sink rows store nothing and keep their sink vector; a matrix whose
-    other rows carry shares (``has_spreads``) raises ValueError.
+    Rows without edges store nothing and keep their shares; a matrix in
+    which a row with edges carries a share (``has_spreads``) raises ValueError.
     """
     if (delta is None) != (epsilon is None):
         raise ValueError("delta and epsilon must be given together")

@@ -8,11 +8,14 @@ from fairpr import (
     Graph,
     GraphParseError,
     GroupAssignment,
+    OptimizerConfig,
     PageRankConfig,
     TransitionMatrix,
     UndefinedCoefficientError,
+    adapt_gd,
     build_transition,
     delta_p,
+    fair_gd,
     lfpr_n,
     lfpr_u,
     load_graph,
@@ -501,9 +504,10 @@ def test_parse_matrix_rejects_bad_share_lines(text, fragment):
 
 
 def test_share_only_rows_parse():
-    # row 1 stores nothing and spreads all of its mass over vector 1
+    # row 1 stores nothing and spreads all of its mass over vector 1: it has
+    # no edges to reweight, so it is no spread that the descent refuses
     tm = parse_matrix("#n 2\n# vector 1 0 0.5\n# vector 1 1 0.5\n# share 1 1 1\n0 1 1\n")
-    assert not tm.sink_mask.any() and tm.has_spreads
+    assert not tm.sink_mask.any() and not tm.has_spreads
     assert np.array_equal(tm.to_dense(), [[0.0, 1.0], [0.5, 0.5]])
 
 
@@ -540,20 +544,20 @@ def test_with_data_and_copy_keep_the_checked_fields():
     """``with_data`` and ``copy`` skip the constructor's checks: every field
     is bitwise what the checked constructor makes of the same arrays.
     ``with_data`` shares every array but the weights, ``copy`` none, and
-    both build their own operator; a wrong weight count is still refused."""
+    the operator of either reads its own weights; a wrong weight count is
+    still refused."""
     rng = np.random.default_rng(26)
     sinky = spread = 0
     for _ in range(200):
         n = int(rng.integers(1, 9))
         M = spec_matrix(n, random_share_spec(rng, n))
-        M.operator()
         sinky += M.sink_row is not None
         spread += M.has_spreads
         data = rng.random(M.nnz)
         for got, weights in ((M.with_data(data), data), (M.copy(), M.data)):
             want = TransitionMatrix(n, M.indptr, M.indices, weights, shares=M.shares)
-            assert got.n == want.n and got._op is None and got.operator() is not M.operator()
-            for name in TransitionMatrix.__slots__[1:-1]:
+            assert got.n == want.n and got.operator().data is got.data
+            for name in TransitionMatrix.__slots__[1:]:
                 a, b = getattr(got, name), getattr(want, name)
                 if b is None:
                     assert a is None, name
@@ -664,38 +668,100 @@ def rho_tilde_or_none(P_old, P_new):
         return None
 
 
+# row 2 held as a '# sink' of v = (1/2, 1/2, 0), and as share 1 of a vector 1 equal to v
+HELD_PAIR = (
+    "# n\t3\n# sink\t2\n# sink_row\t0\t0.5\n# sink_row\t1\t0.5\n0\t1\t1\n1\t0\t1\n",
+    "# n\t3\n# sink_row\t0\t0.5\n# sink_row\t1\t0.5\n# vector\t1\t0\t0.5\n# vector\t1\t1\t0.5\n# share\t2\t1\t1\n"
+    "0\t1\t1\n1\t0\t1\n",
+)
+
+
+def held_as_shares(n, spec):
+    """``spec``'s matrix with every sink row held as share 1 of an appended
+    copy of vector 0, so that it has no sink rows."""
+    stored, sinks, vectors, shares = spec
+    held = [(int(i), len(vectors), 1.0) for i in np.flatnonzero(sinks)]
+    return spec_matrix(n, (stored, np.zeros(n, bool), np.vstack([vectors, vectors[0]]), shares + held))
+
+
+def walk_spec(spec):
+    """``spec`` as a walk that the descent takes: the vectors scaled to sum
+    1, and only rows without stored entries sharing, each its mass evenly
+    over its shares of nonzero vectors (``even_walk`` weighs the entries)."""
+    stored, sinks, vectors, shares = spec
+    sums = vectors.sum(axis=1)
+    shares = [(r, v) for r, v, _ in shares if not len(stored[r]) and sums[v] > 0]
+    count = np.bincount([r for r, _ in shares], minlength=len(stored))
+    shares = [(r, v, 1.0 / count[r]) for r, v in shares]
+    return stored, sinks, vectors / np.where(sums > 0, sums, 1.0)[:, None], shares
+
+
+def even_walk(M):
+    return M.with_data(1.0 / np.diff(M.indptr)[M.entry_rows()])
+
+
+def assert_held_alike(A, B, groups, target, walks=True):
+    """lfpr_n and lfpr_u write out bitwise the same matrix for A and B,
+    ``rho_tilde`` between them is the same either way round, and with
+    ``walks`` fair_gd and adapt_gd take both, to the same final loss up to
+    the rounding of the dense part's sums, which the two hold in a
+    different order."""
+    for method in (lfpr_n, lfpr_u):
+        a, b = (method(M, groups, target).matrix.to_dense() for M in (A, B))
+        assert np.array_equal(a.view(np.int64), b.view(np.int64)), method.__name__
+    assert rho_tilde_or_none(A, B) == rho_tilde_or_none(B, A)
+    if not walks:
+        return
+    cfg = PageRankConfig.uniform(A.n)
+    opt = OptimizerConfig(alpha=0.1, max_iters=2, kappa=0.0, t1=40, t2=10)
+    for descend in (lambda P: fair_gd(P, cfg, groups, target, opt), lambda P: adapt_gd(P, cfg.gamma, groups, target, opt)):
+        a, b = descend(A).final_loss, descend(B).final_loss
+        assert abs(a - b) <= 1e-12 * a, (a, b)
+
+
 def test_results_do_not_depend_on_how_a_sink_row_is_held():
     """A random share matrix whose sink vector holds zeros, and the same
     matrix with every sink row held as share 1 of an appended copy of
     vector 0 (so it has no sink rows): each is a pattern subset of the
     other, they write out bitwise the same dense matrix, ``delta_p`` between
     them is 0, and against a random neighbor ``rho_tilde``, ``delta_p`` and
-    ``pattern_subset_of`` give the same answers for both."""
-    rng = np.random.default_rng(27)
-    zeros = sinky_neighbors = 0
-    for _ in range(300):
+    ``pattern_subset_of`` give the same answers for both, with either as
+    the original. The lfpr baselines, ``rho_tilde`` between the two, and
+    the descents on the two made walks (``walk_spec``) give the same
+    results too, as on the two files of one such pair."""
+    A, B = (parse_matrix(text) for text in HELD_PAIR)
+    assert_held_alike(A, B, GroupAssignment(np.array([0, 1, 0]), 2), FairnessTarget([0.5, 0.5]))
+    rng, pick = np.random.default_rng(27), np.random.default_rng(28)
+    zeros = sinky_neighbors = share_only = 0
+    for _ in range(360):
         n = int(rng.integers(2, 9))
         spec = random_share_spec(rng, n)
         A = spec_matrix(n, spec)
         if not A.sink_mask.any() or not (A.sink_row == 0).any() or not A.to_dense().any():
             continue
         zeros += 1
-        stored, sinks, vectors, shares = spec
-        copy = len(vectors)
-        held = [(int(i), copy, 1.0) for i in np.flatnonzero(sinks)]
-        B = spec_matrix(n, (stored, np.zeros(n, bool), np.vstack([vectors, vectors[0]]), shares + held))
-        assert not B.sink_mask.any() and np.array_equal(A.share_rows[A.sink_mask[A.share_rows]], np.flatnonzero(sinks))
+        B = held_as_shares(n, spec)
+        assert not B.sink_mask.any() and np.array_equal(A.share_rows[A.sink_mask[A.share_rows]], np.flatnonzero(spec[1]))
         assert A.pattern_subset_of(B) and B.pattern_subset_of(A)
         assert np.array_equal(A.to_dense().view(np.int64), B.to_dense().view(np.int64))
         assert delta_p(A, B) == 0.0 and delta_p(B, A) == 0.0
         X = spec_matrix(n, mutate(rng, n, A, spec))
         sinky_neighbors += bool((X.sink_mask & A.sink_mask).any())
         assert rho_tilde_or_none(X, A) == rho_tilde_or_none(X, B)
+        assert rho_tilde_or_none(A, X) == rho_tilde_or_none(B, X)
         if X.to_dense().any():  # delta_p divides by the old matrix's norm
             assert abs(delta_p(X, A) - delta_p(X, B)) <= 1e-14 * delta_p(X, A)
             assert abs(delta_p(A, X) - delta_p(B, X)) <= 1e-14 * delta_p(A, X)
         assert X.pattern_subset_of(A) == X.pattern_subset_of(B) and A.pattern_subset_of(X) == B.pattern_subset_of(X)
-    assert zeros >= 50 and sinky_neighbors >= 20, (zeros, sinky_neighbors)
+        labels = pick.permutation(np.r_[0, 1, pick.integers(0, 2, n - 2)])
+        phi = pick.uniform(0.2, 0.8)
+        groups, target = GroupAssignment(labels, 2), FairnessTarget([phi, 1.0 - phi])
+        assert_held_alike(A, B, groups, target, walks=False)
+        walk = walk_spec(spec)
+        W = even_walk(spec_matrix(n, walk))
+        share_only += bool((~W.sink_mask[W.share_rows]).any())  # rows the descent refused before
+        assert_held_alike(W, even_walk(held_as_shares(n, walk)), groups, target)
+    assert zeros >= 200 and sinky_neighbors >= 150 and share_only >= 20, (zeros, sinky_neighbors, share_only)
 
 
 def test_constructor_checks_shares():

@@ -30,7 +30,7 @@ from fairpr.experiment import build_target
 from fairpr.loss import loss_from_scores
 from fairpr.graph import WalkOperator
 from fairpr.loss import _group_restarts
-from fairpr.optimizer import ENTRY_CEILING, OptimizationReport, _descend
+from fairpr.optimizer import ENTRY_CEILING, LOSS_TIE_RTOL, OptimizationReport, _best, _descend
 from fairpr.pagerank import neumann_y
 from fairpr.projection import project_matrix, row_boxes
 
@@ -79,6 +79,25 @@ def test_no_alpha_picks_the_grid_winner():
     assert rep.final_loss == min(losses)
     assert [g.alpha for g in rep.grid] == list(ALPHA_GRID)
     assert [g.loss for g in rep.grid] == [None if math.isinf(x) else x for x in losses]
+
+
+def test_grid_ties_within_the_tolerance_go_to_the_earlier_step_size():
+    """Final losses within LOSS_TIE_RTOL of the lowest tie with it, and the
+    earliest tied step size wins; a loss twice as far off does not tie."""
+
+    def outcomes(*losses):
+        return [
+            DivergedError(1, 1.0) if x is None else OptimizationReport(None, [1.0, x], "kappa", a)
+            for a, x in zip(ALPHA_GRID, losses)
+        ]
+
+    low = 0.25
+    near, far = low * (1.0 + 0.5 * LOSS_TIE_RTOL), low * (1.0 + 2.0 * LOSS_TIE_RTOL)
+    best = _best(ALPHA_GRID[:4], outcomes(None, far, near, low))
+    assert best.alpha == ALPHA_GRID[2] and best.final_loss == near
+    assert [g.loss for g in best.grid] == [None, far, near, low]
+    assert _best(ALPHA_GRID[:3], outcomes(far, low, near)).alpha == ALPHA_GRID[1]
+    assert _best(ALPHA_GRID[:2], outcomes(low, low)).alpha == ALPHA_GRID[0]
 
 
 def test_self_target_converges_and_keeps_matrix():
