@@ -21,7 +21,7 @@ from .graph import (
     load_labels,
 )
 from .loss import _group_restarts, _mean_loss, loss_from_scores
-from .metrics import MetricBundle, UndefinedCoefficientError, delta_p, rho_bar, rho_tilde
+from .metrics import MetricBundle, UndefinedCoefficientError, aligned, delta_p, rho_bar, rho_tilde
 from .optimizer import DivergedError, OptimizerConfig, adapt_gd, fair_gd
 from .pagerank import group_scores, pagerank_power
 
@@ -122,7 +122,8 @@ def evaluate_matrices(P_orig, P_new, gamma, groups, target, p_orig=None):
     uniform restart vector. The revised matrix's uniform and group restarts
     are solved in one block. ``delta_p`` and ``rho_tilde`` read both
     matrices' rows through ``TransitionMatrix.entries``, shares written
-    out. ``p_orig``, when given, is the original's vector as solved here."""
+    out, aligned once for both. ``p_orig``, when given, is the original's
+    vector as solved here."""
     cfg = PageRankConfig.uniform(P_orig.n, gamma)
     solved = pagerank_power(P_new, [cfg, *_group_restarts(groups, gamma)], t1=EVAL_T1, tol=EVAL_TOL)
     p_new = solved[0]
@@ -130,11 +131,12 @@ def evaluate_matrices(P_orig, P_new, gamma, groups, target, p_orig=None):
     scores = all_scores[0]
     loss = loss_from_scores(scores, target.phi)
     loss_g = float(_mean_loss(all_scores[1:], target.phi))
-    dp = delta_p(P_new, P_orig)
+    pair = aligned(P_new, P_orig)
+    dp = delta_p(P_new, P_orig, pair)
     p_old = pagerank_power(P_orig, cfg, t1=EVAL_T1, tol=EVAL_TOL) if p_orig is None else p_orig
     rb = rho_bar(p_old, p_new, groups)
     try:
-        rt = rho_tilde(P_orig, P_new)
+        rt = rho_tilde(P_orig, P_new, pair)
         rt_reason = ""
     except UndefinedCoefficientError as exc:
         rt = None

@@ -70,30 +70,56 @@ def spearman(r1: np.ndarray, r2: np.ndarray) -> float:
     return float(rho[0])
 
 
-def _aligned(P_a: TransitionMatrix, P_b: TransitionMatrix, rows: np.ndarray):
-    """(keys, a, b): the ascending union of the two matrices' ``entries`` in
-    the flagged rows, and each side's weights on it (0 where it has none)."""
-    (keys_a, w_a), (keys_b, w_b) = P_a.entries(rows), P_b.entries(rows)
-    # return_index makes np.unique sort stably, which merges the two ascending runs in linear time
-    keys, _, slot = np.unique(np.concatenate([keys_a, keys_b]), return_index=True, return_inverse=True)
-    a, b = np.zeros((2, len(keys)))
-    a[slot[: len(keys_a)]] = w_a
-    b[slot[len(keys_a) :]] = w_b
-    return keys, a, b
+def _merge(x: np.ndarray, y: np.ndarray):
+    """(keys, at_x, at_y): the ascending union of two ascending runs of
+    distinct keys, and where each run's keys sit in it. The shorter run is
+    inserted into the longer one at the places binary search finds."""
+    if len(x) < len(y):
+        keys, at_y, at_x = _merge(y, x)
+        return keys, at_x, at_y
+    if not len(y):
+        return x, np.arange(len(x)), np.arange(0)
+    at = np.searchsorted(x, y)
+    held = x[np.minimum(at, len(x) - 1)] == y  # y's keys that x holds too
+    ins = at[~held]
+    keys = np.insert(x, ins, y[~held])
+    placed = ins + np.arange(len(ins))  # np.insert keeps equal insertion points in order
+    kept = np.ones(len(keys), bool)
+    kept[placed] = False
+    at_x = np.flatnonzero(kept)
+    at_y = np.empty(len(y), np.intp)
+    at_y[~held] = placed
+    at_y[held] = at_x[at[held]]
+    return keys, at_x, at_y
 
 
-def delta_p(P_new: TransitionMatrix, P_old: TransitionMatrix) -> float:
+def aligned(P_new: TransitionMatrix, P_old: TransitionMatrix):
+    """(keys, new, old): the ascending union of the two matrices' ``entries``
+    over the rows that are not sinks on both sides, and each side's weights
+    on it (0 where it has none). ``delta_p`` and ``rho_tilde`` read it, so
+    an evaluation aligns its two matrices once for both."""
+    if P_new.n != P_old.n:
+        raise ValueError("matrices must have the same dimension")
+    rows = ~(P_new.sink_mask & P_old.sink_mask)
+    (keys_new, w_new), (keys_old, w_old) = P_new.entries(rows), P_old.entries(rows)
+    keys, at_new, at_old = _merge(keys_new, keys_old)
+    new, old = np.zeros((2, len(keys)))
+    new[at_new] = w_new
+    old[at_old] = w_old
+    return keys, new, old
+
+
+def delta_p(P_new: TransitionMatrix, P_old: TransitionMatrix, pair=None) -> float:
     """||P_new - P_old||_F / ||P_old||_F over the union of the two patterns,
     with the dense parts written out: a row that is a sink on both sides
     differs by the difference of the sink rows, and the other rows compare
     through ``TransitionMatrix.entries``, which writes each share out on
     the nonzeros of its vector. ||P_old||_F sums P_old's side of those
-    weights and its sink rows on both sides."""
-    if P_new.n != P_old.n:
-        raise ValueError("matrices must have the same dimension")
-    both = P_new.sink_mask & P_old.sink_mask
-    _, a, b = _aligned(P_new, P_old, ~both)
+    weights and its sink rows on both sides. ``pair`` is the two matrices'
+    ``aligned`` when the caller has it."""
+    _, a, b = aligned(P_new, P_old) if pair is None else pair
     num2, den2 = ((a - b) ** 2).sum(), (b**2).sum()
+    both = P_new.sink_mask & P_old.sink_mask
     if both.any():
         num2 += both.sum() * ((P_new.sink_row - P_old.sink_row) ** 2).sum()
         den2 += both.sum() * (P_old.sink_row**2).sum()
@@ -114,7 +140,7 @@ def rho_bar(p_old: np.ndarray, p_new: np.ndarray, groups: GroupAssignment) -> fl
     return float(np.sum(groups.group_sizes / groups.n * rho))
 
 
-def rho_tilde(P_old: TransitionMatrix, P_new: TransitionMatrix) -> float:
+def rho_tilde(P_old: TransitionMatrix, P_new: TransitionMatrix, pair=None) -> float:
     """Mean Spearman coefficient of each vertex's out-weight ranking.
 
     Per row of P_old with edges (``edge_mask``; a row without them has no
@@ -128,13 +154,15 @@ def rho_tilde(P_old: TransitionMatrix, P_new: TransitionMatrix) -> float:
     Against a ``build_transition`` original every row is uniform, so tied:
     a revision on the original's pattern then scores 1.0 when some row
     stayed tied and is undefined when none did, whatever it did to the
-    other rows' rankings.
+    other rows' rankings. ``pair`` is ``aligned(P_new, P_old)`` when the
+    caller has it; its rows include every row of P_old with edges.
     """
-    if P_new.n != P_old.n:
-        raise ValueError("matrices must have the same dimension")
     n = P_old.n
-    keys, a, b = _aligned(P_old, P_new, P_old.edge_mask)
+    keys, b, a = aligned(P_new, P_old) if pair is None else pair
     seg = keys // n
+    ranked = P_old.edge_mask[seg]
+    if not ranked.all():
+        seg, a, b = seg[ranked], a[ranked], b[ranked]
     rho, tied_old, tied_new = _segment_spearman(seg, n, a, b)
     # tied on both sides counts as preserved; tied on one side is undefined
     defined = (np.bincount(seg, minlength=n) >= 2) & (tied_old == tied_new)

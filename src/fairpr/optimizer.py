@@ -172,10 +172,6 @@ def _descend(
         return alphas, [OptimizationReport(P.copy(), [0.0], "kappa", a) for a in alphas]
 
     n, phi, C = P.n, target.phi, len(alphas)
-    # the block's projection segments and boxes
-    segs = (rows + n * np.arange(C)[:, None]).ravel()
-    lower, upper = np.tile(box.lower, C), np.tile(box.upper, C)
-
     ids = np.arange(C)  # the step-size index of each stacked copy
     step_sizes = np.asarray(alphas)
     W = np.tile(P.data, (C, 1))
@@ -215,13 +211,12 @@ def _descend(
                 for coef, step in _terms(op, p, step_sizes, restarts, groups, phi, opt.t2, rows, P.indices):
                     step[coef == 0.0] = 0.0  # x - 0.0 is x: those copies keep their weights bitwise
                     W -= step
-        ok = (np.abs(W) <= ENTRY_CEILING).all(axis=1)
+        ok = ((W <= ENTRY_CEILING) & (W >= -ENTRY_CEILING)).all(axis=1)  # False for nan too
         if not all(ok.tolist()):  # plain bools: numpy's all/any cost more on a few copies
             for i in ids[~ok]:
                 outcomes[i] = DivergedError(it + 1, safe_alpha)
             keep(ok)
-        m = W.size
-        W[:] = project_rows(W.ravel(), segs[:m], len(ids) * n, lower[:m], upper[:m]).reshape(W.shape)
+        project_rows(W, rows, n, box.lower, box.upper, out=W)
     return alphas, outcomes
 
 

@@ -3,7 +3,7 @@ and onto its intersection with per-entry box bounds.
 
 Both are one problem, min ||x - s|| subject to sum x = 1 and
 lower <= x <= upper (the plain simplex is the box [0, 1]), solved for all
-rows at once by variable fixing (Bitran & Hax, Management Sci. 1981;
+rows of a piece (at most PIECE_BUDGET entries) at once by variable fixing (Bitran & Hax, Management Sci. 1981;
 Kiwiel, "Variable fixing algorithms for the continuous quadratic knapsack
 problem", J. Optim. Theory Appl. 2008). Each pass shifts the free entries
 of a row by one lambda so that the row sums to 1. A row whose shifted
@@ -24,6 +24,8 @@ from .graph import TransitionMatrix
 # Inputs already feasible within this slack pass through unchanged, which
 # makes the projections exactly idempotent.
 FEAS_TOL = 1e-13
+
+PIECE_BUDGET = 2**17  # most entries projected at once: 1 MiB of float64
 
 
 class InfeasibleBoxError(ValueError):
@@ -72,48 +74,109 @@ class BoxBounds:
 
 
 def project_rows(
-    s: np.ndarray, seg: np.ndarray, nseg: int, lower: np.ndarray, upper: np.ndarray
+    s: np.ndarray,
+    seg: np.ndarray,
+    nseg: int,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Project each row of ``s`` onto {x : sum x = 1, lower <= x <= upper}.
 
-    ``seg`` gives the row id in [0, nseg) of each entry; the boxes must
-    meet the simplex (see ``BoxBounds.validate``). Rows already feasible
-    within FEAS_TOL come back bit-for-bit, the others on sum 1 to rounding.
+    ``s`` holds one copy of the pattern, or a (C, nnz) block of C copies.
+    ``seg`` gives the row id in [0, nseg) of each of a copy's nnz entries,
+    ascending, and ``lower``/``upper`` their boxes, which must meet the
+    simplex (see ``BoxBounds.validate``); every copy shares them, untiled.
+    Rows already feasible within FEAS_TOL come back bit-for-bit, the others
+    on sum 1 to rounding. The result goes into ``out``, returned: a new
+    array when omitted, else a C-contiguous one of s's shape, such as ``s``
+    itself, which then changes in place.
+
+    The rows are projected in pieces of whole copies, or of whole rows of
+    one copy, of at most PIECE_BUDGET entries (a longer row is a piece of
+    its own), so the work arrays stay within a fixed size; rows do not
+    interact, so the pieces change no bit of the result.
     """
     if not np.isfinite(s).all():
         raise ValueError("cannot project a vector with non-finite entries")
-    out = s.copy()
-    outside = np.bincount(seg[(s < lower) | (s > upper)], minlength=nseg) > 0
-    off_sum = np.abs(np.bincount(seg, s, nseg) - 1.0) > FEAS_TOL
-    pos = np.flatnonzero((outside | off_sum)[seg])
-    seg, x, lo, up = seg[pos], s[pos], lower[pos], upper[pos]
+    if out is None:
+        out = s.copy()
+    elif out is not s:
+        out[...] = s
+    nnz = seg.size
+    if not s.size:
+        return out
+    flat_s, flat_out = s.reshape(-1), out.reshape(-1)  # views of C-contiguous blocks
+    if nnz <= PIECE_BUDGET:  # whole copies, k at a time
+        k = min(PIECE_BUDGET // nnz, flat_s.size // nnz)
+        ids = seg if k == 1 else (seg + nseg * np.arange(k)[:, None]).ravel()
+        lo, up = (lower, upper) if k == 1 else (np.tile(lower, k), np.tile(upper, k))
+        for a in range(0, flat_s.size, k * nnz):
+            b = min(a + k * nnz, flat_s.size)
+            e = b - a
+            _project_piece(flat_s[a:b], ids[:e], e // nnz * nseg, lo[:e], up[:e], flat_out[a:b])
+        return out
+    cuts = [0]  # whole rows of one copy at a time
+    while cuts[-1] < nnz:
+        a = cuts[-1]
+        b = nnz if a + PIECE_BUDGET >= nnz else int(np.searchsorted(seg, seg[a + PIECE_BUDGET]))
+        cuts.append(b if b > a else int(np.searchsorted(seg, seg[a], "right")))
+    for c in range(0, flat_s.size, nnz):
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            first = seg[a]
+            _project_piece(
+                flat_s[c + a : c + b], seg[a:b] - first, seg[b - 1] - first + 1,
+                lower[a:b], upper[a:b], flat_out[c + a : c + b],
+            )
+    return out
+
+
+def _project_piece(x, seg, nseg, lo, up, out):
+    """Project the rows of one piece: entries ``x`` with row ids ``seg`` in
+    [0, nseg) and boxes ``lo``/``up``, written into ``out`` (which may be
+    ``x``); entries of rows already feasible are not written."""
+    settled = np.abs(np.bincount(seg, x, nseg) - 1.0) <= FEAS_TOL
+    settled[seg[(x < lo) | (x > up)]] = False
+    pos = None  # where the free entries sit in the piece; None while they are all of it
+    if settled.any():
+        pos = np.flatnonzero(~settled[seg])
+        seg, x, lo, up = seg[pos], x[pos], lo[pos], up[pos]
     fixed = np.zeros(nseg)  # mass of each row's fixed entries
-    while pos.size:
+    while seg.size:
         # shifting a row's free entries leaves its projection unchanged; with
         # the largest at 0, lambda never has to cancel large entries
-        top = np.full(nseg, -np.inf)
-        np.maximum.at(top, seg, x)
+        count = np.bincount(seg, minlength=nseg)
+        first = np.empty(seg.size, bool)  # each row's first free entry: a row's entries are adjacent
+        first[0] = True
+        np.not_equal(seg[1:], seg[:-1], out=first[1:])
+        starts = first.nonzero()[0]
+        top = np.repeat(np.maximum.reduceat(x, starts), count[seg[starts]])
         with np.errstate(over="ignore"):  # a row that overflows fails below
-            z = x - top[seg]
-        free = np.maximum(np.bincount(seg, minlength=nseg), 1)
+            z = x - top
         share = 1.0 - fixed
-        lam = (share - np.bincount(seg, z, nseg)) / free
+        lam = (share - np.bincount(seg, z, nseg)) / np.maximum(count, 1)
         if not np.isfinite(lam).all():
             raise ValueError("cannot project a row whose entries span more than the float range")
         y = z + lam[seg]
-        val = np.clip(y, lo, up)
-        has_lo = np.bincount(seg[y < lo], minlength=nseg) > 0
-        has_up = np.bincount(seg[y > up], minlength=nseg) > 0
+        below, above = y < lo, y > up
+        val = np.minimum(np.maximum(y, lo), up)
+        has_lo, has_up = np.zeros((2, nseg), bool)
+        has_lo[seg[below]] = True
+        has_up[seg[above]] = True
         # a row fixes the side that has violators, so each pass makes progress.
         # With both, a row whose clipped sum (unit scale) holds its share cannot
         # raise lambda, so entries under their lower bound stay; else mirror.
-        low = np.where(has_lo & has_up, np.bincount(seg, val, nseg) >= share, has_lo)
-        done = ~(has_lo | has_up)[seg] | np.where(low[seg], y < lo, y > up)
-        out[pos[done]] = val[done]
+        both = has_lo & has_up
+        low = np.where(both, np.bincount(seg, val, nseg) >= share, has_lo) if both.any() else has_lo
+        done = ~(has_lo | has_up)[seg] | np.where(low[seg], below, above)
+        if done.all():
+            out[... if pos is None else pos] = val
+            return
+        out[done if pos is None else pos[done]] = val[done]
         fixed += np.bincount(seg[done], val[done], nseg)
-        keep = ~done
-        pos, seg, x, lo, up = pos[keep], seg[keep], x[keep], lo[keep], up[keep]
-    return out
+        keep = np.flatnonzero(~done)
+        pos = keep if pos is None else pos[keep]
+        seg, x, lo, up = seg[keep], x[keep], lo[keep], up[keep]
 
 
 def project_simplex(s: np.ndarray) -> np.ndarray:

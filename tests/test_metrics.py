@@ -19,6 +19,7 @@ from fairpr import (
     FairnessTarget,
 )
 from fairpr.graph import sink_shares
+from fairpr.metrics import _merge
 
 
 def test_spearman_identity_and_reversal():
@@ -192,3 +193,37 @@ def test_metrics_read_spreads_as_their_written_out_rows(instance, method):
         A, B = old.to_dense(), new.to_dense()
         want = np.linalg.norm(B - A) / np.linalg.norm(A)
         assert abs(delta_p(new, old) - want) <= 1e-14 * want
+
+
+def unique_merge(x, y):
+    """The union of two ascending runs by np.unique, the form ``_merge``
+    replaced: (keys, where x's keys sit, where y's keys sit)."""
+    keys, _, slot = np.unique(np.concatenate([x, y]), return_index=True, return_inverse=True)
+    return keys, slot[: len(x)], slot[len(x) :]
+
+
+def test_merge_matches_unique_on_ascending_runs():
+    """The insertion merge gives np.unique's union and slots on empty,
+    disjoint, equal, nested and interleaved runs, either run the longer."""
+    rng = np.random.default_rng(91)
+    runs = [
+        ([], []),
+        ([], [3, 8]),
+        ([0, 5, 9], [0, 5, 9]),
+        ([0, 1, 2], [10, 11]),
+        ([10, 11], [0, 1, 2]),
+        ([2, 4, 6, 8], [1, 3, 5, 7, 9]),
+        ([0, 1000], [1, 2, 3, 999]),
+        ([5], [5]),
+    ]
+    for _ in range(200):
+        pool = rng.choice(int(rng.integers(60, 500)), int(rng.integers(0, 60)), replace=False)
+        cut = rng.random(pool.size)
+        share = rng.random()
+        runs.append((np.sort(pool[cut < share + 0.2]), np.sort(pool[cut > share - 0.2])))
+    for x, y in runs:
+        x, y = np.asarray(x, np.int64), np.asarray(y, np.int64)
+        keys, at_x, at_y = _merge(x, y)
+        want = unique_merge(x, y)
+        assert np.array_equal(keys, want[0]) and keys.dtype == want[0].dtype, (x, y)
+        assert np.array_equal(at_x, want[1]) and np.array_equal(at_y, want[2]), (x, y)

@@ -1,4 +1,5 @@
 import signal
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -15,7 +16,8 @@ from fairpr import (
     project_simplex,
     project_simplex_box,
 )
-from fairpr.projection import project_rows
+from fairpr import projection
+from fairpr.projection import FEAS_TOL, project_rows
 
 
 def oracle_simplex(s):
@@ -262,6 +264,13 @@ def test_box_validate_rejects_non_finite_bounds(side):
         project_simplex_box(np.full(6, 0.5), box)
 
 
+def random_entries(rng, seg, count):
+    """Entries for rows ``seg``: each row has its own scale, up to 1e12, and
+    entries of either sign spread over up to 12 decades."""
+    scale, spread = 10.0 ** rng.uniform(-2.0, 12.0, count), rng.uniform(0.0, 12.0, count)
+    return scale[seg] * rng.uniform(-1.0, 1.0, seg.size) * 10.0 ** (-spread[seg] * rng.random(seg.size))
+
+
 def random_rows(rng, count, max_len, boxed):
     """(seg, x, lower, upper) for ``count`` rows of 1 to ``max_len`` entries
     (both ends included, log-uniform between): each row has its own scale,
@@ -271,8 +280,7 @@ def random_rows(rng, count, max_len, boxed):
     lengths = np.rint(10.0 ** rng.uniform(0.0, np.log10(max_len), count)).astype(int)
     lengths[:2] = 1, max_len
     seg = np.repeat(np.arange(count), lengths)
-    scale, spread = 10.0 ** rng.uniform(-2.0, 12.0, count), rng.uniform(0.0, 12.0, count)
-    x = scale[seg] * rng.uniform(-1.0, 1.0, seg.size) * 10.0 ** (-spread[seg] * rng.random(seg.size))
+    x = random_entries(rng, seg, count)
     if not boxed:
         return seg, x, np.zeros(seg.size), np.ones(seg.size)
     r = rng.random(seg.size)
@@ -360,3 +368,135 @@ def test_row_spanning_past_the_float_range_raises():
     """Shifting such a row overflows, so there is no lambda to take."""
     with deadline(5), pytest.raises(ValueError, match="float range"):
         project_simplex(np.array([1e308, -1e308, 0.5]))
+
+
+def reference_project_rows(s, seg, nseg, lower, upper):
+    """The variable-fixing passes as they ran over a whole tiled block in
+    one piece, kept verbatim as the bitwise reference of ``project_rows``."""
+    if not np.isfinite(s).all():
+        raise ValueError("cannot project a vector with non-finite entries")
+    out = s.copy()
+    outside = np.bincount(seg[(s < lower) | (s > upper)], minlength=nseg) > 0
+    off_sum = np.abs(np.bincount(seg, s, nseg) - 1.0) > FEAS_TOL
+    pos = np.flatnonzero((outside | off_sum)[seg])
+    seg, x, lo, up = seg[pos], s[pos], lower[pos], upper[pos]
+    fixed = np.zeros(nseg)  # mass of each row's fixed entries
+    while pos.size:
+        top = np.full(nseg, -np.inf)
+        np.maximum.at(top, seg, x)
+        with np.errstate(over="ignore"):
+            z = x - top[seg]
+        free = np.maximum(np.bincount(seg, minlength=nseg), 1)
+        share = 1.0 - fixed
+        lam = (share - np.bincount(seg, z, nseg)) / free
+        if not np.isfinite(lam).all():
+            raise ValueError("cannot project a row whose entries span more than the float range")
+        y = z + lam[seg]
+        val = np.clip(y, lo, up)
+        has_lo = np.bincount(seg[y < lo], minlength=nseg) > 0
+        has_up = np.bincount(seg[y > up], minlength=nseg) > 0
+        low = np.where(has_lo & has_up, np.bincount(seg, val, nseg) >= share, has_lo)
+        done = ~(has_lo | has_up)[seg] | np.where(low[seg], y < lo, y > up)
+        out[pos[done]] = val[done]
+        fixed += np.bincount(seg[done], val[done], nseg)
+        keep = ~done
+        pos, seg, x, lo, up = pos[keep], seg[keep], x[keep], lo[keep], up[keep]
+    return out
+
+
+def reference_block(W, seg, nseg, lower, upper):
+    """The reference over a (C, nnz) block, its row ids and boxes tiled."""
+    C = len(W)
+    segs = (seg + nseg * np.arange(C)[:, None]).ravel()
+    return reference_project_rows(W.ravel(), segs, C * nseg, np.tile(lower, C), np.tile(upper, C)).reshape(W.shape)
+
+
+def random_block(rng, copies, count, max_len, boxed):
+    """(W, seg, lower, upper): ``copies`` draws of entries on one set of
+    ``random_rows`` rows and boxes. Every third row of each copy is set to
+    its projection, so most of those pass through unchanged."""
+    seg, x, lower, upper = random_rows(rng, count, max_len, boxed)
+    W = np.array([x] + [random_entries(rng, seg, count) for _ in range(copies - 1)])
+    again = seg % 3 == 0
+    for w in W:
+        w[again] = reference_project_rows(w, seg, count, lower, upper)[again]
+    return W, seg, lower, upper
+
+
+@pytest.mark.parametrize("boxed", [False, True])
+def test_project_rows_matches_the_reference_bitwise(boxed):
+    """A (C, nnz) block over one untiled row structure projects bitwise as the
+    reference does over the tiled block, and so does each copy alone; in
+    place or not. The draws hold rows of length 1, rows already feasible,
+    and rows with violators of both sides in one pass."""
+    rng = np.random.default_rng(61 + boxed)
+    W, seg, lower, upper = random_block(rng, 5, 300, 2000, boxed)
+    want = reference_block(W, seg, 300, lower, upper)
+    got = project_rows(W, seg, 300, lower, upper)
+    assert np.array_equal(got, want)
+    for w, v in zip(W, want):
+        assert np.array_equal(project_rows(w, seg, 300, lower, upper), v)
+    inplace = W.copy()
+    assert project_rows(inplace, seg, 300, lower, upper, out=inplace) is inplace
+    assert np.array_equal(inplace, want)
+    # the coverage the claim rests on
+    assert (np.bincount(seg, minlength=300) == 1).any()
+    kept = (want == W).all(axis=0)
+    assert np.bincount(seg[kept], minlength=300).astype(bool).sum() > 50
+    both_sides = 0
+    for w in W:  # rows whose first pass has entries under lower and over upper
+        top = np.full(300, -np.inf)
+        np.maximum.at(top, seg, w)
+        z = w - top[seg]
+        y = z + ((1.0 - np.bincount(seg, z, 300)) / np.bincount(seg, minlength=300))[seg]
+        has_lo = np.bincount(seg[y < lower], minlength=300) > 0
+        has_up = np.bincount(seg[y > upper], minlength=300) > 0
+        both_sides += (has_lo & has_up).sum()
+    assert both_sides > 0
+
+
+def test_project_rows_pieces_change_no_bit(monkeypatch):
+    """Small piece budgets split the block into runs of whole copies (the
+    last one short) or into runs of whole rows of one copy (a row longer
+    than the budget alone): the result is the one-piece result, bitwise."""
+    rng = np.random.default_rng(71)
+    W, seg, lower, upper = random_block(rng, 7, 40, 60, True)
+    whole = project_rows(W, seg, 40, lower, upper)
+    assert np.array_equal(whole, reference_block(W, seg, 40, lower, upper))
+    longest = np.bincount(seg).max()
+    for budget in (3 * seg.size, seg.size + 1, seg.size, seg.size - 1, 2 * longest, longest, longest - 1, 1):
+        monkeypatch.setattr(projection, "PIECE_BUDGET", budget)
+        assert np.array_equal(project_rows(W, seg, 40, lower, upper), whole), budget
+
+
+def test_project_rows_errors_unchanged():
+    """A block fails with the messages of one vector: non-finite input, and a
+    row whose entries span past the float range."""
+    seg, lower, upper = np.array([0, 0, 1, 1, 1]), np.zeros(5), np.ones(5)
+    W = np.full((3, 5), 0.25)
+    W[2, 1] = np.inf
+    with pytest.raises(ValueError, match="^cannot project a vector with non-finite entries$"):
+        project_rows(W, seg, 2, lower, upper)
+    W[2, 1] = 0.25
+    W[1, 2:] = 1e308, -1e308, 0.5
+    with pytest.raises(ValueError, match="^cannot project a row whose entries span more than the float range$"):
+        project_rows(W, seg, 2, lower, upper)
+
+
+def test_project_rows_memory_is_a_small_multiple_of_the_block():
+    """Projecting a (9, 4e5) block peaks under tracemalloc within 3 times the
+    block's bytes, the result included; the pieces bound the work arrays
+    (over the whole tiled block in one piece the peak was 12.5 times)."""
+    rng = np.random.default_rng(81)
+    seg = np.repeat(np.arange(80_000), 5)
+    W = rng.normal(0.2, 0.3, (9, seg.size))
+    lower, upper = np.zeros(seg.size), np.ones(seg.size)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        out = project_rows(W, seg, 80_000, lower, upper)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.abs(out.sum(axis=1) - 80_000).max() < 1e-6
+    assert peak < 3 * W.nbytes, peak / W.nbytes
