@@ -14,6 +14,8 @@ row's shares once, as header lines.
 The text readers (``load_graph``, ``load_labels``, ``parse_matrix``) read
 a whole text at once through ``fairpr.text.Lines``: ``str.splitlines``
 lines of ``str.split`` tokens, found and converted with array operations.
+An edge or label file of plain ASCII ids reads with one C parse and no
+``str`` tokens (``Lines.plain_ids``).
 Blank lines are skipped, and a line whose first token starts with '#' is a
 comment (the matrix headers live there, as ``# n 5`` or ``#n 5``). A bad
 line raises GraphParseError with its line number. (src, dst) pairs sort as

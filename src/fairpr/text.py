@@ -2,14 +2,19 @@
 as ``str.splitlines`` lines of ``str.split`` tokens with array operations,
 and its tokens converted column by column.
 
-``Lines`` splits the text once and finds its lines from one class byte per
+``Lines`` finds the lines and tokens of a text from one class byte per
 character, so a load costs a few array passes and no Python work per line.
-Ids convert with ``int()`` and weights with ``float()``, through numpy. Only
-a bad token (or one numpy rejects) goes through ``_parse_int`` or
-``_parse_weight`` on its own, and every error names its line.
+A table of ids only (``load_graph``, ``load_labels``) whose data lines hold
+plain ASCII digits and C whitespace reads with one ``np.fromstring`` C
+parse, with no ``str`` token made. Any other text is split into ``str``
+tokens, and ids convert with ``int()`` and weights with ``float()``, through
+numpy. Only a bad token (or one numpy rejects) goes through ``_parse_int``
+or ``_parse_weight`` on its own, and every error names its line.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -69,58 +74,72 @@ def _line_end(c: str) -> bool:
 
 
 # each byte's class as str.split and str.splitlines see the character: line
-# ends below 14 ('\n' 10, '\r' 13, the rest 11), other whitespace 32, '#' 35
+# ends below 14 ('\n' 10, '\r' 13, '\x0b' and '\x0c' 12, the rest 11), other
+# whitespace up to 32 (' ' and '\t' 32, the rest 31), '#' 35, ASCII digits 48
 # and anything else 120
 _CLASS = bytes(
-    ord(c) if c in "\n\r#" else 11 if _line_end(c) else 32 if c.isspace() else 120
+    ord(c) if c in "\n\r#" else 12 if c in "\x0b\x0c" else 11 if _line_end(c) else
+    32 if c in " \t" else 31 if c.isspace() else 48 if c in "0123456789" else 120
     for c in map(chr, range(256))
 )
+# the classes of the bytes that C's isspace and strtol read as str.split and int() do
+_PLAIN = bytes([10, 12, 13, 32, 48])
 
 
-def _classes(text: str) -> np.ndarray:
+def _classes(text: str) -> bytes:
     """The ``_CLASS`` of each character of ``text``, one byte each."""
     if not text.isascii():
         # a non-ASCII line end becomes '\x1e', a line end that never pairs
-        # with '\r', other non-ASCII whitespace a space and the rest '?'
+        # with '\r', other non-ASCII whitespace '\x1f' and the rest '?'
         space = {c for c in set(text) if c.isspace() and not c.isascii()}
-        text = text.translate({ord(c): "\x1e" if _line_end(c) else " " for c in space})
-    return np.frombuffer(text.encode("ascii", "replace").translate(_CLASS), np.uint8)
+        text = text.translate({ord(c): "\x1e" if _line_end(c) else "\x1f" for c in space})
+    return text.encode("ascii", "replace").translate(_CLASS)
 
 
-def _line_table(text: str) -> tuple[np.ndarray, ...]:
+def _line_table(text: str) -> tuple:
     """For each line of ``text`` that holds tokens: its number (counting
     every ``str.splitlines`` line from 1), the index of its first
     ``str.split`` token, its token count and whether it is a comment (its
-    first token starts with '#'). Temporaries hold one byte per character or
-    one int64 per token or line end."""
-    cls = _classes(text)
+    first token starts with '#'). Then the ``_classes`` of ``text``, with
+    the bytes of comment lines (line ends included) as spaces. Temporaries
+    hold one byte per character or one int64 per token or line end."""
+    classes = _classes(text)
+    cls = np.frombuffer(classes, np.uint8)
     starts = cls > 32  # a token starts at a non-space after a space or at the start
     starts[1:] &= cls[:-1] <= 32
     ends = cls <= 13
     cr = np.flatnonzero(cls[:-1] == 13)
     ends[cr[cls[cr + 1] == 10] + 1] = False  # "\r\n" ends one line
     starts = np.flatnonzero(starts)
-    # line i (from 0) holds the tokens between line ends i - 1 and i
-    bounds = np.concatenate([[0], np.searchsorted(starts, np.flatnonzero(ends)), [len(starts)]])
+    # line i (from 0) ends at ends[i] and holds the tokens after line end i - 1
+    ends = np.append(np.flatnonzero(ends), len(cls))
+    bounds = np.concatenate([[0], np.searchsorted(starts, ends)])
     count = np.diff(bounds)
     held = np.flatnonzero(count)
     first = bounds[held]
-    return held + 1, first, count[held], cls[starts[first]] == ord("#")
+    comment = cls[starts[first]] == ord("#")
+    if comment.any():  # line i's bytes run from after ends[i - 1] through ends[i]
+        blank = np.zeros(len(ends), bool)
+        blank[held[comment]] = True
+        classes = np.where(np.repeat(blank, np.diff(ends, prepend=-1))[: len(cls)], 32, cls).tobytes()
+    return held + 1, first, count[held], comment, classes
 
 
 class Lines:
-    """A text as ``str.split`` and ``str.splitlines`` see it: ``tokens``,
-    its ``str.split`` tokens as an object array, and ``lineno``, ``first``,
-    ``count`` and ``comment``, the ``_line_table`` of the lines that hold
-    tokens. ``table`` and ``headers`` read rows of tokens from them."""
-
-    __slots__ = ("text", "tokens", "lineno", "first", "count", "comment")
+    """A text as ``str.split`` and ``str.splitlines`` see it: ``lineno``,
+    ``first``, ``count`` and ``comment``, the ``_line_table`` of the lines
+    that hold tokens, with ``classes``, its class bytes, and ``tokens``, its
+    ``str.split`` tokens as an object array, made when first read. ``table``
+    and ``headers`` read rows of tokens from them."""
 
     def __init__(self, text: str):
         self.text = text
-        self.lineno, self.first, self.count, self.comment = _line_table(text)
-        tokens = text.split()
-        self.tokens = np.fromiter(tokens, dtype=object, count=len(tokens))
+        self.lineno, self.first, self.count, self.comment, self.classes = _line_table(text)
+
+    @cached_property
+    def tokens(self) -> np.ndarray:
+        tokens = self.text.split()
+        return np.fromiter(tokens, dtype=object, count=len(tokens))
 
     def rows(self, lines: np.ndarray, kinds: tuple) -> tuple[list, np.ndarray, tuple | None]:
         """The last ``len(kinds)`` tokens of the ``lines``, one column per
@@ -139,12 +158,32 @@ class Lines:
             columns.append(values)
         return [c[:stop] for c in columns], lineno[:stop], bad
 
+    def plain_ids(self) -> np.ndarray | None:
+        """Every token of the data lines (not comments) as int64, read by one
+        ``np.fromstring`` C parse, when those lines hold only ASCII digits
+        and whitespace and line ends that C's isspace skips, in tokens of 1
+        to 18 digits: strtol then reads each token as ``int()`` does, and
+        reads to the end of the text. Else None. The text must hold a data
+        line (``np.fromstring`` reads a blank text as ``[0]``)."""
+        if self.classes.translate(None, _PLAIN) or bytes([48]) * 19 in self.classes:
+            return None
+        text = self.text
+        if self.comment.any():  # bytes, whose final NUL stops strtol at the end
+            digit = np.frombuffer(self.classes, np.uint8) == 48
+            text = np.where(digit, np.frombuffer(text.encode("ascii", "replace"), np.uint8), 32).tobytes()
+        return np.fromstring(text, dtype=np.int64, sep=" ")
+
     def table(self, kinds: tuple, expected: str) -> tuple[list, np.ndarray, tuple | None]:
         """The data lines (not comments) as ``rows``; each must hold
         ``len(kinds)`` tokens, and the first that does not is ``bad`` when
-        no earlier token is."""
+        no earlier token is. Ids only read through ``plain_ids`` when it
+        can."""
         lines = np.flatnonzero(~self.comment)
         short = lines[self.count[lines] != len(kinds)]
+        if len(lines) and not len(short) and None not in kinds:
+            ids = self.plain_ids()
+            if ids is not None:
+                return list(ids.reshape(len(lines), len(kinds)).T), self.lineno[lines], None
         if len(short):
             lines = lines[lines < short[0]]
         columns, lineno, bad = self.rows(lines, kinds)

@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import fairpr.text
 from fairpr import (
     Graph,
     GraphParseError,
@@ -376,6 +377,8 @@ def test_parse_matrix_matches_reference(seed):
         "0 1\nx y\n",
         "0 1\n-1 -2\n",
         f"0 1\n{2**63} x\n",
+        "0 1\n1\n2 0\n",
+        "#c\n0 1\n1 0 2\n",
     ],
 )
 def test_load_graph_edge_cases(text):
@@ -442,6 +445,89 @@ def test_lines_table_of_a_text():
     assert lines.comment.tolist() == [True, False, False, True, False]
 
 
+# ------------------------------------------------------------ plain id files
+# A file of ASCII digits and C whitespace outside its comment lines reads in
+# one np.fromstring parse (Lines.plain_ids), with no str token made.
+
+PLAIN_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c"]
+PLAIN_SEPS = [" ", "\t", "  ", " \t "]
+# comment lines, read as spaces whatever they hold, and their line ends
+COMMENTS = ["#", "# Nodes: 34 Edges: 78", "#FromNodeId\tToNodeId", " \t# +5 1_000 \u0663\xa0\x1f-1", "\xa0#x 1 2"]
+COMMENTS += ["# " + "9" * 25, "##\u00e9t\u00e9"]
+COMMENT_ENDS = PLAIN_ENDS + ["\x1c", "\x85", "\u2028"]
+
+
+def _plain_id(rng, value):
+    """``value`` in decimal, sometimes with leading zeros up to 18 digits."""
+    digits = str(value)
+    return digits.zfill(int(rng.integers(len(digits), 19))) if rng.random() < 0.2 else digits
+
+
+def _plain_text(rng, rows):
+    """The rows as plain id lines: comment lines at the top (SNAP style) and
+    between rows, blank lines, leading and trailing whitespace, and
+    sometimes no final line end."""
+    out = []
+    for at, row in enumerate(rows):
+        while rng.random() < (0.5 if at == 0 else 0.1):
+            if rng.random() < 0.3:
+                out.append(str(rng.choice(["", " ", "\t"])) + str(rng.choice(PLAIN_ENDS)))
+            else:
+                out.append(str(rng.choice(COMMENTS)) + str(rng.choice(COMMENT_ENDS)))
+        line = "".join(tok + str(rng.choice(PLAIN_SEPS)) for tok in row[:-1]) + row[-1]
+        pad = rng.random()
+        line = " " + line if pad < 0.1 else line + "\t" if pad < 0.2 else line
+        out.append(line + str(rng.choice(PLAIN_ENDS)))
+    text = "".join(out)
+    return text if rng.random() < 0.7 else text.rstrip("\n\r\x0b\x0c")
+
+
+def _no_str_tokens(*args):
+    raise AssertionError("a plain id file converted str tokens")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_plain_id_files_read_in_one_parse(seed, monkeypatch):
+    monkeypatch.setattr(fairpr.text, "_column", _no_str_tokens)
+    rng = np.random.default_rng(900 + seed)
+    outcomes = set()
+    for _ in range(60):
+        high = 10 ** int(rng.integers(1, 19)) if rng.random() < 0.5 else int(rng.integers(1, 12))
+        edges = rng.integers(0, high, (int(rng.integers(1, 25)), 2))
+        text = _plain_text(rng, [[_plain_id(rng, v) for v in e.tolist()] for e in edges])
+        assert assert_same(load_graph, ref_load_graph, text, bool(rng.random() < 0.5))[0] == "graph"
+        n = int(rng.integers(1, 25))
+        order = rng.permutation(n)
+        if rng.random() < 0.2:  # a missing or repeated vertex, or one out of range
+            order = np.append(order[1:], order[0] if rng.random() < 0.5 else n)
+        groups = rng.integers(0, high, len(order))
+        text = _plain_text(rng, [[_plain_id(rng, v), _plain_id(rng, g)] for v, g in zip(order.tolist(), groups.tolist())])
+        outcomes.add(assert_same(load_labels, ref_load_labels, text, n)[0])
+    assert {"groups", "GraphParseError"} <= outcomes
+
+
+# what sends a file of ids back to str tokens: odd tokens, 19-digit ids, line
+# ends and separators that C's isspace does not skip
+FALLBACK_TOKENS = ["+5", "1_000", "\u0663", "1" + "0" * 18, "0" * 18 + "7", str(2**63 - 1), str(2**63), str(2**64 + 5)]
+FALLBACK_TEXTS = [f"# ids\n0 1\n1 {tok}\n2 0\n" for tok in FALLBACK_TOKENS]
+FALLBACK_TEXTS += [f"0 1\n{tok} 2\n2 0" for tok in FALLBACK_TOKENS]
+FALLBACK_TEXTS += [f"0 1{end}1 2\n2 0\n" for end in ["\x1c", "\x85"]]
+FALLBACK_TEXTS += [f"#x\n0 1\n1{sep}2\n2{sep}0\n" for sep in ["\x1f", "\xa0"]]
+
+
+@pytest.mark.parametrize("text", FALLBACK_TEXTS)
+def test_plain_path_falls_back_to_str_tokens(text):
+    assert Lines(text).plain_ids() is None
+    for undirected in (False, True):
+        assert_same(load_graph, ref_load_graph, text, undirected)
+    assert_same(load_labels, ref_load_labels, text, 3)
+
+
+def test_plain_ids_take_18_digits():
+    ids = Lines("#" + "1" * 19 + "\n" + "9" * 18 + "\t" + "0" * 17 + "1\r\n").plain_ids()
+    assert ids.tolist() == [10**18 - 1, 1]
+
+
 def _peak(fn, *args):
     tracemalloc.start()
     try:
@@ -452,12 +538,13 @@ def _peak(fn, *args):
 
 
 def test_reader_memory_stays_near_the_text_size():
-    # The readers hold the str tokens (about 60 bytes each), a few arrays of
-    # one entry per token, and a few of one byte per character. On 10^5
-    # edge lines load_graph peaks near 18 x the text size and parse_matrix
-    # near 10 x (its weight tokens are long). A per-line regex stack (~400
-    # bytes a line) breaks both limits; an int64 array per character (+8 x)
-    # breaks them while the tokens are alive, and parse_matrix's at any time.
+    # The readers hold a few arrays of one entry per token, and a few of one
+    # byte per character; parse_matrix also holds the str tokens (about 60
+    # bytes each). On 10^5 edge lines load_graph, which reads these plain ids
+    # without str tokens, peaks near 8 x the text size (18 x with them) and
+    # parse_matrix near 10 x (its weight tokens are long). A per-line regex
+    # stack (~400 bytes a line) breaks both limits; an int64 array per
+    # character (+8 x) breaks parse_matrix's.
     rng = np.random.default_rng(5)
     edges = rng.integers(0, 20_000, (100_000, 2))
     text = "".join(f"{a}\t{b}\n" for a, b in edges)
@@ -466,6 +553,17 @@ def test_reader_memory_stays_near_the_text_size():
     for fn, arg, limit in ((load_graph, text, 23), (parse_matrix, tsv, 14)):
         ratio = _peak(fn, arg) / len(arg)
         assert ratio < limit, f"{fn.__name__} peaks at {ratio:.1f} x the text size"
+
+
+def test_plain_edge_file_loads_without_str_tokens(monkeypatch):
+    # one byte per character and one int64 per token or line at a time: near
+    # 8 x the text size, against 18 x with the str tokens
+    monkeypatch.setattr(fairpr.text, "_column", _no_str_tokens)
+    rng = np.random.default_rng(5)
+    edges = rng.integers(0, 20_000, (100_000, 2))
+    text = "".join(f"{a}\t{b}\n" for a, b in edges)
+    ratio = _peak(load_graph, text) / len(text)
+    assert ratio < 10, f"load_graph peaks at {ratio:.1f} x the text size"
 
 
 # ------------------------------------------------------------ pair sort
