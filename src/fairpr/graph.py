@@ -20,11 +20,16 @@ Blank lines are skipped, and a line whose first token starts with '#' is a
 comment (the matrix headers live there, as ``# n 5`` or ``#n 5``). A bad
 line raises GraphParseError with its line number. (src, dst) pairs sort as
 one int64 key, ``_sort_pairs``, and the writers format their lines in
-blocks, ``format_lines``: no Python call per edge on either side.
+blocks, ``format_lines``: no Python call per edge on either side. Most
+weights of a file repeat (a row's one 1/outdeg, a uniform sink vector, a
+few group weights per row), so the writer formats each distinct weight of
+such a column once and the reader converts one token per run of equal
+tokens: the bytes written and the arrays read stay the same.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +43,7 @@ from .text import GraphParseError, Lines
 
 ROW_SUM_TOL = 1e-12
 BLOCK_LINES = 65536  # lines per ``%`` in format_lines
+_SPEC = re.compile(r"%[-+ #0]*\d*(?:\.\d+)?[a-zA-Z]")  # one conversion of a format_lines pattern
 # parse_matrix's dense vectors may hold this many floats per line of the file
 # (about what reading the line takes), or DENSE_FLOOR floats in all
 DENSE_PER_LINE = 32
@@ -662,12 +668,42 @@ def build_transition(g: Graph, cfg: PageRankConfig) -> TransitionMatrix:
     return tm
 
 
+def _format_repeats(column: np.ndarray, spec: str) -> np.ndarray | None:
+    """``spec % value`` for each entry of a float64 ``column`` with at most
+    half as many distinct bit patterns as entries, as an object array of
+    str that formats each distinct pattern once; else None. The patterns
+    are counted by a sort (``_sorted_distinct``) and each entry finds its
+    string by ``np.searchsorted``."""
+    if column.dtype != np.float64:
+        return None
+    bits = column.view(np.int64)
+    distinct = _sorted_distinct(bits)
+    if 2 * len(distinct) > len(column):
+        return None
+    text = [spec % value for value in distinct.view(np.float64).tolist()]
+    return np.array(text, dtype=object)[np.searchsorted(distinct, bits)]
+
+
 def format_lines(pattern: str, *columns: np.ndarray) -> str:
     """One ``pattern % (a, b, ...)`` line per entry of the columns, the
     same bytes as formatting line by line. Blocks of up to ``BLOCK_LINES``
     lines are formatted with one ``%`` each, on the pattern repeated over
     the block, so no Python call is made per line and the Python objects
-    of one block are alive at a time."""
+    of one block are alive at a time.
+
+    A float64 column with at most half as many distinct bit patterns as
+    lines (a row's one 1/outdeg, a uniform vector) formats each distinct
+    value once (``_format_repeats``), and its lines print those strings
+    with ``%s``. Bit patterns, not values, tell the values apart, so 0.0
+    and -0.0 stay "0" and "-0"."""
+    specs = _SPEC.findall(pattern)
+    columns = list(columns)
+    for j, col in enumerate(columns):
+        text = _format_repeats(col, specs[j])
+        if text is not None:
+            columns[j], specs[j] = text, "%s"
+    specs = iter(specs)
+    pattern = _SPEC.sub(lambda _: next(specs), pattern)
     parts = []
     for lo in range(0, len(columns[0]), BLOCK_LINES):
         block = [c[lo : lo + BLOCK_LINES].tolist() for c in columns]
@@ -690,7 +726,8 @@ def serialize_matrix(tm: TransitionMatrix) -> str:
     ``# share`` lines. Weights print with ``%.17g``, 17 significant digits
     (exact float64 round-trip). Entries that are exactly zero are dropped.
     The lines are formatted in blocks (``format_lines``), byte for byte as
-    one ``%`` per line would.
+    one ``%`` per line would; a weight column that repeats its values
+    formats each distinct value once.
     """
     keep = tm.data != 0.0
     parts = [f"# n\t{tm.n}\n", format_lines("# sink\t%d\n", np.flatnonzero(tm.sink_mask))]

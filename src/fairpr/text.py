@@ -8,8 +8,11 @@ A table of ids only (``load_graph``, ``load_labels``) whose data lines hold
 plain ASCII digits and C whitespace reads with one ``np.fromstring`` C
 parse, with no ``str`` token made. Any other text is split into ``str``
 tokens, and ids convert with ``int()`` and weights with ``float()``, through
-numpy. Only a bad token (or one numpy rejects) goes through ``_parse_int``
-or ``_parse_weight`` on its own, and every error names its line.
+numpy; a weight column that is mostly runs of equal adjacent tokens (a
+row's one 1/outdeg, a uniform vector) converts one token per run
+(``_runs``). Only a bad token (or one numpy rejects) goes through
+``_parse_int`` or ``_parse_weight`` on its own, and every error names its
+line.
 """
 
 from __future__ import annotations
@@ -42,6 +45,14 @@ def _parse_weight(token: str, lineno: int) -> float:
         raise GraphParseError(f"line {lineno}: non-numeric weight {token!r}") from None
 
 
+def _runs(tokens: np.ndarray) -> np.ndarray | None:
+    """Where each run of equal adjacent ``tokens`` starts, when there are at
+    most half as many runs as tokens; else None."""
+    fresh = np.empty(len(tokens), bool)
+    fresh[:1], fresh[1:] = True, tokens[1:] != tokens[:-1]
+    return np.flatnonzero(fresh) if 2 * np.count_nonzero(fresh) <= len(tokens) else None
+
+
 def _column(tokens: np.ndarray, lineno: np.ndarray, what: str | None):
     """``tokens`` as int64 ids (``what`` names them, as in ``_parse_int``) or,
     for ``what=None``, as float64 weights: ``(values, error)``. On a bad
@@ -50,10 +61,17 @@ def _column(tokens: np.ndarray, lineno: np.ndarray, what: str | None):
 
     numpy converts a str element with ``int()`` or ``float()``; a token it
     rejects sends the column through ``_parse_int``/``_parse_weight`` one
-    token at a time, as far as the first bad one."""
+    token at a time, as far as the first bad one. A weight column with at
+    most half as many runs of equal adjacent tokens as tokens (a row's one
+    1/outdeg, a uniform vector) converts the first token of each run and
+    repeats its value over the run."""
     dtype = float if what is None else np.int64
+    runs = _runs(tokens) if what is None else None
     try:
-        values = np.array(tokens, dtype=dtype)
+        if runs is None:
+            values = np.array(tokens, dtype=dtype)
+        else:
+            values = np.repeat(np.array(tokens[runs], dtype=float), np.diff(runs, append=len(tokens)))
     except (ValueError, OverflowError):
         values = []
         for token, line in zip(tokens.tolist(), lineno.tolist()):

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import fairpr.graph
 from fairpr import (
     FairnessTarget,
     Graph,
@@ -392,6 +393,37 @@ def odd_weights(rng, size):
     return w
 
 
+def repeated_weights(rng, kind, size, rows=None):
+    """Weight columns that repeat as the writers' do: ``one`` value (a
+    build_transition row's 1/outdeg, over each row of ``rows`` when given),
+    a few values ``interleaved`` (FairWalk's group weights), or ``special``
+    ones: 0.0 next to -0.0, and repeated nan, inf and the least subnormal."""
+    if kind == "one":
+        return np.full(size, 1 / 3) if rows is None else 1.0 / np.bincount(rows)[rows]
+    if kind == "interleaved":
+        return rng.choice([0.1, 0.25, 1 / 7], size)
+    return rng.choice([0.0, -0.0, np.nan, np.inf, 5e-324], size)
+
+
+REPEATED = ("one", "interleaved", "special")
+
+
+@pytest.fixture
+def formatted_once(monkeypatch):
+    """For each nonempty column format_lines writes, whether it formatted
+    the column's distinct values once (``_format_repeats``)."""
+    seen, format_repeats = [], fairpr.graph._format_repeats
+
+    def spy(column, spec):
+        out = format_repeats(column, spec)
+        if len(column):
+            seen.append(out is not None)
+        return out
+
+    monkeypatch.setattr(fairpr.graph, "_format_repeats", spy)
+    return seen
+
+
 @pytest.mark.parametrize(
     "n,per_row,sink_share",
     [
@@ -401,7 +433,7 @@ def odd_weights(rng, size):
         (90000, 0, 0.97),  # past 65,536 '# sink' and '# sink_row' lines
     ],
 )
-def test_serialize_bytes_match_per_line_formatter(n, per_row, sink_share):
+def test_serialize_bytes_match_per_line_formatter(n, per_row, sink_share, formatted_once):
     rng = np.random.default_rng(n)
     sinks = rng.random(n) < sink_share
     sinks[0] = sink_share == 1.0
@@ -416,15 +448,29 @@ def test_serialize_bytes_match_per_line_formatter(n, per_row, sink_share):
         assert min(text.count("# sink\t"), text.count("# sink_row\t")) > BLOCK_LINES
     elif per_row > 10:
         assert np.count_nonzero(tm.data) > BLOCK_LINES
+    # the same rows with repeated weights in the entries and in '# sink_row'
+    for kind in REPEATED:
+        formatted_once.clear()
+        vec = repeated_weights(rng, kind, n)
+        rtm = TransitionMatrix(n, indptr, indices, repeated_weights(rng, kind, len(indices), tm.entry_rows()),
+                               shares=sink_shares(sinks, vec))
+        assert serialize_matrix(rtm) == per_line_serialize(rtm), kind
+        assert any(formatted_once) == (n > 1), kind
 
 
 @pytest.mark.parametrize("lines", [0, 1, 65535, 65536, 65537, 2 * 65536 + 3])
-def test_format_lines_at_block_edges(lines):
+def test_format_lines_at_block_edges(lines, formatted_once):
     assert BLOCK_LINES == 65536
     rng = np.random.default_rng(lines)
     ids, w = rng.integers(0, 10**12, lines), odd_weights(rng, lines)
-    want = "".join(map("%d\t%.17g\n".__mod__, zip(ids.tolist(), w.tolist())))
-    assert format_lines("%d\t%.17g\n", ids, w) == want
+    columns = {"odd": w, "distinct": rng.random(lines)}
+    columns.update((kind, repeated_weights(rng, kind, lines)) for kind in REPEATED)
+    for kind, w in columns.items():
+        formatted_once.clear()
+        want = "".join(map("%d\t%.17g\n".__mod__, zip(ids.tolist(), w.tolist())))
+        assert format_lines("%d\t%.17g\n", ids, w) == want, kind
+        if lines > 1 and kind != "odd":  # odd_weights repeats about half its lines
+            assert any(formatted_once) == (kind in REPEATED), kind
 
 
 # ------------------------------------------------------------ shares of dense vectors

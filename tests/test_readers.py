@@ -260,7 +260,10 @@ def _label_text(rng, n):
     return _join(rng, [_row(rng, (str(v), str(g)), ODD_INTS) for v, g in zip(order, groups)])
 
 
-def _random_matrix(rng, n):
+def _random_matrix(rng, n, equal=False):
+    """A random row-stochastic matrix with some sink rows; with ``equal``,
+    each row's weights are equal (build_transition's 1/outdeg) and so are
+    the sink row's."""
     dense = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
     sinks = rng.random(n) < 0.3
     sinks[0] = False
@@ -271,15 +274,21 @@ def _random_matrix(rng, n):
     dense /= np.where(dense.sum(axis=1) > 0, dense.sum(axis=1), 1)[:, None]
     sink_row = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.7)
     sink_row[0] += 1.0 - sink_row.sum()
+    if equal:
+        dense = (dense > 0) / np.maximum(np.count_nonzero(dense, axis=1), 1)[:, None]
+        sink_row = (sink_row > 0) / np.count_nonzero(sink_row)
     dense[sinks] = sink_row
     return TransitionMatrix.from_dense(dense, sinks if sinks.any() else None)
 
 
-def _matrix_text(rng, n):
+def _matrix_text(rng, n, equal=False):
     """A serialized random matrix, rewritten: headers as '#n' or '# n',
     entry lines shuffled, sink rows sometimes spelled out (which files may
-    not do) or altered, duplicates, and odd tokens."""
-    tm = _random_matrix(rng, n)
+    not do) or altered, duplicates, and odd tokens. With ``equal`` the rows
+    hold equal weights and the entry lines keep their row order, with the
+    header lines spread among them: runs of equal weight tokens, with
+    header and comment lines inside them."""
+    tm = _random_matrix(rng, n, equal)
     lines = serialize_matrix(tm).splitlines()
     heads = [ln for ln in lines if ln.startswith("#")]
     body = [ln for ln in lines if not ln.startswith("#")]
@@ -299,9 +308,14 @@ def _matrix_text(rng, n):
         heads.append(f"# n\t{n + int(rng.integers(-1, 3))}")
     if rng.random() < 0.05:  # a nan weight
         body[0] = body[0].rsplit("\t", 1)[0] + "\tnan"
-    rng.shuffle(body)
+    if not equal:
+        rng.shuffle(body)
+        body = heads + body
+    else:
+        for at, head in zip(np.sort(rng.integers(0, len(body) + 1, len(heads)))[::-1], heads[::-1]):
+            body.insert(at, head)
     rows = []
-    for line in heads + body:
+    for line in body:
         if line.startswith("#"):
             parts = line[1:].split()
             odd = ODD_WEIGHTS if parts[0] == "sink_row" and rng.random() < 0.5 else ODD_INTS
@@ -340,8 +354,24 @@ def test_load_labels_matches_reference(seed):
     assert {"groups", "GraphParseError"} <= outcomes
 
 
+@pytest.fixture
+def weight_runs(monkeypatch):
+    """For each weight column of two or more tokens, whether it was read by
+    its runs of equal tokens (``fairpr.text._runs`` found them)."""
+    seen, runs = [], fairpr.text._runs
+
+    def spy(tokens):
+        out = runs(tokens)
+        if len(tokens) > 1:
+            seen.append(out is not None)
+        return out
+
+    monkeypatch.setattr(fairpr.text, "_runs", spy)
+    return seen
+
+
 @pytest.mark.parametrize("seed", range(6))
-def test_parse_matrix_matches_reference(seed):
+def test_parse_matrix_matches_reference(seed, weight_runs):
     rng = np.random.default_rng(200 + seed)
     outcomes = set()
     for _ in range(120):
@@ -349,7 +379,15 @@ def test_parse_matrix_matches_reference(seed):
         text = _matrix_text(rng, n)
         hint = None if rng.random() < 0.5 else n
         outcomes.add(assert_same(parse_matrix, ref_parse_matrix, text, hint)[0])
-    assert {"matrix", "GraphParseError"} <= outcomes
+    assert {"matrix", "GraphParseError"} <= outcomes and not all(weight_runs)
+    weight_runs.clear()
+    outcomes = set()
+    for _ in range(40):
+        n = int(rng.integers(2, 7))
+        text = _matrix_text(rng, n, equal=True)
+        hint = None if rng.random() < 0.5 else n
+        outcomes.add(assert_same(parse_matrix, ref_parse_matrix, text, hint)[0])
+    assert {"matrix", "GraphParseError"} <= outcomes and sum(weight_runs) >= 20
 
 
 @pytest.mark.parametrize(
@@ -387,6 +425,21 @@ def test_load_graph_edge_cases(text):
     assert_same(load_labels, ref_load_labels, text, 3)
 
 
+# weight columns with at most half as many runs of equal tokens as tokens
+RUN_TEXTS = [
+    # runs that go on across '#' header and comment lines, in the entries and in '# sink_row'
+    "#n 4\n# sink 3\n# sink_row 0 0.25\n0 1 0.5\n# sink_row 1 0.25\n# c 1 2\n0 2 0.5\n"
+    "#sink_row 2 0.25\n1 0 1\n\n# sink_row 3 0.25\n2 0 1\n",
+    # 0 next to -0, and 0.001 next to 1e-3: equal values from different tokens
+    "#n 6\n0 0 0\n0 1 0\n0 2 0\n0 3 -0\n0 4 -0\n0 5 1\n" + "".join(f"{i} 0 1\n" for i in range(1, 6)),
+    "#n 6\n0 0 0.001\n0 1 0.001\n0 2 1e-3\n0 3 1e-3\n0 4 0.996\n" + "".join(f"{i} 0 1\n" for i in range(1, 6)),
+    # a bad token repeated through a run, and a bad token right after a run
+    "#n 3\n0 0 1\n1 0 x\n1 1 x\n1 2 x\n2 0 1\n2 1 1\n",
+    "#n 2\n# sink 1\n# sink_row 0 w\n# sink_row 1 w\n0 0 1\n",
+    "#n 3\n0 0 0.5\n0 1 0.5\n1 0 0.5\n1 1 0.5\n2 2 y\n",
+]
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -419,11 +472,13 @@ def test_load_graph_edge_cases(text):
         "#n 2\n0 x y\n",
         "#n 2\n-1 0 y\n",
         "#n 2\n# sink_row x y\n0 0 1\n",
+        *RUN_TEXTS,
     ],
 )
-def test_parse_matrix_edge_cases(text):
+def test_parse_matrix_edge_cases(text, weight_runs):
     for hint in (None, 2):
         assert_same(parse_matrix, ref_parse_matrix, text, hint)
+    assert any(weight_runs) or text not in RUN_TEXTS
 
 
 def test_line_ends_are_whitespace():
