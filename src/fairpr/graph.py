@@ -18,9 +18,10 @@ An edge or label file of plain ASCII ids reads with one C parse and no
 ``str`` tokens (``Lines.plain_ids``).
 Blank lines are skipped, and a line whose first token starts with '#' is a
 comment (the matrix headers live there, as ``# n 5`` or ``#n 5``). A bad
-line raises GraphParseError with its line number. (src, dst) pairs sort as
-one int64 key, ``_sort_pairs``, and the writers format their lines in
-blocks, ``format_lines``: no Python call per edge on either side. Most
+line raises GraphParseError with its line number. A ``Graph`` sorts its
+(src, dst) pairs once, as one int64 key (``_sort_pairs``), and the writers
+format their lines in blocks, ``format_lines``: no Python call per edge on
+either side. Most
 weights of a file repeat (a row's one 1/outdeg, a uniform sink vector, a
 few group weights per row), so the writer formats each distinct weight of
 such a column once and the reader converts one token per run of equal
@@ -54,12 +55,19 @@ DENSE_FLOOR = 2**20
 class Graph:
     """Directed graph over vertex ids 0..n-1.
 
-    Edges are unique (source, target) pairs sorted lexicographically;
-    duplicates from the input are collapsed. Self-loops are allowed.
+    Edges are unique (source, target) pairs, sorted lexicographically and
+    collapsed by the constructor (``_sort_pairs``). Self-loops are allowed.
     """
 
     n: int
     edges: np.ndarray  # (m, 2) int64
+
+    def __post_init__(self):
+        edges = np.asarray(self.edges, dtype=np.int64)
+        src, dst, _ = _sort_pairs(edges[:, 0], edges[:, 1])
+        fresh = np.ones(len(src), bool)  # differs from the pair before it
+        fresh[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+        object.__setattr__(self, "edges", np.column_stack([src[fresh], dst[fresh]]))
 
     @property
     def m(self) -> int:
@@ -288,7 +296,7 @@ class TransitionMatrix:
         of the stored entries and of each share on the nonzero columns of
         its vector (a sink row's on those of vector 0). A key's weight is
         its stored weight plus its shares times their vectors, added in
-        vector order."""
+        vector order, merged by ``merge_runs``."""
         n, stored = self.n, np.diff(self.indptr)
         keep = np.repeat(rows, stored)
         keys = np.repeat(np.arange(n, dtype=np.int64) * n, stored * rows) + self.indices[keep]
@@ -303,14 +311,10 @@ class TransitionMatrix:
             cols = np.flatnonzero(vec)
             keys.append((at[:, None] * n + cols).ravel())
             weights.append((share[:, None] * vec[cols]).ravel())
-        # each part ascends, so the stable sort merges them, the stored weights first, then vector by vector
-        keys = np.concatenate(keys)
-        order = np.argsort(keys, kind="stable")
-        keys, weights = keys[order], np.concatenate(weights)[order]
-        again = np.flatnonzero(keys[1:] == keys[:-1]) + 1
-        if len(again):  # a key's further weights add onto its first one, in order
-            first = np.ones(len(keys), bool)
-            first[again] = False
+        keys, order, first = merge_runs(keys)
+        weights = np.concatenate(weights)[order]
+        again = ~first
+        if again.any():  # a key's further weights add onto its first one, in order
             total = weights[first]
             np.add.at(total, np.cumsum(first)[again] - 1, weights[again])
             keys, weights = keys[first], total
@@ -589,6 +593,19 @@ def _sort_pairs(rows: np.ndarray, cols: np.ndarray, with_order: bool = False):
     return rows, cols, order
 
 
+def merge_runs(runs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(keys, order, first) of ascending int64 runs: their keys ascending,
+    the permutation of the runs' concatenation that sorts it, and a flag on
+    the first of equal keys. One stable argsort (on int64 a timsort, which
+    merges the runs in linear time) keeps equal keys in run order."""
+    keys = np.concatenate(runs)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.ones(len(keys), bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys, order, first
+
+
 def _sorted_distinct(ids) -> np.ndarray:
     """``np.unique(ids)`` for int64 ids, by a sort and a diff (plain
     ``np.unique`` hashes, many times slower on large id sets)."""
@@ -601,8 +618,8 @@ def _sorted_distinct(ids) -> np.ndarray:
 def load_graph(text: str, undirected: bool = False) -> Graph:
     """Parse whitespace-separated "src dst" lines into a Graph.
 
-    Blank lines and lines starting with '#' are ignored. Duplicate edges
-    collapse to one. With ``undirected=True`` every edge is mirrored.
+    Blank lines and lines starting with '#' are ignored. ``undirected=True``
+    mirrors every edge, and ``Graph`` sorts the pairs and drops repeats.
     """
     (src, dst), _, bad = Lines(text).table(("vertex id", "vertex id"), "'src dst'")
     if bad:
@@ -611,11 +628,7 @@ def load_graph(text: str, undirected: bool = False) -> Graph:
         raise GraphParseError("no edges found in input")
     if undirected:
         src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-    src, dst, _ = _sort_pairs(src, dst)
-    fresh = np.ones(len(src), bool)  # differs from the pair before it
-    fresh[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-    edges = np.column_stack([src[fresh], dst[fresh]])
-    return Graph(n=int(edges.max()) + 1, edges=edges)
+    return Graph(n=int(max(src.max(), dst.max())) + 1, edges=np.column_stack([src, dst]))
 
 
 def _first_uncovered(ids) -> int:
@@ -655,14 +668,13 @@ def load_labels(text: str, n: int) -> GroupAssignment:
 
 def build_transition(g: Graph, cfg: PageRankConfig) -> TransitionMatrix:
     """Uniform out-weights 1/outdeg per edge; sink rows stand for the
-    restart vector."""
+    restart vector. The graph's sorted edges fill the rows in order."""
     v = cfg.restart_vector
     if len(v) != g.n:
         raise ValueError(f"restart vector has length {len(v)}, graph has {g.n} vertices")
-    src, dst, _ = _sort_pairs(g.edges[:, 0], g.edges[:, 1])
+    src, dst = g.edges.T.copy()
     outdeg = np.bincount(src, minlength=g.n)
     indptr = np.concatenate([[0], np.cumsum(outdeg)]).astype(np.int64)
-    # edges are sorted by (src, dst), so they fill the rows in order
     tm = TransitionMatrix(g.n, indptr, dst, 1.0 / outdeg[src], shares=sink_shares(outdeg == 0, v.copy()))
     tm.validate()
     return tm

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import GroupAssignment, TransitionMatrix
+from .graph import GroupAssignment, TransitionMatrix, merge_runs
 
 
 class UndefinedCoefficientError(ValueError):
@@ -70,42 +70,24 @@ def spearman(r1: np.ndarray, r2: np.ndarray) -> float:
     return float(rho[0])
 
 
-def _merge(x: np.ndarray, y: np.ndarray):
-    """(keys, at_x, at_y): the ascending union of two ascending runs of
-    distinct keys, and where each run's keys sit in it. The shorter run is
-    inserted into the longer one at the places binary search finds."""
-    if len(x) < len(y):
-        keys, at_y, at_x = _merge(y, x)
-        return keys, at_x, at_y
-    if not len(y):
-        return x, np.arange(len(x)), np.arange(0)
-    at = np.searchsorted(x, y)
-    held = x[np.minimum(at, len(x) - 1)] == y  # y's keys that x holds too
-    ins = at[~held]
-    keys = np.insert(x, ins, y[~held])
-    placed = ins + np.arange(len(ins))  # np.insert keeps equal insertion points in order
-    kept = np.ones(len(keys), bool)
-    kept[placed] = False
-    at_x = np.flatnonzero(kept)
-    at_y = np.empty(len(y), np.intp)
-    at_y[~held] = placed
-    at_y[held] = at_x[at[held]]
-    return keys, at_x, at_y
-
-
 def aligned(P_new: TransitionMatrix, P_old: TransitionMatrix):
     """(keys, new, old): the ascending union of the two matrices' ``entries``
     over the rows that are not sinks on both sides, and each side's weights
-    on it (0 where it has none). ``delta_p`` and ``rho_tilde`` read it, so
-    an evaluation aligns its two matrices once for both."""
+    on it (0 where it has none). The union is one ``merge_runs``, the same
+    stable sort that ``entries`` merges its parts by. ``delta_p`` and
+    ``rho_tilde`` read it, so an evaluation aligns its two matrices once
+    for both."""
     if P_new.n != P_old.n:
         raise ValueError("matrices must have the same dimension")
     rows = ~(P_new.sink_mask & P_old.sink_mask)
     (keys_new, w_new), (keys_old, w_old) = P_new.entries(rows), P_old.entries(rows)
-    keys, at_new, at_old = _merge(keys_new, keys_old)
+    keys, order, first = merge_runs([keys_new, keys_old])
+    at = np.empty(len(keys), np.intp)  # each side's keys' places in the union, new's first
+    at[order] = np.cumsum(first) - 1
+    keys = keys[first]
     new, old = np.zeros((2, len(keys)))
-    new[at_new] = w_new
-    old[at_old] = w_old
+    new[at[: len(keys_new)]] = w_new
+    old[at[len(keys_new) :]] = w_old
     return keys, new, old
 
 

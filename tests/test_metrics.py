@@ -18,8 +18,8 @@ from fairpr import (
     spearman,
     FairnessTarget,
 )
-from fairpr.graph import sink_shares
-from fairpr.metrics import _merge
+from fairpr.graph import merge_runs, sink_shares
+from fairpr.metrics import aligned
 
 
 def test_spearman_identity_and_reversal():
@@ -196,15 +196,16 @@ def test_metrics_read_spreads_as_their_written_out_rows(instance, method):
 
 
 def unique_merge(x, y):
-    """The union of two ascending runs by np.unique, the form ``_merge``
-    replaced: (keys, where x's keys sit, where y's keys sit)."""
+    """The union of two ascending runs by np.unique, the form ``merge_runs``
+    stands in for: (keys, where x's keys sit, where y's keys sit)."""
     keys, _, slot = np.unique(np.concatenate([x, y]), return_index=True, return_inverse=True)
     return keys, slot[: len(x)], slot[len(x) :]
 
 
 def test_merge_matches_unique_on_ascending_runs():
-    """The insertion merge gives np.unique's union and slots on empty,
-    disjoint, equal, nested and interleaved runs, either run the longer."""
+    """``merge_runs`` gives np.unique's union, and through ``aligned``'s
+    cumulative count np.unique's slots, on empty, disjoint, equal, nested
+    and interleaved runs, either run the longer; equal keys keep run order."""
     rng = np.random.default_rng(91)
     runs = [
         ([], []),
@@ -223,7 +224,31 @@ def test_merge_matches_unique_on_ascending_runs():
         runs.append((np.sort(pool[cut < share + 0.2]), np.sort(pool[cut > share - 0.2])))
     for x, y in runs:
         x, y = np.asarray(x, np.int64), np.asarray(y, np.int64)
-        keys, at_x, at_y = _merge(x, y)
+        merged, order, first = merge_runs([x, y])
+        assert np.array_equal(merged, np.concatenate([x, y])[order]), (x, y)
+        assert (np.diff(order)[~first[1:]] > 0).all(), (x, y)
+        slot = np.empty(len(order), np.intp)
+        slot[order] = np.cumsum(first) - 1
+        keys, at_x, at_y = merged[first], slot[: len(x)], slot[len(x) :]
         want = unique_merge(x, y)
         assert np.array_equal(keys, want[0]) and keys.dtype == want[0].dtype, (x, y)
         assert np.array_equal(at_x, want[1]) and np.array_equal(at_y, want[2]), (x, y)
+
+
+def test_aligned_keeps_keys_that_one_side_has():
+    """Keys that only one matrix writes out, stored or as shares, sit in the
+    union with weight 0 on the other side; rows that are sinks on both sides
+    are left out. The reference is the two dense matrices."""
+    sinks = [False, False, False, True]
+    old = TransitionMatrix.from_dense([[0, .5, .5, 0], [1, 0, 0, 0], [0, 0, 0, 1], [.25] * 4], sinks)
+    # row 0 drops (0, 1) and gains (0, 3); row 1 is half stored, half a share of vector 1
+    vectors = np.array([[.25] * 4, [0, 0, .5, .5]])
+    shares = (vectors, [3, 1], [0, 1], [1.0, 0.5])
+    new = TransitionMatrix(4, [0, 2, 3, 4, 4], [2, 3, 0, 3], [.5, .5, .5, 1.0], shares=shares)
+    A, B = old.to_dense()[:3].ravel(), new.to_dense()[:3].ravel()
+    want = np.flatnonzero((A != 0) | (B != 0))
+    for (P, Q), (a, b) in (((new, old), (B, A)), ((old, new), (A, B))):
+        keys, w_p, w_q = aligned(P, Q)
+        assert np.array_equal(keys, want) and keys.dtype == np.int64
+        assert np.array_equal(w_p, a[want]) and np.array_equal(w_q, b[want])
+        assert set(keys.tolist()) - set(P.entries(~P.sink_mask)[0].tolist())

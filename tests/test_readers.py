@@ -622,9 +622,10 @@ def test_plain_edge_file_loads_without_str_tokens(monkeypatch):
 
 
 # ------------------------------------------------------------ pair sort
-# load_graph, build_transition and parse_matrix sort (row, col) pairs as one
-# int64 key. The references below are their bodies as they were with
-# np.lexsort; ids past the int64 key range take np.lexsort itself.
+# Graph (so load_graph) and parse_matrix sort (row, col) pairs as one int64
+# key, and build_transition reads a Graph's sorted pairs. The references
+# below are the three readers' bodies as they were with np.lexsort; ids past
+# the int64 key range take np.lexsort itself.
 
 
 def lexsort_load_graph(src, dst, undirected):
@@ -731,6 +732,26 @@ def test_build_transition_rejects_negative_ids_as_before():
         lexsort_build_transition(g, PageRankConfig.uniform(3))
     with pytest.raises(ValueError, match="malformed sparsity pattern"):
         build_transition(g, PageRankConfig.uniform(3))
+
+
+def test_hand_built_graph_is_the_loaded_graph(monkeypatch):
+    """A Graph made from shuffled, repeated pairs holds the edges load_graph
+    reads from them, and build_transition, which sorts nothing, gives the
+    loaded graph's matrix bitwise."""
+    rng = np.random.default_rng(800)
+    src, dst = _pairs(rng, 0, 40, 300)
+    loaded = load_graph("".join(f"{s} {t}\n" for s, t in zip(src.tolist(), dst.tolist())))
+    made = Graph(n=loaded.n, edges=np.column_stack([src, dst]))
+    assert _fingerprint(made) == _fingerprint(loaded)
+    cfg = PageRankConfig.uniform(loaded.n)
+    want = build_transition(loaded, cfg)
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("build_transition sorted the edge pairs")
+
+    monkeypatch.setattr("fairpr.graph._sort_pairs", no_sort)
+    assert _fingerprint(build_transition(made, cfg)) == _fingerprint(want)
+    assert want.sink_mask.any()  # some vertex of the 40 has no out-edge
 
 
 def _entry_lines(rng, low, high, m):
