@@ -38,7 +38,7 @@ import scipy.sparse as sp
 
 # scipy's compiled matvec kernels, as csr @ x and csc @ x call them; a private
 # module, pinned bitwise to the public products by tests/test_pagerank.py
-from scipy.sparse._sparsetools import csc_matvec, csr_matvec
+from scipy.sparse._sparsetools import csc_matvec, csc_matvecs, csr_matvec, csr_matvecs
 
 from .text import GraphParseError, Lines
 
@@ -57,6 +57,8 @@ class Graph:
 
     Edges are unique (source, target) pairs, sorted lexicographically and
     collapsed by the constructor (``_sort_pairs``). Self-loops are allowed.
+    An id outside [0, n) raises ValueError naming the first such edge, in
+    the order given.
     """
 
     n: int
@@ -64,7 +66,7 @@ class Graph:
 
     def __post_init__(self):
         edges = np.asarray(self.edges, dtype=np.int64)
-        src, dst, _ = _sort_pairs(edges[:, 0], edges[:, 1])
+        src, dst, _ = _sort_pairs(edges[:, 0], edges[:, 1], n=self.n)
         fresh = np.ones(len(src), bool)  # differs from the pair before it
         fresh[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
         object.__setattr__(self, "edges", np.column_stack([src[fresh], dst[fresh]]))
@@ -366,10 +368,21 @@ class TransitionMatrix:
         row takes must all be stored in ``other``'s row: that is a count per
         row of ``other``'s stored entries on those columns, so O(edges +
         n V) for each kind of share here (its vector, and the set its row
-        shares in ``other``), and O(edges V) for the stored entries.
+        shares in ``other``), and O(edges V) for the stored entries. When
+        both matrices store one pattern and the same shares (rows, vector
+        ids and the nonzeros of the vectors), they write out the same keys,
+        so the answer is True at once, whatever their weights and share
+        values.
         """
         if self.n != other.n:
             return False
+        if (
+            self.pattern_equals(other)
+            and np.array_equal(self.share_rows, other.share_rows)
+            and np.array_equal(self.share_ids, other.share_ids)
+            and np.array_equal(self.vectors != 0, other.vectors != 0)
+        ):
+            return True
         n = self.n
         # which vectors each row of other shares, and the rows grouped by that set
         shared = np.zeros((n, len(other.vectors)), bool)
@@ -457,7 +470,8 @@ class WalkOperator:
     ``left`` and ``right`` check their vector's length, and ``left_into``
     and ``right_into`` leave that check to the caller (``vector`` makes it).
     ``damped(f)`` is the operator of f P, which the solvers take once per
-    call with f = 1 - gamma.
+    call with f = 1 - gamma. ``left_block_into`` is ``left_into`` for the
+    R vectors of ``pagerank_power``'s restart block in one call.
 
     The dense part S D adds one low-rank term, p'P = p'P_E + (S'p)'D and
     Pz = P_E z + S(Dz), two more kernel calls per product over all shares S
@@ -553,6 +567,19 @@ class WalkOperator:
             csr_matvec(rows, self._size, s_ptr, s_rows, shares, p, coef)  # S'p
             csc_matvec(self._size, rows, d_ptr, d_cols, d_data, coef, q)  # + D'(S'p)
 
+    def left_block_into(self, p: np.ndarray, q: np.ndarray, vectors: int) -> None:
+        """Add p'P into ``q`` for ``vectors`` vectors at once, laid out
+        (size, vectors): entry j vectors + r is entry j of vector r. One
+        kernel call per term multiplies them all through the same weights,
+        adding in the order ``left_into`` adds, so each vector's result is
+        bitwise ``left_into``'s on it alone. Unchecked, as ``left_into``."""
+        csc_matvecs(self._size, self._size, vectors, self._indptr, self._indices, self._weights, p, q)
+        if self._dense is not None:
+            rows, s_ptr, s_rows, shares, d_ptr, d_cols, d_data = self._dense
+            coef = np.zeros(rows * vectors)
+            csr_matvecs(rows, self._size, vectors, s_ptr, s_rows, shares, p, coef)  # S'p
+            csc_matvecs(self._size, rows, vectors, d_ptr, d_cols, d_data, coef, q)  # + D'(S'p)
+
     def right_into(self, z: np.ndarray, y: np.ndarray) -> None:
         """Add Pz into ``y``; unchecked, as ``left_into``."""
         csr_matvec(self._size, self._size, self._indptr, self._indices, self._weights, z, y)
@@ -568,9 +595,11 @@ def _block_pointers(counts: np.ndarray, copies: int, itype) -> np.ndarray:
     return np.append(0, np.cumsum(np.tile(counts, copies))).astype(itype)
 
 
-def _sort_pairs(rows: np.ndarray, cols: np.ndarray, with_order: bool = False):
+def _sort_pairs(rows: np.ndarray, cols: np.ndarray, with_order: bool = False, n: int | None = None):
     """``(rows, cols, order)``: the int64 pairs sorted by row, then column,
     and with ``with_order`` the permutation that sorts them (else None).
+    With ``n``, every id must lie in [0, n): else ValueError names the first
+    pair, in the order given, with an id outside, before anything is sorted.
 
     The pairs sort as one key ``row * width + col`` (width: the largest
     column id + 1), with ``np.sort``, or ``np.argsort`` when the permutation
@@ -580,10 +609,12 @@ def _sort_pairs(rows: np.ndarray, cols: np.ndarray, with_order: bool = False):
     ids from about 3e9 on) sort with ``np.lexsort``.
     """
     rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
-    width = int(cols.max(initial=0)) + 1
-    if int(rows.max(initial=0)) * width + width - 1 > np.iinfo(np.int64).max or (
-        min(rows.min(initial=0), cols.min(initial=0)) < 0
-    ):
+    top, width = int(rows.max(initial=0)), int(cols.max(initial=0)) + 1
+    low = min(rows.min(initial=0), cols.min(initial=0))
+    if n is not None and (low < 0 or max(top, width - 1) >= n):
+        i = int(np.argmax((rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)))
+        raise ValueError(f"edge {i} ({rows[i]}, {cols[i]}) has a vertex id outside [0, {n})")
+    if top * width + width - 1 > np.iinfo(np.int64).max or low < 0:
         order = np.lexsort((cols, rows))
         return rows[order], cols[order], order if with_order else None
     key = rows * width + cols

@@ -33,16 +33,22 @@ def _segment_spearman(seg: np.ndarray, nseg: int, a: np.ndarray, b: np.ndarray):
     m = np.bincount(seg, minlength=nseg)
     first = np.cumsum(m) - m  # sorted position of each segment's first value
 
-    def centered_ranks(x):
+    def tie_runs(x):
+        """The order that sorts x within segments, the sorted position where
+        each run of equal values starts, and the run's segment."""
         order = np.lexsort((x, seg))
         sx, sseg = x[order], seg[order]
-        starts = np.ones(x.size, bool)  # first sorted position of each tie run
+        starts = np.ones(x.size, bool)
         starts[1:] = (sseg[1:] != sseg[:-1]) | (sx[1:] != sx[:-1])
         run = np.flatnonzero(starts)
+        return order, run, sseg[run]
+
+    def centered_ranks(x):
+        order, run, at = tie_runs(x)  # the sorted copies are gone before the ranks are made
         last = np.r_[run[1:], x.size] - 1
         # a tie run over sorted positions lo..hi holds ranks lo..hi + 1 less the
         # segment start; centering subtracts the mean rank (m + 1) / 2
-        mid = (run + last) / 2.0 - first[sseg[run]] - (m[sseg[run]] - 1) / 2.0
+        mid = (run + last) / 2.0 - first[at] - (m[at] - 1) / 2.0
         out = np.empty(x.size)
         out[order] = np.repeat(mid, last - run + 1)
         return out
@@ -73,14 +79,18 @@ def spearman(r1: np.ndarray, r2: np.ndarray) -> float:
 def aligned(P_new: TransitionMatrix, P_old: TransitionMatrix):
     """(keys, new, old): the ascending union of the two matrices' ``entries``
     over the rows that are not sinks on both sides, and each side's weights
-    on it (0 where it has none). The union is one ``merge_runs``, the same
-    stable sort that ``entries`` merges its parts by. ``delta_p`` and
-    ``rho_tilde`` read it, so an evaluation aligns its two matrices once
-    for both."""
+    on it (0 where it has none). When both sides write out the same keys
+    (a revision on the original's pattern), those keys are the union and
+    each side's weights are its own, with no merge. Otherwise the union is
+    one ``merge_runs``, the same stable sort that ``entries`` merges its
+    parts by. ``delta_p`` and ``rho_tilde`` read it, so an evaluation
+    aligns its two matrices once for both."""
     if P_new.n != P_old.n:
         raise ValueError("matrices must have the same dimension")
     rows = ~(P_new.sink_mask & P_old.sink_mask)
     (keys_new, w_new), (keys_old, w_old) = P_new.entries(rows), P_old.entries(rows)
+    if np.array_equal(keys_new, keys_old):
+        return keys_new, w_new, w_old
     keys, order, first = merge_runs([keys_new, keys_old])
     at = np.empty(len(keys), np.intp)  # each side's keys' places in the union, new's first
     at[order] = np.cumsum(first) - 1
@@ -133,22 +143,33 @@ def rho_tilde(P_old: TransitionMatrix, P_new: TransitionMatrix, pair=None) -> fl
     weights are all tied on both sides contributes 1, tied on exactly one
     side it is skipped as undefined.
 
-    Against a ``build_transition`` original every row is uniform, so tied:
-    a revision on the original's pattern then scores 1.0 when some row
-    stayed tied and is undefined when none did, whatever it did to the
-    other rows' rankings. ``pair`` is ``aligned(P_new, P_old)`` when the
-    caller has it; its rows include every row of P_old with edges.
+    A row is tied on a side when its smallest and largest weights there are
+    equal, found per row by ``np.minimum.reduceat``/``np.maximum.reduceat``
+    over the union's ascending row runs, whose bounds ``np.searchsorted``
+    finds from the row starts. Only the rows untied on both
+    sides are ranked (``_segment_spearman``), so the value is what ranking
+    every row gives, bitwise. Against a ``build_transition`` original every
+    row is uniform, so tied: a revision on the original's pattern then
+    ranks nothing and scores 1.0 when some row stayed tied and is undefined
+    when none did, whatever it did to the other rows' rankings. ``pair`` is
+    ``aligned(P_new, P_old)`` when the caller has it; its rows include
+    every row of P_old with edges.
     """
     n = P_old.n
     keys, b, a = aligned(P_new, P_old) if pair is None else pair
-    seg = keys // n
-    ranked = P_old.edge_mask[seg]
-    if not ranked.all():
-        seg, a, b = seg[ranked], a[ranked], b[ranked]
-    rho, tied_old, tied_new = _segment_spearman(seg, n, a, b)
+    bounds = np.searchsorted(keys, np.arange(n + 1) * n)  # each row's run of the ascending keys
+    count = np.diff(bounds)
+    rows = np.flatnonzero(count)
+    starts, count = bounds[rows], count[rows]
+    tied_old = np.minimum.reduceat(a, starts) == np.maximum.reduceat(a, starts)
+    tied_new = np.minimum.reduceat(b, starts) == np.maximum.reduceat(b, starts)
     # tied on both sides counts as preserved; tied on one side is undefined
-    defined = (np.bincount(seg, minlength=n) >= 2) & (tied_old == tied_new)
-    coeffs = np.where(tied_old, 1.0, rho)[defined]
-    if not coeffs.size:
+    defined = P_old.edge_mask[rows] & (count >= 2) & (tied_old == tied_new)
+    if not defined.any():
         raise UndefinedCoefficientError("no vertex with a defined out-weight rank correlation")
-    return float(np.mean(coeffs))
+    coeffs = np.ones(len(rows))
+    untied = defined & ~tied_old
+    if untied.any():  # the untied rows' entries, each row its own segment
+        m, at = count[untied], np.repeat(untied, count)
+        coeffs[untied] = _segment_spearman(np.repeat(np.arange(len(m)), m), len(m), a[at], b[at])[0]
+    return float(np.mean(coeffs[defined]))

@@ -34,17 +34,20 @@ copy alone returns: the power iteration stops each copy on its own, and a
 ``pagerank_power`` also solves R restarts that share gamma at once (the
 group-adapted objective restarts inside each of the K groups; the batching
 of personalized PageRank vectors of Jeh & Widom, "Scaling personalized web
-search", WWW 2003). It iterates one restart-major (R C, n) block: each step
-adds each restart's C n span through the operator's one product into rows
-that hold the stacked jump vectors, so the weights are shared, never tiled
-R times, and it tests the chunk's changes once for the whole block. Every
-row stops on its own, so row l is bitwise restart l's own solve, and the
-result is an (R, n) or (R, C, n) block. ``group_scores`` reads any leading
-axes.
+search", WWW 2003). It iterates one (C n, R) block, copy-major with the
+restart as the last axis, so that each step is one product call for all
+restarts (``WalkOperator.left_block_into``, the kernels' vector axis) into
+rows that hold the jump vectors: the weights are shared, never tiled R
+times. The chunk's changes are tested once for the whole block, each
+(restart, copy) row of n values reduced contiguously as a one-restart solve
+reduces it. Every row stops on its own, so row l is bitwise restart l's own
+solve, and the result is an (R, n) or (R, C, n) block. ``group_scores``
+reads any leading axes.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from collections.abc import Sequence
 
@@ -97,7 +100,8 @@ def pagerank_power(
     """Iterate p' = (1-gamma) p'P + gamma v' for at most t1 steps.
 
     ``cfg`` is one restart, or a sequence of R restarts that share gamma,
-    solved together as one restart-major block (see the module docstring).
+    solved together as one (C n, R) block with one product call per step
+    (see the module docstring).
     A copy stops at its first step whose L1 change drops below ``tol`` and
     returns that step's iterate; the others go on. Starts from the uniform
     vector (one row per copy) unless ``start`` is given, which is only read.
@@ -121,39 +125,35 @@ def pagerank_power(
     if any(c.gamma != gamma for c in restarts):
         raise ValueError("the restarts of one solve must share gamma")
     op = P.operator().damped(1.0 - gamma)
-    R, n = len(restarts), op.n
-    copies = R * op.copies  # the block's rows: restart l's copies are rows l C .. l C + C - 1
-    span = op.copies * n  # one restart's vectors, one after another, as the operator takes them
-    jump = np.concatenate([np.tile(gamma * c.restart_vector, op.copies) for c in restarts])
-    if R == 1:  # no slicing: it would add 13% to a 9-copy karate step
-        product = op.left_into
-    else:
-        spans = [slice(l * span, (l + 1) * span) for l in range(R)]
-
-        def product(x, y):
-            """(1-gamma) p'P for each restart's span, all through the same weights."""
-            for s in spans:
-                op.left_into(x[s], y[s])
-
+    R, n, C = len(restarts), op.n, op.copies
+    copies = R * C  # the stop test's rows: restart l's copies are rows l C .. l C + C - 1
+    span = C * n  # one restart's vectors, one after another, as the operator takes them
+    # the block is (C n, R), copy-major with the restart last: entry j R + l is entry j of restart l
+    jump = np.tile(gamma * np.array([c.restart_vector for c in restarts]).T, (C, 1)).ravel()
+    product = op.left_into if R == 1 else functools.partial(op.left_block_into, vectors=R)
     if start is None:
         p = np.full(copies * n, 1.0 / n)
     else:
-        p = np.ascontiguousarray(start, dtype=float).reshape(-1)
+        p = np.asarray(start, dtype=float)
         if p.size != copies * n:
             raise ValueError(
                 f"dimension mismatch: start of shape {np.shape(start)} for {R} restart(s) "
                 f"over an operator of size {span}"
             )
+        p = np.ascontiguousarray(p.reshape(R, span).T).ravel()
     m = _chunk_steps(copies * n)
-    gaps = np.empty((m, copies * n))  # |step - the step before|
-    per_copy = gaps.reshape(m * copies, n)  # the same, one row per step and copy
+    gaps = np.empty((m, copies * n))  # |step - the step before|, restart-major
+    per_copy = gaps.reshape(m * copies, n)  # the same, one contiguous row per step, restart and copy
+    into = gaps if R == 1 else gaps.reshape(m, R, span)  # the gaps in the steps' shape
     result = np.empty((copies, n))
     pending = np.arange(copies)  # the copies that have not met tol
     for rows in _chunks(product, p, jump, t1, m):
         k = len(rows)
-        np.subtract(rows[0], p, out=gaps[0])
+        # the steps restart-major, as (k, R, C n) views of the (C n, R) rows; one restart's rows are so already
+        steps = rows if R == 1 else rows.reshape(k, span, R).transpose(0, 2, 1)
+        np.subtract(steps[0], p if R == 1 else p.reshape(span, R).T, out=into[0])
         if k > 1:
-            np.subtract(rows[1:], rows[:-1], out=gaps[1:k])
+            np.subtract(steps[1:], steps[:-1], out=into[1:k])
         np.abs(gaps[:k], out=gaps[:k])
         change = np.add.reduce(per_copy[: k * copies], axis=1).reshape(k, copies)
         met = change < tol
@@ -162,18 +162,21 @@ def pagerank_power(
         if True in met.ravel().tolist():
             met = met[:, pending]
             hit = met.any(axis=0)
-            # copy by copy: a fancy-indexed read would copy each row once more
-            for c, step in zip(pending[hit].tolist(), met.argmax(axis=0)[hit].tolist()):
-                result[c] = rows[step, c * n : (c + 1) * n]
+            # copy by copy (restart l's copy c is every R-th entry from c n R + l): a
+            # fancy-indexed read would copy each row once more
+            for r, step in zip(pending[hit].tolist(), met.argmax(axis=0)[hit].tolist()):
+                l, c = divmod(r, C)
+                result[r] = rows[step, c * n * R + l : (c + 1) * n * R : R]
             pending = pending[~hit]
         p = rows[-1]
         if not pending.size:
             break
     if pending.size:
-        for c in pending.tolist():
-            result[c] = p[c * n : (c + 1) * n]
+        for r in pending.tolist():
+            l, c = divmod(r, C)
+            result[r] = p[c * n * R + l : (c + 1) * n * R : R]
         if log.isEnabledFor(logging.DEBUG):
-            held = "" if R == 1 else " (restarts %s)" % ", ".join(map(str, np.unique(pending // op.copies).tolist()))
+            held = "" if R == 1 else " (restarts %s)" % ", ".join(map(str, np.unique(pending // C).tolist()))
             log.debug(
                 "pagerank_power: %d of %d copies%s reached t1=%d without meeting tol=%g; largest last L1 change %.3e",
                 pending.size, copies, held, t1, tol, change[-1, pending].max(),

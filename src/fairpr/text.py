@@ -119,8 +119,11 @@ def _line_table(text: str) -> tuple:
     every ``str.splitlines`` line from 1), the index of its first
     ``str.split`` token, its token count and whether it is a comment (its
     first token starts with '#'). Then the ``_classes`` of ``text``, with
-    the bytes of comment lines (line ends included) as spaces. Temporaries
-    hold one byte per character or one int64 per token or line end."""
+    the bytes of comment lines (line ends included) as spaces, and ``span``,
+    the (start, stop) bytes from the first comment line's start to the last
+    one's end ((0, 0) without comments): only those bytes are rewritten.
+    Temporaries hold one byte per character or one int64 per token or line
+    end."""
     classes = _classes(text)
     cls = np.frombuffer(classes, np.uint8)
     starts = cls > 32  # a token starts at a non-space after a space or at the start
@@ -136,23 +139,30 @@ def _line_table(text: str) -> tuple:
     held = np.flatnonzero(count)
     first = bounds[held]
     comment = cls[starts[first]] == ord("#")
+    span = (0, 0)
     if comment.any():  # line i's bytes run from after ends[i - 1] through ends[i]
-        blank = np.zeros(len(ends), bool)
-        blank[held[comment]] = True
-        classes = np.where(np.repeat(blank, np.diff(ends, prepend=-1))[: len(cls)], 32, cls).tobytes()
-    return held + 1, first, count[held], comment, classes
+        lines = held[comment]
+        top, bottom = lines[0], lines[-1]
+        lo, hi = int(ends[top - 1]) + 1 if top else 0, min(int(ends[bottom]) + 1, len(cls))
+        blank = np.zeros(bottom - top + 1, bool)
+        blank[lines - top] = True
+        spaced = np.where(np.repeat(blank, np.diff(ends[top : bottom + 1], prepend=lo - 1))[: hi - lo], 32, cls[lo:hi])
+        whole = memoryview(classes)
+        classes, span = b"".join([whole[:lo], spaced.tobytes(), whole[hi:]]), (lo, hi)
+    return held + 1, first, count[held], comment, classes, span
 
 
 class Lines:
     """A text as ``str.split`` and ``str.splitlines`` see it: ``lineno``,
     ``first``, ``count`` and ``comment``, the ``_line_table`` of the lines
-    that hold tokens, with ``classes``, its class bytes, and ``tokens``, its
+    that hold tokens, with ``classes``, its class bytes, ``span``, the bytes
+    that the comment lines cover, and ``tokens``, its
     ``str.split`` tokens as an object array, made when first read. ``table``
     and ``headers`` read rows of tokens from them."""
 
     def __init__(self, text: str):
         self.text = text
-        self.lineno, self.first, self.count, self.comment, self.classes = _line_table(text)
+        self.lineno, self.first, self.count, self.comment, self.classes, self.span = _line_table(text)
 
     @cached_property
     def tokens(self) -> np.ndarray:
@@ -182,13 +192,18 @@ class Lines:
         and whitespace and line ends that C's isspace skips, in tokens of 1
         to 18 digits: strtol then reads each token as ``int()`` does, and
         reads to the end of the text. Else None. The text must hold a data
-        line (``np.fromstring`` reads a blank text as ``[0]``)."""
+        line (``np.fromstring`` reads a blank text as ``[0]``). With comment
+        lines, only their ``span`` is rewritten (its digits kept and the
+        rest spaces) before the parse."""
         if self.classes.translate(None, _PLAIN) or bytes([48]) * 19 in self.classes:
             return None
         text = self.text
-        if self.comment.any():  # bytes, whose final NUL stops strtol at the end
-            digit = np.frombuffer(self.classes, np.uint8) == 48
-            text = np.where(digit, np.frombuffer(text.encode("ascii", "replace"), np.uint8), 32).tobytes()
+        lo, hi = self.span
+        if hi:  # bytes, whose final NUL stops strtol at the end; the comments' span as spaces and digits
+            raw = text.encode("ascii", "replace")
+            digit = np.frombuffer(self.classes, np.uint8, hi - lo, lo) == 48
+            kept = np.where(digit, np.frombuffer(raw, np.uint8, hi - lo, lo), 32).tobytes()
+            text = b"".join([memoryview(raw)[:lo], kept, memoryview(raw)[hi:]])
         return np.fromstring(text, dtype=np.int64, sep=" ")
 
     def table(self, kinds: tuple, expected: str) -> tuple[list, np.ndarray, tuple | None]:

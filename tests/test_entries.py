@@ -210,3 +210,72 @@ def test_equal_sink_sets_write_no_sink_row_out():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def reweighted(rng, P, tied, ties=True):
+    """P's pattern with random row-stochastic weights, uniform (so tied) on
+    the ``tied`` rows; with ``ties``, a tie-heavy row now and then."""
+    counts = np.diff(P.indptr)
+    w = rng.random(P.nnz) + 0.5  # distinct: ties have probability 0
+    if ties:
+        w = np.concatenate([random_weights(rng, int(k)) if k else [] for k in counts])
+    rows = P.entry_rows()
+    w /= np.bincount(rows, w, P.n)[rows]
+    w[tied[rows]] = 1.0 / counts[rows[tied[rows]]]
+    return P.with_data(w)
+
+
+def outcome(metric, *args):
+    """The metric's value, or None when it is undefined."""
+    try:
+        return metric(*args)
+    except UndefinedCoefficientError:
+        return None
+
+
+def test_rho_tilde_against_a_built_original_ranks_nothing(monkeypatch):
+    """Every row of a ``build_transition`` original is tied, so a revision
+    on its pattern scores 1.0 (some row stayed tied) or is undefined (none
+    did), as the reference does, and ``_segment_spearman`` never runs."""
+    rng = np.random.default_rng(2102)
+    n = 60
+    edges = np.column_stack([rng.integers(0, n, 240), rng.integers(0, n, 240)])
+    P = build_transition(Graph(n, edges), PageRankConfig.uniform(n))
+    assert P.sink_mask.any() and (np.diff(P.indptr) >= 2).any()
+    revisions = [reweighted(rng, P, rng.random(n) < 0.3), reweighted(rng, P, np.zeros(n, bool), ties=False)]
+    want = [outcome(ref_rho_tilde, P, Q) for Q in revisions]
+    assert want == [1.0, None]
+
+    def ranked(*args):
+        raise AssertionError("a row was ranked")
+
+    monkeypatch.setattr("fairpr.metrics._segment_spearman", ranked)
+    for Q, value in zip(revisions, want):
+        assert Q.pattern_subset_of(P) and P.pattern_subset_of(Q)
+        assert outcome(rho_tilde, P, Q) == value
+
+
+def test_rho_tilde_of_reweighted_originals_matches_the_reference():
+    """Originals that are themselves reweighted leave some rows untied:
+    against revisions on the same pattern (aligned without a merge) and on
+    an extended one (merged), rows tied on both sides, on one side and on
+    neither mix, and ``rho_tilde`` is bitwise the reference, which ranks
+    every row."""
+    rng = np.random.default_rng(2103)
+    seen = dict.fromkeys(["both tied", "one side tied", "untied", "same keys", "merged"], 0)
+    for _ in range(60):
+        n = int(rng.integers(4, 30))
+        sinks = rng.random(n) < 0.2
+        P_old = random_matrix(rng, n, sinks)
+        old = reweighted(rng, P_old, rng.random(n) < 0.4)
+        wider = [None if sinks[i] else np.union1d(P_old.row(i)[0], rng.choice(n, 2)) for i in range(n)]
+        for new in (reweighted(rng, P_old, rng.random(n) < 0.4), random_matrix(rng, n, sinks, wider)):
+            rows = ~(old.sink_mask & new.sink_mask)
+            seen["same keys" if np.array_equal(old.entries(rows)[0], new.entries(rows)[0]) else "merged"] += 1
+            for i in np.flatnonzero(old.edge_mask & new.edge_mask & (np.diff(old.indptr) >= 2)).tolist():
+                t_old, t_new = (len(set(M.row(i)[1].tolist())) == 1 for M in (old, new))
+                seen["both tied" if t_old and t_new else "one side tied" if t_old != t_new else "untied"] += 1
+            want = outcome(ref_rho_tilde, old, new)
+            got = outcome(rho_tilde, old, new)
+            assert (got is None) == (want is None) and (want is None or bits(got) == bits(want))
+    assert min(seen.values()) >= 20, seen

@@ -252,3 +252,64 @@ def test_aligned_keeps_keys_that_one_side_has():
         assert np.array_equal(keys, want) and keys.dtype == np.int64
         assert np.array_equal(w_p, a[want]) and np.array_equal(w_q, b[want])
         assert set(keys.tolist()) - set(P.entries(~P.sink_mask)[0].tolist())
+
+
+def merged(P_new, P_old):
+    """``aligned`` as the merge of the two key sets gives it, by np.unique."""
+    rows = ~(P_new.sink_mask & P_old.sink_mask)
+    (x, w_x), (y, w_y) = P_new.entries(rows), P_old.entries(rows)
+    keys, at_x, at_y = unique_merge(x, y)
+    new, old = np.zeros((2, len(keys)))
+    new[at_x], old[at_y] = w_x, w_y
+    return keys, new, old
+
+
+def four_by_four(weights, share_row, share, sink_row, vector):
+    """Rows 0-2 stored on one pattern (row ``share_row`` half stored),
+    ``share_row`` also carrying ``share`` of ``vector``, row 3 a sink of
+    ``sink_row``."""
+    indptr, cols = [0, 2, 3, 4, 4], [1, 2, 0, 3]
+    shares = (np.array([sink_row, vector]), [3, share_row], [0, 1], [1.0, share])
+    return TransitionMatrix(4, indptr, cols, weights, shares=shares)
+
+
+def test_equal_patterns_align_without_a_merge(monkeypatch):
+    """Two matrices on one stored pattern with the same shares (rows, vector
+    ids, vector nonzeros) but other weights, share values and vector values
+    align without a merge and are pattern subsets of each other at once;
+    moving a share to another row takes the merge and the full subset test.
+    Each is checked against the merge and the dense matrices."""
+    old = four_by_four([0.5, 0.5, 0.5, 1.0], 1, 0.5, [0.25] * 4, [0, 0, 0.5, 0.5])
+    same = four_by_four([0.3, 0.7, 0.2, 1.0], 1, 0.8, [0.1, 0.2, 0.3, 0.4], [0, 0, 0.25, 0.75])
+    moved = four_by_four([0.5, 0.5, 1.0, 0.5], 2, 0.5, [0.25] * 4, [0, 0, 0.5, 0.5])
+    for M in (old, same, moved):
+        M.validate()
+    assert same.pattern_equals(old) and moved.pattern_equals(old)
+    want_subset, refs = {}, {}
+    for P, Q in ((same, old), (old, same), (moved, old), (old, moved)):
+        A, B = P.to_dense(), Q.to_dense()
+        want_subset[id(P), id(Q)] = not ((A != 0) & (B == 0)).any()
+        both = P.sink_mask & Q.sink_mask
+        want_keys = np.flatnonzero(((A != 0) | (B != 0)) & ~both[:, None])
+        keys, w_p, w_q = aligned(P, Q)
+        ref = refs[id(P), id(Q)] = merged(P, Q)
+        assert np.array_equal(keys, ref[0]) and np.array_equal(keys, want_keys) and keys.dtype == np.int64
+        assert np.array_equal(bits(w_p), bits(ref[1])) and np.array_equal(bits(w_q), bits(ref[2]))
+        assert np.array_equal(w_p, A.ravel()[keys]) and np.array_equal(w_q, B.ravel()[keys])
+        assert P.pattern_subset_of(Q) == want_subset[id(P), id(Q)]
+    assert want_subset[id(same), id(old)] and want_subset[id(old), id(same)]
+    assert not want_subset[id(moved), id(old)] and not want_subset[id(old), id(moved)]
+
+    def no_merge(*args, **kwargs):
+        raise AssertionError("merged two equal key sets")
+
+    # the equal pairs, as above, with no merge and no grouping of rows (np.unique) to reach
+    monkeypatch.setattr("fairpr.metrics.merge_runs", no_merge)
+    monkeypatch.setattr(np, "unique", no_merge)
+    for P, Q in ((same, old), (old, same)):
+        for got, want in zip(aligned(P, Q), refs[id(P), id(Q)]):
+            assert np.array_equal(bits(got), bits(want))
+        assert P.pattern_subset_of(Q)
+    for call in (lambda: aligned(moved, old), lambda: moved.pattern_subset_of(old)):
+        with pytest.raises(AssertionError, match="merged two equal key sets"):
+            call()

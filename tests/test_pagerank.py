@@ -640,3 +640,40 @@ def test_capped_solves_of_a_restart_block_name_their_restarts(caplog):
         "pagerank_power: 4 of 6 copies (restarts 0, 2) reached t1=3 without meeting tol=1e-12; "
         f"largest last L1 change {largest:.3e}"
     ]
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3])
+def test_restart_block_over_nine_copies_matches_stepwise_bitwise(monkeypatch, steps):
+    """An R = 3 restart block over 9 copies with sink rows, from a given
+    start, with the chunk length forced to 1, 2 and 3 through the memory
+    budget: row l of the block is bitwise ``stepwise_power`` of restart l,
+    where every step of the (C n, R) block is one product call."""
+    rng = np.random.default_rng(1723 + steps)
+    _, groups, _, P = random_sinky_instance(rng, 30, 2)
+    assert P.sink_mask.any()
+    restarts = restart_list(groups)
+    R, C = len(restarts), 9
+    block = WalkOperator(P, stochastic_block(rng, P, C))
+    size = R * C * P.n
+    monkeypatch.setattr(fairpr.pagerank, "CHUNK_BUDGET", steps * size + size // 2)
+    assert fairpr.pagerank._chunk_steps(size) == steps
+    start = rng.random((R, C, P.n)) + 0.1
+    start /= start.sum(axis=-1, keepdims=True)
+    start[1, :3] = pagerank_power(block, restarts[1], t1=1000, tol=0.0)[:3]  # three copies stop at step 1
+    calls = []
+    block_product = WalkOperator.left_block_into
+    monkeypatch.setattr(WalkOperator, "left_block_into", lambda *a, **k: calls.append(1) or block_product(*a, **k))
+    for t1, tol in ((1, 1e-8), (4, 0.0), (7, 1e-8), (100, 1e-10)):
+        for given in (None, start):
+            del calls[:]
+            got = pagerank_power(block, restarts, t1=t1, tol=tol, start=given)
+            assert got.shape == (R, C, P.n)
+            stops = []
+            for ell, cfg in enumerate(restarts):
+                want, stop = stepwise_power(block, cfg, t1, tol, None if given is None else given[ell])
+                assert np.array_equal(got[ell], want), (t1, tol, ell)
+                stops.append(stop)
+            # one call per step taken, past the last stop to the end of its chunk
+            taken = int(np.max(stops))
+            assert len(calls) == min(t1, -(-taken // steps) * steps), (t1, tol)
+    assert given is start and np.unique(np.concatenate(stops)).size > 2  # copies stop at several steps

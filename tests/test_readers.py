@@ -583,6 +583,39 @@ def test_plain_ids_take_18_digits():
     assert ids.tolist() == [10**18 - 1, 1]
 
 
+@pytest.mark.parametrize(
+    "text,span",
+    [
+        ("0 1\n1 2\n", (0, 0)),
+        ("# Nodes: 3\n# Edges: 2\n0 1\n1 2\n", (0, 22)),
+        ("0 1\n  # mid 5\r\n1 2\n#end 7", (4, 25)),
+        ("0 1\n1 2\n#x 3\n", (8, 13)),
+        ("0 1\n#\x0b1 2\n", (4, 6)),
+    ],
+)
+def test_comment_blanking_covers_only_the_comment_span(text, span):
+    """The class bytes and the bytes parsed for plain ids are rewritten
+    from the first comment line's start through the last one's end (line
+    end included) and nowhere else; data lines inside that span keep their
+    digits, and the ids read are those of the data lines."""
+    lines = Lines(text)
+    assert lines.span == span
+    # the classes with each comment line's characters as spaces, its line end too
+    # (of "\r\n" the '\r': the '\n' is a space of the next line either way)
+    want, data = bytearray(fairpr.text._classes(text)), []
+    at = 0
+    for line in text.splitlines(keepends=True):
+        tokens = line.split()
+        if tokens and tokens[0].startswith("#"):
+            size = len(line) - line.endswith("\r\n")
+            want[at : at + size] = b" " * size
+        elif tokens:
+            data += [int(t) for t in tokens]
+        at += len(line)
+    assert lines.classes == bytes(want)
+    assert lines.plain_ids().tolist() == data
+
+
 def _peak(fn, *args):
     tracemalloc.start()
     try:
@@ -726,12 +759,27 @@ def test_build_transition_matches_lexsort_reference(seed, lexsort_calls):
 
 
 def test_build_transition_rejects_negative_ids_as_before():
-    # a key of a negative id would decode as another pair; such edges take np.lexsort and fail as they did
-    g = Graph(n=3, edges=np.array([[0, 1], [1, -1], [2, 0]]))
-    with pytest.raises(ValueError, match="malformed sparsity pattern"):
-        lexsort_build_transition(g, PageRankConfig.uniform(3))
-    with pytest.raises(ValueError, match="malformed sparsity pattern"):
-        build_transition(g, PageRankConfig.uniform(3))
+    # a negative id no longer reaches build_transition: the Graph that would hold it refuses it, naming its edge
+    with pytest.raises(ValueError, match=r"^edge 1 \(1, -1\) has a vertex id outside \[0, 3\)$"):
+        Graph(n=3, edges=np.array([[0, 1], [1, -1], [2, 0]]))
+
+
+@pytest.mark.parametrize(
+    "edges,named",
+    [
+        ([[0, 5], [1, 0]], "edge 0 (0, 5)"),  # a target past n
+        ([[2, 2]], "edge 0 (2, 2)"),  # a source at n
+        ([[1, 0], [1, 7], [0, -2], [0, 1]], "edge 1 (1, 7)"),  # the first bad edge as given, not as sorted
+    ],
+)
+def test_graph_refuses_ids_outside_n(edges, named):
+    """A Graph checks its ids against n when it is made and names the first
+    edge, in the order given, with an id outside [0, n)."""
+    with pytest.raises(ValueError) as err:
+        Graph(n=2, edges=np.array(edges))
+    assert str(err.value) == f"{named} has a vertex id outside [0, 2)"
+    # ids inside [0, n) with vertices that no edge names are a graph
+    assert Graph(n=5, edges=np.array([[1, 0], [0, 1]])).edges.tolist() == [[0, 1], [1, 0]]
 
 
 def test_hand_built_graph_is_the_loaded_graph(monkeypatch):
