@@ -31,7 +31,6 @@ from .experiment import (
 from .graph import FairnessTarget, GraphParseError, format_lines, load_labels, parse_matrix, serialize_matrix
 from .optimizer import DivergedError, OptimizerConfig
 from .pagerank import group_scores, pagerank_power, pagerank_residual
-from .text import data_line_count
 
 log = logging.getLogger(__name__)
 
@@ -152,14 +151,11 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    labels_text = _read(args.labels)
-    # headerless files fall back to the label count for their dimension
-    n_hint = data_line_count(labels_text)
-    original = parse_matrix(_read(args.original), n=n_hint or None)
-    revised = parse_matrix(_read(args.revised), n=n_hint or None)
+    original = parse_matrix(_read(args.original))
+    revised = parse_matrix(_read(args.revised))
     if original.n != revised.n:
         raise InputError(f"dimension mismatch: original n={original.n}, revised n={revised.n}")
-    groups = load_labels(labels_text, original.n)
+    groups = load_labels(_read(args.labels), original.n)
     target = _parse_phi(args.phi, groups.K)
     bundle, rt_reason, _ = evaluate_matrices(original, revised, args.gamma, groups, target)
     extended = not revised.pattern_subset_of(original)

@@ -57,8 +57,8 @@ class Graph:
 
     Edges are unique (source, target) pairs, sorted lexicographically and
     collapsed by the constructor (``_sort_pairs``). Self-loops are allowed.
-    An id outside [0, n) raises ValueError naming the first such edge, in
-    the order given.
+    ``edges`` has shape (m, 2), or is empty for no edges. An id outside
+    [0, n) raises ValueError naming the first such edge, in the order given.
     """
 
     n: int
@@ -66,6 +66,9 @@ class Graph:
 
     def __post_init__(self):
         edges = np.asarray(self.edges, dtype=np.int64)
+        edges = edges if edges.size else edges.reshape(0, 2)
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise ValueError(f"edges must have shape (m, 2), got {edges.shape}")
         src, dst, _ = _sort_pairs(edges[:, 0], edges[:, 1], n=self.n)
         fresh = np.ones(len(src), bool)  # differs from the pair before it
         fresh[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
@@ -78,16 +81,17 @@ class Graph:
 
 @dataclass(frozen=True)
 class GroupAssignment:
-    """Partition of vertices into K groups with dense ids 0..K-1."""
+    """Partition of vertices into K groups with dense ids 0..K-1, K = max label + 1."""
 
     labels: np.ndarray  # (n,) int64, values in [0, K)
-    K: int
+    K: int = field(init=False)  # derived from labels
     group_sizes: np.ndarray = field(init=False)  # (K,) int64, derived from labels
 
     def __post_init__(self):
-        sizes = np.bincount(self.labels, minlength=self.K)
+        sizes = np.bincount(self.labels)
+        object.__setattr__(self, "K", len(sizes))
         object.__setattr__(self, "group_sizes", sizes)
-        if len(sizes) != self.K or (sizes == 0).any():
+        if (sizes == 0).any():
             raise ValueError("every group id in [0, K) must label at least one vertex")
 
     @property
@@ -114,12 +118,14 @@ class PageRankConfig:
             raise ValueError(f"restart probability must be in (0,1), got {self.gamma}")
         v = np.asarray(self.restart_vector, dtype=float)
         object.__setattr__(self, "restart_vector", v)
+        if v.ndim != 1:
+            raise ValueError(f"restart vector must be 1-D, got shape {v.shape}")
         if not np.isfinite(v).all():
             raise ValueError("restart vector entries must be finite")
         if (v < 0).any():
             raise ValueError("restart vector entries must be nonnegative")
         if abs(v.sum() - 1.0) > ROW_SUM_TOL:
-            raise ValueError(f"restart vector must sum to 1, got {v.sum()!r}")
+            raise ValueError(f"restart vector must sum to 1, got {float(v.sum())!r}")
 
     @classmethod
     def uniform(cls, n: int, gamma: float = 0.15) -> "PageRankConfig":
@@ -141,12 +147,14 @@ class FairnessTarget:
     def __post_init__(self):
         phi = np.asarray(self.phi, dtype=float)
         object.__setattr__(self, "phi", phi)
+        if phi.ndim != 1:
+            raise ValueError(f"target scores must be 1-D, got shape {phi.shape}")
         if not np.isfinite(phi).all():
             raise ValueError("target scores must be finite")
         if (phi < 0).any():
             raise ValueError("target scores must be nonnegative")
         if abs(phi.sum() - 1.0) > ROW_SUM_TOL:
-            raise ValueError(f"target scores must sum to 1, got {phi.sum()!r}")
+            raise ValueError(f"target scores must sum to 1, got {float(phi.sum())!r}")
 
     @classmethod
     def from_lead_share(cls, phi: float, K: int) -> "FairnessTarget":
@@ -406,18 +414,18 @@ class TransitionMatrix:
                     return False
         return True
 
-    def validate(self, tol: float = ROW_SUM_TOL) -> None:
-        """Check row-stochasticity and nonnegativity; raise on violation."""
+    def validate(self) -> None:
+        """Check nonnegativity and row sums of 1 within ROW_SUM_TOL; raise on violation."""
         for w in (self.data, self.vectors, self.share_data) if len(self.share_rows) else (self.data,):
             if not np.isfinite(w).all():
                 raise ValueError("non-finite weight in transition matrix")
             if (w < 0).any():
                 raise ValueError("negative weight in transition matrix")
         sums = self.row_sums()
-        bad = np.flatnonzero(np.abs(sums - 1.0) > tol)
+        bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)
         if len(bad):
             i = int(bad[0])
-            raise ValueError(f"row {i} sums to {float(sums[i])!r}, expected 1 within {tol}")
+            raise ValueError(f"row {i} sums to {float(sums[i])!r}, expected 1 within {ROW_SUM_TOL}")
 
     @classmethod
     def from_dense(cls, a, sink_mask=None) -> "TransitionMatrix":
@@ -693,8 +701,8 @@ def load_labels(text: str, n: int) -> GroupAssignment:
         raise GraphParseError(f"vertex {_first_uncovered(v)} has no group label")
     raw_labels = np.empty(n, dtype=np.int64)
     raw_labels[v] = g
-    uniq, dense = np.unique(raw_labels, return_inverse=True)
-    return GroupAssignment(labels=dense.astype(np.int64), K=int(len(uniq)))
+    dense = np.unique(raw_labels, return_inverse=True)[1]
+    return GroupAssignment(dense.astype(np.int64))
 
 
 def build_transition(g: Graph, cfg: PageRankConfig) -> TransitionMatrix:
@@ -788,17 +796,18 @@ def serialize_matrix(tm: TransitionMatrix) -> str:
     return "".join(parts)
 
 
-def parse_matrix(text: str, n: int | None = None) -> TransitionMatrix:
-    """Inverse of serialize_matrix. The '# n' header wins; ``n`` is the
-    fallback for headerless files. A row without entry lines must be a
-    ``# sink`` row or carry ``# share`` lines. A ``# sink r`` line is the
-    share (r, 0, 1) of the ``# sink_row`` vector, vector 0, so a sink row
-    has no entry lines and no ``# share`` lines. A file names vector ids up
-    to its number of ``# vector`` and ``# share`` lines, and its dense
-    vectors hold at most ``DENSE_PER_LINE`` floats per line of the file, or
-    ``DENSE_FLOOR`` in all, so that a short file cannot ask for a huge
-    dense part. Files that write group spreads out as entry lines, as older
-    versions did, read as those entries."""
+def parse_matrix(text: str) -> TransitionMatrix:
+    """Inverse of serialize_matrix. The '# n' header gives the size, else n
+    is one past the largest row id that an entry, ``# sink`` or ``# share``
+    line names: a row without entry lines must be a ``# sink`` row or carry
+    ``# share`` lines, so for a valid file the two agree. A ``# sink r``
+    line is the share (r, 0, 1) of the ``# sink_row`` vector, vector 0, so
+    a sink row has no entry lines and no ``# share`` lines. A file names
+    vector ids up to its number of ``# vector`` and ``# share`` lines, and
+    its dense vectors hold at most ``DENSE_PER_LINE`` floats per line of
+    the file, or ``DENSE_FLOOR`` in all, so that a short file cannot ask
+    for a huge dense part. Group spreads written out as entry lines read as
+    those entries."""
     lines = Lines(text)
     (rows, cols, w), _, bad = lines.table(("vertex id", "vertex id", None), "'src dst weight'")
     (
@@ -817,11 +826,10 @@ def parse_matrix(text: str, n: int | None = None) -> TransitionMatrix:
     errors = [e for e in (bad, bad_n, bad_sink, bad_col, bad_vec, bad_share) if e]
     if errors:
         raise min(errors, key=lambda e: e[0])[1]
-    size = int(sizes[-1]) if len(sizes) else n
-    if size is None:
-        raise GraphParseError("matrix size unknown: no '# n' header and no explicit n")
     if not len(rows):
         raise GraphParseError("no matrix entries found in input")
+    last = max(rows.max(), sinks.max(initial=0), share_rows.max(initial=0))  # the last row a line names
+    size = int(sizes[-1]) if len(sizes) else int(last) + 1
     top = max(rows.max(), cols.max())
     if top >= size:
         raise GraphParseError(f"entry index {int(top)} out of range [0, {size})")

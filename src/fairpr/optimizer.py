@@ -216,7 +216,7 @@ def _descend(
             for i in ids[~ok]:
                 outcomes[i] = DivergedError(it + 1, safe_alpha)
             keep(ok)
-        project_rows(W, rows, n, box.lower, box.upper, out=W)
+        project_rows(W, rows, box.lower, box.upper, out=W)
     return alphas, outcomes
 
 

@@ -209,7 +209,7 @@ def neumann_y(
     """Truncated series sum_{i=0..t2} (1-gamma)^i P^i 1_k by repeated matvec.
 
     Approximates (I - (1-gamma) P)^{-1} 1_k; the i = 0 term is included.
-    Over stacked copies every copy starts from the same ``indicator``.
+    Over stacked copies every copy starts from the same (n,) ``indicator``.
 
     The sum runs in Horner order, t2 steps y <- 1_k + (1-gamma) P y from
     y = 1_k, in chunks of one damped product per step (see the module
@@ -218,7 +218,10 @@ def neumann_y(
     if t2 < 0:
         raise ValueError("t2 must be >= 0")
     op = P.operator().damped(1.0 - gamma)
-    ind = op.vector(np.tile(np.asarray(indicator, dtype=float), op.copies))  # the unchecked products read it
+    indicator = np.asarray(indicator, dtype=float)
+    if indicator.shape != (op.n,):
+        raise ValueError(f"dimension mismatch: indicator of shape {indicator.shape} for n = {op.n}")
+    ind = np.tile(indicator, op.copies)  # C-contiguous, of the operator's size, as the unchecked products read it
     y = ind  # with t2 = 0, the i = 0 term alone
     for rows in _chunks(op.right_into, ind, ind, t2, _chunk_steps(ind.size)):
         y = rows[-1]

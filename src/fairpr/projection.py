@@ -50,11 +50,12 @@ class BoxBounds:
             np.minimum(1.0, (1.0 + delta) * r + epsilon),
         )
 
-    def validate(self, seg: np.ndarray | None = None, nseg: int = 1) -> None:
+    def validate(self, seg: np.ndarray | None = None) -> None:
         """Raise unless each row's box meets the simplex. ``seg`` gives the
-        row id of every entry (one row when omitted) and the error then
-        names the first bad row; rows without entries are skipped."""
+        ascending row id of every entry (one row when omitted) and the error
+        then names the first bad row; rows without entries are skipped."""
         rows = np.zeros(self.lower.size, dtype=np.intp) if seg is None else seg
+        nseg = int(rows[-1]) + 1 if rows.size else 0
         lo_sum = np.bincount(rows, self.lower, nseg)
         up_sum = np.bincount(rows, self.upper, nseg)
         # NaN bounds would never settle in project_rows
@@ -76,7 +77,6 @@ class BoxBounds:
 def project_rows(
     s: np.ndarray,
     seg: np.ndarray,
-    nseg: int,
     lower: np.ndarray,
     upper: np.ndarray,
     out: np.ndarray | None = None,
@@ -84,13 +84,13 @@ def project_rows(
     """Project each row of ``s`` onto {x : sum x = 1, lower <= x <= upper}.
 
     ``s`` holds one copy of the pattern, or a (C, nnz) block of C copies.
-    ``seg`` gives the row id in [0, nseg) of each of a copy's nnz entries,
-    ascending, and ``lower``/``upper`` their boxes, which must meet the
-    simplex (see ``BoxBounds.validate``); every copy shares them, untiled.
-    Rows already feasible within FEAS_TOL come back bit-for-bit, the others
-    on sum 1 to rounding. The result goes into ``out``, returned: a new
-    array when omitted, else a C-contiguous one of s's shape, such as ``s``
-    itself, which then changes in place.
+    ``seg`` gives the row id of each of a copy's nnz entries, ascending,
+    and ``lower``/``upper`` their boxes, which must meet the simplex (see
+    ``BoxBounds.validate``); every copy shares them, untiled. Rows already
+    feasible within FEAS_TOL come back bit-for-bit, the others on sum 1 to
+    rounding. The result goes into ``out``, returned: a new array when
+    omitted, else a C-contiguous one of s's shape, such as ``s`` itself,
+    which then changes in place.
 
     The rows are projected in pieces of whole copies, or of whole rows of
     one copy, of at most PIECE_BUDGET entries (a longer row is a piece of
@@ -109,12 +109,11 @@ def project_rows(
     flat_s, flat_out = s.reshape(-1), out.reshape(-1)  # views of C-contiguous blocks
     if nnz <= PIECE_BUDGET:  # whole copies, k at a time
         k = min(PIECE_BUDGET // nnz, flat_s.size // nnz)
-        ids = seg if k == 1 else (seg + nseg * np.arange(k)[:, None]).ravel()
+        ids = seg if k == 1 else (seg + (seg[-1] + 1) * np.arange(k)[:, None]).ravel()
         lo, up = (lower, upper) if k == 1 else (np.tile(lower, k), np.tile(upper, k))
         for a in range(0, flat_s.size, k * nnz):
             b = min(a + k * nnz, flat_s.size)
-            e = b - a
-            _project_piece(flat_s[a:b], ids[:e], e // nnz * nseg, lo[:e], up[:e], flat_out[a:b])
+            _project_piece(flat_s[a:b], ids[: b - a], lo[: b - a], up[: b - a], flat_out[a:b])
         return out
     cuts = [0]  # whole rows of one copy at a time
     while cuts[-1] < nnz:
@@ -123,18 +122,15 @@ def project_rows(
         cuts.append(b if b > a else int(np.searchsorted(seg, seg[a], "right")))
     for c in range(0, flat_s.size, nnz):
         for a, b in zip(cuts[:-1], cuts[1:]):
-            first = seg[a]
-            _project_piece(
-                flat_s[c + a : c + b], seg[a:b] - first, seg[b - 1] - first + 1,
-                lower[a:b], upper[a:b], flat_out[c + a : c + b],
-            )
+            _project_piece(flat_s[c + a : c + b], seg[a:b] - seg[a], lower[a:b], upper[a:b], flat_out[c + a : c + b])
     return out
 
 
-def _project_piece(x, seg, nseg, lo, up, out):
-    """Project the rows of one piece: entries ``x`` with row ids ``seg`` in
-    [0, nseg) and boxes ``lo``/``up``, written into ``out`` (which may be
-    ``x``); entries of rows already feasible are not written."""
+def _project_piece(x, seg, lo, up, out):
+    """Project the rows of one piece: entries ``x`` with ascending row ids
+    ``seg`` from 0 and boxes ``lo``/``up``, written into ``out`` (which may
+    be ``x``); entries of rows already feasible are not written."""
+    nseg = int(seg[-1]) + 1
     settled = np.abs(np.bincount(seg, x, nseg) - 1.0) <= FEAS_TOL
     settled[seg[(x < lo) | (x > up)]] = False
     pos = None  # where the free entries sit in the piece; None while they are all of it
@@ -193,7 +189,7 @@ def project_simplex_box(s: np.ndarray, bounds: BoxBounds) -> np.ndarray:
     if s.size != bounds.lower.size or s.size != bounds.upper.size:
         raise ValueError("bounds length does not match vector length")
     bounds.validate()
-    return project_rows(s, np.zeros(s.size, dtype=np.intp), 1, bounds.lower, bounds.upper)
+    return project_rows(s, np.zeros(s.size, dtype=np.intp), bounds.lower, bounds.upper)
 
 
 def row_boxes(
@@ -206,7 +202,7 @@ def row_boxes(
     if delta is None:
         return seg, BoxBounds(np.zeros(seg.size), np.ones(seg.size))
     box = BoxBounds.from_reference(P_ref.data, delta, epsilon)
-    box.validate(seg, P_ref.n)
+    box.validate(seg)
     return seg, box
 
 
@@ -231,4 +227,4 @@ def project_matrix(
     if P_hat.has_spreads or P_orig.has_spreads:
         raise ValueError("projection reweights edges only; a matrix with group spreads cannot be projected")
     seg, box = row_boxes(P_orig, delta, epsilon)
-    return P_hat.with_data(project_rows(P_hat.data, seg, P_hat.n, box.lower, box.upper))
+    return P_hat.with_data(project_rows(P_hat.data, seg, box.lower, box.upper))

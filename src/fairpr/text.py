@@ -1,6 +1,7 @@
 """The text form the readers in ``fairpr.graph`` share: a whole text read
 as ``str.splitlines`` lines of ``str.split`` tokens with array operations,
-and its tokens converted column by column.
+and its tokens converted column by column. Nothing here knows a size: the
+readers work n and K out from the ids they read.
 
 ``Lines`` finds the lines and tokens of a text from one class byte per
 character, so a load costs a few array passes and no Python work per line.
@@ -237,8 +238,3 @@ class Lines:
         key = np.where(apart, "#" + after, head)
         width = self.count[lines] - apart
         return [self.rows(lines[(key == f"#{name}") & (width == len(k) + 1)], k) for name, k in kinds.items()]
-
-
-def data_line_count(text: str) -> int:
-    """The number of lines that are neither blank nor '#' comments."""
-    return int(np.count_nonzero(~_line_table(text)[3]))

@@ -516,6 +516,64 @@ def test_sweep_bad_input_exits_2(tmp_path, capsys, edges, labels, fragment):
     assert not (out / "results.csv").exists()
 
 
+def test_sweep_records_a_diverged_cell_and_goes_on(tmp_path, capsys):
+    """A cell whose every descent diverges keeps its row, with empty metrics
+    and the reason; the sweep exits 0 and writes the other cells."""
+    out = tmp_path / "sweep"
+    code = main([
+        "sweep", *KARATE, "--methods", "fairgd,fairwalk", "--phi", "0.1",
+        "--alpha", "1e4", "--max-iters", "5", "--out", str(out),
+    ])
+    assert code == 0
+    assert "(2 rows, 1 without metrics)" in capsys.readouterr().out
+    rows = {r["method"]: r for r in read_rows(out / "results.csv")}
+    assert set(rows) == {"fairgd", "fairwalk"}
+    diverged = rows["fairgd"]
+    assert diverged["reason"].startswith("diverged: diverged at iteration 1: ")
+    empty = ("loss", "loss_group_adapted", "delta_p", "rho_bar", "rho_tilde", "iterations", "stop_reason")
+    assert all(diverged[col] == "" for col in empty)
+    assert rows["fairwalk"]["loss"] and not rows["fairwalk"]["reason"]
+
+
+@pytest.mark.parametrize(
+    "argv,config,message",
+    [
+        (
+            ["optimize", *KARATE, "--method", "fairgd", "--phi", "0.1,0.2,0.7"],
+            None,
+            "error: --phi needs 1 or 2 comma-separated values, got 3",
+        ),
+        (["sweep"], "methods=fairwalk\nphi 0.2\n", "error: config line 2: expected key=value, got 'phi 0.2'"),
+        (
+            ["sweep", "--labels", str(DATA_DIR / "karate_labels.txt")],
+            None,
+            "error: sweep needs --edges and --labels (flags or config file)",
+        ),
+    ],
+    ids=["three-phis-two-groups", "config-line-without-equals", "sweep-without-edges"],
+)
+def test_bad_command_input_exits_2(tmp_path, capsys, argv, config, message):
+    if config is not None:
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(config)
+        argv = [*argv, "--config", str(cfg)]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.strip() == message
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "phi_grid,fragment",
+    [((), "^phi grid must be non-empty$"), ((0.5, 1.0), r"^phi values must be in \(0,1\), got 1.0$")],
+    ids=["empty", "phi-of-one"],
+)
+def test_experiment_spec_refuses_bad_phi_grids(phi_grid, fragment):
+    from fairpr.experiment import ExperimentSpec
+
+    with pytest.raises(ValueError, match=fragment):
+        ExperimentSpec("edges.txt", "labels.txt", phi_grid=phi_grid)
+
+
 def test_sweep_jobs_capped_at_cell_count(tmp_path, capsys, monkeypatch):
     import concurrent.futures
 

@@ -78,9 +78,11 @@ def test_load_labels_basic():
 
 def test_group_sizes_are_derived():
     with pytest.raises(TypeError):
-        GroupAssignment(np.array([0, 0, 0, 1]), 2, group_sizes=np.array([2, 2]))
-    groups = GroupAssignment(np.array([0, 0, 0, 1]), 2)
-    assert list(groups.group_sizes) == [3, 1]
+        GroupAssignment(np.array([0, 0, 0, 1]), group_sizes=np.array([2, 2]))
+    with pytest.raises(TypeError):
+        GroupAssignment(np.array([0, 0, 0, 1]), 2)
+    groups = GroupAssignment(np.array([0, 0, 0, 1]))
+    assert groups.K == 2 and list(groups.group_sizes) == [3, 1]
     assert PageRankConfig.group_restart(groups, 0).restart_vector.sum() == 1.0
 
 
@@ -316,6 +318,9 @@ def test_from_dense_folds_equal_sink_rows():
         ("# n\t2\n# sink\t1\n# sink_row\t0\t1\n# sink_row\t0\t1\n0\t0\t1", GraphParseError, "duplicate '# sink_row'"),
         ("# n\t2\n# sink\t1\n# sink_row\t0\t0.5\n0\t0\t1", ValueError, "row 1 sums to 0.5"),
         ("# n\t2\n# sink\t1\n# sink_row\t0\t2\n# sink_row\t1\t-1\n0\t0\t1", ValueError, "negative weight"),
+        # comments only, with a '# n' header or without
+        ("# n\t2\n# a comment\n", GraphParseError, "^no matrix entries found in input$"),
+        ("# a comment\n#\n", GraphParseError, "^no matrix entries found in input$"),
     ],
 )
 def test_parse_matrix_rejects_bad_headers_and_weights(text, error, fragment):
@@ -328,11 +333,19 @@ def test_parse_matrix_rejects_duplicates():
         parse_matrix("# n\t2\n0\t1\t0.5\n0\t1\t0.5\n1\t0\t1.0")
 
 
-def test_parse_matrix_header_wins_over_hint():
+def test_parse_matrix_size_without_header_is_one_past_the_last_row():
     text = "# n\t3\n0\t1\t1\n1\t0\t1\n2\t0\t1"
-    assert parse_matrix(text, n=3).n == 3
+    assert parse_matrix(text).n == 3
     headerless = "0\t1\t1\n1\t0\t1\n2\t0\t1"
-    assert parse_matrix(headerless, n=3).n == 3
+    assert serialize_matrix(parse_matrix(headerless)) == serialize_matrix(parse_matrix(text))
+    # the last row may be a '# sink' row or a row that carries '# share' lines
+    sink = "# sink\t2\n# sink_row\t0\t1\n0\t1\t1\n1\t0\t1\n"
+    assert parse_matrix(sink).n == 3 and parse_matrix(sink).sink_mask[2]
+    share = "# vector\t1\t0\t1\n# share\t2\t1\t1\n0\t1\t1\n1\t0\t1\n"
+    assert parse_matrix(share).n == 3
+    # a column past the last row is out of range
+    with pytest.raises(GraphParseError, match=r"entry index 2 out of range \[0, 2\)"):
+        parse_matrix("0\t1\t0.5\n0\t2\t0.5\n1\t0\t1\n")
 
 
 def test_pattern_subset():
@@ -361,6 +374,66 @@ def test_pattern_subset():
 )
 def test_non_finite_targets_and_restarts_rejected(make):
     with pytest.raises(ValueError, match="finite"):
+        make()
+
+
+def test_graph_refuses_rows_of_three_ids():
+    with pytest.raises(ValueError, match=r"^edges must have shape \(m, 2\), got \(1, 3\)$"):
+        Graph(3, [[0, 1, 2]])
+
+
+def test_graph_reads_an_empty_edge_sequence_as_no_edges():
+    g = Graph(3, [])
+    assert g.m == 0 and g.edges.shape == (0, 2) and g.edges.dtype == np.int64
+    assert build_transition(g, PageRankConfig.uniform(3)).sink_mask.all()
+
+
+def test_graph_refuses_a_flat_pair():
+    with pytest.raises(ValueError, match=r"^edges must have shape \(m, 2\), got \(2,\)$"):
+        Graph(3, [0, 1])
+
+
+def test_fairness_target_refuses_a_column_of_scores():
+    # a (2, 1) phi would broadcast against the (K,) group scores in the loss
+    with pytest.raises(ValueError, match=r"^target scores must be 1-D, got shape \(2, 1\)$"):
+        FairnessTarget([[0.1], [0.9]])
+
+
+def test_pagerank_config_refuses_a_block_restart_vector():
+    with pytest.raises(ValueError, match=r"^restart vector must be 1-D, got shape \(2, 17\)$"):
+        PageRankConfig(0.15, np.full((2, 17), 1 / 34))
+
+
+@pytest.mark.parametrize(
+    "make,fragment",
+    [
+        (lambda: PageRankConfig(0.0, [0.5, 0.5]), r"restart probability must be in \(0,1\), got 0.0"),
+        (lambda: PageRankConfig(1.0, [0.5, 0.5]), r"restart probability must be in \(0,1\), got 1.0"),
+        (lambda: PageRankConfig(0.15, [1.5, -0.5]), "restart vector entries must be nonnegative"),
+        (lambda: PageRankConfig(0.15, [0.5, 0.25]), "restart vector must sum to 1, got 0.75"),
+        (lambda: FairnessTarget([1.5, -0.5]), "target scores must be nonnegative"),
+        (lambda: FairnessTarget([0.5, 0.25]), "target scores must sum to 1, got 0.75"),
+        (lambda: FairnessTarget.from_lead_share(0.5, 1), "lead-share targets need K >= 2"),
+        (lambda: GroupAssignment(np.array([0, 2, 0])), r"every group id in \[0, K\) must label at least one vertex"),
+        (lambda: TransitionMatrix(2, [0, 1], [1], [1.0]), r"indptr length must be n \+ 1"),
+        (lambda: TransitionMatrix(2, [0, 1, 2], [1, 0], [1.0]), "indices and data lengths differ"),
+        (
+            lambda: TransitionMatrix(2, [0, 1, 1], [1], [1.0], shares=(np.full((1, 3), 1 / 3), [1], [0], [1.0])),
+            "the share vectors must have length n",
+        ),
+        (
+            lambda: TransitionMatrix(2, [0, 1, 1], [1], [1.0], shares=(np.full((1, 2), 0.5), [1], [0, 0], [1.0])),
+            "share rows, vector ids and values lengths differ",
+        ),
+        (lambda: TransitionMatrix.from_dense(np.full((2, 3), 1 / 3)), "matrix must be square"),
+        (
+            lambda: build_transition(load_graph("0 1\n1 0"), PageRankConfig.uniform(3)),
+            "restart vector has length 3, graph has 2 vertices",
+        ),
+    ],
+)
+def test_value_types_refuse_bad_input(make, fragment):
+    with pytest.raises(ValueError, match=fragment):
         make()
 
 
@@ -776,7 +849,7 @@ def test_results_do_not_depend_on_how_a_sink_row_is_held():
     the descents on the two made walks (``walk_spec``) give the same
     results too, as on the two files of one such pair."""
     A, B = (parse_matrix(text) for text in HELD_PAIR)
-    assert_held_alike(A, B, GroupAssignment(np.array([0, 1, 0]), 2), FairnessTarget([0.5, 0.5]))
+    assert_held_alike(A, B, GroupAssignment(np.array([0, 1, 0])), FairnessTarget([0.5, 0.5]))
     rng, pick = np.random.default_rng(27), np.random.default_rng(28)
     zeros = sinky_neighbors = share_only = 0
     for _ in range(360):
@@ -801,7 +874,7 @@ def test_results_do_not_depend_on_how_a_sink_row_is_held():
         assert X.pattern_subset_of(A) == X.pattern_subset_of(B) and A.pattern_subset_of(X) == B.pattern_subset_of(X)
         labels = pick.permutation(np.r_[0, 1, pick.integers(0, 2, n - 2)])
         phi = pick.uniform(0.2, 0.8)
-        groups, target = GroupAssignment(labels, 2), FairnessTarget([phi, 1.0 - phi])
+        groups, target = GroupAssignment(labels), FairnessTarget([phi, 1.0 - phi])
         assert_held_alike(A, B, groups, target, walks=False)
         walk = walk_spec(spec)
         W = even_walk(spec_matrix(n, walk))

@@ -52,6 +52,19 @@ def test_spearman_errors():
         spearman([3.0, 3.0, 3.0], [1.0, 2.0, 3.0])
 
 
+def test_length_and_size_mismatches_are_refused():
+    with pytest.raises(ValueError, match="^vectors must have equal length$"):
+        spearman([1.0, 2.0], [1.0, 2.0, 3.0])
+    groups = load_labels("0 0\n1 1\n2 0", 3)
+    for p_old, p_new in ((np.full(3, 1 / 3), np.full(2, 0.5)), (np.full(2, 0.5), np.full(3, 1 / 3))):
+        with pytest.raises(ValueError, match="^score vectors must match the label count$"):
+            rho_bar(p_old, p_new, groups)
+    A = TransitionMatrix.from_dense([[0, 1], [1, 0]])
+    B = TransitionMatrix.from_dense([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    with pytest.raises(ValueError, match="^matrices must have the same dimension$"):
+        aligned(A, B)
+
+
 def test_delta_p_zero_and_hand_value():
     A = TransitionMatrix.from_dense([[0, 1], [1, 0]])
     assert delta_p(A, A) == 0.0

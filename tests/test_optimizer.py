@@ -48,6 +48,9 @@ def test_config_validation():
         OptimizerConfig(delta=-0.1, epsilon=0.1)
     with pytest.raises(ValueError, match="give alpha or alpha_auto, not both"):
         OptimizerConfig(alpha=1.0, alpha_auto=True)
+    for steps in ({"t1": 0}, {"t2": -1}):
+        with pytest.raises(ValueError, match="^t1 must be >= 1 and t2 >= 0$"):
+            OptimizerConfig(**steps)
 
 
 @pytest.mark.parametrize(

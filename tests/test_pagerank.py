@@ -429,6 +429,27 @@ def test_wrong_length_vectors_raise_before_any_kernel(monkeypatch):
                     neumann_y(op, np.ones(bad), GAMMA, t2)
 
 
+def test_neumann_y_names_the_indicator_and_n(karate):
+    """A wrong indicator fails naming its own shape and n, not the vector
+    tiled over the copies."""
+    _, _, _, P = karate
+    block = WalkOperator(P, np.tile(P.data, (9, 1)))
+    with pytest.raises(ValueError, match=r"^dimension mismatch: indicator of shape \(35,\) for n = 34$"):
+        neumann_y(block, np.ones(35), GAMMA)
+    with pytest.raises(ValueError, match=r"^dimension mismatch: indicator of shape \(2, 17\) for n = 34$"):
+        neumann_y(P, np.ones((2, 17)), GAMMA)
+
+
+def test_solver_step_counts_and_score_lengths_are_checked(karate):
+    _, groups, cfg, P = karate
+    with pytest.raises(ValueError, match="^t1 must be >= 1$"):
+        pagerank_power(P, cfg, t1=0)
+    with pytest.raises(ValueError, match="^t2 must be >= 0$"):
+        neumann_y(P, groups.indicator(0), GAMMA, t2=-1)
+    with pytest.raises(ValueError, match="^score vector length does not match label count$"):
+        group_scores(np.full(33, 1 / 33), groups)
+
+
 # Step-by-step references for the solvers, through the damped operator: one
 # product added onto a fresh copy of the step's constant term, and for the
 # power iteration one convergence test, per step.

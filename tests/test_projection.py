@@ -259,9 +259,25 @@ def test_box_validate_rejects_non_finite_bounds(side):
     with pytest.raises(InfeasibleBoxError, match="not finite"):
         box.validate()
     with pytest.raises(InfeasibleBoxError, match="row 1: some bound is not finite"):
-        box.validate(np.array([0, 0, 0, 1, 1, 1]), 2)
+        box.validate(np.array([0, 0, 0, 1, 1, 1]))
     with pytest.raises(InfeasibleBoxError):
         project_simplex_box(np.full(6, 0.5), box)
+
+
+def test_box_and_projection_inputs_are_checked():
+    for delta, epsilon in ((-0.1, 0.1), (0.1, -0.1)):
+        with pytest.raises(ValueError, match="^modification bounds must be nonnegative$"):
+            BoxBounds.from_reference(np.full(2, 0.5), delta, epsilon)
+    crossed = BoxBounds(np.array([0.2, 0.2, 0.6, 0.5]), np.array([0.8, 0.8, 0.4, 0.5]))
+    with pytest.raises(InfeasibleBoxError, match="^row 1: some lower bound exceeds its upper bound$"):
+        crossed.validate(np.array([0, 0, 1, 1]))
+    with pytest.raises(InfeasibleBoxError, match="^some lower bound exceeds its upper bound$"):
+        crossed.validate()
+    with pytest.raises(ValueError, match="^bounds length does not match vector length$"):
+        project_simplex_box(np.full(3, 1 / 3), BoxBounds(np.zeros(2), np.ones(2)))
+    P = build_transition(load_graph("0 1\n1 0\n1 2\n2 0"), PageRankConfig.uniform(3))
+    with pytest.raises(ValueError, match="^delta and epsilon must be given together$"):
+        project_matrix(P, P, delta=0.1)
 
 
 def random_entries(rng, seg, count):
@@ -297,7 +313,7 @@ def test_rows_land_on_sum_one(boxed):
     rng = np.random.default_rng(31 + boxed)
     for _ in range(4):
         seg, x, lower, upper = random_rows(rng, 300, 10_000, boxed)
-        out = project_rows(x, seg, 300, lower, upper)
+        out = project_rows(x, seg, lower, upper)
         assert (out >= lower).all() and (out <= upper).all()
         bound = 1e-14 + np.bincount(seg, minlength=300) * np.finfo(float).eps
         assert (np.abs(np.bincount(seg, out, 300) - 1.0) <= bound).all()
@@ -315,8 +331,8 @@ def test_row_shift_leaves_projection_unchanged(boxed):
     x = rng.integers(-2**21, 2**21, seg.size) / 2**20
     c = np.rint(rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(0.0, 9.0, count) * 2**20) / 2**20
     assert np.array_equal((x + c[seg]) - c[seg], x)
-    want = project_rows(x, seg, count, lower, upper)
-    got = project_rows(x + c[seg], seg, count, lower, upper)
+    want = project_rows(x, seg, lower, upper)
+    got = project_rows(x + c[seg], seg, lower, upper)
     assert np.abs(got - want).max() <= 1e-12
 
 
@@ -432,12 +448,12 @@ def test_project_rows_matches_the_reference_bitwise(boxed):
     rng = np.random.default_rng(61 + boxed)
     W, seg, lower, upper = random_block(rng, 5, 300, 2000, boxed)
     want = reference_block(W, seg, 300, lower, upper)
-    got = project_rows(W, seg, 300, lower, upper)
+    got = project_rows(W, seg, lower, upper)
     assert np.array_equal(got, want)
     for w, v in zip(W, want):
-        assert np.array_equal(project_rows(w, seg, 300, lower, upper), v)
+        assert np.array_equal(project_rows(w, seg, lower, upper), v)
     inplace = W.copy()
-    assert project_rows(inplace, seg, 300, lower, upper, out=inplace) is inplace
+    assert project_rows(inplace, seg, lower, upper, out=inplace) is inplace
     assert np.array_equal(inplace, want)
     # the coverage the claim rests on
     assert (np.bincount(seg, minlength=300) == 1).any()
@@ -461,12 +477,12 @@ def test_project_rows_pieces_change_no_bit(monkeypatch):
     than the budget alone): the result is the one-piece result, bitwise."""
     rng = np.random.default_rng(71)
     W, seg, lower, upper = random_block(rng, 7, 40, 60, True)
-    whole = project_rows(W, seg, 40, lower, upper)
+    whole = project_rows(W, seg, lower, upper)
     assert np.array_equal(whole, reference_block(W, seg, 40, lower, upper))
     longest = np.bincount(seg).max()
     for budget in (3 * seg.size, seg.size + 1, seg.size, seg.size - 1, 2 * longest, longest, longest - 1, 1):
         monkeypatch.setattr(projection, "PIECE_BUDGET", budget)
-        assert np.array_equal(project_rows(W, seg, 40, lower, upper), whole), budget
+        assert np.array_equal(project_rows(W, seg, lower, upper), whole), budget
 
 
 def test_project_rows_errors_unchanged():
@@ -476,11 +492,11 @@ def test_project_rows_errors_unchanged():
     W = np.full((3, 5), 0.25)
     W[2, 1] = np.inf
     with pytest.raises(ValueError, match="^cannot project a vector with non-finite entries$"):
-        project_rows(W, seg, 2, lower, upper)
+        project_rows(W, seg, lower, upper)
     W[2, 1] = 0.25
     W[1, 2:] = 1e308, -1e308, 0.5
     with pytest.raises(ValueError, match="^cannot project a row whose entries span more than the float range$"):
-        project_rows(W, seg, 2, lower, upper)
+        project_rows(W, seg, lower, upper)
 
 
 def test_project_rows_memory_is_a_small_multiple_of_the_block():
@@ -494,7 +510,7 @@ def test_project_rows_memory_is_a_small_multiple_of_the_block():
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        out = project_rows(W, seg, 80_000, lower, upper)
+        out = project_rows(W, seg, lower, upper)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -26,7 +26,7 @@ from fairpr import (
     serialize_matrix,
 )
 from fairpr.graph import _first_uncovered, _sort_pairs, _sorted_distinct, sink_shares
-from fairpr.text import Lines, _line_end, data_line_count
+from fairpr.text import Lines, _line_end
 
 # ------------------------------------------------------------ reference scanners
 
@@ -91,11 +91,11 @@ def ref_load_labels(text: str, n: int) -> GroupAssignment:
         raise GraphParseError(f"vertex {_first_uncovered(list(labels))} has no group label")
     raw_labels = np.empty(n, dtype=np.int64)
     raw_labels[list(labels)] = list(labels.values())
-    uniq, dense = np.unique(raw_labels, return_inverse=True)
-    return GroupAssignment(labels=dense.astype(np.int64), K=int(len(uniq)))
+    dense = np.unique(raw_labels, return_inverse=True)[1]
+    return GroupAssignment(dense.astype(np.int64))
 
 
-def ref_parse_matrix(text: str, n: int | None = None) -> TransitionMatrix:
+def ref_parse_matrix(text: str) -> TransitionMatrix:
     header_n = None
     sinks, sink_lines = [], []
     sink_cols, sink_weights, sink_col_lines = [], [], []
@@ -122,11 +122,10 @@ def ref_parse_matrix(text: str, n: int | None = None) -> TransitionMatrix:
         r = _parse_int(tokens[0], lineno, "vertex id")
         c = _parse_int(tokens[1], lineno, "vertex id")
         entries.append((r, c, _parse_weight(tokens[2], lineno)))
-    size = header_n if header_n is not None else n
-    if size is None:
-        raise GraphParseError("matrix size unknown: no '# n' header and no explicit n")
     if not entries:
         raise GraphParseError("no matrix entries found in input")
+    # without a header, one past the last row that an entry or '# sink' line names
+    size = header_n if header_n is not None else 1 + max([r for r, _, _ in entries] + sinks)
     arr = np.asarray([(r, c) for r, c, _ in entries], dtype=np.int64)
     if arr.max() >= size:
         raise GraphParseError(f"entry index {int(arr.max())} out of range [0, {size})")
@@ -349,8 +348,6 @@ def test_load_labels_matches_reference(seed):
         n = int(rng.integers(1, 12))
         text = _label_text(rng, n)
         outcomes.add(assert_same(load_labels, ref_load_labels, text, n)[0])
-        data = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-        assert data_line_count(text) == len(data)
     assert {"groups", "GraphParseError"} <= outcomes
 
 
@@ -377,16 +374,14 @@ def test_parse_matrix_matches_reference(seed, weight_runs):
     for _ in range(120):
         n = int(rng.integers(1, 7))
         text = _matrix_text(rng, n)
-        hint = None if rng.random() < 0.5 else n
-        outcomes.add(assert_same(parse_matrix, ref_parse_matrix, text, hint)[0])
+        outcomes.add(assert_same(parse_matrix, ref_parse_matrix, text)[0])
     assert {"matrix", "GraphParseError"} <= outcomes and not all(weight_runs)
     weight_runs.clear()
     outcomes = set()
     for _ in range(40):
         n = int(rng.integers(2, 7))
         text = _matrix_text(rng, n, equal=True)
-        hint = None if rng.random() < 0.5 else n
-        outcomes.add(assert_same(parse_matrix, ref_parse_matrix, text, hint)[0])
+        outcomes.add(assert_same(parse_matrix, ref_parse_matrix, text)[0])
     assert {"matrix", "GraphParseError"} <= outcomes and sum(weight_runs) >= 20
 
 
@@ -476,8 +471,7 @@ RUN_TEXTS = [
     ],
 )
 def test_parse_matrix_edge_cases(text, weight_runs):
-    for hint in (None, 2):
-        assert_same(parse_matrix, ref_parse_matrix, text, hint)
+    assert_same(parse_matrix, ref_parse_matrix, text)
     assert any(weight_runs) or text not in RUN_TEXTS
 
 
