@@ -30,6 +30,7 @@ tokens: the bytes written and the arrays read stay the same.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -51,6 +52,19 @@ DENSE_PER_LINE = 32
 DENSE_FLOOR = 2**20
 
 
+def _whole(ids, message) -> np.ndarray:
+    """``ids`` as int64. Float ids must be whole numbers, which numpy's cast
+    would truncate: else ValueError with ``message(i, id)`` of the first
+    other one, at flat index i."""
+    ids = np.asarray(ids)
+    if ids.dtype.kind == "f":
+        whole = np.isfinite(ids) & (ids == np.trunc(ids))
+        if not whole.all():
+            i = int(np.argmin(whole.ravel()))
+            raise ValueError(message(i, float(ids.flat[i])))
+    return ids.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Directed graph over vertex ids 0..n-1.
@@ -65,7 +79,7 @@ class Graph:
     edges: np.ndarray  # (m, 2) int64
 
     def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=np.int64)
+        edges = _whole(self.edges, lambda i, v: f"edge {i // 2} has vertex id {v!r}, which is not a whole number")
         edges = edges if edges.size else edges.reshape(0, 2)
         if edges.ndim != 2 or edges.shape[1] != 2:
             raise ValueError(f"edges must have shape (m, 2), got {edges.shape}")
@@ -88,7 +102,9 @@ class GroupAssignment:
     group_sizes: np.ndarray = field(init=False)  # (K,) int64, derived from labels
 
     def __post_init__(self):
-        sizes = np.bincount(self.labels)
+        labels = _whole(self.labels, lambda i, v: f"vertex {i} has label {v!r}, which is not a whole number")
+        object.__setattr__(self, "labels", labels)
+        sizes = np.bincount(labels)
         object.__setattr__(self, "K", len(sizes))
         object.__setattr__(self, "group_sizes", sizes)
         if (sizes == 0).any():
@@ -480,6 +496,9 @@ class WalkOperator:
     ``damped(f)`` is the operator of f P, which the solvers take once per
     call with f = 1 - gamma. ``left_block_into`` is ``left_into`` for the
     R vectors of ``pagerank_power``'s restart block in one call.
+    ``left_step`` and ``right_step`` hand the solvers their step product as
+    one callable; without a dense part it is the compiled kernel itself,
+    with the operator's arrays bound, so that a step runs no Python frame.
 
     The dense part S D adds one low-rank term, p'P = p'P_E + (S'p)'D and
     Pz = P_E z + S(Dz), two more kernel calls per product over all shares S
@@ -596,6 +615,23 @@ class WalkOperator:
             dots = np.zeros(rows)
             csr_matvec(rows, self._size, d_ptr, d_cols, d_data, z, dots)  # Dz
             csc_matvec(self._size, rows, s_ptr, s_rows, shares, dots, y)  # + S(Dz)
+
+    def left_step(self, vectors: int = 1):
+        """``left_into`` (``left_block_into`` over ``vectors`` vectors, for
+        more than one) as one callable ``(p, q)``: without a dense part, the
+        kernel with this operator's arrays bound. Unchecked, as ``left_into``."""
+        if self._dense is not None:
+            return self.left_into if vectors == 1 else functools.partial(self.left_block_into, vectors=vectors)
+        pattern = (self._indptr, self._indices, self._weights)
+        if vectors == 1:
+            return functools.partial(csc_matvec, self._size, self._size, *pattern)
+        return functools.partial(csc_matvecs, self._size, self._size, vectors, *pattern)
+
+    def right_step(self):
+        """``right_into`` as one callable ``(z, y)``, as ``left_step``."""
+        if self._dense is not None:
+            return self.right_into
+        return functools.partial(csr_matvec, self._size, self._size, self._indptr, self._indices, self._weights)
 
 
 def _block_pointers(counts: np.ndarray, copies: int, itype) -> np.ndarray:

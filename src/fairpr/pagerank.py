@@ -16,13 +16,30 @@ from its weights as they are then, and the kernels add each damped product
 into a row that already holds the constant term c. The power iteration's c
 is the jump gamma v. The series' c is 1_k and it starts from 1_k, so its
 t2 steps sum the truncated series sum_{i<=t2} ((1-gamma) P)^i 1_k in Horner
-order. The steps run in chunks of up to ``CHUNK_STEPS``, written into the
-rows of one of two buffers that the chunks take in turn, filled with c once
-per chunk; a chunk's rows stay within ``CHUNK_BUDGET`` entries (1 MiB),
-except that a block larger than that still takes one step per chunk. The
-power iteration tests every step of a chunk in one L1 reduction, the
-series tests none. The solvers check their start vector once and then call
-the operator's unchecked ``left_into``/``right_into`` products.
+order. The steps run in chunks, written into the rows of one of two
+buffers that the chunks take in turn, filled with c once per chunk. The
+series' chunks take up to ``CHUNK_STEPS`` steps, within ``CHUNK_BUDGET``
+entries (1 MiB), and it tests none. The solvers check their start vector
+once, and then each step is one call of the operator's unchecked
+``left_step``/``right_step`` product: without a dense part, the compiled
+kernel itself.
+
+The power iteration tests one step per chunk, its last. The walk contracts
+the L1 change: (1-gamma) P is nonnegative with row sums at most 1 +
+``ROW_SUM_TOL``, so ||x_{s+1} - x_s||_1 <= (1-gamma)(1 + 1e-12)
+||x_s - x_{s-1}||_1, and no copy's change grows from one step to the next,
+up to rounding. So a copy whose last change in a chunk is not below tol met
+tol at no earlier step of it either. Only when some pending copy's last
+change falls below the trigger tol + 64 n eps (eps the float64 epsilon: the
+margin keeps rounding-level growth of the change from hiding a stop) is
+every step of the chunk tested, in one L1 reduction, for each copy's first
+step below tol. The first chunk takes ``CHUNK_STEPS`` steps and measures
+its last two; each later chunk ends where the slowest pending copy is
+predicted to meet tol, from that copy's last two measured changes at a
+rate of at most 1 - gamma per step, and it may run past ``CHUNK_STEPS``
+steps within an eighth of ``CHUNK_BUDGET`` (more than ``CHUNK_STEPS`` steps
+only while they fit there; a block larger than the budget still takes one
+step per chunk).
 
 ``pagerank_power``, ``neumann_y`` and ``group_scores`` also take a
 ``WalkOperator`` over C stacked copies of one pattern (the descent runs its
@@ -38,7 +55,7 @@ search", WWW 2003). It iterates one (C n, R) block, copy-major with the
 restart as the last axis, so that each step is one product call for all
 restarts (``WalkOperator.left_block_into``, the kernels' vector axis) into
 rows that hold the jump vectors: the weights are shared, never tiled R
-times. The chunk's changes are tested once for the whole block, each
+times. A chunk's changes are tested for the whole block at once, each
 (restart, copy) row of n values reduced contiguously as a one-restart solve
 reduces it. Every row stops on its own, so row l is bitwise restart l's own
 solve, and the result is an (R, n) or (R, C, n) block. ``group_scores``
@@ -47,8 +64,9 @@ reads any leading axes.
 
 from __future__ import annotations
 
-import functools
 import logging
+import math
+import sys
 from collections.abc import Sequence
 
 import numpy as np
@@ -56,7 +74,7 @@ import numpy as np
 from .graph import GroupAssignment, PageRankConfig, TransitionMatrix, WalkOperator
 
 DIRECT_SOLVE_LIMIT = 5000
-CHUNK_STEPS = 8  # most steps per chunk
+CHUNK_STEPS = 8  # most steps per series chunk, and the power iteration's first chunk
 CHUNK_BUDGET = 2**17  # most entries in one chunk's steps: 1 MiB of float64
 
 log = logging.getLogger(__name__)
@@ -77,7 +95,8 @@ def _chunks(product, x: np.ndarray, constant: np.ndarray, steps: int, m: int):
     them in chunks of up to ``m``, as the (k, x.size) rows of one of two
     buffers that the chunks take in turn: each chunk's rows are filled with
     ``constant`` once, and each product adds into its row. A chunk's rows
-    are overwritten two chunks later; ``x`` is only read."""
+    are overwritten two chunks later; ``x`` is only read. The series' loop:
+    the power iteration sizes its chunks as it goes, in the same two buffers."""
     # two buffers, not one per chunk: a new one of 128 KiB or more is a fresh
     # mapping under glibc's default malloc, whose pages fault in again at every chunk
     buffers = np.empty((2, m, x.size))
@@ -109,12 +128,14 @@ def pagerank_power(
     over C stacked copies; for R restarts an (R, n) or (R, C, n) block,
     whose row l is what restart l alone returns.
 
-    The steps run in chunks (see the module docstring), and every step's
-    change is tested once its chunk is done: the steps a chunk takes past
-    the last copy's stop, at most ``CHUNK_STEPS - 1``, are discarded. The
-    copies that reach t1 without meeting ``tol`` are logged at DEBUG, with
-    the restarts they belong to (when there are several) and their largest
-    last L1 change.
+    The steps run in chunks, and a chunk's changes are tested once it is
+    done (see the module docstring): its last step's change, and each of its
+    steps' only when a pending copy's last change is within rounding of
+    ``tol``. The chunk after the first ends at the slowest copy's predicted
+    stop, so the steps taken past the last copy's stop, which are discarded,
+    are few. The copies that reach t1 without meeting ``tol`` are logged at
+    DEBUG, with the restarts they belong to (when there are several) and
+    their largest last L1 change.
     """
     if t1 < 1:
         raise ValueError("t1 must be >= 1")
@@ -130,7 +151,7 @@ def pagerank_power(
     span = C * n  # one restart's vectors, one after another, as the operator takes them
     # the block is (C n, R), copy-major with the restart last: entry j R + l is entry j of restart l
     jump = np.tile(gamma * np.array([c.restart_vector for c in restarts]).T, (C, 1)).ravel()
-    product = op.left_into if R == 1 else functools.partial(op.left_block_into, vectors=R)
+    product = op.left_step(R)
     if start is None:
         p = np.full(copies * n, 1.0 / n)
     else:
@@ -141,46 +162,81 @@ def pagerank_power(
                 f"over an operator of size {span}"
             )
         p = np.ascontiguousarray(p.reshape(R, span).T).ravel()
-    m = _chunk_steps(copies * n)
-    gaps = np.empty((m, copies * n))  # |step - the step before|, restart-major
-    per_copy = gaps.reshape(m * copies, n)  # the same, one contiguous row per step, restart and copy
-    into = gaps if R == 1 else gaps.reshape(m, R, span)  # the gaps in the steps' shape
+    size = copies * n
+    # a predicted chunk may run past CHUNK_STEPS steps, within an eighth of the budget
+    most = max(_chunk_steps(size), CHUNK_BUDGET // CHUNK_STEPS // max(size, 1))
+    buffers = np.empty((2, most, size))  # two, for the reason _chunks gives
+    gaps = np.empty((most, size))  # |step - the step before|, restart-major
+    per_copy = gaps.reshape(most * copies, n)  # the same, one contiguous row per step, restart and copy
+    into = gaps if R == 1 else gaps.reshape(most, R, span)  # the gaps in the steps' shape
+    # a last change below this is scanned: rounding may let a change grow by a few ulps of the n terms
+    trigger = tol + 64 * n * sys.float_info.epsilon
+    decay = -math.log1p(-gamma)  # the least -log of the per-step rate: the walk contracts by 1 - gamma
+
+    def changes(last: int) -> np.ndarray:
+        """The (last, copies) L1 changes of the chunk's last ``last`` steps."""
+        first = k - last
+        if not first:  # the chunk's first step follows ``before``
+            np.subtract(steps[0], before, out=into[0])
+            first = 1
+        np.subtract(steps[first:], steps[first - 1 : -1], out=into[last - k + first : last])
+        np.abs(gaps[:last], out=gaps[:last])
+        return np.add.reduce(per_copy[: last * copies], axis=1).reshape(last, copies)
+
     result = np.empty((copies, n))
-    pending = np.arange(copies)  # the copies that have not met tol
-    for rows in _chunks(product, p, jump, t1, m):
-        k = len(rows)
+    pending = list(range(copies))  # the copies that have not met tol
+    done, turn, k, measured = 0, 0, min(CHUNK_STEPS, most, t1), None
+    while True:
+        rows = buffers[turn, :k]
+        rows[:] = jump
+        x = p
+        for row in rows:
+            product(x, row)
+            x = row
+        done, turn = done + k, 1 - turn
         # the steps restart-major, as (k, R, C n) views of the (C n, R) rows; one restart's rows are so already
         steps = rows if R == 1 else rows.reshape(k, span, R).transpose(0, 2, 1)
-        np.subtract(steps[0], p if R == 1 else p.reshape(span, R).T, out=into[0])
-        if k > 1:
-            np.subtract(steps[1:], steps[:-1], out=into[1:k])
-        np.abs(gaps[:k], out=gaps[:k])
-        change = np.add.reduce(per_copy[: k * copies], axis=1).reshape(k, copies)
-        met = change < tol
-        # one test per chunk, on plain bools (numpy's any costs more than a small step's arithmetic);
-        # a stopped copy's later steps may meet tol again, so only pending copies count
-        if True in met.ravel().tolist():
-            met = met[:, pending]
-            hit = met.any(axis=0)
+        before = p if R == 1 else p.reshape(span, R).T
+        change = changes(2 if measured is None and k > 1 else 1)
+        last = change[-1].tolist()
+        # one test per chunk: the walk lets no copy's change grow, so a copy whose last change is past
+        # the trigger met tol at no step of the chunk; else every step is tested, as a stop needs its first
+        if True in [last[r] < trigger for r in pending]:
+            change = changes(k)
+            met = change[:, pending] < tol
+            found = np.where(met.any(axis=0), met.argmax(axis=0), -1).tolist()
             # copy by copy (restart l's copy c is every R-th entry from c n R + l): a
             # fancy-indexed read would copy each row once more
-            for r, step in zip(pending[hit].tolist(), met.argmax(axis=0)[hit].tolist()):
-                l, c = divmod(r, C)
-                result[r] = rows[step, c * n * R + l : (c + 1) * n * R : R]
-            pending = pending[~hit]
+            for r, step in zip(pending, found):
+                if step >= 0:
+                    l, c = divmod(r, C)
+                    result[r] = rows[step, c * n * R + l : (c + 1) * n * R : R]
+            pending = [r for r, step in zip(pending, found) if step < 0]
         p = rows[-1]
-        if not pending.size:
+        if not pending or done == t1:
             break
-    if pending.size:
-        for r in pending.tolist():
-            l, c = divmod(r, C)
-            result[r] = p[c * n * R + l : (c + 1) * n * R : R]
-        if log.isEnabledFor(logging.DEBUG):
-            held = "" if R == 1 else " (restarts %s)" % ", ".join(map(str, np.unique(pending // C).tolist()))
-            log.debug(
-                "pagerank_power: %d of %d copies%s reached t1=%d without meeting tol=%g; largest last L1 change %.3e",
-                pending.size, copies, held, t1, tol, change[-1, pending].max(),
+        # the next chunk ends where the slowest pending copy is predicted to meet tol: its change
+        # falls as its last two measured ones did, by a rate of at most 1 - gamma per step
+        earlier, apart, measured = measured, k, last
+        k = min(most, t1 - done)
+        if k > 1 and tol > 0:
+            if earlier is None:  # after the first chunk, which measured its last two steps
+                earlier, apart = change[-2].tolist(), 1
+            ahead = max(  # steps to tol, at -log(rate) = log(earlier / last) / apart, or decay if more
+                math.log(c / tol) / (max(decay, math.log(e / c) / apart) if e > c else decay)
+                for c, e in ((last[r], earlier[r]) for r in pending)
             )
+            if ahead < k:
+                k = max(1, math.ceil(ahead))
+    for r in pending:
+        l, c = divmod(r, C)
+        result[r] = p[c * n * R + l : (c + 1) * n * R : R]
+    if pending and log.isEnabledFor(logging.DEBUG):
+        held = "" if R == 1 else " (restarts %s)" % ", ".join(map(str, sorted({r // C for r in pending})))
+        log.debug(
+            "pagerank_power: %d of %d copies%s reached t1=%d without meeting tol=%g; largest last L1 change %.3e",
+            len(pending), copies, held, t1, tol, change[-1, pending].max(),
+        )
     return result.reshape(op.shape if isinstance(cfg, PageRankConfig) else (R,) + op.shape)
 
 
@@ -223,7 +279,7 @@ def neumann_y(
         raise ValueError(f"dimension mismatch: indicator of shape {indicator.shape} for n = {op.n}")
     ind = np.tile(indicator, op.copies)  # C-contiguous, of the operator's size, as the unchecked products read it
     y = ind  # with t2 = 0, the i = 0 term alone
-    for rows in _chunks(op.right_into, ind, ind, t2, _chunk_steps(ind.size)):
+    for rows in _chunks(op.right_step(), ind, ind, t2, _chunk_steps(ind.size)):
         y = rows[-1]
     return y.reshape(op.shape)
 

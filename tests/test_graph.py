@@ -382,6 +382,12 @@ def test_graph_refuses_rows_of_three_ids():
         Graph(3, [[0, 1, 2]])
 
 
+def test_whole_float_ids_and_labels_are_read_as_ints():
+    assert Graph(3, np.array([[2.0, 0.0], [0.0, 1.0]])).edges.tolist() == [[0, 1], [2, 0]]
+    groups = GroupAssignment(np.array([0.0, 1.0, 1.0]))
+    assert groups.labels.dtype == np.int64 and groups.group_sizes.tolist() == [1, 2]
+
+
 def test_graph_reads_an_empty_edge_sequence_as_no_edges():
     g = Graph(3, [])
     assert g.m == 0 and g.edges.shape == (0, 2) and g.edges.dtype == np.int64
@@ -415,6 +421,9 @@ def test_pagerank_config_refuses_a_block_restart_vector():
         (lambda: FairnessTarget([0.5, 0.25]), "target scores must sum to 1, got 0.75"),
         (lambda: FairnessTarget.from_lead_share(0.5, 1), "lead-share targets need K >= 2"),
         (lambda: GroupAssignment(np.array([0, 2, 0])), r"every group id in \[0, K\) must label at least one vertex"),
+        # not whole numbers: numpy's cast would keep the edge (0, 1), and np.bincount would raise a TypeError
+        (lambda: Graph(3, [[0.5, 1.9]]), r"^edge 0 has vertex id 0\.5, which is not a whole number$"),
+        (lambda: GroupAssignment(np.array([0.0, 1.0, np.nan])), r"^vertex 2 has label nan, which is not a whole number$"),
         (lambda: TransitionMatrix(2, [0, 1], [1], [1.0]), r"indptr length must be n \+ 1"),
         (lambda: TransitionMatrix(2, [0, 1, 2], [1, 0], [1.0]), "indices and data lengths differ"),
         (

@@ -508,45 +508,53 @@ def stochastic_block(rng, P, copies):
 
 @pytest.mark.parametrize("steps", [None, 1, 2, 3])
 @pytest.mark.parametrize("copies", [0, 1, 9])
-@pytest.mark.parametrize("sinks", [False, True])
+@pytest.mark.parametrize("sinks", [False, True, "lfpr_u"])
 def test_solvers_match_stepwise_loops_bitwise(monkeypatch, steps, copies, sinks):
     """Every result of the solvers is bitwise the step-by-step loops', at
-    step counts around the power iteration's chunk length, with copies that
-    stop at different steps of one chunk, and with the chunk length forced to
-    1, 2 and 3 through the memory budget (None keeps the default)."""
-    rng = np.random.default_rng(1616 + 10 * copies + sinks + (steps or 0))
-    shared_chunk = False  # two copies stopped at different steps of one chunk
-    for case in range(3):
+    step counts around the power iteration's first chunk, with copies that
+    stop at different steps, with the chunk length forced to 1, 2 and 3
+    through the memory budget (None keeps the default), on matrices with
+    sink rows and lfpr_u outputs (a dense part). gamma is 0.15, 0.01 and 0.5,
+    and tol goes down to where the changes are rounding (1e-15, 1e-17) and 0;
+    the start is uniform, random, or one step from every copy's stop."""
+    rng = np.random.default_rng(1616 + 10 * copies + [False, True, "lfpr_u"].index(sinks) + (steps or 0))
+    distinct = False  # copies of one solve stopped at different steps
+    for case, gamma in enumerate((GAMMA, 0.01, 0.5)):
         n = int(rng.integers(20, 40))
         make = random_sinky_instance if sinks else random_instance
-        _, groups, cfg, P = make(rng, n, 2)
-        assert (P.sink_row is not None) == sinks or case  # the first sinky instance has sinks
+        _, groups, cfg, P = make(rng, n, 2, gamma=gamma)
+        assert (P.sink_row is not None) == bool(sinks) or case  # the first sinky instance has sinks
+        if sinks == "lfpr_u":
+            P = lfpr_u(P, groups, FairnessTarget(phi=rng.dirichlet(np.ones(2)))).matrix
+            assert P.has_spreads or case
         op = P if copies == 1 else WalkOperator(P, stochastic_block(rng, P, copies))
         size = copies * P.n
         if steps is not None:
             monkeypatch.setattr(fairpr.pagerank, "CHUNK_BUDGET", steps * size + size // 2)
-        m = fairpr.pagerank._chunk_steps(size)
-        assert m == (steps or 8) or copies == 0
+        assert fairpr.pagerank._chunk_steps(size) == (steps or 8) or copies == 0
         start = rng.random((copies, P.n)) + 0.1
         start /= start.sum(axis=1, keepdims=True)
         if copies == 1:
             start = start[0]
-        for t1 in (1, 7, 8, 9, 17, 100):
-            for tol in (0.0, 1e-8, 1e-12):
-                for given in (None, start):
+        for tol in (0.0, 1e-8, 1e-12, 1e-15, 1e-17):
+            starts = [None, start]
+            stops = stepwise_power(op, cfg, 1000, tol, start)[1]
+            if 1 < stops.max(initial=1000) < 1000:  # the step before the last copy's stop
+                starts.append(stepwise_power(op, cfg, int(stops.max()) - 1, 0.0, start)[0])
+            for t1 in (1, 7, 8, 9, 17, 100):
+                for given in starts:
                     want, stops = stepwise_power(op, cfg, t1, tol, given)
                     got = pagerank_power(op, cfg, t1, tol, given)
                     assert got.shape == want.shape == op.operator().shape
-                    assert np.array_equal(got, want), (case, t1, tol, given is None)
-                    chunks = (stops[stops < t1] - 1) // m
-                    shared_chunk |= len(set(zip(chunks.tolist(), stops[stops < t1].tolist()))) > len(set(chunks.tolist()))
+                    assert np.array_equal(got, want), (case, t1, tol, len(starts))
+                    distinct |= len(set(stops[stops < t1].tolist())) > 1
         ind = groups.indicator(case % 2)
         for t2 in (0, 1, 7, 8, 9, 50):
             want = stepwise_series(op, ind, GAMMA, t2)
             got = neumann_y(op, ind, GAMMA, t2)
             assert got.shape == want.shape == op.operator().shape
             assert np.array_equal(got, want), (case, t2)
-    assert shared_chunk or copies < 9 or steps == 1
+    assert distinct or copies < 9
 
 
 def test_capped_solves_are_logged(caplog):
@@ -586,14 +594,15 @@ def restart_list(groups, gamma=GAMMA):
 
 @pytest.mark.parametrize("copies", [1, 2, 3])
 @pytest.mark.parametrize("sinks", [False, True])
-def test_restart_block_rows_match_single_restart_solves_bitwise(copies, sinks):
+def test_restart_block_rows_match_single_restart_solves_bitwise(karate, copies, sinks):
     """Row l of a solve over R restarts is bitwise restart l's own solve from
     the same start: on sink-free and sinky instances, with rows that stop in
-    different chunks and rows capped at t1."""
+    the first chunk and past it, and rows capped at t1; and on karate's R = 3
+    at tol 1e-17, where the changes at the stops are rounding."""
     rng = np.random.default_rng(1720 + 10 * copies + sinks)
     make = random_sinky_instance if sinks else random_instance
-    for case in range(3):
-        _, groups, _, P = make(rng, int(rng.integers(20, 40)), 3)
+    for case in range(4):
+        _, groups, _, P = make(rng, int(rng.integers(20, 40)), 3) if case < 3 else karate
         restarts = restart_list(groups)
         R = len(restarts)
         op = P if copies == 1 else WalkOperator(P, stochastic_block(rng, P, copies))
@@ -602,10 +611,9 @@ def test_restart_block_rows_match_single_restart_solves_bitwise(copies, sinks):
         start /= start.sum(axis=-1, keepdims=True)
         # restart 1 starts on its fixed point (every copy stops at step 1), the others far off
         start[1] = pagerank_power(op, restarts[1], t1=1000, tol=0.0)
-        tol = 1e-8
+        tol = 1e-8 if case < 3 else 1e-17
         stops = np.concatenate([stepwise_power(op, cfg, 1000, tol, s)[1] for cfg, s in zip(restarts, start)])
-        m = fairpr.pagerank._chunk_steps(R * op.operator().copies * P.n)
-        assert len(set(((stops - 1) // m).tolist())) > 1  # rows stop in different chunks
+        assert stops.min() == 1 and stops.max() > fairpr.pagerank.CHUNK_STEPS  # in the first chunk and past it
         for t1 in (1, 5, int(stops.max()) - 1, int(stops.max()), 100):
             for given in (None, start):
                 got = pagerank_power(op, restarts, t1=t1, tol=tol, start=given)
@@ -684,7 +692,7 @@ def test_restart_block_over_nine_copies_matches_stepwise_bitwise(monkeypatch, st
     calls = []
     block_product = WalkOperator.left_block_into
     monkeypatch.setattr(WalkOperator, "left_block_into", lambda *a, **k: calls.append(1) or block_product(*a, **k))
-    for t1, tol in ((1, 1e-8), (4, 0.0), (7, 1e-8), (100, 1e-10)):
+    for t1, tol in ((1, 1e-8), (4, 0.0), (7, 1e-8), (100, 1e-10), (300, 1e-10)):
         for given in (None, start):
             del calls[:]
             got = pagerank_power(block, restarts, t1=t1, tol=tol, start=given)
@@ -694,7 +702,7 @@ def test_restart_block_over_nine_copies_matches_stepwise_bitwise(monkeypatch, st
                 want, stop = stepwise_power(block, cfg, t1, tol, None if given is None else given[ell])
                 assert np.array_equal(got[ell], want), (t1, tol, ell)
                 stops.append(stop)
-            # one call per step taken, past the last stop to the end of its chunk
-            taken = int(np.max(stops))
-            assert len(calls) == min(t1, -(-taken // steps) * steps), (t1, tol)
+            # one call per step taken: the final chunk ends at the last copy's predicted stop, which on
+            # these solves is its stop, so no step is discarded (whole chunks of ``steps`` took 78 for 77)
+            assert len(calls) == min(t1, int(np.max(stops))), (t1, tol)
     assert given is start and np.unique(np.concatenate(stops)).size > 2  # copies stop at several steps
