@@ -149,20 +149,20 @@ def pagerank_power(
     R, n, C = len(restarts), op.n, op.copies
     copies = R * C  # the stop test's rows: restart l's copies are rows l C .. l C + C - 1
     span = C * n  # one restart's vectors, one after another, as the operator takes them
+    size = copies * n
     # the block is (C n, R), copy-major with the restart last: entry j R + l is entry j of restart l
     jump = np.tile(gamma * np.array([c.restart_vector for c in restarts]).T, (C, 1)).ravel()
     product = op.left_step(R)
     if start is None:
-        p = np.full(copies * n, 1.0 / n)
+        p = np.full(size, 1.0 / n)
     else:
         p = np.asarray(start, dtype=float)
-        if p.size != copies * n:
+        if p.size != size:
             raise ValueError(
                 f"dimension mismatch: start of shape {np.shape(start)} for {R} restart(s) "
                 f"over an operator of size {span}"
             )
         p = np.ascontiguousarray(p.reshape(R, span).T).ravel()
-    size = copies * n
     # a predicted chunk may run past CHUNK_STEPS steps, within an eighth of the budget
     most = max(_chunk_steps(size), CHUNK_BUDGET // CHUNK_STEPS // max(size, 1))
     buffers = np.empty((2, most, size))  # two, for the reason _chunks gives
