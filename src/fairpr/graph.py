@@ -760,11 +760,19 @@ def _format_repeats(column: np.ndarray, spec: str) -> np.ndarray | None:
     half as many distinct bit patterns as entries, as an object array of
     str that formats each distinct pattern once; else None. The patterns
     are counted by a sort (``_sorted_distinct``) and each entry finds its
-    string by ``np.searchsorted``."""
+    string by ``np.searchsorted``. The first half is counted first, and
+    when more than half of its entries after the first bring a new pattern
+    the column is taken as distinct, without sorting the rest: a column
+    that repeats only in its second half is formatted entry by entry, to
+    the same bytes."""
     if column.dtype != np.float64:
         return None
     bits = column.view(np.int64)
-    distinct = _sorted_distinct(bits)
+    half = len(bits) // 2
+    head = _sorted_distinct(bits[:half])
+    if 2 * len(head) > half + 1:
+        return None
+    distinct = _sorted_distinct(np.concatenate([head, bits[half:]]))
     if 2 * len(distinct) > len(column):
         return None
     text = [spec % value for value in distinct.view(np.float64).tolist()]

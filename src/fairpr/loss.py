@@ -52,14 +52,20 @@ def _restart_loss(P, restarts, groups, target, t1, tol) -> float:
     return float(_mean_loss(scores, target.phi))
 
 
-def _terms(op, p, scale, restarts, groups, phi, t2, rows, cols):
+def _indicators(groups: GroupAssignment) -> np.ndarray:
+    """The (K, n) group indicators, row k ``groups.indicator(k)``."""
+    return (groups.labels == np.arange(groups.K)[:, None]).astype(float)
+
+
+def _terms(op, p, scale, restarts, groups, phi, t2, rows, cols, starts):
     """Yield (coef, term) for each group k of one restart's solution ``p``:
     coef = scale (2(1-gamma)/(K R)) (score_k(p) - phi_k), R = len(restarts),
     and term = coef p[i] y_k[j] on the stored entries (i, j) = (rows, cols),
     skipping a k whose coef is zero. ``p`` may be a (C, n) block over ``op``'s
     stacked copies, with ``scale`` one number or one per copy. y_k is
-    ``neumann_y`` at op's weights when its term is requested, so weights moved
-    between terms count."""
+    ``neumann_y`` from ``starts[k]``, group k's indicator (shared, or one per
+    copy, as ``neumann_y`` takes it), at op's weights when its term is
+    requested, so weights moved between terms count."""
     c = scale * (2.0 * (1.0 - restarts[0].gamma) / (groups.K * len(restarts)))
     s = group_scores(p, groups)
     prow = np.take(p, rows, axis=-1)
@@ -67,17 +73,17 @@ def _terms(op, p, scale, restarts, groups, phi, t2, rows, cols):
         coef = c * (s[..., k] - phi[k])
         if not coef.any():
             continue
-        y = neumann_y(op, groups.indicator(k), restarts[0].gamma, t2)
+        y = neumann_y(op, starts[k], restarts[0].gamma, t2)
         yield coef, coef[..., None] * prow * np.take(y, cols, axis=-1)
 
 
 def _restart_grad(P, restarts, groups, target, t1, t2, tol) -> SparseGradient:
     """The mean loss's gradient on the stored pattern: every restart's
     ``_terms`` at P, summed, with the restarts solved in one block."""
-    rows, cols, op = P.entry_rows(), P.indices, P.operator()
+    rows, cols, op, starts = P.entry_rows(), P.indices, P.operator(), _indicators(groups)
     values = np.zeros(len(rows))
     for p in pagerank_power(op, restarts, t1=t1, tol=tol):
-        for _, term in _terms(op, p, 1.0, restarts, groups, target.phi, t2, rows, cols):
+        for _, term in _terms(op, p, 1.0, restarts, groups, target.phi, t2, rows, cols, starts):
             values += term
     return SparseGradient(P.n, rows, cols, values)
 

@@ -81,16 +81,25 @@ def aligned(P_new: TransitionMatrix, P_old: TransitionMatrix):
     over the rows that are not sinks on both sides, and each side's weights
     on it (0 where it has none). When both sides write out the same keys
     (a revision on the original's pattern), those keys are the union and
-    each side's weights are its own, with no merge. Otherwise the union is
-    one ``merge_runs``, the same stable sort that ``entries`` merges its
-    parts by. ``delta_p`` and ``rho_tilde`` read it, so an evaluation
-    aligns its two matrices once for both."""
+    each side's weights are its own, with no merge. When the new side's
+    keys hold every old one (a revision that only adds entries, as the
+    locally fair baselines write), they are the union, and the old weights
+    land at their ``np.searchsorted`` places. Otherwise the union is one
+    ``merge_runs``, the same stable sort that ``entries`` merges its parts
+    by. ``delta_p`` and ``rho_tilde`` read it, so an evaluation aligns its
+    two matrices once for both."""
     if P_new.n != P_old.n:
         raise ValueError("matrices must have the same dimension")
     rows = ~(P_new.sink_mask & P_old.sink_mask)
     (keys_new, w_new), (keys_old, w_old) = P_new.entries(rows), P_old.entries(rows)
     if np.array_equal(keys_new, keys_old):
         return keys_new, w_new, w_old
+    if len(keys_old) < len(keys_new):
+        at = np.searchsorted(keys_new, keys_old)
+        if np.array_equal(keys_new.take(at, mode="clip"), keys_old):  # every old key is a new one
+            old = np.zeros(len(keys_new))
+            old[at] = w_old
+            return keys_new, w_new, old
     keys, order, first = merge_runs([keys_new, keys_old])
     at = np.empty(len(keys), np.intp)  # each side's keys' places in the union, new's first
     at[order] = np.cumsum(first) - 1

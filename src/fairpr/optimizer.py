@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import FairnessTarget, GroupAssignment, PageRankConfig, TransitionMatrix, WalkOperator
-from .loss import _group_restarts, _mean_loss, _terms, lipschitz_bound
+from .loss import _group_restarts, _indicators, _mean_loss, _terms, lipschitz_bound
 from .pagerank import group_scores, pagerank_power
-from .projection import project_rows, row_boxes
+from .projection import project_rows, row_boxes, stack_boxes
 
 log = logging.getLogger(__name__)
 
@@ -156,7 +156,10 @@ def _descend(
     and leaves the stack, only when an entry is past ENTRY_CEILING (or not
     finite) after all the terms. Project every copy once per iteration,
     which lands each row on sum 1 to rounding; rows without edges never
-    change. The loss needs no check: it is only evaluated at projected
+    change. The series' starts (group k's indicator on every copy) and the
+    projection's row ids and boxes, tiled over the copies of one piece,
+    are built once per descent; the starts shrink with the stack, and the
+    tiles serve any smaller stack by a prefix. The loss needs no check: it is only evaluated at projected
     matrices, where it is at most 1. A matrix in which a row with edges
     carries a share (``has_spreads``) raises ValueError before any work.
     """
@@ -177,15 +180,17 @@ def _descend(
     W = np.tile(P.data, (C, 1))
     op = WalkOperator(P, W)
     warm = np.full((len(restarts), C, n), 1.0 / n)  # each restart's vector on each copy
+    starts = np.repeat(_indicators(groups)[:, None], C, axis=1)  # (K, C, n): group k's series start per copy
+    boxes = stack_boxes(rows, box.lower, box.upper, C)  # a fewer-copy stack projects with a prefix of them
     loss_prev = np.full(C, math.inf)
     traces: list[list[float]] = [[] for _ in alphas]
     outcomes: list = [None] * C
 
     def keep(mask):
         """Drop the copies outside ``mask`` from the stack."""
-        nonlocal ids, step_sizes, W, op, warm, loss_prev
+        nonlocal ids, step_sizes, W, op, warm, starts, loss_prev
         ids, step_sizes, W, loss_prev = ids[mask], step_sizes[mask], W[mask], loss_prev[mask]
-        warm = warm[:, mask]
+        warm, starts = warm[:, mask], starts[:, mask]
         op = WalkOperator(P, W)
 
     for it in range(opt.max_iters + 1):
@@ -208,15 +213,16 @@ def _descend(
 
         with np.errstate(over="ignore", invalid="ignore"):
             for p in warm:
-                for coef, step in _terms(op, p, step_sizes, restarts, groups, phi, opt.t2, rows, P.indices):
-                    step[coef == 0.0] = 0.0  # x - 0.0 is x: those copies keep their weights bitwise
+                for coef, step in _terms(op, p, step_sizes, restarts, groups, phi, opt.t2, rows, P.indices, starts):
+                    if not coef.all():
+                        step[coef == 0.0] = 0.0  # x - 0.0 is x: those copies keep their weights bitwise
                     W -= step
         ok = ((W <= ENTRY_CEILING) & (W >= -ENTRY_CEILING)).all(axis=1)  # False for nan too
         if not all(ok.tolist()):  # plain bools: numpy's all/any cost more on a few copies
             for i in ids[~ok]:
                 outcomes[i] = DivergedError(it + 1, safe_alpha)
             keep(ok)
-        project_rows(W, rows, box.lower, box.upper, out=W)
+        project_rows(W, *boxes, out=W)
     return alphas, outcomes
 
 

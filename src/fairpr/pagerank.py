@@ -17,12 +17,16 @@ into a row that already holds the constant term c. The power iteration's c
 is the jump gamma v. The series' c is 1_k and it starts from 1_k, so its
 t2 steps sum the truncated series sum_{i<=t2} ((1-gamma) P)^i 1_k in Horner
 order. The steps run in chunks, written into the rows of one of two
-buffers that the chunks take in turn, filled with c once per chunk. The
-series' chunks take up to ``CHUNK_STEPS`` steps, within ``CHUNK_BUDGET``
-entries (1 MiB), and it tests none. The solvers check their start vector
-once, and then each step is one call of the operator's unchecked
-``left_step``/``right_step`` product: without a dense part, the compiled
-kernel itself.
+buffers that the chunks take in turn, filled with c once per chunk. One
+rule bounds a chunk's steps in both solvers (``_chunk_steps``): as many as
+fit in an eighth of ``CHUNK_BUDGET`` entries (2^14), or else up to
+``CHUNK_STEPS`` within the whole budget (1 MiB), and at least one. So a
+karate series of t2 = 50 steps over 9 copies is one chunk, and a block
+past the budget takes one step per chunk. The series' chunks take that
+many steps and it tests none; the chunk length changes no bit of either
+result. The solvers check their start vector once, and then each step is
+one call of the operator's unchecked ``left_step``/``right_step`` product:
+without a dense part, the compiled kernel itself.
 
 The power iteration tests one step per chunk, its last. The walk contracts
 the L1 change: (1-gamma) P is nonnegative with row sums at most 1 +
@@ -36,15 +40,13 @@ every step of the chunk tested, in one L1 reduction, for each copy's first
 step below tol. The first chunk takes ``CHUNK_STEPS`` steps and measures
 its last two; each later chunk ends where the slowest pending copy is
 predicted to meet tol, from that copy's last two measured changes at a
-rate of at most 1 - gamma per step, and it may run past ``CHUNK_STEPS``
-steps within an eighth of ``CHUNK_BUDGET`` (more than ``CHUNK_STEPS`` steps
-only while they fit there; a block larger than the budget still takes one
-step per chunk).
+rate of at most 1 - gamma per step, within the chunk rule's bound.
 
 ``pagerank_power``, ``neumann_y`` and ``group_scores`` also take a
 ``WalkOperator`` over C stacked copies of one pattern (the descent runs its
 step-size grid that way) and then work on (C, n) blocks, one product per
-step for all copies. Each copy's row is bitwise what the same call on that
+step for all copies; ``neumann_y`` then takes one start shared by the
+copies or one per copy. Each copy's row is bitwise what the same call on that
 copy alone returns: the power iteration stops each copy on its own, and a
 1-D call is the one-copy case.
 
@@ -74,8 +76,8 @@ import numpy as np
 from .graph import GroupAssignment, PageRankConfig, TransitionMatrix, WalkOperator
 
 DIRECT_SOLVE_LIMIT = 5000
-CHUNK_STEPS = 8  # most steps per series chunk, and the power iteration's first chunk
-CHUNK_BUDGET = 2**17  # most entries in one chunk's steps: 1 MiB of float64
+CHUNK_STEPS = 8  # the power iteration's first chunk; any chunk's steps when fewer fit in the budget's eighth
+CHUNK_BUDGET = 2**17  # entries of a chunk's steps, 1 MiB of float64: past CHUNK_STEPS steps, an eighth of it
 
 log = logging.getLogger(__name__)
 
@@ -85,9 +87,13 @@ class OracleSizeError(ValueError):
 
 
 def _chunk_steps(size: int) -> int:
-    """Steps per chunk for vectors of ``size`` entries: at most
-    ``CHUNK_STEPS``, within ``CHUNK_BUDGET`` entries, and at least one."""
-    return max(1, min(CHUNK_STEPS, CHUNK_BUDGET // max(size, 1)))
+    """Most steps per chunk for vectors of ``size`` entries, in both solvers:
+    as many as fit in an eighth of ``CHUNK_BUDGET`` entries, or else up to
+    ``CHUNK_STEPS`` within the whole budget, and at least one. The eighth
+    keeps a chunk's two buffers well inside a 2 MB L2 cache: the whole
+    budget made a mind-like sweep slower."""
+    size = max(size, 1)
+    return max(1, min(CHUNK_STEPS, CHUNK_BUDGET // size), CHUNK_BUDGET // CHUNK_STEPS // size)
 
 
 def _chunks(product, x: np.ndarray, constant: np.ndarray, steps: int, m: int):
@@ -99,7 +105,7 @@ def _chunks(product, x: np.ndarray, constant: np.ndarray, steps: int, m: int):
     the power iteration sizes its chunks as it goes, in the same two buffers."""
     # two buffers, not one per chunk: a new one of 128 KiB or more is a fresh
     # mapping under glibc's default malloc, whose pages fault in again at every chunk
-    buffers = np.empty((2, m, x.size))
+    buffers = np.empty((2, min(m, steps), x.size))
     for done in range(0, steps, m):
         rows = buffers[done // m % 2, : min(m, steps - done)]
         rows[:] = constant
@@ -163,8 +169,7 @@ def pagerank_power(
                 f"over an operator of size {span}"
             )
         p = np.ascontiguousarray(p.reshape(R, span).T).ravel()
-    # a predicted chunk may run past CHUNK_STEPS steps, within an eighth of the budget
-    most = max(_chunk_steps(size), CHUNK_BUDGET // CHUNK_STEPS // max(size, 1))
+    most = _chunk_steps(size)  # a predicted chunk's steps; the first takes at most CHUNK_STEPS
     buffers = np.empty((2, most, size))  # two, for the reason _chunks gives
     gaps = np.empty((most, size))  # |step - the step before|, restart-major
     per_copy = gaps.reshape(most * copies, n)  # the same, one contiguous row per step, restart and copy
@@ -265,7 +270,9 @@ def neumann_y(
     """Truncated series sum_{i=0..t2} (1-gamma)^i P^i 1_k by repeated matvec.
 
     Approximates (I - (1-gamma) P)^{-1} 1_k; the i = 0 term is included.
-    Over stacked copies every copy starts from the same (n,) ``indicator``.
+    ``indicator`` is one (n,) start that every stacked copy shares, or one
+    start per copy, exactly of the operator's (C, n) shape; it is only read.
+    Each copy's row is bitwise the one-copy call with its start.
 
     The sum runs in Horner order, t2 steps y <- 1_k + (1-gamma) P y from
     y = 1_k, in chunks of one damped product per step (see the module
@@ -275,9 +282,11 @@ def neumann_y(
         raise ValueError("t2 must be >= 0")
     op = P.operator().damped(1.0 - gamma)
     indicator = np.asarray(indicator, dtype=float)
-    if indicator.shape != (op.n,):
+    if indicator.shape not in ((op.n,), op.shape):
         raise ValueError(f"dimension mismatch: indicator of shape {indicator.shape} for n = {op.n}")
-    ind = np.tile(indicator, op.copies)  # C-contiguous, of the operator's size, as the unchecked products read it
+    if indicator.shape != op.shape:  # one start for every copy, copied to each below
+        indicator = np.broadcast_to(indicator, op.shape)
+    ind = np.ascontiguousarray(indicator).reshape(-1)  # as the unchecked products read it
     y = ind  # with t2 = 0, the i = 0 term alone
     for rows in _chunks(op.right_step(), ind, ind, t2, _chunk_steps(ind.size)):
         y = rows[-1]

@@ -86,7 +86,9 @@ def project_rows(
     ``s`` holds one copy of the pattern, or a (C, nnz) block of C copies.
     ``seg`` gives the row id of each of a copy's nnz entries, ascending,
     and ``lower``/``upper`` their boxes, which must meet the simplex (see
-    ``BoxBounds.validate``); every copy shares them, untiled. Rows already
+    ``BoxBounds.validate``); every copy shares them. They may also come
+    tiled over the whole copies of one piece, as ``stack_boxes`` builds
+    them once for a block that is projected again and again. Rows already
     feasible within FEAS_TOL come back bit-for-bit, the others on sum 1 to
     rounding. The result goes into ``out``, returned: a new array when
     omitted, else a C-contiguous one of s's shape, such as ``s`` itself,
@@ -103,17 +105,17 @@ def project_rows(
         out = s.copy()
     elif out is not s:
         out[...] = s
-    nnz = seg.size
     if not s.size:
         return out
+    nnz = s.shape[-1]
     flat_s, flat_out = s.reshape(-1), out.reshape(-1)  # views of C-contiguous blocks
     if nnz <= PIECE_BUDGET:  # whole copies, k at a time
-        k = min(PIECE_BUDGET // nnz, flat_s.size // nnz)
-        ids = seg if k == 1 else (seg + (seg[-1] + 1) * np.arange(k)[:, None]).ravel()
-        lo, up = (lower, upper) if k == 1 else (np.tile(lower, k), np.tile(upper, k))
+        if seg.size == nnz:
+            seg, lower, upper = stack_boxes(seg, lower, upper, flat_s.size // nnz)
+        k = seg.size // nnz  # the last piece, or a block of fewer copies, reads a prefix
         for a in range(0, flat_s.size, k * nnz):
             b = min(a + k * nnz, flat_s.size)
-            _project_piece(flat_s[a:b], ids[: b - a], lo[: b - a], up[: b - a], flat_out[a:b])
+            _project_piece(flat_s[a:b], seg[: b - a], lower[: b - a], upper[: b - a], flat_out[a:b])
         return out
     cuts = [0]  # whole rows of one copy at a time
     while cuts[-1] < nnz:
@@ -124,6 +126,21 @@ def project_rows(
         for a, b in zip(cuts[:-1], cuts[1:]):
             _project_piece(flat_s[c + a : c + b], seg[a:b] - seg[a], lower[a:b], upper[a:b], flat_out[c + a : c + b])
     return out
+
+
+def stack_boxes(
+    seg: np.ndarray, lower: np.ndarray, upper: np.ndarray, copies: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One copy's row ids ``seg`` and boxes, tiled over the whole copies that
+    ``project_rows`` takes as one piece of a (``copies``, nnz) block (at most
+    PIECE_BUDGET entries), copy j's row ids following copy j - 1's; one
+    copy's arrays as they are when a piece holds one copy or none. A block
+    of fewer copies reads a prefix, so the tiles serve a stack that shrinks."""
+    nnz = seg.size
+    k = min(PIECE_BUDGET // nnz, copies) if nnz else 1
+    if k <= 1:
+        return seg, lower, upper
+    return (seg + (seg[-1] + 1) * np.arange(k)[:, None]).ravel(), np.tile(lower, k), np.tile(upper, k)
 
 
 def _project_piece(x, seg, lo, up, out):

@@ -48,9 +48,16 @@ def _parse_weight(token: str, lineno: int) -> float:
 
 def _runs(tokens: np.ndarray) -> np.ndarray | None:
     """Where each run of equal adjacent ``tokens`` starts, when there are at
-    most half as many runs as tokens; else None."""
+    most half as many runs as tokens; else None. The first half is compared
+    first, and when more than half of its tokens after the first start a
+    run the column is taken as distinct, without comparing the rest."""
     fresh = np.empty(len(tokens), bool)
-    fresh[:1], fresh[1:] = True, tokens[1:] != tokens[:-1]
+    fresh[:1] = True
+    half = max(len(tokens) // 2, 1)
+    np.not_equal(tokens[1:half], tokens[: half - 1], out=fresh[1:half])
+    if 2 * np.count_nonzero(fresh[1:half]) > half - 1:
+        return None
+    np.not_equal(tokens[half:], tokens[half - 1 : -1], out=fresh[half:])
     return np.flatnonzero(fresh) if 2 * np.count_nonzero(fresh) <= len(tokens) else None
 
 

@@ -903,3 +903,31 @@ def test_constructor_checks_shares():
     # vectors that no row shares are dropped from the end
     tm = TransitionMatrix(2, [0, 1, 2], [0, 1], [1.0, 1.0], shares=(np.eye(2), [], [], []))
     assert tm.vectors.shape == (0, 2) and tm.sink_row is None and not tm.has_spreads
+
+
+def test_format_repeats_stops_at_a_distinct_first_half(monkeypatch):
+    """An all-distinct column is given up after its first half is sorted; a
+    repeated one formats each value once, and a column that repeats only in
+    its second half is formatted entry by entry. format_lines writes the
+    same bytes either way."""
+    sorted_sizes, sorted_distinct = [], fairpr.graph._sorted_distinct
+    spy = lambda ids: sorted_sizes.append(len(ids)) or sorted_distinct(ids)  # noqa: E731
+    monkeypatch.setattr(fairpr.graph, "_sorted_distinct", spy)
+    distinct = np.arange(1000) / 7.0
+    repeated = np.repeat([0.5, 1 / 3, -0.0, 0.0], 250)
+    late = np.concatenate([distinct[:500], np.full(500, 0.25)])  # 501 values, 1000 entries
+    for column, formats in ((distinct, False), (repeated, True), (late, False)):
+        del sorted_sizes[:]
+        out = fairpr.graph._format_repeats(column, "%.17g")
+        assert (out is not None) == formats
+        if formats:
+            assert out.tolist() == ["%.17g" % v for v in column.tolist()]
+        else:
+            assert sorted_sizes == [500]  # the first half only
+        ids = np.arange(len(column))
+        want = "".join("%d\t%.17g\n" % line for line in zip(ids.tolist(), column.tolist()))
+        assert format_lines("%d\t%.17g\n", ids, column) == want
+    # short columns: one equal pair repeats, one distinct pair does not
+    assert fairpr.graph._format_repeats(np.array([0.5, 0.5]), "%g").tolist() == ["0.5", "0.5"]
+    assert fairpr.graph._format_repeats(np.array([0.5, 0.25]), "%g") is None
+    assert fairpr.graph._format_repeats(np.array([0.5]), "%g") is None

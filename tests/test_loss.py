@@ -22,7 +22,7 @@ from fairpr import (
     pagerank_power,
 )
 from fairpr.graph import WalkOperator
-from fairpr.loss import _terms, loss_from_scores
+from fairpr.loss import _indicators, _terms, loss_from_scores
 
 GAMMA = 0.15
 
@@ -210,7 +210,7 @@ def test_terms_sum_to_the_gradients_bitwise():
                 p = pagerank_power(P, c)
                 resid = group_scores(p, groups) - target.phi
                 coefs = []
-                for coef, term in _terms(P, p, 1.0, restarts, groups, target.phi, 40, rows, cols):
+                for coef, term in _terms(P, p, 1.0, restarts, groups, target.phi, 40, rows, cols, _indicators(groups)):
                     coefs.append(coef)
                     summed += term
                 assert coefs == [c0 * resid[k] for k in range(K)]
@@ -273,14 +273,19 @@ def test_terms_over_stacked_copies_match_each_copy_alone_bitwise():
     scale = np.array([1e-2, 0.5, 3.0, 40.0])
     op = WalkOperator(P, W)
     p = pagerank_power(op, restarts[1])
-    block = list(_terms(op, p, scale, restarts, groups, target.phi, 30, rows, cols))
-    assert len(block) == 3
-    for c in range(len(W)):
-        alone = list(_terms(P.with_data(W[c]), p[c], scale[c], restarts, groups, target.phi, 30, rows, cols))
-        assert len(alone) == len(block)
-        for (coefs, terms), (coef, term) in zip(block, alone):
-            assert coefs[c] == coef
-            assert np.array_equal(terms[c], term)
+    shared = _indicators(groups)
+    assert all(np.array_equal(shared[k], groups.indicator(k)) for k in range(3))
+    # the series starts shared by the copies, and one per copy as the descent holds them
+    for starts in (shared, np.repeat(shared[:, None], len(W), axis=1)):
+        block = list(_terms(op, p, scale, restarts, groups, target.phi, 30, rows, cols, starts))
+        assert len(block) == 3
+        for c in range(len(W)):
+            one = P.with_data(W[c])
+            alone = list(_terms(one, p[c], scale[c], restarts, groups, target.phi, 30, rows, cols, shared))
+            assert len(alone) == len(block)
+            for (coefs, terms), (coef, term) in zip(block, alone):
+                assert coefs[c] == coef
+                assert np.array_equal(terms[c], term)
 
 
 def test_terms_see_weights_moved_between_terms():
@@ -294,13 +299,15 @@ def test_terms_see_weights_moved_between_terms():
     scale = np.array([0.5, 2.0])
     p = pagerank_power(WalkOperator(P, W), cfg)
 
+    starts = _indicators(groups)
+
     def second_term(weights):
-        terms = _terms(WalkOperator(P, weights), p, scale, [cfg], groups, target.phi, 30, rows, cols)
+        terms = _terms(WalkOperator(P, weights), p, scale, [cfg], groups, target.phi, 30, rows, cols, starts)
         next(terms)
         return next(terms)
 
     stale = second_term(W.copy())
-    terms = _terms(WalkOperator(P, W), p, scale, [cfg], groups, target.phi, 30, rows, cols)
+    terms = _terms(WalkOperator(P, W), p, scale, [cfg], groups, target.phi, 30, rows, cols, starts)
     W -= next(terms)[1]
     coef, term = next(terms)
     want_coef, want = second_term(W.copy())

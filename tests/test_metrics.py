@@ -326,3 +326,45 @@ def test_equal_patterns_align_without_a_merge(monkeypatch):
     for call in (lambda: aligned(moved, old), lambda: moved.pattern_subset_of(old)):
         with pytest.raises(AssertionError, match="merged two equal key sets"):
             call()
+
+
+def test_added_entries_align_by_searchsorted(monkeypatch, karate):
+    """A revision whose keys hold every key of the original (the locally
+    fair baselines' outputs) aligns on its own keys with no merge; FairWalk's
+    equal pattern keeps the equal-keys path; a revision that drops an entry,
+    and the original against a revision that added some, take the merge.
+    Every result is bitwise the merge's."""
+    from fairpr import fairwalk
+
+    _, groups, _, P = karate
+    mind = mind_like_instance(n=80)
+    cases = []
+    for Q, grp in ((P, groups), (mind[3], mind[1])):
+        target = FairnessTarget(phi=np.array([0.3, 0.7]))
+        cases += [(method(Q, grp, target).matrix, Q, method is not fairwalk) for method in (lfpr_n, lfpr_u, fairwalk)]
+    # drop (0, 1) and add two entries of row 0: more keys than the original, not all of its
+    A = P.to_dense()
+    free = np.flatnonzero(A[0] == 0)[:2]
+    A[0, free], A[0, 1] = A[0, 1] / 2, 0.0
+    dropped = TransitionMatrix.from_dense(A)
+    assert dropped.nnz > P.nnz
+    cases.append((dropped, P, False))
+    refs = {}
+    for new, old, adds in cases:
+        for pair in ((new, old), (old, new)):
+            ref = refs[id(pair[0]), id(pair[1])] = merged(*pair)
+            for got, want in zip(aligned(*pair), ref):
+                assert np.array_equal(bits(got), bits(want))
+        assert adds == (len(ref[0]) == len(new.entries(~new.sink_mask)[0]) > len(old.entries(~old.sink_mask)[0]))
+    assert sum(adds for *_, adds in cases) == 4
+
+    def no_merge(*args, **kwargs):
+        raise AssertionError("merged")
+
+    monkeypatch.setattr("fairpr.metrics.merge_runs", no_merge)
+    for new, old, adds in cases:
+        if adds or new.pattern_equals(old):
+            for got, want in zip(aligned(new, old), refs[id(new), id(old)]):
+                assert np.array_equal(bits(got), bits(want))
+        with pytest.raises(AssertionError, match="merged"):
+            aligned(old, new) if adds else aligned(dropped, P)

@@ -32,6 +32,7 @@ from fairpr.graph import WalkOperator
 from fairpr.loss import _group_restarts
 from fairpr.optimizer import ENTRY_CEILING, LOSS_TIE_RTOL, OptimizationReport, _best, _descend
 from fairpr.pagerank import neumann_y
+import fairpr.projection
 from fairpr.projection import project_matrix, row_boxes
 
 GAMMA = 0.15
@@ -493,38 +494,50 @@ def _same_outcome(got, want):
     assert (got.stop_reason, got.iterations_run, got.alpha) == (want.stop_reason, want.iterations_run, want.alpha)
 
 
-def test_grid_matches_one_copy_runs_bitwise():
+def test_grid_matches_one_copy_runs_bitwise(monkeypatch):
     """Every copy of the lockstep grid ends exactly as its step size run
-    alone, and fair_gd/adapt_gd without alpha pick among those runs."""
-    rng = np.random.default_rng(21)
-    stops = {"kappa": 0, "max_iters": 0, "diverged": 0}
-    for i in range(16):
-        build = random_sinky_instance if i % 2 else random_instance
-        K = 2 + (i // 2) % 2
-        _, groups, cfg, P = build(rng, int(rng.integers(6, 25)), K)
-        bounds = {"delta": 0.2, "epsilon": 0.05} if (i // 4) % 2 else {}
-        target = random_target(rng, K)
-        opt = OptimizerConfig(kappa=float(rng.choice([0.0, 1e-4])), max_iters=12, **bounds)
-        if i // 8:
-            restarts, run, args = _group_restarts(groups, GAMMA), adapt_gd, (P, GAMMA, groups, target)
-        else:
-            restarts, run, args = [cfg], fair_gd, (P, cfg, groups, target)
-        alphas, grid = _descend(P, restarts, groups, target, opt)
-        assert alphas == ALPHA_GRID
-        alone = []
-        for alpha, got in zip(alphas, grid):
-            (want,) = _descend(P, restarts, groups, target, replace(opt, alpha=alpha))[1]
-            _same_outcome(got, want)
-            alone.append(want)
-        picked = _outcome(run, *args, opt)
-        for point in getattr(picked, "grid", []):
-            stops[point.outcome] += 1
-        reports = [r for r in alone if not isinstance(r, DivergedError)]
-        if reports:
-            _same_outcome(picked, min(reports, key=lambda r: r.final_loss))
-        else:
-            _same_outcome(picked, alone[-1])
-    assert min(stops.values()) > 0, stops
+    alone, and fair_gd/adapt_gd without alpha pick among those runs. On a
+    second pass PIECE_BUDGET holds 2 to 5 copies' entries, so the grid's
+    stack projects in pieces of whole copies through the tiles it built for
+    9, also once copies have left it (plain and boxed, fairgd and adaptgd)."""
+    sizes = []  # the entries of each projected piece
+    piece = fairpr.projection._project_piece
+    monkeypatch.setattr(fairpr.projection, "_project_piece", lambda x, *a: sizes.append(x.size) or piece(x, *a))
+    for pieces in (False, True):
+        rng = np.random.default_rng(21)
+        stops = {"kappa": 0, "max_iters": 0, "diverged": 0}
+        for i in range(16):
+            build = random_sinky_instance if i % 2 else random_instance
+            K = 2 + (i // 2) % 2
+            _, groups, cfg, P = build(rng, int(rng.integers(6, 25)), K)
+            if pieces:
+                monkeypatch.setattr(fairpr.projection, "PIECE_BUDGET", P.nnz * (2 + i % 4) + P.nnz // 2)
+            bounds = {"delta": 0.2, "epsilon": 0.05} if (i // 4) % 2 else {}
+            target = random_target(rng, K)
+            opt = OptimizerConfig(kappa=float(rng.choice([0.0, 1e-4])), max_iters=12, **bounds)
+            if i // 8:
+                restarts, run, args = _group_restarts(groups, GAMMA), adapt_gd, (P, GAMMA, groups, target)
+            else:
+                restarts, run, args = [cfg], fair_gd, (P, cfg, groups, target)
+            del sizes[:]
+            alphas, grid = _descend(P, restarts, groups, target, opt)
+            assert alphas == ALPHA_GRID
+            if pieces:  # whole copies, at most 2 to 5 of them, and a last piece of fewer
+                assert set(sizes) <= {P.nnz * c for c in range(1, 3 + i % 4)} and len(set(sizes)) > 1, sizes
+            alone = []
+            for alpha, got in zip(alphas, grid):
+                (want,) = _descend(P, restarts, groups, target, replace(opt, alpha=alpha))[1]
+                _same_outcome(got, want)
+                alone.append(want)
+            picked = _outcome(run, *args, opt)
+            for point in getattr(picked, "grid", []):
+                stops[point.outcome] += 1
+            reports = [r for r in alone if not isinstance(r, DivergedError)]
+            if reports:
+                _same_outcome(picked, min(reports, key=lambda r: r.final_loss))
+            else:
+                _same_outcome(picked, alone[-1])
+        assert min(stops.values()) > 0, (pieces, stops)
 
 
 def test_stacked_operator_matches_per_copy_products():

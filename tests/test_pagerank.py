@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -431,13 +432,57 @@ def test_wrong_length_vectors_raise_before_any_kernel(monkeypatch):
 
 def test_neumann_y_names_the_indicator_and_n(karate):
     """A wrong indicator fails naming its own shape and n, not the vector
-    tiled over the copies."""
+    tiled over the copies. The starts are one (n,) vector, or exactly the
+    operator's shape: a block of n entries in another shape is refused too."""
     _, _, _, P = karate
     block = WalkOperator(P, np.tile(P.data, (9, 1)))
     with pytest.raises(ValueError, match=r"^dimension mismatch: indicator of shape \(35,\) for n = 34$"):
         neumann_y(block, np.ones(35), GAMMA)
     with pytest.raises(ValueError, match=r"^dimension mismatch: indicator of shape \(2, 17\) for n = 34$"):
         neumann_y(P, np.ones((2, 17)), GAMMA)
+    one = WalkOperator(P, P.data[None])  # one stacked copy: its shape is (1, 34)
+    for op, shape in (
+        (P, (1, 34)), (one, (2, 17)), (one, (2, 34)), (block, (9 * 34,)), (block, (8, 34)),
+        (block, (9, 35)), (block, (34, 9)), (block, (1, 34)), (block, (1, 9, 34)),
+    ):
+        want = re.escape(f"dimension mismatch: indicator of shape {shape} for n = 34")
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            neumann_y(op, np.ones(shape), GAMMA)
+    for op in (P, one, block):  # the accepted shapes
+        assert neumann_y(op, np.ones(34), GAMMA, 3).shape == op.operator().shape
+        assert neumann_y(op, np.ones(op.operator().shape), GAMMA, 3).shape == op.operator().shape
+
+
+def test_one_chunk_rule_bounds_both_solvers(monkeypatch, karate):
+    """A chunk takes as many steps as fit in an eighth of CHUNK_BUDGET, or
+    else up to CHUNK_STEPS within the whole budget, and at least one: a t2 =
+    50 series over 9 karate copies is one chunk, a block past the budget
+    takes one step per chunk."""
+    budget, steps = fairpr.pagerank.CHUNK_BUDGET, fairpr.pagerank.CHUNK_STEPS
+    rule = fairpr.pagerank._chunk_steps
+    assert rule(0) == rule(1) == budget // steps
+    assert rule(9 * 34) == budget // steps // (9 * 34) == 53
+    assert rule(budget // steps // steps) == steps
+    assert rule(budget // steps // steps + 1) == steps  # fewer fit in the eighth: CHUNK_STEPS in the whole
+    assert rule(budget // steps + 1) == steps - 1
+    assert rule(budget) == rule(budget + 1) == rule(10**9) == 1
+    _, groups, _, P = karate
+    block = WalkOperator(P, np.tile(P.data, (9, 1)))
+    lengths = []
+    chunks = fairpr.pagerank._chunks
+
+    def counted(*args):
+        for rows in chunks(*args):
+            lengths.append(len(rows))
+            yield rows
+
+    monkeypatch.setattr(fairpr.pagerank, "_chunks", counted)
+    neumann_y(block, groups.indicator(0), GAMMA, 50)
+    assert lengths == [50]
+    del lengths[:]
+    monkeypatch.setattr(fairpr.pagerank, "CHUNK_BUDGET", 9 * 34 - 1)
+    neumann_y(block, groups.indicator(0), GAMMA, 5)
+    assert lengths == [1] * 5
 
 
 def test_solver_step_counts_and_score_lengths_are_checked(karate):
@@ -486,9 +531,10 @@ def stepwise_power(P, cfg, t1=100, tol=1e-12, start=None):
 
 
 def stepwise_series(P, indicator, gamma, t2=50):
-    """The series in Horner order one step at a time: y <- 1_k + (1-gamma) P y."""
+    """The series in Horner order one step at a time: y <- 1_k + (1-gamma) P y,
+    from one (n,) start for every copy or one start per copy."""
     op = P.operator().damped(1.0 - gamma)
-    ind = op.vector(np.tile(np.asarray(indicator, dtype=float), op.copies))
+    ind = op.vector(np.broadcast_to(np.asarray(indicator, dtype=float), op.shape).ravel())
     y = ind.copy()
     for _ in range(t2):
         nxt = ind.copy()
@@ -513,10 +559,13 @@ def test_solvers_match_stepwise_loops_bitwise(monkeypatch, steps, copies, sinks)
     """Every result of the solvers is bitwise the step-by-step loops', at
     step counts around the power iteration's first chunk, with copies that
     stop at different steps, with the chunk length forced to 1, 2 and 3
-    through the memory budget (None keeps the default), on matrices with
-    sink rows and lfpr_u outputs (a dense part). gamma is 0.15, 0.01 and 0.5,
-    and tol goes down to where the changes are rounding (1e-15, 1e-17) and 0;
-    the start is uniform, random, or one step from every copy's stop."""
+    through the memory budget (None keeps the default, which fits 46 or
+    more steps of these blocks in a chunk), on matrices with sink rows and lfpr_u
+    outputs (a dense part). gamma is 0.15, 0.01 and 0.5, and tol goes down
+    to where the changes are rounding (1e-15, 1e-17) and 0; the start is
+    uniform, random, or one step from every copy's stop. The series starts
+    from one shared indicator, and from distinct starts per copy, each
+    copy's row bitwise its one-copy call."""
     rng = np.random.default_rng(1616 + 10 * copies + [False, True, "lfpr_u"].index(sinks) + (steps or 0))
     distinct = False  # copies of one solve stopped at different steps
     for case, gamma in enumerate((GAMMA, 0.01, 0.5)):
@@ -531,7 +580,9 @@ def test_solvers_match_stepwise_loops_bitwise(monkeypatch, steps, copies, sinks)
         size = copies * P.n
         if steps is not None:
             monkeypatch.setattr(fairpr.pagerank, "CHUNK_BUDGET", steps * size + size // 2)
-        assert fairpr.pagerank._chunk_steps(size) == (steps or 8) or copies == 0
+        # the default budget fits more than CHUNK_STEPS steps of these blocks in its eighth
+        most = steps or fairpr.pagerank.CHUNK_BUDGET // fairpr.pagerank.CHUNK_STEPS // max(size, 1)
+        assert fairpr.pagerank._chunk_steps(size) == most or copies == 0
         start = rng.random((copies, P.n)) + 0.1
         start /= start.sum(axis=1, keepdims=True)
         if copies == 1:
@@ -549,11 +600,16 @@ def test_solvers_match_stepwise_loops_bitwise(monkeypatch, steps, copies, sinks)
                     assert np.array_equal(got, want), (case, t1, tol, len(starts))
                     distinct |= len(set(stops[stops < t1].tolist())) > 1
         ind = groups.indicator(case % 2)
+        starts = rng.random(op.operator().shape) + 0.1  # distinct per copy
         for t2 in (0, 1, 7, 8, 9, 50):
-            want = stepwise_series(op, ind, GAMMA, t2)
-            got = neumann_y(op, ind, GAMMA, t2)
-            assert got.shape == want.shape == op.operator().shape
-            assert np.array_equal(got, want), (case, t2)
+            for given in (ind, starts):
+                want = stepwise_series(op, given, GAMMA, t2)
+                got = neumann_y(op, given, GAMMA, t2)
+                assert got.shape == want.shape == op.operator().shape
+                assert np.array_equal(got, want), (case, t2)
+            if copies > 1:  # each copy's row is the one-copy call with its start
+                for c, weights in enumerate(op.data):
+                    assert np.array_equal(got[c], neumann_y(P.with_data(weights), starts[c], GAMMA, t2)), (case, t2, c)
     assert distinct or copies < 9
 
 

@@ -474,15 +474,23 @@ def test_project_rows_matches_the_reference_bitwise(boxed):
 def test_project_rows_pieces_change_no_bit(monkeypatch):
     """Small piece budgets split the block into runs of whole copies (the
     last one short) or into runs of whole rows of one copy (a row longer
-    than the budget alone): the result is the one-piece result, bitwise."""
+    than the budget alone): the result is the one-piece result, bitwise.
+    So are the results over ``stack_boxes`` tiles built once for the 7
+    copies, for the block and for blocks of fewer copies."""
     rng = np.random.default_rng(71)
     W, seg, lower, upper = random_block(rng, 7, 40, 60, True)
     whole = project_rows(W, seg, lower, upper)
     assert np.array_equal(whole, reference_block(W, seg, 40, lower, upper))
     longest = np.bincount(seg).max()
-    for budget in (3 * seg.size, seg.size + 1, seg.size, seg.size - 1, 2 * longest, longest, longest - 1, 1):
-        monkeypatch.setattr(projection, "PIECE_BUDGET", budget)
+    for budget in (None, 3 * seg.size, seg.size + 1, seg.size, seg.size - 1, 2 * longest, longest, longest - 1, 1):
+        if budget is not None:
+            monkeypatch.setattr(projection, "PIECE_BUDGET", budget)
         assert np.array_equal(project_rows(W, seg, lower, upper), whole), budget
+        tiles = projection.stack_boxes(seg, lower, upper, len(W))
+        assert tiles[0].size == seg.size * max(1, min(len(W), projection.PIECE_BUDGET // seg.size))
+        for copies in (7, 4, 1):
+            block = W[:copies].copy()
+            assert np.array_equal(project_rows(block, *tiles, out=block), whole[:copies]), (budget, copies)
 
 
 def test_project_rows_errors_unchanged():

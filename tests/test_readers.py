@@ -838,3 +838,38 @@ def test_sorted_distinct_is_unique(size):
     assert _bits(_sorted_distinct(ids)) == _bits(np.unique(ids.astype(np.int64)))
     missing = sorted(set(range(size + 1)) - set(ids.tolist()))[0]
     assert _first_uncovered(ids) == missing
+
+
+def test_runs_stop_at_a_distinct_first_half():
+    """``_runs`` gives up on an all-distinct column after comparing its
+    first half, and finds the runs of a repeated one; a column that repeats
+    only in its second half is converted token by token, to the same
+    values."""
+    compared = []
+
+    class Token(str):
+        __hash__ = str.__hash__
+
+        def __ne__(self, other):
+            compared.append(1)
+            return str.__ne__(self, other)
+
+    def column(texts):
+        out = np.empty(len(texts), object)
+        out[:] = [Token(t) for t in texts]
+        return out
+
+    distinct = [repr(i / 7.0) for i in range(1000)]
+    repeated = ["0.5"] * 300 + ["1e-3"] * 300 + ["0.001"] * 400
+    late = distinct[:500] + ["0.25"] * 500
+    for texts, runs in ((distinct, None), (repeated, [0, 300, 600]), (late, None)):
+        del compared[:]
+        got = fairpr.text._runs(column(texts))
+        assert (got is None if runs is None else got.tolist() == runs), texts[:3]
+        assert len(compared) == (499 if runs is None else 999)  # the first half's neighbours, or all of them
+        values, error = fairpr.text._column(np.array(texts), np.arange(1, len(texts) + 1), None)
+        assert error is None and np.array_equal(values, np.array([float(t) for t in texts]))
+    assert fairpr.text._runs(np.array(["1", "1"])).tolist() == [0]
+    assert fairpr.text._runs(np.array(["1", "2"])) is None
+    assert fairpr.text._runs(np.array(["1"])) is None
+    assert fairpr.text._runs(np.array([], dtype=str)).tolist() == []
