@@ -21,7 +21,6 @@ from .graph import (
     serialize_matrix,
 )
 from .loss import (
-    SparseGradient,
     grad_fair,
     grad_group_adapted,
     lipschitz_bound,
@@ -63,7 +62,6 @@ __all__ = [
     "OptimizerConfig",
     "OracleSizeError",
     "PageRankConfig",
-    "SparseGradient",
     "TransitionMatrix",
     "UndefinedCoefficientError",
     "UnsupportedGroupCountError",

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import FairnessTarget, GroupAssignment, TransitionMatrix
+from .graph import FairnessTarget, GroupAssignment, TransitionMatrix, _check_target
 
 
 class UnsupportedGroupCountError(ValueError):
@@ -52,6 +52,7 @@ def fairwalk(P: TransitionMatrix, groups: GroupAssignment, target: FairnessTarge
     """Rescale each row so the mass entering each reachable group is
     proportional to its target share; weights within a group keep their
     relative sizes. The pattern is preserved; sink rows pass through."""
+    _check_target(groups, target)
     phi = target.phi
     rows, gcols, mass = _edges(P, groups, P.data)
     reach_phi = np.where(mass > 0, phi, 0.0).sum(axis=1)
@@ -75,6 +76,7 @@ def lfpr_n(P: TransitionMatrix, groups: GroupAssignment, target: FairnessTarget)
     share of the group's indicator vector beside the stored edges; a row
     without edges spreads both shares (the fair sink vector)."""
     _require_two_groups(groups, "lfpr_n")
+    _check_target(groups, target)
     phi = target.phi
     rows, gcols, counts = _edges(P, groups)
     spread_rows, ks = np.nonzero((counts == 0) & P.edge_mask[:, None])
@@ -88,6 +90,7 @@ def lfpr_u(P: TransitionMatrix, groups: GroupAssignment, target: FairnessTarget)
     uniformly over that whole group, as a share of the group's indicator
     vector: the residual term. A row without edges is the fair sink vector."""
     _require_two_groups(groups, "lfpr_u")
+    _check_target(groups, target)
     phi1 = float(target.phi[0])
     rows, _, counts = _edges(P, groups)
     out1, out2 = counts.T

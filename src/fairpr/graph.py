@@ -118,9 +118,6 @@ class GroupAssignment:
         """0/1 membership vector of group k as floats."""
         return (self.labels == k).astype(float)
 
-    def members(self, k: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == k)
-
 
 @dataclass(frozen=True)
 class PageRankConfig:
@@ -181,6 +178,12 @@ class FairnessTarget:
             raise ValueError("lead-share targets need K >= 2")
         rest = (1.0 - phi) / (K - 1)
         return cls(np.concatenate([[phi], np.full(K - 1, rest)]))
+
+
+def _check_target(groups: GroupAssignment, target: FairnessTarget) -> None:
+    """Raise ValueError unless ``target`` holds one score per group."""
+    if len(target.phi) != groups.K:
+        raise ValueError(f"target has {len(target.phi)} group scores for K = {groups.K} groups")
 
 
 class TransitionMatrix:
@@ -484,21 +487,15 @@ class WalkOperator:
     rows and columns are offset by c n, so a product serves every copy at
     once, and each copy's result is bitwise the product with that copy
     alone. The weights are a flat view of ``data``, so in-place updates need
-    no rebuild. A product calls scipy's compiled ``csr_matvec`` or
-    ``csc_matvec`` kernel directly, and the kernels add into their output:
-    on a zeroed output, as ``csr @ x`` and ``csc @ x`` call them after their
-    Python dispatch, a product is bitwise scipy's. ``left_into`` and
-    ``right_into`` add into a buffer of the caller's, which the solvers
-    fill with the constant term of their step first, so that a step is one
-    product. The kernels check nothing: the matrix has checked its pattern,
-    ``left`` and ``right`` check their vector's length, and ``left_into``
-    and ``right_into`` leave that check to the caller (``vector`` makes it).
-    ``damped(f)`` is the operator of f P, which the solvers take once per
-    call with f = 1 - gamma. ``left_block_into`` is ``left_into`` for the
-    R vectors of ``pagerank_power``'s restart block in one call.
-    ``left_step`` and ``right_step`` hand the solvers their step product as
-    one callable; without a dense part it is the compiled kernel itself,
-    with the operator's arrays bound, so that a step runs no Python frame.
+    no rebuild. ``step(left, vectors)`` is the one product: a callable
+    ``(x, y)`` that adds p'P (``left``) or Pz into ``y``. Without a dense
+    part it is scipy's compiled ``csc_matvec`` or ``csr_matvec`` kernel
+    itself with the operator's arrays bound, so a solver's step runs no
+    Python frame, and on a zeroed ``y`` (as ``csr @ x`` and ``csc @ x``
+    call the kernels after their Python dispatch) it is bitwise scipy's.
+    It checks nothing: ``left`` and ``right`` check their vector's length
+    (``vector``) and call it on a zeroed one. ``damped(f)`` is the operator
+    of f P, which the solvers take once per call with f = 1 - gamma.
 
     The dense part S D adds one low-rank term, p'P = p'P_E + (S'p)'D and
     Pz = P_E z + S(Dz), two more kernel calls per product over all shares S
@@ -531,19 +528,23 @@ class WalkOperator:
         self._indptr = np.append((indptr[:-1] + nnz * offsets).ravel(), copies * nnz).astype(itype)
         self._indices = (indices + P.n * offsets).ravel().astype(itype)
         self._weights = data.reshape(-1)  # a view: C-contiguous data reshapes without a copy
-        # the dense part S D, block-diagonal over the copies: S' and D in CSR
-        # form, copy c's vector v in row c V + v of both
+        # the dense part S D, block-diagonal over the copies: its row count and
+        # the CSR triples of S' and D, copy c's vector v in row c V + v of both
         self._dense = None
         if len(P.share_rows):
             nonzero = P.vectors != 0
             self._dense = (
                 copies * len(P.vectors),
-                _block_pointers(np.diff(P.share_ptr), copies, itype),
-                (P.share_rows + P.n * offsets).ravel().astype(itype),
-                np.tile(P.share_data, copies),
-                _block_pointers(nonzero.sum(axis=1), copies, itype),
-                (np.nonzero(nonzero)[1] + P.n * offsets).ravel().astype(itype),
-                np.tile(P.vectors[nonzero], copies),
+                (
+                    _block_pointers(np.diff(P.share_ptr), copies, itype),
+                    (P.share_rows + P.n * offsets).ravel().astype(itype),
+                    np.tile(P.share_data, copies),
+                ),
+                (
+                    _block_pointers(nonzero.sum(axis=1), copies, itype),
+                    (np.nonzero(nonzero)[1] + P.n * offsets).ravel().astype(itype),
+                    np.tile(P.vectors[nonzero], copies),
+                ),
             )
 
     def operator(self) -> "WalkOperator":
@@ -560,8 +561,8 @@ class WalkOperator:
         op.data = self.data * factor
         op._weights = op.data.reshape(-1)
         if self._dense is not None:
-            rows, s_ptr, s_rows, shares, *vectors = self._dense
-            op._dense = (rows, s_ptr, s_rows, shares * factor, *vectors)
+            rows, (s_ptr, s_rows, shares), dense = self._dense
+            op._dense = (rows, (s_ptr, s_rows, shares * factor), dense)
         return op
 
     def vector(self, x) -> np.ndarray:
@@ -573,65 +574,53 @@ class WalkOperator:
         return x
 
     def left(self, p: np.ndarray) -> np.ndarray:
-        p = self.vector(p)
+        """p'P for each copy, in a new vector."""
         q = np.zeros(self._size)
-        self.left_into(p, q)
+        self.step(True)(self.vector(p), q)
         return q
 
     def right(self, z: np.ndarray) -> np.ndarray:
-        z = self.vector(z)
+        """Pz for each copy, in a new vector."""
         y = np.zeros(self._size)
-        self.right_into(z, y)
+        self.step(False)(self.vector(z), y)
         return y
 
-    def left_into(self, p: np.ndarray, q: np.ndarray) -> None:
-        """Add p'P into ``q``. Neither vector is checked: both must be
-        C-contiguous float64 of the operator's size."""
-        csc_matvec(self._size, self._size, self._indptr, self._indices, self._weights, p, q)
-        if self._dense is not None:
-            rows, s_ptr, s_rows, shares, d_ptr, d_cols, d_data = self._dense
-            coef = np.zeros(rows)
-            csr_matvec(rows, self._size, s_ptr, s_rows, shares, p, coef)  # S'p
-            csc_matvec(self._size, rows, d_ptr, d_cols, d_data, coef, q)  # + D'(S'p)
+    def step(self, left: bool, vectors: int = 1):
+        """The callable ``(x, y)`` that adds p'P (``left``) or Pz into ``y``,
+        for ``vectors`` vectors laid out (size, vectors): entry j vectors + r
+        is entry j of vector r, and each vector's result is bitwise the
+        one-vector product's. Neither vector is checked: both must be
+        C-contiguous float64 of the operator's size times ``vectors``.
 
-    def left_block_into(self, p: np.ndarray, q: np.ndarray, vectors: int) -> None:
-        """Add p'P into ``q`` for ``vectors`` vectors at once, laid out
-        (size, vectors): entry j vectors + r is entry j of vector r. One
-        kernel call per term multiplies them all through the same weights,
-        adding in the order ``left_into`` adds, so each vector's result is
-        bitwise ``left_into``'s on it alone. Unchecked, as ``left_into``."""
-        csc_matvecs(self._size, self._size, vectors, self._indptr, self._indices, self._weights, p, q)
-        if self._dense is not None:
-            rows, s_ptr, s_rows, shares, d_ptr, d_cols, d_data = self._dense
-            coef = np.zeros(rows * vectors)
-            csr_matvecs(rows, self._size, vectors, s_ptr, s_rows, shares, p, coef)  # S'p
-            csc_matvecs(self._size, rows, vectors, d_ptr, d_cols, d_data, coef, q)  # + D'(S'p)
+        With a dense part it makes the stored product, then gathers S'p (or
+        Dz) into a zeroed coefficient per vector and spreads D'(S'p) (or
+        S(Dz)) into ``y``: left and right differ only in which of the two
+        stored triples each kernel reads."""
+        stored = _kernel(not left, self._size, self._size, vectors, self._indptr, self._indices, self._weights)
+        if self._dense is None:
+            return stored
+        rows, shares, dense = self._dense
+        gather = _kernel(True, rows, self._size, vectors, *(shares if left else dense))
+        spread = _kernel(False, self._size, rows, vectors, *(dense if left else shares))
+        width = rows * vectors
 
-    def right_into(self, z: np.ndarray, y: np.ndarray) -> None:
-        """Add Pz into ``y``; unchecked, as ``left_into``."""
-        csr_matvec(self._size, self._size, self._indptr, self._indices, self._weights, z, y)
-        if self._dense is not None:
-            rows, s_ptr, s_rows, shares, d_ptr, d_cols, d_data = self._dense
-            dots = np.zeros(rows)
-            csr_matvec(rows, self._size, d_ptr, d_cols, d_data, z, dots)  # Dz
-            csc_matvec(self._size, rows, s_ptr, s_rows, shares, dots, y)  # + S(Dz)
+        def product(x, y):
+            stored(x, y)
+            coef = np.zeros(width)
+            gather(x, coef)
+            spread(coef, y)
 
-    def left_step(self, vectors: int = 1):
-        """``left_into`` (``left_block_into`` over ``vectors`` vectors, for
-        more than one) as one callable ``(p, q)``: without a dense part, the
-        kernel with this operator's arrays bound. Unchecked, as ``left_into``."""
-        if self._dense is not None:
-            return self.left_into if vectors == 1 else functools.partial(self.left_block_into, vectors=vectors)
-        pattern = (self._indptr, self._indices, self._weights)
-        if vectors == 1:
-            return functools.partial(csc_matvec, self._size, self._size, *pattern)
-        return functools.partial(csc_matvecs, self._size, self._size, vectors, *pattern)
+        return product
 
-    def right_step(self):
-        """``right_into`` as one callable ``(z, y)``, as ``left_step``."""
-        if self._dense is not None:
-            return self.right_into
-        return functools.partial(csr_matvec, self._size, self._size, self._indptr, self._indices, self._weights)
+
+def _kernel(csr: bool, rows: int, cols: int, vectors: int, *arrays):
+    """scipy's compiled kernel for the CSR matrix (``csr``) or the CSC matrix
+    of shape (rows, cols) held in ``arrays``, bound into a callable ``(x, y)``
+    that adds the product into ``y``: ``csr_matvec`` or ``csc_matvec`` for
+    one vector, their ``*_matvecs`` forms for more."""
+    if vectors == 1:
+        return functools.partial(csr_matvec if csr else csc_matvec, rows, cols, *arrays)
+    return functools.partial(csr_matvecs if csr else csc_matvecs, rows, cols, vectors, *arrays)
 
 
 def _block_pointers(counts: np.ndarray, copies: int, itype) -> np.ndarray:

@@ -8,25 +8,11 @@ loss, one inside each group for the group-adapted loss."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import FairnessTarget, GroupAssignment, PageRankConfig, TransitionMatrix
+from .graph import FairnessTarget, GroupAssignment, PageRankConfig, TransitionMatrix, _check_target
 from .pagerank import group_scores, neumann_y, pagerank_power
-
-
-@dataclass(frozen=True)
-class SparseGradient:
-    """Gradient entries on the stored pattern: the edges (sink rows store none)."""
-
-    n: int
-    rows: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray
-
-    def max_abs(self) -> float:
-        return float(np.abs(self.values).max()) if len(self.values) else 0.0
 
 
 def _group_restarts(groups: GroupAssignment, gamma: float) -> list[PageRankConfig]:
@@ -48,6 +34,7 @@ def loss_from_scores(scores: np.ndarray, phi: np.ndarray) -> float:
 
 def _restart_loss(P, restarts, groups, target, t1, tol) -> float:
     """The mean loss at P: every restart solved in one block."""
+    _check_target(groups, target)
     scores = group_scores(pagerank_power(P, restarts, t1=t1, tol=tol), groups)
     return float(_mean_loss(scores, target.phi))
 
@@ -57,19 +44,20 @@ def _indicators(groups: GroupAssignment) -> np.ndarray:
     return (groups.labels == np.arange(groups.K)[:, None]).astype(float)
 
 
-def _terms(op, p, scale, restarts, groups, phi, t2, rows, cols, starts):
-    """Yield (coef, term) for each group k of one restart's solution ``p``:
-    coef = scale (2(1-gamma)/(K R)) (score_k(p) - phi_k), R = len(restarts),
-    and term = coef p[i] y_k[j] on the stored entries (i, j) = (rows, cols),
-    skipping a k whose coef is zero. ``p`` may be a (C, n) block over ``op``'s
-    stacked copies, with ``scale`` one number or one per copy. y_k is
+def _terms(op, p, s, scale, restarts, phi, t2, rows, cols, starts):
+    """Yield (coef, term) for each group k of one restart's solution ``p``,
+    whose K group scores ``s`` the caller holds: coef = scale (2(1-gamma)/(K R))
+    (s_k - phi_k), R = len(restarts), and term = coef p[i] y_k[j] on the
+    stored entries (i, j) = (rows, cols), skipping a k whose coef is zero.
+    ``p`` may be a (C, n) block over ``op``'s stacked copies, with ``s`` its
+    (C, K) scores and ``scale`` one number or one per copy. y_k is
     ``neumann_y`` from ``starts[k]``, group k's indicator (shared, or one per
     copy, as ``neumann_y`` takes it), at op's weights when its term is
     requested, so weights moved between terms count."""
-    c = scale * (2.0 * (1.0 - restarts[0].gamma) / (groups.K * len(restarts)))
-    s = group_scores(p, groups)
+    K = s.shape[-1]
+    c = scale * (2.0 * (1.0 - restarts[0].gamma) / (K * len(restarts)))
     prow = np.take(p, rows, axis=-1)
-    for k in range(groups.K):
+    for k in range(K):
         coef = c * (s[..., k] - phi[k])
         if not coef.any():
             continue
@@ -77,15 +65,18 @@ def _terms(op, p, scale, restarts, groups, phi, t2, rows, cols, starts):
         yield coef, coef[..., None] * prow * np.take(y, cols, axis=-1)
 
 
-def _restart_grad(P, restarts, groups, target, t1, t2, tol) -> SparseGradient:
-    """The mean loss's gradient on the stored pattern: every restart's
-    ``_terms`` at P, summed, with the restarts solved in one block."""
+def _restart_grad(P, restarts, groups, target, t1, t2, tol) -> np.ndarray:
+    """The mean loss's gradient on the stored pattern, one value per entry
+    of ``P.data``: every restart's ``_terms`` at P, summed, with the
+    restarts solved in one block and scored once."""
+    _check_target(groups, target)
     rows, cols, op, starts = P.entry_rows(), P.indices, P.operator(), _indicators(groups)
+    block = pagerank_power(op, restarts, t1=t1, tol=tol)
     values = np.zeros(len(rows))
-    for p in pagerank_power(op, restarts, t1=t1, tol=tol):
-        for _, term in _terms(op, p, 1.0, restarts, groups, target.phi, t2, rows, cols, starts):
+    for p, s in zip(block, group_scores(block, groups)):
+        for _, term in _terms(op, p, s, 1.0, restarts, target.phi, t2, rows, cols, starts):
             values += term
-    return SparseGradient(P.n, rows, cols, values)
+    return values
 
 
 def loss_fair(
@@ -123,8 +114,9 @@ def grad_fair(
     t1: int = 100,
     t2: int = 50,
     tol: float = 1e-12,
-) -> SparseGradient:
-    """Entry (i,j): (2(1-gamma)/K) sum_k (score_k - phi_k) p[i] y_k[j]."""
+) -> np.ndarray:
+    """The gradient on the edges, aligned with ``P.data``: entry (i, j) is
+    (2(1-gamma)/K) sum_k (score_k - phi_k) p[i] y_k[j]."""
     return _restart_grad(P, [cfg], groups, target, t1, t2, tol)
 
 
@@ -136,8 +128,9 @@ def grad_group_adapted(
     t1: int = 100,
     t2: int = 50,
     tol: float = 1e-12,
-) -> SparseGradient:
-    """Entry (i,j): (2(1-gamma)/K^2) sum_k sum_l (score_k(p_l) - phi_k) p_l[i] y_k[j]."""
+) -> np.ndarray:
+    """The gradient on the edges, aligned with ``P.data``: entry (i, j) is
+    (2(1-gamma)/K^2) sum_k sum_l (score_k(p_l) - phi_k) p_l[i] y_k[j]."""
     return _restart_grad(P, _group_restarts(groups, gamma), groups, target, t1, t2, tol)
 
 

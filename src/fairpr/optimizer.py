@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import FairnessTarget, GroupAssignment, PageRankConfig, TransitionMatrix, WalkOperator
+from .graph import FairnessTarget, GroupAssignment, PageRankConfig, TransitionMatrix, WalkOperator, _check_target
 from .loss import _group_restarts, _indicators, _mean_loss, _terms, lipschitz_bound
 from .pagerank import group_scores, pagerank_power
 from .projection import project_rows, row_boxes, stack_boxes
@@ -147,24 +147,27 @@ def _descend(
     of operations, and so its result, is bitwise that of its run alone.
 
     Per iteration: refresh every p_l on every copy by one warm-started
-    power solve over the restarts' (R, C, n) block, and evaluate the loss at
-    the current feasible matrix; only here does a copy stop, so
-    its last loss is its matrix's: "kappa" when |dL| <= kappa, "max_iters"
-    after max_iters steps. Then subtract, one after another, each restart
-    l's ``loss._terms`` at that p_l, scaled by the copies' step sizes: each
-    term's y_k is summed at the current unprojected matrix. A copy diverges,
-    and leaves the stack, only when an entry is past ENTRY_CEILING (or not
-    finite) after all the terms. Project every copy once per iteration,
-    which lands each row on sum 1 to rounding; rows without edges never
-    change. The series' starts (group k's indicator on every copy) and the
-    projection's row ids and boxes, tiled over the copies of one piece,
-    are built once per descent; the starts shrink with the stack, and the
-    tiles serve any smaller stack by a prefix. The loss needs no check: it is only evaluated at projected
-    matrices, where it is at most 1. A matrix in which a row with edges
-    carries a share (``has_spreads``) raises ValueError before any work.
+    power solve over the restarts' (R, C, n) block, score it once, and
+    evaluate the loss at the current feasible matrix; only here does a copy
+    stop, so its last loss is its matrix's: "kappa" when |dL| <= kappa,
+    "max_iters" after max_iters steps. Then subtract, one after another,
+    each restart l's ``loss._terms`` at that p_l and its scores, scaled by
+    the copies' step sizes: each term's y_k is summed at the current
+    unprojected matrix. A copy diverges, and leaves the stack, only when an
+    entry is past ENTRY_CEILING (or not finite) after all the terms. Project
+    every copy once per iteration, which lands each row on sum 1 to
+    rounding; rows without edges never change. The series' starts (group
+    k's indicator on every copy) and the projection's row ids and boxes,
+    tiled over the copies of one piece, are built once per descent; the
+    starts and scores shrink with the stack, and the tiles serve any
+    smaller stack by a prefix. The loss needs no check: it is only
+    evaluated at projected matrices, where it is at most 1. A target of
+    other than K scores, or a matrix in which a row with edges carries a
+    share (``has_spreads``), raises ValueError before any work.
     """
     if P.has_spreads:
         raise ValueError("the descent reweights edges only; a matrix with group spreads cannot be descended on")
+    _check_target(groups, target)
     gamma = restarts[0].gamma
     K = groups.K
     safe_alpha = 2.0 / lipschitz_bound(P.n, K, gamma)
@@ -188,15 +191,16 @@ def _descend(
 
     def keep(mask):
         """Drop the copies outside ``mask`` from the stack."""
-        nonlocal ids, step_sizes, W, op, warm, starts, loss_prev
+        nonlocal ids, step_sizes, W, op, warm, scores, starts, loss_prev
         ids, step_sizes, W, loss_prev = ids[mask], step_sizes[mask], W[mask], loss_prev[mask]
-        warm, starts = warm[:, mask], starts[:, mask]
+        warm, scores, starts = warm[:, mask], scores[:, mask], starts[:, mask]
         op = WalkOperator(P, W)
 
     for it in range(opt.max_iters + 1):
         warm = pagerank_power(op, restarts, t1=opt.t1, tol=opt.power_tol, start=warm)
-        # scores (copies, R, K), contiguous as the reductions read them
-        losses = _mean_loss(np.ascontiguousarray(group_scores(warm, groups).swapaxes(0, 1)), phi)
+        scores = group_scores(warm, groups)  # (R, C, K), read by the losses and by every term
+        # as (copies, R, K), contiguous as the reductions read them
+        losses = _mean_loss(np.ascontiguousarray(scores.swapaxes(0, 1)), phi)
         for i, loss in zip(ids, losses.tolist()):
             traces[i].append(loss)
         last = it == opt.max_iters
@@ -212,8 +216,8 @@ def _descend(
         log.debug("descent iter=%d losses=%s", it + 1, loss_prev)
 
         with np.errstate(over="ignore", invalid="ignore"):
-            for p in warm:
-                for coef, step in _terms(op, p, step_sizes, restarts, groups, phi, opt.t2, rows, P.indices, starts):
+            for p, s in zip(warm, scores):
+                for coef, step in _terms(op, p, s, step_sizes, restarts, phi, opt.t2, rows, P.indices, starts):
                     if not coef.all():
                         step[coef == 0.0] = 0.0  # x - 0.0 is x: those copies keep their weights bitwise
                     W -= step
@@ -222,7 +226,7 @@ def _descend(
             for i in ids[~ok]:
                 outcomes[i] = DivergedError(it + 1, safe_alpha)
             keep(ok)
-        project_rows(W, *boxes, out=W)
+        project_rows(W, *boxes)
     return alphas, outcomes
 
 

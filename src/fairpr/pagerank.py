@@ -16,17 +16,18 @@ from its weights as they are then, and the kernels add each damped product
 into a row that already holds the constant term c. The power iteration's c
 is the jump gamma v. The series' c is 1_k and it starts from 1_k, so its
 t2 steps sum the truncated series sum_{i<=t2} ((1-gamma) P)^i 1_k in Horner
-order. The steps run in chunks, written into the rows of one of two
-buffers that the chunks take in turn, filled with c once per chunk. One
-rule bounds a chunk's steps in both solvers (``_chunk_steps``): as many as
-fit in an eighth of ``CHUNK_BUDGET`` entries (2^14), or else up to
-``CHUNK_STEPS`` within the whole budget (1 MiB), and at least one. So a
-karate series of t2 = 50 steps over 9 copies is one chunk, and a block
-past the budget takes one step per chunk. The series' chunks take that
-many steps and it tests none; the chunk length changes no bit of either
-result. The solvers check their start vector once, and then each step is
-one call of the operator's unchecked ``left_step``/``right_step`` product:
-without a dense part, the compiled kernel itself.
+order. The steps run in chunks, and ``_fill`` takes a chunk's steps in
+both solvers, into the rows of one of two buffers that the chunks take in
+turn, filled with c once per chunk. One rule bounds a chunk's steps
+(``_chunk_steps``): as many as fit in an eighth of ``CHUNK_BUDGET``
+entries (2^14), or else up to ``CHUNK_STEPS`` within the whole budget
+(1 MiB), and at least one. So a karate series of t2 = 50 steps over 9
+copies is one chunk, and a block past the budget takes one step per chunk.
+The series' chunks take that many steps and it tests none; the chunk
+length changes no bit of either result. The solvers check their start
+vector once, and then each step is one call of the operator's unchecked
+product ``WalkOperator.step``: without a dense part, the compiled kernel
+itself.
 
 The power iteration tests one step per chunk, its last. The walk contracts
 the L1 change: (1-gamma) P is nonnegative with row sums at most 1 +
@@ -55,13 +56,13 @@ group-adapted objective restarts inside each of the K groups; the batching
 of personalized PageRank vectors of Jeh & Widom, "Scaling personalized web
 search", WWW 2003). It iterates one (C n, R) block, copy-major with the
 restart as the last axis, so that each step is one product call for all
-restarts (``WalkOperator.left_block_into``, the kernels' vector axis) into
-rows that hold the jump vectors: the weights are shared, never tiled R
-times. A chunk's changes are tested for the whole block at once, each
-(restart, copy) row of n values reduced contiguously as a one-restart solve
-reduces it. Every row stops on its own, so row l is bitwise restart l's own
-solve, and the result is an (R, n) or (R, C, n) block. ``group_scores``
-reads any leading axes.
+restarts (``step(True, R)``, the kernels' vector axis) into rows that hold
+the jump vectors: the weights are shared, never tiled R times. One restart
+is the block with R = 1. A chunk's changes are tested for the whole block
+at once, each (restart, copy) row of n values reduced contiguously as a
+one-restart solve reduces it. Every row stops on its own, so row l is
+bitwise restart l's own solve, and the result is an (R, n) or (R, C, n)
+block. ``group_scores`` reads any leading axes.
 """
 
 from __future__ import annotations
@@ -96,23 +97,14 @@ def _chunk_steps(size: int) -> int:
     return max(1, min(CHUNK_STEPS, CHUNK_BUDGET // size), CHUNK_BUDGET // CHUNK_STEPS // size)
 
 
-def _chunks(product, x: np.ndarray, constant: np.ndarray, steps: int, m: int):
-    """Take ``steps`` steps x <- constant + product(x) from ``x`` and yield
-    them in chunks of up to ``m``, as the (k, x.size) rows of one of two
-    buffers that the chunks take in turn: each chunk's rows are filled with
-    ``constant`` once, and each product adds into its row. A chunk's rows
-    are overwritten two chunks later; ``x`` is only read. The series' loop:
-    the power iteration sizes its chunks as it goes, in the same two buffers."""
-    # two buffers, not one per chunk: a new one of 128 KiB or more is a fresh
-    # mapping under glibc's default malloc, whose pages fault in again at every chunk
-    buffers = np.empty((2, min(m, steps), x.size))
-    for done in range(0, steps, m):
-        rows = buffers[done // m % 2, : min(m, steps - done)]
-        rows[:] = constant
-        for row in rows:
-            product(x, row)
-            x = row
-        yield rows
+def _fill(product, x: np.ndarray, rows: np.ndarray, constant: np.ndarray) -> None:
+    """Take one step x <- constant + product(x) per row of the chunk ``rows``
+    from ``x``: the rows are filled with ``constant`` once, and each product
+    adds into its row from the row before (``x`` for the first, only read)."""
+    rows[:] = constant
+    for row in rows:
+        product(x, row)
+        x = row
 
 
 def pagerank_power(
@@ -153,12 +145,15 @@ def pagerank_power(
         raise ValueError("the restarts of one solve must share gamma")
     op = P.operator().damped(1.0 - gamma)
     R, n, C = len(restarts), op.n, op.copies
+    for c in restarts:
+        if c.restart_vector.size != n:
+            raise ValueError(f"restart vector has length {c.restart_vector.size}, matrix has {n} vertices")
     copies = R * C  # the stop test's rows: restart l's copies are rows l C .. l C + C - 1
     span = C * n  # one restart's vectors, one after another, as the operator takes them
     size = copies * n
     # the block is (C n, R), copy-major with the restart last: entry j R + l is entry j of restart l
     jump = np.tile(gamma * np.array([c.restart_vector for c in restarts]).T, (C, 1)).ravel()
-    product = op.left_step(R)
+    product = op.step(True, R)
     if start is None:
         p = np.full(size, 1.0 / n)
     else:
@@ -170,10 +165,10 @@ def pagerank_power(
             )
         p = np.ascontiguousarray(p.reshape(R, span).T).ravel()
     most = _chunk_steps(size)  # a predicted chunk's steps; the first takes at most CHUNK_STEPS
-    buffers = np.empty((2, most, size))  # two, for the reason _chunks gives
+    buffers = np.empty((2, most, size))  # two, for the reason neumann_y gives
     gaps = np.empty((most, size))  # |step - the step before|, restart-major
     per_copy = gaps.reshape(most * copies, n)  # the same, one contiguous row per step, restart and copy
-    into = gaps if R == 1 else gaps.reshape(most, R, span)  # the gaps in the steps' shape
+    into = gaps.reshape(most, R, span)  # the gaps in the steps' shape
     # a last change below this is scanned: rounding may let a change grow by a few ulps of the n terms
     trigger = tol + 64 * n * sys.float_info.epsilon
     decay = -math.log1p(-gamma)  # the least -log of the per-step rate: the walk contracts by 1 - gamma
@@ -193,15 +188,11 @@ def pagerank_power(
     done, turn, k, measured = 0, 0, min(CHUNK_STEPS, most, t1), None
     while True:
         rows = buffers[turn, :k]
-        rows[:] = jump
-        x = p
-        for row in rows:
-            product(x, row)
-            x = row
+        _fill(product, p, rows, jump)
         done, turn = done + k, 1 - turn
-        # the steps restart-major, as (k, R, C n) views of the (C n, R) rows; one restart's rows are so already
-        steps = rows if R == 1 else rows.reshape(k, span, R).transpose(0, 2, 1)
-        before = p if R == 1 else p.reshape(span, R).T
+        # the steps restart-major, as (k, R, C n) views of the (C n, R) rows
+        steps = rows.reshape(k, span, R).transpose(0, 2, 1)
+        before = p.reshape(span, R).T
         change = changes(2 if measured is None and k > 1 else 1)
         last = change[-1].tolist()
         # one test per chunk: the walk lets no copy's change grow, so a copy whose last change is past
@@ -287,8 +278,14 @@ def neumann_y(
     if indicator.shape != op.shape:  # one start for every copy, copied to each below
         indicator = np.broadcast_to(indicator, op.shape)
     ind = np.ascontiguousarray(indicator).reshape(-1)  # as the unchecked products read it
+    product, most = op.step(False), _chunk_steps(ind.size)
+    # two buffers, which the chunks take in turn, not one per chunk: a new one of 128 KiB or
+    # more is a fresh mapping under glibc's default malloc, whose pages fault in again at every chunk
+    buffers = np.empty((2, min(most, t2), ind.size))
     y = ind  # with t2 = 0, the i = 0 term alone
-    for rows in _chunks(op.right_step(), ind, ind, t2, _chunk_steps(ind.size)):
+    for done in range(0, t2, most):
+        rows = buffers[done // most % 2, : min(most, t2 - done)]
+        _fill(product, y, rows, ind)
         y = rows[-1]
     return y.reshape(op.shape)
 

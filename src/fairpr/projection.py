@@ -74,25 +74,19 @@ class BoxBounds:
             raise InfeasibleBoxError(msg if seg is None else f"row {i}: {msg}")
 
 
-def project_rows(
-    s: np.ndarray,
-    seg: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Project each row of ``s`` onto {x : sum x = 1, lower <= x <= upper}.
+def project_rows(s: np.ndarray, seg: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Project each row of ``s`` onto {x : sum x = 1, lower <= x <= upper},
+    in place, and return ``s``.
 
-    ``s`` holds one copy of the pattern, or a (C, nnz) block of C copies.
-    ``seg`` gives the row id of each of a copy's nnz entries, ascending,
-    and ``lower``/``upper`` their boxes, which must meet the simplex (see
-    ``BoxBounds.validate``); every copy shares them. They may also come
-    tiled over the whole copies of one piece, as ``stack_boxes`` builds
-    them once for a block that is projected again and again. Rows already
-    feasible within FEAS_TOL come back bit-for-bit, the others on sum 1 to
-    rounding. The result goes into ``out``, returned: a new array when
-    omitted, else a C-contiguous one of s's shape, such as ``s`` itself,
-    which then changes in place.
+    ``s`` is a C-contiguous float64 array: one copy of the pattern, or a
+    (C, nnz) block of C copies. ``seg`` gives the row id of each of a copy's
+    nnz entries, ascending, and ``lower``/``upper`` their boxes, which must
+    meet the simplex (see ``BoxBounds.validate``); every copy shares them.
+    They may also come tiled over the k whole copies of one piece, as
+    ``stack_boxes`` builds them once for a block that is projected again
+    and again; untiled, a block is projected one copy per piece. Rows
+    already feasible within FEAS_TOL keep their bits, the others land on
+    sum 1 to rounding.
 
     The rows are projected in pieces of whole copies, or of whole rows of
     one copy, of at most PIECE_BUDGET entries (a longer row is a piece of
@@ -101,31 +95,25 @@ def project_rows(
     """
     if not np.isfinite(s).all():
         raise ValueError("cannot project a vector with non-finite entries")
-    if out is None:
-        out = s.copy()
-    elif out is not s:
-        out[...] = s
     if not s.size:
-        return out
+        return s
     nnz = s.shape[-1]
-    flat_s, flat_out = s.reshape(-1), out.reshape(-1)  # views of C-contiguous blocks
+    flat = s.reshape(-1)  # a view of a C-contiguous block
     if nnz <= PIECE_BUDGET:  # whole copies, k at a time
-        if seg.size == nnz:
-            seg, lower, upper = stack_boxes(seg, lower, upper, flat_s.size // nnz)
         k = seg.size // nnz  # the last piece, or a block of fewer copies, reads a prefix
-        for a in range(0, flat_s.size, k * nnz):
-            b = min(a + k * nnz, flat_s.size)
-            _project_piece(flat_s[a:b], seg[: b - a], lower[: b - a], upper[: b - a], flat_out[a:b])
-        return out
+        for a in range(0, flat.size, k * nnz):
+            b = min(a + k * nnz, flat.size)
+            _project_piece(flat[a:b], seg[: b - a], lower[: b - a], upper[: b - a])
+        return s
     cuts = [0]  # whole rows of one copy at a time
     while cuts[-1] < nnz:
         a = cuts[-1]
         b = nnz if a + PIECE_BUDGET >= nnz else int(np.searchsorted(seg, seg[a + PIECE_BUDGET]))
         cuts.append(b if b > a else int(np.searchsorted(seg, seg[a], "right")))
-    for c in range(0, flat_s.size, nnz):
+    for c in range(0, flat.size, nnz):
         for a, b in zip(cuts[:-1], cuts[1:]):
-            _project_piece(flat_s[c + a : c + b], seg[a:b] - seg[a], lower[a:b], upper[a:b], flat_out[c + a : c + b])
-    return out
+            _project_piece(flat[c + a : c + b], seg[a:b] - seg[a], lower[a:b], upper[a:b])
+    return s
 
 
 def stack_boxes(
@@ -143,10 +131,11 @@ def stack_boxes(
     return (seg + (seg[-1] + 1) * np.arange(k)[:, None]).ravel(), np.tile(lower, k), np.tile(upper, k)
 
 
-def _project_piece(x, seg, lo, up, out):
-    """Project the rows of one piece: entries ``x`` with ascending row ids
-    ``seg`` from 0 and boxes ``lo``/``up``, written into ``out`` (which may
-    be ``x``); entries of rows already feasible are not written."""
+def _project_piece(x, seg, lo, up):
+    """Project the rows of one piece in place: entries ``x`` with ascending
+    row ids ``seg`` from 0 and boxes ``lo``/``up``; entries of rows already
+    feasible are not written."""
+    out = x  # the piece; x narrows to its free entries
     nseg = int(seg[-1]) + 1
     settled = np.abs(np.bincount(seg, x, nseg) - 1.0) <= FEAS_TOL
     settled[seg[(x < lo) | (x > up)]] = False
@@ -200,7 +189,7 @@ def project_simplex(s: np.ndarray) -> np.ndarray:
 
 def project_simplex_box(s: np.ndarray, bounds: BoxBounds) -> np.ndarray:
     """Nearest point of simplex-intersect-box: clip(s + lam*, lower, upper)."""
-    s = np.asarray(s, dtype=float)
+    s = np.array(s, dtype=float)  # a copy, projected in place
     if s.size == 0:
         raise ValueError("cannot project an empty vector")
     if s.size != bounds.lower.size or s.size != bounds.upper.size:
@@ -244,4 +233,4 @@ def project_matrix(
     if P_hat.has_spreads or P_orig.has_spreads:
         raise ValueError("projection reweights edges only; a matrix with group spreads cannot be projected")
     seg, box = row_boxes(P_orig, delta, epsilon)
-    return P_hat.with_data(project_rows(P_hat.data, seg, box.lower, box.upper))
+    return P_hat.with_data(project_rows(P_hat.data.copy(), seg, box.lower, box.upper))

@@ -140,11 +140,12 @@ def test_criterion_04_gradient_correctness():
         else:
             gr = grad_group_adapted(P, GAMMA, groups, target, t1=400, t2=200, tol=1e-14)
             restarts = [PageRankConfig.group_restart(groups, ell, GAMMA) for ell in range(K)]
-        for idx in range(len(gr.values)):
-            a = gr.values[idx]
+        rows = P.entry_rows()
+        for idx in range(len(gr)):
+            a = gr[idx]
             if abs(a) <= 1e-8:
                 continue
-            fd = fd_gradient_entry(P, groups, target.phi, restarts, gr.rows[idx], gr.cols[idx], h=1e-6)
+            fd = fd_gradient_entry(P, groups, target.phi, restarts, rows[idx], P.indices[idx], h=1e-6)
             worst = max(worst, abs(fd - a) / abs(a))
             checked += 1
     elapsed = time.perf_counter() - started
@@ -281,7 +282,7 @@ def test_criterion_09_perfect_local_fairness():
         target = FairnessTarget(phi=[phi0, 1 - phi0])
         v = np.empty(P.n)
         for k in range(2):
-            v[groups.members(k)] = target.phi[k] / groups.group_sizes[k]
+            v[groups.labels == k] = target.phi[k] / groups.group_sizes[k]
         cfg_fair = PageRankConfig(GAMMA, v)
         for fn in (lfpr_n, lfpr_u):
             M = fn(P, groups, target).matrix

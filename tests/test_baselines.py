@@ -37,7 +37,7 @@ def two_group_instance(rng, n):
 def phi_fair_restart(groups, phi):
     v = np.empty(groups.n)
     for k in range(groups.K):
-        v[groups.members(k)] = phi[k] / groups.group_sizes[k]
+        v[groups.labels == k] = phi[k] / groups.group_sizes[k]
     return PageRankConfig(GAMMA, v)
 
 
@@ -93,7 +93,7 @@ def test_lfpr_n_hand_cases():
     res2 = lfpr_n(P2, groups2, FairnessTarget(phi=[0.3, 0.7]))
     row = res2.matrix.to_dense()[0]  # the spread is a share of group 1's indicator, written out here
     assert abs(row[1] - 0.3) <= 1e-15  # the only group-0 out-edge takes all of 0.3
-    for j in groups2.members(1):
+    for j in np.flatnonzero(groups2.labels == 1):
         assert abs(row[j] - 0.7 / 5) <= 1e-15
     assert not res2.matrix.pattern_subset_of(P2)
     assert abs(row.sum() - 1.0) <= 1e-12
@@ -189,7 +189,7 @@ def ref_lfpr_n_rows(P, groups, target):
             if len(into_k):
                 acc[into_k] += target.phi[k] / len(into_k)
             else:
-                acc[groups.members(k)] += target.phi[k] / groups.group_sizes[k]
+                acc[groups.labels == k] += target.phi[k] / groups.group_sizes[k]
         rows.append(acc)
     return np.array(rows)
 
@@ -203,7 +203,7 @@ def ref_lfpr_u_rows(P, groups, target):
         acc = np.zeros(P.n)
         if P.sink_mask[i]:
             for k in range(2):
-                acc[groups.members(k)] += share[k] / sizes[k]
+                acc[groups.labels == k] += share[k] / sizes[k]
         else:
             cols = P.indices[P.indptr[i] : P.indptr[i + 1]]
             d = len(cols)
@@ -213,7 +213,7 @@ def ref_lfpr_u_rows(P, groups, target):
                 k = under[0]
                 base = share[1 - k] / out[1 - k]
                 acc[cols] += base
-                acc[groups.members(k)] += (share[k] - base * out[k]) / sizes[k]
+                acc[groups.labels == k] += (share[k] - base * out[k]) / sizes[k]
             else:
                 acc[cols] += 1.0 / d
         rows.append(acc)

@@ -6,12 +6,18 @@ import pytest
 from conftest import random_instance, random_sinky_instance, random_target
 from fairpr import (
     FairnessTarget,
+    OptimizerConfig,
     PageRankConfig,
     TransitionMatrix,
+    adapt_gd,
     build_transition,
+    fair_gd,
+    fairwalk,
     grad_fair,
     grad_group_adapted,
     group_scores,
+    lfpr_n,
+    lfpr_u,
     lipschitz_bound,
     load_graph,
     load_labels,
@@ -112,7 +118,7 @@ def test_grad_fair_zero_at_self_target():
     _, groups, cfg, P = random_instance(rng, 10, 3)
     scores = group_scores(pagerank_power(P, cfg), groups)
     gr = grad_fair(P, cfg, groups, FairnessTarget(phi=scores))
-    assert gr.max_abs() == 0.0
+    assert gr.shape == (P.nnz,) and np.abs(gr).max() == 0.0
 
 
 def test_grad_fair_excludes_sink_rows():
@@ -121,7 +127,7 @@ def test_grad_fair_excludes_sink_rows():
     P = build_transition(g, cfg)
     groups = load_labels("0 0\n1 1\n2 1", 3)
     gr = grad_fair(P, cfg, groups, FairnessTarget(phi=[0.9, 0.1]))
-    assert (gr.rows != 2).all()
+    assert gr.shape == (P.nnz,) and (P.entry_rows() != 2).all()
 
 
 def test_grad_fair_matches_finite_differences():
@@ -132,11 +138,12 @@ def test_grad_fair_matches_finite_differences():
         _, groups, cfg, P = random_instance(rng, n, K)
         target = random_target(rng, K)
         gr = grad_fair(P, cfg, groups, target, t1=400, t2=200, tol=1e-14)
-        for idx in range(len(gr.values)):
-            a = gr.values[idx]
+        rows = P.entry_rows()
+        for idx in range(len(gr)):
+            a = gr[idx]
             if abs(a) <= 1e-8:
                 continue
-            fd = fd_gradient_entry(P, groups, target.phi, [cfg], gr.rows[idx], gr.cols[idx])
+            fd = fd_gradient_entry(P, groups, target.phi, [cfg], rows[idx], P.indices[idx])
             assert abs(fd - a) / abs(a) <= 1e-4
 
 
@@ -149,11 +156,12 @@ def test_grad_group_adapted_matches_finite_differences():
         target = random_target(rng, K)
         gr = grad_group_adapted(P, GAMMA, groups, target, t1=400, t2=200, tol=1e-14)
         restarts = [PageRankConfig.group_restart(groups, ell, GAMMA) for ell in range(K)]
-        for idx in range(len(gr.values)):
-            a = gr.values[idx]
+        rows = P.entry_rows()
+        for idx in range(len(gr)):
+            a = gr[idx]
             if abs(a) <= 1e-8:
                 continue
-            fd = fd_gradient_entry(P, groups, target.phi, restarts, gr.rows[idx], gr.cols[idx])
+            fd = fd_gradient_entry(P, groups, target.phi, restarts, rows[idx], P.indices[idx])
             assert abs(fd - a) / abs(a) <= 1e-4
 
 
@@ -168,8 +176,8 @@ def test_grad_fair_two_group_identity():
     resid0 = float(group_scores(p, groups)[0] - target.phi[0])
     y0 = neumann_y(P, groups.indicator(0), GAMMA, 120)
     y1 = neumann_y(P, groups.indicator(1), GAMMA, 120)
-    expect = (1 - GAMMA) * resid0 * p[gr.rows] * (y0 - y1)[gr.cols]
-    assert np.abs(gr.values - expect).max() <= 1e-9
+    expect = (1 - GAMMA) * resid0 * p[P.entry_rows()] * (y0 - y1)[P.indices]
+    assert np.abs(gr - expect).max() <= 1e-9
 
 
 def test_grad_group_adapted_is_mean_of_restart_grads():
@@ -177,13 +185,13 @@ def test_grad_group_adapted_is_mean_of_restart_grads():
     _, groups, cfg, P = random_instance(rng, 8, 2)
     target = random_target(rng, 2)
     ga = grad_group_adapted(P, GAMMA, groups, target, t1=400, t2=120, tol=1e-14)
-    acc = np.zeros_like(ga.values)
+    acc = np.zeros_like(ga)
     for ell in range(groups.K):
         g_ell = grad_fair(
             P, PageRankConfig.group_restart(groups, ell, GAMMA), groups, target, t1=400, t2=120, tol=1e-14
         )
-        acc += g_ell.values
-    assert np.abs(ga.values - acc / groups.K).max() <= 1e-12
+        acc += g_ell
+    assert np.abs(ga - acc / groups.K).max() <= 1e-12
     restarts = [PageRankConfig.group_restart(groups, ell, GAMMA) for ell in range(groups.K)]
     la = loss_group_adapted(P, GAMMA, groups, target, t1=400, tol=1e-14)
     mean = sum(loss_fair(P, c, groups, target, t1=400, tol=1e-14) for c in restarts) / groups.K
@@ -210,14 +218,15 @@ def test_terms_sum_to_the_gradients_bitwise():
                 p = pagerank_power(P, c)
                 resid = group_scores(p, groups) - target.phi
                 coefs = []
-                for coef, term in _terms(P, p, 1.0, restarts, groups, target.phi, 40, rows, cols, _indicators(groups)):
+                s = group_scores(p, groups)
+                for coef, term in _terms(P, p, s, 1.0, restarts, target.phi, 40, rows, cols, _indicators(groups)):
                     coefs.append(coef)
                     summed += term
                 assert coefs == [c0 * resid[k] for k in range(K)]
                 for k in range(K):
                     want += (c0 * resid[k]) * p[rows] * ys[k]
-            assert np.array_equal(summed, gr.values)
-            assert np.array_equal(want, gr.values)
+            assert np.array_equal(summed, gr)
+            assert np.array_equal(want, gr)
 
 
 def test_group_adapted_loss_and_evaluation_match_per_restart_solves_bitwise():
@@ -277,11 +286,12 @@ def test_terms_over_stacked_copies_match_each_copy_alone_bitwise():
     assert all(np.array_equal(shared[k], groups.indicator(k)) for k in range(3))
     # the series starts shared by the copies, and one per copy as the descent holds them
     for starts in (shared, np.repeat(shared[:, None], len(W), axis=1)):
-        block = list(_terms(op, p, scale, restarts, groups, target.phi, 30, rows, cols, starts))
+        block = list(_terms(op, p, group_scores(p, groups), scale, restarts, target.phi, 30, rows, cols, starts))
         assert len(block) == 3
         for c in range(len(W)):
             one = P.with_data(W[c])
-            alone = list(_terms(one, p[c], scale[c], restarts, groups, target.phi, 30, rows, cols, shared))
+            s = group_scores(p[c], groups)
+            alone = list(_terms(one, p[c], s, scale[c], restarts, target.phi, 30, rows, cols, shared))
             assert len(alone) == len(block)
             for (coefs, terms), (coef, term) in zip(block, alone):
                 assert coefs[c] == coef
@@ -299,20 +309,47 @@ def test_terms_see_weights_moved_between_terms():
     scale = np.array([0.5, 2.0])
     p = pagerank_power(WalkOperator(P, W), cfg)
 
-    starts = _indicators(groups)
+    s, starts = group_scores(p, groups), _indicators(groups)
 
     def second_term(weights):
-        terms = _terms(WalkOperator(P, weights), p, scale, [cfg], groups, target.phi, 30, rows, cols, starts)
+        terms = _terms(WalkOperator(P, weights), p, s, scale, [cfg], target.phi, 30, rows, cols, starts)
         next(terms)
         return next(terms)
 
     stale = second_term(W.copy())
-    terms = _terms(WalkOperator(P, W), p, scale, [cfg], groups, target.phi, 30, rows, cols, starts)
+    terms = _terms(WalkOperator(P, W), p, s, scale, [cfg], target.phi, 30, rows, cols, starts)
     W -= next(terms)[1]
     coef, term = next(terms)
     want_coef, want = second_term(W.copy())
     assert np.array_equal(coef, want_coef) and np.array_equal(term, want)
     assert not np.array_equal(term, stale[1])
+
+
+TARGET_ENTRY_POINTS = {
+    "loss_fair": lambda P, cfg, groups, target: loss_fair(P, cfg, groups, target),
+    "loss_group_adapted": lambda P, cfg, groups, target: loss_group_adapted(P, GAMMA, groups, target),
+    "grad_fair": lambda P, cfg, groups, target: grad_fair(P, cfg, groups, target),
+    "grad_group_adapted": lambda P, cfg, groups, target: grad_group_adapted(P, GAMMA, groups, target),
+    "fair_gd": lambda P, cfg, groups, target: fair_gd(P, cfg, groups, target, OptimizerConfig(max_iters=1)),
+    "adapt_gd": lambda P, cfg, groups, target: adapt_gd(P, GAMMA, groups, target, OptimizerConfig(max_iters=1)),
+    "fairwalk": lambda P, cfg, groups, target: fairwalk(P, groups, target),
+    "lfpr_n": lambda P, cfg, groups, target: lfpr_n(P, groups, target),
+    "lfpr_u": lambda P, cfg, groups, target: lfpr_u(P, groups, target),
+}
+
+
+@pytest.mark.parametrize("entry", TARGET_ENTRY_POINTS)
+def test_a_target_of_other_than_K_scores_is_refused(karate, entry):
+    """Every entry point that takes a target refuses one whose length is not
+    the group count, naming both, before any work: a shorter target would
+    score one group against nothing, a longer one would drop entries."""
+    _, groups, cfg, P = karate
+    assert groups.K == 2
+    call = TARGET_ENTRY_POINTS[entry]
+    for phi in ([1.0], [0.2, 0.3, 0.5]):
+        with pytest.raises(ValueError, match=f"^target has {len(phi)} group scores for K = 2 groups$"):
+            call(P, cfg, groups, FairnessTarget(phi=phi))
+    call(P, cfg, groups, FairnessTarget(phi=[0.3, 0.7]))  # K scores pass
 
 
 def test_lipschitz_bound_values():

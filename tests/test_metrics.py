@@ -100,8 +100,8 @@ def test_rho_bar_identity_and_scaling():
     p = np.array([0.3, 0.1, 0.2, 0.25, 0.15])
     assert rho_bar(p, p.copy(), groups) == 1.0
     scaled = p.copy()
-    scaled[groups.members(0)] *= 3.0
-    scaled[groups.members(1)] *= 0.25
+    scaled[groups.labels == 0] *= 3.0
+    scaled[groups.labels == 1] *= 0.25
     assert rho_bar(p, scaled, groups) == 1.0
 
 

@@ -288,13 +288,14 @@ def product_instances(rng, sinks, count):
 @pytest.mark.parametrize("copies", [1, 9])
 @pytest.mark.parametrize("sinks", [False, True, "lfpr_u"])
 def test_kernel_products_match_scipy_bitwise(copies, sinks):
-    """``left`` and ``right`` call scipy's compiled matvec kernels directly;
-    pin them, and ``left_into`` and ``right_into`` on zeroed buffers, to the
-    public sparse products, also once the weights change in place and once
-    they are replaced. A sink row is a share of vector 0 like any other;
-    with ``sinks="lfpr_u"`` the matrix is an lfpr_u output with sink rows,
-    so rows share vector 0 (the fair sink vector) and the group vectors,
-    whose nonzeros overlap it."""
+    """``step`` binds scipy's compiled matvec kernels; pin its left and right
+    products on zeroed buffers, and ``left`` and ``right``, which call it, to
+    the public sparse products of each copy, and its left product over 3
+    vectors at once to each vector's, also once the weights change in place
+    and once they are replaced. A sink row is a share of vector 0 like any
+    other; with ``sinks="lfpr_u"`` the matrix is an lfpr_u output with sink
+    rows, so rows share vector 0 (the fair sink vector) and the group
+    vectors, whose nonzeros overlap it."""
     rng = np.random.default_rng(808 + copies + 10 * [False, True, "lfpr_u"].index(sinks))
     for _, _, P in product_instances(rng, sinks, 12):
         W = P.data * rng.uniform(0.5, 1.5, size=(copies, P.nnz))
@@ -304,15 +305,20 @@ def test_kernel_products_match_scipy_bitwise(copies, sinks):
         else:
             op = WalkOperator(P, W)
         for step in ("built", "changed in place", "replaced"):
-            x = rng.standard_normal(copies * P.n)
-            left, right = block_products(P, op.data, x)
-            assert np.array_equal(op.left(x), left), step
-            assert np.array_equal(op.right(x), right), step
+            x = rng.standard_normal((3, copies * P.n))
+            left, right = block_products(P, op.data, x[0])
+            assert np.array_equal(op.left(x[0]), left), step
+            assert np.array_equal(op.right(x[0]), right), step
             # the unchecked products add the same into a zeroed buffer
             q, y = np.zeros(copies * P.n), np.zeros(copies * P.n)
-            op.left_into(x, q)
-            op.right_into(x, y)
+            op.step(True)(x[0], q)
+            op.step(False)(x[0], y)
             assert np.array_equal(q, left) and np.array_equal(y, right), step
+            # three vectors laid out (size, 3): vector r's product is every third entry from r
+            q = np.zeros(3 * copies * P.n)
+            op.step(True, 3)(np.ascontiguousarray(x.T).ravel(), q)
+            for r in range(3):
+                assert np.array_equal(q[r::3], block_products(P, op.data, x[r])[0]), (step, r)
             if step == "built":
                 op.data *= rng.uniform(0.5, 1.5, size=op.data.shape)
             elif copies == 1:
@@ -469,20 +475,32 @@ def test_one_chunk_rule_bounds_both_solvers(monkeypatch, karate):
     _, groups, _, P = karate
     block = WalkOperator(P, np.tile(P.data, (9, 1)))
     lengths = []
-    chunks = fairpr.pagerank._chunks
+    fill = fairpr.pagerank._fill
 
-    def counted(*args):
-        for rows in chunks(*args):
-            lengths.append(len(rows))
-            yield rows
+    def counted(product, x, rows, constant):
+        lengths.append(len(rows))
+        fill(product, x, rows, constant)
 
-    monkeypatch.setattr(fairpr.pagerank, "_chunks", counted)
+    monkeypatch.setattr(fairpr.pagerank, "_fill", counted)
     neumann_y(block, groups.indicator(0), GAMMA, 50)
     assert lengths == [50]
     del lengths[:]
     monkeypatch.setattr(fairpr.pagerank, "CHUNK_BUDGET", 9 * 34 - 1)
     neumann_y(block, groups.indicator(0), GAMMA, 5)
     assert lengths == [1] * 5
+
+
+def test_restart_vector_of_another_length_is_refused(karate):
+    """A restart vector whose length is not the matrix's n fails naming both
+    lengths, as ``build_transition`` does, alone, in a block of restarts and
+    over stacked copies, instead of failing to broadcast."""
+    _, groups, cfg, P = karate
+    short = PageRankConfig.uniform(33, GAMMA)
+    block = WalkOperator(P, np.tile(P.data, (8, 1)))
+    for op, restarts in ((P, short), (P, [cfg, short]), (block, short), (block, [short, cfg])):
+        with pytest.raises(ValueError, match="^restart vector has length 33, matrix has 34 vertices$"):
+            pagerank_power(op, restarts)
+    assert pagerank_power(block, [cfg, cfg]).shape == (2, 8, 34)
 
 
 def test_solver_step_counts_and_score_lengths_are_checked(karate):
@@ -513,7 +531,7 @@ def stepwise_power(P, cfg, t1=100, tol=1e-12, start=None):
     stops = np.full(op.copies, t1)
     for step in range(1, t1 + 1):
         nxt = jump.copy()
-        op.left_into(p, nxt)
+        op.step(True)(p, nxt)
         np.subtract(nxt, p, out=gap)
         np.abs(gap, out=gap)
         met = np.add.reduce(gaps, axis=1) < tol
@@ -538,7 +556,7 @@ def stepwise_series(P, indicator, gamma, t2=50):
     y = ind.copy()
     for _ in range(t2):
         nxt = ind.copy()
-        op.right_into(y, nxt)
+        op.step(False)(y, nxt)
         y = nxt
     return y.reshape(op.shape)
 
@@ -746,8 +764,14 @@ def test_restart_block_over_nine_copies_matches_stepwise_bitwise(monkeypatch, st
     start /= start.sum(axis=-1, keepdims=True)
     start[1, :3] = pagerank_power(block, restarts[1], t1=1000, tol=0.0)[:3]  # three copies stop at step 1
     calls = []
-    block_product = WalkOperator.left_block_into
-    monkeypatch.setattr(WalkOperator, "left_block_into", lambda *a, **k: calls.append(1) or block_product(*a, **k))
+    step = WalkOperator.step
+
+    def counted(op, left, vectors=1):
+        """The block's product, counting its calls; the one-vector products of the references go uncounted."""
+        product = step(op, left, vectors)
+        return product if vectors == 1 else lambda x, y: calls.append(1) or product(x, y)
+
+    monkeypatch.setattr(WalkOperator, "step", counted)
     for t1, tol in ((1, 1e-8), (4, 0.0), (7, 1e-8), (100, 1e-10), (300, 1e-10)):
         for given in (None, start):
             del calls[:]

@@ -331,7 +331,7 @@ def test_row_shift_leaves_projection_unchanged(boxed):
     x = rng.integers(-2**21, 2**21, seg.size) / 2**20
     c = np.rint(rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(0.0, 9.0, count) * 2**20) / 2**20
     assert np.array_equal((x + c[seg]) - c[seg], x)
-    want = project_rows(x, seg, lower, upper)
+    want = project_rows(x.copy(), seg, lower, upper)
     got = project_rows(x + c[seg], seg, lower, upper)
     assert np.abs(got - want).max() <= 1e-12
 
@@ -441,20 +441,18 @@ def random_block(rng, copies, count, max_len, boxed):
 
 @pytest.mark.parametrize("boxed", [False, True])
 def test_project_rows_matches_the_reference_bitwise(boxed):
-    """A (C, nnz) block over one untiled row structure projects bitwise as the
-    reference does over the tiled block, and so does each copy alone; in
-    place or not. The draws hold rows of length 1, rows already feasible,
-    and rows with violators of both sides in one pass."""
+    """A (C, nnz) block over one untiled row structure projects in place
+    bitwise as the reference does over the tiled block, and so does each
+    copy alone. The draws hold rows of length 1, rows already feasible, and
+    rows with violators of both sides in one pass."""
     rng = np.random.default_rng(61 + boxed)
     W, seg, lower, upper = random_block(rng, 5, 300, 2000, boxed)
     want = reference_block(W, seg, 300, lower, upper)
-    got = project_rows(W, seg, lower, upper)
+    got = W.copy()
+    assert project_rows(got, seg, lower, upper) is got
     assert np.array_equal(got, want)
     for w, v in zip(W, want):
-        assert np.array_equal(project_rows(w, seg, lower, upper), v)
-    inplace = W.copy()
-    assert project_rows(inplace, seg, lower, upper, out=inplace) is inplace
-    assert np.array_equal(inplace, want)
+        assert np.array_equal(project_rows(w.copy(), seg, lower, upper), v)
     # the coverage the claim rests on
     assert (np.bincount(seg, minlength=300) == 1).any()
     kept = (want == W).all(axis=0)
@@ -479,18 +477,34 @@ def test_project_rows_pieces_change_no_bit(monkeypatch):
     copies, for the block and for blocks of fewer copies."""
     rng = np.random.default_rng(71)
     W, seg, lower, upper = random_block(rng, 7, 40, 60, True)
-    whole = project_rows(W, seg, lower, upper)
+    whole = project_rows(W.copy(), seg, lower, upper)
     assert np.array_equal(whole, reference_block(W, seg, 40, lower, upper))
     longest = np.bincount(seg).max()
     for budget in (None, 3 * seg.size, seg.size + 1, seg.size, seg.size - 1, 2 * longest, longest, longest - 1, 1):
         if budget is not None:
             monkeypatch.setattr(projection, "PIECE_BUDGET", budget)
-        assert np.array_equal(project_rows(W, seg, lower, upper), whole), budget
+        assert np.array_equal(project_rows(W.copy(), seg, lower, upper), whole), budget
         tiles = projection.stack_boxes(seg, lower, upper, len(W))
         assert tiles[0].size == seg.size * max(1, min(len(W), projection.PIECE_BUDGET // seg.size))
         for copies in (7, 4, 1):
             block = W[:copies].copy()
-            assert np.array_equal(project_rows(block, *tiles, out=block), whole[:copies]), (budget, copies)
+            assert np.array_equal(project_rows(block, *tiles), whole[:copies]), (budget, copies)
+
+
+@pytest.mark.parametrize("boxed", [False, True])
+def test_untiled_block_projects_as_its_tiles_bitwise(boxed):
+    """A (C, nnz) block with one copy's row ids and boxes, projected one copy
+    per piece, lands on the same bits as with the ``stack_boxes`` tiles of
+    its C copies, and of more copies than it has, by a prefix."""
+    rng = np.random.default_rng(75 + boxed)
+    for copies in (1, 2, 5, 9):
+        W, seg, lower, upper = random_block(rng, copies, 50, 40, boxed)
+        untiled = project_rows(W.copy(), seg, lower, upper)
+        for stack in (copies, 9):
+            tiles = projection.stack_boxes(seg, lower, upper, stack)
+            assert tiles[0].size == stack * seg.size
+            assert np.array_equal(project_rows(W.copy(), *tiles), untiled), (copies, stack)
+        assert not np.array_equal(untiled, W)
 
 
 def test_project_rows_errors_unchanged():
@@ -508,9 +522,9 @@ def test_project_rows_errors_unchanged():
 
 
 def test_project_rows_memory_is_a_small_multiple_of_the_block():
-    """Projecting a (9, 4e5) block peaks under tracemalloc within 3 times the
-    block's bytes, the result included; the pieces bound the work arrays
-    (over the whole tiled block in one piece the peak was 12.5 times)."""
+    """Projecting a (9, 4e5) block in place peaks under tracemalloc within 3
+    times the block's bytes; the pieces bound the work arrays (over the
+    whole tiled block in one piece the peak was 12.5 times)."""
     rng = np.random.default_rng(81)
     seg = np.repeat(np.arange(80_000), 5)
     W = rng.normal(0.2, 0.3, (9, seg.size))
