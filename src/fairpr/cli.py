@@ -258,7 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9", help="comma-separated phi grid")
     p.add_argument("--methods", default="fairgd,fairwalk", help="comma-separated method names")
     _optimizer_flags(p)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes, at most one per cell")
+    p.add_argument(
+        "--jobs", type=int, default=1, help="worker processes; a method's phis run as at most this many stacks"
+    )
     p.add_argument("--out", default="sweep_out")
     p.add_argument("--dataset-name", default="dataset")
     p.add_argument("--config", default=None, help="key=value settings file, read as flags; the command line's flags win")

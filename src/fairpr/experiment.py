@@ -1,6 +1,8 @@
-"""Sweep protocol: run (method, phi) cells over a graph, tune the step size
-per cell (the optimizer runs the step-size grid in lockstep), evaluate the
-metric bundle, and assemble a deterministic CSV."""
+"""Sweep protocol: run (method, phi) cells over a graph, evaluate the metric
+bundle, and assemble a deterministic CSV. An optimizer method descends all
+of its phis' targets as one lockstep stack, each target over its own
+step-size grid (``optimizer.descend_targets``), and evaluates each cell
+from its target's report; a baseline runs cell by cell."""
 
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from .graph import (
 )
 from .loss import _group_restarts, _mean_loss, loss_from_scores
 from .metrics import MetricBundle, UndefinedCoefficientError, aligned, delta_p, rho_bar, rho_tilde
-from .optimizer import DivergedError, OptimizerConfig, adapt_gd, fair_gd
+from .optimizer import DivergedError, OptimizerConfig, adapt_gd, descend_targets, fair_gd
 from .pagerank import group_scores, pagerank_power
 
 OPTIMIZER_METHODS = ("fairgd", "fairgd_restricted", "adaptgd", "adaptgd_restricted")
@@ -95,10 +97,12 @@ build_target = FairnessTarget.from_lead_share
 
 # kept as a function: perfbench/tracing.py wraps it by name and derives grid_useful_ratio from its span
 def tune_step_size(run, opt: OptimizerConfig):
-    """Grid-search the step size: ``run`` (fair_gd or adapt_gd bound to its
-    instance) is called once with ``opt``, whose step size is unset, so it
-    runs the whole ALPHA_GRID in lockstep. Returns (the step size with the
-    lowest final loss, its report); raises DivergedError when all diverge."""
+    """Grid-search one target's step size, as ``optimize`` does: ``run``
+    (fair_gd or adapt_gd bound to its instance and target) is called once
+    with ``opt``, whose step size is unset, so it runs the whole ALPHA_GRID
+    in lockstep. Returns (the step size with the lowest final loss, its
+    report); raises DivergedError when all diverge. A sweep grid-searches
+    all of a method's phis in one stack instead (``run_optimizer_stack``)."""
     report = run(opt)
     return report.alpha, report
 
@@ -113,6 +117,14 @@ def run_optimizer_method(method, P, gamma, groups, target, opt: OptimizerConfig)
     if opt.alpha is None and not opt.alpha_auto:
         return tune_step_size(run, opt)[1]
     return run(opt)
+
+
+def run_optimizer_stack(method, P, gamma, groups, targets, opt: OptimizerConfig):
+    """Run ``method`` ("fairgd" or "adaptgd") with ``opt`` as given for
+    every target in one lockstep stack: each target's report, or the
+    DivergedError of a target whose every step size diverged."""
+    restarts = _group_restarts(groups, gamma) if method == "adaptgd" else [PageRankConfig.uniform(P.n, gamma)]
+    return descend_targets(P, restarts, groups, targets, opt)
 
 
 def evaluate_matrices(P_orig, P_new, gamma, groups, target, p_orig=None):
@@ -145,57 +157,87 @@ def evaluate_matrices(P_orig, P_new, gamma, groups, target, p_orig=None):
     return bundle, rt_reason, scores
 
 
-def run_cell(spec: ExperimentSpec, groups, P, method: str, phi: float, p_orig=None) -> ResultRow:
-    """One (method, phi) cell on the sweep's loaded instance; ``p_orig`` is
-    the instance's PageRank when the sweep has solved it. A failure inside
-    the cell is recorded as the row's reason; the sweep goes on."""
-    started = time.perf_counter()
-    row = ResultRow(dataset=spec.dataset, method=method, phi=phi)
-    try:
-        target = FairnessTarget.from_lead_share(phi, groups.K)
-        if method in BASELINE_METHODS:
-            # looked up at call time so that replaced module attributes are seen
-            revised = getattr(baselines, method)(P, groups, target).matrix
-        else:
+def run_cells(spec: ExperimentSpec, groups, P, method: str, phis, p_orig=None) -> list[ResultRow]:
+    """The (method, phi) cells of one method over ``phis`` on the sweep's
+    loaded instance; ``p_orig`` is the instance's PageRank when the sweep
+    has solved it. An optimizer method descends every phi's target in one
+    stack (``run_optimizer_stack``), and each cell's ``wall_time_ms`` is an
+    equal share of the stack's descent plus its own evaluation; a baseline
+    runs cell by cell. A failure is recorded as the reason of the cells it
+    hits, every cell of the stack when the stack's descent raised; the
+    sweep goes on."""
+    picks, shared = [None] * len(phis), 0.0  # a baseline's cells run one by one
+    if method in OPTIMIZER_METHODS:
+        started = time.perf_counter()
+        try:
+            targets = [FairnessTarget.from_lead_share(phi, groups.K) for phi in phis]
             restricted, opt = method.endswith("_restricted"), spec.optimizer
             if restricted != opt.restricted:
                 # a *_restricted name sets a 0.1/0.1 box when none is given; a plain name drops the box
                 box = 0.1 if restricted else None
                 opt = replace(opt, delta=box, epsilon=box)
-            report = run_optimizer_method(method.removesuffix("_restricted"), P, spec.gamma, groups, target, opt)
-            revised = report.final_matrix
-            row.iterations = report.iterations_run
-            row.stop_reason = report.stop_reason
+            picks = run_optimizer_stack(method.removesuffix("_restricted"), P, spec.gamma, groups, targets, opt)
+        except Exception as exc:  # the stack's failure is each of its cells'
+            picks = [exc] * len(phis)
+        shared = (time.perf_counter() - started) / len(phis)
+    rows = []
+    for phi, pick in zip(phis, picks):
+        started = time.perf_counter()
+        row = ResultRow(dataset=spec.dataset, method=method, phi=phi)
+        try:
+            if isinstance(pick, Exception):
+                raise pick
+            target = FairnessTarget.from_lead_share(phi, groups.K)
+            if pick is None:
+                # looked up at call time so that replaced module attributes are seen
+                revised = getattr(baselines, method)(P, groups, target).matrix
+            else:
+                revised, row.iterations, row.stop_reason = pick.final_matrix, pick.iterations_run, pick.stop_reason
+            bundle, rt_reason, _ = evaluate_matrices(P, revised, spec.gamma, groups, target, p_orig)
+            row = replace(row, **asdict(bundle), reason=rt_reason)
+        except baselines.UnsupportedGroupCountError as exc:
+            row.reason = f"unsupported K: {exc}"
+        except DivergedError as exc:
+            row.reason = f"diverged: {exc}"
+        except Exception as exc:  # per-cell isolation: the sweep must go on
+            row.reason = f"error: {exc}"
+        row.wall_time_ms = (shared + time.perf_counter() - started) * 1000.0
+        rows.append(row)
+    return rows
 
-        bundle, rt_reason, _ = evaluate_matrices(P, revised, spec.gamma, groups, target, p_orig)
-        row = replace(row, **asdict(bundle), reason=rt_reason)
-    except baselines.UnsupportedGroupCountError as exc:
-        row.reason = f"unsupported K: {exc}"
-    except DivergedError as exc:
-        row.reason = f"diverged: {exc}"
-    except Exception as exc:  # per-cell isolation: the sweep must go on
-        row.reason = f"error: {exc}"
-    finally:
-        row.wall_time_ms = (time.perf_counter() - started) * 1000.0
-    return row
+
+def run_cell(spec: ExperimentSpec, groups, P, method: str, phi: float, p_orig=None) -> ResultRow:
+    """One (method, phi) cell: ``run_cells`` over the one phi."""
+    return run_cells(spec, groups, P, method, [phi], p_orig)[0]
+
+
+def _split(phis, parts: int) -> list:
+    """``phis`` in at most ``parts`` contiguous groups of near-equal length."""
+    k = min(parts, len(phis))
+    return [phis[i * len(phis) // k : (i + 1) * len(phis) // k] for i in range(k)]
 
 
 def run_sweep(spec: ExperimentSpec) -> list[ResultRow]:
     """Load the instance and solve its PageRank once, then run every
-    (method, phi) cell on it; input errors raise before any cell runs."""
+    (method, phi) cell on it; input errors raise before any cell runs.
+    Each method's phis run as one ``run_cells`` call, or with ``jobs`` > 1
+    as at most ``jobs`` calls over contiguous groups of them, in a pool of
+    at most one worker per call."""
     groups, cfg, P = load_instance(
         Path(spec.graph_path).read_text(), Path(spec.labels_path).read_text(), spec.undirected, spec.gamma
     )
     p_orig = pagerank_power(P, cfg, t1=EVAL_T1, tol=EVAL_TOL)  # as evaluate_matrices solves it
-    cell = functools.partial(run_cell, spec, groups, P, p_orig=p_orig)
-    methods = [m for m in spec.methods for _ in spec.phi_grid]
-    phis = [phi for _ in spec.methods for phi in spec.phi_grid]
+    cells = functools.partial(run_cells, spec, groups, P, p_orig=p_orig)
+    parts = _split(spec.phi_grid, spec.jobs)
+    methods = [m for m in spec.methods for _ in parts]
+    phis = [group for _ in spec.methods for group in parts]
     if spec.jobs > 1:
-        # a fork-started pool starts every worker at the first submit: no more than one per cell
+        # a fork-started pool starts every worker at the first submit: no more than one per call
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(spec.jobs, len(phis))) as pool:
-            rows = list(pool.map(cell, methods, phis))
+            stacks = list(pool.map(cells, methods, phis))
     else:
-        rows = list(map(cell, methods, phis))
+        stacks = list(map(cells, methods, phis))
+    rows = [row for stack in stacks for row in stack]
     rows.sort(key=lambda r: (r.method, r.phi))
     return rows
 

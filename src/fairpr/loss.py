@@ -22,8 +22,9 @@ def _group_restarts(groups: GroupAssignment, gamma: float) -> list[PageRankConfi
 
 def _mean_loss(scores, phi: np.ndarray):
     """The objective: (1/K) sum_k (score_k - phi_k)^2 averaged over the
-    restarts, the second-last axis of ``scores``; one loss per leading index."""
-    d = np.asarray(scores, float) - np.asarray(phi, float)
+    restarts, the second-last axis of ``scores``; one loss per leading index.
+    ``phi`` is one (K,) target, or one per leading index."""
+    d = np.asarray(scores, float) - np.expand_dims(np.asarray(phi, float), -2)
     return np.mean(d * d, axis=-1).mean(axis=-1)
 
 
@@ -50,7 +51,8 @@ def _terms(op, p, s, scale, restarts, phi, t2, rows, cols, starts):
     (s_k - phi_k), R = len(restarts), and term = coef p[i] y_k[j] on the
     stored entries (i, j) = (rows, cols), skipping a k whose coef is zero.
     ``p`` may be a (C, n) block over ``op``'s stacked copies, with ``s`` its
-    (C, K) scores and ``scale`` one number or one per copy. y_k is
+    (C, K) scores, ``scale`` one number or one per copy and ``phi`` one (K,)
+    target or a (C, K) one per copy. y_k is
     ``neumann_y`` from ``starts[k]``, group k's indicator (shared, or one per
     copy, as ``neumann_y`` takes it), at op's weights when its term is
     requested, so weights moved between terms count."""
@@ -58,7 +60,7 @@ def _terms(op, p, s, scale, restarts, phi, t2, rows, cols, starts):
     c = scale * (2.0 * (1.0 - restarts[0].gamma) / (K * len(restarts)))
     prow = np.take(p, rows, axis=-1)
     for k in range(K):
-        coef = c * (s[..., k] - phi[k])
+        coef = c * (s[..., k] - phi[..., k])
         if not coef.any():
             continue
         y = neumann_y(op, starts[k], restarts[0].gamma, t2)

@@ -3,14 +3,17 @@ modification bounds. One loop, ``_descend``, minimizes the mean fairness
 loss over a list of restarts: ``fair_gd`` passes its one restart and
 ``adapt_gd`` the K restarts inside each group.
 
-The loop runs one descent per step size, in lockstep: a fixed ``alpha`` (or
-2/C with ``alpha_auto``) is one copy of the pattern, and without either the
-whole ALPHA_GRID runs as C stacked copies over one block WalkOperator, each
-with its own warm starts, stop tests and divergence checks. Every copy ends
-bitwise as its step size would alone; the lowest final loss wins, ties (within
-LOSS_TIE_RTOL) going to the earlier step size. A copy diverges only when a step
-throws an entry past ENTRY_CEILING: the projection lands every row on sum 1 to
-rounding, and the loss, taken only at projected matrices, stays at most 1."""
+The loop runs one descent per (target, step size), in lockstep: a fixed
+``alpha`` (or 2/C with ``alpha_auto``) is one copy of the pattern per
+target, and without either the whole ALPHA_GRID runs for each target, as
+stacked copies over one block WalkOperator, each with its own target, warm
+starts, stop tests and divergence checks. ``fair_gd`` and ``adapt_gd`` stack
+one target; ``descend_targets`` stacks several, as a sweep does with its
+phis. Every copy ends bitwise as its target and step size would alone; each
+target's lowest final loss wins, ties (within LOSS_TIE_RTOL) going to the
+earlier step size. A copy diverges only when a step throws an entry past
+ENTRY_CEILING: the projection lands every row on sum 1 to rounding, and the
+loss, taken only at projected matrices, stays at most 1."""
 
 from __future__ import annotations
 
@@ -133,16 +136,17 @@ def _descend(
     P: TransitionMatrix,
     restarts: list[PageRankConfig],
     groups: GroupAssignment,
-    target: FairnessTarget,
+    targets: list[FairnessTarget],
     opt: OptimizerConfig,
-) -> tuple[tuple[float, ...], list[OptimizationReport | DivergedError]]:
-    """Descend on the mean fairness loss over the R ``restarts`` once per step
-    size, all in lockstep; return the step sizes and each one's report or
-    DivergedError.
+) -> tuple[tuple[float, ...], list[list[OptimizationReport | DivergedError]]]:
+    """Descend on the mean fairness loss over the R ``restarts`` once per
+    target and step size, all in lockstep; return the step sizes and, per
+    target, each step size's report or DivergedError.
 
     The step sizes are ``opt.alpha``, else 2/C with ``alpha_auto``, else all
-    of ALPHA_GRID. Each copy of the pattern (one per step size) is a row of
-    one (C, nnz) weight block, and every solve runs on the block's stacked
+    of ALPHA_GRID. Each copy of the pattern (one per target and step size,
+    target-major) is a row of one (C, nnz) weight block, with its target's
+    (K,) row of phi, and every solve runs on the block's stacked
     WalkOperator, so one product serves all copies and each copy's sequence
     of operations, and so its result, is bitwise that of its run alone.
 
@@ -159,15 +163,18 @@ def _descend(
     rounding; rows without edges never change. The series' starts (group
     k's indicator on every copy) and the projection's row ids and boxes,
     tiled over the copies of one piece, are built once per descent; the
-    starts and scores shrink with the stack, and the tiles serve any
-    smaller stack by a prefix. The loss needs no check: it is only
-    evaluated at projected matrices, where it is at most 1. A target of
-    other than K scores, or a matrix in which a row with edges carries a
-    share (``has_spreads``), raises ValueError before any work.
+    starts, targets and scores shrink with the stack, and the tiles serve
+    any smaller stack by a prefix. The loss needs no check: it is only
+    evaluated at projected matrices, where it is at most 1. No target, a
+    target of other than K scores, or a matrix in which a row with edges
+    carries a share (``has_spreads``) raises ValueError before any work.
     """
     if P.has_spreads:
         raise ValueError("the descent reweights edges only; a matrix with group spreads cannot be descended on")
-    _check_target(groups, target)
+    if not targets:
+        raise ValueError("no target to descend for")
+    for target in targets:
+        _check_target(groups, target)
     gamma = restarts[0].gamma
     K = groups.K
     safe_alpha = 2.0 / lipschitz_bound(P.n, K, gamma)
@@ -175,24 +182,26 @@ def _descend(
     rows, box = row_boxes(P, opt.delta, opt.epsilon)  # infeasible boxes fail before any work
     if K == 1:
         # the loss is identically zero on the feasible set: nothing to do
-        return alphas, [OptimizationReport(P.copy(), [0.0], "kappa", a) for a in alphas]
+        return alphas, [[OptimizationReport(P.copy(), [0.0], "kappa", a) for a in alphas] for _ in targets]
 
-    n, phi, C = P.n, target.phi, len(alphas)
-    ids = np.arange(C)  # the step-size index of each stacked copy
-    step_sizes = np.asarray(alphas)
+    A = len(alphas)
+    n, C = P.n, len(targets) * A
+    ids = np.arange(C)  # copy i is target i // A at step size i % A
+    step_sizes = np.tile(alphas, len(targets))
+    phi = np.repeat([t.phi for t in targets], A, axis=0)  # (C, K): each copy's target
     W = np.tile(P.data, (C, 1))
     op = WalkOperator(P, W)
     warm = np.full((len(restarts), C, n), 1.0 / n)  # each restart's vector on each copy
     starts = np.repeat(_indicators(groups)[:, None], C, axis=1)  # (K, C, n): group k's series start per copy
     boxes = stack_boxes(rows, box.lower, box.upper, C)  # a fewer-copy stack projects with a prefix of them
     loss_prev = np.full(C, math.inf)
-    traces: list[list[float]] = [[] for _ in alphas]
+    traces: list[list[float]] = [[] for _ in range(C)]
     outcomes: list = [None] * C
 
     def keep(mask):
         """Drop the copies outside ``mask`` from the stack."""
-        nonlocal ids, step_sizes, W, op, warm, scores, starts, loss_prev
-        ids, step_sizes, W, loss_prev = ids[mask], step_sizes[mask], W[mask], loss_prev[mask]
+        nonlocal ids, step_sizes, phi, W, op, warm, scores, starts, loss_prev
+        ids, step_sizes, phi, W, loss_prev = ids[mask], step_sizes[mask], phi[mask], W[mask], loss_prev[mask]
         warm, scores, starts = warm[:, mask], scores[:, mask], starts[:, mask]
         op = WalkOperator(P, W)
 
@@ -209,7 +218,7 @@ def _descend(
         if any(done.tolist()):
             reason = "max_iters" if last else "kappa"
             for j, i in zip(np.flatnonzero(done), ids[done]):
-                outcomes[i] = OptimizationReport(P.with_data(W[j].copy()), traces[i], reason, alphas[i])
+                outcomes[i] = OptimizationReport(P.with_data(W[j].copy()), traces[i], reason, alphas[i % A])
             keep(~done)
         if not len(ids):
             break
@@ -227,13 +236,14 @@ def _descend(
                 outcomes[i] = DivergedError(it + 1, safe_alpha)
             keep(ok)
         project_rows(W, *boxes)
-    return alphas, outcomes
+    return alphas, [outcomes[a : a + A] for a in range(0, C, A)]
 
 
-def _best(alphas, outcomes) -> OptimizationReport:
-    """The report with the lowest final loss, ties (within LOSS_TIE_RTOL)
-    going to the earlier step size, with every step size's outcome in its
-    ``grid``; raises the last DivergedError when every step size diverged."""
+def _best(alphas, outcomes) -> OptimizationReport | DivergedError:
+    """One target's report with the lowest final loss, ties (within
+    LOSS_TIE_RTOL) going to the earlier step size, with every step size's
+    outcome in its ``grid``; the last DivergedError when every step size
+    diverged."""
     grid = [
         GridPoint(a, None, o.iteration, "diverged")
         if isinstance(o, DivergedError)
@@ -242,13 +252,36 @@ def _best(alphas, outcomes) -> OptimizationReport:
     ]
     reports = [o for o in outcomes if not isinstance(o, DivergedError)]
     if not reports:
-        raise outcomes[-1]
+        return outcomes[-1]
     low = min(r.final_loss for r in reports)
     best = next(r for r in reports if r.final_loss <= low * (1.0 + LOSS_TIE_RTOL))
     best.grid = grid
     if len(alphas) > 1:
         log.debug("grid pick alpha=%g final_loss=%.6e", best.alpha, best.final_loss)
     return best
+
+
+def descend_targets(
+    P: TransitionMatrix,
+    restarts: list[PageRankConfig],
+    groups: GroupAssignment,
+    targets: list[FairnessTarget],
+    opt: OptimizerConfig,
+) -> list[OptimizationReport | DivergedError]:
+    """Descend for every target over the same restarts in one lockstep
+    stack (``_descend``) and pick each target's report from its own copies:
+    the lowest final loss, or the DivergedError of a target whose every step
+    size diverged, while the other targets still report."""
+    alphas, outcomes = _descend(P, restarts, groups, targets, opt)
+    return [_best(alphas, o) for o in outcomes]
+
+
+def _descend_one(P, restarts, groups, target, opt) -> OptimizationReport:
+    """``descend_targets`` for one target; raises its DivergedError."""
+    (pick,) = descend_targets(P, restarts, groups, [target], opt)
+    if isinstance(pick, DivergedError):
+        raise pick
+    return pick
 
 
 def fair_gd(
@@ -258,7 +291,7 @@ def fair_gd(
     descent over the single restart ``cfg``. Without ``opt.alpha`` or
     ``alpha_auto`` it runs every ALPHA_GRID step size in lockstep and reports
     the lowest final loss."""
-    return _best(*_descend(P, [cfg], groups, target, opt))
+    return _descend_one(P, [cfg], groups, target, opt)
 
 
 def adapt_gd(
@@ -266,4 +299,4 @@ def adapt_gd(
 ) -> OptimizationReport:
     """Minimize the group-adapted loss: the descent over the K restarts
     inside each group, with fair_gd's choice of step sizes."""
-    return _best(*_descend(P, _group_restarts(groups, gamma), groups, target, opt))
+    return _descend_one(P, _group_restarts(groups, gamma), groups, target, opt)

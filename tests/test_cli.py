@@ -391,11 +391,11 @@ def test_run_cell_method_name_sets_the_box(tmp_path, monkeypatch):
 
     seen = []
 
-    def record(method, P, gamma, groups, target, opt):
+    def record(method, P, gamma, groups, targets, opt):
         seen.append((method, opt.delta, opt.epsilon))
         raise RuntimeError("recorded")
 
-    monkeypatch.setattr(experiment, "run_optimizer_method", record)
+    monkeypatch.setattr(experiment, "run_optimizer_stack", record)
     edges, labels = toy_files(tmp_path)
     groups, _, P = experiment.load_instance(Path(edges).read_text(), Path(labels).read_text(), False, 0.15)
     boxed = OptimizerConfig(delta=0.2, epsilon=0.05)
@@ -603,6 +603,101 @@ def test_sweep_jobs_capped_at_cell_count(tmp_path, capsys, monkeypatch):
     assert main([*run, "--jobs", "0", "--out", str(tmp_path / "b")]) == 2
     assert "jobs must be at least 1" in capsys.readouterr().err
     assert asked == [2]
+
+
+def _rows_without_times(out):
+    rows = read_rows(out / "results.csv")
+    for r in rows:
+        assert float(r.pop("wall_time_ms")) >= 0.0
+    return rows
+
+
+def test_sweep_stacks_give_the_same_rows_for_any_jobs(tmp_path):
+    """Each optimizer method's phis descend as one stack, or as at most
+    --jobs stacks of contiguous phis: the rows, but for wall_time_ms, are
+    the same for 1, 2 and 3 jobs, and each is its cell run alone."""
+    from fairpr.experiment import ExperimentSpec, OptimizerConfig, load_instance, run_cell
+
+    methods, phis = ("fairgd", "fairgd_restricted", "adaptgd", "fairwalk"), (0.1, 0.2, 0.3)
+    outs = []
+    for jobs in ("1", "2", "3"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main([
+            "sweep", *KARATE, "--methods", ",".join(methods), "--phi", ",".join(map(str, phis)),
+            "--max-iters", "5", "--jobs", jobs, "--out", str(out),
+        ]) == 0
+        outs.append(_rows_without_times(out))
+    assert outs[0] == outs[1] == outs[2]
+    assert [(r["method"], float(r["phi"])) for r in outs[0]] == [(m, phi) for m in sorted(methods) for phi in phis]
+    assert all(r["loss"] and r["rho_bar"] for r in outs[0])
+    groups, _, P = load_instance(
+        (DATA_DIR / "karate_edges.txt").read_text(), (DATA_DIR / "karate_labels.txt").read_text(), True, 0.15
+    )
+    spec = ExperimentSpec(KARATE[1], KARATE[3], undirected=True, optimizer=OptimizerConfig(max_iters=5))
+    for r in outs[0]:
+        if r["method"] != "fairwalk":
+            alone = run_cell(spec, groups, P, r["method"], float(r["phi"]))
+            assert (f"{alone.loss:.6g}", str(alone.iterations), alone.stop_reason) == (
+                r["loss"], r["iterations"], r["stop_reason"]
+            )
+
+
+def test_sweep_stack_failure_is_its_cells_reason_only(tmp_path, monkeypatch):
+    """An exception raised inside one stack's descent becomes the reason of
+    that stack's cells; the other stack of the method and the baseline's
+    cells keep their metrics."""
+    import concurrent.futures
+
+    import fairpr.optimizer
+
+    class SerialPool:
+        def __init__(self, max_workers=None):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    descend = fairpr.optimizer._descend
+
+    def failing(P, restarts, groups, targets, opt):
+        if any(t.phi[0] == 0.2 for t in targets):
+            raise RuntimeError("stack failed")
+        return descend(P, restarts, groups, targets, opt)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(fairpr.optimizer, "_descend", failing)
+    out = tmp_path / "sweep"
+    assert main([
+        "sweep", *KARATE, "--methods", "fairgd,fairwalk", "--phi", "0.1,0.2,0.3",
+        "--max-iters", "5", "--jobs", "2", "--out", str(out),
+    ]) == 0
+    rows = {(r["method"], r["phi"]): r for r in read_rows(out / "results.csv")}
+    # two stacks per method: (0.1,) and (0.2, 0.3)
+    assert rows["fairgd", "0.1"]["loss"] and not rows["fairgd", "0.1"]["reason"]
+    for phi in ("0.2", "0.3"):
+        assert rows["fairgd", phi]["reason"] == "error: stack failed"
+        assert rows["fairgd", phi]["loss"] == rows["fairgd", phi]["iterations"] == ""
+    assert all(rows["fairwalk", phi]["loss"] for phi in ("0.1", "0.2", "0.3"))
+
+
+def test_sweep_duplicate_phis_give_one_row_each(tmp_path):
+    out = tmp_path / "sweep"
+    assert main([
+        "sweep", *KARATE, "--methods", "fairgd,fairwalk", "--phi", "0.2,0.3,0.2",
+        "--max-iters", "5", "--out", str(out),
+    ]) == 0
+    rows = _rows_without_times(out)
+    assert [(r["method"], r["phi"]) for r in rows] == [
+        (m, phi) for m in ("fairgd", "fairwalk") for phi in ("0.2", "0.2", "0.3")
+    ]
+    assert rows[0] == rows[1] and rows[3] == rows[4]
+    assert rows[0]["loss"] and rows[0] != rows[2]
 
 
 def test_evaluate_loss_is_the_plain_loss(karate):

@@ -30,7 +30,8 @@ from fairpr.experiment import build_target
 from fairpr.loss import loss_from_scores
 from fairpr.graph import WalkOperator
 from fairpr.loss import _group_restarts
-from fairpr.optimizer import ENTRY_CEILING, LOSS_TIE_RTOL, OptimizationReport, _best, _descend
+import fairpr.optimizer
+from fairpr.optimizer import ENTRY_CEILING, LOSS_TIE_RTOL, OptimizationReport, _best, _descend, descend_targets
 from fairpr.pagerank import neumann_y
 import fairpr.projection
 from fairpr.projection import project_matrix, row_boxes
@@ -520,24 +521,91 @@ def test_grid_matches_one_copy_runs_bitwise(monkeypatch):
             else:
                 restarts, run, args = [cfg], fair_gd, (P, cfg, groups, target)
             del sizes[:]
-            alphas, grid = _descend(P, restarts, groups, target, opt)
+            alphas, (grid,) = _descend(P, restarts, groups, [target], opt)
             assert alphas == ALPHA_GRID
             if pieces:  # whole copies, at most 2 to 5 of them, and a last piece of fewer
                 assert set(sizes) <= {P.nnz * c for c in range(1, 3 + i % 4)} and len(set(sizes)) > 1, sizes
             alone = []
             for alpha, got in zip(alphas, grid):
-                (want,) = _descend(P, restarts, groups, target, replace(opt, alpha=alpha))[1]
+                ((want,),) = _descend(P, restarts, groups, [target], replace(opt, alpha=alpha))[1]
                 _same_outcome(got, want)
                 alone.append(want)
             picked = _outcome(run, *args, opt)
             for point in getattr(picked, "grid", []):
                 stops[point.outcome] += 1
-            reports = [r for r in alone if not isinstance(r, DivergedError)]
-            if reports:
-                _same_outcome(picked, min(reports, key=lambda r: r.final_loss))
-            else:
-                _same_outcome(picked, alone[-1])
+            _same_outcome(picked, _tie_pick(alone))
         assert min(stops.values()) > 0, (pieces, stops)
+
+
+def _tie_pick(outcomes):
+    """The grid's pick among one target's outcomes, in grid order: the first
+    report within LOSS_TIE_RTOL of the lowest final loss, or the last
+    DivergedError when every step size diverged."""
+    reports = [r for r in outcomes if not isinstance(r, DivergedError)]
+    if not reports:
+        return outcomes[-1]
+    low = min(r.final_loss for r in reports)
+    return next(r for r in reports if r.final_loss <= low * (1.0 + LOSS_TIE_RTOL))
+
+
+def test_stacks_match_one_target_runs_bitwise(monkeypatch):
+    """A stack of 1 to 4 targets over ALPHA_GRID: every (target, step size)
+    copy ends exactly as in its target's one-target run, and each target
+    picks what fair_gd/adapt_gd pick for it alone. Plain and boxed, sinky
+    and sink-free, fairgd and adaptgd; on a second pass PIECE_BUDGET holds
+    2 to 5 copies' entries, so the stack projects in pieces that mix
+    targets."""
+    sizes = []  # the entries of each projected piece
+    piece = fairpr.projection._project_piece
+    monkeypatch.setattr(fairpr.projection, "_project_piece", lambda x, *a: sizes.append(x.size) or piece(x, *a))
+    for pieces in (False, True):
+        rng = np.random.default_rng(23)
+        stops = {"kappa": 0, "max_iters": 0, "diverged": 0}
+        for i in range(16):
+            build = random_sinky_instance if i % 2 else random_instance
+            K = 2 + (i // 2) % 2
+            _, groups, cfg, P = build(rng, int(rng.integers(6, 25)), K)
+            if pieces:
+                monkeypatch.setattr(fairpr.projection, "PIECE_BUDGET", P.nnz * (2 + i % 4) + P.nnz // 2)
+            bounds = {"delta": 0.2, "epsilon": 0.05} if (i // 4) % 2 else {}
+            targets = [random_target(rng, K) for _ in range(1 + i % 4)]
+            opt = OptimizerConfig(kappa=float(rng.choice([0.0, 1e-4])), max_iters=12, **bounds)
+            if i // 8:
+                restarts, run, args = _group_restarts(groups, GAMMA), adapt_gd, (P, GAMMA, groups)
+            else:
+                restarts, run, args = [cfg], fair_gd, (P, cfg, groups)
+            del sizes[:]
+            alphas, stack = _descend(P, restarts, groups, targets, opt)
+            assert alphas == ALPHA_GRID and len(stack) == len(targets)
+            if pieces:  # whole copies, at most 2 to 5 of them
+                assert set(sizes) <= {P.nnz * c for c in range(1, 3 + i % 4)}, sizes
+            picks = descend_targets(P, restarts, groups, targets, opt)
+            for target, grid, pick in zip(targets, stack, picks):
+                _, (alone,) = _descend(P, restarts, groups, [target], opt)
+                for got, want in zip(grid, alone, strict=True):
+                    _same_outcome(got, want)
+                    stops["diverged" if isinstance(want, DivergedError) else want.stop_reason] += 1
+                _same_outcome(pick, _tie_pick(alone))
+                _same_outcome(pick, _outcome(run, *args, target, opt))
+        assert min(stops.values()) > 0, (pieces, stops)
+
+
+def test_a_stack_target_whose_grid_all_diverges_leaves_the_others(karate, monkeypatch):
+    """Beside a target that is already met, a target whose every step size
+    diverges gets its own DivergedError, and the met one still reports,
+    each as its one-target run."""
+    _, groups, cfg, P = karate
+    opt = OptimizerConfig(max_iters=5)
+    met = FairnessTarget(phi=group_scores(pagerank_power(P, cfg, t1=opt.t1, tol=opt.power_tol), groups))
+    monkeypatch.setattr(fairpr.optimizer, "ALPHA_GRID", (1e3, 1e4))
+    far = build_target(0.1, groups.K)
+    stack = descend_targets(P, [cfg], groups, [far, met, far], opt)
+    assert [type(pick) for pick in stack] == [DivergedError, OptimizationReport, DivergedError]
+    for target, pick in zip([far, met, far], stack):
+        _same_outcome(pick, _outcome(fair_gd, P, cfg, groups, target, opt))
+    assert [g.outcome for g in stack[1].grid] == ["kappa", "kappa"]
+    with pytest.raises(ValueError, match="^no target to descend for$"):
+        descend_targets(P, [cfg], groups, [], opt)
 
 
 def test_stacked_operator_matches_per_copy_products():
