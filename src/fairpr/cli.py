@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default="fairgd,fairwalk", help="comma-separated method names")
     _optimizer_flags(p)
     p.add_argument(
-        "--jobs", type=int, default=1, help="worker processes; a method's phis run as at most this many stacks"
+        "--jobs", type=int, default=1, help="worker processes; a method's phis split into at most this many groups"
     )
     p.add_argument("--out", default="sweep_out")
     p.add_argument("--dataset-name", default="dataset")

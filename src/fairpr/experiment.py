@@ -1,8 +1,9 @@
 """Sweep protocol: run (method, phi) cells over a graph, evaluate the metric
-bundle, and assemble a deterministic CSV. An optimizer method descends all
-of its phis' targets as one lockstep stack, each target over its own
-step-size grid (``optimizer.descend_targets``), and evaluates each cell
-from its target's report; a baseline runs cell by cell."""
+bundle, and assemble a deterministic CSV. An optimizer method descends its
+phis' targets in lockstep stacks, each target over its own step-size grid
+and as many targets per stack as fit in a fixed count of weight entries
+(``optimizer.descend_targets``), and evaluates each cell from its target's
+report; a baseline runs cell by cell. ``optimize`` is the one-target case."""
 
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from .graph import (
 )
 from .loss import _group_restarts, _mean_loss, loss_from_scores
 from .metrics import MetricBundle, UndefinedCoefficientError, aligned, delta_p, rho_bar, rho_tilde
-from .optimizer import DivergedError, OptimizerConfig, adapt_gd, descend_targets, fair_gd
+from .optimizer import DivergedError, OptimizerConfig, descend_targets, target_stacks
 from .pagerank import group_scores, pagerank_power
 
 OPTIMIZER_METHODS = ("fairgd", "fairgd_restricted", "adaptgd", "adaptgd_restricted")
@@ -95,36 +96,33 @@ def load_instance(edges_text: str, labels_text: str, undirected: bool, gamma: fl
 build_target = FairnessTarget.from_lead_share
 
 
-# kept as a function: perfbench/tracing.py wraps it by name and derives grid_useful_ratio from its span
+# kept as a function: perfbench/tracing.py wraps it by name and derives grid_useful_ratio from its
+# span; no fairpr path calls it, since the descent picks each target's step size itself
 def tune_step_size(run, opt: OptimizerConfig):
-    """Grid-search one target's step size, as ``optimize`` does: ``run``
-    (fair_gd or adapt_gd bound to its instance and target) is called once
-    with ``opt``, whose step size is unset, so it runs the whole ALPHA_GRID
-    in lockstep. Returns (the step size with the lowest final loss, its
-    report); raises DivergedError when all diverge. A sweep grid-searches
-    all of a method's phis in one stack instead (``run_optimizer_stack``)."""
+    """Grid-search one target's step size: ``run`` (fair_gd or adapt_gd
+    bound to its instance and target) is called once with ``opt``, whose
+    step size is unset, so it runs the whole ALPHA_GRID in lockstep. Returns
+    (the step size with the lowest final loss, its report); raises
+    DivergedError when all diverge."""
     report = run(opt)
     return report.alpha, report
 
 
-def run_optimizer_method(method, P, gamma, groups, target, opt: OptimizerConfig):
-    """Run ``method`` ("fairgd" or "adaptgd") with ``opt`` as given,
-    grid-searching alpha when unset."""
-    if method == "adaptgd":
-        run = functools.partial(adapt_gd, P, gamma, groups, target)
-    else:
-        run = functools.partial(fair_gd, P, PageRankConfig.uniform(P.n, gamma), groups, target)
-    if opt.alpha is None and not opt.alpha_auto:
-        return tune_step_size(run, opt)[1]
-    return run(opt)
-
-
 def run_optimizer_stack(method, P, gamma, groups, targets, opt: OptimizerConfig):
     """Run ``method`` ("fairgd" or "adaptgd") with ``opt`` as given for
-    every target in one lockstep stack: each target's report, or the
-    DivergedError of a target whose every step size diverged."""
+    every target in lockstep (``optimizer.descend_targets``), grid-searching
+    alpha when unset: each target's report, or the DivergedError of a
+    target whose every step size diverged."""
     restarts = _group_restarts(groups, gamma) if method == "adaptgd" else [PageRankConfig.uniform(P.n, gamma)]
     return descend_targets(P, restarts, groups, targets, opt)
+
+
+def run_optimizer_method(method, P, gamma, groups, target, opt: OptimizerConfig):
+    """``run_optimizer_stack`` for one target; raises its DivergedError."""
+    (pick,) = run_optimizer_stack(method, P, gamma, groups, [target], opt)
+    if isinstance(pick, DivergedError):
+        raise pick
+    return pick
 
 
 def evaluate_matrices(P_orig, P_new, gamma, groups, target, p_orig=None):
@@ -160,52 +158,63 @@ def evaluate_matrices(P_orig, P_new, gamma, groups, target, p_orig=None):
 def run_cells(spec: ExperimentSpec, groups, P, method: str, phis, p_orig=None) -> list[ResultRow]:
     """The (method, phi) cells of one method over ``phis`` on the sweep's
     loaded instance; ``p_orig`` is the instance's PageRank when the sweep
-    has solved it. An optimizer method descends every phi's target in one
-    stack (``run_optimizer_stack``), and each cell's ``wall_time_ms`` is an
-    equal share of the stack's descent plus its own evaluation; a baseline
-    runs cell by cell. A failure is recorded as the reason of the cells it
-    hits, every cell of the stack when the stack's descent raised; the
-    sweep goes on."""
-    picks, shared = [None] * len(phis), 0.0  # a baseline's cells run one by one
-    if method in OPTIMIZER_METHODS:
-        started = time.perf_counter()
-        try:
-            targets = [FairnessTarget.from_lead_share(phi, groups.K) for phi in phis]
-            restricted, opt = method.endswith("_restricted"), spec.optimizer
-            if restricted != opt.restricted:
-                # a *_restricted name sets a 0.1/0.1 box when none is given; a plain name drops the box
-                box = 0.1 if restricted else None
-                opt = replace(opt, delta=box, epsilon=box)
-            picks = run_optimizer_stack(method.removesuffix("_restricted"), P, spec.gamma, groups, targets, opt)
-        except Exception as exc:  # the stack's failure is each of its cells'
-            picks = [exc] * len(phis)
-        shared = (time.perf_counter() - started) / len(phis)
+    has solved it. An optimizer method descends its phis' targets in
+    lockstep stacks (``optimizer.target_stacks``), one
+    ``run_optimizer_stack`` call each, and evaluates a stack's cells before
+    the next stack descends; each cell's ``wall_time_ms`` is an equal share
+    of its stack's descent plus its own evaluation. A baseline runs cell by
+    cell. A failure is recorded as the reason of the cells it hits, every
+    cell of a stack whose descent raised; the sweep goes on."""
+    optimizer, opt = method in OPTIMIZER_METHODS, spec.optimizer
+    restricted = method.endswith("_restricted")
+    if optimizer and restricted != opt.restricted:
+        # a *_restricted name sets a 0.1/0.1 box when none is given; a plain name drops the box
+        box = 0.1 if restricted else None
+        opt = replace(opt, delta=box, epsilon=box)
     rows = []
-    for phi, pick in zip(phis, picks):
+    for stack in target_stacks(P, phis, opt) if optimizer else [[phi] for phi in phis]:
         started = time.perf_counter()
-        row = ResultRow(dataset=spec.dataset, method=method, phi=phi)
-        try:
-            if isinstance(pick, Exception):
-                raise pick
-            target = FairnessTarget.from_lead_share(phi, groups.K)
-            if pick is None:
-                # looked up at call time so that replaced module attributes are seen
-                revised = getattr(baselines, method)(P, groups, target).matrix
-            else:
-                revised, row.iterations, row.stop_reason = pick.final_matrix, pick.iterations_run, pick.stop_reason
-            bundle, rt_reason, _ = evaluate_matrices(P, revised, spec.gamma, groups, target, p_orig)
-            row = replace(row, **asdict(bundle), reason=rt_reason)
-        except baselines.UnsupportedGroupCountError as exc:
-            row.reason = f"unsupported K: {exc}"
-        except DivergedError as exc:
-            row.reason = f"diverged: {exc}"
-        except Exception as exc:  # per-cell isolation: the sweep must go on
-            row.reason = f"error: {exc}"
-        row.wall_time_ms = (shared + time.perf_counter() - started) * 1000.0
-        rows.append(row)
+        picks = [None] * len(stack)  # a baseline's cell runs on its own
+        if optimizer:
+            try:
+                targets = [FairnessTarget.from_lead_share(phi, groups.K) for phi in stack]
+                picks = run_optimizer_stack(method.removesuffix("_restricted"), P, spec.gamma, groups, targets, opt)
+            except Exception as exc:  # the stack's failure is each of its cells'
+                picks = [exc] * len(stack)
+        shared = (time.perf_counter() - started) / len(stack)
+        rows += [_cell(spec, groups, P, method, phi, pick, p_orig, shared) for phi, pick in zip(stack, picks)]
     return rows
 
 
+def _cell(spec: ExperimentSpec, groups, P, method: str, phi: float, pick, p_orig, shared: float) -> ResultRow:
+    """One cell's row from its optimizer pick (a report or the exception
+    its stack raised) or, for a baseline (``pick`` None), from the
+    baseline's run here; ``shared`` is the cell's share of its stack's
+    descent, in seconds."""
+    started = time.perf_counter()
+    row = ResultRow(dataset=spec.dataset, method=method, phi=phi)
+    try:
+        if isinstance(pick, Exception):
+            raise pick
+        target = FairnessTarget.from_lead_share(phi, groups.K)
+        if pick is None:
+            # looked up at call time so that replaced module attributes are seen
+            revised = getattr(baselines, method)(P, groups, target).matrix
+        else:
+            revised, row.iterations, row.stop_reason = pick.final_matrix, pick.iterations_run, pick.stop_reason
+        bundle, rt_reason, _ = evaluate_matrices(P, revised, spec.gamma, groups, target, p_orig)
+        row = replace(row, **asdict(bundle), reason=rt_reason)
+    except baselines.UnsupportedGroupCountError as exc:
+        row.reason = f"unsupported K: {exc}"
+    except DivergedError as exc:
+        row.reason = f"diverged: {exc}"
+    except Exception as exc:  # per-cell isolation: the sweep must go on
+        row.reason = f"error: {exc}"
+    row.wall_time_ms = (shared + time.perf_counter() - started) * 1000.0
+    return row
+
+
+# kept as a function: perfbench/tracing.py wraps it by name, though run_sweep calls run_cells
 def run_cell(spec: ExperimentSpec, groups, P, method: str, phi: float, p_orig=None) -> ResultRow:
     """One (method, phi) cell: ``run_cells`` over the one phi."""
     return run_cells(spec, groups, P, method, [phi], p_orig)[0]

@@ -89,6 +89,26 @@ def test_optimize_round_trip_identical_loss(tmp_path):
     assert abs(mem_loss - file_loss) <= 1e-12
 
 
+def test_run_optimizer_method_picks_as_fair_gd_and_adapt_gd(tmp_path):
+    """optimize's one-target stack picks, bitwise, what fair_gd and adapt_gd
+    pick over the same restarts, grid and all."""
+    from fairpr import OptimizerConfig, PageRankConfig, adapt_gd, fair_gd
+    from fairpr.experiment import build_target, load_instance, run_optimizer_method
+
+    edges, labels = toy_files(tmp_path, edges="0 1\n1 0\n1 2\n2 0\n2 3\n3 1\n3 0", labels="0 0\n1 1\n2 1\n3 0")
+    groups, cfg, P = load_instance(Path(edges).read_text(), Path(labels).read_text(), False, 0.15)
+    target = build_target(0.7, groups.K)
+    for opt in (OptimizerConfig(max_iters=12), OptimizerConfig(max_iters=12, delta=0.2, epsilon=0.05)):
+        for method, alone in (
+            ("fairgd", fair_gd(P, PageRankConfig.uniform(P.n, 0.15), groups, target, opt)),
+            ("adaptgd", adapt_gd(P, 0.15, groups, target, opt)),
+        ):
+            got = run_optimizer_method(method, P, 0.15, groups, target, opt)
+            assert got.loss_trace == alone.loss_trace and got.stop_reason == alone.stop_reason
+            assert got.alpha == alone.alpha and got.grid == alone.grid
+            assert got.final_matrix.data.tobytes() == alone.final_matrix.data.tobytes()
+
+
 def test_optimize_adaptgd_single_group_byte_identical(tmp_path):
     edges, labels = toy_files(tmp_path, labels="0 0\n1 0\n2 0")
     out = tmp_path / "run"

@@ -608,6 +608,26 @@ def test_a_stack_target_whose_grid_all_diverges_leaves_the_others(karate, monkey
         descend_targets(P, [cfg], groups, [], opt)
 
 
+def test_descend_targets_stacks_as_many_targets_as_fit_in_the_budget(karate, monkeypatch):
+    """descend_targets runs consecutive targets in stacks of at most
+    STACK_BUDGET weight entries, never splitting a target's grid, and each
+    target picks what one stack of all of them picks."""
+    _, groups, cfg, P = karate
+    targets = [build_target(phi, groups.K) for phi in (0.1, 0.2, 0.3, 0.4, 0.5)]
+    descend, calls = fairpr.optimizer._descend, []
+    monkeypatch.setattr(fairpr.optimizer, "_descend", lambda *a: calls.append(len(a[3])) or descend(*a))
+    for opt, copies in ((OptimizerConfig(max_iters=6), len(ALPHA_GRID)), (OptimizerConfig(alpha=0.1, max_iters=6), 1)):
+        monkeypatch.setattr(fairpr.optimizer, "STACK_BUDGET", 10**9)
+        whole = descend_targets(P, [cfg], groups, targets, opt)
+        for per, budget in ((1, 1), (1, 2 * copies * P.nnz - 1), (2, 2 * copies * P.nnz), (3, 3 * copies * P.nnz)):
+            monkeypatch.setattr(fairpr.optimizer, "STACK_BUDGET", budget)
+            del calls[:]
+            picks = descend_targets(P, [cfg], groups, targets, opt)
+            assert calls == [min(per, 5 - a) for a in range(0, 5, per)], (budget, calls)
+            for got, want in zip(picks, whole, strict=True):
+                _same_outcome(got, want)
+
+
 def test_stacked_operator_matches_per_copy_products():
     rng = np.random.default_rng(22)
     cases = 0
