@@ -46,9 +46,9 @@ LOSS_TIE_RTOL = 1e-9  # final losses this close, relatively, tie in the grid
 # target's grid is never split, so a stack holds at least one target. A
 # stack's buffers take about 100 bytes per entry (tracemalloc), so this keeps
 # a sweep's peak within about 3 MB of one target's. Stacking pays only while
-# the per-call bookkeeping outweighs the products: on the mind-like graph
-# (1242 entries) a 9-phi fairgd sweep ran 10% faster in stacks of 2 targets,
-# and on 5k entries 2 targets ran no faster than 1.
+# the per-call bookkeeping outweighs the products, which grow with the
+# copies: a 9-phi fairgd sweep of the mind-like graph (1242 entries) ran 8%
+# faster in stacks of 2 targets than of 1, and on 5k entries 6% slower.
 STACK_BUDGET = 2**15
 
 
