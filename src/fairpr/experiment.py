@@ -131,9 +131,9 @@ def evaluate_matrices(P_orig, P_new, gamma, groups, target, p_orig=None):
     over the K restarts inside each group; every other number is under the
     uniform restart vector. The revised matrix's uniform and group restarts
     are solved in one block. ``delta_p`` and ``rho_tilde`` read both
-    matrices' rows through ``TransitionMatrix.entries``, shares written
-    out, aligned once for both. ``p_orig``, when given, is the original's
-    vector as solved here."""
+    matrices' rows as ``metrics.aligned``'s items, shares counted over
+    column classes instead of written out, aligned once for both.
+    ``p_orig``, when given, is the original's vector as solved here."""
     cfg = PageRankConfig.uniform(P_orig.n, gamma)
     solved = pagerank_power(P_new, [cfg, *_group_restarts(groups, gamma)], t1=EVAL_T1, tol=EVAL_TOL)
     p_new = solved[0]

@@ -7,9 +7,9 @@ of vector 0, ``sink_row``; the locally fair baselines spread a share over a
 group as a share of the group's 0/1 indicator vector. ``WalkOperator``
 applies all shares as one low-rank term, so memory and every product
 grow with the edges and n, not with n x #sinks or rows x group size (one
-method, ``TransitionMatrix.entries``, writes shares out, each on the
-nonzeros of its vector). The TSV form writes each vector once and each
-row's shares once, as header lines.
+method, ``TransitionMatrix.add_shares``, weighs shares; ``entries`` writes
+them out with it, each on the nonzeros of its vector). The TSV form
+writes each vector once and each row's shares once, as header lines.
 
 The text readers (``load_graph``, ``load_labels``, ``parse_matrix``) read
 a whole text at once through ``fairpr.text.Lines``: ``str.splitlines``
@@ -213,10 +213,10 @@ class TransitionMatrix:
     The sparsity pattern is fixed: revised matrices keep it and may contain
     exact zeros. Column ids ascend within each row, so the keys
     ``row * n + col`` of the stored entries ascend too. ``nnz``,
-    ``entry_rows`` and ``row`` see the stored entries only; ``entries``
-    alone writes the dense part out (each share on the nonzeros of its
-    vector), and ``to_csr``, ``to_dense`` and the metrics read rows through
-    it.
+    ``entry_rows`` and ``row`` see the stored entries only; ``add_shares``
+    alone weighs the dense part, ``entries`` writes it out with it (each
+    share on the nonzeros of its vector) for ``to_csr`` and ``to_dense``,
+    and the metrics count it with it (``metrics.aligned``).
     ``pattern_subset_of`` decides share rows from counts instead.
     """
 
@@ -319,35 +319,45 @@ class TransitionMatrix:
         """The products p'P and Pz: a new operator on a view of ``data``."""
         return WalkOperator(self)
 
-    def entries(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def entries(self, rows: np.ndarray, dense: bool = True) -> tuple[np.ndarray, np.ndarray]:
         """(keys, weights) of the flagged rows with the dense part written
-        out, the one writer of shares: the ascending keys ``row * n + col``
-        of the stored entries and of each share on the nonzero columns of
-        its vector (a sink row's on those of vector 0). A key's weight is
-        its stored weight plus its shares times their vectors, added in
-        vector order, merged by ``merge_runs``."""
+        out: the ascending keys ``row * n + col`` of the stored entries and
+        of each share on the nonzero columns of its vector (a sink row's on
+        those of vector 0), merged by ``merge_runs``, and their weights as
+        ``add_shares`` gives them. With ``dense`` False, the stored entries
+        alone."""
         n, stored = self.n, np.diff(self.indptr)
         keep = np.repeat(rows, stored)
         keys = np.repeat(np.arange(n, dtype=np.int64) * n, stored * rows) + self.indices[keep]
         weights = self.data[keep]
         mine = rows[self.share_rows]
-        if not mine.any():
+        if not dense or not mine.any():
             return keys, weights
-        keys, weights = [keys], [weights]
+        runs = [keys]
         for v, vec in enumerate(self.vectors):
             lo, hi = self.share_ptr[v], self.share_ptr[v + 1]
-            at, share = self.share_rows[lo:hi][mine[lo:hi]], self.share_data[lo:hi][mine[lo:hi]]
-            cols = np.flatnonzero(vec)
-            keys.append((at[:, None] * n + cols).ravel())
-            weights.append((share[:, None] * vec[cols]).ravel())
-        keys, order, first = merge_runs(keys)
-        weights = np.concatenate(weights)[order]
-        again = ~first
-        if again.any():  # a key's further weights add onto its first one, in order
-            total = weights[first]
-            np.add.at(total, np.cumsum(first)[again] - 1, weights[again])
-            keys, weights = keys[first], total
-        return keys, weights
+            runs.append((self.share_rows[lo:hi][mine[lo:hi]][:, None] * n + np.flatnonzero(vec)).ravel())
+        keys, order, first = merge_runs(runs)
+        base = np.zeros(len(keys))
+        own = order < len(weights)  # a stored key's stored entry comes first among its copies
+        base[own] = weights[order[own]]
+        keys = keys[first]
+        return keys, self.add_shares(*np.divmod(keys, n), base[first])
+
+    def add_shares(self, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """The one writer of shares: ``weights``, the stored weights at the
+        places (rows[t], cols[t]) (0 where none is stored), plus each share
+        of row rows[t] times its vector at cols[t], added in vector order. A
+        vector that a row does not share, or that is 0 at the column, adds
+        an exact 0.0. So a place's weight is the same whether it is read
+        column by column (``entries``) or once for many columns on which
+        every vector agrees (``metrics.aligned``)."""
+        for v, vec in enumerate(self.vectors):
+            lo, hi = self.share_ptr[v], self.share_ptr[v + 1]
+            share = np.zeros(self.n)
+            share[self.share_rows[lo:hi]] = self.share_data[lo:hi]
+            weights = weights + share[rows] * vec[cols]
+        return weights
 
     def to_csr(self) -> sp.csr_matrix:
         """CSR form with the dense part written out (``entries``)."""

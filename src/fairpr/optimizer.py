@@ -176,7 +176,9 @@ def _descend(
     any smaller stack by a prefix. The loss needs no check: it is only
     evaluated at projected matrices, where it is at most 1. No target, a
     target of other than K scores, or a matrix in which a row with edges
-    carries a share (``has_spreads``) raises ValueError before any work.
+    carries a share (``has_spreads``) raises ValueError before any work, as
+    does ``alpha_auto`` when 2/C is not > 0 (C is inf for gamma below about
+    1e-162), which would take no step.
     """
     if P.has_spreads:
         raise ValueError("the descent reweights edges only; a matrix with group spreads cannot be descended on")
@@ -187,6 +189,8 @@ def _descend(
     gamma = restarts[0].gamma
     K = groups.K
     safe_alpha = 2.0 / lipschitz_bound(P.n, K, gamma)
+    if opt.alpha_auto and not safe_alpha > 0:
+        raise ValueError(f"alpha_auto derives no step size > 0 at gamma = {gamma!r}: 2/C is {safe_alpha!r}")
     alphas = (opt.alpha,) if opt.alpha is not None else (safe_alpha,) if opt.alpha_auto else ALPHA_GRID
     rows, box = row_boxes(P, opt.delta, opt.epsilon)  # infeasible boxes fail before any work
     if K == 1:

@@ -157,6 +157,15 @@ def test_optimize_tiny_gamma_runs_at_the_zero_safe_step(tmp_path, capsys):
     assert report["iterations"] == 2
 
 
+def test_optimize_alpha_auto_refuses_a_zero_step(tmp_path, capsys):
+    # K gamma^2 underflows to 0, so C is inf and 2/C is 0.0: no step would be taken
+    argv = ["optimize", *KARATE, "--method", "fairgd", "--phi", "0.1", "--gamma", "1e-300", "--alpha-auto"]
+    assert main([*argv, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "alpha_auto derives no step size > 0 at gamma = 1e-300" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_main_builds_the_parser_once(capsys):
     from fairpr import cli
 

@@ -1,8 +1,10 @@
-"""``TransitionMatrix.entries`` against per-caller sink-row expansions:
-references for ``to_csr(expand)``, ``delta_p``, ``rho_tilde`` and
-``pattern_subset_of`` that write a sink row out on the nonzeros of
-``sink_row``, run on random pairs of matrices whose sink sets, patterns and
-sink vectors differ in every combination."""
+"""``TransitionMatrix.entries`` against per-caller expansions: references
+for ``to_csr(expand)``, ``delta_p``, ``rho_tilde`` and ``pattern_subset_of``
+that write each share out row by row on the nonzeros of its vector (a sink
+row on those of ``sink_row``), run on random pairs of matrices whose sink
+sets, patterns and sink vectors differ in every combination, on the locally
+fair baselines' outputs, and on rows that carry two shares of dense
+vectors."""
 
 import tracemalloc
 
@@ -11,34 +13,45 @@ import pytest
 import scipy.sparse as sp
 
 from fairpr import (
+    FairnessTarget,
     Graph,
+    GroupAssignment,
     PageRankConfig,
     TransitionMatrix,
     UndefinedCoefficientError,
     build_transition,
     delta_p,
+    lfpr_n,
+    lfpr_u,
     rho_tilde,
 )
+from fairpr.experiment import evaluate_matrices
 from fairpr.graph import sink_shares
-from fairpr.metrics import _segment_spearman
+from fairpr.metrics import _segment_spearman, aligned
 
 
 def ref_to_csr(P, expand=None):
+    """P with each row that is not a sink written out, its shares added
+    onto its stored weights in vector order on the nonzeros of their
+    vectors, and the flagged sink rows (every sink row by default) as the
+    nonzeros of ``sink_row``; other sink rows are empty. Python floats, row
+    by row."""
     expand = P.sink_mask if expand is None else expand
-    if not expand.any():
-        return sp.csr_matrix((P.data, P.indices, P.indptr), shape=(P.n, P.n))
-    cols = np.flatnonzero(P.sink_row)
-    counts = np.diff(P.indptr)
-    counts[expand] = len(cols)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    full = np.repeat(expand, counts)
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    data = np.empty(indptr[-1])
-    indices[~full], data[~full] = P.indices, P.data
-    k = int(expand.sum())
-    indices[full] = np.tile(cols, k)
-    data[full] = np.tile(P.sink_row[cols], k)
-    return sp.csr_matrix((data, indices, indptr), shape=(P.n, P.n))
+    shares = {}
+    for r, v, value in zip(P.share_rows.tolist(), P.share_ids.tolist(), P.share_data.tolist()):
+        shares.setdefault(r, []).append((v, value))  # in vector order
+    indptr, indices, data = [0], [], []
+    for i in range(P.n):
+        row = dict(zip(*(a.tolist() for a in P.row(i))))
+        for v, value in shares.get(i, []) if expand[i] or not P.sink_mask[i] else []:
+            for j in np.flatnonzero(P.vectors[v]).tolist():
+                w = value * float(P.vectors[v, j])
+                row[j] = row[j] + w if j in row else w
+        cols = sorted(row)
+        indices += cols
+        data += [row[j] for j in cols]
+        indptr.append(len(indices))
+    return sp.csr_matrix((np.array(data, float), np.array(indices, np.int64), indptr), shape=(P.n, P.n))
 
 
 def ref_pattern_subset_of(P, other):
@@ -50,26 +63,24 @@ def ref_pattern_subset_of(P, other):
 
 def ref_delta_p(P_new, P_old):
     both = P_new.sink_mask & P_old.sink_mask
-    diff = ref_to_csr(P_new, P_new.sink_mask & ~both) - ref_to_csr(P_old, P_old.sink_mask & ~both)
-    num2 = (diff.data**2).sum()
-    den2 = (P_old.data**2).sum()
+    old = ref_to_csr(P_old, P_old.sink_mask & ~both)
+    num2 = ((ref_to_csr(P_new, P_new.sink_mask & ~both) - old).data ** 2).sum()
+    den2 = (old.data**2).sum()
     if both.any():
         num2 += both.sum() * ((P_new.sink_row - P_old.sink_row) ** 2).sum()
-    if P_old.sink_row is not None:
-        den2 += P_old.sink_mask.sum() * (P_old.sink_row**2).sum()
+        den2 += both.sum() * (P_old.sink_row**2).sum()
     return float(np.sqrt(num2)) / float(np.sqrt(den2))
 
 
 def ref_rho_tilde(P_old, P_new):
+    """Every written-out row of P_old with edges ranked against the same row
+    of P_new, over the union of their columns (np.unique)."""
     n = P_old.n
-    keys_old, w_old = P_old.entry_rows() * n + P_old.indices, P_old.data
-    expand = P_new.sink_mask & ~P_old.sink_mask
-    new = ref_to_csr(P_new, expand) if expand.any() else P_new
-    rows = np.repeat(np.arange(n), np.diff(new.indptr))
-    live = ~P_old.sink_mask[rows]
-    keys_new, w_new = (rows * n + new.indices)[live], new.data[live]
-    keys = np.sort(np.concatenate([keys_old, keys_new]))
-    keys = keys[np.diff(keys, prepend=-1) != 0]
+    old, new = (ref_to_csr(M, M.sink_mask & ~P_old.sink_mask).tocoo() for M in (P_old, P_new))
+    keep_old, keep_new = P_old.edge_mask[old.row], P_old.edge_mask[new.row]
+    keys_old, w_old = (old.row * n + old.col)[keep_old], old.data[keep_old]
+    keys_new, w_new = (new.row * n + new.col)[keep_new], new.data[keep_new]
+    keys = np.unique(np.concatenate([keys_old, keys_new]))
     a, b = np.zeros(keys.size), np.zeros(keys.size)
     a[np.searchsorted(keys, keys_old)] = w_old
     b[np.searchsorted(keys, keys_new)] = w_new
@@ -279,3 +290,113 @@ def test_rho_tilde_of_reweighted_originals_matches_the_reference():
             got = outcome(rho_tilde, old, new)
             assert (got is None) == (want is None) and (want is None or bits(got) == bits(want))
     assert min(seen.values()) >= 20, seen
+
+
+def assert_matches_the_references(P_old, P_new, seen):
+    """``rho_tilde`` bitwise and ``delta_p`` within 1e-15 relative of the
+    references, in both argument orders; ``seen`` counts what was met."""
+    for a, b in ((P_old, P_new), (P_new, P_old)):
+        seen["class items"] += aligned(b, a).classes is not None
+        if (a.to_dense() != 0).any():  # delta_p divides by the old matrix's norm
+            want = ref_delta_p(b, a)
+            assert abs(delta_p(b, a) - want) <= 1e-15 * want
+        want = outcome(ref_rho_tilde, a, b)
+        got = outcome(rho_tilde, a, b)
+        seen["undefined" if want is None else "defined"] += 1
+        assert (got is None) == (want is None) and (want is None or bits(got) == bits(want))
+
+
+def random_two_groups(rng, n):
+    """Labels of two nonempty groups, in random sizes."""
+    labels = (rng.random(n) < rng.uniform(0.2, 0.8)).astype(np.int64)
+    labels[rng.choice(n, 2, replace=False)] = [0, 1]
+    return GroupAssignment(labels)
+
+
+def test_lfpr_outputs_match_the_references():
+    """The locally fair baselines' outputs of random two-group graphs, with
+    and without sink rows, on built and on reweighted originals, against
+    their original and against each other: the spreads are class items, and
+    the metrics are what the written-out rows give."""
+    rng = np.random.default_rng(4001)
+    seen = dict.fromkeys(["sinks", "no sinks", "class items", "defined", "undefined"], 0)
+    for _ in range(120):
+        n = int(rng.integers(4, 24))
+        sinks = rng.random(n) < rng.choice([0.0, 0.25])
+        P = random_matrix(rng, n, sinks)
+        if rng.random() < 0.5:
+            P = build_transition(Graph(n, np.column_stack([P.entry_rows(), P.indices])), PageRankConfig.uniform(n))
+        seen["sinks" if P.sink_mask.any() else "no sinks"] += 1
+        groups = random_two_groups(rng, n)
+        outputs = [
+            method(P, groups, FairnessTarget.from_lead_share(float(rng.uniform(0.1, 0.9)), 2)).matrix
+            for method in (lfpr_n, lfpr_u)
+        ]
+        for R in outputs:
+            assert_matches_the_references(P, R, seen)
+        assert_matches_the_references(*outputs, seen)
+    assert min(seen.values()) >= 20, seen
+
+
+def dense_share_matrix(rng, n, sinks):
+    """Stored rows as ``random_matrix`` draws them, the sink rows share 1 of
+    vector 0, and most other rows also carry shares of vectors 1 and 2 (now
+    and then of one of them); the three vectors are dense, with entries
+    that all differ, so every column is a class of its own."""
+    P = random_matrix(rng, n, sinks)
+    vectors = rng.random((3, n)) + 0.5
+    rows, ids, values = list(np.flatnonzero(sinks)), [0] * int(sinks.sum()), [1.0] * int(sinks.sum())
+    for i in np.flatnonzero(~sinks).tolist():
+        for v in (1, 2) if rng.random() < 0.7 else (int(rng.integers(1, 3)),) if rng.random() < 0.5 else ():
+            rows.append(i)
+            ids.append(v)
+            values.append(float(rng.random()))
+    return TransitionMatrix(n, P.indptr, P.indices, P.data, shares=(vectors, rows, ids, values))
+
+
+def test_rows_with_two_dense_shares_match_the_references():
+    """Rows carrying shares of two dense vectors whose entries all differ,
+    on either side: one class per column, so the items are as many as the
+    written-out keys, each of count 1 (``count`` None), and the metrics are
+    the references'."""
+    rng = np.random.default_rng(4002)
+    seen = dict.fromkeys(["class items", "defined", "undefined"], 0)
+    for _ in range(150):
+        n = int(rng.integers(2, 12))
+        P_old = dense_share_matrix(rng, n, rng.random(n) < 0.2)
+        P_new = dense_share_matrix(rng, n, rng.random(n) < 0.2) if rng.random() < 0.5 else P_old.with_data(
+            random_weights(rng, P_old.nnz)
+        )
+        for a, b in ((P_old, P_new), (P_new, P_old)):
+            items = aligned(a, b)
+            rows = ~(a.sink_mask & b.sink_mask)
+            written = [ref_to_csr(M, M.sink_mask & rows).tocoo() for M in (a, b)]
+            written = np.union1d(*((M.row * n + M.col)[rows[M.row]] for M in written))
+            assert len(items.keys) == len(written) and items.count is None
+        assert_matches_the_references(P_old, P_new, seen)
+    assert seen["class items"] >= 20 and seen["defined"] >= 20, seen
+
+
+def test_lfpr_evaluation_counts_its_spreads():
+    """4,000 vertices in two groups, about 5 out-edges each: evaluating the
+    lfpr_u output against the original stays O(edges + n) in memory (3 MiB
+    traced). Written out, its spreads would take 6M keys and weights per
+    side (a 478 MiB traced peak)."""
+    rng = np.random.default_rng(40)
+    n = 4000
+    src = np.repeat(np.arange(n), 5)
+    edges = np.unique(np.stack([src, rng.integers(0, n, src.size)], axis=1), axis=0)
+    groups = GroupAssignment((rng.random(n) < 0.3).astype(np.int64))
+    cfg = PageRankConfig.uniform(n)
+    P = build_transition(Graph(n, edges), cfg)
+    target = FairnessTarget.from_lead_share(0.5, 2)
+    R = lfpr_u(P, groups, target).matrix
+    assert int(np.diff(R.share_ptr)[1:] @ groups.group_sizes) > 4_000_000  # what writing out would take
+    tracemalloc.start()
+    try:
+        bundle = evaluate_matrices(P, R, cfg.gamma, groups, target)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bundle.delta_p > 0 and -1.0 <= bundle.rho_tilde <= 1.0
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"

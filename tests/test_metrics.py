@@ -190,9 +190,10 @@ def mind_like_with_sinks():
 @pytest.mark.parametrize("instance", [sinky_toy, mind_like_with_sinks])
 def test_metrics_read_spreads_as_their_written_out_rows(instance, method):
     """An lfpr output with sink rows and spreads, as the revised matrix and
-    as the original: ``delta_p`` and ``rho_tilde`` give bitwise what they
-    give for a copy that stores the rows ``entries`` writes out, and
-    ``delta_p`` is the dense ||B - A||_F / ||A||_F."""
+    as the original: ``rho_tilde`` gives bitwise what it gives for a copy
+    that stores the rows ``entries`` writes out, ``delta_p`` agrees within
+    1e-15 relative (a class item adds count x its square, the copy each
+    column's square), and ``delta_p`` is the dense ||B - A||_F / ||A||_F."""
     groups, P = instance()
     R = method(P, groups, FairnessTarget.from_lead_share(0.3, 2)).matrix
     assert R.has_spreads and R.sink_mask.any()
@@ -201,7 +202,8 @@ def test_metrics_read_spreads_as_their_written_out_rows(instance, method):
     S = TransitionMatrix(R.n, indptr, keys % R.n, weights, shares=sink_shares(R.sink_mask, R.sink_row))
     assert not S.has_spreads and np.array_equal(S.to_dense(), R.to_dense())
     for old, new, old_s, new_s in ((P, R, P, S), (R, P, S, P)):
-        assert bits(delta_p(new, old)) == bits(delta_p(new_s, old_s))
+        stored = delta_p(new_s, old_s)
+        assert abs(delta_p(new, old) - stored) <= 1e-15 * stored
         assert bits(rho_tilde(old, new)) == bits(rho_tilde(old_s, new_s))
         A, B = old.to_dense(), new.to_dense()
         want = np.linalg.norm(B - A) / np.linalg.norm(A)
@@ -248,10 +250,36 @@ def test_merge_matches_unique_on_ascending_runs():
         assert np.array_equal(at_x, want[1]) and np.array_equal(at_y, want[2]), (x, y)
 
 
+def expand(items, n):
+    """``aligned``'s items written out column by column, as (keys, new,
+    old) ascending: a column item on its column, a class item on each
+    column of its class that no column item of its row takes, as many as
+    its count. Plain Python sets, so no np.unique is reached."""
+    keys, width, new, old, count, classes = items
+    assert (classes is None) == (width == n)
+    rows, j = np.divmod(keys, width)
+    column = j < n
+    assert count is None or (count[column] == 1).all()
+    count = np.ones(len(keys), np.int64) if count is None else count
+    keys, w_new, w_old = [rows[column] * n + j[column]], [new[column]], [old[column]]
+    for t in np.flatnonzero(~column).tolist():
+        taken = set(j[column & (rows == rows[t])].tolist())
+        spread = [c for c in np.flatnonzero(classes == j[t] - n).tolist() if c not in taken]
+        assert len(spread) == count[t] > 0
+        keys.append(rows[t] * n + np.array(spread, np.int64))
+        w_new.append(np.full(len(spread), new[t]))
+        w_old.append(np.full(len(spread), old[t]))
+    keys = np.concatenate(keys)
+    order = np.argsort(keys, kind="stable")
+    assert (np.diff(keys[order]) > 0).all()
+    return keys[order], np.concatenate(w_new)[order], np.concatenate(w_old)[order]
+
+
 def test_aligned_keeps_keys_that_one_side_has():
     """Keys that only one matrix writes out, stored or as shares, sit in the
     union with weight 0 on the other side; rows that are sinks on both sides
-    are left out. The reference is the two dense matrices."""
+    are left out. The items, expanded into columns, are checked against the
+    two dense matrices."""
     sinks = [False, False, False, True]
     old = TransitionMatrix.from_dense([[0, .5, .5, 0], [1, 0, 0, 0], [0, 0, 0, 1], [.25] * 4], sinks)
     # row 0 drops (0, 1) and gains (0, 3); row 1 is half stored, half a share of vector 1
@@ -261,7 +289,9 @@ def test_aligned_keeps_keys_that_one_side_has():
     A, B = old.to_dense()[:3].ravel(), new.to_dense()[:3].ravel()
     want = np.flatnonzero((A != 0) | (B != 0))
     for (P, Q), (a, b) in (((new, old), (B, A)), ((old, new), (A, B))):
-        keys, w_p, w_q = aligned(P, Q)
+        items = aligned(P, Q)
+        assert (items.keys % items.width >= 4).any()  # row 1's share of vector 1 is a class item
+        keys, w_p, w_q = expand(items, 4)
         assert np.array_equal(keys, want) and keys.dtype == np.int64
         assert np.array_equal(w_p, a[want]) and np.array_equal(w_q, b[want])
         assert set(keys.tolist()) - set(P.entries(~P.sink_mask)[0].tolist())
@@ -290,8 +320,9 @@ def test_equal_patterns_align_without_a_merge(monkeypatch):
     """Two matrices on one stored pattern with the same shares (rows, vector
     ids, vector nonzeros) but other weights, share values and vector values
     align without a merge and are pattern subsets of each other at once;
-    moving a share to another row takes the merge and the full subset test.
-    Each is checked against the merge and the dense matrices."""
+    moving a share to another row still aligns without a merge (the stored
+    keys are equal) but takes the full subset test. The items, expanded
+    into columns, are checked against the merge and the dense matrices."""
     old = four_by_four([0.5, 0.5, 0.5, 1.0], 1, 0.5, [0.25] * 4, [0, 0, 0.5, 0.5])
     same = four_by_four([0.3, 0.7, 0.2, 1.0], 1, 0.8, [0.1, 0.2, 0.3, 0.4], [0, 0, 0.25, 0.75])
     moved = four_by_four([0.5, 0.5, 1.0, 0.5], 2, 0.5, [0.25] * 4, [0, 0, 0.5, 0.5])
@@ -304,7 +335,7 @@ def test_equal_patterns_align_without_a_merge(monkeypatch):
         want_subset[id(P), id(Q)] = not ((A != 0) & (B == 0)).any()
         both = P.sink_mask & Q.sink_mask
         want_keys = np.flatnonzero(((A != 0) | (B != 0)) & ~both[:, None])
-        keys, w_p, w_q = aligned(P, Q)
+        keys, w_p, w_q = expand(aligned(P, Q), 4)
         ref = refs[id(P), id(Q)] = merged(P, Q)
         assert np.array_equal(keys, ref[0]) and np.array_equal(keys, want_keys) and keys.dtype == np.int64
         assert np.array_equal(bits(w_p), bits(ref[1])) and np.array_equal(bits(w_q), bits(ref[2]))
@@ -316,24 +347,26 @@ def test_equal_patterns_align_without_a_merge(monkeypatch):
     def no_merge(*args, **kwargs):
         raise AssertionError("merged two equal key sets")
 
-    # the equal pairs, as above, with no merge and no grouping of rows (np.unique) to reach
+    # every pair, as above, with no merge and no grouping of rows (np.unique) to reach
     monkeypatch.setattr("fairpr.metrics.merge_runs", no_merge)
     monkeypatch.setattr(np, "unique", no_merge)
-    for P, Q in ((same, old), (old, same)):
-        for got, want in zip(aligned(P, Q), refs[id(P), id(Q)]):
+    for P, Q in ((same, old), (old, same), (moved, old), (old, moved)):
+        for got, want in zip(expand(aligned(P, Q), 4), refs[id(P), id(Q)]):
             assert np.array_equal(bits(got), bits(want))
+    for P, Q in ((same, old), (old, same)):
         assert P.pattern_subset_of(Q)
-    for call in (lambda: aligned(moved, old), lambda: moved.pattern_subset_of(old)):
-        with pytest.raises(AssertionError, match="merged two equal key sets"):
-            call()
+    with pytest.raises(AssertionError, match="merged two equal key sets"):
+        moved.pattern_subset_of(old)
 
 
 def test_added_entries_align_by_searchsorted(monkeypatch, karate):
-    """A revision whose keys hold every key of the original (the locally
-    fair baselines' outputs) aligns on its own keys with no merge; FairWalk's
-    equal pattern keeps the equal-keys path; a revision that drops an entry,
-    and the original against a revision that added some, take the merge.
-    Every result is bitwise the merge's."""
+    """A revision whose stored keys hold every stored key of the original
+    aligns on its own keys with no merge. The locally fair baselines'
+    outputs store exactly the original's edges, and FairWalk's keep its
+    pattern, so either way round they align on equal stored keys, with no
+    merge, the lfpr spreads as class items. The original against a revision
+    that added entries, and a revision that drops an entry, take the merge.
+    Every result, expanded into columns, is bitwise the merge's."""
     from fairpr import fairwalk
 
     _, groups, _, P = karate
@@ -341,30 +374,32 @@ def test_added_entries_align_by_searchsorted(monkeypatch, karate):
     cases = []
     for Q, grp in ((P, groups), (mind[3], mind[1])):
         target = FairnessTarget(phi=np.array([0.3, 0.7]))
-        cases += [(method(Q, grp, target).matrix, Q, method is not fairwalk) for method in (lfpr_n, lfpr_u, fairwalk)]
-    # drop (0, 1) and add two entries of row 0: more keys than the original, not all of its
+        cases += [(method(Q, grp, target).matrix, Q) for method in (lfpr_n, lfpr_u, fairwalk)]
+    # two entries added to row 0, and then (0, 1) dropped: more keys than the original, all of its or not
     A = P.to_dense()
-    free = np.flatnonzero(A[0] == 0)[:2]
-    A[0, free], A[0, 1] = A[0, 1] / 2, 0.0
+    free, w = np.flatnonzero(A[0] == 0)[:2], A[0, 1]
+    A[0, free], A[0, 1] = w / 4, w / 2
+    added = TransitionMatrix.from_dense(A)
+    A[0, free], A[0, 1] = w / 2, 0.0
     dropped = TransitionMatrix.from_dense(A)
-    assert dropped.nnz > P.nnz
-    cases.append((dropped, P, False))
-    refs = {}
-    for new, old, adds in cases:
-        for pair in ((new, old), (old, new)):
-            ref = refs[id(pair[0]), id(pair[1])] = merged(*pair)
-            for got, want in zip(aligned(*pair), ref):
-                assert np.array_equal(bits(got), bits(want))
-        assert adds == (len(ref[0]) == len(new.entries(~new.sink_mask)[0]) > len(old.entries(~old.sink_mask)[0]))
-    assert sum(adds for *_, adds in cases) == 4
+    assert added.nnz > P.nnz and dropped.nnz > P.nnz
+    cases += [(added, P), (dropped, P)]
+    refs, spread = {}, 0
+    for pair in cases + [(old, new) for new, old in cases]:
+        ref = refs[id(pair[0]), id(pair[1])] = merged(*pair)
+        items = aligned(*pair)
+        spread += items.classes is not None
+        for got, want in zip(expand(items, pair[0].n), ref):
+            assert np.array_equal(bits(got), bits(want))
+    assert spread == 8  # the lfpr outputs, either way round
 
     def no_merge(*args, **kwargs):
         raise AssertionError("merged")
 
     monkeypatch.setattr("fairpr.metrics.merge_runs", no_merge)
-    for new, old, adds in cases:
-        if adds or new.pattern_equals(old):
-            for got, want in zip(aligned(new, old), refs[id(new), id(old)]):
-                assert np.array_equal(bits(got), bits(want))
+    for pair in cases[:-2] + [(old, new) for new, old in cases[:-2]] + [(added, P)]:
+        for got, want in zip(expand(aligned(*pair), pair[0].n), refs[id(pair[0]), id(pair[1])]):
+            assert np.array_equal(bits(got), bits(want))
+    for pair in ((P, added), (dropped, P), (P, dropped)):
         with pytest.raises(AssertionError, match="merged"):
-            aligned(old, new) if adds else aligned(dropped, P)
+            aligned(*pair)
